@@ -118,38 +118,8 @@ class _Entry:
     bindings: Callable[[int, int], dict[str, float]]
     #: closed-form wire-byte model from :mod:`repro.model.phases`
     model: Callable[[int, int, int], dict[str, float]]
-    #: traced trial body: (comm, n_local, seed) -> rounds taken
-    trial: Callable[[Any, int, int], int]
-
-
-def _histsort_trial(comm: Any, n_local: int, seed: int) -> int:
-    import numpy as np
-
-    from ..core import histogram_sort
-
-    rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
-    local = rng.integers(0, 2**62, size=n_local, dtype=np.uint64)
-    return int(histogram_sort(comm, local).rounds)
-
-
-def _samplesort_trial(comm: Any, n_local: int, seed: int) -> int:
-    import numpy as np
-
-    from ..baselines import sample_sort
-
-    rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
-    sample_sort(comm, rng.integers(0, 2**62, size=n_local, dtype=np.uint64))
-    return 1
-
-
-def _psrs_trial(comm: Any, n_local: int, seed: int) -> int:
-    import numpy as np
-
-    from ..baselines import psrs_sort
-
-    rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
-    psrs_sort(comm, rng.integers(0, 2**62, size=n_local, dtype=np.uint64))
-    return 1
+    #: the traced trial's row in :data:`repro.algorithms.ALGORITHMS`
+    sort: str
 
 
 def _model_histsort(n: int, p: int, rounds: int) -> dict[str, float]:
@@ -195,40 +165,38 @@ ALGORITHMS: dict[str, _Entry] = {
             "repro.seq.search",
         ),
         phase_of={
-            "histsort:histogram_sort": "local_sort",
+            "histsort:local_sort": "local_sort",
             "multiselect:find_splitters": "splitting",
             "exchange:build_exchange_plan": "other",
             "exchange:exchange": "exchange",
         },
         bindings=_core_bindings,
         model=_model_histsort,
-        trial=_histsort_trial,
+        sort="dash",
     ),
     "samplesort": _Entry(
         modules=("repro.baselines.samplesort", "repro.baselines.common"),
         phase_of={
-            "samplesort:sample_sort": "sampling",  # gather/bcast re-binned by verb
+            "samplesort:_random_sample": "sampling",
+            "samplesort:_select_splitters": "splitting",
             "common:exchange_by_splitters": "exchange",
         },
         bindings=_core_bindings,
         model=_model_samplesort,
-        trial=_samplesort_trial,
+        sort="sample_sort",
     ),
     "psrs": _Entry(
         modules=("repro.baselines.samplesort", "repro.baselines.common"),
         phase_of={
-            "samplesort:psrs_sort": "splitting",
+            "samplesort:_regular_sample": "splitting",
+            "samplesort:_select_splitters": "splitting",
             "common:exchange_by_splitters": "exchange",
         },
         bindings=_core_bindings,
         model=_model_psrs,
-        trial=_psrs_trial,
+        sort="psrs",
     ),
 }
-
-#: the two samplesort collectives live in one function but two phases —
-#: attribute by verb (the gather samples, the bcast ships splitters)
-_SAMPLESORT_VERB_PHASE = {"gather": "sampling", "bcast": "splitting"}
 
 
 # ------------------------------------------------------------- static side
@@ -248,14 +216,10 @@ def _module_summaries(modules: tuple[str, ...]) -> list[Any]:
     return out
 
 
-def _function_phase(entry: _Entry, algo: str, key: str, verb: str) -> str | None:
+def _function_phase(entry: _Entry, key: str) -> str | None:
     """Phase a cost site bills to, or ``None`` when out of scope."""
     path, _, dotted = key.partition("::")
-    stem = Path(path).stem
-    tag = f"{stem}:{dotted}"
-    if algo == "samplesort" and tag == "samplesort:sample_sort":
-        return _SAMPLESORT_VERB_PHASE.get(verb)
-    return entry.phase_of.get(tag)
+    return entry.phase_of.get(f"{Path(path).stem}:{dotted}")
 
 
 def static_traffic(
@@ -284,7 +248,7 @@ def static_traffic(
     for key in sorted(prog.cost):
         for site in prog.cost[key].get("sites", []):
             verb = site["verb"]
-            phase = _function_phase(entry, algo, key, verb)
+            phase = _function_phase(entry, key)
             if phase is None:
                 continue
             payload, _via = prog.resolve_size(key, sym.from_json(site["payload"]))
@@ -315,14 +279,20 @@ def static_traffic(
 
 def measure_traffic(algo: str, p: int, n: int, seed: int = 7) -> TrafficSnapshot:
     """Run a small traced virtual-clock trial and bin span bytes by phase."""
+    import numpy as np
+
+    from ..algorithms import ALGORITHMS as SORTS
+    from ..core import SortConfig
     from ..mpi import run_spmd
     from ..trace.analysis import phase_traffic
 
-    entry = ALGORITHMS[algo]
+    sort = SORTS[ALGORITHMS[algo].sort].run
     n_local = max(n // p, 1)
 
     def prog(comm):
-        return entry.trial(comm, n_local, seed)
+        rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
+        local = rng.integers(0, 2**62, size=n_local, dtype=np.uint64)
+        return sort(comm, local, SortConfig()).rounds
 
     results, rt = run_spmd(p, prog, trace=True, return_runtime=True)
     spans = rt.trace.spans()

@@ -10,7 +10,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
 
-__all__ = ["BaselineResult", "partition_counts", "exchange_by_splitters"]
+__all__ = ["BaselineResult", "exchange_by_splitters"]
 
 
 @dataclass(frozen=True)
@@ -25,25 +25,28 @@ class BaselineResult:
     def time(self) -> float:
         return float(sum(self.phases.values()))
 
+    @property
+    def rounds(self) -> int:
+        """Histogramming rounds (1 for the single-round algorithms)."""
+        diag = self.info.get("diagnostics")
+        return 1 if diag is None else int(diag.rounds)
 
-def partition_counts(local_sorted: np.ndarray, splitter_values: np.ndarray) -> np.ndarray:
-    """Send counts per destination from P-1 splitter values (keys <= splitter
-    go left; no tie refinement — baselines are allowed imbalance)."""
-    cuts = np.searchsorted(local_sorted, splitter_values, side="right")
-    cuts = np.concatenate(([0], cuts, [local_sorted.size]))
-    return np.diff(cuts).astype(np.int64)
+    @property
+    def exchanged_bytes(self) -> int:
+        """Bytes this rank received in the exchange."""
+        return int(self.output.nbytes)
 
 
 def exchange_by_splitters(
     comm: "Comm", local_sorted: np.ndarray, splitter_values: np.ndarray
 ) -> list[np.ndarray]:
-    """Cut a sorted partition at the splitters and run the ALL-TO-ALLV."""
+    """Cut a sorted partition at the P-1 splitter values (keys <= splitter go
+    left; no tie refinement — baselines are allowed imbalance) and run the
+    ALL-TO-ALLV."""
     t0 = comm.clock
-    counts = partition_counts(local_sorted, splitter_values)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    chunks = [
-        local_sorted[offsets[d] : offsets[d + 1]] for d in range(comm.size)
-    ]
+    cuts = np.searchsorted(local_sorted, splitter_values, side="right")
+    cuts = np.concatenate(([0], cuts, [local_sorted.size]))
+    chunks = [local_sorted[cuts[d] : cuts[d + 1]] for d in range(comm.size)]
     received = comm.alltoallv(chunks)
-    comm.tracer.record("exchange_data", t0, elements_sent=int(counts.sum()))
+    comm.tracer.record("exchange_data", t0, elements_sent=int(local_sorted.size))
     return received

@@ -18,26 +18,29 @@ histogram sort is about *splitter determination*, not tie handling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..seq.kmerge import binary_merge_tree
+from ..core.config import SortConfig
+from ..core.histsort import SortState, run_pipeline
+from ..core.multiselect import _MINMAX, SplitterResult
 from ..seq.search import local_histogram
-from ..trace.timer import PhaseTimer
 from .common import BaselineResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
 
-__all__ = ["hss_sort", "HSSDiagnostics"]
+__all__ = ["hss_sort", "hss_splitters", "HSSDiagnostics"]
 
 
 @dataclass(frozen=True)
-class HSSDiagnostics:
-    rounds: int
-    probes_total: int
-    converged: bool
+class HSSDiagnostics(SplitterResult):
+    """The splitter step's result (``rounds``, ``probes_total``, ...) plus
+    whether the sampled probes closed every boundary within the budget."""
+
+    converged: bool = True
 
 
 def hss_sort(
@@ -50,6 +53,43 @@ def hss_sort(
     sampling: str = "global",
 ) -> BaselineResult:
     """Sort via sampled iterative histogramming (HSS).
+
+    The histogram sort's pipeline (:func:`repro.core.histsort.run_pipeline`,
+    binary-tree merge) with :func:`hss_splitters` as its splitter step, so
+    the comparison against the histogram sort is about *splitter
+    determination* alone.
+    """
+    local = np.asarray(local)
+    res = run_pipeline(
+        comm,
+        SortState(local, local.dtype),
+        SortConfig(eps=eps, merge_strategy="binary_tree"),
+        find=partial(
+            hss_splitters,
+            samples_per_round=samples_per_round,
+            max_rounds=max_rounds,
+            seed=seed,
+            sampling=sampling,
+        ),
+    )
+    return BaselineResult(
+        output=res.output, phases=res.phases, info={"diagnostics": res.splitters}
+    )
+
+
+def hss_splitters(
+    comm: "Comm",
+    work: np.ndarray,
+    capacities: Sequence[int] | None = None,
+    eps: float = 0.0,
+    *,
+    samples_per_round: int = 12,
+    max_rounds: int = 128,
+    seed: int = 1,
+    sampling: str = "global",
+) -> HSSDiagnostics:
+    """Splitter determination by sampled probes; same shape as
+    :func:`repro.core.multiselect.find_splitters`.
 
     ``sampling`` selects the probe generator:
 
@@ -68,42 +108,19 @@ def hss_sort(
     """
     if sampling not in ("global", "interval"):
         raise ValueError(f"sampling must be 'global' or 'interval', got {sampling!r}")
-    local = np.asarray(local)
     p = comm.size
+    m = p - 1
     compute = comm.cost.compute
-    timer = PhaseTimer(comm)
-
-    work = np.sort(local)
-    comm.compute(compute.sort(work.size))
-    timer.mark("local_sort")
-
-    if p == 1:
-        timer.mark("splitting")
-        timer.mark("exchange")
-        timer.mark("merge")
-        return BaselineResult(
-            output=work,
-            phases=dict(timer.phases),
-            info={"diagnostics": HSSDiagnostics(0, 0, True)},
-        )
+    dtype = work.dtype
 
     sizes = np.asarray(comm.allgather(int(work.size)), dtype=np.int64)
+    caps = sizes if capacities is None else np.asarray(capacities, dtype=np.int64)
     total = int(sizes.sum())
-    targets = np.cumsum(sizes)[:-1]
+    targets = np.cumsum(caps)[:-1]
     tol = max(int(np.floor(eps * total / (2 * p))), 0)
-
-    dtype = work.dtype
+    if total == 0 or m == 0:
+        return HSSDiagnostics.trivial(dtype, targets, caps, total, tol)
     rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
-
-    if total == 0:
-        timer.mark("splitting")
-        timer.mark("exchange")
-        timer.mark("merge")
-        return BaselineResult(
-            output=work,
-            phases=dict(timer.phases),
-            info={"diagnostics": HSSDiagnostics(0, 0, True)},
-        )
 
     # Interval state per boundary: value bounds and their achieved ranks.
     if work.size:
@@ -111,13 +128,8 @@ def hss_sort(
     else:
         info = np.iinfo(dtype) if dtype.kind in "iu" else np.finfo(dtype)
         lmin, lmax = dtype.type(info.max), dtype.type(info.min)
-    from ..mpi.ops import ReduceOp
+    gmin, gmax = comm.allreduce((lmin, lmax), op=_MINMAX)
 
-    gmin, gmax = comm.allreduce(
-        (lmin, lmax), op=ReduceOp("minmax", lambda a, b: (min(a[0], b[0]), max(a[1], b[1])))
-    )
-
-    m = p - 1
     lo_val = np.full(m, gmin, dtype=dtype)
     hi_val = np.full(m, gmax, dtype=dtype)
     lo_rank = np.zeros(m, dtype=np.int64)           # rank of lo_val (keys < lo)
@@ -234,15 +246,10 @@ def hss_sort(
             realized[i] = int(np.clip(targets[i], L[j], U[j]))
             active[i] = False
 
-    timer.mark("splitting")
-
-    # Tie-aware exchange reusing the histogram sort's Algorithm 4 machinery.
-    from ..core.exchange import build_exchange_plan, exchange
-    from ..core.multiselect import SplitterResult
-
     # Sort the accepted values (independent per-target acceptance can land
     # out of order around ties) and re-derive exact global bounds so the
-    # rank-order fill sees consistent numbers even for tol-accepted probes.
+    # exchange's rank-order fill sees consistent numbers even for
+    # tol-accepted probes.
     values = np.sort(values)
     l_loc, u_loc = local_histogram(work, values)
     glob = comm.allreduce(np.concatenate([l_loc, u_loc]))
@@ -251,29 +258,16 @@ def hss_sort(
     realized = np.clip(targets, lower, upper)
     realized = np.maximum.accumulate(realized)
 
-    splitters = SplitterResult(
+    return HSSDiagnostics(
         values=values,
         realized_ranks=realized,
         lower=lower,
         upper=upper,
         targets=targets,
-        capacities=sizes,
+        capacities=caps,
         total=total,
         tolerance=tol,
         rounds=rounds,
         probes_total=probes_total,
-    )
-    plan = build_exchange_plan(comm, work, splitters)
-    received = exchange(comm, work, plan)
-    timer.mark("exchange")
-
-    n_recv = int(sum(c.size for c in received))
-    output = binary_merge_tree(received)
-    comm.compute(compute.kway_merge(n_recv, max(len(received), 2)))
-    timer.mark("merge")
-
-    return BaselineResult(
-        output=output,
-        phases=dict(timer.phases),
-        info={"diagnostics": HSSDiagnostics(rounds, probes_total, converged)},
+        converged=converged,
     )

@@ -12,11 +12,12 @@ phase removes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..seq.kmerge import binary_merge_tree
+from ..core.merge import local_merge
 from ..trace.timer import PhaseTimer
 from .common import BaselineResult, exchange_by_splitters
 
@@ -37,110 +38,96 @@ def sample_sort(
     ``oversampling`` random keys per rank are gathered on rank 0, which
     sorts them and broadcasts every ``oversampling``-th as a splitter.
     """
-    local = np.asarray(local)
-    p = comm.size
-    compute = comm.cost.compute
-    timer = PhaseTimer(comm)
-    if p == 1:
-        out = np.sort(local)
-        comm.compute(compute.sort(out.size))
-        timer.mark("merge")
-        return BaselineResult(output=out, phases=dict(timer.phases))
-    rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
-
-    # Superstep 1: sampling.
-    s = min(oversampling, local.size)
-    sample = local[rng.integers(0, local.size, size=s)] if s else local[:0]
-    gathered = comm.gather(sample, root=0)
-    timer.mark("sampling")
-
-    # Superstep 2: splitting on the central rank.
-    if comm.rank == 0:
-        flat = np.sort(np.concatenate(gathered))
-        comm.compute(compute.sort(flat.size))
-        if flat.size >= p - 1 and p > 1:
-            idx = (np.arange(1, p) * flat.size) // p
-            splitters = flat[idx]
-        else:
-            # Degenerate sample (tiny inputs): pad with the sample maximum
-            # so the trailing destinations receive nothing.
-            pad = flat[-1] if flat.size else local.dtype.type(0)
-            splitters = np.concatenate(
-                [flat, np.full(p - 1 - flat.size, pad, dtype=flat.dtype)]
-            )
-    else:
-        splitters = None
-    splitters = comm.bcast(splitters, root=0)
-    timer.mark("splitting")
-
-    # Superstep 3: exchange, then sort the received chunks locally.
-    work = np.sort(local)
-    comm.compute(compute.sort(work.size))
-    received = exchange_by_splitters(comm, work, splitters)
-    timer.mark("exchange")
-
-    n_recv = int(sum(c.size for c in received))
-    output = binary_merge_tree(received)
-    comm.compute(compute.kway_merge(n_recv, max(len(received), 2)))
-    timer.mark("merge")
-
-    return BaselineResult(
-        output=output,
-        phases=dict(timer.phases),
-        info={"splitters": splitters, "oversampling": oversampling},
-    )
+    draw = partial(_random_sample, oversampling=oversampling, seed=seed)
+    return _sort_by_sample(comm, local, draw, oversampling=oversampling)
 
 
 def psrs_sort(comm: "Comm", local: np.ndarray) -> BaselineResult:
     """Parallel Sorting by Regular Sampling (deterministic splitters)."""
+    return _sort_by_sample(comm, local, _regular_sample)
+
+
+def _sort_by_sample(
+    comm: "Comm", local: np.ndarray, draw: Callable, **info
+) -> BaselineResult:
+    """The three supersteps both sample sorts share.
+
+    ``draw(comm, local, timer)`` gathers the sample on rank 0 and returns
+    it with the sorted partition if drawing needed one (else ``None``).
+    """
     local = np.asarray(local)
-    p = comm.size
-    compute = comm.cost.compute
     timer = PhaseTimer(comm)
-    if p == 1:
-        out = np.sort(local)
-        comm.compute(compute.sort(out.size))
+    if comm.size == 1:
+        out = _local_sort(comm, local)
         timer.mark("merge")
         return BaselineResult(output=out, phases=dict(timer.phases))
 
-    # Local sort first — regular sampling probes a sorted run.
-    work = np.sort(local)
-    comm.compute(compute.sort(work.size))
-    timer.mark("local_sort")
-
-    # Regular samples: p-1 per rank at offsets (i+1) * n / p.
-    if p > 1 and work.size:
-        idx = np.minimum(((np.arange(1, p) * work.size) // p), work.size - 1)
-        sample = work[idx]
-    else:
-        sample = work[:0]
-    gathered = comm.gather(sample, root=0)
-    if comm.rank == 0:
-        flat = np.sort(np.concatenate(gathered))
-        comm.compute(compute.sort(flat.size))
-        if flat.size >= p - 1 and p > 1:
-            idx = np.minimum((np.arange(1, p) * flat.size) // p, flat.size - 1)
-            splitters = flat[idx]
-        else:
-            pad = flat[-1] if flat.size else local.dtype.type(0)
-            splitters = np.concatenate(
-                [flat, np.full(p - 1 - flat.size, pad, dtype=flat.dtype)]
-            )
-    else:
-        splitters = None
-    splitters = comm.bcast(splitters, root=0)
+    gathered, work = draw(comm, local, timer)
+    splitters = _select_splitters(comm, gathered, local.dtype)
     timer.mark("splitting")
 
+    if work is None:
+        work = _local_sort(comm, local)
     received = exchange_by_splitters(comm, work, splitters)
     timer.mark("exchange")
 
-    n_recv = int(sum(c.size for c in received))
-    output = binary_merge_tree(received)
-    comm.compute(compute.kway_merge(n_recv, max(len(received), 2)))
+    output = local_merge(comm, received, strategy="binary_tree")
     timer.mark("merge")
 
     return BaselineResult(
         output=output,
         phases=dict(timer.phases),
-        info={"splitters": splitters},
+        info={"splitters": splitters, **info},
     )
+
+
+def _local_sort(comm: "Comm", local: np.ndarray) -> np.ndarray:
+    work = np.sort(local)
+    comm.compute(comm.cost.compute.sort(work.size))
+    return work
+
+
+def _random_sample(comm: "Comm", local: np.ndarray, timer: PhaseTimer,
+                   oversampling: int = 32, seed: int = 1):
+    """``oversampling`` random keys of the unsorted partition per rank.
+
+    The literal default is what lets ``repro.analyze cost`` bound the
+    gather payload statically; keep it equal to :func:`sample_sort`'s.
+    """
+    rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
+    s = min(oversampling, local.size)
+    sample = local[rng.integers(0, local.size, size=s)] if s else local[:0]
+    gathered = comm.gather(sample, root=0)
+    timer.mark("sampling")
+    return gathered, None
+
+
+def _regular_sample(comm: "Comm", local: np.ndarray, timer: PhaseTimer):
+    """``p-1`` keys per rank at offsets ``(i+1) * n / p`` of the sorted
+    partition — regular sampling probes a sorted run, so sort first."""
+    p = comm.size
+    work = _local_sort(comm, local)
+    timer.mark("local_sort")
+    sample = work[(np.arange(1, p) * work.size) // p] if work.size else work[:0]
+    return comm.gather(sample, root=0), work
+
+
+def _select_splitters(comm: "Comm", gathered, dtype: np.dtype) -> np.ndarray:
+    """Central splitter selection: rank 0 sorts the gathered sample and
+    broadcasts every ``len/p``-th key."""
+    p = comm.size
+    if comm.rank == 0:
+        flat = np.sort(np.concatenate(gathered))
+        comm.compute(comm.cost.compute.sort(flat.size))
+        if flat.size >= p - 1:
+            splitters = flat[(np.arange(1, p) * flat.size) // p]
+        else:
+            # Degenerate sample (tiny inputs): pad with the sample maximum
+            # so the trailing destinations receive nothing.
+            pad = flat[-1] if flat.size else dtype.type(0)
+            splitters = np.concatenate(
+                [flat, np.full(p - 1 - flat.size, pad, dtype=flat.dtype)]
+            )
+    else:
+        splitters = None
+    return comm.bcast(splitters, root=0)

@@ -13,12 +13,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from ..baselines import hss_sort, psrs_sort, sample_sort
-from ..core import SortConfig, autosort, histogram_sort
+from ..algorithms import ALGORITHMS
+from ..core import SortConfig, autosort
 from ..data import make_partition
 from ..machine import MachineSpec
 from ..mpi import run_spmd
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-def _result_record(inner) -> dict[str, Any]:
+def _result_record(res) -> dict[str, Any]:
     """Per-rank trial record: phases, histogramming rounds, bytes moved.
 
     ``rounds`` always rides along (1 for single-round algorithms), so
@@ -42,9 +42,9 @@ def _result_record(inner) -> dict[str, Any]:
     directly.
     """
     return {
-        "phases": inner.phases,
-        "rounds": int(getattr(inner, "rounds", 1)),
-        "exchanged": int(getattr(inner, "exchanged_bytes", inner.output.nbytes)),
+        "phases": res.phases,
+        "rounds": int(res.rounds),
+        "exchanged": int(res.exchanged_bytes),
     }
 
 
@@ -102,50 +102,15 @@ def peak_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
-_ALGOS: dict[str, Callable] = {}
-
-
-def _dash(comm, local, config):
-    res = histogram_sort(comm, local, config=config)
-    # A resilient config returns a ResilientSortResult wrapping the
-    # successful epoch's SortResult.
-    inner = getattr(res, "result", res)
-    out = _result_record(inner)
-    if inner is not res:
-        out["attempts"] = res.attempts
-        out["survivors"] = res.survivors
-    return out
-
-
-def _hss(comm, local, config):
-    res = hss_sort(comm, local, eps=config.eps if config else 0.0)
-    out = _result_record(res)
-    out["rounds"] = int(res.info["diagnostics"].rounds)
-    return out
-
-
-def _samplesort(comm, local, config):
-    return _result_record(sample_sort(comm, local))
-
-
-def _psrs(comm, local, config):
-    return _result_record(psrs_sort(comm, local))
-
-
-_ALGOS.update(dash=_dash, hss=_hss, sample_sort=_samplesort, psrs=_psrs)
-
-
-def _trial_program(comm, algo: str, dist: str, n_per_rank: int, seed: int, config,
-                   plan, plan_cache, plan_seed: int):
+def _trial_program(comm, algo: str, dist: str, n_per_rank: int, seed: int,
+                   config: SortConfig, plan, plan_cache, plan_seed: int):
     local = make_partition(dist, n_per_rank, rank=comm.rank, seed=seed)
     if plan is None:
-        return _ALGOS[algo](comm, local, config)
-    # plan="auto" bypasses the algo registry and runs the full autosort
+        return _result_record(ALGORITHMS[algo].run(comm, local, config))
+    # plan="auto" bypasses the algorithm table and runs the full autosort
     # lifecycle: fingerprint, cache lookup, planning on miss, feedback.
-    eps = config.eps if config is not None else 0.0
-    auto = autosort(comm, local, eps=eps, cache=plan_cache, seed=plan_seed)
-    inner = getattr(auto.result, "result", auto.result)
-    out = _result_record(inner)
+    auto = autosort(comm, local, eps=config.eps, cache=plan_cache, seed=plan_seed)
+    out = _result_record(auto.result)
     out["plan_id"] = auto.plan.plan_id
     out["plan_algo"] = auto.plan.algo
     out["cache_hit"] = auto.cache_hit
@@ -206,8 +171,10 @@ def run_sort_trial(
     """
     if plan not in (None, "auto"):
         raise ValueError(f"plan must be None or 'auto', got {plan!r}")
-    if plan is None and algo not in _ALGOS:
-        raise KeyError(f"unknown algo {algo!r}; available: {sorted(_ALGOS)}")
+    if plan is None and algo not in ALGORITHMS:
+        raise KeyError(f"unknown algo {algo!r}; available: {sorted(ALGORITHMS)}")
+    if config is None:
+        config = SortConfig()
     wall_t0 = time.perf_counter()
     results, rt = run_spmd(
         p,

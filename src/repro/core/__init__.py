@@ -13,7 +13,7 @@ from .api import (
 from .config import SortConfig, SplitterConfig
 from .dselect import DSelectResult, dselect
 from .exchange import ExchangePlan, build_exchange_plan, exchange
-from .histsort import PHASES, SortResult, histogram_sort
+from .histsort import PHASES, SortResult, SortState, histogram_sort, run_pipeline
 from .keys import PackError, PackSpec, pack_keys, plan_packing, unpack_keys
 from .merge import local_merge, merge_cost
 from .multiselect import SplitterConvergenceError, SplitterResult
@@ -28,6 +28,7 @@ __all__ = [
     "PackSpec",
     "SortConfig",
     "SortResult",
+    "SortState",
     "SplitterConfig",
     "SplitterConvergenceError",
     "SplitterResult",
@@ -46,6 +47,7 @@ __all__ = [
     "pack_keys",
     "percentile",
     "plan_packing",
+    "run_pipeline",
     "sort",
     "sorted_result",
     "top_k",

@@ -14,11 +14,10 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from .config import SortConfig, SplitterConfig
+from .config import SortConfig
 from .dselect import dselect
 from .histsort import SortResult, histogram_sort
-from .multiselect import SplitterResult
-from .multiselect import find_splitters as _find_splitters
+from .multiselect import find_splitters
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
@@ -124,7 +123,7 @@ def autosort(
     trace metadata so ``python -m repro.trace.report`` attributes the run
     to the plan that shaped it.
     """
-    from ..baselines import hss_sort, sample_sort
+    from ..algorithms import ALGORITHMS
     from ..tune.feedback import record_feedback
     from ..tune.fingerprint import fingerprint_collective
     from ..tune.planner import SortPlan, plan_sort
@@ -155,18 +154,12 @@ def autosort(
             plan_cache_hit=bool(cache_hit),
         )
 
-    if plan.algo == "dash":
-        result: Any = histogram_sort(comm, local, config=plan.config)
-    elif plan.algo == "hss":
-        # interval sampling: same variant the planner dry-ran
-        result = hss_sort(comm, local, eps=eps, sampling="interval", seed=seed)
-    elif plan.algo == "sample_sort":
-        result = sample_sort(comm, local)
-    else:
+    if plan.algo not in ALGORITHMS:
         raise ValueError(f"plan names unknown algorithm {plan.algo!r}")
+    # seeded like the planner's dry run of the same candidate
+    result = ALGORITHMS[plan.algo].run(comm, local, plan.config, seed)
 
-    inner = getattr(result, "result", result)  # unwrap resilient results
-    observed = comm.allreduce(float(sum(inner.phases.values())), op=MAX)
+    observed = comm.allreduce(float(sum(result.phases.values())), op=MAX)
     record = None
     if feedback:
         if comm.rank == 0:
@@ -246,14 +239,3 @@ def top_k(comm: "Comm", local: np.ndarray, k: int) -> np.ndarray:
         pad = np.full(ties, cutoff, dtype=local.dtype)
         merged = np.concatenate([merged, pad])
     return merged.copy()
-
-
-def find_splitters(
-    comm: "Comm",
-    local_sorted: np.ndarray,
-    capacities: Sequence[int] | None = None,
-    eps: float = 0.0,
-    config: SplitterConfig | None = None,
-) -> SplitterResult:
-    """Splitter determination only (Algorithm 3); see the module docs."""
-    return _find_splitters(comm, local_sorted, capacities=capacities, eps=eps, config=config)

@@ -72,6 +72,23 @@ class SplitterResult:
     def nboundaries(self) -> int:
         return int(self.values.size)
 
+    @classmethod
+    def trivial(cls, dtype, targets, capacities, total: int, tolerance: int):
+        """The zero-round result: no keys, or a single rank."""
+        zeros = np.zeros(targets.size, dtype=np.int64)
+        return cls(
+            values=np.zeros(targets.size, dtype=dtype),
+            realized_ranks=targets.copy(),
+            lower=zeros,
+            upper=zeros.copy(),
+            targets=targets,
+            capacities=capacities,
+            total=total,
+            tolerance=tolerance,
+            rounds=0,
+            probes_total=0,
+        )
+
 
 class _ProbeArithmetic:
     """Dtype-aware midpoint/step logic of the bisection."""
@@ -165,19 +182,7 @@ def find_splitters(
     arith = _ProbeArithmetic(dtype)
 
     if total == 0 or boundaries == 0:
-        zeros = np.zeros(boundaries, dtype=np.int64)
-        return SplitterResult(
-            values=np.zeros(boundaries, dtype=dtype),
-            realized_ranks=targets.copy(),
-            lower=zeros,
-            upper=zeros.copy(),
-            targets=targets,
-            capacities=caps,
-            total=total,
-            tolerance=tol,
-            rounds=0,
-            probes_total=0,
-        )
+        return SplitterResult.trivial(dtype, targets, caps, total, tol)
 
     # Global (min, max) — one reduction (Algorithm 3 line 3).  Empty ranks
     # contribute identity sentinels.

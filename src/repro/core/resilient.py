@@ -30,8 +30,10 @@ without checkpointing): the recovered sort is a correct, verified sort of
 the *survivors'* data.
 
 **Lossless recovery** (``run_spmd(..., spares=k)`` and/or
-``SortConfig(checkpoint=True)``): epochs run phase-granular under buddy
-checkpointing (:mod:`repro.mpi.checkpoint`) and exit through the
+``SortConfig(checkpoint=True)``): each epoch is one
+:func:`~repro.core.histsort.run_pipeline` call over a resumable
+:class:`~repro.core.histsort.SortState`, with buddy checkpointing
+(:mod:`repro.mpi.checkpoint`) at its step boundaries, and exits through the
 spare-pool rendezvous (:mod:`repro.mpi.spare`) instead of agree+shrink.
 On failure the verdict substitutes a warm spare for each crashed rank —
 keeping ``p`` and any capacity-tuned plan valid — restores the lost
@@ -56,7 +58,8 @@ releases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -70,13 +73,8 @@ from ..mpi.checkpoint import (
 from ..mpi.errors import CommRevokedError, MessageTimeoutError, RankFailedError
 from ..mpi.resilient import ResilientComm
 from ..mpi.spare import PoolVerdict, pool_round
-from ..trace.timer import PhaseTimer
 from .config import SortConfig
-from .exchange import build_exchange_plan, exchange
-from .histsort import _MAXMAX, PHASES, SortResult, histogram_sort
-from .keys import pack_keys, plan_packing, unpack_keys
-from .merge import local_merge
-from .multiselect import find_splitters
+from .histsort import SortResult, SortState, histogram_sort, run_pipeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
@@ -122,6 +120,14 @@ class ResilientSortResult:
     @property
     def splitters(self):
         return self.result.splitters
+
+    @property
+    def rounds(self) -> int:
+        return self.result.rounds
+
+    @property
+    def exchanged_bytes(self) -> int:
+        return self.result.exchanged_bytes
 
 
 def _verified(work: ResilientComm, n_in: int, output: np.ndarray) -> bool:
@@ -229,30 +235,19 @@ def resilient_sort(
 
 
 @dataclass
-class _EpochState:
+class _EpochState(SortState):
     """One rank's restartable sort state between recovery epochs.
 
-    ``local`` is the raw-key input basis — kept through every phase so a
-    roll-back to ``PH_START`` (shrink, or a peer that lost all progress)
-    can always restart from scratch.  ``sorted_work`` / ``spec`` carry
-    the packed, locally sorted partition once ``marker`` reaches
-    ``PH_SORTED``; ``splitters`` the agreed splitter set at ``PH_SPLIT``.
     ``origins`` are the initial ring positions whose input data this
     rank currently carries (the unit of loss accounting).
     """
 
-    local: np.ndarray
-    dtype: Any
-    origins: tuple[int, ...]
-    marker: int = PH_START
-    sorted_work: np.ndarray | None = None
-    spec: Any = None
-    splitters: Any = None
+    origins: tuple[int, ...] = ()
 
     def n_in(self) -> int:
         """Elements this rank brings into the epoch (packing is 1:1)."""
-        if self.marker >= PH_SORTED and self.sorted_work is not None:
-            return int(self.sorted_work.size)
+        if self.marker >= PH_SORTED and self.work is not None:
+            return int(self.work.size)
         return int(self.local.size)
 
 
@@ -324,7 +319,11 @@ def _epoch_loop(rt, work: ResilientComm, st: _EpochState,
             # and the input multiset both match the original plan.
             caps = (meta["capacities"]
                     if work.size == initial_p and not lost else None)
-            result = _sort_epoch(work, st, ckpt, config, caps)
+            result = run_pipeline(
+                work, st, config, caps,
+                on_boundary=(None if ckpt is None
+                             else partial(_checkpoint, ckpt, work)),
+            )
             ok = _verified(work, n_in, result.output)
         except RECOVERABLE:
             work.revoke()
@@ -415,7 +414,7 @@ def _rollback(st: _EpochState, verdict: PoolVerdict) -> None:
     else:
         st.splitters = None
     if st.marker < PH_SORTED:
-        st.sorted_work = None
+        st.work = None
         st.spec = None
 
 
@@ -438,7 +437,7 @@ def _run_transfers(nw: ResilientComm, st: _EpochState,
             # next rendezvous re-plans the restore from the live buddy).
             st.local = np.empty(0, dtype=st.dtype)
             st.origins = ()
-            st.sorted_work = None
+            st.work = None
             st.spec = None
             st.marker = PH_START
             rep = BuddyCheckpointer.restore_recv(nw, holder)
@@ -463,103 +462,28 @@ def _load_replica(st: _EpochState, rep, resume: int) -> None:
         st.dtype = rep.dtype
     st.local = rep.unpacked()
     if resume >= PH_SORTED and rep.marker >= PH_SORTED:
-        st.sorted_work = rep.data
+        st.work = rep.data
         st.spec = rep.spec
         st.marker = min(int(rep.marker), resume)
     else:
-        st.sorted_work = None
+        st.work = None
         st.spec = None
         st.marker = PH_START
 
 
-def _sort_epoch(work: ResilientComm, st: _EpochState,
-                ckpt: BuddyCheckpointer | None, config: SortConfig,
-                capacities) -> SortResult:
-    """One phase-granular epoch of the histogram sort.
-
-    Mirrors :func:`~repro.core.histsort.histogram_sort` superstep by
-    superstep, but resumes from ``st.marker`` — phases already
-    checkpointed by every member are skipped — and, when checkpointing
-    is on, replicates state to the buddy at each phase boundary."""
-    compute = work.cost.compute
-    tracer = work.tracer
-    t_begin = work.clock
-    marker0 = st.marker
-    timer = PhaseTimer(work)
-    if ckpt is not None:
-        # Epoch-start refresh: every buddy (including a fresh
+def _checkpoint(ckpt: BuddyCheckpointer, work: ResilientComm,
+                st: _EpochState, phase: str | None) -> None:
+    """Pipeline boundary callback: replicate ``st`` to the ring buddy."""
+    if phase == "splitting":
+        # Splitters are identical on every rank; a marker-only ring
+        # update suffices (survivors re-share them at recovery).
+        ckpt.save_marker(work, PH_SPLIT)
+    elif st.marker >= PH_SORTED:
+        # After the local sort — or, on entry (``phase is None``), the
+        # epoch-start refresh: every buddy (including a fresh
         # substitute's) holds a current replica before new failures can
         # strike, and replicas invalidated by a membership change are
         # replaced under the new numbering.
-        if st.marker >= PH_SORTED:
-            ckpt.save(work, st.marker, st.origins, st.sorted_work,
-                      st.spec, st.dtype)
-        else:
-            ckpt.save(work, PH_START, st.origins, st.local, None, st.dtype)
-
-    # Superstep 1: local sort (skipped at PH_SORTED and beyond).
-    if st.marker < PH_SORTED:
-        w = st.local
-        spec = None
-        if config.uniquify:
-            max_key = int(w.max()) if w.size else 0
-            gmax_key, gmax_n = work.allreduce(
-                (max_key, int(w.size)), op=_MAXMAX
-            )
-            spec = plan_packing(gmax_key, work.size, max(gmax_n, 1))
-            w = pack_keys(w, work.rank, spec)
-            work.compute(compute.partition(w.size))
-        w = np.sort(w, kind="stable")
-        work.compute(compute.sort(w.size, w.dtype.itemsize))
-        st.sorted_work = w
-        st.spec = spec
-        st.marker = PH_SORTED
-        timer.mark("local_sort")
-        if ckpt is not None:
-            ckpt.save(work, PH_SORTED, st.origins, w, spec, st.dtype)
+        ckpt.save(work, st.marker, st.origins, st.work, st.spec, st.dtype)
     else:
-        timer.mark("local_sort")
-
-    # Superstep 2: splitter determination (skipped at PH_SPLIT).
-    if st.marker < PH_SPLIT:
-        st.splitters = find_splitters(
-            work, st.sorted_work, capacities=capacities, eps=config.eps,
-            config=config.splitter,
-        )
-        st.marker = PH_SPLIT
-        timer.mark("splitting")
-        if ckpt is not None:
-            # Splitters are identical on every rank; a marker-only ring
-            # update suffices (survivors re-share them at recovery).
-            ckpt.save_marker(work, PH_SPLIT)
-    else:
-        timer.mark("splitting")
-
-    # Supersteps 3+4: exchange and merge (never checkpointed — the
-    # verification rendezvous right after is the epoch's commit point).
-    plan = build_exchange_plan(work, st.sorted_work, st.splitters)
-    timer.mark("other")
-    chunks = exchange(work, st.sorted_work, plan)
-    timer.mark("exchange")
-    merged = local_merge(work, chunks, strategy=config.merge_strategy)
-    if st.spec is not None:
-        merged = unpack_keys(merged, st.spec, dtype=st.dtype)
-        work.compute(compute.partition(merged.size))
-    timer.mark("merge")
-
-    phases = {name: timer.phases.get(name, 0.0) for name in PHASES}
-    tracer.record(
-        "sort_epoch",
-        t_begin,
-        rounds=st.splitters.rounds,
-        n=st.n_in(),
-        resumed=MARKER_NAMES[marker0],
-    )
-    itemsize = int(st.sorted_work.dtype.itemsize)
-    return SortResult(
-        output=merged,
-        phases=phases,
-        splitters=st.splitters,
-        plan_bytes=plan.elements_sent * itemsize,
-        exchanged_bytes=plan.elements_received * itemsize,
-    )
+        ckpt.save(work, PH_START, st.origins, st.local, None, st.dtype)

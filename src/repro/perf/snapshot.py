@@ -35,12 +35,12 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .. import __version__
+from ..algorithms import ALGORITHMS
 from ..bench.harness import median_ci, peak_rss_bytes, repeat_sort_trials
 from ..core import SortConfig
 from ..machine import MachineSpec, abstract_cluster, laptop, supermuc_phase2
 from ..metrics import MetricsRegistry
 from ..model.calibrate import fit_round_count, fit_time_scale
-from ..model.phases import predict_histsort, predict_hss, predict_samplesort
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -138,24 +138,19 @@ def _predict_cell(spec: CellSpec, trials) -> dict[str, Any] | None:
     Returns ``None`` for algorithms without a closed form (their cells
     still track measured trends; ``model_error`` is simply absent).
     """
-    machine = spec.machine()
-    n_total = spec.p * spec.n_per_rank
-    rpn = spec.ranks_per_node or machine.node.cores
-    common = dict(ranks_per_node=rpn, itemsize=8)
-    if spec.algo == "dash":
-        pred = predict_histsort(
-            machine, n_total, spec.p, rounds=fit_round_count(trials),
-            merge_strategy=spec.sort_config().merge_strategy, **common,
-        )
-    elif spec.algo == "hss":
-        pred = predict_hss(
-            machine, n_total, spec.p, rounds=fit_round_count(trials),
-            cand_per_round=12.0 * spec.p, **common,
-        )
-    elif spec.algo == "sample_sort":
-        pred = predict_samplesort(machine, n_total, spec.p, **common)
-    else:
+    predict = ALGORITHMS[spec.algo].predict
+    if predict is None:
         return None
+    machine = spec.machine()
+    pred = predict(
+        machine,
+        spec.p * spec.n_per_rank,
+        spec.p,
+        rounds=fit_round_count(trials),
+        merge_strategy=spec.sort_config().merge_strategy,
+        ranks_per_node=spec.ranks_per_node or machine.node.cores,
+        itemsize=8,
+    )
     return {"total_s": pred.total, "phases_s": pred.as_dict()}
 
 

@@ -49,6 +49,11 @@ def merge_two_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _merged_empty(runs: Sequence[np.ndarray]) -> np.ndarray:
+    """The merge of all-empty ``runs``: empty, in their dtype."""
+    return np.empty(0, dtype=np.result_type(*runs) if runs else np.float64)
+
+
 def binary_merge_tree(runs: Sequence[np.ndarray]) -> np.ndarray:
     """Merge ``k`` sorted runs with ceil(log2 k) pairwise passes.
 
@@ -56,9 +61,11 @@ def binary_merge_tree(runs: Sequence[np.ndarray]) -> np.ndarray:
     inputs are available, which is what makes this strategy overlap well
     with an incoming all-to-all (§VI-E.1).
     """
-    runs = [np.asarray(r) for r in runs if np.asarray(r).size > 0]
-    if not runs:
-        return np.empty(0)
+    runs = [np.asarray(r) for r in runs]
+    nonempty = [r for r in runs if r.size]
+    if not nonempty:
+        return _merged_empty(runs)
+    runs = nonempty
     while len(runs) > 1:
         nxt = [
             merge_two_sorted(runs[i], runs[i + 1])
@@ -221,9 +228,11 @@ def loser_tree_merge(runs: Sequence[np.ndarray]) -> np.ndarray:
     paths emit the identical element sequence, so the output is
     byte-identical however the modes interleave.
     """
-    runs = [np.asarray(r) for r in runs if np.asarray(r).size > 0]
-    if not runs:
-        return np.empty(0)
+    runs = [np.asarray(r) for r in runs]
+    nonempty = [r for r in runs if r.size]
+    if not nonempty:
+        return _merged_empty(runs)
+    runs = nonempty
     if len(runs) == 1:
         return runs[0].copy()
     tree = LoserTree(runs)

@@ -25,22 +25,15 @@ always produce the identical plan.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
-from ..baselines import hss_sort, sample_sort
+from ..algorithms import ALGORITHMS
 from ..core.config import SortConfig, SplitterConfig
-from ..core.histsort import histogram_sort
 from ..machine.spec import MachineSpec
-from ..model.phases import (
-    MODEL_VERSION,
-    predict_histsort,
-    predict_hss,
-    predict_samplesort,
-)
+from ..model.phases import MODEL_VERSION
 from ..mpi import run_spmd
 from .fingerprint import WorkloadFingerprint
 
@@ -154,22 +147,6 @@ def enumerate_candidates(fp: WorkloadFingerprint, *, eps: float = 0.0) -> list[C
 # ------------------------------------------------------------- model scoring
 
 
-def _round_estimate(fp: WorkloadFingerprint, splitter: SplitterConfig) -> int:
-    """A-priori histogramming rounds: the §V-A min-gap bound.
-
-    Rounds track ``min(key_bits, ~log2 N + c)``; sampled initial guesses
-    start the brackets near their targets and historically cut rounds by
-    roughly 3x on smooth inputs (the §III-B optimisation the ablation
-    measures), less when duplicates dominate.
-    """
-    base = min(fp.key_bits, int(math.log2(max(fp.n_total, 2))) + 2)
-    if splitter.initial_guess == "sample":
-        base = max(3, base // 3)
-    if splitter.cross_probe:
-        base = max(2, int(base * 0.8))
-    return max(base, 1)
-
-
 def _resolve_merge(fp: WorkloadFingerprint, strategy: str) -> str:
     """Map ``adaptive`` onto what :func:`local_merge` would pick at size."""
     if strategy != "adaptive":
@@ -182,31 +159,22 @@ def model_score(
     cand: Candidate, fp: WorkloadFingerprint, machine: MachineSpec, *, use_shm: bool = True
 ) -> float:
     """Closed-form predicted makespan of ``cand`` at the fingerprint's scale."""
-    common = dict(
-        ranks_per_node=fp.ranks_per_node, itemsize=fp.itemsize, use_shm=use_shm
+    algo = ALGORITHMS[cand.algo]
+    pred = algo.predict(
+        machine,
+        fp.n_total,
+        fp.p,
+        rounds=algo.prior_rounds(fp, cand.config),
+        merge_strategy=_resolve_merge(fp, cand.config.merge_strategy),
+        ranks_per_node=fp.ranks_per_node,
+        itemsize=fp.itemsize,
+        use_shm=use_shm,
     )
-    if cand.algo == "dash":
-        pred = predict_histsort(
-            machine,
-            fp.n_total,
-            fp.p,
-            rounds=_round_estimate(fp, cand.config.splitter),
-            merge_strategy=_resolve_merge(fp, cand.config.merge_strategy),
-            **common,
-        )
-        if cand.config.overlap_exchange:
-            # 1-factor overlap hides merge work behind transfers (§VI-E.1);
-            # credit the overlap conservatively rather than fully.
-            return pred.total - 0.5 * min(pred.exchange, pred.merge)
-        return pred.total
-    if cand.algo == "hss":
-        rounds = min(2 * fp.key_bits, 24)
-        return predict_hss(
-            machine, fp.n_total, fp.p, rounds=rounds, cand_per_round=12.0 * fp.p, **common
-        ).total
-    if cand.algo == "sample_sort":
-        return predict_samplesort(machine, fp.n_total, fp.p, **common).total
-    raise ValueError(f"unknown candidate algorithm {cand.algo!r}")
+    if cand.config.overlap_exchange:
+        # 1-factor overlap hides merge work behind transfers (§VI-E.1);
+        # credit the overlap conservatively rather than fully.
+        return pred.total - 0.5 * min(pred.exchange, pred.merge)
+    return pred.total
 
 
 # ------------------------------------------------------------------ dry runs
@@ -259,16 +227,7 @@ def synth_partition(fp: WorkloadFingerprint, n: int, rank: int, seed: int) -> np
 def _dry_run_program(comm, cand_algo: str, config_dict: dict, fp_dict: dict, n: int, seed: int):
     fp = WorkloadFingerprint.from_dict(fp_dict)
     local = synth_partition(fp, n, comm.rank, seed)
-    config = SortConfig.from_dict(config_dict)
-    if cand_algo == "dash":
-        histogram_sort(comm, local, config=config)
-    elif cand_algo == "hss":
-        hss_sort(comm, local, eps=config.eps, sampling="interval", seed=seed)
-    elif cand_algo == "sample_sort":
-        sample_sort(comm, local)
-    else:  # pragma: no cover - enumeration and dry runs agree on algos
-        raise ValueError(f"unknown candidate algorithm {cand_algo!r}")
-    return None
+    ALGORITHMS[cand_algo].run(comm, local, SortConfig.from_dict(config_dict), seed)
 
 
 def _dry_run_candidate(

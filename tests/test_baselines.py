@@ -62,6 +62,22 @@ class TestAllBaselines:
         ]
         _check(parts, _run_baseline(run, BASELINES[name], parts))
 
+    @pytest.mark.parametrize(
+        "algo, parts",
+        [
+            # all-equal keys: every cut lands on one side, three ranks get nothing
+            (sample_sort, [np.full(40, 7, np.uint64)] * 4),
+            (psrs_sort, [np.full(40, 7, np.uint64)] * 4),
+            # 40 keys on rank 0 only: capacities leave ranks 1-3 empty
+            (hss_sort, [np.arange(40, dtype=np.uint64)] + [np.empty(0, np.uint64)] * 3),
+        ],
+    )
+    def test_empty_output_ranks_keep_the_input_dtype(self, run, algo, parts):
+        out = _run_baseline(run, algo, parts)
+        assert any(r.output.size == 0 for r in out)
+        assert all(r.output.dtype == np.uint64 for r in out)
+        _check(parts, out)
+
     @pytest.mark.parametrize("name", sorted(BASELINES))
     def test_phases_recorded(self, run, name):
         parts = [make_partition("uniform_u64", 400, rank=r, seed=25) for r in range(4)]

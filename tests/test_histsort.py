@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core import SortConfig, SplitterConfig, histogram_sort
+from repro.core import PHASES, SortConfig, SplitterConfig, histogram_sort
+from repro.core.histsort import SortState, run_pipeline
 from repro.data import make_partition
+from repro.mpi.checkpoint import PH_SORTED, PH_SPLIT, PH_START
 from repro.seq import balance_violation, check_sorted_output, is_globally_sorted, is_permutation
 
 
@@ -192,3 +194,39 @@ class TestSortProperty:
 
         out = spmd(p, prog)
         check_sorted_output(parts, [r.output for r in out])
+
+
+class TestResume:
+    """Entering the pipeline at a phase marker skips the steps before it."""
+
+    @pytest.mark.parametrize("uniquify", [False, True])
+    @pytest.mark.parametrize(
+        "marker, skipped",
+        [
+            (PH_START, ()),
+            (PH_SORTED, ("local_sort",)),
+            (PH_SPLIT, ("local_sort", "splitting")),
+        ],
+    )
+    def test_resumed_state_gives_the_fresh_output(self, run, marker, skipped, uniquify):
+        config = SortConfig(uniquify=uniquify)
+        parts = [make_partition("uniform_u64", 500, rank=r, seed=41) >> 24 for r in range(4)]
+
+        def prog(comm):
+            local = parts[comm.rank]
+            fresh = SortState(local, local.dtype)
+            ref = run_pipeline(comm, fresh, config)
+            resumed = SortState(local, local.dtype, marker=marker)
+            if marker >= PH_SORTED:
+                resumed.work, resumed.spec = fresh.work, fresh.spec
+            if marker >= PH_SPLIT:
+                resumed.splitters = fresh.splitters
+            return ref, run_pipeline(comm, resumed, config)
+
+        for ref, res in run(4, prog):
+            assert res.output.tobytes() == ref.output.tobytes()
+            assert res.rounds == ref.rounds
+            assert res.exchanged_bytes == ref.exchanged_bytes
+            assert set(res.phases) == set(PHASES)
+            assert all(res.phases[name] == 0.0 for name in skipped)
+            assert all(res.phases[name] > 0.0 for name in set(PHASES) - set(skipped))

@@ -127,6 +127,31 @@ def test_pooled_faultless_matches_legacy_output():
     assert all(np.array_equal(a, b) for a, b in zip(legacy, pooled))
 
 
+@pytest.mark.parametrize("p", [4, 8])
+@pytest.mark.parametrize("uniquify", [False, True])
+def test_pooled_faultless_epoch_is_the_legacy_pipeline(p, uniquify):
+    # one pipeline, two drivers: without faults the pooled epoch (a warm
+    # spare, checkpointing off) and the legacy loop must report the same
+    # diagnostics bit for bit, not merely the same output
+    cfg = SortConfig(resilient=True, uniquify=uniquify)
+
+    def prog(comm):
+        rng = np.random.default_rng(177 + comm.rank)
+        return histogram_sort(comm, rng.integers(0, 1 << 30, 256, dtype=np.uint64), cfg)
+
+    def live(spares):
+        results = Runtime(p, spares=spares).run(prog, timeout=WALL)
+        found = [r for r in results if isinstance(r, ResilientSortResult)]
+        assert len(found) == p
+        return sorted(found, key=lambda r: r.comm.rank)
+
+    for legacy, pooled in zip(live(0), live(1)):
+        assert pooled.phases == legacy.phases
+        assert pooled.result.rounds == legacy.result.rounds
+        assert pooled.result.exchanged_bytes == legacy.result.exchanged_bytes
+        assert pooled.output.tobytes() == legacy.output.tobytes()
+
+
 def test_recovery_epoch_exact_replay():
     # a full lossless recovery (crash + restore + substitution) replays
     # bit-identically: same makespan, clocks, fault tally, outputs

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,21 @@ class TestSuite:
             run_suite("nope")
         with pytest.raises(KeyError):
             CellSpec("dash", "uniform_u64", "nope", p=2, n_per_rank=64).machine()
+
+
+class TestCommittedBaseline:
+    def test_default_suite_reproduces_latest_bench_exactly(self):
+        # virtual time, rounds, traffic and the closed forms are
+        # deterministic: the committed snapshot is an exact oracle, not
+        # something to compare within the gate's noise tolerance
+        base = load_snapshot(latest_bench_path(Path(__file__).parents[1]))
+        new = run_suite(
+            "default", repeats=base["repeats"], warmup=base["warmup"], seed0=base["seed0"]
+        )
+        assert set(new["cells"]) == set(base["cells"])
+        for cell_id, cell in base["cells"].items():
+            for key in ("measured", "rounds", "traffic", "modelled"):
+                assert new["cells"][cell_id][key] == cell[key], (cell_id, key)
 
 
 class TestPersistence:

@@ -166,6 +166,11 @@ class TestKwayMerge:
         assert kway_merge([], strategy).size == 0
 
     @pytest.mark.parametrize("strategy", ["binary_tree", "tournament", "sort"])
+    def test_all_empty_runs_keep_their_dtype(self, strategy):
+        out = kway_merge([np.empty(0, np.uint64)] * 3, strategy)
+        assert out.size == 0 and out.dtype == np.uint64
+
+    @pytest.mark.parametrize("strategy", ["binary_tree", "tournament", "sort"])
     def test_single_run(self, strategy):
         out = kway_merge([np.array([3, 4])], strategy)
         assert out.tolist() == [3, 4]
