@@ -14,6 +14,7 @@ from repro.data import make_partition
 from repro.mpi import run_spmd
 from repro.seq import (
     floyd_rivest,
+    kway_merge,
     local_histogram,
     merge_two_sorted,
     quickselect,
@@ -21,6 +22,14 @@ from repro.seq import (
 )
 
 rng = np.random.default_rng(99)
+
+#: k runs x n keys per run: the ledger's merge workload, and many small runs
+MERGE_SHAPES = {
+    "8x4096-f64": lambda: [np.sort(rng.normal(size=4096)) for _ in range(8)],
+    "64x512-u64": lambda: [
+        np.sort(rng.integers(0, 2**64, 512, dtype=np.uint64)) for _ in range(64)
+    ],
+}
 
 
 class TestSequentialKernels:
@@ -44,6 +53,13 @@ class TestSequentialKernels:
         b = np.sort(rng.normal(size=100_000))
         out = benchmark(merge_two_sorted, a, b)
         assert out.size == 200_000
+
+    @pytest.mark.parametrize("shape", MERGE_SHAPES)
+    @pytest.mark.parametrize("strategy", ["sort", "binary_tree", "tournament"])
+    def test_kway_merge(self, benchmark, strategy, shape):
+        runs = MERGE_SHAPES[shape]()
+        out = benchmark(kway_merge, runs, strategy)
+        assert np.array_equal(out, np.sort(np.concatenate(runs)))
 
     def test_local_histogram(self, benchmark):
         part = np.sort(rng.integers(0, 10**9, 500_000).astype(np.uint64))

@@ -9,8 +9,9 @@ Strategy selection mirrors the paper's discussion:
   (the §VI-E.2 finding that merging many small chunks with many threads
   degrades into cache misses while a parallel sort keeps winning).
 
-Virtual-time costs are charged per strategy so the merge study bench can
-compare them at paper scale.
+The strategy selects the *virtual-time* charge (:func:`merge_cost`), so the
+merge study bench can compare them at paper scale; the host work is one
+natural merge whichever is chosen (see :mod:`repro.seq.kmerge`).
 """
 
 from __future__ import annotations

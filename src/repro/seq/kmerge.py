@@ -7,9 +7,17 @@ receives from the exchange:
 * a **binary merge tree** — pairwise two-way merges, ``ceil(log2 P)`` passes,
 * a **tournament (loser) tree** — one pass, ``O(log P)`` per element.
 
-All three are provided here; :func:`repro.core.merge.local_merge` picks one
-by configuration, and ``benchmarks/bench_merge_strategies.py`` reproduces
-the §VI-E.2 study of their trade-offs.
+The strategy selects what the *virtual* machine is charged
+(:func:`repro.core.merge.merge_cost`, the §VI-E.2 study); on the host every
+strategy does its real work with one primitive, :func:`_natural_merge` —
+concatenate, then stable-sort in place.  On presorted pieces NumPy's
+stable sort *is* a merge (timsort: run detection + galloping merges,
+``O(n log k)`` comparisons), and stability puts equal keys of a
+lower-indexed run first, which is :class:`LoserTree`'s tie rule, so all
+strategies return the same bytes.  DESIGN.md ("Vectorisation") has the
+sizing table that picked it over merge-path and chunk-bounds variants;
+:class:`LoserTree` stays as the element-wise reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -27,31 +35,27 @@ __all__ = [
 ]
 
 
-def merge_two_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stable two-way merge of sorted arrays, fully vectorised.
+def _natural_merge(runs: Sequence[np.ndarray]) -> np.ndarray:
+    """Stable merge of sorted ``runs``: concatenate, then sort in place.
 
-    Elements of ``b`` are placed after equal elements of ``a`` (stability).
+    Always a fresh array; empty runs do not vote on its dtype unless all
+    are empty.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.size == 0:
-        return b.copy()
-    if b.size == 0:
-        return a.copy()
-    # Final index of each b-element: its insertion point in a, shifted by
-    # the number of b-elements before it.
-    pos_b = np.searchsorted(a, b, side="right") + np.arange(b.size)
-    out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
-    mask = np.zeros(out.size, dtype=bool)
-    mask[pos_b] = True
-    out[pos_b] = b
-    out[~mask] = a
+    runs = [np.asarray(r) for r in runs]
+    nonempty = [r for r in runs if r.size]
+    if not nonempty:
+        return np.empty(0, dtype=np.result_type(*runs) if runs else np.float64)
+    out = np.concatenate(nonempty)
+    out.sort(kind="stable")
     return out
 
 
-def _merged_empty(runs: Sequence[np.ndarray]) -> np.ndarray:
-    """The merge of all-empty ``runs``: empty, in their dtype."""
-    return np.empty(0, dtype=np.result_type(*runs) if runs else np.float64)
+def merge_two_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stable two-way merge of sorted arrays.
+
+    Elements of ``b`` are placed after equal elements of ``a`` (stability).
+    """
+    return _natural_merge((a, b))
 
 
 def binary_merge_tree(runs: Sequence[np.ndarray]) -> np.ndarray:
@@ -64,7 +68,7 @@ def binary_merge_tree(runs: Sequence[np.ndarray]) -> np.ndarray:
     runs = [np.asarray(r) for r in runs]
     nonempty = [r for r in runs if r.size]
     if not nonempty:
-        return _merged_empty(runs)
+        return _natural_merge(runs)
     runs = nonempty
     while len(runs) > 1:
         nxt = [
@@ -84,6 +88,11 @@ class LoserTree:
     the *loser* of the match below them, the overall winner sits at the
     root.  ``pop()`` returns the globally smallest head and replays the
     winner's path in ``O(log k)`` comparisons.
+
+    This is the element-wise reference the merge kernels are tested
+    against, not a merge path.  It requires totally ordered keys: every
+    comparison with a NaN head is false, so NaN-bearing runs drain out of
+    order (the kernels sort NaNs last, as ``np.sort`` does).
     """
 
     def __init__(self, runs: Sequence[np.ndarray]):
@@ -101,8 +110,9 @@ class LoserTree:
         self._pos = [0] * k
         self._k = k
         self._remaining = sum(r.size for r in real)
-        # cached current head per run (None = exhausted); avoids a numpy
-        # scalar extraction on every comparison of every path replay
+        # cached current head per run (None = exhausted, loses every
+        # match); avoids a numpy scalar extraction on every comparison of
+        # every path replay
         self._heads = [r[0] if r.size else None for r in self._runs]
         self._tree = [-1] * k  # internal nodes: run index of the loser
         winner_at = [-1] * (2 * k)
@@ -116,15 +126,12 @@ class LoserTree:
                 winner_at[node], self._tree[node] = b, a
         self._winner = winner_at[1]
 
-    def _head(self, run: int):
-        return self._heads[run]  # None = exhausted → loses every match
-
-    def _advance(self, run: int, by: int) -> None:
-        pos = self._pos[run] + by
+    def _advance(self, run: int) -> None:
+        pos = self._pos[run] + 1
         self._pos[run] = pos
         arr = self._runs[run]
         self._heads[run] = arr[pos] if pos < arr.size else None
-        self._remaining -= by
+        self._remaining -= 1
 
     def _beats(self, a: int, b: int) -> bool:
         """Does run ``a``'s head win (strictly smaller, ties to lower run)?"""
@@ -144,7 +151,7 @@ class LoserTree:
             raise IndexError("pop from exhausted LoserTree")
         run = self._winner
         value = self._runs[run][self._pos[run]]
-        self._advance(run, 1)
+        self._advance(run)
         # Replay the winner's path: at each node the path element meets the
         # stored loser; the loser of the match stays, the winner moves up.
         node = (self._k + run) // 2
@@ -157,108 +164,10 @@ class LoserTree:
         self._winner = cur
         return value
 
-    def pop_run(self) -> np.ndarray:
-        """Remove and return the longest chunk the winner emits unbeaten.
-
-        The tournament invariant makes the overall second-best one of the
-        losers stored on the winner's root-to-leaf path, so the winner
-        run keeps winning until its next element stops beating that
-        challenger's head — a boundary one ``searchsorted`` finds.  The
-        whole prefix is emitted as a slice and the path is replayed
-        *once*, amortizing the ``O(log k)`` comparisons over the chunk;
-        the element order is identical to repeated :meth:`pop` calls
-        (ties included: an equal head still wins exactly when the winner
-        has the lower run index).
-        """
-        if self._remaining == 0:
-            raise IndexError("pop from exhausted LoserTree")
-        run = self._winner
-        arr = self._runs[run]
-        pos = self._pos[run]
-        # strongest challenger: best head among the losers on the path
-        node = (self._k + run) // 2
-        best = -1
-        while node >= 1:
-            stored = self._tree[node]
-            if best < 0 or self._beats(stored, best):
-                best = stored
-            node //= 2
-        limit = self._heads[best] if best >= 0 else None
-        if limit is None:
-            end = arr.size  # no live challenger: run empties in one go
-        else:
-            nxt = pos + 1
-            if nxt >= arr.size or (
-                arr[nxt] > limit if run < best else not arr[nxt] < limit
-            ):
-                end = nxt  # common case: a single element, no search needed
-            else:
-                side = "right" if run < best else "left"
-                # the current head beats the challenger, so the chunk is
-                # never empty; the floor also guarantees progress on
-                # unordered (e.g. NaN-bearing) input
-                end = max(
-                    pos + int(np.searchsorted(arr[pos:], limit, side=side)),
-                    nxt,
-                )
-        chunk = arr[pos:end]
-        self._advance(run, chunk.size)
-        node = (self._k + run) // 2
-        cur = run
-        while node >= 1:
-            stored = self._tree[node]
-            if self._beats(stored, cur):
-                self._tree[node], cur = cur, stored
-            node //= 2
-        self._winner = cur
-        return chunk
-
 
 def loser_tree_merge(runs: Sequence[np.ndarray]) -> np.ndarray:
-    """Single-pass k-way merge through a :class:`LoserTree`.
-
-    Drains the tree in vectorised chunks (:meth:`LoserTree.pop_run`):
-    whenever the winning run can emit several elements before the next
-    challenger, they move as one slice and the path replay is amortized
-    over the chunk — disjoint or duplicate-heavy runs merge at memcpy
-    speed.  When a probe window shows the interleave is element-fine
-    (average chunk below 2), the drain falls back to the plain
-    :meth:`~LoserTree.pop` loop with exponential backoff before probing
-    again, so adversarial inputs never pay the chunk bookkeeping.  Both
-    paths emit the identical element sequence, so the output is
-    byte-identical however the modes interleave.
-    """
-    runs = [np.asarray(r) for r in runs]
-    nonempty = [r for r in runs if r.size]
-    if not nonempty:
-        return _merged_empty(runs)
-    runs = nonempty
-    if len(runs) == 1:
-        return runs[0].copy()
-    tree = LoserTree(runs)
-    out = np.empty(len(tree), dtype=np.result_type(*runs))
-    i = 0
-    probe = 2048  # elements per chunked probe window
-    backoff = probe  # element-mode stretch; doubles while probes fail
-    while i < out.size:
-        window_end = min(i + probe, out.size)
-        start, chunks = i, 0
-        while i < window_end:
-            chunk = tree.pop_run()
-            out[i : i + chunk.size] = chunk
-            i += chunk.size
-            chunks += 1
-        if i >= out.size:
-            break
-        if i - start >= 2 * chunks:
-            backoff = probe  # chunking pays here: keep probing eagerly
-            continue
-        element_end = min(i + backoff, out.size)
-        while i < element_end:
-            out[i] = tree.pop()
-            i += 1
-        backoff = min(backoff * 2, 65536)
-    return out
+    """K-way merge in :class:`LoserTree` order (ties to the lower run)."""
+    return _natural_merge(runs)
 
 
 def kway_merge(runs: Sequence[np.ndarray], strategy: str = "binary_tree") -> np.ndarray:
@@ -267,15 +176,10 @@ def kway_merge(runs: Sequence[np.ndarray], strategy: str = "binary_tree") -> np.
     ``strategy`` is one of ``binary_tree``, ``tournament``, or ``sort``
     (concatenate + re-sort, the paper's evaluated configuration).
     """
-    runs = [np.asarray(r) for r in runs]
     if strategy == "binary_tree":
         return binary_merge_tree(runs)
     if strategy == "tournament":
         return loser_tree_merge(runs)
     if strategy == "sort":
-        if not runs:
-            return np.empty(0)
-        out = np.concatenate(runs)
-        out.sort(kind="stable")
-        return out
+        return _natural_merge(runs)
     raise ValueError(f"unknown merge strategy {strategy!r}")

@@ -19,6 +19,30 @@ sorted_runs = st.lists(
     max_size=9,
 )
 
+STRATEGIES = ["binary_tree", "tournament", "sort"]
+
+# duplicate-heavy key pools: signed zeros and +-inf for floats, the
+# max-key sentinel 2**64-1 for uint64
+_KEY_POOLS = {
+    np.int64: st.integers(-20, 20),
+    np.float64: st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.5, np.inf]),
+    np.uint64: st.sampled_from([0, 1, 7, 2**63, 2**64 - 2, 2**64 - 1]),
+}
+
+
+@st.composite
+def typed_runs(draw):
+    """1..33 ragged sorted runs of one dtype, empties mixed in."""
+    dtype = draw(st.sampled_from(list(_KEY_POOLS)))
+    runs = draw(
+        st.lists(st.lists(_KEY_POOLS[dtype], max_size=12), min_size=1, max_size=33)
+    )
+    return [np.sort(np.array(r, dtype=dtype)) for r in runs]
+
+
+def _zero_signs(out):
+    return np.signbit(out).tolist()
+
 
 class TestMergeTwo:
     def test_basic(self):
@@ -44,6 +68,11 @@ class TestMergeTwo:
         out = merge_two_sorted(a, np.array([]))
         out[0] = 99
         assert a[0] == 1
+
+    def test_ties_keep_a_before_b(self):
+        pos, neg = np.array([0.0]), np.array([-0.0])
+        assert _zero_signs(merge_two_sorted(pos, neg)) == [False, True]
+        assert _zero_signs(merge_two_sorted(neg, pos)) == [True, False]
 
     @given(
         a=st.lists(st.integers(-30, 30), max_size=60).map(sorted),
@@ -86,10 +115,13 @@ class TestLoserTree:
             LoserTree([])
 
     def test_stability_ties_by_run_order(self):
-        # ties pop from the lower-numbered run first
-        t = LoserTree([np.array([5.0]), np.array([5.0])])
-        t._runs  # internal: pop order checked through count only
-        assert t.pop() == 5.0 and t.pop() == 5.0
+        # ties pop from the lower-numbered run first: 0.0 == -0.0, and the
+        # sign bit tells which run a popped zero came from
+        pos, neg = np.array([0.0]), np.array([-0.0])
+        t = LoserTree([pos, neg])
+        assert _zero_signs([t.pop(), t.pop()]) == [False, True]
+        t = LoserTree([neg, pos])
+        assert _zero_signs([t.pop(), t.pop()]) == [True, False]
 
 
 def _drain_per_element(runs):
@@ -101,45 +133,19 @@ def _drain_per_element(runs):
 
 
 class TestPopRun:
-    """The chunked drain must be byte-identical to element-wise pop."""
+    """Every merge kernel must be byte-identical to a run of element-wise pops."""
 
-    def test_chunks_cover_disjoint_runs_in_two_slices(self):
-        t = LoserTree([np.array([1, 2, 3]), np.array([10, 11])])
-        first = t.pop_run()
-        assert first.tolist() == [1, 2, 3]
-        assert t.pop_run().tolist() == [10, 11]
-        assert len(t) == 0
-
-    def test_ties_split_by_run_order(self):
-        # run 0 emits through the tie (lower index wins equal heads);
-        # run 1 then runs unchallenged until run 0's remaining 9
-        t = LoserTree([np.array([5, 5, 9]), np.array([5, 6])])
-        assert t.pop_run().tolist() == [5, 5]
-        assert t.pop_run().tolist() == [5, 6]
-        assert t.pop_run().tolist() == [9]
-
-    def test_exhausted_raises(self):
-        t = LoserTree([np.array([1])])
-        t.pop_run()
-        with pytest.raises(IndexError):
-            t.pop_run()
-
-    def test_interleaving_pop_and_pop_run(self):
-        runs = [np.array([1, 4, 7]), np.array([2, 5, 8]), np.array([3, 6, 9])]
-        t = LoserTree(runs)
-        seq = [t.pop(), *t.pop_run().tolist(), t.pop()]
-        while len(t):
-            seq.extend(t.pop_run().tolist())
-        assert seq == list(range(1, 10))
-
-    @given(runs=sorted_runs)
-    @settings(max_examples=100, deadline=None)
+    @given(runs=typed_runs())
+    @settings(max_examples=150, deadline=None)
     def test_byte_identical_to_pop(self, runs):
-        arrays = [np.array(r, dtype=np.int64) for r in runs if r]
-        if not arrays:
-            return
-        ref = _drain_per_element(arrays)
-        out = loser_tree_merge(arrays)
+        ref = _drain_per_element(runs)
+        for merge in (loser_tree_merge, binary_merge_tree):
+            out = merge(runs)
+            assert out.dtype == ref.dtype, merge.__name__
+            assert out.tobytes() == ref.tobytes(), merge.__name__
+        a, b = runs[0], runs[-1]
+        ref = _drain_per_element([a, b])
+        out = merge_two_sorted(a, b)
         assert out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
 
@@ -150,30 +156,36 @@ class TestPopRun:
         ]
         assert loser_tree_merge(arrays).tobytes() == _drain_per_element(arrays).tobytes()
 
-    def test_adaptive_fallback_crosses_probe_windows(self, rng):
-        # fine interleave large enough to trigger the element-mode backoff
-        arrays = [
-            np.sort(rng.integers(0, 2**60, size=3000).astype(np.uint64))
-            for _ in range(4)
-        ]
-        ref = np.sort(np.concatenate(arrays))
-        assert np.array_equal(loser_tree_merge(arrays), ref)
-
 
 class TestKwayMerge:
-    @pytest.mark.parametrize("strategy", ["binary_tree", "tournament", "sort"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_empty_input(self, strategy):
         assert kway_merge([], strategy).size == 0
 
-    @pytest.mark.parametrize("strategy", ["binary_tree", "tournament", "sort"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_all_empty_runs_keep_their_dtype(self, strategy):
         out = kway_merge([np.empty(0, np.uint64)] * 3, strategy)
         assert out.size == 0 and out.dtype == np.uint64
 
-    @pytest.mark.parametrize("strategy", ["binary_tree", "tournament", "sort"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_single_run(self, strategy):
         out = kway_merge([np.array([3, 4])], strategy)
         assert out.tolist() == [3, 4]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_ties_by_run_order(self, strategy):
+        pos, neg = np.array([0.0]), np.array([-0.0])
+        assert _zero_signs(kway_merge([pos, neg], strategy)) == [False, True]
+        assert _zero_signs(kway_merge([neg, pos, neg], strategy)) == [True, False, True]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_nan_tails_sort_last(self, strategy):
+        # LoserTree's drain order is undefined on NaNs ([.5, 1, nan, 2, ...]);
+        # no strategy may inherit that
+        nan = np.nan
+        runs = [np.array([1.0, nan]), np.array([0.5, 2.0, nan, nan]), np.array([3.0])]
+        out = kway_merge(runs, strategy)
+        assert out.tobytes() == np.sort(np.concatenate(runs)).tobytes()
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -189,7 +201,7 @@ class TestKwayMerge:
             if nonempty
             else np.empty(0, dtype=np.int64)
         )
-        for strategy in ("binary_tree", "tournament", "sort"):
+        for strategy in STRATEGIES:
             out = kway_merge(arrays, strategy)
             assert np.array_equal(out, ref), strategy
 
