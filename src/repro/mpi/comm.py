@@ -7,14 +7,15 @@ mpi4py's lowercase object interface (``send``/``recv``/``bcast``/``allreduce``
 
 Implementation notes
 --------------------
-Collectives use a deposit / leader / extract protocol around a cyclic
-three-phase barrier:
+Every collective runs through one skeleton (:meth:`_CommState.collective`),
+a deposit / plan / pick protocol around a cyclic three-phase barrier:
 
 1. every rank writes its contribution into its slot and enters barrier A;
-2. the leader (the rank that drew index 0 at barrier A) combines the slots
-   and computes the group's new virtual clocks, then everyone passes B;
-3. every rank reads its result and its new clock, then everyone passes C so
-   the slots may be reused by the next collective.
+2. the leader (the rank that drew index 0 at barrier A) *plans*: it combines
+   the slots and prices the operation, and the skeleton merges the group's
+   new virtual clocks, then everyone passes B;
+3. every rank takes its new clock and *picks* its result, then everyone
+   passes C so the slots may be reused by the next collective.
 
 This is deterministic in values (combines fold in rank order) and matches
 MPI's requirement that all ranks issue collectives in the same order.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ from .errors import (
     Aborted,
     CommRevokedError,
     CommunicatorError,
+    DeadlockError,
     MessageTimeoutError,
     RankFailedError,
 )
@@ -155,43 +158,43 @@ class _CommState:
         with self.ft_cond:
             self.ft_cond.notify_all()
 
-    def _checked_barrier_wait(self, idx: int, op: str) -> int:
-        """``barrier.wait()`` with blocked-rank registration for the wait
-        registry (always) and the runtime checker (when attached)."""
-        rt = self.runtime
+    def _aborted(self, what: str) -> Exception:
+        """What an abort-woken operation raises: the wait ledger's deadlock
+        verdict when that is why the runtime went down, else ``Aborted``."""
+        verdict = self.runtime._registry.verdict
+        return Aborted(what) if verdict is None else DeadlockError(verdict)
+
+    def _barrier_wait(self, idx: int, op: str, site: str) -> int:
+        """``barrier.wait()`` registered in the wait ledger."""
+        reg = self.runtime._registry
         wr = self.world_ranks[idx]
-        reg = rt._registry
-        reg.block_barrier(wr, self.barrier, f"collective '{op}' on comm#{self.trace_id}")
+        reg.block_barrier(wr, self, op, site)
         try:
-            chk = rt.checker
-            if chk is None:
-                return self.barrier.wait()
-            chk.block_collective(self, idx, op)
-            try:
-                return self.barrier.wait()
-            finally:
-                chk.unblock(wr)
+            return self.barrier.wait()
         finally:
             reg.unblock(wr)
 
     def collective(
         self,
         idx: int,
+        name: str,
         deposit: Any,
-        leader_fn: Callable[[list[Any]], Any],
-        extract_fn: Callable[[list[Any], Any, int], Any],
-        trace_name: str | None = None,
-        trace_bytes: int = 0,
+        plan: Callable[[list[Any]], tuple[Any, Any, float]],
+        pick: Callable[[list[Any], Any, int], Any],
+        trace_bytes: int,
         root: int | None = None,
     ) -> Any:
+        """The one collective skeleton.  The leader calls ``plan(slots)``
+        for ``(shared value, cost, payload bytes for the statistics)`` —
+        ``cost`` a scalar or one entry per rank — and merges the clocks
+        (``latest entry + cost``); every rank then takes its new clock and
+        ``pick(slots, shared, idx)``, its result."""
         rt = self.runtime
+        wrank = self.world_ranks[idx]
         if rt._faults is not None:
-            rt.maybe_crash(self.world_ranks[idx])
+            rt.maybe_crash(wrank)
         if self.aborted:
-            chk = rt.checker
-            if chk is not None:
-                chk.maybe_raise_deadlock()
-            raise Aborted("communicator already aborted")
+            raise self._aborted("communicator already aborted")
         if self.revoked:
             raise CommRevokedError(
                 f"communicator #{self.trace_id} was revoked"
@@ -199,78 +202,75 @@ class _CommState:
         failed = rt.failed_ranks
         if failed and not failed.isdisjoint(self._members_set):
             raise RankFailedError(
-                f"collective '{trace_name or '<anonymous>'}' on comm#"
-                f"{self.trace_id}: member rank(s) "
+                f"collective '{name}' on comm#{self.trace_id}: member rank(s) "
                 f"{sorted(failed & self._members_set)} have failed",
                 failed & self._members_set,
             )
         chk = rt.checker
-        if chk is not None:
-            chk.collective_op(self, idx, trace_name or "<anonymous>", root)
+        site = chk.collective_op(self, idx, name, root) if chk is not None else ""
         san = rt.sanitizer
         if san is not None:
             # Deposit edge: snapshot this member's vector clock and pin
             # weak references to its deposit arrays (stable until barrier
             # C releases the slots for reuse).
-            san.collective_entry(self, idx, deposit, trace_name or "<anonymous>")
+            san.collective_entry(self, idx, deposit, name)
         rec = rt.trace
         if rec is not None:
-            wrank = self.world_ranks[idx]
             t0 = float(rt.clocks[wrank])
             seq = self._seq[idx]
             self._seq[idx] = seq + 1
         self.slots[idx] = deposit
-        op = trace_name or "<anonymous>"
         try:
-            who = self._checked_barrier_wait(idx, op)
-            if who == 0:
-                # Entry clocks are still untouched here (extract sets the
-                # new ones after barrier B), so the leader can publish the
-                # last arrival for every rank's idle accounting; barrier B
-                # orders this write before the readers below.
-                if rec is not None:
-                    self._entry_max = float(rt.clocks[self.world_ranks].max())
+            if self._barrier_wait(idx, name, site) == 0:
                 try:
-                    self.cell = leader_fn(self.slots)
+                    shared, cost, total_bytes = plan(self.slots)
+                    rt.stats.record_collective(name, total_bytes, self.size)
+                    # Entry clocks are still untouched here (each rank takes
+                    # its new one after barrier B), so the last arrival is
+                    # also every rank's idle reference; barrier B orders
+                    # these writes before the readers below.
+                    last = rt.clocks[self.world_ranks].max()
+                    self._entry_max = float(last)
+                    self.cell = shared, last + np.asarray(cost, dtype=np.float64)
                 except BaseException:
-                    self.runtime.abort()
+                    rt.abort()
                     raise
-            self._checked_barrier_wait(idx, op)
+            self._barrier_wait(idx, name, site)
             try:
-                out = extract_fn(self.slots, self.cell, idx)
+                shared, clocks = self.cell
+                rt.clocks[wrank] = clocks if clocks.ndim == 0 else clocks[idx]
+                out = pick(self.slots, shared, idx)
             except BaseException:
-                self.runtime.abort()
+                rt.abort()
                 raise
             if san is not None:
                 # Extraction edge, still before barrier C: every member's
                 # deposit is live here, so the alias check sees the true
                 # sharing relation between this result and peer deposits.
-                san.collective_exit(self, idx, out, op)
-            self._checked_barrier_wait(idx, op)
+                san.collective_exit(self, idx, out, name)
+            self._barrier_wait(idx, name, site)
         except threading.BrokenBarrierError:
-            if chk is not None:
-                chk.maybe_raise_deadlock()
             if not self.aborted:
                 if self.revoked:
                     raise CommRevokedError(
                         f"communicator #{self.trace_id} was revoked during "
-                        f"'{op}'"
+                        f"'{name}'"
                     ) from None
                 failed = rt.failed_ranks & self._members_set
                 if failed:
                     raise RankFailedError(
                         f"rank(s) {sorted(failed)} failed during "
-                        f"collective '{op}' on comm#{self.trace_id}",
+                        f"collective '{name}' on comm#{self.trace_id}",
                         failed,
                     ) from None
-            raise Aborted("runtime aborted during a collective") from None
-        if rec is not None and trace_name is not None:
+            raise self._aborted("runtime aborted during a collective") from None
+        if rec is not None:
             t1 = float(rt.clocks[wrank])
             last = self._entry_max
             idle = min(max(last - t0, 0.0), max(t1 - t0, 0.0))
             rec.record(
                 wrank,
-                trace_name,
+                name,
                 "collective",
                 t0,
                 t1,
@@ -376,7 +376,7 @@ class _CommState:
             return comm._state._pending_protocol(comm.rank)
 
         if self.aborted:
-            raise Aborted(f"runtime aborted before '{name}'")
+            raise self._aborted(f"runtime aborted before '{name}'")
         with self.ft_cond:
             gen = self.ft_count[idx]
             self.ft_count[idx] = gen + 1
@@ -394,13 +394,14 @@ class _CommState:
                 with self.ft_cond:
                     self.ft_cond.notify_all()
 
-            reg.block(wr, "ft", f"'{name}' on comm#{self.trace_id}",
+            reg.block(wr, "ft", self, op=name,
                       can_progress=can_progress, notify=wake)
             try:
                 while True:
                     with self.ft_cond:
                         if self.aborted:
-                            raise Aborted(f"runtime aborted during '{name}'")
+                            raise self._aborted(
+                                f"runtime aborted during '{name}'")
                         self._ft_try_complete(gen, combine, cost_fn)
                         if gen in self.ft_results:
                             break
@@ -600,12 +601,6 @@ class Comm:
                     rec.record(self.world_rank, "drop", "fault", t0, departure,
                                peer=wdest, tag=tag, bytes=nbytes)
                 return
-        chk = rt.checker
-        if chk is not None:
-            # Shadow-table update must precede the mailbox append so the
-            # deadlock analyzer can only over-estimate wakeups, never miss
-            # one (see repro.analyze.runtime_check lock-ordering notes).
-            chk.note_send(self._state, dest, self._rank, tag)
         mb = self._state.mailboxes[dest]
         # Reliable wire traffic to a crashed rank diverts to the
         # post-mortem path — the failed check shares the mailbox
@@ -630,8 +625,6 @@ class Comm:
                            peer=wdest, tag=tag, bytes=nbytes)
             dup = _Message(self._rank, tag, copy_payload(msg.payload),
                            departure, nbytes, penalty=msg.penalty, san=msg.san)
-            if chk is not None:
-                chk.note_send(self._state, dest, self._rank, tag)
             with mb.cond:
                 dead = divert and wdest in rt.failed_ranks
                 if not dead:
@@ -722,27 +715,13 @@ class Comm:
             # transfer time (both zero if the message completed in the past).
             t1 = self.clock
             idle = max(0.0, min(msg.departure, t1) - t0) if t1 > t0 else 0.0
-            if msg.penalty:
-                rec.record(
-                    self.world_rank, _span_name, "p2p", t0, t1,
-                    src=wsrc, tag=msg.tag, bytes=msg.nbytes,
-                    departure=msg.departure, idle=idle,
-                    level=self._pair_level(wsrc), fault_delay=msg.penalty,
-                )
-            else:
-                rec.record(
-                    self.world_rank,
-                    _span_name,
-                    "p2p",
-                    t0,
-                    t1,
-                    src=wsrc,
-                    tag=msg.tag,
-                    bytes=msg.nbytes,
-                    departure=msg.departure,
-                    idle=idle,
-                    level=self._pair_level(wsrc),
-                )
+            rec.record(
+                self.world_rank, _span_name, "p2p", t0, t1,
+                src=wsrc, tag=msg.tag, bytes=msg.nbytes,
+                departure=msg.departure, idle=idle,
+                level=self._pair_level(wsrc),
+                **({"fault_delay": msg.penalty} if msg.penalty else {}),
+            )
         if return_status:
             return msg.payload, (msg.src, msg.tag)
         return msg.payload
@@ -772,16 +751,11 @@ class Comm:
             self._check_peer(source)
             if fail_source is None:
                 fail_source = source
-        chk = self._rt.checker
         mb = self._state.mailboxes[self._rank]
         with mb.cond:
             if self._state.aborted:
-                if chk is not None:
-                    chk.maybe_raise_deadlock()
-                raise Aborted("runtime aborted during recv")
+                raise self._state._aborted("runtime aborted during recv")
             msg = mb.find(source, tag, remove=True, visible=visible)
-            if msg is not None and chk is not None:
-                chk.note_consume(self._state, self._rank, msg.src, msg.tag)
         if msg is None:
             msg = self._recv_wait(mb, source, tag, timeout, span_name,
                                   fail_source, visible)
@@ -800,7 +774,6 @@ class Comm:
         rank = self._rank
         wr = self.world_rank
         entry = float(rt.clocks[wr])
-        deadline = None if timeout is None else entry + timeout
 
         # With faults active, a blocked receive doubles as a channel
         # servicer (like the ft waits): reliable wire traffic on *other*
@@ -814,111 +787,82 @@ class Comm:
         def pending() -> bool:
             return state._pending_protocol(rank, exclude=(source, tag))
 
-        def can_progress() -> bool:
-            # Mirrors the wake conditions of the loop below; called by the
-            # timeout arbiter at quiescence only (mailbox lists are stable
-            # there, so reading without the condition is safe).  A revoked
-            # communicator deliberately does NOT count as progress: the
-            # message may still be (causally) in flight, and whether it
-            # beats the revocation wake-up is a thread-scheduling race.
-            # The arbiter hoists revoked waits at quiescence instead.
-            if state.aborted:
-                return True
-            if mb.find(source, tag, remove=False, visible=visible) is not None:
-                return True
-            if drain and pending():
-                return True
+        def peer_failed() -> str | None:
+            """Why no live peer can still send the quarry, if none can."""
             failed = rt.failed_ranks
-            if failed:
-                if fail_source is not None and \
-                        state.world_ranks[fail_source] in failed:
-                    return True
-                if fail_source is None and source == ANY_SOURCE and all(
-                    r in failed
-                    for i, r in enumerate(state.world_ranks)
-                    if i != rank
-                ):
-                    return True
-            return False
+            if not failed:
+                return None
+            if fail_source is not None:
+                if state.world_ranks[fail_source] in failed:
+                    return (f"recv: peer rank {fail_source} (world "
+                            f"{state.world_ranks[fail_source]}) has failed")
+            elif source == ANY_SOURCE and all(
+                r in failed for i, r in enumerate(state.world_ranks) if i != rank
+            ):
+                return f"recv: every peer on comm#{state.trace_id} has failed"
+            return None
+
+        def ready() -> bool:
+            # The wake condition, evaluated by the loop below under the
+            # mailbox condition and by the arbiter lock-free at quiescence
+            # (mailbox lists are stable there).  A revoked communicator
+            # deliberately does NOT count: the message may still be
+            # (causally) in flight, and whether it beats the revocation
+            # wake-up is a thread-scheduling race.  The arbiter hoists
+            # revoked waits at quiescence instead.
+            return (
+                state.aborted
+                or mb.find(source, tag, remove=False, visible=visible) is not None
+                or (drain and pending())
+                or peer_failed() is not None
+            )
 
         def wake() -> None:
             with mb.cond:
                 mb.cond.notify_all()
 
-        detail = (
-            f"recv(source={'ANY' if source < 0 else source}, "
-            f"tag={'ANY' if tag < 0 else tag}) on comm#{state.trace_id}"
-        )
-        w = reg.block(wr, "recv", detail, deadline=deadline,
-                      can_progress=can_progress, notify=wake,
+        w = reg.block(wr, "recv", state, source=source, tag=tag,
+                      site=chk.call_site() if chk is not None else "",
+                      deadline=None if timeout is None else entry + timeout,
+                      can_progress=ready, notify=wake,
                       revocable=lambda: state.revoked)
         try:
             while True:
                 with mb.cond:
-                    while True:
-                        if state.aborted:
-                            if chk is not None:
-                                chk.maybe_raise_deadlock()
-                            raise Aborted("runtime aborted during recv")
-                        msg = mb.find(source, tag, remove=True,
-                                      visible=visible)
-                        if msg is not None:
-                            if chk is not None:
-                                chk.note_consume(state, rank, msg.src, msg.tag)
-                            return msg
-                        failed = rt.failed_ranks
-                        if failed:
-                            comm_failed = failed & state._members_set
-                            if fail_source is not None and \
-                                    state.world_ranks[fail_source] in failed:
-                                raise RankFailedError(
-                                    f"recv: peer rank {fail_source} (world "
-                                    f"{state.world_ranks[fail_source]}) has "
-                                    "failed",
-                                    comm_failed,
-                                )
-                            if fail_source is None and source == ANY_SOURCE \
-                                    and all(
-                                        r in failed
-                                        for i, r in enumerate(state.world_ranks)
-                                        if i != rank
-                                    ):
-                                raise RankFailedError(
-                                    "recv: every peer on "
-                                    f"comm#{state.trace_id} has failed",
-                                    comm_failed,
-                                )
-                        if w.hoisted:
-                            raise CommRevokedError(
-                                f"communicator #{state.trace_id} was revoked "
-                                "while blocked in recv"
-                            )
-                        if w.fired:
-                            rt.clocks[wr] = max(float(rt.clocks[wr]), w.deadline)
-                            rec = rt.trace
-                            if rec is not None:
-                                rec.record(wr, f"{span_name}_timeout", "fault",
-                                           entry, float(rt.clocks[wr]),
-                                           tag=tag, deadline=w.deadline)
-                            raise MessageTimeoutError(
-                                f"{detail} timed out at virtual "
-                                f"t={w.deadline:.6g}s (timeout={timeout:g}s)"
-                            )
-                        if drain and pending():
-                            # Serviceable channel traffic: mark the wake in
-                            # flight so the arbiter holds its fire until the
-                            # repoll below, then drain outside the mailbox
-                            # condition (acking acquires peers' conditions —
-                            # holding ours across that inverts lock order).
-                            reg.wake_ack(wr)
-                            break
-                        if chk is not None:
-                            chk.block_recv(state, rank, source, tag)
-                        reg.rearm(wr)
+                    while not (ready() or w.hoisted or w.fired):
                         mb.cond.wait()
-                        reg.wake_ack(wr)
-                        if chk is not None:
-                            chk.unblock(wr)
+                    # This rank acts from here on, and what it consumes
+                    # the predicate stops showing: the arbiter must hold
+                    # its fire until the unblock (or the repoll below).
+                    reg.wake_ack(wr)
+                    if state.aborted:
+                        raise state._aborted("runtime aborted during recv")
+                    msg = mb.find(source, tag, remove=True, visible=visible)
+                    if msg is not None:
+                        return msg
+                    why = peer_failed()
+                    if why is not None:
+                        raise RankFailedError(
+                            why, rt.failed_ranks & state._members_set)
+                    if w.hoisted:
+                        raise CommRevokedError(
+                            f"communicator #{state.trace_id} was revoked "
+                            "while blocked in recv"
+                        )
+                    if w.fired:
+                        rt.clocks[wr] = max(float(rt.clocks[wr]), w.deadline)
+                        rec = rt.trace
+                        if rec is not None:
+                            rec.record(wr, f"{span_name}_timeout", "fault",
+                                       entry, float(rt.clocks[wr]),
+                                       tag=tag, deadline=w.deadline)
+                        raise MessageTimeoutError(
+                            f"{w.describe()} timed out at virtual "
+                            f"t={w.deadline:.6g}s (timeout={timeout:g}s)"
+                        )
+                # Serviceable channel traffic: drain it outside the mailbox
+                # condition (acking acquires peers' conditions — holding
+                # ours across that inverts lock order), then re-arbitrate.
                 self._service_channels(exclude=(source, tag))
                 reg.repoll(wr)
         finally:
@@ -991,60 +935,44 @@ class Comm:
 
     # ------------------------------------------------------------ collectives
 
-    def _entry_clocks(self, slots_world: Sequence[int]) -> np.ndarray:
-        return self._rt.clocks[slots_world]
+    def _collective(
+        self, name: str, deposit: Any, plan, pick, *,
+        root: int | None = None, trace_bytes: int | None = None,
+    ) -> Any:
+        """This rank's share of :meth:`_CommState.collective`; the traced
+        payload size defaults to the deposit's."""
+        if trace_bytes is None:
+            trace_bytes = payload_nbytes(deposit)
+        return self._state.collective(
+            self._rank, name, deposit, plan, pick, trace_bytes, root
+        )
 
-    def _simple_collective(
+    def _combined(
         self,
         name: str,
         deposit: Any,
         combine: Callable[[list[Any]], Any],
-        cost_fn: Callable[[list[Any]], Any],
+        cost_fn: Callable[[list[Any]], float],
         *,
-        result_for_all: bool = True,
         root: int | None = None,
-        check_root: int | None = None,
+        everyone: bool = True,
     ) -> Any:
-        """Collective with a uniform (or per-rank) cost and one combined value.
+        """Collective with a uniform cost and one combined value, delivered
+        to every rank or (``everyone=False``) to ``root`` only."""
 
-        ``root`` gates the result to one rank; ``check_root`` feeds the
-        congruence checker for rooted collectives whose result still goes
-        to everyone (bcast).
-        """
-        state = self._state
-        wr = state.world_ranks
-        rt = self._rt
+        def plan(slots: list[Any]) -> Any:
+            return (combine(slots), cost_fn(slots),
+                    sum(payload_nbytes(s) for s in slots))
 
-        def leader(slots: list[Any]) -> Any:
-            entry = rt.clocks[wr]
-            cost = cost_fn(slots)
-            newclocks = entry.max() + np.asarray(cost, dtype=np.float64)
-            total_bytes = sum(payload_nbytes(s) for s in slots)
-            rt.stats.record_collective(name, total_bytes, state.size)
-            return combine(slots), newclocks
+        def pick(slots: list[Any], result: Any, idx: int) -> Any:
+            return copy_payload(result) if everyone or idx == root else None
 
-        def extract(slots: list[Any], cell: Any, idx: int) -> Any:
-            result, newclocks = cell
-            nc = newclocks if np.ndim(newclocks) == 0 else newclocks[idx]
-            rt.clocks[wr[idx]] = nc
-            if root is not None and idx != root:
-                return None
-            return copy_payload(result) if result_for_all else result
-
-        return state.collective(
-            self._rank,
-            deposit,
-            leader,
-            extract,
-            trace_name=name,
-            trace_bytes=payload_nbytes(deposit),
-            root=root if root is not None else check_root,
-        )
+        return self._collective(name, deposit, plan, pick, root=root)
 
     def barrier(self) -> None:
         """Synchronize all ranks (and their virtual clocks)."""
         ranks = self._state.world_ranks
-        self._simple_collective(
+        self._combined(
             "barrier", None, lambda s: None, lambda s: self._rt.cost.barrier(ranks)
         )
 
@@ -1052,28 +980,29 @@ class Comm:
         self._check_peer(root)
         ranks = self._state.world_ranks
         deposit = obj if self._rank == root else None
-        return self._simple_collective(
+        return self._combined(
             "bcast",
             deposit,
             lambda s: s[root],
             lambda s: self._rt.cost.bcast(payload_nbytes(s[root]), ranks),
-            check_root=root,
+            root=root,
         )
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
         self._check_peer(root)
         ranks = self._state.world_ranks
-        return self._simple_collective(
+        return self._combined(
             "reduce",
             value,
             lambda s: functools.reduce(op, s),
             lambda s: self._rt.cost.reduce(payload_nbytes(s[0]), ranks),
             root=root,
+            everyone=False,
         )
 
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
         ranks = self._state.world_ranks
-        return self._simple_collective(
+        return self._combined(
             "allreduce",
             value,
             lambda s: functools.reduce(op, s),
@@ -1083,17 +1012,18 @@ class Comm:
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
         self._check_peer(root)
         ranks = self._state.world_ranks
-        return self._simple_collective(
+        return self._combined(
             "gather",
             value,
             lambda s: list(s),
             lambda s: self._rt.cost.gather(payload_nbytes(s[0]), ranks),
             root=root,
+            everyone=False,
         )
 
     def allgather(self, value: Any) -> list[Any]:
         ranks = self._state.world_ranks
-        return self._simple_collective(
+        return self._combined(
             "allgather",
             value,
             lambda s: list(s),
@@ -1109,59 +1039,35 @@ class Comm:
                 raise CommunicatorError(
                     f"scatter at root needs exactly {size} values"
                 )
-        state = self._state
-        rt = self._rt
 
-        def leader(slots: list[Any]) -> Any:
-            vals = slots[root]
-            entry = rt.clocks[ranks]
-            per = payload_nbytes(vals) / max(size, 1)
-            cost = rt.cost.scatter(per, ranks)
-            rt.stats.record_collective("scatter", payload_nbytes(vals), size)
-            return vals, entry.max() + cost
+        def plan(slots: list[Any]) -> Any:
+            nbytes = payload_nbytes(slots[root])
+            return slots[root], self._rt.cost.scatter(nbytes / size, ranks), nbytes
 
-        def extract(slots: list[Any], cell: Any, idx: int) -> Any:
-            vals, newclock = cell
-            rt.clocks[ranks[idx]] = newclock
-            return copy_payload(vals[idx])
-
-        return state.collective(
-            self._rank,
+        return self._collective(
+            "scatter",
             values if self._rank == root else None,
-            leader,
-            extract,
-            trace_name="scatter",
-            trace_bytes=payload_nbytes(values) if self._rank == root else 0,
+            plan,
+            lambda slots, vals, idx: copy_payload(vals[idx]),
             root=root,
         )
 
     def alltoall(self, values: Sequence[Any]) -> list[Any]:
         """Personalized exchange of one payload per peer."""
-        if len(values) != self.size:
-            raise CommunicatorError(f"alltoall needs {self.size} values")
-        state = self._state
-        ranks = state.world_ranks
-        rt = self._rt
+        size = self.size
+        if len(values) != size:
+            raise CommunicatorError(f"alltoall needs {size} values")
+        ranks = self._state.world_ranks
 
-        def leader(slots: list[Any]) -> Any:
-            entry = rt.clocks[ranks]
+        def plan(slots: list[Any]) -> Any:
             total = sum(payload_nbytes(row) for row in slots)
-            per_pair = total / max(state.size**2, 1)
-            cost = rt.cost.alltoall(per_pair, ranks)
-            rt.stats.record_collective("alltoall", total, state.size)
-            return entry.max() + cost
+            return None, self._rt.cost.alltoall(total / size**2, ranks), total
 
-        def extract(slots: list[Any], newclock: float, idx: int) -> list[Any]:
-            rt.clocks[ranks[idx]] = newclock
-            return [copy_payload(slots[j][idx]) for j in range(state.size)]
-
-        return state.collective(
-            self._rank,
+        return self._collective(
+            "alltoall",
             list(values),
-            leader,
-            extract,
-            trace_name="alltoall",
-            trace_bytes=payload_nbytes(list(values)),
+            plan,
+            lambda slots, _, idx: [copy_payload(row[idx]) for row in slots],
         )
 
     def alltoallv(self, chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -1175,83 +1081,44 @@ class Comm:
         if len(chunks) != self.size:
             raise CommunicatorError(f"alltoallv needs {self.size} chunks")
         chunks = [np.asarray(c) for c in chunks]
-        state = self._state
-        ranks = state.world_ranks
-        rt = self._rt
+        ranks = self._state.world_ranks
 
-        def leader(slots: list[Any]) -> Any:
-            entry = rt.clocks[ranks]
+        def plan(slots: list[Any]) -> Any:
             vols = np.array(
                 [[c.nbytes for c in row] for row in slots], dtype=np.float64
             )
-            per_rank = rt.cost.alltoallv_per_rank(vols, ranks)
-            rt.stats.record_collective("alltoallv", float(vols.sum()), state.size)
-            return entry.max() + per_rank
+            per_rank = self._rt.cost.alltoallv_per_rank(vols, ranks)
+            return None, per_rank, float(vols.sum())
 
-        def extract(slots: list[Any], newclocks: np.ndarray, idx: int) -> list[np.ndarray]:
-            rt.clocks[ranks[idx]] = newclocks[idx]
-            return [slots[j][idx].copy() for j in range(state.size)]
-
-        return state.collective(
-            self._rank,
+        return self._collective(
+            "alltoallv",
             chunks,
-            leader,
-            extract,
-            trace_name="alltoallv",
-            trace_bytes=int(sum(c.nbytes for c in chunks)),
+            plan,
+            lambda slots, _, idx: [row[idx].copy() for row in slots],
+            trace_bytes=sum(c.nbytes for c in chunks),
+        )
+
+    def _prefix(self, name: str, value: Any, prefixes) -> Any:
+        """Scan family: ``prefixes(slots)`` is the per-rank result list."""
+        ranks = self._state.world_ranks
+
+        def plan(slots: list[Any]) -> Any:
+            return (prefixes(slots),
+                    self._rt.cost.scan(payload_nbytes(slots[0]), ranks),
+                    sum(payload_nbytes(s) for s in slots))
+
+        return self._collective(
+            name, value, plan, lambda slots, prefix, idx: copy_payload(prefix[idx])
         )
 
     def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Inclusive prefix reduction over ranks."""
-        ranks = self._state.world_ranks
-        state = self._state
-        rt = self._rt
-
-        def leader(slots: list[Any]) -> Any:
-            entry = rt.clocks[ranks]
-            prefix, acc = [], None
-            for s in slots:
-                acc = s if acc is None else op(acc, s)
-                prefix.append(acc)
-            cost = rt.cost.scan(payload_nbytes(slots[0]), ranks)
-            rt.stats.record_collective("scan", sum(payload_nbytes(s) for s in slots), state.size)
-            return prefix, entry.max() + cost
-
-        def extract(slots: list[Any], cell: Any, idx: int) -> Any:
-            prefix, newclock = cell
-            rt.clocks[ranks[idx]] = newclock
-            return copy_payload(prefix[idx])
-
-        return state.collective(
-            self._rank, value, leader, extract,
-            trace_name="scan", trace_bytes=payload_nbytes(value),
-        )
+        return self._prefix("scan", value, lambda s: list(accumulate(s, op)))
 
     def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction; rank 0 receives ``None``."""
-        ranks = self._state.world_ranks
-        state = self._state
-        rt = self._rt
-
-        def leader(slots: list[Any]) -> Any:
-            entry = rt.clocks[ranks]
-            prefix: list[Any] = [None]
-            acc = None
-            for s in slots[:-1]:
-                acc = s if acc is None else op(acc, s)
-                prefix.append(acc)
-            cost = rt.cost.scan(payload_nbytes(slots[0]), ranks)
-            rt.stats.record_collective("exscan", sum(payload_nbytes(s) for s in slots), state.size)
-            return prefix, entry.max() + cost
-
-        def extract(slots: list[Any], cell: Any, idx: int) -> Any:
-            prefix, newclock = cell
-            rt.clocks[ranks[idx]] = newclock
-            return copy_payload(prefix[idx])
-
-        return state.collective(
-            self._rank, value, leader, extract,
-            trace_name="exscan", trace_bytes=payload_nbytes(value),
+        return self._prefix(
+            "exscan", value, lambda s: [None, *accumulate(s[:-1], op)]
         )
 
     # -------------------------------------------------------- comm management
@@ -1261,37 +1128,26 @@ class Comm:
 
         ``color=None`` (MPI_UNDEFINED) yields ``None`` for that rank.
         """
-        state = self._state
-        ranks = state.world_ranks
+        ranks = self._state.world_ranks
         rt = self._rt
 
-        def leader(slots: list[Any]) -> Any:
-            entry = rt.clocks[ranks]
+        def plan(slots: list[Any]) -> Any:
             groups: dict[int, list[tuple[int, int]]] = {}
             for idx, (col, k) in enumerate(slots):
                 if col is not None:
                     groups.setdefault(col, []).append((k, idx))
-            assignment: dict[int, tuple[_CommState, int]] = {}
+            assignment: dict[int, Comm] = {}
             for col in sorted(groups):
                 members = sorted(groups[col])
                 new_state = _CommState(rt, [ranks[idx] for _, idx in members])
                 for new_rank, (_, idx) in enumerate(members):
-                    assignment[idx] = (new_state, new_rank)
-            cost = rt.cost.comm_split(ranks)
-            rt.stats.record_collective("split", 16 * state.size, state.size)
-            return assignment, entry.max() + cost
+                    assignment[idx] = Comm(new_state, new_rank)
+            return assignment, rt.cost.comm_split(ranks), 16 * len(ranks)
 
-        def extract(slots: list[Any], cell: Any, idx: int) -> "Comm | None":
-            assignment, newclock = cell
-            rt.clocks[ranks[idx]] = newclock
-            if idx not in assignment:
-                return None
-            new_state, new_rank = assignment[idx]
-            return Comm(new_state, new_rank)
-
-        return state.collective(
-            self._rank, (color, key), leader, extract,
-            trace_name="split", trace_bytes=16,
+        return self._collective(
+            "split", (color, key), plan,
+            lambda slots, assignment, idx: assignment.get(idx),
+            trace_bytes=16,
         )
 
     def dup(self) -> "Comm":

@@ -62,11 +62,12 @@ class CollectiveMismatchError(CommunicatorError):
 
 
 class DeadlockError(CommunicatorError):
-    """The ``check=True`` wait-for-graph detector found a deadlock.
+    """The wait ledger's quiescence arbiter found a deadlock (any run).
 
-    Every non-finished rank is blocked (recv / collective) and no pending
-    message or collective completion can wake any of them; the message
-    contains the per-rank waits and, when one exists, the wait-for cycle.
+    Every live rank is blocked (recv / collective / rendezvous) and no
+    pending message, completion, deadline or revocation can wake any of
+    them; the message contains the per-rank waits (with call sites under
+    ``check=True``) and, when one exists, the wait-for cycle.
     """
 
 

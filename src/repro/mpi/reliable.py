@@ -292,7 +292,6 @@ def service_pending(comm: Comm, exclude: tuple[int, int] | None = None) -> int:
     """
     state = comm._state
     mb = state.mailboxes[comm.rank]
-    chk = comm._rt.checker
     got = []
     with mb.cond:
         if state.aborted:
@@ -309,9 +308,6 @@ def service_pending(comm: Comm, exclude: tuple[int, int] | None = None) -> int:
                 kept.append(m)
         if got:
             mb.messages[:] = kept
-            if chk is not None:
-                for m in got:
-                    chk.note_consume(state, comm.rank, m.src, m.tag)
     for m in got:
         _process(comm, m, m.tag - RELIABLE_BASE)
     return len(got)
@@ -333,7 +329,6 @@ def crash_drain(comm: Comm, now: float) -> int:
     """
     state = comm._state
     mb = state.mailboxes[comm.rank]
-    chk = comm._rt.checker
     got = []
     with mb.cond:
         if state.aborted:
@@ -347,9 +342,6 @@ def crash_drain(comm: Comm, now: float) -> int:
                 kept.append(m)
         if got:
             mb.messages[:] = kept
-            if chk is not None:
-                for m in got:
-                    chk.note_consume(state, comm.rank, m.src, m.tag)
     for m in got:
         _process(comm, m, m.tag - RELIABLE_BASE)
     return len(got)

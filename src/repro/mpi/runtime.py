@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from ..faults.plan import FaultPlan, FaultStats
 from ..machine import CostModel, MachineSpec, abstract_cluster, make_placement
 from ..trace.events import TraceRecorder
 from .comm import Comm, _CommState
-from .errors import Aborted, DeadlockError, MessageLeakError, RankCrashed, SPMDError
+from .errors import Aborted, MessageLeakError, RankCrashed, SPMDError
 from .waitstate import WaitRegistry
 
 
@@ -201,8 +202,9 @@ class Runtime:
         virtual clocks.
     check:
         Attach a :class:`~repro.analyze.runtime_check.RuntimeChecker` that
-        verifies collective congruence, detects deadlocks via a wait-for
-        graph, and reports leaked messages / pending requests at finalize.
+        verifies collective congruence, adds call sites to deadlock
+        diagnoses (deadlocks themselves are diagnosed in every run), and
+        raises on leaked messages / pending requests at finalize.
         ``None`` (the default) reads the ``REPRO_CHECK`` environment
         variable.  Checking never changes the virtual clocks: a checked
         run is bit-identical to an unchecked one.
@@ -296,9 +298,6 @@ class Runtime:
         self.fault_stats = FaultStats()
         self._fault_lock = threading.Lock()
         self._op_counts = [0] * total
-        self._fault_deadlock: str | None = None
-        #: always-on wait registry: blocked-rank introspection for run
-        #: timeouts, plus the virtual-time timeout / deadlock arbiter
         #: virtual clock at which each crashed rank died, by world rank —
         #: the cut that decides which in-flight messages the dead rank
         #: still acknowledges (see _execute_crash and Comm._post_mortem)
@@ -306,6 +305,9 @@ class Runtime:
         #: per-dead-rank locks serializing post-mortem channel processing
         #: (the crash-time drain vs. senders emulating owed acks)
         self._dead_channel_locks: dict[int, threading.Lock] = {}
+        #: the wait ledger: what each rank is blocked on, in every run, and
+        #: the one quiescence arbiter (virtual deadlines, revocation
+        #: hoists, the deadlock verdict) — see repro.mpi.waitstate
         self._registry = WaitRegistry(total)
         self.world_state = _CommState(self, range(total))
         #: the communicator the rank function runs on: the world when
@@ -442,14 +444,6 @@ class Runtime:
         self._registry.die(world_rank)
         raise RankCrashed(f"rank {world_rank} crashed at virtual t={now:.6g}s")
 
-    def _deadlock_abort(self, description: str) -> None:
-        """Quiescence arbiter verdict: no rank can make progress and no
-        virtual deadline is pending — abort rather than hang (fault plans
-        can starve ranks, e.g. by dropping a message the program only
-        sends once)."""
-        self._fault_deadlock = description
-        self.abort()
-
     # ------------------------------------------------------------ execution
 
     def run(
@@ -477,14 +471,8 @@ class Runtime:
         results: list[Any] = [None] * self.size
         failures: dict[int, BaseException] = {}
         failures_lock = threading.Lock()
-        checker = self.checker
-        if checker is not None:
-            checker.begin_run()
-        self._registry.begin(
-            faults_active=self._faults is not None,
-            on_deadlock=self._deadlock_abort,
-            on_fire=self._count_detection,
-        )
+        self._registry.begin(on_deadlock=self.abort,
+                             on_fire=self._count_detection)
 
         def worker(rank: int) -> None:
             try:
@@ -506,27 +494,21 @@ class Runtime:
                     failures[rank] = exc
                 self.abort()
             finally:
-                if checker is not None:
-                    # A finished rank will never send again: this transition
-                    # can complete a deadlock, so the checker re-analyzes.
-                    checker.finish(rank)
+                # A finished rank will never send again: this transition
+                # can complete a deadlock, so the ledger re-arbitrates.
                 self._registry.finish(rank)
 
-        old_stack = threading.stack_size()
-        if self.size > 64:
-            threading.stack_size(1 << 20)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(r,), name=f"rank-{r}", daemon=True)
-                for r in range(self.size)
-            ]
-        finally:
-            threading.stack_size(old_stack)
-
+        threads = [
+            threading.Thread(target=worker, args=(r,), name=f"rank-{r}", daemon=True)
+            for r in range(self.size)
+        ]
         for t in threads:
             t.start()
+        # One deadline for the whole run: per-thread join(timeout) would
+        # let ranks finishing one after another stretch the wait to p * T.
+        expiry = None if timeout is None else time.monotonic() + timeout
         for t in threads:
-            t.join(timeout)
+            t.join(None if expiry is None else max(0.0, expiry - time.monotonic()))
             if t.is_alive():
                 blocked = self._registry.describe_blocked()
                 self.abort()
@@ -538,11 +520,6 @@ class Runtime:
         if failures:
             first = failures[min(failures)]
             raise SPMDError(failures) from first
-        if self._fault_deadlock is not None:
-            raise DeadlockError(
-                "no rank can make progress under the fault plan:\n"
-                + self._fault_deadlock
-            )
         if self.sanitizer is not None:
             self.sanitizer.raise_if_findings()
         self._finalize_check()
@@ -606,7 +583,7 @@ class Runtime:
 
     def reset(self) -> None:
         """Zero clocks, statistics, fault bookkeeping, any recorded trace,
-        and the attached checker's shadow state (keeps communicators)."""
+        and the attached checker's state (keeps communicators)."""
         self.clocks[:] = 0.0
         self.stats = Stats(self.size)
         if self.trace is not None:
@@ -614,7 +591,6 @@ class Runtime:
         self.failed_ranks.clear()
         self.fault_stats = FaultStats()
         self._op_counts = [0] * self.size
-        self._fault_deadlock = None
         if self.checker is not None:
             self.checker.reset()
         if self.sanitizer is not None:
@@ -646,8 +622,8 @@ def run_spmd(
     communication call (pair it with ``return_runtime=True`` to reach the
     recorder at ``rt.trace``).  With ``check=True`` (default: the
     ``REPRO_CHECK`` environment variable) the runtime verifies collective
-    congruence, detects deadlocks, and reports message leaks — without
-    changing the virtual clocks.  With ``sanitize=True`` (default: the
+    congruence, names call sites in deadlock diagnoses, and raises on
+    message leaks — without changing the virtual clocks.  With ``sanitize=True`` (default: the
     ``REPRO_SANITIZE`` environment variable) it additionally tracks
     happens-before vector clocks and buffer lifetimes, raising
     :class:`~repro.sanitize.SanitizerError` on write-after-isend,

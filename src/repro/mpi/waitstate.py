@@ -1,10 +1,16 @@
-"""Always-on wait registry + virtual-time timeout arbiter.
+"""The wait ledger: what every rank is blocked on, and the one arbiter.
 
 Every rank thread registers what it is blocked on (a receive, a barrier
-phase of a collective, or a fault-tolerant rendezvous).  Two consumers:
+phase of a collective, or a fault-tolerant rendezvous) as structured
+fields, in every run.  Three consumers read the one table:
 
 * ``Runtime.run(timeout=...)`` expiry reports *which ranks* were blocked
   and on what operation (:meth:`WaitRegistry.describe_blocked`).
+* Deadlocks: when the arbiter finds quiescence with no deadline and no
+  revocation left to drive progress, it stores the diagnosis — the same
+  table plus the wait-for cycle — in :attr:`WaitRegistry.verdict` and
+  aborts the run; every abort-woken wait re-raises it as
+  :class:`~repro.mpi.errors.DeadlockError`.
 * Virtual-time p2p deadlines (``recv(timeout=...)``): there is no global
   event queue in this runtime — ranks run as free threads — so a timeout
   cannot "fire at virtual time T" eagerly.  Instead the registry detects
@@ -19,40 +25,50 @@ Lock discipline: the registry lock is a leaf for condition variables —
 wait predicates (``can_progress``) only *read* mailbox lists and barrier
 state, which are stable at quiescence; notifications and aborts happen
 after the registry lock is released, and callers never invoke
-``block_*`` while holding a mailbox condition.
+``block*``/``repoll`` while holding a mailbox condition.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from typing import Any, Callable
 
 RUNNING, BLOCKED, FINISHED, DEAD = range(4)
 
-_STATE_NAMES = {RUNNING: "running", BLOCKED: "blocked",
-                FINISHED: "finished", DEAD: "dead"}
+_STATE_NAMES = {RUNNING: "running", FINISHED: "finished", DEAD: "dead"}
 
 
 class WaitInfo:
     """One rank's current wait."""
 
-    __slots__ = ("rank", "kind", "detail", "deadline", "fired", "awake",
-                 "hoisted", "can_progress", "notify", "revocable")
+    __slots__ = ("rank", "kind", "state", "op", "source", "tag", "site",
+                 "deadline", "fired", "awake", "hoisted", "can_progress",
+                 "notify", "revocable")
 
-    def __init__(self, rank: int, kind: str, detail: str,
+    def __init__(self, rank: int, kind: str, state: Any, *, op: str = "",
+                 source: int = -1, tag: int = -1, site: str = "",
                  deadline: float | None = None,
                  can_progress: Callable[[], bool] | None = None,
                  notify: Callable[[], None] | None = None,
                  revocable: Callable[[], bool] | None = None):
         self.rank = rank
+        #: "recv" | "collective" | "ft"
         self.kind = kind
-        self.detail = detail
+        #: the communicator state waited on (``trace_id``, ``world_ranks``)
+        self.state = state
+        #: collective / rendezvous name ("collective" and "ft" waits)
+        self.op = op
+        #: group-rank source and tag specs, ``-1`` = ANY ("recv" waits)
+        self.source = source
+        self.tag = tag
+        #: user call site, captured only under ``check=True``
+        self.site = site
         self.deadline = deadline
         self.fired = False
-        #: the waiter's thread woke and is re-checking its predicate — it
-        #: may be about to consume the very message the predicate sees, so
-        #: the arbiter must treat it as in-flight progress (non-monotone
-        #: recv predicates only; barrier/ft predicates are monotone)
+        #: the waiter saw its wake condition hold and is acting on it — it
+        #: may be consuming the very message the predicate sees, so the
+        #: arbiter must treat it as in-flight progress (non-monotone recv
+        #: and drain predicates only; barrier/quorum predicates are monotone)
         self.awake = False
         #: the arbiter decided this wait must abandon with a revocation
         #: error (quiescence reached, nothing can progress, comm revoked)
@@ -60,6 +76,14 @@ class WaitInfo:
         self.can_progress = can_progress
         self.notify = notify
         self.revocable = revocable
+
+    def describe(self) -> str:
+        where = f" on comm#{self.state.trace_id}"
+        if self.kind != "recv":
+            return f"{self.kind} '{self.op}'{where}"
+        src = "ANY" if self.source < 0 else self.source
+        tag = "ANY" if self.tag < 0 else self.tag
+        return f"recv(source={src}, tag={tag}){where}"
 
 
 class WaitRegistry:
@@ -72,68 +96,69 @@ class WaitRegistry:
         # barrier arrival counters (keyed per barrier object) so the
         # arbiter can tell "release in flight" from "stuck waiting"
         self._arrivals: dict[int, int] = {}
-        self._faults_active = False
-        self._on_deadlock: Callable[[str], None] | None = None
+        #: the deadlock diagnosis, once the arbiter has issued it
+        self.verdict: str | None = None
+        self._on_deadlock: Callable[[], None] | None = None
         self._on_fire: Callable[[WaitInfo], None] | None = None
 
-    def begin(self, *, faults_active: bool,
-              on_deadlock: Callable[[str], None] | None = None,
+    def begin(self, *, on_deadlock: Callable[[], None] | None = None,
               on_fire: Callable[[WaitInfo], None] | None = None) -> None:
-        """Reset for a fresh run.  ``on_fire`` observes every fired
-        virtual deadline (the failure detector's *suspicion* events —
+        """Reset for a fresh run.  ``on_deadlock`` tears the run down once
+        :attr:`verdict` is set; ``on_fire`` observes every fired virtual
+        deadline (the failure detector's *suspicion* events —
         quiescence-determined, hence deterministic; used for counting)."""
         with self._lock:
             self._state = [RUNNING] * self.size
             self._waits = [None] * self.size
             self._nrunning = self.size
             self._arrivals.clear()
-            self._faults_active = faults_active
+            self.verdict = None
             self._on_deadlock = on_deadlock
             self._on_fire = on_fire
 
     # -- transitions -----------------------------------------------------
 
-    def block(self, rank: int, kind: str, detail: str, *,
-              deadline: float | None = None,
-              can_progress: Callable[[], bool] | None = None,
-              notify: Callable[[], None] | None = None,
-              revocable: Callable[[], bool] | None = None) -> WaitInfo:
-        """Mark ``rank`` blocked.  Must NOT be called while holding any
-        mailbox condition (the arbiter's follow-up actions may notify
-        arbitrary conditions or abort the runtime)."""
-        w = WaitInfo(rank, kind, detail, deadline, can_progress, notify,
-                     revocable)
+    def block(self, rank: int, kind: str, state: Any, **fields) -> WaitInfo:
+        """Mark ``rank`` blocked (``fields`` as for :class:`WaitInfo`).
+        Must NOT be called while holding any mailbox condition (the
+        arbiter's follow-up actions may notify arbitrary conditions or
+        abort the runtime)."""
+        w = WaitInfo(rank, kind, state, **fields)
         with self._lock:
-            if self._state[rank] == RUNNING:
-                self._nrunning -= 1
-            self._state[rank] = BLOCKED
-            self._waits[rank] = w
-            action = self._arbitrate_locked()
+            action = self._enter_locked(w)
         self._perform(action)
         return w
 
-    def block_barrier(self, rank: int, barrier: threading.Barrier,
-                      detail: str) -> WaitInfo:
-        """Mark ``rank`` blocked on (and arrived at) a barrier phase."""
+    def block_barrier(self, rank: int, state: Any, op: str,
+                      site: str = "") -> None:
+        """Mark ``rank`` blocked on (and arrived at) a phase of
+        ``state.barrier``.  Phase generations proceed in lockstep (the
+        barrier enforces it), so arrival ``n`` belongs to generation
+        ``n // parties``; a waiter of a fully-arrived generation has been
+        *released* even if its thread has not run yet."""
+        barrier = state.barrier
         key = id(barrier)
+        arrivals = self._arrivals
         with self._lock:
-            n = self._arrivals.get(key, 0)
-            self._arrivals[key] = n + 1
-            parties = barrier.parties
-            gen = n // parties
-            arrivals = self._arrivals
+            n = arrivals.get(key, 0)
+            arrivals[key] = n + 1
+            need = (n // barrier.parties + 1) * barrier.parties
 
             def arrived() -> bool:
-                return barrier.broken or arrivals.get(key, 0) >= (gen + 1) * parties
+                return barrier.broken or arrivals.get(key, 0) >= need
 
-            w = WaitInfo(rank, "collective", detail, can_progress=arrived)
-            if self._state[rank] == RUNNING:
-                self._nrunning -= 1
-            self._state[rank] = BLOCKED
-            self._waits[rank] = w
-            action = self._arbitrate_locked()
+            action = self._enter_locked(WaitInfo(
+                rank, "collective", state, op=op, site=site,
+                can_progress=arrived))
         self._perform(action)
-        return w
+
+    def _enter_locked(self, w: WaitInfo):
+        rank = w.rank
+        if self._state[rank] == RUNNING:
+            self._nrunning -= 1
+        self._state[rank] = BLOCKED
+        self._waits[rank] = w
+        return self._arbitrate_locked()
 
     def unblock(self, rank: int) -> None:
         with self._lock:
@@ -143,8 +168,9 @@ class WaitRegistry:
             self._waits[rank] = None
 
     def wake_ack(self, rank: int) -> None:
-        """The waiter's thread resumed after a wake-up (registry lock is a
-        leaf, so this is safe to call while holding the waited condition)."""
+        """The waiter found its wake condition true and is about to act on
+        it (registry lock is a leaf, so this is safe to call while holding
+        the waited condition)."""
         with self._lock:
             w = self._waits[rank]
             if w is not None:
@@ -173,23 +199,21 @@ class WaitRegistry:
         self._perform(action)
 
     def finish(self, rank: int) -> None:
-        with self._lock:
-            if self._state[rank] == RUNNING:
-                self._nrunning -= 1
-            if self._state[rank] != DEAD:
-                self._state[rank] = FINISHED
-            self._waits[rank] = None
-            action = self._arbitrate_locked()
-        self._perform(action)
+        """``rank``'s function returned (or raised); it will act no more."""
+        self._leave(rank, FINISHED)
 
     def die(self, rank: int) -> None:
         """Mark a rank dead (fault-injected crash).  Call *after* all
         death bookkeeping (failed sets, barrier aborts, notifications) so
         the arbiter sees a consistent picture."""
+        self._leave(rank, DEAD)
+
+    def _leave(self, rank: int, final: int) -> None:
         with self._lock:
             if self._state[rank] == RUNNING:
                 self._nrunning -= 1
-            self._state[rank] = DEAD
+            if self._state[rank] != DEAD:
+                self._state[rank] = final
             self._waits[rank] = None
             action = self._arbitrate_locked()
         self._perform(action)
@@ -197,7 +221,7 @@ class WaitRegistry:
     # -- arbiter ---------------------------------------------------------
 
     def _arbitrate_locked(self):
-        if self._nrunning > 0:
+        if self._nrunning > 0 or self.verdict is not None:
             return None
         blocked = [w for w in self._waits if w is not None]
         if not blocked:
@@ -228,9 +252,13 @@ class WaitRegistry:
             for w in hoist:
                 w.hoisted = True
             return ("hoist", hoist)
-        if self._faults_active and self._on_deadlock is not None:
-            return ("deadlock", self._describe_locked())
-        return None
+        # Nothing left that could ever wake anyone — a programming error,
+        # or a fault plan that starved the program (e.g. dropped a message
+        # it only sends once).  Abort rather than hang.
+        self.verdict = "\n".join(
+            ["SPMD deadlock: every live rank is blocked and none can progress",
+             self._describe_locked(), *self._cycle_locked(blocked)])
+        return ("deadlock", None)
 
     def _perform(self, action) -> None:
         if action is None:
@@ -246,36 +274,70 @@ class WaitRegistry:
             for w in payload:
                 if w.notify is not None:
                     w.notify()
-        elif what == "deadlock":
-            cb = self._on_deadlock
-            if cb is not None:
-                cb(payload)
+        elif self._on_deadlock is not None:  # "deadlock": verdict is stored
+            self._on_deadlock()
 
     # -- introspection ---------------------------------------------------
 
-    def has_pending_deadline(self) -> bool:
-        """True if any blocked wait carries a virtual-time deadline (the
-        deadlock verdict then belongs to the timeout arbiter, not the
-        checker)."""
-        with self._lock:
-            return any(w is not None and w.deadline is not None
-                       for w in self._waits)
-
     def _describe_locked(self) -> str:
+        """One line per blocked rank, then the other ranks by state."""
         lines = []
-        for r in range(self.size):
-            st = self._state[r]
-            w = self._waits[r]
-            if w is not None:
-                extra = ""
-                if w.deadline is not None:
-                    extra = f" (deadline t={w.deadline:.6g})"
-                lines.append(f"  rank {r}: blocked in {w.detail}{extra}")
-            else:
-                lines.append(f"  rank {r}: {_STATE_NAMES[st]}")
+        for w in self._waits:
+            if w is None:
+                continue
+            line = f"  rank {w.rank}: blocked in {w.describe()}"
+            if len(w.state.world_ranks) < self.size:
+                line += f" (members {w.state.world_ranks})"
+            if w.deadline is not None:
+                line += f" (deadline t={w.deadline:.6g})"
+            if w.site:
+                line += f" at {w.site}"
+            lines.append(line)
+        for st, name in _STATE_NAMES.items():
+            ranks = [r for r in range(self.size) if self._state[r] == st]
+            if ranks:
+                lines.append(f"  {name} rank(s): {ranks}")
         return "\n".join(lines)
 
     def describe_blocked(self) -> str:
         """Human-readable per-rank wait table (for run-timeout reports)."""
         with self._lock:
             return self._describe_locked()
+
+    def _waits_for(self, w: WaitInfo) -> list[int]:
+        """World ranks that could (but will not) wake ``w``: a receive's
+        source(s); for a collective or rendezvous, the members that are
+        not in the same operation."""
+        members = w.state.world_ranks
+        if w.kind == "recv":
+            if w.source >= 0:
+                return [members[w.source]]
+            return [r for r in members if r != w.rank]
+        return [r for r in members
+                if (o := self._waits[r]) is None or o.kind != w.kind
+                or o.state is not w.state]
+
+    def _cycle_locked(self, blocked: list[WaitInfo]) -> list[str]:
+        """The first wait-for cycle among blocked ranks, as a diagnosis
+        line (depth-first; waits on finished or dead ranks lead nowhere)."""
+        edges = {w.rank: [r for r in self._waits_for(w)
+                          if self._waits[r] is not None] for w in blocked}
+        done: set[int] = set()
+        for start in edges:
+            if start in done:
+                continue
+            path = [start]
+            trail = [iter(edges[start])]
+            while trail:
+                nxt = next(trail[-1], None)
+                if nxt is None:
+                    done.add(path.pop())
+                    trail.pop()
+                elif nxt in path:
+                    cycle = path[path.index(nxt):] + [nxt]
+                    return ["  wait-for cycle: "
+                            + " -> ".join(f"rank {r}" for r in cycle)]
+                elif nxt not in done:
+                    path.append(nxt)
+                    trail.append(iter(edges[nxt]))
+        return []

@@ -10,6 +10,7 @@ from repro.mpi import (
     CollectiveMismatchError,
     DeadlockError,
     MessageLeakError,
+    MessageTimeoutError,
     SPMDError,
     run_spmd,
 )
@@ -54,6 +55,12 @@ class TestCollectiveCongruence:
 
 
 class TestDeadlockDetection:
+    """Deadlocks are diagnosed from the wait ledger in every run; ``check``
+    only adds call sites.  ``TestDeadlockDetectionUnchecked`` re-runs every
+    case with the checker off."""
+
+    check = True
+
     def test_recv_recv_cycle(self):
         def prog(comm):
             peer = 1 - comm.rank
@@ -62,7 +69,7 @@ class TestDeadlockDetection:
             return got
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=True, timeout=30)
+            run_spmd(2, prog, check=self.check, timeout=30)
         assert DeadlockError in _failure_types(ei)
         msg = str(ei.value.__cause__)
         assert "wait-for cycle" in msg
@@ -76,7 +83,7 @@ class TestDeadlockDetection:
             return comm.rank
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=True, timeout=30)
+            run_spmd(2, prog, check=self.check, timeout=30)
         assert DeadlockError in _failure_types(ei)
         msg = str(ei.value.__cause__)
         assert "blocked in collective 'barrier'" in msg
@@ -89,9 +96,100 @@ class TestDeadlockDetection:
             return None
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=True, timeout=30)
+            run_spmd(2, prog, check=self.check, timeout=30)
         assert DeadlockError in _failure_types(ei)
         assert "blocked in recv(source=1, tag=3)" in str(ei.value.__cause__)
+
+    def test_irecv_wait_with_no_sender(self):
+        def prog(comm):
+            if comm.rank == 0:
+                return comm.irecv(source=1, tag=4).wait()
+            return None
+
+        with pytest.raises(SPMDError) as ei:
+            run_spmd(2, prog, check=self.check, timeout=30)
+        assert DeadlockError in _failure_types(ei)
+        msg = str(ei.value.__cause__)
+        assert "rank 0: blocked in recv(source=1, tag=4)" in msg
+        assert "finished rank(s): [1]" in msg
+
+    def test_split_collective_one_member_skips(self):
+        # Rank 3 skips its pair's allreduce and goes straight to the world
+        # barrier: rank 2 waits for it on the sub-communicator, everyone
+        # else waits for rank 2 on the world.
+        def prog(comm):
+            sub = comm.split(comm.rank // 2, comm.rank)
+            if comm.rank != 3:
+                sub.allreduce(1)  # spmd: ignore[SPMD-DIV-COLLECTIVE]
+            comm.barrier()
+
+        with pytest.raises(SPMDError) as ei:
+            run_spmd(4, prog, check=self.check, timeout=30)
+        assert _failure_types(ei) == {DeadlockError}
+        assert set(ei.value.failures) == {0, 1, 2, 3}
+        msg = str(ei.value.__cause__)
+        assert "rank 2: blocked in collective 'allreduce'" in msg
+        assert "(members [2, 3])" in msg
+        assert "rank 3: blocked in collective 'barrier'" in msg
+        assert "wait-for cycle: rank 2 -> rank 3 -> rank 2" in msg
+
+    def test_recv_from_finished_rank(self):
+        # Rank 1 sends once and returns; rank 0's second receive can only
+        # be diagnosed once rank 1's exit re-arbitrates the ledger.
+        def prog(comm):
+            if comm.rank == 1:
+                comm.send("only", 0, tag=5)  # spmd: ignore[TAG-COLLISION]
+                return None
+            first = comm.recv(source=1, tag=5)  # spmd: ignore[TAG-COLLISION]
+            return first, comm.recv(source=1, tag=5)  # spmd: ignore[TAG-COLLISION]
+
+        with pytest.raises(SPMDError) as ei:
+            run_spmd(2, prog, check=self.check, timeout=30)
+        assert set(ei.value.failures) == {0}
+        msg = str(ei.value.__cause__)
+        assert "blocked in recv(source=1, tag=5)" in msg
+        assert "finished rank(s): [1]" in msg
+        assert "wait-for cycle" not in msg
+
+    def test_call_sites_only_when_checked(self):
+        def prog(comm):
+            return comm.recv(source=1 - comm.rank, tag=2)  # spmd: ignore[TAG-COLLISION]
+
+        with pytest.raises(SPMDError) as ei:
+            run_spmd(2, prog, check=self.check, timeout=30)
+        msg = str(ei.value.__cause__)
+        assert msg.count("test_mpi_check.py") == (2 if self.check else 0)
+
+    def test_recv_timeout_is_not_a_deadlock(self):
+        # A pending virtual deadline outranks the deadlock verdict: the
+        # arbiter fires it, and the program sees MessageTimeoutError.
+        def prog(comm):
+            if comm.rank == 0:
+                with pytest.raises(MessageTimeoutError):
+                    comm.recv(source=1, tag=8, timeout=1e-3)
+                return comm.clock
+            return None
+
+        clocks = run_spmd(2, prog, check=self.check, timeout=30)
+        assert clocks[0] == pytest.approx(1e-3)
+
+    def test_starved_by_fault_plan(self):
+        # The plan drops the only message: same verdict, same raise path.
+        from repro.faults import FaultPlan, FaultSpec
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send("lost", 1, tag=6)
+                return None
+            return comm.recv(source=0, tag=6)
+
+        plan = FaultPlan(FaultSpec(drop_rate=1.0), seed=3, size=2)
+        with pytest.raises(SPMDError) as ei:
+            run_spmd(2, prog, faults=plan, check=self.check, timeout=30)
+        assert _failure_types(ei) == {DeadlockError}
+        msg = str(ei.value.__cause__)
+        assert "rank 1: blocked in recv(source=0, tag=6)" in msg
+        assert "finished rank(s): [0]" in msg
 
     def test_unchecked_still_works(self):
         # Same clean program without the checker: no interference.
@@ -100,6 +198,10 @@ class TestDeadlockDetection:
             return comm.sendrecv(comm.rank, peer, tag=1)  # spmd: ignore[TAG-COLLISION]
 
         assert run_spmd(2, prog, check=False, timeout=30) == [1, 0]
+
+
+class TestDeadlockDetectionUnchecked(TestDeadlockDetection):
+    check = False
 
 
 class TestFinalizeAccounting:
@@ -221,3 +323,27 @@ class TestClockInvariance:
             clocks[check] = rt.clocks.copy()
         assert np.array_equal(clocks[False], clocks[True])
         assert clocks[True].dtype == np.float64
+
+    def test_no_false_positive_soak(self):
+        """200 rounds of random-partner sendrecv + allreduce at p=16: the
+        ledger never cries deadlock, checked or not, and clocks are identical."""
+        p, rounds = 16, 200
+
+        def prog(comm):
+            rng = np.random.default_rng(1234)  # same stream on every rank
+            total = 0
+            for r in range(rounds):
+                perm = rng.permutation(p)
+                slot = int(np.flatnonzero(perm == comm.rank)[0])
+                partner = int(perm[slot ^ 1])
+                got = comm.sendrecv(comm.rank + r, partner, tag=r)
+                assert got == partner + r
+                total += comm.allreduce(got)
+            return total
+
+        clocks = {}
+        for check in (False, True):
+            res, rt = run_spmd(p, prog, check=check, return_runtime=True, timeout=120)
+            assert len(set(res)) == 1
+            clocks[check] = rt.clocks.copy()
+        assert np.array_equal(clocks[False], clocks[True])

@@ -1,5 +1,7 @@
 """Runtime lifecycle: split/dup, failure propagation, determinism."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,20 @@ class TestRuntimeObject:
         out, rt = run_spmd(2, lambda comm: comm.rank, return_runtime=True)
         assert out == [0, 1]
         assert rt.size == 2
+
+    def test_timeout_is_one_deadline_for_the_whole_run(self):
+        # Ranks finishing at 0.6 T, 1.2 T and 1.8 T: each is within T of
+        # the previous one, so a per-thread join(T) never expires.
+        T = 0.25
+
+        def prog(comm):
+            time.sleep(0.6 * T * (comm.rank + 1))
+
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError, match="per-rank wait states"):
+            run_spmd(3, prog, timeout=T)
+        # expiry at T, then the abort's bounded join of the straggler
+        assert time.monotonic() - t0 < 1.8 * T + 0.2
 
 
 class TestDeterminism:
