@@ -2,22 +2,22 @@
 
 Two layers over :mod:`repro.mpi`:
 
-* **Static** — ``python -m repro.analyze src/ examples/`` runs AST-based,
-  rank-centric lint rules (divergent collectives, unwaited requests,
-  blocking cycles, tag collisions, wall-clock use in rank functions) and
-  prints ``file:line: RULE-ID message`` findings with a CI-friendly exit
-  code.  See :mod:`repro.analyze.rules` for the rule catalogue.
+* **Static** — ``python -m repro.analyze src/ examples/`` prints
+  ``file:line: RULE-ID message`` findings with a CI-friendly exit code.
+  One pipeline (:mod:`repro.analyze.engine`): each function definition is
+  *lowered* once (:mod:`repro.analyze.lower`), the per-function rules are
+  *judged* on that lowering (:mod:`repro.analyze.rules`,
+  :mod:`repro.analyze.dataflow`), per-function summaries are *joined* into
+  one whole program for the interprocedural and cost rules
+  (:mod:`repro.analyze.interproc`, :mod:`repro.analyze.costlint`), and
+  per-file records are *cached* by content hash
+  (:mod:`repro.analyze.store`) so warm runs re-parse only changed files.
+  ``RULES`` in :mod:`repro.analyze.rules` is the rule catalogue.
 * **Runtime** — ``run_spmd(..., check=True)`` (or ``REPRO_CHECK=1``)
   attaches a :class:`~repro.analyze.runtime_check.RuntimeChecker` that
   verifies collective congruence, detects deadlocks via a wait-for graph,
   and reports leaked messages / never-completed requests at finalize —
   without perturbing the virtual clocks.
-
-The static layer is *whole-program*: per-file facts feed a cross-module
-call graph (:mod:`repro.analyze.callgraph`) and an interprocedural
-fixpoint (:mod:`repro.analyze.interproc`), and an incremental store
-(:mod:`repro.analyze.store`) caches per-file records by content hash so
-warm runs re-parse only changed files.
 
 Attribute access is lazy so that :mod:`repro.mpi` can import the runtime
 checker without dragging the lint engine (and its import of

@@ -1,11 +1,10 @@
-"""AST lint engine for rank-centric SPMD code.
+"""Shared vocabulary of the lint pass: findings, modules, suppression.
 
-The engine walks Python sources, identifies *rank functions* (functions
-holding a communicator — a parameter named ``comm`` or annotated ``Comm``,
-plus aliases created by ``split``/``dup``), tracks *rank-tainted* names
-(values derived from ``comm.rank``), and hands each module to the rules in
-:mod:`repro.analyze.rules`.  Findings print as ``file:line: RULE-ID
-message`` and the CLI exits non-zero when any survive.
+A *rank function* holds a communicator — a parameter named ``comm`` or
+annotated ``Comm``, plus aliases created by ``split``/``dup`` — and is
+lowered once (:mod:`repro.analyze.lower`, cached per definition on its
+:class:`ModuleInfo`).  Findings print as ``file:line: RULE-ID message`` and
+the CLI exits non-zero when any survive.
 
 Suppression: a line containing ``# spmd: ignore`` silences every rule on
 that line; ``# spmd: ignore[RULE-ID]`` silences one rule.  The ``SPMD-``
@@ -20,12 +19,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .lower import FunctionContext, lower
+
 __all__ = [
     "Finding",
     "ModuleInfo",
-    "FunctionContext",
     "analyze_paths",
-    "analyze_modules",
     "analyze_source",
     "module_from_source",
     "COLLECTIVE_METHODS",
@@ -62,9 +61,6 @@ COLLECTIVE_METHODS = frozenset(
 
 #: point-to-point methods (rank-divergent by design)
 P2P_METHODS = frozenset({"send", "recv", "sendrecv", "isend", "irecv", "iprobe"})
-
-#: parameter names / annotations treated as communicator handles
-_COMM_PARAM_NAMES = frozenset({"comm", "sub", "subcomm", "intercomm"})
 
 _SUPPRESS_RE = re.compile(r"#\s*spmd:\s*ignore(?:\[(?P<rules>[A-Z0-9, \-]+)\])?")
 
@@ -118,43 +114,15 @@ class ModuleInfo:
     modname: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
+    _contexts: dict[int, FunctionContext] = field(default_factory=dict, repr=False)
 
-    def suppressed(self, line: int, rule: str) -> bool:
-        if not 1 <= line <= len(self.lines):
-            return False
-        table = suppression_table(self.lines[line - 1 : line], start=line)
-        return _suppresses(table.get(line, False), rule)
-
-
-@dataclass
-class FunctionContext:
-    """Communicator and taint information for one function."""
-
-    node: ast.FunctionDef
-    comm_names: set[str]
-    tainted: set[str]
-
-    def is_comm_call(self, call: ast.Call, methods: frozenset[str]) -> bool:
-        return (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in methods
-            and isinstance(call.func.value, ast.Name)
-            and call.func.value.id in self.comm_names
-        )
-
-    def is_rank_expr(self, expr: ast.AST) -> bool:
-        """Does the expression read ``comm.rank`` or a rank-tainted name?"""
-        for n in ast.walk(expr):
-            if (
-                isinstance(n, ast.Attribute)
-                and n.attr in ("rank", "world_rank")
-                and isinstance(n.value, ast.Name)
-                and n.value.id in self.comm_names
-            ):
-                return True
-            if isinstance(n, ast.Name) and n.id in self.tainted:
-                return True
-        return False
+    def context(self, fn: ast.FunctionDef) -> FunctionContext:
+        """The lowering of one of this module's function definitions; every
+        consumer shares it, so each definition is walked once."""
+        ctx = self._contexts.get(id(fn))
+        if ctx is None:
+            ctx = self._contexts[id(fn)] = lower(fn)
+        return ctx
 
 
 def suppression_table(
@@ -216,101 +184,6 @@ def _suppresses(spec: list[str] | None | bool, rule: str) -> bool:
     return rule in spec or rule.removeprefix("SPMD-") in spec
 
 
-def _annotation_is_comm(ann: ast.expr | None) -> bool:
-    if ann is None:
-        return False
-    text = ast.unparse(ann) if hasattr(ast, "unparse") else ""
-    return "Comm" in text
-
-
-def _own_statements(fn: ast.FunctionDef) -> Iterator[ast.stmt]:
-    """Statements of ``fn`` excluding nested function/class bodies."""
-    stack: list[ast.stmt] = list(fn.body)
-    while stack:
-        st = stack.pop()
-        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield st
-        for child in ast.iter_child_nodes(st):
-            if isinstance(child, ast.stmt):
-                stack.append(child)
-            else:
-                stack.extend(
-                    c for c in ast.walk(child) if isinstance(c, ast.stmt)
-                )
-
-
-def build_context(
-    fn: ast.FunctionDef, extra_comms: Iterable[str] = ()
-) -> FunctionContext:
-    """Collect communicator aliases and rank-tainted names (fixpoint).
-
-    ``extra_comms`` seeds additional parameter names known to be
-    communicators from whole-program evidence (e.g. the first parameter of
-    a function passed to ``run_spmd``); the intraprocedural rules never
-    pass it, so their findings are unaffected.
-    """
-    comm: set[str] = set(extra_comms)
-    args = fn.args
-    for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        if a.arg in _COMM_PARAM_NAMES or _annotation_is_comm(a.annotation):
-            comm.add(a.arg)
-    if not comm:
-        return FunctionContext(fn, set(), set())
-
-    tainted: set[str] = set()
-    assigns: list[tuple[str, ast.expr]] = []
-    for st in _own_statements(fn):
-        if isinstance(st, ast.Assign) and len(st.targets) == 1 and isinstance(
-            st.targets[0], ast.Name
-        ):
-            assigns.append((st.targets[0].id, st.value))
-        elif isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name):
-            if st.value is not None:
-                assigns.append((st.target.id, st.value))
-
-    def reads_comm_attr(expr: ast.expr, attrs: tuple[str, ...]) -> bool:
-        return any(
-            isinstance(n, ast.Attribute)
-            and n.attr in attrs
-            and isinstance(n.value, ast.Name)
-            and n.value.id in comm
-            for n in ast.walk(expr)
-        )
-
-    for _ in range(4):  # fixpoint over alias / taint chains
-        changed = False
-        for name, value in assigns:
-            if name not in comm:
-                if isinstance(value, ast.Name) and value.id in comm:
-                    comm.add(name)
-                    tainted.discard(name)
-                    changed = True
-                elif (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Attribute)
-                    and value.func.attr in ("split", "dup")
-                    and isinstance(value.func.value, ast.Name)
-                    and value.func.value.id in comm
-                ):
-                    comm.add(name)
-                    tainted.discard(name)
-                    changed = True
-            # Communicator handles are never treated as tainted values:
-            # collectives over a split/dup'd comm are congruent *within*
-            # that comm even though the handle differs across ranks.
-            if name not in tainted and name not in comm:
-                if reads_comm_attr(value, ("rank", "world_rank")) or any(
-                    isinstance(n, ast.Name) and n.id in tainted
-                    for n in ast.walk(value)
-                ):
-                    tainted.add(name)
-                    changed = True
-        if not changed:
-            break
-    return FunctionContext(fn, comm, tainted)
-
-
 def iter_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
@@ -353,24 +226,6 @@ def collect_files(paths: Iterable[str | Path]) -> list[Path]:
 # ------------------------------------------------------------- entry points
 
 
-def analyze_modules(mods: list[ModuleInfo]) -> list[Finding]:
-    """Run every rule over already-parsed modules; suppression applied."""
-    from .rules import check_module, check_tags
-
-    findings: list[Finding] = []
-    for mod in mods:
-        findings.extend(check_module(mod))
-    findings.extend(check_tags(mods))
-    findings = [
-        f
-        for f in findings
-        if not next(
-            (m for m in mods if m.path == f.path), ModuleInfo("", "", ast.Module([], []))
-        ).suppressed(f.line, f.rule)
-    ]
-    return sorted(set(findings), key=lambda f: (f.path, f.line, f.rule))
-
-
 def analyze_paths(
     paths: Iterable[str | Path], store=None
 ) -> list[Finding]:
@@ -390,8 +245,8 @@ def analyze_paths(
 def analyze_source(
     source: str, path: str = "<memory>", modname: str | None = None
 ) -> list[Finding]:
-    """Lint a single in-memory module (test/fixture helper)."""
-    out = module_from_source(source, path, modname)
-    if isinstance(out, Finding):
-        return [out]
-    return analyze_modules([out])
+    """Lint a single in-memory module: the same per-file record and global
+    phase as :func:`analyze_paths`, over a one-file program."""
+    from .engine import analyze_records, build_record
+
+    return analyze_records([build_record(source, path, modname)])

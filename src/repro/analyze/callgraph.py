@@ -334,9 +334,6 @@ class CallGraph:
     def key(self, path: str, dotted: str) -> str:
         return f"{path}::{dotted}"
 
-    def node(self, key: str) -> FunctionNode | None:
-        return self.functions.get(key)
-
     def add_edge(self, caller: str, callee: str) -> None:
         if caller in self.edges and callee in self.functions:
             self.edges[caller].add(callee)

@@ -1,6 +1,6 @@
 """Communication-cost lint: symbolic payload sizes and scalability rules.
 
-Two halves, mirroring the summaries/fixpoint split of
+Two halves, mirroring the summaries/join split of
 :mod:`repro.analyze.interproc`:
 
 **Extraction (per file, cacheable).**  :func:`extract_function_cost` runs a
@@ -11,29 +11,16 @@ magnitudes for integers.  Seeds are the SPMD vocabulary — ``comm.size`` is
 ``np.empty(k)``/slicing/``argsort``/``searchsorted`` shapes propagate
 through assignments, non-comm parameters become ``$param`` atoms, and
 unresolved user calls become ``@line_col`` atoms.  The result — every
-collective/p2p *cost site* with its payload term and enclosing-loop
-multiplier, every ``for``-loop issuing point-to-point traffic, and the
-function's symbolic return size — is a JSON dict stored on the function's
-:class:`~repro.analyze.interproc.FunctionSummary`.
+collective/p2p *cost site* of the function's lowering with its payload term
+and enclosing-loop multiplier, every ``for``-loop issuing point-to-point
+traffic, and the function's symbolic return size — is a JSON dict stored on
+the function's :class:`~repro.analyze.interproc.FunctionSummary`.
 
 **Whole-program resolution (every run, cheap).**  :class:`CostProgram`
-resolves ``@`` placeholders bottom-up over the call graph's SCCs
-(substituting callee return sizes with ``$param`` atoms bound to the
-caller's argument sizes) and judges four rules on the resolved payloads:
-
-``SPMD-ROOT-BOTTLENECK``
-    ``gather``/``reduce`` of an Ω(n/p) payload — the root materializes
-    Θ(n), serializing the sort at one rank.
-``SPMD-P2-TRAFFIC``
-    ``allgather`` deposits growing with p (every rank materializes Θ(p²))
-    or ``alltoall``/``alltoallv`` rows growing beyond the O(p)-counts /
-    O(n/p)-data budget — Ω(p²) wire bytes.
-``SPMD-HANDROLLED-COLLECTIVE``
-    a ``for peer in range(p)`` loop issuing point-to-point sends — a
-    collective re-implemented with O(p) rounds.
-``SPMD-OVERSIZED-REDUCE``
-    ``allreduce``/``scan``/``exscan`` payloads growing with n instead of
-    the O(p) histogram/count vectors they should be.
+resolves ``@`` placeholders bottom-up over the SCCs of the shared
+:class:`~repro.analyze.interproc.Program` (substituting callee return sizes
+with ``$param`` atoms bound to the caller's argument sizes) and judges the
+four ``RULES`` entries of layer ``cost`` on the resolved payloads.
 
 Judgements only fire on *ground* terms (atoms in {p, log p, n, s}); sizes
 still mentioning ``$param``/``@call`` placeholders stay silent — a may
@@ -46,8 +33,9 @@ import ast
 from typing import Any, Callable, Iterable
 
 from . import symbolic as sym
-from .astlint import COLLECTIVE_METHODS, Finding, FunctionContext
-from .callgraph import CallGraph, FunctionNode
+from .astlint import COLLECTIVE_METHODS, Finding
+from .interproc import Program
+from .lower import SCOPES, FunctionContext
 
 __all__ = [
     "RULE_ROOT_BOTTLENECK",
@@ -137,39 +125,17 @@ _METHOD_SCALAR = frozenset(
 _NUM, _ARR, _SEQ, _UNK = "num", "arr", "seq", "unk"
 
 
-def _own_statements(fn: ast.FunctionDef):
-    """Statements of ``fn`` in source order, excluding nested scopes."""
-    stack: list[ast.stmt] = list(reversed(fn.body))
-    while stack:
-        st = stack.pop()
-        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield st
-        children: list[ast.stmt] = []
-        for child in ast.iter_child_nodes(st):
-            if isinstance(child, ast.stmt):
-                children.append(child)
-            else:
-                children.extend(
-                    c for c in ast.walk(child) if isinstance(c, ast.stmt)
-                )
-        stack.extend(reversed(children))
-
-
 class _Inference:
     """Flow-insensitive size environment for one function body."""
 
     def __init__(
         self,
-        fn: ast.FunctionDef,
         ctx: FunctionContext,
-        params: list[str],
         spec_for: Callable[[ast.Call], tuple[tuple[str, ...], str] | None],
         entry: bool = False,
     ) -> None:
-        self.fn = fn
+        self.fn = ctx.node
         self.ctx = ctx
-        self.params = params
         self.spec_for = spec_for
         self.entry = entry
         self.env: dict[str, tuple[str, Any]] = {}
@@ -232,7 +198,7 @@ class _Inference:
         e.g. ``x = arr[:0]``) binding as the final word.
         """
         for st in stmts:
-            if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(st, SCOPES):
                 continue
             if isinstance(st, ast.If):
                 saved = dict(self.env)
@@ -756,115 +722,95 @@ class _Inference:
 # ------------------------------------------------------------ cost extraction
 
 
-class _SiteCollector:
-    """Walks a function collecting comm cost sites under loop context."""
-
-    def __init__(self, inf: _Inference) -> None:
-        self.inf = inf
-        self.ctx = inf.ctx
-        self.sites: list[dict[str, Any]] = []
-        self.loops: dict[int, dict[str, Any]] = {}
-
-    def run(self, fn: ast.FunctionDef) -> None:
-        for st in fn.body:
-            self._walk(st, sym.ONE, [])
-
-    def _walk(self, node: ast.AST, factor: Any, for_stack: list[tuple[int, Any]]) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return
-        if isinstance(node, ast.For):
-            count = self.inf.elems(node.iter)
-            stack = for_stack + [(node.lineno, count)]
-            sub = sym.mul(factor, count) if count is not sym.UNKNOWN else sym.UNKNOWN
-            for st in node.body:
-                self._walk(st, sub, stack)
-            for st in node.orelse:
-                self._walk(st, factor, for_stack)
-            return
-        if isinstance(node, ast.While):
-            sub = sym.mul(factor, sym.atom("s"))
-            for st in node.body:
-                self._walk(st, sub, for_stack)
-            for st in node.orelse:
-                self._walk(st, factor, for_stack)
-            return
-        if isinstance(node, ast.Call) and self.ctx.is_comm_call(
-            node, _PAYLOAD_VERBS | {"recv", "irecv"}
-        ):
-            verb = node.func.attr  # type: ignore[union-attr]
-            if verb in _PAYLOAD_VERBS:
-                payload = self.inf.elems(node.args[0]) if node.args else sym.ZERO
-                self.sites.append(
-                    {
-                        "verb": verb,
-                        "line": node.lineno,
-                        "payload": sym.to_json(payload),
-                        "loop": sym.to_json(factor),
-                    }
+def _cost_sites(inf: _Inference) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """Cost sites and p2p loops of a function: its lowered comm calls priced
+    under their enclosing loops (``for`` multiplies by the iterable's size,
+    ``while`` by the symbolic round count ``s``)."""
+    ctx = inf.ctx
+    trips = {id(st): inf.elems(st.iter) for st in ctx.stmts if isinstance(st, ast.For)}
+    sites: list[dict[str, Any]] = []
+    loops: dict[int, dict[str, Any]] = {}
+    for call in ctx.comm_calls(_PAYLOAD_VERBS | {"recv", "irecv"}):
+        node = call.node
+        verb = node.func.attr  # type: ignore[union-attr]
+        for_stack = [
+            (lp.lineno, trips[id(lp)]) for lp in call.loops if isinstance(lp, ast.For)
+        ]
+        if verb in _PAYLOAD_VERBS:
+            factor = sym.ONE
+            for lp in call.loops:
+                count = trips[id(lp)] if isinstance(lp, ast.For) else sym.atom("s")
+                factor = (
+                    sym.mul(factor, count) if count is not sym.UNKNOWN else sym.UNKNOWN
                 )
-            if verb in _P2P_ALL and for_stack:
-                self._record_loop(node, verb, for_stack)
-        for child in ast.iter_child_nodes(node):
-            self._walk(child, factor, for_stack)
+            payload = inf.elems(node.args[0]) if node.args else sym.ZERO
+            sites.append(
+                {
+                    "verb": verb,
+                    "line": node.lineno,
+                    "payload": sym.to_json(payload),
+                    "loop": sym.to_json(factor),
+                }
+            )
+        if verb in _P2P_ALL and for_stack:
+            _record_loop(inf, loops, node, verb, for_stack)
+    return sites, sorted(loops.values(), key=lambda r: r["line"])
 
-    def _record_loop(self, call: ast.Call, verb: str, for_stack: list[tuple[int, Any]]) -> None:
-        head_line = for_stack[0][0]
-        count = sym.ONE
-        for _, c in for_stack:
-            count = sym.mul(count, c) if c is not sym.UNKNOWN else sym.UNKNOWN
-        payload = (
-            self.inf.elems(call.args[0])
-            if call.args and verb in _P2P_SEND
-            else sym.ZERO
-        )
-        rec = self.loops.setdefault(
-            head_line,
-            {"line": head_line, "count": sym.to_json(count), "verbs": [],
-             "blocking": False, "payload": sym.to_json(sym.ZERO)},
-        )
-        if verb not in rec["verbs"]:
-            rec["verbs"] = sorted(rec["verbs"] + [verb])
-        if verb in _P2P_BLOCKING:
-            rec["blocking"] = True
-        rec["payload"] = sym.to_json(
-            sym.add(sym.from_json(rec["payload"]), payload)
-        )
-        prev = sym.from_json(rec["count"])
-        if prev is sym.UNKNOWN:
-            rec["count"] = sym.to_json(count)
-        elif count is not sym.UNKNOWN and sym.smin(prev, count) == prev:
-            rec["count"] = sym.to_json(count)  # deeper nesting: keep the max
+
+def _record_loop(
+    inf: _Inference,
+    loops: dict[int, dict[str, Any]],
+    call: ast.Call,
+    verb: str,
+    for_stack: list[tuple[int, Any]],
+) -> None:
+    head_line = for_stack[0][0]
+    count = sym.ONE
+    for _, c in for_stack:
+        count = sym.mul(count, c) if c is not sym.UNKNOWN else sym.UNKNOWN
+    payload = (
+        inf.elems(call.args[0]) if call.args and verb in _P2P_SEND else sym.ZERO
+    )
+    rec = loops.setdefault(
+        head_line,
+        {"line": head_line, "count": sym.to_json(count), "verbs": [],
+         "blocking": False, "payload": sym.to_json(sym.ZERO)},
+    )
+    if verb not in rec["verbs"]:
+        rec["verbs"] = sorted(rec["verbs"] + [verb])
+    if verb in _P2P_BLOCKING:
+        rec["blocking"] = True
+    rec["payload"] = sym.to_json(
+        sym.add(sym.from_json(rec["payload"]), payload)
+    )
+    prev = sym.from_json(rec["count"])
+    if prev is sym.UNKNOWN:
+        rec["count"] = sym.to_json(count)
+    elif count is not sym.UNKNOWN and sym.smin(prev, count) == prev:
+        rec["count"] = sym.to_json(count)  # deeper nesting: keep the max
 
 
 def extract_function_cost(
-    fn: ast.FunctionDef,
     ctx: FunctionContext,
-    params: list[str],
     spec_for: Callable[[ast.Call], tuple[tuple[str, ...], str] | None],
     entry: bool = False,
 ) -> dict[str, Any] | None:
-    """Symbolic cost facts of one function (cacheable JSON dict)."""
-    inf = _Inference(fn, ctx, params, spec_for, entry=entry)
+    """Symbolic cost facts of one lowered function (cacheable JSON dict)."""
+    inf = _Inference(ctx, spec_for, entry=entry)
     inf.run()
-    collector = _SiteCollector(inf)
-    collector.run(fn)
-
+    sites, loops = _cost_sites(inf)
     returns: Any = sym.ZERO
-    seen = False
-    for st in _own_statements(fn):
-        if isinstance(st, ast.Return) and st.value is not None:
-            returns = sym.add(returns, inf.elems(st.value))
-            seen = True
-    out = {
-        "returns": sym.to_json(returns if seen else sym.ZERO),
+    for value in ctx.returns:
+        returns = sym.add(returns, inf.elems(value))
+    if not (sites or loops or inf.calls or ctx.returns):
+        return None  # keep the store compact: nothing cost-relevant here
+    return {
+        "returns": sym.to_json(returns),
         "defaults": {k: sym.to_json(v) for k, v in inf.defaults.items()},
-        "sites": collector.sites,
-        "loops": sorted(collector.loops.values(), key=lambda r: r["line"]),
+        "sites": sites,
+        "loops": loops,
         "calls": inf.calls,
     }
-    if not (collector.sites or collector.loops or inf.calls or seen):
-        return None  # keep the store compact: nothing cost-relevant here
-    return out
 
 
 # ------------------------------------------------------- whole-program phase
@@ -873,43 +819,23 @@ def extract_function_cost(
 class CostProgram:
     """Resolves ``@`` placeholders bottom-up and judges the cost rules."""
 
-    def __init__(self, summaries: Iterable[Any]) -> None:
-        self.modules = list(summaries)
-        self.graph = CallGraph([m.index for m in self.modules])
-        self.cost: dict[str, dict[str, Any]] = {}
-        self.fsum: dict[str, Any] = {}
-        self.path_of: dict[str, str] = {}
-        self.node_of: dict[str, FunctionNode] = {}
-        for m in self.modules:
-            for dotted, fs in m.functions.items():
-                key = self.graph.key(m.path, dotted)
-                self.fsum[key] = fs
-                self.path_of[key] = m.path
-                if dotted in m.index.functions:
-                    self.node_of[key] = m.index.functions[dotted]
-                if fs.cost:
-                    self.cost[key] = fs.cost
-        # placeholder -> callee key (or None), per function
-        self.resolved: dict[str, dict[str, str | None]] = {}
-        for key, cost in self.cost.items():
-            path = self.path_of[key]
-            fs = self.fsum[key]
-            out: dict[str, str | None] = {}
-            for ph, meta in cost.get("calls", {}).items():
-                callee = self.graph.resolve(path, fs.dotted, tuple(meta["spec"]))
-                if callee in self.cost or callee in self.fsum:
-                    out[ph] = callee
-                    self.graph.add_edge(key, callee)
-                else:
-                    out[ph] = None
-            self.resolved[key] = out
+    def __init__(self, program: Program | Iterable[Any]) -> None:
+        """``program`` is the shared :class:`Program`, or the module
+        summaries to build one from."""
+        if not isinstance(program, Program):
+            program = Program(program)
+        self.program = program
+        self.path_of = program.path_of
+        self.cost: dict[str, dict[str, Any]] = {
+            key: fs.cost for key, fs in program.summary.items() if fs.cost
+        }
         self.returns: dict[str, Any] = {}
         self._propagate()
 
     # -- bottom-up return-size fixpoint
 
     def _propagate(self) -> None:
-        for scc in self.graph.sccs_bottom_up():
+        for scc in self.program.sccs:
             for _ in range(2 if len(scc) > 1 else 1):
                 for key in scc:
                     if key in self.cost:
@@ -927,18 +853,17 @@ class CostProgram:
         env: dict[str, Any] = {}
         via: dict[str, tuple[str, str, int]] = {}
         for ph, meta in cost.get("calls", {}).items():
-            callee = self.resolved.get(key, {}).get(ph)
+            callee = self.program.placeholders[key].get(ph)
             if callee is None:
                 continue
             bound = self._bind_call(callee, meta)
             if bound is None:
                 continue
             env[ph] = bound
-            node = self.node_of.get(callee)
             via[ph] = (
                 meta.get("display", "?"),
-                self.path_of.get(callee, "?"),
-                node.line if node is not None else 0,
+                self.path_of[callee],
+                self.program.graph.functions[callee].line,
             )
         return env, via
 
@@ -949,8 +874,7 @@ class CostProgram:
             ret = sym.from_json(cost.get("returns")) if cost else sym.UNKNOWN
         if ret is sym.UNKNOWN:
             return sym.UNKNOWN
-        fs = self.fsum.get(callee)
-        params = list(getattr(fs, "params", []) or [])
+        params = self.program.summary[callee].params
         offset = 1 if meta.get("spec", ["name"])[0] == "self" else 0
         binding: dict[str, Any] = {}
         for i, arg in enumerate(meta.get("args", [])):

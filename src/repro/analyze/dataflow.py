@@ -1,32 +1,14 @@
-"""Intra-procedural CFG/dataflow rules for the SPMD lint pass.
+"""The per-function rules that need *order*: a small CFG plus a forward
+may-analysis for buffer reuse, and the payload-shape rules.
 
-The per-statement rules in :mod:`repro.analyze.rules` cannot see *order*:
-whether a write to a buffer happens between an ``isend`` and the matching
-``wait()`` depends on which paths through the function exist.  This module
-builds a small control-flow graph per rank function and runs a forward
-*may* analysis over it, powering three rules:
-
-``SPMD-BUFFER-REUSE``
-    A name passed to ``isend()`` is written in place (``buf[i] = ...``,
-    ``buf += ...``, ``buf.fill(...)``, ``np.copyto(buf, ...)``) on some
-    path between the ``isend`` and the ``wait()``/``test()`` of its
-    request.  The in-process runtime copies eagerly so this is silent
-    today, but real MPI owns the buffer until completion.
-``SPMD-VIEW-SEND``
-    The payload of a ``send``/``isend``/``sendrecv``/``bcast`` is a numpy
-    slice or other view expression (``a[1:]``, ``a.T``, ``a.reshape(...)``)
-    without ``.copy()``.  Views pin the base array and are not contiguous;
-    real MPI either fails or silently packs.
-``SPMD-SHAPE-MISMATCH``
-    A uniform-shape collective (``allreduce``/``reduce``/``scan``/
-    ``exscan``/``alltoall``) receives a payload whose *length* is derived
-    from ``comm.rank``; congruence requires the same shape on every rank.
-
-The CFG is deliberately simple — basic blocks of simple statements, with
-``if``/``while``/``for``/``try`` lowered to edges — and the analysis is a
-standard worklist fixpoint over sets of live (request, buffer-names)
-facts.  Everything here is a *may* analysis: a finding means some path
-exhibits the hazard, not all paths.
+Whether a write to a buffer happens between an ``isend`` and the matching
+``wait()`` depends on which paths through the function exist, so
+:func:`build_cfg` lowers ``if``/``while``/``for``/``try`` to edges between
+basic blocks of simple statements and a worklist fixpoint carries the set of
+live (request, buffer-names) facts.  The view-send and shape rules read the
+calls and bindings of the function's lowering
+(:class:`~repro.analyze.lower.FunctionContext`).  Everything here is a *may*
+analysis: a finding means some path exhibits the hazard, not all paths.
 """
 
 from __future__ import annotations
@@ -34,7 +16,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .astlint import Finding, FunctionContext, ModuleInfo
+from .astlint import Finding, ModuleInfo
+from .lower import SCOPES, FunctionContext, bound_pairs, loop_waits_all, wait_targets
 
 __all__ = [
     "RULE_BUFFER_REUSE",
@@ -42,6 +25,7 @@ __all__ = [
     "RULE_SHAPE_MISMATCH",
     "build_cfg",
     "check_function",
+    "rank_sized_expr",
     "rank_sized_names",
     "uniform_collective_hits",
 ]
@@ -142,7 +126,7 @@ class _CFGBuilder:
 
     def _stmt(self, st: ast.stmt, loops) -> None:  # noqa: C901
         cfg = self.cfg
-        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(st, SCOPES):
             return  # nested scopes are analyzed as their own functions
         if isinstance(st, ast.If):
             self._emit_expr(st.test)
@@ -169,7 +153,7 @@ class _CFGBuilder:
                 self._emit_expr(st.test)
             else:
                 self._emit_expr(st.iter)
-                if _loop_waits_all(st):
+                if loop_waits_all(st):
                     self._emit(("kill-coll", st.iter.id))  # type: ignore[union-attr]
             body = cfg.new()
             after = cfg.new()
@@ -222,23 +206,6 @@ class _CFGBuilder:
             self._emit(st)
 
 
-def _loop_waits_all(st: ast.For | ast.AsyncFor) -> bool:
-    """``for r in reqs: ... r.wait()/r.test() ...`` drains the whole list."""
-    if not (isinstance(st.target, ast.Name) and isinstance(st.iter, ast.Name)):
-        return False
-    target = st.target.id
-    for n in ast.walk(ast.Module(body=list(st.body), type_ignores=[])):
-        if (
-            isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and n.func.attr in ("wait", "test")
-            and isinstance(n.func.value, ast.Name)
-            and n.func.value.id == target
-        ):
-            return True
-    return False
-
-
 def build_cfg(fn: ast.FunctionDef) -> CFG:
     """Public entry: the CFG of one function body."""
     return _CFGBuilder().build(fn)
@@ -286,22 +253,11 @@ def _wait_kills(stmt: ast.stmt) -> tuple[set, set]:
     var_kills: set[str] = set()
     coll_kills: set[str] = set()
     for n in ast.walk(stmt):
-        if not isinstance(n, ast.Call):
-            continue
-        func = n.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in ("wait", "test") and isinstance(func.value, ast.Name):
-                var_kills.add(func.value.id)
-            elif func.attr == "waitall":
-                for arg in n.args:
-                    if isinstance(arg, ast.Name):
-                        coll_kills.add(arg.id)
-                        var_kills.add(arg.id)
-        elif isinstance(func, ast.Name) and func.id == "waitall":
-            for arg in n.args:
-                if isinstance(arg, ast.Name):
-                    coll_kills.add(arg.id)
-                    var_kills.add(arg.id)
+        if isinstance(n, ast.Call):
+            names, collections = wait_targets(n)
+            var_kills.update(names)
+            if collections:
+                coll_kills.update(names)
     return var_kills, coll_kills
 
 
@@ -366,12 +322,11 @@ def _rebound_names(stmt: ast.stmt) -> set[str]:
 def _gen_requests(ctx: FunctionContext, stmt: ast.stmt) -> list[_LiveReq]:
     """Request facts born in this statement."""
     gens: list[_LiveReq] = []
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        tgt = stmt.targets[0]
-        call = _isend_call(ctx, stmt.value)
-        if isinstance(tgt, ast.Name) and call is not None and call.args:
-            gens.append((("var", tgt.id), _payload_names(call.args[0]), call.lineno))
-    elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+    for name, value in bound_pairs(stmt):
+        call = _isend_call(ctx, value)
+        if call is not None and call.args:
+            gens.append((("var", name), _payload_names(call.args[0]), call.lineno))
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
         call = stmt.value
         if (
             isinstance(call.func, ast.Attribute)
@@ -436,6 +391,8 @@ def _transfer(
 
 
 def _buffer_reuse(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
+    if not ctx.comm_calls(("isend",)):
+        return []  # no request is ever born, so no buffer is ever in flight
     cfg = build_cfg(ctx.node)
     preds = cfg.preds()
     n = len(cfg.blocks)
@@ -504,9 +461,8 @@ def _view_reason(expr: ast.expr) -> str | None:
 
 def _view_send(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
     findings: list[Finding] = []
-    for n in ast.walk(ctx.node):
-        if not (isinstance(n, ast.Call) and ctx.is_comm_call(n, _SEND_PAYLOAD_METHODS)):
-            continue
+    for call in ctx.comm_calls(_SEND_PAYLOAD_METHODS):
+        n = call.node
         if not n.args:
             continue
         reason = _view_reason(n.args[0])
@@ -538,15 +494,13 @@ def _size_args(call: ast.Call) -> list[ast.expr]:
     return args
 
 
-def _rank_sized_expr(
+def rank_sized_expr(
     expr: ast.expr, ctx: FunctionContext, rank_sized: set[str]
 ) -> bool:
     """Does the expression build a container whose *length* is rank-dependent?"""
 
     def tainted_size(e: ast.expr) -> bool:
-        return ctx.is_rank_expr(e) or any(
-            isinstance(n, ast.Name) and n.id in rank_sized for n in ast.walk(e)
-        )
+        return ctx.is_rank_expr(e) or bool(ctx.reads(e)[0] & rank_sized)
 
     if isinstance(expr, ast.Name):
         return expr.id in rank_sized
@@ -585,16 +539,10 @@ def rank_sized_names(
     summary says it returns a rank-dependent-length container.
     """
     rank_sized: set[str] = set(extra_sized)
-    assigns: list[tuple[str, ast.expr]] = []
-    for n in ast.walk(ctx.node):
-        if isinstance(n, ast.Assign) and len(n.targets) == 1 and isinstance(
-            n.targets[0], ast.Name
-        ):
-            assigns.append((n.targets[0].id, n.value))
     for _ in range(4):
         changed = False
-        for name, value in assigns:
-            if name not in rank_sized and _rank_sized_expr(value, ctx, rank_sized):
+        for name, value, _ in ctx.bindings:
+            if name not in rank_sized and rank_sized_expr(value, ctx, rank_sized):
                 rank_sized.add(name)
                 changed = True
         if not changed:
@@ -608,13 +556,12 @@ def uniform_collective_hits(
     """``(verb, line, payload)`` for every uniform-shape collective whose
     payload length is rank-dependent under the given rank-sized name set."""
     hits: list[tuple[str, int, ast.expr]] = []
-    for n in ast.walk(ctx.node):
-        if not (isinstance(n, ast.Call) and ctx.is_comm_call(n, _UNIFORM_COLLECTIVES)):
-            continue
+    for call in ctx.comm_calls(_UNIFORM_COLLECTIVES):
+        n = call.node
         if not n.args:
             continue
         payload = n.args[0]
-        if not _rank_sized_expr(payload, ctx, rank_sized):
+        if not rank_sized_expr(payload, ctx, rank_sized):
             continue
         verb = n.func.attr  # type: ignore[union-attr]
         hits.append((verb, n.lineno, payload))

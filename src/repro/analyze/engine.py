@@ -1,22 +1,25 @@
-"""The whole-program analysis pipeline: per-file records + global phase.
+"""The one analysis pipeline: lower, judge per function, join, cache.
 
-:func:`analyze_program` is the one entry point behind both the CLI and
-:func:`repro.analyze.astlint.analyze_paths`.  It runs in two phases:
+:func:`analyze_program` is the entry point behind the CLI and
+:func:`repro.analyze.astlint.analyze_paths`;
+:func:`repro.analyze.astlint.analyze_source` runs the same two phases over
+a one-file program.
 
-**Per-file (cacheable).**  Each ``.py`` file is hashed; on a store hit the
-cached :class:`~repro.analyze.store.FileRecord` is reused and the file is
-*never parsed*.  On a miss the file is parsed once and every parse-derived
-artifact is extracted: the legacy intraprocedural findings, the
-module-local tag audit, the suppression table, and the interprocedural
-:class:`~repro.analyze.interproc.ModuleSummary`.
+**Per file** (:func:`build_record`, cacheable).  Each ``.py`` file is
+hashed; on a store hit the cached :class:`~repro.analyze.store.FileRecord`
+is reused and the file is *never parsed*.  On a miss the file is parsed,
+each function definition is lowered once
+(:mod:`repro.analyze.lower`), and every parse-derived artifact is read off
+the lowerings: the per-function rule findings, the module-local tag audit,
+the suppression table, and the :class:`~repro.analyze.interproc.ModuleSummary`.
 
-**Global (every run).**  The cross-module literal-tag join and the
-interprocedural fixpoint (:func:`repro.analyze.interproc.check_program`)
-run over the union of cached and fresh records — they are cheap because
-they only touch serialized summaries.  Suppression is applied from the
-cached tables, then findings are deduplicated and sorted.  The output is
-therefore byte-identical between cold and warm runs, and identical to the
-legacy per-module pipeline for the eight intraprocedural rules.
+**Global** (:func:`analyze_records`, every run).  The cross-module
+literal-tag join, the interprocedural rules and the cost rules run over one
+:class:`~repro.analyze.interproc.Program` built from the union of cached
+and fresh records — cheap because it only touches serialized summaries.
+Suppression is applied from the cached tables, then findings are
+deduplicated and sorted.  The output is therefore byte-identical between
+cold and warm runs.
 """
 
 from __future__ import annotations
@@ -37,11 +40,18 @@ from .astlint import (
     module_from_source,
     suppression_table,
 )
-from .costlint import check_cost_program
-from .interproc import check_program, summarize_module
+from .costlint import CostProgram
+from .interproc import Program, summarize_module
+from .rules import check_module, join_literal_tags, module_tag_sites
 from .store import AnalysisStore, FileRecord, content_hash
 
-__all__ = ["AnalysisStats", "AnalysisReport", "analyze_program", "build_record"]
+__all__ = [
+    "AnalysisStats",
+    "AnalysisReport",
+    "analyze_program",
+    "analyze_records",
+    "build_record",
+]
 
 
 @dataclass
@@ -59,14 +69,15 @@ class AnalysisReport:
     stats: AnalysisStats = field(default_factory=AnalysisStats)
 
 
-def build_record(source: str, path: str) -> FileRecord:
+def build_record(source: str, path: str, modname: str | None = None) -> FileRecord:
     """Extract every cacheable artifact from one file's source (cold path)."""
-    from .rules import check_module, module_tag_sites
-
-    modname = _derive_modname(Path(path))
-    out = module_from_source(source, path)
+    out = module_from_source(source, path, modname)
     if isinstance(out, Finding):
-        return FileRecord(path=path, modname=modname, parse_error=out)
+        return FileRecord(
+            path=path,
+            modname=modname if modname is not None else _derive_modname(Path(path)),
+            parse_error=out,
+        )
     mod: ModuleInfo = out
     tag_findings, literal_tags = module_tag_sites(mod)
     return FileRecord(
@@ -91,20 +102,18 @@ def analyze_program(
     without one, every file is parsed fresh.  Output is identical either
     way — only the work differs.
     """
-    from .rules import join_literal_tags
-
     report = AnalysisReport()
     records: list[FileRecord] = []
-    unreadable: list[Finding] = []
 
     for file in collect_files(paths):
         report.stats.files += 1
+        path = str(file)
         try:
             source = file.read_text(encoding="utf-8")
         except OSError as exc:
-            unreadable.append(Finding(str(file), 1, RULE_PARSE_ERROR, str(exc)))
+            unreadable = Finding(path, 1, RULE_PARSE_ERROR, str(exc))
+            records.append(FileRecord(path, file.stem, parse_error=unreadable))
             continue
-        path = str(file)
         digest = content_hash(source)
         record = store.get(path, digest) if store is not None else None
         if record is None:
@@ -118,7 +127,13 @@ def analyze_program(
 
     if store is not None:
         store.save()
+    report.findings = analyze_records(records)
+    return report
 
+
+def analyze_records(records: list[FileRecord]) -> list[Finding]:
+    """The global phase: join per-file records into one program, judge the
+    cross-file rules, apply suppression; findings sorted and deduplicated."""
     findings: list[Finding] = []
     tag_sites: list[tuple[str, str, int, int]] = []
     summaries = []
@@ -131,8 +146,9 @@ def analyze_program(
             summaries.append(rec.summary)
         suppression[rec.path] = rec.suppression
     findings.extend(join_literal_tags(tag_sites))
-    findings.extend(check_program(summaries))
-    findings.extend(check_cost_program(summaries))
+    program = Program(summaries)
+    findings.extend(program.findings())
+    findings.extend(CostProgram(program).findings())
 
     kept: list[Finding] = []
     used: set[tuple[str, int]] = set()
@@ -164,6 +180,4 @@ def analyze_program(
     # parse errors are never suppressible — there is no trustworthy source
     # line to carry the ignore comment
     kept.extend(rec.parse_error for rec in records if rec.parse_error is not None)
-    kept.extend(unreadable)
-    report.findings = sorted(set(kept), key=lambda f: (f.path, f.line, f.rule))
-    return report
+    return sorted(set(kept), key=lambda f: (f.path, f.line, f.rule))

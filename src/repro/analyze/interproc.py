@@ -1,45 +1,29 @@
-"""Interprocedural dataflow: per-function summaries and whole-program rules.
+"""Per-function summaries, and the whole-program rules joined over them.
 
-The per-function rules in :mod:`repro.analyze.rules` and
-:mod:`repro.analyze.dataflow` stop at the function boundary, so exactly
-the helper shapes that multi-level sorting introduces — a helper that
-creates an ``isend`` and returns the request, a wrapper that threads a
-tag parameter into a ``send``, a rank-dependent partition size computed
-in one function and fed to a collective in another — are invisible to
-them.  This module closes that gap in two phases:
+The per-function rules stop at the function boundary, so exactly the helper
+shapes that multi-level sorting introduces — a helper that creates an
+``isend`` and returns the request, a wrapper that threads a tag parameter
+into a ``send``, a rank-dependent partition size computed in one function
+and fed to a collective in another — are invisible to them.  This module
+closes that gap in two phases:
 
-**Summaries (per file, cacheable).**  :func:`summarize_module` extracts a
-JSON-serializable :class:`FunctionSummary` per function: which requests
-escape through the return value, whether the return value is rank-tainted
-or a rank-sized container, which parameters flow into p2p ``tag``
-arguments, every collective issued on a communicator handle, and every
-call site with its rank-divergence context plus enough caller-local facts
-(is the result waited? returned? fed to a uniform collective as a size?)
-that the whole-program phase never needs an AST.  Warm incremental runs
-load summaries from :mod:`repro.analyze.store` and skip parsing entirely.
+**Summaries (per file, cacheable).**  :func:`summarize_module` reads each
+function's lowering (:mod:`repro.analyze.lower`) into a JSON-serializable
+:class:`FunctionSummary`: which requests escape through the return value,
+whether the return value is rank-tainted or a rank-sized container, which
+parameters flow into p2p ``tag`` arguments, every collective issued on a
+communicator handle, and every call site with its rank-divergence line plus
+enough caller-local facts (is the result waited? returned? fed to a uniform
+collective as a size?) that the whole-program phase never needs an AST.
 
-**Whole-program fixpoint (every run, cheap).**  :func:`check_program`
-resolves call sites through :class:`repro.analyze.callgraph.CallGraph`,
-propagates summaries bottom-up over SCCs (a fixpoint within each SCC
-handles recursion, e.g. AMS-style group-recursive phases calling shared
-collective helpers), and emits four rules:
-
-``SPMD-ESCAPED-REQUEST``
-    A request created in a callee escapes through its return value and
-    the caller discards it (or binds it to a name that is never used) —
-    nobody anywhere waits on the operation.
-``SPMD-INTERPROC-TAG-COLLISION``
-    Call sites in *different modules* funnel the same tag constant into
-    the same helper parameter that reaches a p2p ``tag=``; unrelated
-    protocols would cross-match messages.
-``SPMD-INTERPROC-DIV-COLLECTIVE``
-    A call reached only under rank-dependent control flow leads
-    (transitively) to a collective inside a callee; not every rank of the
-    communicator would issue it.
-``SPMD-RANK-TAINT-SHAPE``
-    A helper returns a rank-dependent value (or rank-sized container) and
-    the caller feeds it — possibly through a size constructor — into a
-    uniform-shape collective's payload.
+**Whole-program join (every run, cheap).**  :class:`Program` resolves every
+call site and cost placeholder once through
+:class:`repro.analyze.callgraph.CallGraph` and propagates summaries
+bottom-up over SCCs (a fixpoint within each SCC handles recursion, e.g.
+AMS-style group-recursive phases calling shared collective helpers).  The
+four interprocedural rules (``RULES`` entries of layer ``inter``) are judged
+here; :class:`repro.analyze.costlint.CostProgram` prices payloads over the
+same program.
 
 Everything is a *may* analysis over edges the call graph can prove;
 unresolvable calls (dynamic dispatch, third-party code) stay silent.
@@ -49,18 +33,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Mapping, TypeVar
 
 from .astlint import (
     COLLECTIVE_METHODS,
     P2P_METHODS,
     Finding,
-    FunctionContext,
     ModuleInfo,
-    build_context,
 )
 from .callgraph import LOCALS_SEP, CallGraph, FunctionNode, ModuleIndex, index_module
-from .dataflow import rank_sized_names, uniform_collective_hits
+from .dataflow import rank_sized_expr, rank_sized_names, uniform_collective_hits
+from .lower import REQUEST_METHODS, TAG_EXEMPT, FunctionContext, dotted_name, tag_expr
+
+_T = TypeVar("_T")
 
 __all__ = [
     "RULE_ESCAPED_REQUEST",
@@ -72,6 +57,7 @@ __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "summarize_module",
+    "Program",
     "check_program",
 ]
 
@@ -86,14 +72,6 @@ INTERPROC_RULES = (
     RULE_INTERPROC_DIV,
     RULE_RANK_TAINT_SHAPE,
 )
-
-#: tag values excluded from collision checks (default / wildcard), mirroring
-#: the intraprocedural SPMD-TAG-COLLISION rule
-_TAG_EXEMPT = frozenset({0, -1})
-
-#: call-spec prefixes that can never resolve inside the fileset; their call
-#: sites are dropped at summary time to keep the store compact
-_REQUEST_METHODS = frozenset({"isend", "irecv"})
 
 
 # ----------------------------------------------------------- serializable IR
@@ -122,6 +100,19 @@ class CallSite:
     #: as a rank-tainted scalar / a rank-sized container: [(verb, line)]
     shape_hits_taint: list[tuple[str, int]] = field(default_factory=list)
     shape_hits_sized: list[tuple[str, int]] = field(default_factory=list)
+
+    def bind(
+        self, callee: FunctionNode, pos: Mapping[int, _T], kw: Mapping[str, _T]
+    ) -> Iterator[tuple[str, _T]]:
+        """``(callee parameter, item)`` for each positional/keyword entry of
+        this site that lands on a parameter of ``callee``."""
+        offset = 1 if self.spec[0] == "self" else 0
+        for i, item in pos.items():
+            if 0 <= i + offset < len(callee.params):
+                yield callee.params[i + offset], item
+        for name, item in kw.items():
+            if name in callee.params:
+                yield name, item
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -268,146 +259,46 @@ class ModuleSummary:
 # ------------------------------------------------------- per-file summaries
 
 
-def _own_statements(fn: ast.FunctionDef):
-    """Statements of ``fn`` excluding nested function/class bodies."""
-    stack: list[ast.stmt] = list(reversed(fn.body))
-    while stack:
-        st = stack.pop()
-        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield st
-        children: list[ast.stmt] = []
-        for child in ast.iter_child_nodes(st):
-            if isinstance(child, ast.stmt):
-                children.append(child)
-            else:
-                children.extend(
-                    c for c in ast.walk(child) if isinstance(c, ast.stmt)
-                )
-        stack.extend(reversed(children))
-
-
-def _own_nodes(fn: ast.FunctionDef):
-    for st in _own_statements(fn):
-        yield from ast.walk(st)
-
-
-def _return_exprs(fn: ast.FunctionDef) -> list[ast.expr]:
-    return [
-        st.value
-        for st in _own_statements(fn)
-        if isinstance(st, ast.Return) and st.value is not None
-    ]
-
-
-def _waited_names(fn: ast.FunctionDef) -> set[str]:
-    """Names whose requests are completed somewhere in the function."""
-    waited: set[str] = set()
-    for st in _own_statements(fn):
-        for n in ast.walk(st):
-            if not isinstance(n, ast.Call):
-                continue
-            func = n.func
-            if isinstance(func, ast.Attribute):
-                if func.attr in ("wait", "test") and isinstance(func.value, ast.Name):
-                    waited.add(func.value.id)
-                elif func.attr == "waitall":
-                    waited.update(
-                        a.id for a in n.args if isinstance(a, ast.Name)
-                    )
-            elif isinstance(func, ast.Name) and func.id == "waitall":
-                waited.update(a.id for a in n.args if isinstance(a, ast.Name))
-        # `for r in reqs: r.wait()` drains the collection *and* the element
-        if isinstance(st, ast.For) and isinstance(st.target, ast.Name) and isinstance(
-            st.iter, ast.Name
-        ):
-            target = st.target.id
-            for n in ast.walk(
-                ast.Module(body=list(st.body), type_ignores=[])
-            ):
-                if (
-                    isinstance(n, ast.Call)
-                    and isinstance(n.func, ast.Attribute)
-                    and n.func.attr in ("wait", "test")
-                    and isinstance(n.func.value, ast.Name)
-                    and n.func.value.id == target
-                ):
-                    waited.add(st.iter.id)
-                    break
-    return waited
-
-
-def _names_in(expr: ast.AST) -> set[str]:
-    return {
-        n.id
-        for n in ast.walk(expr)
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-    }
-
-
-def _dotted_name(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-#: positional index of the ``tag`` argument per p2p method (mirrors rules.py)
-_TAG_ARG_INDEX = {"send": 2, "isend": 2, "recv": 1, "irecv": 1, "iprobe": 1, "sendrecv": 3}
-
-
-def _tag_expr(call: ast.Call) -> ast.expr | None:
-    method = call.func.attr  # type: ignore[union-attr]
-    for kw in call.keywords:
-        if kw.arg == "tag":
-            return kw.value
-    idx = _TAG_ARG_INDEX.get(method)
-    if idx is not None and len(call.args) > idx:
-        return call.args[idx]
-    return None
-
-
 class _Summarizer:
-    """Builds one :class:`FunctionSummary` from an AST + context."""
+    """Builds one :class:`FunctionSummary` from a function's lowering."""
 
     def __init__(
         self,
-        mod: ModuleInfo,
         node_info: FunctionNode,
         ctx: FunctionContext,
         resolvable_names: set[str],
         import_prefixes: set[str],
     ) -> None:
-        self.mod = mod
         self.info = node_info
-        self.fn = node_info.node
-        assert self.fn is not None
         self.ctx = ctx
         self.resolvable_names = resolvable_names
         self.import_prefixes = import_prefixes
+        self.returned_names: frozenset[str] = frozenset().union(
+            *(ctx.reads(r)[0] for r in ctx.returns)
+        )
+        #: the shape rule's verdict without any interprocedural evidence —
+        #: what every hypothetical in :meth:`_shape_delta` is compared with
+        self.base_sized = rank_sized_names(ctx)
+        self.base_hits = {
+            (verb, line)
+            for verb, line, _ in uniform_collective_hits(ctx, self.base_sized)
+        }
 
     def run(self) -> FunctionSummary:
-        fn, ctx = self.fn, self.ctx
         summary = FunctionSummary(
             dotted=self.info.dotted,
             name=self.info.name,
             line=self.info.line,
             params=list(self.info.params),
-            comm_params=sorted(p for p in self.info.params if p in ctx.comm_names),
+            comm_params=sorted(
+                p for p in self.info.params if p in self.ctx.comm_names
+            ),
         )
-        returns = _return_exprs(fn)
-        waited = _waited_names(fn)
-        returned_names = set().union(*(_names_in(r) for r in returns)) if returns else set()
-
         self._collectives(summary)
-        self._escaping(summary, returns, waited, returned_names)
-        self._returns(summary, returns, returned_names)
+        self._escaping(summary)
+        self._returns(summary)
         self._tag_params(summary)
-        self._call_sites(summary, waited, returned_names)
+        self._call_sites(summary)
         self._cost(summary)
         return summary
 
@@ -416,11 +307,7 @@ class _Summarizer:
 
         try:
             summary.cost = extract_function_cost(
-                self.fn,
-                self.ctx,
-                list(self.info.params),
-                self._spec_for,
-                entry=self.info.is_entry,
+                self.ctx, self._spec_for, entry=self.info.is_entry
             )
         except Exception:  # noqa: BLE001
             # the size inference runs over arbitrary third-party-looking
@@ -431,90 +318,68 @@ class _Summarizer:
     # -- local facts
 
     def _collectives(self, summary: FunctionSummary) -> None:
-        for n in _own_nodes(self.fn):
-            if isinstance(n, ast.Call) and self.ctx.is_comm_call(n, COLLECTIVE_METHODS):
-                func = n.func
-                assert isinstance(func, ast.Attribute)
-                display = f"{func.value.id}.{func.attr}"  # type: ignore[attr-defined]
-                summary.collectives.append((display, n.lineno))
+        ctx = self.ctx
+        for call in ctx.comm_calls(COLLECTIVE_METHODS):
+            n = call.node
+            display = f"{n.func.value.id}.{n.func.attr}"  # type: ignore[union-attr]
+            # Listed once per own statement the call is nested in: that is
+            # what summaries have always stored (a historical artefact of
+            # the walk, not a fact about the program — the whole-program
+            # phase only takes the minimum), kept so records stay
+            # comparable across analyzer versions.
+            span = (n.lineno, n.col_offset, n.end_lineno, n.end_col_offset)
+            nesting = sum(
+                (st.lineno, st.col_offset) <= span[:2]
+                and span[2:] <= (st.end_lineno, st.end_col_offset)
+                for st in ctx.stmts
+            )
+            summary.collectives.extend([(display, n.lineno)] * nesting)
         summary.collectives.sort(key=lambda c: (c[1], c[0]))
 
-    def _escaping(
-        self,
-        summary: FunctionSummary,
-        returns: list[ast.expr],
-        waited: set[str],
-        returned_names: set[str],
-    ) -> None:
+    def _escaping(self, summary: FunctionSummary) -> None:
+        ctx = self.ctx
         # requests returned directly: `return comm.isend(...)` (or in a tuple)
-        for r in returns:
+        for r in ctx.returns:
             parts = r.elts if isinstance(r, (ast.Tuple, ast.List)) else [r]
             for part in parts:
-                if isinstance(part, ast.Call) and self.ctx.is_comm_call(
-                    part, _REQUEST_METHODS
+                if isinstance(part, ast.Call) and ctx.is_comm_call(
+                    part, REQUEST_METHODS
                 ):
-                    verb = part.func.attr  # type: ignore[union-attr]
-                    summary.escaping.append((verb, part.lineno))
+                    summary.escaping.append((part.func.attr, part.lineno))  # type: ignore[union-attr]
         # requests bound to a name that is returned and never waited
-        for st in _own_statements(self.fn):
-            if not (isinstance(st, ast.Assign) and len(st.targets) == 1):
-                continue
-            tgt, val = st.targets[0], st.value
-            pairs: list[tuple[ast.expr, ast.expr]] = []
-            if isinstance(tgt, ast.Name):
-                pairs.append((tgt, val))
-            elif (
-                isinstance(tgt, ast.Tuple)
-                and isinstance(val, ast.Tuple)
-                and len(tgt.elts) == len(val.elts)
+        for name, value, _ in ctx.bindings:
+            if (
+                isinstance(value, ast.Call)
+                and ctx.is_comm_call(value, REQUEST_METHODS)
+                and name in self.returned_names
+                and name not in ctx.waited
             ):
-                pairs.extend(zip(tgt.elts, val.elts))
-            for t, v in pairs:
-                if (
-                    isinstance(t, ast.Name)
-                    and isinstance(v, ast.Call)
-                    and self.ctx.is_comm_call(v, _REQUEST_METHODS)
-                    and t.id in returned_names
-                    and t.id not in waited
-                ):
-                    verb = v.func.attr  # type: ignore[union-attr]
-                    summary.escaping.append((verb, v.lineno))
+                summary.escaping.append((value.func.attr, value.lineno))  # type: ignore[union-attr]
         summary.escaping.sort(key=lambda e: (e[1], e[0]))
 
-    def _returns(
-        self,
-        summary: FunctionSummary,
-        returns: list[ast.expr],
-        returned_names: set[str],
-    ) -> None:
+    def _returns(self, summary: FunctionSummary) -> None:
         ctx = self.ctx
-        for r in returns:
+        for r in ctx.returns:
             if not summary.returns_taint and ctx.is_rank_expr(r):
                 summary.returns_taint = True
                 summary.returns_taint_line = r.lineno
-        sized = rank_sized_names(ctx)
-        from .dataflow import _rank_sized_expr
-
-        for r in returns:
-            if not summary.returns_sized and _rank_sized_expr(r, ctx, sized):
+            if not summary.returns_sized and rank_sized_expr(r, ctx, self.base_sized):
                 summary.returns_sized = True
                 summary.returns_sized_line = r.lineno
         summary.taint_params_to_return = sorted(
             p
             for p in self.info.params
-            if p in returned_names and p not in ctx.comm_names
+            if p in self.returned_names and p not in ctx.comm_names
         )
 
     def _tag_params(self, summary: FunctionSummary) -> None:
         params = set(self.info.params)
-        for n in _own_nodes(self.fn):
-            if not (isinstance(n, ast.Call) and self.ctx.is_comm_call(n, P2P_METHODS)):
-                continue
-            expr = _tag_expr(n)
+        for call in self.ctx.comm_calls(P2P_METHODS):
+            expr = tag_expr(call.node)
             if expr is None:
                 continue
-            for name in _names_in(expr) & params:
-                summary.tag_params.setdefault(name, n.lineno)
+            for name in self.ctx.reads(expr)[0] & params:
+                summary.tag_params.setdefault(name, call.node.lineno)
 
     # -- call sites
 
@@ -531,53 +396,39 @@ class _Summarizer:
                     return None  # comm method, not a user call
                 if base == "self":
                     return ("self", func.attr), f"self.{func.attr}"
-            dotted = _dotted_name(func.value)
+            dotted = dotted_name(func.value)
             if dotted is not None and dotted in self.import_prefixes:
                 return ("attr", dotted, func.attr), f"{dotted}.{func.attr}"
         return None
 
-    def _call_sites(
-        self,
-        summary: FunctionSummary,
-        waited: set[str],
-        returned_names: set[str],
-    ) -> None:
-        from .rules import walk_calls_with_divergence
-
+    def _call_sites(self, summary: FunctionSummary) -> None:
+        ctx = self.ctx
         # statement-level result classification for top-level call patterns
         kind_of: dict[int, tuple[str, str | None]] = {}
-        for st in _own_statements(self.fn):
+        for st in ctx.stmts:
             if isinstance(st, ast.Expr) and isinstance(st.value, ast.Call):
                 kind_of[id(st.value)] = ("discarded", None)
             elif isinstance(st, ast.Return) and isinstance(st.value, ast.Call):
                 kind_of[id(st.value)] = ("returned", None)
-            elif isinstance(st, ast.Assign) and len(st.targets) == 1:
-                tgt, val = st.targets[0], st.value
-                if isinstance(tgt, ast.Name) and isinstance(val, ast.Call):
-                    kind_of[id(val)] = ("named", tgt.id)
-                elif (
-                    isinstance(tgt, ast.Tuple)
-                    and isinstance(val, ast.Tuple)
-                    and len(tgt.elts) == len(val.elts)
-                ):
-                    for t, v in zip(tgt.elts, val.elts):
-                        if isinstance(t, ast.Name) and isinstance(v, ast.Call):
-                            kind_of[id(v)] = ("named", t.id)
+        for name, value, stmt in ctx.bindings:
+            # an annotated assignment's call stays "other", as summaries
+            # have always classified it
+            if isinstance(value, ast.Call) and isinstance(stmt, ast.Assign):
+                kind_of[id(value)] = ("named", name)
 
-        loads = self._load_counts()
         sites: list[CallSite] = []
-
-        def on_call(call: ast.Call, div: int | None) -> None:
-            spec_display = self._spec_for(call)
+        for fact in ctx.calls:
+            call = fact.node
+            spec_display = self._spec_for(call) if fact.spine else None
             if spec_display is None:
-                return
+                continue
             spec, display = spec_display
             kind, name = kind_of.get(id(call), ("other", None))
             site = CallSite(
                 spec=spec,
                 display=display,
                 line=call.lineno,
-                div_line=div,
+                div_line=ctx.divergence(fact),
                 result=kind,
                 result_name=name,
             )
@@ -585,23 +436,14 @@ class _Summarizer:
             if kind == "returned":
                 site.result_returned = True
             elif kind == "named" and name is not None:
-                site.result_consumed = loads.get(name, 0) > 0
-                site.result_waited = name in waited
-                site.result_returned = name in returned_names
+                site.result_consumed = ctx.loads.get(name, 0) > 0
+                site.result_waited = name in ctx.waited
+                site.result_returned = name in self.returned_names
                 site.shape_hits_taint = self._shape_delta(name, as_sized=False)
                 site.shape_hits_sized = self._shape_delta(name, as_sized=True)
             sites.append(site)
-
-        walk_calls_with_divergence(self.ctx, on_call)
         sites.sort(key=lambda s: (s.line, s.display))
         summary.calls = sites
-
-    def _load_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for n in _own_nodes(self.fn):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                counts[n.id] = counts.get(n.id, 0) + 1
-        return counts
 
     def _record_args(self, site: CallSite, call: ast.Call) -> None:
         ctx = self.ctx
@@ -628,33 +470,36 @@ class _Summarizer:
         """Uniform-collective payload sites that light up when ``name`` is
         treated as rank-tainted (scalar) or rank-sized (container)."""
         ctx = self.ctx
-        base_sized = rank_sized_names(ctx)
-        base = {
-            (verb, line)
-            for verb, line, _ in uniform_collective_hits(ctx, base_sized)
-        }
         if as_sized:
             hyp_sized = rank_sized_names(ctx, extra_sized=frozenset({name}))
-            hyp_ctx = ctx
         else:
-            hyp_ctx = FunctionContext(ctx.node, ctx.comm_names, ctx.tainted | {name})
-            hyp_sized = rank_sized_names(hyp_ctx)
+            ctx = ctx.assuming(name)
+            hyp_sized = rank_sized_names(ctx)
         hits = [
             (verb, line)
-            for verb, line, _ in uniform_collective_hits(hyp_ctx, hyp_sized)
-            if (verb, line) not in base
+            for verb, line, _ in uniform_collective_hits(ctx, hyp_sized)
+            if (verb, line) not in self.base_hits
         ]
         hits.sort(key=lambda h: (h[1], h[0]))
         return hits
 
 
-def _propagate_comm_params(index: ModuleIndex) -> dict[str, set[str]]:
+def _context(
+    mod: ModuleInfo, info: FunctionNode, extra_comms: dict[str, set[str]]
+) -> FunctionContext:
+    """The function's lowering, seen with any evidence-backed extra comms."""
+    ctx = mod.context(info.node)
+    extra = extra_comms.get(info.dotted)
+    return ctx.with_comms(extra) if extra else ctx
+
+
+def _propagate_comm_params(mod: ModuleInfo, index: ModuleIndex) -> dict[str, set[str]]:
     """Module-local fixpoint: which params are communicators by evidence.
 
     Seeds: the first parameter of every entry-marked function.  Transfer:
     a comm handle passed positionally (or by keyword) to a module-local
     callee makes the matching callee parameter a comm.  The result feeds
-    ``build_context(extra_comms=...)`` so helpers whose comm parameter has
+    :meth:`FunctionContext.with_comms` so helpers whose comm parameter has
     a non-standard name (``def helper(c): c.barrier()``) still summarize
     their collectives.  Module-local on purpose — cross-file propagation
     would make per-file summaries depend on other files' content, which
@@ -672,11 +517,12 @@ def _propagate_comm_params(index: ModuleIndex) -> dict[str, set[str]]:
         for dotted, info in index.functions.items():
             if info.node is None:
                 continue
-            ctx = build_context(info.node, extra_comms=extra.get(dotted, ()))
+            ctx = _context(mod, info, extra)
             if not ctx.comm_names:
                 continue
-            for n in _own_nodes(info.node):
-                if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)):
+            for call in ctx.calls:
+                n = call.node
+                if not isinstance(n.func, ast.Name):
                     continue
                 hit = _lookup_name(scopes, f"{dotted}.{LOCALS_SEP}", n.func.id)
                 if hit is None or not hit.params:
@@ -715,17 +561,13 @@ def summarize_module(mod: ModuleInfo, index: ModuleIndex | None = None) -> Modul
     resolvable = set(index.import_symbols)
     resolvable.update(fn.name for fn in index.functions.values())
     prefixes = set(index.import_modules) | set(index.import_symbols)
-    extra_comms = _propagate_comm_params(index)
+    extra_comms = _propagate_comm_params(mod, index)
     out = ModuleSummary(index=index)
     for dotted, info in index.functions.items():
         if info.node is None:
             continue
-        ctx = build_context(
-            info.node, extra_comms=frozenset(extra_comms.get(dotted, ()))
-        )
-        out.functions[dotted] = _Summarizer(
-            mod, info, ctx, resolvable, prefixes
-        ).run()
+        ctx = _context(mod, info, extra_comms)
+        out.functions[dotted] = _Summarizer(info, ctx, resolvable, prefixes).run()
     return out
 
 
@@ -747,19 +589,11 @@ class _Facts:
     taint_params_to_return: frozenset[str] = frozenset()
 
 
-def _param_at(callee: FunctionNode, site: CallSite, pos: int | None, kw: str | None) -> str | None:
-    """Callee parameter bound by a positional index or keyword name."""
-    if kw is not None:
-        return kw if kw in callee.params else None
-    assert pos is not None
-    offset = 1 if site.spec[0] == "self" else 0
-    idx = pos + offset
-    if 0 <= idx < len(callee.params):
-        return callee.params[idx]
-    return None
+class Program:
+    """The analyzed fileset as one program: a resolved call graph plus the
+    key -> path/module/summary table, shared by the interprocedural rules
+    below and by :class:`repro.analyze.costlint.CostProgram`."""
 
-
-class _Program:
     def __init__(self, summaries: Iterable[ModuleSummary]) -> None:
         self.modules = list(summaries)
         self.graph = CallGraph([m.index for m in self.modules])
@@ -772,24 +606,35 @@ class _Program:
                 self.summary[key] = fs
                 self.path_of[key] = m.path
                 self.modname_of[key] = m.modname
-        # resolve call sites once; key -> [(site, callee_key)]
+        #: call sites resolved inside the fileset: key -> [(site, callee key)]
         self.resolved: dict[str, list[tuple[CallSite, str]]] = {}
+        #: cost placeholders: key -> {"@line_col" -> callee key or None}
+        self.placeholders: dict[str, dict[str, str | None]] = {}
         for key, fs in self.summary.items():
-            path = self.path_of[key]
-            out: list[tuple[CallSite, str]] = []
-            for site in fs.calls:
-                callee = self.graph.resolve(path, fs.dotted, site.spec)
-                if callee is None or callee not in self.summary:
-                    continue
-                out.append((site, callee))
-                self.graph.add_edge(key, callee)
-            self.resolved[key] = out
+            self.resolved[key] = [
+                (site, callee)
+                for site in fs.calls
+                if (callee := self._resolve(key, site.spec)) is not None
+            ]
+            self.placeholders[key] = {
+                ph: self._resolve(key, tuple(meta["spec"]))
+                for ph, meta in (fs.cost or {}).get("calls", {}).items()
+            }
+        #: SCCs of the resolved graph, callees first
+        self.sccs = list(self.graph.sccs_bottom_up())
         self.facts: dict[str, _Facts] = {k: _Facts() for k in self.summary}
+
+    def _resolve(self, key: str, spec: tuple[str, ...]) -> str | None:
+        callee = self.graph.resolve(self.path_of[key], self.summary[key].dotted, spec)
+        if callee is None or callee not in self.summary:
+            return None
+        self.graph.add_edge(key, callee)
+        return callee
 
     # -- propagation
 
     def propagate(self) -> None:
-        for scc in self.graph.sccs_bottom_up():
+        for scc in self.sccs:
             in_scope = [k for k in scc if k in self.summary]
             changed = True
             while changed:
@@ -866,49 +711,27 @@ class _Program:
                 f.returns_sized = w
                 changed = True
 
-        # taint-through params: local, plus params forwarded to a callee
-        # whose own taint-params reach its return on a returned call
+        # taint-through and tag params: local ones, plus own params forwarded
+        # into a callee param that reaches its return (on a returned call) or
+        # feeds a p2p tag
         t2r = set(fs.taint_params_to_return)
-        for site, callee in self.resolved[key]:
-            if not site.result_returned:
-                continue
-            cf = self.facts[callee]
-            callee_node = self.graph.node(callee)
-            if callee_node is None:
-                continue
-            for pos, name in site.pos_names.items():
-                if name in fs.params:
-                    p = _param_at(callee_node, site, pos, None)
-                    if p is not None and p in cf.taint_params_to_return:
-                        t2r.add(name)
-            for kw, name in site.kw_names.items():
-                if name in fs.params:
-                    p = _param_at(callee_node, site, None, kw)
-                    if p is not None and p in cf.taint_params_to_return:
-                        t2r.add(name)
-        t2r_frozen = frozenset(t2r)
-        if t2r_frozen != f.taint_params_to_return:
-            f.taint_params_to_return = t2r_frozen
-            changed = True
-
-        # tag params: local, plus params forwarded into a callee's tag param
         tags = {p: (path, line) for p, line in fs.tag_params.items()}
         tags.update(f.tag_params)
         for site, callee in self.resolved[key]:
             cf = self.facts[callee]
-            callee_node = self.graph.node(callee)
-            if callee_node is None or not cf.tag_params:
-                continue
-            for pos, name in site.pos_names.items():
-                if name in fs.params:
-                    p = _param_at(callee_node, site, pos, None)
-                    if p is not None and p in cf.tag_params and name not in tags:
-                        tags[name] = cf.tag_params[p]
-            for kw, name in site.kw_names.items():
-                if name in fs.params:
-                    p = _param_at(callee_node, site, None, kw)
-                    if p is not None and p in cf.tag_params and name not in tags:
-                        tags[name] = cf.tag_params[p]
+            for p, name in site.bind(
+                self.graph.functions[callee], site.pos_names, site.kw_names
+            ):
+                if name not in fs.params:
+                    continue
+                if site.result_returned and p in cf.taint_params_to_return:
+                    t2r.add(name)
+                if p in cf.tag_params and name not in tags:
+                    tags[name] = cf.tag_params[p]
+        t2r_frozen = frozenset(t2r)
+        if t2r_frozen != f.taint_params_to_return:
+            f.taint_params_to_return = t2r_frozen
+            changed = True
         if tags != f.tag_params:
             f.tag_params = tags
             changed = True
@@ -916,23 +739,21 @@ class _Program:
         return changed
 
     def _tainted_args_reach_return(self, site: CallSite, callee: str) -> bool:
-        cf = self.facts[callee]
-        callee_node = self.graph.node(callee)
-        if callee_node is None:
-            return False
-        for pos in site.pos_taint:
-            p = _param_at(callee_node, site, pos, None)
-            if p is not None and p in cf.taint_params_to_return:
-                return True
-        for kw in site.kw_taint:
-            p = _param_at(callee_node, site, None, kw)
-            if p is not None and p in cf.taint_params_to_return:
-                return True
-        return False
+        reach = self.facts[callee].taint_params_to_return
+        return any(
+            p in reach
+            for p, _ in site.bind(
+                self.graph.functions[callee],
+                dict.fromkeys(site.pos_taint),
+                dict.fromkeys(site.kw_taint),
+            )
+        )
 
     # -- rules
 
     def findings(self) -> list[Finding]:
+        """Propagate summaries bottom-up, then judge the four rules."""
+        self.propagate()
         out: list[Finding] = []
         out.extend(self._escaped_requests())
         out.extend(self._div_collectives())
@@ -1008,20 +829,10 @@ class _Program:
             modname = self.modname_of[key]
             for site, callee in self.resolved[key]:
                 cf = self.facts[callee]
-                callee_node = self.graph.node(callee)
-                if callee_node is None or not cf.tag_params:
-                    continue
-                bindings: list[tuple[str | None, int]] = [
-                    (_param_at(callee_node, site, pos, None), v)
-                    for pos, v in site.pos_const.items()
-                ] + [
-                    (_param_at(callee_node, site, None, kw), v)
-                    for kw, v in site.kw_const.items()
-                ]
-                for param, value in bindings:
-                    if param is None or param not in cf.tag_params:
-                        continue
-                    if value in _TAG_EXEMPT:
+                for param, value in site.bind(
+                    self.graph.functions[callee], site.pos_const, site.kw_const
+                ):
+                    if param not in cf.tag_params or value in TAG_EXEMPT:
                         continue
                     groups.setdefault((callee, param, value), []).append(
                         (path, modname, site.line, site.display)
@@ -1109,6 +920,4 @@ class _Program:
 
 def check_program(summaries: Iterable[ModuleSummary]) -> list[Finding]:
     """Run the four interprocedural rules over module summaries."""
-    prog = _Program(summaries)
-    prog.propagate()
-    return prog.findings()
+    return Program(summaries).findings()

@@ -1,29 +1,12 @@
-"""Rank-centric lint rules for the SPMD runtime.
+"""The rule catalogue, and the rules judged on one function's lowering.
 
-Every rule has a stable ID (documented in DESIGN.md) and reports findings
-as ``file:line: RULE-ID message``:
-
-``SPMD-DIV-COLLECTIVE``
-    A collective (`barrier`, `allreduce`, ...) is reachable only under
-    rank-dependent control flow, so not every rank of the communicator
-    would issue it — the runtime would hang or raise a congruence error.
-``SPMD-UNWAITED-REQUEST``
-    An ``isend``/``irecv`` Request is discarded or never completed.
-``SPMD-BLOCKING-CYCLE``
-    Both branches of a rank-conditional open with the same blocking verb
-    (recv/recv deadlocks immediately; send/send deadlocks under
-    rendezvous MPI semantics).
-``SPMD-TAG-COLLISION``
-    A literal message tag collides with another module's literal tag or
-    falls inside a tag namespace owned by a different module
-    (:mod:`repro.mpi.tags`).
-``SPMD-WALLCLOCK``
-    A rank function reads wall-clock time or an unseeded random source,
-    breaking virtual-clock determinism.
-
-Three further rules live in :mod:`repro.analyze.dataflow` (they need a
-control-flow graph rather than per-statement inspection):
-``SPMD-BUFFER-REUSE``, ``SPMD-VIEW-SEND`` and ``SPMD-SHAPE-MISMATCH``.
+:data:`RULES` is the single description of every rule — id, layer, summary
+and long ``doc`` — that ``--list-rules``, SARIF export and DESIGN.md's rule
+reference all read.  This module also implements the per-function rules that
+need no control-flow graph (divergent collectives, unwaited requests,
+blocking cycles, wall-clock reads) and the per-module half of the tag audit;
+:func:`check_module` runs them, plus the CFG rules of
+:mod:`repro.analyze.dataflow`, over every rank function of a module.
 """
 
 from __future__ import annotations
@@ -35,9 +18,7 @@ from .astlint import (
     COLLECTIVE_METHODS,
     P2P_METHODS,
     Finding,
-    FunctionContext,
     ModuleInfo,
-    build_context,
     iter_functions,
 )
 from .dataflow import (
@@ -59,14 +40,20 @@ from .interproc import (
     RULE_INTERPROC_TAG,
     RULE_RANK_TAINT_SHAPE,
 )
+from .lower import (
+    REQUEST_METHODS,
+    TAG_ARG_INDEX,
+    TAG_EXEMPT,
+    FunctionContext,
+    dotted_name,
+    tag_expr,
+)
 
 __all__ = [
     "RULES",
     "check_module",
-    "check_tags",
     "module_tag_sites",
     "join_literal_tags",
-    "walk_calls_with_divergence",
 ]
 
 RULE_DIV_COLLECTIVE = "SPMD-DIV-COLLECTIVE"
@@ -241,175 +228,56 @@ RULES: tuple[Rule, ...] = (
 # ------------------------------------------------------ SPMD-DIV-COLLECTIVE
 
 
-def _terminates(stmts: list[ast.stmt]) -> bool:
-    """Does the branch end the surrounding iteration/function for sure?"""
-    return any(
-        isinstance(s, (ast.Return, ast.Break, ast.Continue, ast.Raise))
-        for s in stmts
-    )
-
-
-def walk_calls_with_divergence(ctx: FunctionContext, on_call) -> None:
-    """Walk a function body tracking rank-divergent control-flow context.
-
-    ``on_call(call, div)`` fires for every :class:`ast.Call` in the body
-    (nested scopes excluded) with ``div`` the line where rank-dependent
-    control flow began, or ``None`` on uniformly-reached paths.  Shared by
-    the intraprocedural ``SPMD-DIV-COLLECTIVE`` rule and the
-    interprocedural ``SPMD-INTERPROC-DIV-COLLECTIVE`` rule so both agree
-    on what "divergent" means.
-    """
-
-    def visit_expr(expr: ast.expr, div: int | None) -> None:
-        if isinstance(expr, ast.IfExp):
-            visit_expr(expr.test, div)
-            branch = div
-            if branch is None and ctx.is_rank_expr(expr.test):
-                branch = expr.lineno
-            visit_expr(expr.body, branch)
-            visit_expr(expr.orelse, branch)
-            return
-        if isinstance(expr, ast.Call):
-            on_call(expr, div)
-        for child in ast.iter_child_nodes(expr):
-            if isinstance(child, ast.expr):
-                visit_expr(child, div)
-
-    def visit_stmt_exprs(st: ast.stmt, div: int | None) -> None:
-        for child in ast.iter_child_nodes(st):
-            if isinstance(child, ast.expr):
-                visit_expr(child, div)
-
-    def walk(stmts: list[ast.stmt], div: int | None) -> None:
-        local_div = div
-        for st in stmts:
-            if isinstance(st, ast.If):
-                visit_expr(st.test, local_div)
-                branch = local_div
-                rank_test = ctx.is_rank_expr(st.test)
-                if branch is None and rank_test:
-                    branch = st.lineno
-                walk(st.body, branch)
-                walk(st.orelse, branch)
-                # Early-exit divergence: `if rank cond: return/continue`
-                # taints every following sibling statement.
-                if local_div is None and rank_test and (
-                    _terminates(st.body) != _terminates(st.orelse)
-                ):
-                    local_div = st.lineno
-            elif isinstance(st, ast.While):
-                visit_expr(st.test, local_div)
-                branch = local_div
-                if branch is None and ctx.is_rank_expr(st.test):
-                    branch = st.lineno
-                walk(st.body, branch)
-                walk(st.orelse, local_div)
-            elif isinstance(st, ast.For):
-                visit_expr(st.iter, local_div)
-                branch = local_div
-                if branch is None and ctx.is_rank_expr(st.iter):
-                    branch = st.lineno
-                walk(st.body, branch)
-                walk(st.orelse, local_div)
-            elif isinstance(st, ast.Try):
-                walk(st.body, local_div)
-                for h in st.handlers:
-                    walk(h.body, local_div)
-                walk(st.orelse, local_div)
-                walk(st.finalbody, local_div)
-            elif isinstance(st, (ast.With, ast.AsyncWith)):
-                for item in st.items:
-                    visit_expr(item.context_expr, local_div)
-                walk(st.body, local_div)
-            elif isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue  # nested scopes get their own context
-            else:
-                visit_stmt_exprs(st, local_div)
-
-    walk(ctx.node.body, None)
-
-
 def _div_collective(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
     findings: list[Finding] = []
-
-    def on_call(call: ast.Call, div: int | None) -> None:
-        if div is None or not ctx.is_comm_call(call, COLLECTIVE_METHODS):
-            return
-        assert isinstance(call.func, ast.Attribute)
-        name = f"{call.func.value.id}.{call.func.attr}"  # type: ignore[attr-defined]
+    for call in ctx.comm_calls(COLLECTIVE_METHODS):
+        div = ctx.divergence(call) if call.spine else None
+        if div is None:
+            continue
+        func = call.node.func
+        name = f"{func.value.id}.{func.attr}"  # type: ignore[attr-defined]
         findings.append(
             Finding(
                 mod.path,
-                call.lineno,
+                call.node.lineno,
                 RULE_DIV_COLLECTIVE,
                 f"collective '{name}()' is only reached under rank-dependent "
                 f"control flow (divergence starts at line {div}); every "
                 "rank of the communicator must issue it",
             )
         )
-
-    walk_calls_with_divergence(ctx, on_call)
     return findings
 
 
 # --------------------------------------------------- SPMD-UNWAITED-REQUEST
 
 
-def _request_calls(ctx: FunctionContext) -> frozenset[str]:
-    return frozenset({"isend", "irecv"})
-
-
 def _unwaited_requests(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
     findings: list[Finding] = []
-    req_methods = _request_calls(ctx)
-    assigned: dict[str, int] = {}  # name -> line of request assignment
-
-    body_nodes = [
-        n
-        for st in _iter_own(ctx.node)
-        for n in ast.walk(st)
-    ]
-
-    for st in _iter_own(ctx.node):
-        if isinstance(st, ast.Expr) and isinstance(st.value, ast.Call):
-            if ctx.is_comm_call(st.value, req_methods):
-                verb = st.value.func.attr  # type: ignore[union-attr]
-                findings.append(
-                    Finding(
-                        mod.path,
-                        st.lineno,
-                        RULE_UNWAITED,
-                        f"Request returned by '{verb}()' is discarded; call "
-                        ".wait() (or keep it and wait later) or the operation "
-                        "may never complete",
-                    )
+    for st in ctx.stmts:
+        if (
+            isinstance(st, ast.Expr)
+            and isinstance(st.value, ast.Call)
+            and ctx.is_comm_call(st.value, REQUEST_METHODS)
+        ):
+            verb = st.value.func.attr  # type: ignore[union-attr]
+            findings.append(
+                Finding(
+                    mod.path,
+                    st.lineno,
+                    RULE_UNWAITED,
+                    f"Request returned by '{verb}()' is discarded; call "
+                    ".wait() (or keep it and wait later) or the operation "
+                    "may never complete",
                 )
-        elif isinstance(st, ast.Assign) and len(st.targets) == 1:
-            tgt, val = st.targets[0], st.value
-            if isinstance(tgt, ast.Name) and isinstance(val, ast.Call) and ctx.is_comm_call(
-                val, req_methods
-            ):
-                assigned[tgt.id] = st.lineno
-            elif (
-                isinstance(tgt, ast.Tuple)
-                and isinstance(val, ast.Tuple)
-                and len(tgt.elts) == len(val.elts)
-            ):
-                for t, v in zip(tgt.elts, val.elts):
-                    if isinstance(t, ast.Name) and isinstance(v, ast.Call) and ctx.is_comm_call(
-                        v, req_methods
-                    ):
-                        assigned[t.id] = st.lineno
-
-    if not assigned:
-        return findings
-
-    used: set[str] = set()
-    for n in body_nodes:
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in assigned:
-            used.add(n.id)
+            )
+    assigned = {  # name -> line of request assignment
+        b.name: b.stmt.lineno
+        for b in ctx.bindings
+        if isinstance(b.value, ast.Call) and ctx.is_comm_call(b.value, REQUEST_METHODS)
+    }
     for name, line in sorted(assigned.items(), key=lambda kv: kv[1]):
-        if name not in used:
+        if not ctx.loads.get(name):
             findings.append(
                 Finding(
                     mod.path,
@@ -420,23 +288,6 @@ def _unwaited_requests(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
                 )
             )
     return findings
-
-
-def _iter_own(fn: ast.FunctionDef):
-    """Statements of fn excluding nested function/class bodies."""
-    stack: list[ast.stmt] = list(reversed(fn.body))
-    while stack:
-        st = stack.pop()
-        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield st
-        children = [
-            c
-            for child in ast.iter_child_nodes(st)
-            for c in ([child] if isinstance(child, ast.stmt) else list(ast.iter_child_nodes(child)))
-            if isinstance(c, ast.stmt)
-        ]
-        stack.extend(reversed(children))
 
 
 # ---------------------------------------------------- SPMD-BLOCKING-CYCLE
@@ -458,7 +309,7 @@ def _first_blocking_call(stmts: list[ast.stmt], ctx: FunctionContext) -> ast.Cal
 
 def _blocking_cycle(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
     findings: list[Finding] = []
-    for node in ast.walk(ctx.node):
+    for node in ctx.stmts:
         if not isinstance(node, ast.If) or not node.orelse:
             continue
         if not ctx.is_rank_expr(node.test):
@@ -523,19 +374,8 @@ _NP_GLOBAL_RANDOM = frozenset(
 )
 
 
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _wallclock_reason(call: ast.Call) -> str | None:
-    name = _dotted(call.func)
+    name = dotted_name(call.func)
     if name is None:
         return None
     parts = name.split(".")
@@ -560,45 +400,24 @@ def _wallclock_reason(call: ast.Call) -> str | None:
 
 def _wallclock(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
     findings = []
-    for st in _iter_own(ctx.node):
-        for n in ast.walk(st):
-            if not isinstance(n, ast.Call):
-                continue
-            reason = _wallclock_reason(n)
-            if reason:
-                findings.append(
-                    Finding(
-                        mod.path,
-                        n.lineno,
-                        RULE_WALLCLOCK,
-                        f"{reason} inside rank function "
-                        f"'{ctx.node.name}'; virtual-clock runs must derive "
-                        "time from comm.clock and randomness from a seeded "
-                        "Generator",
-                    )
+    for call in ctx.calls:
+        reason = _wallclock_reason(call.node)
+        if reason:
+            findings.append(
+                Finding(
+                    mod.path,
+                    call.node.lineno,
+                    RULE_WALLCLOCK,
+                    f"{reason} inside rank function "
+                    f"'{ctx.node.name}'; virtual-clock runs must derive "
+                    "time from comm.clock and randomness from a seeded "
+                    "Generator",
                 )
+            )
     return findings
 
 
 # ----------------------------------------------------- SPMD-TAG-COLLISION
-
-#: positional index of the ``tag`` argument per p2p method
-_TAG_ARG_INDEX = {"send": 2, "isend": 2, "recv": 1, "irecv": 1, "iprobe": 1, "sendrecv": 3}
-
-#: tags excluded from collision checks (default / wildcard)
-_TAG_EXEMPT = frozenset({0, -1})
-
-
-def _tag_expr(call: ast.Call) -> ast.expr | None:
-    method = call.func.attr  # type: ignore[union-attr]
-    for kw in call.keywords:
-        if kw.arg == "tag":
-            return kw.value
-    idx = _TAG_ARG_INDEX.get(method)
-    if idx is not None and len(call.args) > idx:
-        return call.args[idx]
-    return None
-
 
 def _tags_imports(mod: ModuleInfo) -> dict[str, str]:
     """Map local name -> attribute name for imports from repro.mpi.tags."""
@@ -649,10 +468,10 @@ def module_tag_sites(mod: ModuleInfo) -> tuple[list[Finding], list[tuple[int, in
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _TAG_ARG_INDEX
+            and node.func.attr in TAG_ARG_INDEX
         ):
             continue
-        expr = _tag_expr(node)
+        expr = tag_expr(node)
         if expr is None:
             continue
         base_name: str | None = None
@@ -689,7 +508,7 @@ def module_tag_sites(mod: ModuleInfo) -> tuple[list[Finding], list[tuple[int, in
                     )
             continue
 
-        if literal is None or literal in _TAG_EXEMPT:
+        if literal is None or literal in TAG_EXEMPT:
             continue
         hit = _owner_of_literal(literal)
         if hit is not None:
@@ -738,18 +557,6 @@ def join_literal_tags(
     return findings
 
 
-def check_tags(mods: list[ModuleInfo]) -> list[Finding]:
-    """Cross-module tag audit (SPMD-TAG-COLLISION)."""
-    findings: list[Finding] = []
-    all_sites: list[tuple[str, str, int, int]] = []
-    for mod in mods:
-        mod_findings, mod_sites = module_tag_sites(mod)
-        findings.extend(mod_findings)
-        all_sites.extend((mod.modname, mod.path, v, l) for v, l in mod_sites)
-    findings.extend(join_literal_tags(all_sites))
-    return findings
-
-
 def _same_module(modname: str, owner: str) -> bool:
     return modname == owner or modname.startswith(owner + ".") or owner.startswith(modname + ".")
 
@@ -761,7 +568,7 @@ def check_module(mod: ModuleInfo) -> list[Finding]:
     """Run all per-module rules over every rank function."""
     findings: list[Finding] = []
     for fn in iter_functions(mod.tree):
-        ctx = build_context(fn)
+        ctx = mod.context(fn)
         if not ctx.comm_names:
             continue
         findings.extend(_div_collective(mod, ctx))

@@ -6,8 +6,7 @@ because it runs over small serialized summaries.  The store exploits that
 split: every analyzed file gets a :class:`FileRecord` holding *all* of its
 parse-derived artifacts —
 
-* the raw intraprocedural findings (unsuppressed, exactly as the legacy
-  per-module rules emit them),
+* the raw per-function rule findings (unsuppressed),
 * the module-local half of the tag audit plus its free-literal sites,
 * the ``# spmd: ignore`` suppression table,
 * the call-graph :class:`~repro.analyze.callgraph.ModuleIndex` and the
@@ -49,7 +48,7 @@ __all__ = [
 
 #: bump on any change to rule logic, summary extraction, or record layout —
 #: cached records embed findings and summaries produced by this code
-ANALYZER_VERSION = 2
+ANALYZER_VERSION = 3
 
 #: on-disk layout version of the store document itself
 STORE_SCHEMA = 1

@@ -34,6 +34,30 @@ def _isolated_analyze_store():
                 os.environ["REPRO_ANALYZE_CACHE"] = old
 
 
+@pytest.fixture(scope="session")
+def repo_sweep():
+    """Findings of the full four-directory sweep, filtered by path prefix.
+
+    The whole-program analysis of the repository costs seconds, so the
+    session performs it once; hygiene tests ask for the slice they guard,
+    e.g. ``repo_sweep("src", "examples")``.
+    """
+    from repro.analyze import analyze_paths
+
+    root = Path(__file__).resolve().parents[1]
+    findings = analyze_paths(
+        [root / d for d in ("src", "examples", "tests", "benchmarks")]
+    )
+
+    def under(*prefixes: str) -> list:
+        dirs = [root / p for p in prefixes]
+        return [
+            f for f in findings if any(d in Path(f.path).parents for d in dirs)
+        ]
+
+    return under
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)

@@ -127,6 +127,21 @@ class TestSymbolic:
         assert len(hits) == 1
         assert "grows with p" in hits[0].message
 
+    def test_return_nested_in_except_handler_is_priced_once(self):
+        # two levels below an `except`, the statement used to be walked
+        # twice and the return size summed twice (2·$data)
+        src = """
+        def f(comm, data, c):
+            try:
+                comm.barrier()
+            except ValueError:
+                if c:
+                    return data
+        """
+        mod = module_from_source(textwrap.dedent(src), "ret.py", "ret")
+        cost = summarize_module(mod).functions["f"].cost
+        assert sym.from_json(cost["returns"]) == sym.atom("$data")
+
 
 # ------------------------------------------------- the four cost rules
 

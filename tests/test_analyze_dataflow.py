@@ -392,15 +392,10 @@ class TestShapeMismatch:
 
 
 class TestRepoIsCleanUnderDataflowRules:
-    def test_src_repro_has_no_findings(self):
-        from pathlib import Path
-
-        from repro.analyze import analyze_paths
-
-        root = Path(__file__).resolve().parents[1]
+    def test_src_repro_has_no_findings(self, repo_sweep):
         findings = [
             f
-            for f in analyze_paths([root / "src" / "repro"])
+            for f in repo_sweep("src/repro")
             if f.rule
             in ("SPMD-BUFFER-REUSE", "SPMD-VIEW-SEND", "SPMD-SHAPE-MISMATCH")
         ]

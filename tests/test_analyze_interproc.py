@@ -9,12 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze.astlint import (
-    Finding,
-    analyze_modules,
-    analyze_paths,
-    module_from_source,
-)
+from repro.analyze.astlint import Finding, module_from_source
 from repro.analyze.baseline import load_baseline, subtract_baseline, write_baseline
 from repro.analyze.callgraph import CallGraph, index_module
 from repro.analyze.engine import analyze_program
@@ -706,30 +701,12 @@ class TestAnalysisStore:
         assert check_program([clone]) == check_program([summary])
 
 
-# ------------------------------------------------------ legacy byte parity
+# ------------------------------------------------------------ repo hygiene
 
 
 class TestLegacyParity:
-    def test_intra_findings_identical_on_src(self):
-        """The engine's intraprocedural output must be byte-identical to the
-        legacy per-module pipeline — the whole-program layer only adds."""
-        files = sorted((ROOT / "src").rglob("*.py"))
-        mods = []
-        for f in files:
-            out = module_from_source(f.read_text(encoding="utf-8"), str(f))
-            assert not isinstance(out, Finding), out.format()
-            mods.append(out)
-        legacy = analyze_modules(mods)
-        engine = [
-            f
-            for f in analyze_program([ROOT / "src"]).findings
-            if f.rule not in INTERPROC_RULES
-        ]
-        assert [f.format() for f in engine] == [f.format() for f in legacy]
-
-    def test_full_sweep_is_clean(self):
-        paths = [ROOT / d for d in ("src", "examples", "tests", "benchmarks")]
-        findings = analyze_paths(paths)
+    def test_full_sweep_is_clean(self, repo_sweep):
+        findings = repo_sweep("src", "examples", "tests", "benchmarks")
         assert findings == [], "\n".join(f.format() for f in findings)
 
 

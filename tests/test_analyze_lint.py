@@ -1,5 +1,6 @@
 """Static SPMD lint: one fixture per rule, suppression, CLI, repo hygiene."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze import analyze_paths, analyze_source
-from repro.analyze.astlint import analyze_modules, module_from_source
+from repro.analyze import analyze_source
+from repro.analyze.engine import analyze_records, build_record
+from repro.analyze.lower import SCOPES, lower
 
 
 def findings_for(src, rule=None, modname="fixture"):
@@ -247,13 +249,13 @@ class TestTagCollision:
         )
 
     def test_duplicate_literal_across_modules(self):
-        a = module_from_source(
+        a = build_record(
             "def f(comm, x):\n    comm.send(x, 0, tag=42)\n", "a.py", "repro.a"
         )
-        b = module_from_source(
+        b = build_record(
             "def g(comm):\n    return comm.recv(0, tag=42)\n", "b.py", "repro.b"
         )
-        hits = [f for f in analyze_modules([a, b]) if f.rule == self.RULE]
+        hits = [f for f in analyze_records([a, b]) if f.rule == self.RULE]
         assert len(hits) == 2
         assert {f.path for f in hits} == {"a.py", "b.py"}
 
@@ -322,6 +324,84 @@ class TestWallclock:
         )
 
 
+def _own_statement_oracle(fn):
+    """Own statements by brute force: everything below ``fn`` that is a
+    statement and not inside a nested def/class, in source order."""
+    out = []
+
+    def rec(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, SCOPES):
+                continue
+            if isinstance(child, ast.stmt):
+                out.append(child)
+            rec(child)
+
+    rec(fn)
+    return sorted(out, key=lambda st: (st.lineno, st.col_offset))
+
+
+class TestLowering:
+    def test_every_src_function_is_walked_once_in_order(self):
+        root = Path(__file__).resolve().parents[1] / "src"
+        checked = 0
+        for file in sorted(root.rglob("*.py")):
+            tree = ast.parse(file.read_text(encoding="utf-8"))
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                stmts = lower(fn).stmts
+                where = f"{file}:{fn.lineno} {fn.name}"
+                assert len({id(st) for st in stmts}) == len(stmts), where
+                assert [id(st) for st in stmts] == [
+                    id(st) for st in _own_statement_oracle(fn)
+                ], where
+                checked += 1
+        assert checked > 1000
+
+    def test_every_statement_container_is_covered(self):
+        src = """
+        def f(comm, xs):
+            try:
+                a = 1
+            except ValueError:
+                if xs:
+                    return 2
+            except OSError:
+                b = 3
+            else:
+                c = 4
+            finally:
+                d = 5
+            with open(xs) as fh:
+                e = 6
+            match xs:
+                case [x]:
+                    g = 7
+                case _ if comm.rank:
+                    h = 8
+            for x in xs:
+                i = 9
+            else:
+                j = 10
+            while xs:
+                k = 11
+            else:
+                m = 12
+            def nested():
+                hidden = 13
+            class Local:
+                also_hidden = 14
+            return 15
+        """
+        fn = ast.parse(textwrap.dedent(src)).body[0]
+        ctx = lower(fn)
+        assert ctx.stmts == _own_statement_oracle(fn)
+        bound = {b.name for b in ctx.bindings}
+        assert bound == set("abcdeghijkm")
+        assert [ast.literal_eval(r) for r in ctx.returns] == [2, 15]
+
+
 class TestSuppression:
     def test_inline_ignore_specific_rule(self):
         assert not findings_for(
@@ -340,7 +420,10 @@ class TestSuppression:
                     comm.barrier()  # spmd: ignore[SPMD-WALLCLOCK]
             """
         )
-        assert len(hits) == 1
+        assert [(f.rule, f.line) for f in hits] == [
+            ("SPMD-DIV-COLLECTIVE", 4),
+            ("SPMD-STALE-SUPPRESSION", 4),
+        ]
 
     def test_bare_ignore_suppresses_all(self):
         assert not findings_for(
@@ -370,7 +453,10 @@ class TestSuppression:
                     comm.barrier()  # spmd: ignore[WALLCLOCK]
             """
         )
-        assert len(hits) == 1
+        assert [(f.rule, f.line) for f in hits] == [
+            ("SPMD-DIV-COLLECTIVE", 4),
+            ("SPMD-STALE-SUPPRESSION", 4),
+        ]
 
     def test_shorthand_in_comma_list(self):
         assert not findings_for(
@@ -470,7 +556,6 @@ class TestCli:
 
 
 class TestRepoIsClean:
-    def test_src_and_examples_lint_clean(self):
-        root = Path(__file__).resolve().parents[1]
-        findings = analyze_paths([root / "src", root / "examples"])
+    def test_src_and_examples_lint_clean(self, repo_sweep):
+        findings = repo_sweep("src", "examples")
         assert findings == [], "\n".join(f.format() for f in findings)
