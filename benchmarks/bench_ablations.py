@@ -4,8 +4,8 @@
   rounds (and splitting time).
 * shared-memory windows — §VI-A.1: pricing intra-node traffic as memcpy
   instead of MPI loop-back speeds up the exchange.
-* initial guesses / cross-probe tightening — §V-A's proposed optimisations
-  to splitter convergence.
+* probe schedule / initial guesses — §V-A's proposed optimisations to
+  splitter convergence, and the shared probe budget.
 * merge strategy — §V-C: re-sort vs binary tree vs tournament inside the
   full sort.
 """
@@ -40,11 +40,12 @@ def test_shm_ablation(emit):
 
 def test_guess_policy_ablation(emit):
     series = emit(guess_policy_ablation(repeats=2))
-    rows = {(r["initial_guess"], r["cross_probe"]): r for r in series.rows}
-    base = rows[("minmax", False)]["rounds"]
-    # cross-probe tightening never needs more rounds than the baseline
-    assert rows[("minmax", True)]["rounds"] <= base
-    assert rows[("sample", True)]["rounds"] <= base
+    rows = {(r["probe_schedule"], r["initial_guess"]): r for r in series.rows}
+    base = rows[("midpoint", "minmax")]
+    # the shared budget needs fewer rounds and never more bytes than Algorithm 3
+    for key in (("shared", "minmax"), ("shared", "sample")):
+        assert rows[key]["rounds"] < base["rounds"]
+    assert rows[("shared", "minmax")]["wire_bytes"] <= base["wire_bytes"]
 
 
 def test_merge_strategy_ablation(emit):

@@ -77,17 +77,14 @@ def _predict_samplesort(machine, n_total, p, *, rounds, merge_strategy, **common
 def _dash_prior_rounds(fp, config) -> int:
     """A-priori histogramming rounds: the §V-A min-gap bound.
 
-    Rounds track ``min(key_bits, ~log2 N + c)``; sampled initial guesses
-    start the brackets near their targets and historically cut rounds by
-    roughly 3x on smooth inputs (the §III-B optimisation the ablation
-    measures), less when duplicates dominate.
+    Bisection (``"midpoint"``) takes ``min(key_bits, ~log2 N + c)`` rounds.
+    The ``"shared"`` schedule spends round 1 on ``p - 1`` equally spaced
+    probes, which resolves ``floor(log2 p)`` of those bits at once; the
+    rounds after it can only do better than bisection.
     """
-    splitter = config.splitter
     base = min(fp.key_bits, int(math.log2(max(fp.n_total, 2))) + 2)
-    if splitter.initial_guess == "sample":
-        base = max(3, base // 3)
-    if splitter.cross_probe:
-        base = max(2, int(base * 0.8))
+    if config.splitter.probe_schedule == "shared":
+        base -= int(math.log2(max(fp.p, 1))) - 1
     return max(base, 1)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.config import SortConfig
 from ..core.histsort import SortState, run_pipeline
-from ..core.multiselect import _MINMAX, SplitterResult
+from ..core.multiselect import _MINMAX, SplitterResult, accept_or_tighten
 from ..seq.search import local_histogram
 from .common import BaselineResult
 
@@ -197,29 +197,21 @@ def hss_splitters(
         L, U = glob[: cand.size], glob[cand.size :]
         probes_total += int(cand.size)
 
-        for i in act:
-            t = targets[i]
-            # Accept any candidate achieving the target within tolerance.
-            ok = (L <= t + tol) & (U >= t - tol)
-            hit = np.flatnonzero(ok)
-            if hit.size:
-                j = int(hit[0])
-                values[i] = cand[j]
-                lower[i], upper[i] = int(L[j]), int(U[j])
-                realized[i] = int(np.clip(t, L[j], U[j]))
-                active[i] = False
-                continue
-            # Otherwise shrink the interval with the bracketing candidates.
-            below = np.flatnonzero(U < t - tol)
-            if below.size:
-                j = int(below[-1])
-                if cand[j] > lo_val[i]:
-                    lo_val[i], lo_rank[i] = cand[j], int(U[j])
-            above = np.flatnonzero(L > t + tol)
-            if above.size:
-                j = int(above[0])
-                if cand[j] < hi_val[i]:
-                    hi_val[i], hi_rank[i] = cand[j], int(L[j])
+        # Accept the first candidate achieving a target within tolerance,
+        # otherwise shrink its interval to the bracketing candidates.
+        t = targets[act]
+        hit, first, new_lo, new_hi = accept_or_tighten(
+            cand, L, U, t, tol, lo_val[act], hi_val[act]
+        )
+        done, j = act[hit], first[hit]
+        values[done] = cand[j]
+        lower[done], upper[done] = L[j], U[j]
+        realized[done] = np.clip(t[hit], L[j], U[j])
+        active[done] = False
+        up = ~hit & (new_lo > lo_val[act])
+        lo_val[act[up]], lo_rank[act[up]] = new_lo[up], U[first[up] - 1]
+        down = ~hit & (new_hi < hi_val[act])
+        hi_val[act[down]], hi_rank[act[down]] = new_hi[down], L[first[down]]
         comm.compute(compute.call_overhead + 2.0e-9 * int(cand.size))
         tracer.record(
             "hss_round",

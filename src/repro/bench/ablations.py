@@ -4,9 +4,13 @@
   perfect partitioning requirement as the number of histogramming
   iterations decreases".
 * shared-memory windows on/off — §VI-A.1's PGAS intra-node memcpy path.
-* initial-guess policy and cross-probe tightening — §III-B/V-A's
-  "optimizing the initial splitter guesses".
+* probe schedule and initial-guess policy — §III-B/V-A's "optimizing the
+  initial splitter guesses", and how a round's probes are placed.
 * merge strategy inside the full sort — §V-C.
+
+Like the figure drivers these measure the paper's Algorithm 3
+(:data:`~repro.bench.harness.PAPER_CONFIG`); only the guess ablation sets
+the shared probe schedule beside it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from ..core import SortConfig, SplitterConfig
 from ..machine import supermuc_phase2
-from .harness import repeat_sort_trials
+from .harness import PAPER_CONFIG, repeat_sort_trials
 from .results import Series
 
 __all__ = [
@@ -45,7 +49,7 @@ def epsilon_sweep(repeats: int = 3, epsilons=(0.0, 0.001, 0.01, 0.1)) -> Series:
             _P, _NPR, repeats=repeats, warmup=0,
             algo="dash", dist="uniform_u64",
             machine=machine, ranks_per_node=_RPN,
-            config=SortConfig(eps=eps),
+            config=PAPER_CONFIG.with_(eps=eps),
         )
         series.add(
             eps=eps,
@@ -81,30 +85,31 @@ def shm_ablation(repeats: int = 3) -> Series:
 
 
 def guess_policy_ablation(repeats: int = 3) -> Series:
-    """Initial-guess policy × cross-probe tightening: convergence rounds."""
+    """Probe schedule × initial-guess policy: rounds and bytes to converge."""
     machine = supermuc_phase2()
     series = Series(
         experiment="ablation_guess",
-        title="Splitter initial guesses and cross-probe tightening",
-        columns=["initial_guess", "cross_probe", "rounds", "splitting_s"],
+        title="Splitter probe schedule and initial guesses",
+        columns=["probe_schedule", "initial_guess", "rounds", "wire_bytes", "splitting_s"],
         params={"p": _P, "n_per_rank": _NPR},
-        notes="paper (§V-A): better initial guesses reduce histogram rounds",
+        notes="paper (§V-A): better initial guesses reduce histogram rounds; "
+        "the shared schedule spends the same probes on distinct values",
     )
-    for guess in ("minmax", "sample"):
-        for cross in (False, True):
-            cfg = SortConfig(
-                splitter=SplitterConfig(initial_guess=guess, cross_probe=cross)
-            )
-            _, trials = repeat_sort_trials(
-                _P, _NPR, repeats=repeats, warmup=0,
-                algo="dash", dist="uniform_u64",
-                machine=machine, ranks_per_node=_RPN, config=cfg,
-            )
-            series.add(
-                initial_guess=guess, cross_probe=cross,
-                rounds=int(np.median([t.rounds for t in trials])),
-                splitting_s=float(np.median([t.phases["splitting"] for t in trials])),
-            )
+    for schedule, guess in (("midpoint", "minmax"), ("shared", "minmax"), ("shared", "sample")):
+        cfg = SortConfig(
+            splitter=SplitterConfig(initial_guess=guess, probe_schedule=schedule)
+        )
+        _, trials = repeat_sort_trials(
+            _P, _NPR, repeats=repeats, warmup=0,
+            algo="dash", dist="uniform_u64",
+            machine=machine, ranks_per_node=_RPN, config=cfg,
+        )
+        series.add(
+            probe_schedule=schedule, initial_guess=guess,
+            rounds=int(np.median([t.rounds for t in trials])),
+            wire_bytes=int(np.median([t.extra["wire_bytes"] for t in trials])),
+            splitting_s=float(np.median([t.phases["splitting"] for t in trials])),
+        )
     return series
 
 
@@ -122,7 +127,7 @@ def merge_strategy_ablation(repeats: int = 3) -> Series:
             _P, _NPR, repeats=repeats, warmup=0,
             algo="dash", dist="uniform_u64",
             machine=machine, ranks_per_node=_RPN,
-            config=SortConfig(merge_strategy=strategy),
+            config=PAPER_CONFIG.with_(merge_strategy=strategy),
         )
         series.add(
             strategy=strategy,
@@ -144,7 +149,7 @@ def overlap_ablation(repeats: int = 3, n_per_rank: int = 1 << 14) -> Series:
         "'gives more time to complete a pending data transfer'",
     )
     for overlap in (False, True):
-        cfg = SortConfig(merge_strategy="binary_tree", overlap_exchange=overlap)
+        cfg = PAPER_CONFIG.with_(merge_strategy="binary_tree", overlap_exchange=overlap)
         _, trials = repeat_sort_trials(
             _P, n_per_rank, repeats=repeats, warmup=0,
             algo="dash", dist="uniform_u64",

@@ -31,12 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import SplitterConfig, find_splitters
+from ..core import find_splitters
 from ..data import make_partition
 from ..machine import supermuc_phase2
 from ..model import predict_histsort, predict_hss
 from ..mpi import run_spmd
-from .harness import repeat_sort_trials
+from .harness import PAPER_CONFIG, repeat_sort_trials
 from .results import Series
 
 __all__ = [
@@ -388,7 +388,7 @@ def fig3b_phase_breakdown(mode: str = "model", repeats: int = 3) -> Series:
 
 def _iteration_program(comm, dist: str, n_per_rank: int, seed: int):
     local = np.sort(make_partition(dist, n_per_rank, rank=comm.rank, seed=seed))
-    res = find_splitters(comm, local, config=SplitterConfig())
+    res = find_splitters(comm, local, config=PAPER_CONFIG.splitter)
     return res.rounds
 
 

@@ -18,13 +18,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..algorithms import ALGORITHMS
-from ..core import SortConfig, autosort
+from ..core import SortConfig, SplitterConfig, autosort
 from ..data import make_partition
 from ..machine import MachineSpec
 from ..mpi import run_spmd
 from ..trace.timer import combine_phases
 
 __all__ = [
+    "PAPER_CONFIG",
     "TrialResult",
     "RepeatStats",
     "median_ci",
@@ -32,6 +33,12 @@ __all__ = [
     "run_sort_trial",
     "repeat_sort_trials",
 ]
+
+
+#: The paper's literal Algorithm 3 (one midpoint per splitter per round):
+#: what a trial runs when handed no config, so the figure drivers keep
+#: reproducing ``results/fig*.json`` whatever the library default becomes.
+PAPER_CONFIG = SortConfig(splitter=SplitterConfig(probe_schedule="midpoint"))
 
 
 def _result_record(res) -> dict[str, Any]:
@@ -174,7 +181,7 @@ def run_sort_trial(
     if plan is None and algo not in ALGORITHMS:
         raise KeyError(f"unknown algo {algo!r}; available: {sorted(ALGORITHMS)}")
     if config is None:
-        config = SortConfig()
+        config = PAPER_CONFIG
     wall_t0 = time.perf_counter()
     results, rt = run_spmd(
         p,

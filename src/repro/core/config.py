@@ -9,6 +9,7 @@ __all__ = ["SplitterConfig", "SortConfig"]
 
 _MERGE_STRATEGIES = ("sort", "binary_tree", "tournament", "adaptive")
 _GUESS_POLICIES = ("minmax", "sample")
+_PROBE_SCHEDULES = ("shared", "midpoint")
 
 
 def _checked_kwargs(cls, data: Mapping[str, Any]) -> dict[str, Any]:
@@ -35,23 +36,31 @@ class SplitterConfig:
         the paper mentions in §III-B/V-A).
     sample_factor:
         Regular samples drawn per rank for the ``"sample"`` policy.
-    cross_probe:
-        If True, every round tightens *all* splitter brackets against *all*
-        probe outcomes of that round, not just each splitter's own probe —
-        the multiselect refinement studied in ``bench_ablations.py``.
+    probe_schedule:
+        Where a round places its probes — at most one per open splitter
+        either way, and every open bracket is tightened by every probe.
+        ``"shared"`` treats them as one budget: the splitters sharing a
+        bracket spread their probes equally over it, so round 1 resolves
+        ``log2 P`` bits instead of one.  ``"midpoint"`` is the paper's
+        literal Algorithm 3: every splitter bisects its own bracket, which
+        ships the same midpoint once per splitter sharing it.
     max_rounds:
         Safety cap on histogramming iterations.
     """
 
     initial_guess: str = "minmax"
     sample_factor: int = 8
-    cross_probe: bool = False
+    probe_schedule: str = "shared"
     max_rounds: int = 512
 
     def __post_init__(self) -> None:
         if self.initial_guess not in _GUESS_POLICIES:
             raise ValueError(
                 f"initial_guess must be one of {_GUESS_POLICIES}, got {self.initial_guess!r}"
+            )
+        if self.probe_schedule not in _PROBE_SCHEDULES:
+            raise ValueError(
+                f"probe_schedule must be one of {_PROBE_SCHEDULES}, got {self.probe_schedule!r}"
             )
         if self.sample_factor < 1:
             raise ValueError("sample_factor must be >= 1")

@@ -1,20 +1,25 @@
 """Splitter determination by iterative histogramming (Algorithms 2 + 3).
 
 This is the paper's primary contribution: a *k-way multiselect* that finds
-all ``P-1`` splitters at once by bisecting the key space, with one
-``ALLREDUCE`` of the global histogram per round, **no sampling**, and no
-assumptions on key distribution, rank count, or partition density.
+all ``P-1`` splitters at once by narrowing a bracket ``(lo_i, hi_i]`` per
+splitter, with one ``ALLREDUCE`` of the global histogram per round, **no
+sampling**, and no assumptions on key distribution, rank count, or
+partition density.
 
 Algorithm sketch (per round, every rank):
 
-1. probe each still-active splitter at the midpoint of its bracket
-   ``(lo_i, hi_i]``;
+1. place at most one probe per still-open splitter into one sorted probe
+   vector — the splitters sharing a bracket spread theirs equally over it
+   (``probe_schedule="shared"``), or each bisects its own bracket
+   (``"midpoint"``, the paper's literal Algorithm 3, which repeats a
+   shared bracket's midpoint once per splitter);
 2. local histogram of the probe vector by binary search on the locally
    sorted partition (two ``np.searchsorted`` calls);
 3. ``ALLREDUCE`` the local ``(l, u)`` vectors into the global ``(L, U)``;
-4. VALIDATE_SPLITTER: accept splitter ``i`` when a left-count in
-   ``[L_i, U_i]`` can meet the target rank ``t_i`` within tolerance,
-   otherwise move ``lo_i`` or ``hi_i`` to the probe.
+4. VALIDATE_SPLITTER, every open splitter against every probe: accept the
+   lowest probe whose ``[L, U]`` can meet the target rank ``t_i`` within
+   tolerance, otherwise move ``lo_i`` / ``hi_i`` to the two neighbouring
+   probes that bracket it.
 
 Ties (duplicate keys) need no key uniquification here: acceptance uses the
 achievable-interval test and the exchange (Algorithm 4) later splits the
@@ -36,7 +41,12 @@ from .config import SplitterConfig
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
 
-__all__ = ["SplitterResult", "SplitterConvergenceError", "find_splitters"]
+__all__ = [
+    "SplitterResult",
+    "SplitterConvergenceError",
+    "accept_or_tighten",
+    "find_splitters",
+]
 
 #: elementwise (min, max) fold over (lo, hi) tuples
 _MINMAX = ReduceOp("minmax", lambda a, b: (min(a[0], b[0]), max(a[1], b[1])))
@@ -91,7 +101,7 @@ class SplitterResult:
 
 
 class _ProbeArithmetic:
-    """Dtype-aware midpoint/step logic of the bisection."""
+    """Dtype-aware probe placement inside half-open brackets ``(lo, hi]``."""
 
     def __init__(self, dtype: np.dtype):
         self.dtype = np.dtype(dtype)
@@ -101,23 +111,61 @@ class _ProbeArithmetic:
             )
         self.is_int = self.dtype.kind in "iu"
 
-    def midpoint(self, lo, hi):
-        """A probe in the half-open interval ``(lo, hi]`` (== hi at collapse)."""
+    def spread(self, lo, hi, j, g) -> np.ndarray:
+        """Probe ``j`` of ``g`` equally spaced ones inside each ``(lo, hi]``.
+
+        All arguments are aligned arrays with ``1 <= j <= g``; the probe sits
+        at ``lo + ceil(j * (hi - lo) / (g + 1))``, so ``g == 1`` is the
+        bisection midpoint of Algorithm 3 (``== hi`` at collapse).  A bracket
+        narrower than its ``g`` repeats values; callers deduplicate.
+        """
         if self.is_int:
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i <= lo_i:
-                return self.dtype.type(hi_i)
-            d = hi_i - lo_i
-            return self.dtype.type(lo_i + d // 2 + (d & 1))
-        if not (lo < hi):
-            return self.dtype.type(hi)
-        raw = self.dtype.type(float(lo) + (float(hi) - float(lo)) / 2.0)
-        step = np.nextafter(self.dtype.type(lo), self.dtype.type(hi))
-        if raw <= lo:
-            raw = step
-        if raw > hi:
-            raw = self.dtype.type(hi)
-        return raw
+            # Modulo-2^64 arithmetic on the width is exact for every integer
+            # dtype, full-range u64/i64 included: j * width never forms.
+            base = lo.astype(np.uint64)
+            parts = (g + 1).astype(np.uint64)
+            q, r = np.divmod(hi.astype(np.uint64) - base, parts)
+            ju = j.astype(np.uint64)
+            return (base + ju * q + (ju * r + parts - 1) // parts).astype(self.dtype)
+        lo64, hi64 = lo.astype(np.float64), hi.astype(np.float64)
+        frac = j / (g + 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = lo64 + (hi64 - lo64) * frac
+        # hi - lo overflows for keys near +-max: the convex form cannot
+        raw = np.where(np.isfinite(raw), raw, lo64 * (1.0 - frac) + hi64 * frac)
+        raw = raw.astype(self.dtype)
+        raw = np.where(raw <= lo, np.nextafter(lo, hi), raw)
+        return np.where(raw > hi, hi, raw)
+
+
+def accept_or_tighten(probes, L, U, t, tol, lo, hi):
+    """VALIDATE_SPLITTER (Algorithm 2) of every target against every probe.
+
+    ``probes`` is sorted, so its global histogram ``(L, U)`` is monotone and
+    the probes that satisfy target ``t`` — some left-count in ``[L, U]``
+    within ``tol`` of it — form one contiguous index range; the splitter of
+    a target that none satisfies lies between two neighbouring probes.
+    ``lo`` / ``hi`` are the targets' current brackets, monotone like ``t``.
+
+    Returns ``(hit, first, new_lo, new_hi)``, aligned with ``t``:
+    ``probes[first]`` is the lowest satisfying probe where ``hit``;
+    elsewhere ``probes[first - 1]`` / ``probes[first]`` (where they exist)
+    are the neighbours, and ``new_lo`` / ``new_hi`` the bracket tightened to
+    them — it moved exactly where it differs from ``lo`` / ``hi``.
+    """
+    first = U.searchsorted(t - tol)
+    hit = first < L.searchsorted(t + tol, side="right")
+    # padded with the loosest bracket ends, which tighten nobody
+    ext = np.concatenate((lo[:1], probes, hi[-1:]))
+    return hit, first, np.maximum(lo, ext[first]), np.minimum(hi, ext[first + 1])
+
+
+def _bracket_slots(lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(j, g)`` per open target: its 1-based slot among the ``g`` targets
+    sharing its bracket.  Open brackets are disjoint or identical and
+    monotone in the target, so ``lo`` alone identifies (and sorts) them."""
+    left = lo.searchsorted(lo)
+    return np.arange(1, lo.size + 1) - left, lo.searchsorted(lo, side="right") - left
 
 
 def _regular_sample(local_sorted: np.ndarray, count: int) -> np.ndarray:
@@ -211,25 +259,24 @@ def find_splitters(
     )
     comm.compute(compute.call_overhead)
 
-    lo = [dtype.type(gmin)] * boundaries
-    hi = [dtype.type(gmax)] * boundaries
+    lo = np.full(boundaries, gmin, dtype=dtype)
+    hi = np.full(boundaries, gmax, dtype=dtype)
     values = np.empty(boundaries, dtype=dtype)
     lower = np.zeros(boundaries, dtype=np.int64)
     upper = np.zeros(boundaries, dtype=np.int64)
     realized = np.zeros(boundaries, dtype=np.int64)
-    active = np.ones(boundaries, dtype=bool)
 
-    for i in range(boundaries):
-        if targets[i] - tol <= u_gmin:
-            # Covered by the minimum key's run (includes empty-output ranks).
-            values[i], realized[i] = dtype.type(gmin), int(min(targets[i], u_gmin))
-            lower[i], upper[i] = 0, u_gmin
-            active[i] = False
-        elif targets[i] + tol >= total:
-            values[i] = dtype.type(gmax)
-            realized[i] = int(np.clip(targets[i], l_gmax, total))
-            lower[i], upper[i] = l_gmax, total
-            active[i] = False
+    # Covered by the minimum key's run (includes empty-output ranks) ...
+    at_min = targets - tol <= u_gmin
+    values[at_min] = gmin
+    realized[at_min] = np.minimum(targets[at_min], u_gmin)
+    upper[at_min] = u_gmin
+    # ... or by the maximum key's.
+    at_max = ~at_min & (targets + tol >= total)
+    values[at_max] = gmax
+    realized[at_max] = np.clip(targets[at_max], l_gmax, total)
+    lower[at_max], upper[at_max] = l_gmax, total
+    active = ~(at_min | at_max)
 
     # Optional sampled initial probes (§III-B "optimizing initial guesses").
     first_probes: np.ndarray | None = None
@@ -243,6 +290,9 @@ def find_splitters(
             idx = np.clip((frac * (flat.size - 1)).round().astype(np.int64), 0, flat.size - 1)
             first_probes = flat[idx]
 
+    shared = config.probe_schedule == "shared"
+    # Compact state of the open targets, in target order.
+    t, lo, hi = targets[active], lo[active], hi[active]
     rounds = 0
     probes_total = 0
     tracer = comm.tracer
@@ -252,52 +302,47 @@ def find_splitters(
         if rounds > config.max_rounds:
             raise SplitterConvergenceError(
                 f"splitters did not converge within {config.max_rounds} rounds "
-                f"({int(active.sum())} of {boundaries} boundaries still open)"
+                f"({t.size} of {boundaries} boundaries still open)"
             )
-        act_idx = np.flatnonzero(active)
-        m = act_idx.size
+        m = t.size
+        # One sorted probe vector of at most one probe per open target.
         if rounds == 1 and first_probes is not None:
             probes = np.clip(first_probes, gmin, gmax).astype(dtype)
         else:
-            probes = np.array(
-                [arith.midpoint(lo[i], hi[i]) for i in act_idx], dtype=dtype
-            )
-        probes_total += m
+            # "shared": the targets sharing a bracket spread their probes over
+            # it; Algorithm 3: every target bisects its own (slot 1 of 1)
+            j, g = _bracket_slots(lo) if shared else np.ones((2, m), np.int64)
+            probes = arith.spread(lo, hi, j, g)
+        if shared and (probes[1:] == probes[:-1]).any():
+            probes = np.unique(probes)  # a bracket narrower than its budget
+        k = probes.size
+        probes_total += k
 
         # Local histogram by binary search (Algorithm 3 line 7) ...
         l_loc, u_loc = local_histogram(local_sorted, probes)
-        comm.compute(compute.search(2 * m, max(n_local, 1)))
+        comm.compute(compute.search(2 * k, max(n_local, 1)))
         # ... and the global histogram via a single ALLREDUCE (line 8).
         glob = comm.allreduce(np.concatenate([l_loc, u_loc]))
-        L, U = glob[:m], glob[m:]
+        L, U = glob[:k], glob[k:]
 
-        t = targets[act_idx]
-        # VALIDATE_SPLITTER (Algorithm 2) with the achievable-interval test:
-        # some left-count in [L, U] lies within tol of the target.
-        ok = (L <= t + tol) & (U >= t - tol)
-        too_high = ~ok & (L > t + tol)   # splitter value too large
-        too_low = ~ok & ~too_high        # upper bound below target: too small
+        hit, first, lo, hi = accept_or_tighten(probes, L, U, t, tol, lo, hi)
+        if hit.any():
+            done, j = active.nonzero()[0][hit], first[hit]
+            values[done] = probes[j]
+            lower[done], upper[done] = L[j], U[j]
+            realized[done] = t[hit].clip(L[j], U[j])
+            active[done] = False
+            still = ~hit
+            t, lo, hi = t[still], lo[still], hi[still]
 
-        for j in np.flatnonzero(ok):
-            i = int(act_idx[j])
-            values[i] = probes[j]
-            lower[i], upper[i] = int(L[j]), int(U[j])
-            realized[i] = int(np.clip(t[j], L[j], U[j]))
-            active[i] = False
-        for j in np.flatnonzero(too_high):
-            hi[int(act_idx[j])] = probes[j]
-        for j in np.flatnonzero(too_low):
-            lo[int(act_idx[j])] = probes[j]
-
-        if config.cross_probe and active.any():
-            _cross_probe_tighten(lo, hi, probes, L, U, targets, tol, active)
         comm.compute(compute.call_overhead + 2.0e-9 * m)
         tracer.record(
             "histogram_round",
             t_round,
             round=rounds,
-            probes=int(m),
-            open=int(active.sum()),
+            probes=int(k),
+            targets=int(m),
+            open=int(t.size),
         )
 
     return SplitterResult(
@@ -312,34 +357,3 @@ def find_splitters(
         rounds=rounds,
         probes_total=probes_total,
     )
-
-
-def _cross_probe_tighten(
-    lo: list,
-    hi: list,
-    probes: np.ndarray,
-    L: np.ndarray,
-    U: np.ndarray,
-    targets: np.ndarray,
-    tol: int,
-    active: np.ndarray,
-) -> None:
-    """Tighten every open bracket with *all* probe outcomes of this round.
-
-    Histogram bounds are monotone in the probe value, so after sorting the
-    probes, the largest probe with ``U < t - tol`` is a valid new ``lo`` and
-    the smallest probe with ``L > t + tol`` a valid new ``hi`` for target
-    ``t`` — regardless of which splitter the probe belonged to.
-    """
-    order = np.argsort(probes, kind="stable")
-    pv = probes[order]
-    Ls = L[order]
-    Us = U[order]
-    for i in np.flatnonzero(active):
-        t = targets[i]
-        k = int(np.searchsorted(Us, t - tol, side="left")) - 1
-        if k >= 0 and pv[k] > lo[i]:
-            lo[i] = pv[k]
-        j = int(np.searchsorted(Ls, t + tol, side="right"))
-        if j < pv.size and pv[j] < hi[i]:
-            hi[i] = pv[j]

@@ -9,8 +9,11 @@ analysis:
 
 * local sort: ``c_sort · (N/P) · log2(N/P)``
 * splitting:  ``rounds × (allreduce(2·(P-1)·8 B) + binary-search histogram)``
-  — ``rounds`` tracks the key width, not P (§V-A), and is taken from
-  executed runs of the same key type;
+  — a round ships at most one probe per *open* splitter, so ``2·(P-1)``
+  counts is an upper bound under either probe schedule; ``rounds`` tracks
+  the key width (§V-A) less, under the default shared schedule, the
+  ``log2 P`` bits its first round resolves, and is taken from executed
+  runs of the same key type and schedule;
 * exchange:   one ALL-TO-ALLV of the full volume, priced per locality level
   with the bisection-bandwidth floor;
 * merge:      strategy-dependent (re-sort in the paper's configuration);
@@ -40,7 +43,7 @@ __all__ = [
 #: bumped whenever a closed-form formula changes; cached tuning plans carry
 #: the version they were scored under and are invalidated on mismatch
 #: (see :mod:`repro.tune.cache`).
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,9 @@ def predict_histsort(
 
     local_sort = compute.sort(int(n_local), itemsize)
 
-    # Splitting: per round one 2(P-1)-entry int64 allreduce plus the local
-    # histogram binary searches and validation.
+    # Splitting: per round one allreduce of at most 2(P-1) int64 counts (one
+    # probe per open splitter) plus the local histogram binary searches and
+    # the validation of every open splitter.
     per_round = (
         cost.allreduce(2 * max(p - 1, 1) * 8, ranks)
         + compute.search(2 * max(p - 1, 1), max(int(n_local), 2))
@@ -167,7 +171,9 @@ def traffic_histsort(
     ``splitting`` carries the fixed-size setup collectives (the size
     allgather, the (min, max) reduction, and the extreme-key bounds) plus
     ``rounds`` histogram ALLREDUCEs of ``2(p-1)`` int64 counts — an upper
-    bound, since boundaries retire as they converge.  ``other`` is the
+    bound, since a round carries at most one probe per *open* boundary
+    (fewer where the shared schedule deduplicates a narrow bracket) and
+    boundaries retire as they converge.  ``other`` is the
     exchange preparation (rank-order-fill EXCLUSIVE_SCAN + send-count
     ALL-TO-ALL); ``exchange`` the full data volume.
     """

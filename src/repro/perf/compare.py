@@ -11,7 +11,10 @@ configurable threshold::
 
 (symmetrically, an **improvement** must undercut ``ci_low``).  Inside the
 CI-plus-threshold band the verdict is ``ok`` — re-measurement noise never
-fails the gate.
+fails the gate.  Wire bytes are gated beside the time, against the
+baseline's value itself (a cell records one number, no interval): a cell
+that moves more than ``baseline_wire * (1 + threshold)`` bytes per run is
+a regression too, whatever its time reads.
 
 Every regression carries a per-phase attribution: the delta of the
 cell's measured phase medians against the baseline's, ordered by
@@ -53,6 +56,8 @@ class CellDelta:
     #: per-phase (name, delta seconds, share of total delta), worst first
     attribution: tuple[tuple[str, float, float], ...] = ()
     note: str = ""
+    #: new / baseline wire bytes per run (NaN when either side has none)
+    wire_ratio: float = math.nan
 
     @property
     def failed(self) -> bool:
@@ -71,6 +76,12 @@ def _attribute(new_cell: Mapping[str, Any], base_cell: Mapping[str, Any]) -> tup
     scale = abs(total) if abs(total) > 0 else 1.0
     deltas.sort(key=lambda kv: kv[1], reverse=True)
     return tuple((name, d, d / scale) for name, d in deltas)
+
+
+def _wire_ratio(new_cell: Mapping[str, Any], base_cell: Mapping[str, Any]) -> float:
+    new = (new_cell.get("traffic") or {}).get("wire_bytes_per_run")
+    base = (base_cell.get("traffic") or {}).get("wire_bytes_per_run")
+    return float(new) / float(base) if new is not None and base else math.nan
 
 
 def _compare_cell(
@@ -101,16 +112,20 @@ def _compare_cell(
             note="baseline measurement is NaN or absent",
         )
     ratio = new_med / base_med if base_med > 0 else math.inf
+    wire = _wire_ratio(new_cell, base_cell)
+    note = ""
     if new_med > base_ci[1] * (1.0 + threshold):
         status = "regression"
-        attribution = _attribute(new_cell, base_cell)
+    elif wire > 1.0 + threshold:
+        status, note = "regression", "wire bytes above the baseline"
     elif new_med < base_ci[0] * (1.0 - threshold):
         status = "improvement"
-        attribution = _attribute(new_cell, base_cell)
     else:
         status = "ok"
-        attribution = ()
-    return CellDelta(cell_id, status, new_med, base_med, base_ci, ratio, attribution)
+    attribution = () if status == "ok" else _attribute(new_cell, base_cell)
+    return CellDelta(
+        cell_id, status, new_med, base_med, base_ci, ratio, attribution, note, wire
+    )
 
 
 @dataclass
@@ -155,10 +170,12 @@ class PerfComparison:
                 lines.append(f"  [FAIL] {d.cell_id}: incomparable — {d.note}")
                 continue
             tag = {"ok": " ok ", "regression": "FAIL", "improvement": "GOOD"}[d.status]
+            wire = "" if math.isnan(d.wire_ratio) else f", wire x{d.wire_ratio:.3f}"
             lines.append(
                 f"  [{tag}] {d.cell_id}: median {d.new_median:.6g}s vs "
-                f"{d.base_median:.6g}s (x{d.ratio:.3f}, baseline CI "
+                f"{d.base_median:.6g}s (x{d.ratio:.3f}{wire}, baseline CI "
                 f"[{d.base_ci[0]:.6g}, {d.base_ci[1]:.6g}])"
+                + (f" — {d.note}" if d.note else "")
             )
             if d.attribution and (d.status == "regression" or verbose):
                 attr_lines = [

@@ -110,18 +110,24 @@ def make_workload(p: int, *, seed: int = 0, n_small: int = 192) -> list[JobSpec]
 def make_chaos(workload: Sequence[JobSpec], *, seed: int = 1) -> ServiceChaos:
     """A crash schedule proportioned to ``workload``'s sort epochs.
 
-    Injects two mid-epoch rank crashes: one in the first sort epoch
-    (which carries the fused cluster) and one in a later epoch, with
-    ``at_op`` placed inside the sort proper — late enough that packing
-    and splitter determination have started, early enough that every
-    rank still has work left (a rank that finishes before its ``at_op``
-    never crashes).  Epoch ordinals count *sort* epochs only, matching
-    :class:`~repro.serve.service.ServiceChaos` semantics.
+    Injects two mid-epoch rank crashes, one in the first sort epoch
+    (which carries the fused cluster) and one in a later epoch.  Both
+    ``at_op`` values fall inside the splitter's three set-up collectives
+    (size allgather, key range, extreme-key bounds), which a checkpointed
+    epoch reaches after the 4 ops of its entry checkpoint and which cost a
+    non-root rank 2 ops each: late enough that packing and splitter
+    determination have started, and — unlike anything from the first
+    histogram round on — at the same op whatever the round count is (a
+    rank that finishes before its ``at_op`` never crashes).  Both victims
+    are non-root ranks: when the collectives' root dies inside one, which
+    survivor records the ``revoke`` span is a wall-clock race, and traced
+    replays stop being bit-identical.  Epoch ordinals count *sort* epochs
+    only, matching :class:`~repro.serve.service.ServiceChaos` semantics.
     """
     n_sorts = sum(1 for s in workload if s.kind == "sort")
-    crashes: dict[int, tuple[tuple[int, int], ...]] = {0: ((1, 30),)}
+    crashes: dict[int, tuple[tuple[int, int], ...]] = {0: ((1, 8),)}
     if n_sorts > 2:
-        crashes[2] = ((0, 35),)
+        crashes[2] = ((3, 6),)
     return ServiceChaos(crashes=crashes, spares=2, seed=seed)
 
 

@@ -8,7 +8,8 @@ feedback history.  Lookups are invalidated — treated as misses — when:
 * the on-disk schema version differs (:data:`CACHE_SCHEMA`),
 * the entry was planned under a different closed-form model
   (:data:`repro.model.phases.MODEL_VERSION`) or planner
-  (:data:`repro.tune.planner.PLANNER_VERSION`),
+  (:data:`repro.tune.planner.PLANNER_VERSION`) — checked at load, before
+  the plan is parsed, since its config may name knobs since removed,
 * the machine signature embedded in the bucket key differs (a different
   cluster can never alias: the signature is part of the key itself), or
 * the feedback loop has demoted the entry (observed/predicted drift past
@@ -107,6 +108,11 @@ class PlanCache:
             return  # stale layout: start over rather than misread it
         for key, raw in data.get("entries", {}).items():
             try:
+                planned_under = (raw["model_version"], raw["planner_version"])
+                if planned_under != (MODEL_VERSION, PLANNER_VERSION):
+                    # planned under a different cost model / planner: stale,
+                    # and its config may name knobs that no longer exist
+                    continue
                 self._entries[key] = CacheEntry.from_dict(raw)
             except (KeyError, TypeError, ValueError):
                 continue  # one bad entry never poisons the rest
@@ -128,11 +134,6 @@ class PlanCache:
         entry = self._entries.get(key)
         if entry is None or entry.demoted:
             return None
-        if entry.model_version != MODEL_VERSION or entry.planner_version != PLANNER_VERSION:
-            # planned under a different cost model / planner: stale
-            del self._entries[key]
-            self.save()
-            return None
         entry.hits += 1
         self.save()
         return entry.plan
@@ -144,7 +145,7 @@ class PlanCache:
         self.save()
 
     def entry(self, key: str) -> CacheEntry | None:
-        """The raw entry (demoted/stale included); introspection only."""
+        """The raw entry (demoted included); introspection only."""
         return self._entries.get(key)
 
     def record_feedback(self, key: str, ratio: float, *, correction: float | None = None,

@@ -122,7 +122,7 @@ def enumerate_candidates(fp: WorkloadFingerprint, *, eps: float = 0.0) -> list[C
     when the caller tolerates real imbalance (``eps >= 0.1``).
     """
     base = SortConfig(eps=eps)
-    sample_splitter = SplitterConfig(initial_guess="sample", cross_probe=True)
+    sample_splitter = SplitterConfig(initial_guess="sample")
     out = [
         Candidate("dash/paper-default", "dash", base),
         Candidate("dash/adaptive-merge", "dash", base.with_(merge_strategy="adaptive")),

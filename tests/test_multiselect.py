@@ -181,21 +181,15 @@ class TestSplitterConfigs:
         [
             SplitterConfig(initial_guess="sample"),
             SplitterConfig(initial_guess="sample", sample_factor=32),
-            SplitterConfig(cross_probe=True),
-            SplitterConfig(initial_guess="sample", cross_probe=True),
+            SplitterConfig(probe_schedule="midpoint"),
+            SplitterConfig(initial_guess="sample", probe_schedule="midpoint"),
         ],
-        ids=["sample", "sample32", "crossprobe", "both"],
+        ids=["sample", "sample32", "midpoint", "midpoint-sample"],
     )
     def test_configs_stay_correct(self, run, rng, config):
         parts = [rng.integers(0, 10**9, 2000).astype(np.uint64) for _ in range(5)]
         res = _find(run, parts, config=config)[0]
         _assert_valid(parts, res)
-
-    def test_cross_probe_never_slower(self, run, rng):
-        parts = [rng.normal(size=3000) for _ in range(8)]
-        plain = _find(run, parts)[0]
-        crossed = _find(run, parts, config=SplitterConfig(cross_probe=True))[0]
-        assert crossed.rounds <= plain.rounds
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -204,3 +198,5 @@ class TestSplitterConfigs:
             SplitterConfig(sample_factor=0)
         with pytest.raises(ValueError):
             SplitterConfig(max_rounds=0)
+        with pytest.raises(ValueError):
+            SplitterConfig(probe_schedule="bogus")

@@ -177,6 +177,19 @@ class TestCompare:
         text = comparison.format()
         assert "per-phase attribution" in text and "FAIL" in text
 
+    def test_more_wire_bytes_is_a_regression(self, quick_snapshot):
+        doc = copy.deepcopy(quick_snapshot)
+        doc["cells"][QUICK_CELL]["traffic"]["wire_bytes_per_run"] *= 1.2
+        comparison = compare_snapshots(doc, quick_snapshot)
+        (reg,) = comparison.regressions
+        assert reg.cell_id == QUICK_CELL and reg.wire_ratio == pytest.approx(1.2)
+        assert reg.ratio == 1.0  # the time did not move: traffic alone fails it
+        assert "wire x1.200" in comparison.format() and "wire bytes" in reg.note
+        # fewer bytes never fail, and the ratio is printed, not x1.000
+        doc["cells"][QUICK_CELL]["traffic"]["wire_bytes_per_run"] /= 1.5
+        comparison = compare_snapshots(doc, quick_snapshot, threshold=0.0)
+        assert comparison.ok and "wire x0.800" in comparison.format()
+
     def test_improvement_detected(self, quick_snapshot):
         fast = _doctor(quick_snapshot, factor=0.4)
         comparison = compare_snapshots(fast, quick_snapshot)

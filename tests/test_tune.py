@@ -1,12 +1,14 @@
 """Auto-tuning subsystem: fingerprints, planner, cache, feedback, autosort."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.algorithms import ALGORITHMS
 from repro.bench.harness import run_sort_trial
-from repro.core import SortConfig, SplitterConfig, autosort
+from repro.core import SortConfig, SplitterConfig, autosort, histogram_sort
 from repro.machine import abstract_cluster, supermuc_phase2
 from repro.mpi import run_spmd
 from repro.tune import (
@@ -144,6 +146,26 @@ class TestPlanner:
         for cand in enumerate_candidates(fp, eps=0.2):
             assert model_score(cand, fp, machine) > 0
 
+    @pytest.mark.parametrize("p", [4, 8, 16])
+    def test_prior_rounds_bound_executed_rounds(self, machine, p):
+        # dense 16-bit keys: the key width, not log2 N, is the binding term
+        rng = np.random.default_rng(p)
+        parts = [rng.integers(0, 1 << 16, 4096).astype(np.uint64) for _ in range(p)]
+        fp = fingerprint_partition(parts[0], p=p, machine=machine, ranks_per_node=8)
+        prior, executed = {}, {}
+        for schedule in ("midpoint", "shared"):
+            cfg = SortConfig(splitter=SplitterConfig(probe_schedule=schedule))
+            prior[schedule] = ALGORITHMS["dash"].prior_rounds(fp, cfg)
+
+            def prog(comm):
+                return histogram_sort(comm, parts[comm.rank], config=cfg).rounds
+
+            executed[schedule] = run_spmd(p, prog, machine=machine, ranks_per_node=8)[0]
+            assert executed[schedule] <= prior[schedule]
+        assert prior["midpoint"] == fp.key_bits == 16
+        # round 1 of the shared schedule resolves floor(log2 p) bits
+        assert prior["shared"] == 16 - int(np.log2(p)) + 1
+
     def test_plan_deterministic_exact(self, fp, machine):
         a = _plan(fp, machine)
         b = _plan(fp, machine)
@@ -238,6 +260,27 @@ class TestPlanCache:
         stale = PlanCache(path)
         assert stale.get(plan.key) is None  # treated as a miss
         assert plan.key not in stale  # and evicted
+
+    def test_entry_with_a_removed_knob_is_stale_not_malformed(self, fp, machine, tmp_path):
+        # a plan persisted when `probe_schedule` was still another knob: the
+        # MODEL_VERSION bump retires it before its config is ever parsed
+        path = tmp_path / "c.json"
+        plan = self._plan(fp, machine)
+        PlanCache(path).put(plan.key, plan)
+        data = json.loads(path.read_text())
+        entry = data["entries"][plan.key]
+        entry["model_version"] = 1
+        splitter = entry["plan"]["config"]["splitter"]
+        del splitter["probe_schedule"]
+        splitter["retired_knob"] = True
+        with pytest.raises(ValueError, match="retired_knob"):
+            CacheEntry.from_dict(entry)
+        path.write_text(json.dumps(data))
+        with mock.patch.object(CacheEntry, "from_dict", side_effect=AssertionError):
+            stale = PlanCache(path)
+        assert stale.get(plan.key) is None and plan.key not in stale
+        stale.put(plan.key, plan)  # and re-planning overwrites it
+        assert PlanCache(path).get(plan.key) == plan
 
     def test_demoted_entry_misses_but_stays(self, fp, machine, tmp_path):
         cache = PlanCache(tmp_path / "c.json")
@@ -457,7 +500,7 @@ class TestCli:
 class TestConfigSerde:
     def test_splitter_roundtrip_all_fields(self):
         cfg = SplitterConfig(
-            initial_guess="sample", sample_factor=3, cross_probe=True, max_rounds=77
+            initial_guess="sample", sample_factor=3, probe_schedule="midpoint", max_rounds=77
         )
         assert SplitterConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -465,7 +508,7 @@ class TestConfigSerde:
         cfg = SortConfig(
             eps=0.25,
             merge_strategy="tournament",
-            splitter=SplitterConfig(initial_guess="sample", cross_probe=True),
+            splitter=SplitterConfig(initial_guess="sample", probe_schedule="midpoint"),
             uniquify=True,
             overlap_exchange=True,
             trace=True,
