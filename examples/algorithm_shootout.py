@@ -41,7 +41,7 @@ def run_algo(name):
     assert is_globally_sorted(outs) and is_permutation(ins, outs), name
     sizes = np.array([o.size for o in outs])
     imbalance = float(sizes.max() / (N_PER_RANK))
-    return rt.elapsed(), imbalance, int(rt.stats.summary()["collectives"].get("alltoallv", (0, 0))[1])
+    return rt.elapsed(), imbalance, int(rt.stats.snapshot().collectives.get("alltoallv", (0, 0))[1])
 
 
 def main() -> None:

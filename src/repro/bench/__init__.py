@@ -27,7 +27,6 @@ from .harness import (
     RepeatStats,
     TrialResult,
     median_ci,
-    peak_rss_bytes,
     repeat_sort_trials,
     run_sort_trial,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "merge_strategy_study",
     "overlap_ablation",
     "repeat_sort_trials",
-    "peak_rss_bytes",
     "run_sort_trial",
     "shm_ablation",
     "table1_machine",

@@ -107,7 +107,7 @@ def guess_policy_ablation(repeats: int = 3) -> Series:
         series.add(
             probe_schedule=schedule, initial_guess=guess,
             rounds=int(np.median([t.rounds for t in trials])),
-            wire_bytes=int(np.median([t.extra["wire_bytes"] for t in trials])),
+            wire_bytes=int(np.median([t.stats.wire_bytes for t in trials])),
             splitting_s=float(np.median([t.phases["splitting"] for t in trials])),
         )
     return series

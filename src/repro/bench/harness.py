@@ -10,7 +10,6 @@ median from order statistics.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -21,7 +20,7 @@ from ..algorithms import ALGORITHMS
 from ..core import SortConfig, SplitterConfig, autosort
 from ..data import make_partition
 from ..machine import MachineSpec
-from ..mpi import run_spmd
+from ..mpi import StatsSnapshot, run_spmd
 from ..trace.timer import combine_phases
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "TrialResult",
     "RepeatStats",
     "median_ci",
-    "peak_rss_bytes",
     "run_sort_trial",
     "repeat_sort_trials",
 ]
@@ -57,12 +55,16 @@ def _result_record(res) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One sort execution: makespan and per-phase (max over ranks) times."""
+    """One sort execution: makespan, per-phase (max over ranks) times, and
+    ``stats`` — the finished runtime's :meth:`repro.mpi.Stats.snapshot`,
+    the one traffic record a run hands out.  ``extra`` holds what only
+    some trials have (fault tallies, the tuner's plan)."""
 
     total: float
     phases: dict[str, float]
     rounds: int
     exchanged_bytes: int
+    stats: StatsSnapshot
     extra: dict[str, Any] = field(default_factory=dict)
 
 
@@ -92,21 +94,6 @@ def median_ci(values: Sequence[float], confidence: float = 0.95) -> RepeatStats:
     lo = max(0, int(math.floor(n / 2.0 - half)))
     hi = min(n - 1, int(math.ceil(n / 2.0 + half)) - 1)
     return RepeatStats(med, vals[lo], vals[hi], n, tuple(vals))
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process in bytes (0 if unknown).
-
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; the
-    :mod:`resource` module is POSIX-only, so this degrades to 0 elsewhere.
-    """
-    try:
-        import resource
-        import sys
-    except ImportError:  # pragma: no cover - non-POSIX
-        return 0
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
 def _trial_program(comm, algo: str, dist: str, n_per_rank: int, seed: int,
@@ -142,8 +129,6 @@ def run_sort_trial(
     plan: str | None = None,
     plan_cache=None,
     plan_seed: int = 0,
-    metrics=None,
-    metrics_labels: dict[str, Any] | None = None,
 ) -> TrialResult:
     """Execute one distributed sort and collect virtual-time statistics.
 
@@ -167,14 +152,6 @@ def run_sort_trial(
     to persist plans across trials (a warm cache skips planning entirely);
     ``plan_seed`` seeds the planner.  The chosen ``plan_id``/``plan_algo``
     and cache-hit flag land in ``extra``.
-
-    ``metrics`` accepts a :class:`repro.metrics.MetricsRegistry`; after the
-    run its statistics and phase breakdown are folded in under
-    ``metrics_labels`` (collection is post-hoc, so an observed run stays
-    bit-identical to an unobserved one).  ``extra`` always carries the
-    harness-overhead pair ``wall_s`` (simulator wall-clock seconds for the
-    run) and ``peak_rss_bytes`` (process high-water memory), so snapshot
-    cells can report what the *simulation* cost alongside virtual time.
     """
     if plan not in (None, "auto"):
         raise ValueError(f"plan must be None or 'auto', got {plan!r}")
@@ -182,7 +159,6 @@ def run_sort_trial(
         raise KeyError(f"unknown algo {algo!r}; available: {sorted(ALGORITHMS)}")
     if config is None:
         config = PAPER_CONFIG
-    wall_t0 = time.perf_counter()
     results, rt = run_spmd(
         p,
         _trial_program,
@@ -203,41 +179,25 @@ def run_sort_trial(
         sanitize=sanitize,
         faults=faults,
     )
-    wall_s = time.perf_counter() - wall_t0
     if trace_path is not None and rt.trace is not None:
         from ..trace.export import write_chrome_trace
 
         write_chrome_trace(trace_path, rt.trace)
     results = [r for r in results if r is not None]  # crashed ranks
     phases = combine_phases([r["phases"] for r in results], how="max")
-    stats_snap = rt.stats.snapshot()
-    extra: dict[str, Any] = {
-        "bytes_sent": stats_snap.total_bytes_sent,
-        "msgs_sent": stats_snap.total_msgs_sent,
-        "wire_bytes": stats_snap.wire_bytes,
-        "collective_calls": stats_snap.total_collective_calls,
-        "wall_s": wall_s,
-        "peak_rss_bytes": peak_rss_bytes(),
-    }
+    extra: dict[str, Any] = {}
     if faults is not None:
         extra["faults"] = rt.fault_stats.summary()
     if plan is not None and results:
         extra["plan_id"] = results[0]["plan_id"]
         extra["plan_algo"] = results[0]["plan_algo"]
         extra["plan_cache_hit"] = bool(results[0]["cache_hit"])
-    if metrics is not None:
-        from ..metrics import collect_phases, collect_runtime, collect_trace
-
-        labels = dict(metrics_labels or {})
-        collect_runtime(metrics, rt, labels=labels)
-        collect_phases(metrics, phases, labels=labels)
-        if rt.trace is not None:
-            collect_trace(metrics, rt.trace, labels=labels)
     return TrialResult(
         total=rt.elapsed(),
         phases=phases,
         rounds=int(max(r["rounds"] for r in results)),
         exchanged_bytes=int(sum(r["exchanged"] for r in results)),
+        stats=rt.stats.snapshot(),
         extra=extra,
     )
 
@@ -249,22 +209,13 @@ def repeat_sort_trials(
     repeats: int = 5,
     warmup: int = 1,
     seed0: int = 100,
-    trace_dir: str | Path | None = None,
     **kwargs: Any,
 ) -> tuple[RepeatStats, list[TrialResult]]:
-    """Repeat a trial over seeds; returns (stats over totals, all trials).
-
-    ``trace_dir`` dumps one Chrome-trace JSON per execution (warmup
-    included) as ``trial_<i>_seed<seed>.json`` under that directory.
-    """
+    """Repeat a trial over seeds; returns (stats over totals, the measured
+    trials) — the ``warmup`` executions are run and dropped."""
     trials: list[TrialResult] = []
     for i in range(warmup + repeats):
-        trace_path = None
-        if trace_dir is not None:
-            trace_path = Path(trace_dir) / f"trial_{i}_seed{seed0 + i}.json"
-        trial = run_sort_trial(
-            p, n_per_rank, seed=seed0 + i, trace_path=trace_path, **kwargs
-        )
+        trial = run_sort_trial(p, n_per_rank, seed=seed0 + i, **kwargs)
         if i >= warmup:
             trials.append(trial)
     stats = median_ci([t.total for t in trials])

@@ -98,13 +98,6 @@ class SortConfig:
         index)`` triple) before sorting.  Not required for correctness —
         the tie-aware exchange handles duplicates — but provided for
         fidelity; only valid for unsigned integer keys with headroom.
-    trace:
-        Enable event tracing on the communicator's runtime for this sort
-        (idempotent if the runtime already traces).  Every communication
-        operation, compute charge, histogram round, and phase boundary
-        becomes a span in ``runtime.trace``; see :mod:`repro.trace`.
-        Tracing never perturbs the virtual clocks, so results and
-        modelled makespans are identical with it on or off.
     """
 
     eps: float = 0.0
@@ -114,7 +107,6 @@ class SortConfig:
     #: pipeline the exchange with pairwise merges over a 1-factor schedule
     #: (the §VI-E.1 optimisation); replaces the merge phase entirely.
     overlap_exchange: bool = False
-    trace: bool = False
     #: run the fault-tolerant driver (:mod:`repro.core.resilient`):
     #: collectives ride the reliable p2p layer, and on a rank failure the
     #: survivors agree, shrink, and re-run splitter determination —

@@ -215,6 +215,4 @@ def histogram_sort(
     local = np.asarray(local)
     if local.ndim != 1:
         raise ValueError("local partition must be 1-D")
-    if config.trace:
-        comm.ensure_tracing()
     return run_pipeline(comm, SortState(local, local.dtype), config, capacities)

@@ -176,8 +176,6 @@ def resilient_sort(
     local = np.asarray(local)
     if local.ndim != 1:
         raise ValueError("local partition must be 1-D")
-    if config.trace:
-        comm.ensure_tracing()
     work = (
         comm
         if isinstance(comm, ResilientComm)
@@ -279,8 +277,6 @@ def _substitute_entry(rt, wc, verdict: PoolVerdict, pos: int):
     meta = verdict.meta
     config: SortConfig = meta["config"]
     work = ResilientComm(verdict.state, pos)
-    if config.trace:
-        work.ensure_tracing()
     ckpt = BuddyCheckpointer() if config.checkpoint else None
     st = _EpochState(local=np.empty(0, dtype=meta["dtype"]),
                      dtype=meta["dtype"], origins=())

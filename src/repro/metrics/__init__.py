@@ -6,19 +6,18 @@ Three layers:
 - registry — :class:`MetricsRegistry` with counter / gauge / histogram
   families, fixed label-name tuples, and exponential virtual-time buckets
   (:mod:`repro.metrics.registry`);
-- collectors — feed a registry from :meth:`repro.mpi.Stats.snapshot`,
-  finished trace spans, and sort phase dictionaries, strictly post-hoc so
+- the collector — :func:`collect_runtime` folds a finished runtime's
+  :meth:`repro.mpi.Stats.snapshot` into a registry, strictly post-hoc so
   observed runs stay bit-identical to unobserved ones
   (:mod:`repro.metrics.collect`);
 - exposition — deterministic Prometheus text and JSON renderings
   (:mod:`repro.metrics.expose`).
 
-The benchmark harness threads a registry through trials
-(``run_sort_trial(metrics=...)``), and :mod:`repro.perf` reads traffic
-totals out of it when building ``BENCH_*.json`` snapshot cells.
+:class:`repro.serve.SortService` is the accumulator: every epoch's
+runtime is folded into ``service.registry``.
 """
 
-from .collect import collect_phases, collect_runtime, collect_trace
+from .collect import collect_runtime
 from .expose import to_json, to_prometheus, write_json, write_prometheus
 from .registry import (
     BYTES_BUCKETS,
@@ -39,9 +38,7 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "TIME_BUCKETS",
-    "collect_phases",
     "collect_runtime",
-    "collect_trace",
     "exponential_buckets",
     "to_json",
     "to_prometheus",

@@ -1,19 +1,13 @@
-"""Collectors: feed a registry from runtime stats, trace spans, and phases.
+"""The one ``StatsSnapshot`` → registry fold.
 
-Collection is strictly *post-hoc*: every function here reads finished,
-immutable state — a :class:`~repro.mpi.StatsSnapshot`, the span list of a
-completed :class:`~repro.trace.TraceRecorder`, a phase dictionary produced
-by :class:`~repro.trace.PhaseTimer` — and never calls into a live rank or
-advances a clock.  That is the non-perturbation guarantee: attaching a
-registry to a run (e.g. via ``run_sort_trial(metrics=...)``) leaves the
-run bit-identical to an unobserved one.
-
-``labels`` is the caller's identity for the run being observed — the
-conventional keys are ``algo``, ``dist``, ``machine``, ``plan_id`` — and
-becomes part of every family's label-name tuple, alongside intrinsic
-labels (``op`` for collectives, ``phase`` for phase times, ``cat`` for
-trace spans).  One registry can therefore accumulate many runs and stay
-queryable per run, per algorithm, or in aggregate.
+A single run needs no registry — :meth:`repro.mpi.Stats.snapshot` is its
+record; :class:`~repro.serve.SortService`, the one long-lived accumulator,
+folds every epoch's finished runtime in here.  Collection is strictly
+*post-hoc*: it reads an immutable snapshot and never calls into a live
+rank or advances a clock, so an observed run is bit-identical to an
+unobserved one.  ``labels`` identifies the observed run and joins every
+family's label names beside the intrinsic ones (``op``, ``kind``,
+``event``).
 """
 
 from __future__ import annotations
@@ -24,13 +18,8 @@ from .registry import BYTES_BUCKETS, TIME_BUCKETS, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi.runtime import Runtime
-    from ..trace.events import TraceRecorder
 
-__all__ = ["collect_runtime", "collect_phases", "collect_trace"]
-
-
-def _base(labels: Mapping[str, Any] | None) -> dict[str, str]:
-    return {k: str(v) for k, v in (labels or {}).items()}
+__all__ = ["collect_runtime"]
 
 
 def collect_runtime(
@@ -46,7 +35,7 @@ def collect_runtime(
     bytes histograms — everything sourced from one consistent
     :meth:`~repro.mpi.Stats.snapshot`.
     """
-    base = _base(labels)
+    base = {k: str(v) for k, v in (labels or {}).items()}
     names = tuple(base)
     snap = runtime.stats.snapshot()
 
@@ -149,67 +138,3 @@ def collect_runtime(
     for rank in range(snap.size):
         clock_hist.observe(float(runtime.clocks[rank]))
         bytes_hist.observe(float(snap.bytes_sent[rank]))
-
-
-def collect_phases(
-    registry: MetricsRegistry,
-    phases: Mapping[str, float],
-    *,
-    labels: Mapping[str, Any] | None = None,
-) -> None:
-    """Observe one run's phase breakdown (seconds per named phase).
-
-    ``phases`` is a :class:`~repro.trace.PhaseTimer` / ``combine_phases``
-    dictionary — the sort phase boundaries recorded by
-    ``core/histsort.py`` (and the overlap path's fused exchange+merge).
-    Each value lands in both a virtual-time histogram (distribution over
-    runs) and a running counter (total attribution).
-    """
-    base = _base(labels)
-    names = tuple(base) + ("phase",)
-    hist = registry.histogram(
-        "repro_phase_seconds",
-        "Virtual seconds per sort phase and run (max over ranks)",
-        names,
-        buckets=TIME_BUCKETS,
-    )
-    total = registry.counter(
-        "repro_phase_seconds_total", "Accumulated virtual seconds per sort phase", names
-    )
-    for phase, seconds in phases.items():
-        hist.labels(phase=phase, **base).observe(float(seconds))
-        total.labels(phase=phase, **base).inc(max(float(seconds), 0.0))
-
-
-def collect_trace(
-    registry: MetricsRegistry,
-    recorder: "TraceRecorder",
-    *,
-    labels: Mapping[str, Any] | None = None,
-) -> None:
-    """Aggregate a trace recorder's finished spans by category.
-
-    Span durations feed virtual-time histograms and idle time a counter,
-    which is the cheap always-exportable summary of a trace too large to
-    ship whole.
-    """
-    base = _base(labels)
-    names = tuple(base) + ("cat",)
-    dur = registry.histogram(
-        "repro_span_seconds",
-        "Virtual-time span durations by category",
-        names,
-        buckets=TIME_BUCKETS,
-    )
-    idle = registry.counter(
-        "repro_span_idle_seconds_total",
-        "Blocked virtual seconds inside spans, by category",
-        names,
-    )
-    span_bytes = registry.counter(
-        "repro_span_bytes_total", "Payload bytes attributed to spans, by category", names
-    )
-    for span in recorder.spans():
-        dur.labels(cat=span.cat, **base).observe(span.duration)
-        idle.labels(cat=span.cat, **base).inc(span.idle)
-        span_bytes.labels(cat=span.cat, **base).inc(span.nbytes)

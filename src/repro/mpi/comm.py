@@ -479,10 +479,6 @@ class Comm:
         """The runtime's :class:`~repro.trace.TraceRecorder`, or ``None``."""
         return self._rt.trace
 
-    def ensure_tracing(self):
-        """Enable tracing on the runtime (idempotent, collective-safe)."""
-        return self._rt.enable_tracing()
-
     def _pair_level(self, world_peer: int) -> str:
         placement = getattr(self._rt.cost, "placement", None)
         if placement is None:

@@ -167,17 +167,6 @@ class Stats:
                 },
             )
 
-    def summary(self) -> dict[str, Any]:
-        """Aggregate view; ``collectives`` maps name -> (calls, bytes, ranks)."""
-        snap = self.snapshot()
-        return {
-            "bytes_sent": snap.total_bytes_sent,
-            "msgs_sent": snap.total_msgs_sent,
-            "compute_time_max": float(snap.compute_time.max(initial=0.0)),
-            "collectives": dict(snap.collectives),
-            "control": dict(snap.control),
-        }
-
 
 class Runtime:
     """An in-process SPMD machine of ``size`` ranks.
@@ -326,14 +315,6 @@ class Runtime:
             self._states.append(state)
             if self._aborted:
                 state.abort()
-
-    def enable_tracing(self) -> TraceRecorder:
-        """Attach a recorder if none is active yet; idempotent and safe to
-        call concurrently from every rank (``SortConfig(trace=True)`` path)."""
-        with self._registry_lock:
-            if self.trace is None:
-                self.trace = TraceRecorder(self)
-            return self.trace
 
     def abort(self) -> None:
         """Tear down all pending waits (the in-process ``MPI_Abort``)."""

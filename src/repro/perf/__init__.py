@@ -1,21 +1,17 @@
 """Benchmark snapshots and the CI regression gate (the perf observatory's
 trajectory half).
 
-``BENCH_<NNNN>.json`` files at the repository root are the committed
-performance trajectory: one schema-versioned snapshot per PR, each cell
-of a fixed (algorithm, distribution, machine preset, rank count) grid
-recording measured virtual-clock makespans with confidence intervals,
-modelled makespans with per-phase model-vs-measured attribution, traffic
-totals from :mod:`repro.metrics`, and the simulator's own wall-clock /
-memory overhead.
+``BENCH_<NNNN>.json`` at the repository root is the latest
+schema-versioned snapshot of a fixed (algorithm, distribution, machine
+preset, rank count) grid, ``BENCH_HISTORY.jsonl`` beside it one line per
+snapshot ever taken (:mod:`repro.perf.snapshot`).
 
-``python -m repro.perf`` drives it: ``run`` writes the next snapshot,
-``compare`` diffs two files, ``gate`` re-measures the working tree
-against the latest committed baseline and exits nonzero on a regression
-(new median beyond the baseline's 95% CI plus a threshold) with the
-per-phase attribution printed, and ``report`` renders a snapshot as a
-table.  See :mod:`repro.perf.snapshot` for the schema and
-:mod:`repro.perf.compare` for the decision rule.
+``python -m repro.perf`` drives it: ``run`` writes the next snapshot and
+its history line, ``compare`` diffs two files, ``gate`` re-measures the
+working tree against the committed snapshot and exits nonzero on a
+regression with the per-phase attribution printed
+(:mod:`repro.perf.compare` has the decision rule), and ``report`` renders
+a snapshot as a table.
 """
 
 from .compare import (

@@ -10,9 +10,10 @@ Exit codes (CI contract):
 
 The per-PR workflow::
 
-    python -m repro.perf run            # writes the next BENCH_NNNN.json
-    git add BENCH_NNNN.json             # commit the new trajectory point
-    python -m repro.perf gate           # CI: fresh run vs latest committed
+    python -m repro.perf run            # next BENCH_NNNN.json + its history line
+    git rm BENCH_<previous>.json        # the root keeps one snapshot ...
+    git add BENCH_NNNN.json BENCH_HISTORY.jsonl   # ... and the trajectory
+    python -m repro.perf gate           # CI: fresh run vs the committed one
 
 ``gate`` with no ``--new`` executes the baseline's own suite (same grid,
 repeats, and seeds) so the comparison is measurement-vs-measurement of
@@ -30,6 +31,7 @@ from .compare import DEFAULT_THRESHOLD, compare_snapshots
 from .snapshot import (
     SUITES,
     SnapshotFormatError,
+    append_history,
     latest_bench_path,
     load_snapshot,
     next_bench_path,
@@ -55,7 +57,6 @@ def _format_cells(doc: dict[str, Any]) -> str:
         modelled = cell.get("modelled") or {}
         error = cell.get("model_error") or {}
         traffic = cell.get("traffic", {})
-        sim = cell.get("sim", {})
         rows.append(
             {
                 "cell": cell_id,
@@ -67,12 +68,11 @@ def _format_cells(doc: dict[str, Any]) -> str:
                 "rounds": cell.get("rounds"),
                 "wire_MB": float(traffic.get("wire_bytes_per_run", 0.0)) / 1e6,
                 "msgs": traffic.get("messages_per_run"),
-                "wall_s": sim.get("wall_s_per_run"),
             }
         )
     columns = [
         "cell", "median_s", "ci_low_s", "ci_high_s", "model_s", "model_x",
-        "rounds", "wire_MB", "msgs", "wall_s",
+        "rounds", "wire_MB", "msgs",
     ]
     header = (
         f"suite={doc.get('suite')} schema={doc.get('schema_version')} "
@@ -98,6 +98,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_snapshot(doc, out)
     print(_format_cells(doc))
     print(f"wrote {out}")
+    if not args.out:  # an auto-numbered snapshot is a point on the trajectory
+        print(f"appended {append_history(doc, args.dir)}")
     return 0
 
 
@@ -166,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", action="store_true", help="show full attributions")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    p_run = sub.add_parser("run", help="execute the snapshot suite and write BENCH_NNNN.json")
+    p_run = sub.add_parser("run", help="run the suite: next BENCH_NNNN.json + its history line")
     p_run.add_argument("--suite", default="default", help=f"grid to run {sorted(SUITES)}")
-    p_run.add_argument("--out", help="output path (default: next free BENCH_NNNN.json)")
+    p_run.add_argument("--out", help="write here instead (off the trajectory: no history line)")
     p_run.add_argument("--dir", default=".", help="directory for auto-numbered snapshots")
     p_run.add_argument("--repeats", type=int, default=3)
     p_run.add_argument("--warmup", type=int, default=1)

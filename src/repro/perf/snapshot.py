@@ -13,16 +13,18 @@ repeat_sort_trials` and recorded with
 * the model-vs-measured attribution — per-phase ratios plus the robust
   time-scale correction (:func:`repro.model.calibrate.fit_time_scale`,
   the same statistic :mod:`repro.tune.feedback` folds into plan scoring),
-* traffic totals (bytes on wire, message and collective-call counts)
-  read from a :class:`repro.metrics.MetricsRegistry` fed by the harness,
-* and the simulation overhead itself (wall-clock seconds, peak RSS).
+* and **traffic** per run (bytes on wire, message and collective-call
+  counts): the mean of ``trial.stats`` over the same repeats ``measured``
+  covers — the warm-up trial is in neither.
 
-Snapshots are schema-versioned; :func:`load_snapshot` refuses files whose
+Every field is a function of the virtual clock, so re-running the suite at
+the same tree reproduces a committed snapshot key for key; wall time and
+memory are ``benchmarks/ledger``'s job, on a pinned CPU.  Snapshots are
+schema-versioned; :func:`load_snapshot` refuses files whose
 ``schema_version`` it does not understand, so ``repro.perf compare`` never
-silently compares incompatible records.  Virtual time is deterministic
-per seed, which is what makes a committed snapshot a *reproducible*
-baseline: re-running the suite at the same tree must land inside the
-committed CI (and exactly on the median, on identical float hardware).
+silently compares incompatible records.  The repository keeps the latest
+snapshot only; ``BENCH_HISTORY.jsonl`` beside it holds one
+:func:`history_line` per snapshot ever taken.
 """
 
 from __future__ import annotations
@@ -36,15 +38,15 @@ from typing import Any, Callable, Mapping
 
 from .. import __version__
 from ..algorithms import ALGORITHMS
-from ..bench.harness import median_ci, peak_rss_bytes, repeat_sort_trials
+from ..bench.harness import median_ci, repeat_sort_trials
 from ..core import SortConfig
 from ..machine import MachineSpec, abstract_cluster, laptop, supermuc_phase2
-from ..metrics import MetricsRegistry
 from ..model.calibrate import fit_round_count, fit_time_scale
 
 __all__ = [
     "SCHEMA_VERSION",
     "SNAPSHOT_KIND",
+    "HISTORY_NAME",
     "CellSpec",
     "PRESETS",
     "SUITES",
@@ -53,14 +55,19 @@ __all__ = [
     "run_suite",
     "load_snapshot",
     "write_snapshot",
+    "history_line",
+    "append_history",
     "next_bench_path",
     "latest_bench_path",
 ]
 
 #: bump on any incompatible change to the cell record layout
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SNAPSHOT_KIND = "repro-perf-snapshot"
+
+#: the trajectory file beside the latest ``BENCH_NNNN.json``
+HISTORY_NAME = "BENCH_HISTORY.jsonl"
 
 _BENCH_RE = re.compile(r"^BENCH_(\d{4})\.json$")
 
@@ -185,9 +192,54 @@ def _model_error(modelled: dict[str, Any] | None, phases: dict[str, float],
     }
 
 
-def _run_serve_cell(
-    spec: CellSpec, *, repeats: int, warmup: int, seed0: int
-) -> dict[str, Any]:
+def _stats_traffic(snap) -> tuple[dict[str, float], dict[str, float]]:
+    """One sort trial's traffic — (totals, calls per collective) — from its
+    :class:`~repro.mpi.StatsSnapshot`."""
+    totals = {
+        "wire_bytes": snap.wire_bytes,
+        "p2p_bytes": snap.total_bytes_sent,
+        "messages": snap.total_msgs_sent + snap.total_collective_calls,
+    }
+    return totals, {op: v[0] for op, v in snap.collectives.items()}
+
+
+def _registry_traffic(registry) -> tuple[dict[str, float], dict[str, float]]:
+    """One service replay's traffic, as its registry accumulated it."""
+    totals = {
+        "wire_bytes": registry.value("repro_bytes_on_wire_total"),
+        "p2p_bytes": registry.value("repro_p2p_bytes_total"),
+        "messages": registry.value("repro_messages_total"),
+    }
+    calls = registry.get("repro_collective_calls_total").samples()
+    return totals, {labels["op"]: child.value for labels, child in calls}
+
+
+def _sort_cell(spec: CellSpec, *, repeats: int, warmup: int, seed0: int):
+    """(makespans, per-trial traffic, the sort-only fields) of the measured trials."""
+    _, trials = repeat_sort_trials(
+        spec.p,
+        spec.n_per_rank,
+        repeats=repeats,
+        warmup=warmup,
+        seed0=seed0,
+        algo=spec.algo,
+        dist=spec.dist,
+        machine=spec.machine(),
+        ranks_per_node=spec.ranks_per_node,
+        config=spec.sort_config(),
+    )
+    phases = _phase_median(trials)
+    modelled = _predict_cell(spec, trials)
+    totals = [t.total for t in trials]
+    return totals, [_stats_traffic(t.stats) for t in trials], {
+        "phases_s": phases,
+        "rounds": int(max(t.rounds for t in trials)),
+        "modelled": modelled,
+        "model_error": _model_error(modelled, phases, totals),
+    }
+
+
+def _serve_cell(spec: CellSpec, *, repeats: int, warmup: int, seed0: int):
     """Service-throughput cell: replay the standard mixed workload.
 
     One trial = a fresh :class:`repro.serve.SortService` replaying
@@ -196,68 +248,31 @@ def _run_serve_cell(
     **virtual seconds per completed job** — the inverse of the service's
     jobs/virtual-second throughput — so the gate's lower-is-better
     comparison applies unchanged.  There is no closed-form model for a
-    whole service replay, so ``modelled`` is absent.
+    whole service replay, so ``modelled`` stays absent.
     """
-    import time
-
     from ..serve import SortService, make_workload
 
-    values: list[float] = []
-    throughputs: list[float] = []
-    walls: list[float] = []
-    last_stats: dict[str, Any] = {}
-    for i in range(warmup + repeats):
-        t0 = time.perf_counter()
+    values, throughputs, traffic = [], [], []
+    # a fresh service per replay shares nothing with the one before it, so
+    # the warm-up replays are skipped rather than run and thrown away
+    for seed in range(seed0 + warmup, seed0 + warmup + repeats):
         service = SortService(
             spec.p, machine=spec.machine(), ranks_per_node=spec.ranks_per_node
         )
-        service.replay(make_workload(spec.p, seed=seed0 + i, n_small=spec.n_per_rank))
-        wall = time.perf_counter() - t0
-        if i < warmup:
-            continue
+        service.replay(make_workload(spec.p, seed=seed, n_small=spec.n_per_rank))
         st = service.stats()
         done = st["jobs"].get("DONE", 0)
         if done == 0 or st["jobs_per_vsecond"] <= 0:
             raise RuntimeError(f"serve cell replay completed no jobs: {st['jobs']}")
         values.append(service.clock / done)
         throughputs.append(st["jobs_per_vsecond"])
-        walls.append(wall)
-        last_stats = st
-    stats = median_ci(values)
-    return {
-        "id": spec.cell_id,
-        "algo": spec.algo,
-        "dist": spec.dist,
-        "preset": spec.preset,
-        "machine": spec.machine().name,
-        "p": spec.p,
-        "n_per_rank": spec.n_per_rank,
-        "ranks_per_node": spec.ranks_per_node,
-        "overlap": spec.overlap,
-        "repeats": repeats,
-        "warmup": warmup,
-        "seed0": seed0,
-        "measured": {
-            "median_s": stats.median,
-            "ci_low_s": stats.ci_low,
-            "ci_high_s": stats.ci_high,
-            "n": stats.n,
-            "values_s": list(stats.values),
-        },
-        "phases_s": {},
-        "rounds": 0,
-        "modelled": None,
-        "model_error": None,
+        traffic.append(_registry_traffic(service.registry))
+    return values, traffic, {
         "service": {
             "jobs_per_vsecond": sorted(throughputs)[len(throughputs) // 2],
-            "jobs_done_per_run": last_stats.get("jobs", {}).get("DONE", 0),
-            "epochs_per_run": last_stats.get("epochs", 0),
-            "warm_plan_hits_per_run": last_stats.get("warm_plan_hits", 0.0),
-        },
-        "traffic": {},
-        "sim": {
-            "wall_s_per_run": sum(walls) / len(walls),
-            "peak_rss_bytes": peak_rss_bytes(),
+            "jobs_done_per_run": done,
+            "epochs_per_run": st["epochs"],
+            "warm_plan_hits_per_run": st["warm_plan_hits"],
         },
     }
 
@@ -269,34 +284,13 @@ def run_cell(
     warmup: int = 1,
     seed0: int = 100,
 ) -> dict[str, Any]:
-    """Execute one grid cell and build its snapshot record."""
-    if spec.algo == "serve":
-        return _run_serve_cell(spec, repeats=repeats, warmup=warmup, seed0=seed0)
-    registry = MetricsRegistry()
-    labels = {"algo": spec.algo, "dist": spec.dist, "machine": spec.preset}
-    stats, trials = repeat_sort_trials(
-        spec.p,
-        spec.n_per_rank,
-        repeats=repeats,
-        warmup=warmup,
-        seed0=seed0,
-        algo=spec.algo,
-        dist=spec.dist,
-        machine=spec.machine(),
-        ranks_per_node=spec.ranks_per_node,
-        config=spec.sort_config(),
-        metrics=registry,
-        metrics_labels=labels,
-    )
-    runs = registry.value("repro_runs_total")  # warmup + repeats
-    coll_calls: dict[str, float] = {}
-    fam = registry.get("repro_collective_calls_total")
-    if fam is not None:
-        for lab, child in fam.samples():
-            coll_calls[lab["op"]] = coll_calls.get(lab["op"], 0.0) + child.value
-    phases = _phase_median(trials)
-    modelled = _predict_cell(spec, trials)
-    totals = [t.total for t in trials]
+    """Execute one grid cell and build its snapshot record: ``measured``
+    over the repeats' makespans, ``traffic`` as the mean over the same
+    repeats (an operation a repeat never called counts 0 there)."""
+    measure = _serve_cell if spec.algo == "serve" else _sort_cell
+    values, traffic, fields = measure(spec, repeats=repeats, warmup=warmup, seed0=seed0)
+    stats = median_ci(values)
+    totals, calls = zip(*traffic)
     return {
         "id": spec.cell_id,
         "algo": spec.algo,
@@ -317,22 +311,19 @@ def run_cell(
             "n": stats.n,
             "values_s": list(stats.values),
         },
-        "phases_s": phases,
-        "rounds": int(max(t.rounds for t in trials)),
-        "modelled": modelled,
-        "model_error": _model_error(modelled, phases, totals),
+        # what a serve replay has none of; a sort cell's fields replace them
+        "phases_s": {},
+        "rounds": 0,
+        "modelled": None,
+        "model_error": None,
         "traffic": {
-            "wire_bytes_per_run": registry.value("repro_bytes_on_wire_total") / runs,
-            "p2p_bytes_per_run": registry.value("repro_p2p_bytes_total") / runs,
-            "messages_per_run": registry.value("repro_messages_total") / runs,
+            **{f"{key}_per_run": sum(t[key] for t in totals) / len(totals) for key in totals[0]},
             "collective_calls_per_run": {
-                op: n / runs for op, n in sorted(coll_calls.items())
+                op: sum(c.get(op, 0) for c in calls) / len(calls)
+                for op in sorted(set().union(*calls))
             },
         },
-        "sim": {
-            "wall_s_per_run": sum(t.extra["wall_s"] for t in trials) / len(trials),
-            "peak_rss_bytes": peak_rss_bytes(),
-        },
+        **fields,
     }
 
 
@@ -376,6 +367,31 @@ def write_snapshot(snapshot: Mapping[str, Any], path: str | Path) -> Path:
     if doc.get("label") is None:
         doc["label"] = path.stem
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def history_line(snapshot: Mapping[str, Any]) -> dict[str, Any]:
+    """A snapshot's one-line trajectory record: per cell, the three numbers
+    that say whether the virtual clock, the round count or the traffic moved."""
+    return {
+        "label": snapshot["label"],
+        "schema_version": snapshot["schema_version"],
+        "cells": {
+            cell_id: {
+                "median_s": cell["measured"]["median_s"],
+                "rounds": cell["rounds"],
+                "wire_bytes_per_run": cell["traffic"]["wire_bytes_per_run"],
+            }
+            for cell_id, cell in sorted(snapshot["cells"].items())
+        },
+    }
+
+
+def append_history(snapshot: Mapping[str, Any], directory: str | Path) -> Path:
+    """Append ``snapshot``'s :func:`history_line` to the trajectory file."""
+    path = Path(directory) / HISTORY_NAME
+    with path.open("a") as fh:
+        fh.write(json.dumps(history_line(snapshot)) + "\n")
     return path
 
 

@@ -119,6 +119,15 @@ def _format_stats(stats: dict[str, Any]) -> str:
         f"planner dry runs    {int(stats['plan_dry_runs'])}",
         f"datasets            {len(stats['datasets'])}",
     ]
+    latencies = {
+        **{f"{kind} latency": v for kind, v in stats["time_to_result_s"].items()},
+        "queue wait": stats["queue_wait_s"],
+    }
+    for name, dist in latencies.items():
+        if dist["p50"] is not None:
+            lines.append(
+                f"{name:<20}p50 {dist['p50']:.6f}, p90 {dist['p90']:.6f} virtual s"
+            )
     return "\n".join(lines)
 
 

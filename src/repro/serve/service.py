@@ -44,7 +44,7 @@ from ..tune import planner
 from ..tune.cache import PlanCache
 from .batch import Batch, demux_output, plan_batches
 from .epoch import sort_epoch_program
-from .index import Dataset, SortedIndex, query_program
+from .index import Dataset, SortedIndex, nearest_rank, query_program
 from .job import AdmissionError, Job, JobResult, JobSpec, UnknownDatasetError
 from .queue import AdmissionPolicy, JobQueue
 
@@ -504,11 +504,22 @@ class SortService:
         }
 
     def stats(self) -> dict[str, Any]:
-        """A JSON-able service summary (the ``stats`` CLI payload)."""
+        """A JSON-able service summary (the ``stats`` CLI payload).  The
+        latency p50/p90 (nearest rank, virtual seconds, null before the
+        first completion) come from the job records, so they survive
+        :meth:`save`/:meth:`load`."""
         states: dict[str, int] = {}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
         completed = [j for j in self.jobs.values() if j.result is not None]
+
+        def p50_p90(values: list[float]) -> dict[str, float | None]:
+            ordered = sorted(values)
+            return {
+                f"p{pct}": ordered[nearest_rank(pct, len(ordered))] if ordered else None
+                for pct in (50, 90)
+            }
+
         return {
             "clock_s": self.clock,
             "p": self.p,
@@ -522,6 +533,16 @@ class SortService:
             ),
             "warm_plan_hits": self.registry.value("serve_warm_plan_hits_total"),
             "plan_dry_runs": self.registry.value("serve_plan_dry_runs_total"),
+            "time_to_result_s": {
+                kind: p50_p90(
+                    [j.result.time_to_result for j in completed
+                     if j.spec.is_query == (kind == "query")]
+                )
+                for kind in ("sort", "query")
+            },
+            "queue_wait_s": p50_p90(
+                [j.started_at - j.spec.arrival for j in completed]
+            ),
         }
 
     def span_tree(self) -> list[dict[str, Any]]:
@@ -605,6 +626,9 @@ class SortService:
         service.next_epoch = int(state["next_epoch"])
         service.sort_epochs = int(state["sort_epochs"])
         service._queue.allocate_from(int(state["next_job_id"]))
+        # stats() reads these two from the registry, which starts empty
+        service._m_warm.inc(state["stats"]["warm_plan_hits"])
+        service._m_dry.inc(state["stats"]["plan_dry_runs"])
         for raw in state["jobs"]:
             job = Job.from_dict(raw)
             service.jobs[job.job_id] = job

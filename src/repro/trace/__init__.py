@@ -1,4 +1,4 @@
-"""Observability: event tracing, phase timers, traffic snapshots, analysis.
+"""Observability: event tracing, phase timers, analysis.
 
 The subpackage has three layers:
 
@@ -23,7 +23,6 @@ from .analysis import (
     rank_activity,
     traffic_matrix,
 )
-from .counters import TrafficSnapshot
 from .events import NULL_TRACER, NullTracer, RankTracer, Span, TraceRecorder
 from .export import (
     chrome_trace_events,
@@ -31,13 +30,11 @@ from .export import (
     to_chrome_json,
     write_chrome_trace,
 )
-from .timer import PhaseTimer, combine_phases, phase_fractions
+from .timer import PhaseTimer, combine_phases
 
 __all__ = [
     "PhaseTimer",
-    "TrafficSnapshot",
     "combine_phases",
-    "phase_fractions",
     "Span",
     "TraceRecorder",
     "RankTracer",

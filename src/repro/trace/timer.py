@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
 
-__all__ = ["PhaseTimer", "combine_phases", "phase_fractions"]
+__all__ = ["PhaseTimer", "combine_phases"]
 
 
 class PhaseTimer:
@@ -77,11 +77,3 @@ def combine_phases(
         else:
             out[name] = max(vals) if len(vals) == n else max(max(vals), 0.0)
     return out
-
-
-def phase_fractions(phases: Mapping[str, float]) -> dict[str, float]:
-    """Normalize a phase breakdown to fractions of the total."""
-    total = sum(phases.values())
-    if total <= 0:
-        return {k: 0.0 for k in phases}
-    return {k: v / total for k, v in phases.items()}

@@ -1,4 +1,4 @@
-"""Metrics registry: types, labels, exposition, collectors, non-perturbation."""
+"""Metrics registry: types, labels, exposition, the collector, non-perturbation."""
 
 from __future__ import annotations
 
@@ -8,22 +8,20 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import run_sort_trial
-from repro.core import histogram_sort
+from repro.core import SortConfig, histogram_sort
 from repro.data import make_partition
 from repro.machine import abstract_cluster
 from repro.metrics import (
     BYTES_BUCKETS,
     TIME_BUCKETS,
     MetricsRegistry,
-    collect_phases,
     collect_runtime,
-    collect_trace,
     exponential_buckets,
     to_json,
     to_prometheus,
 )
-from repro.mpi import StatsSnapshot, run_spmd
-from repro.trace import TrafficSnapshot
+from repro.mpi import StatsSnapshot
+from repro.trace import combine_phases
 
 from .conftest import spmd
 
@@ -156,11 +154,8 @@ class TestExposition:
 
 
 class TestCollectors:
-    def _run(self, p=8, n=512):
-        return spmd(p, _sort_prog, n, 3, trace=True, return_runtime=True)
-
     def test_collect_runtime_matches_stats(self):
-        _, rt = self._run()
+        _, rt = spmd(8, _sort_prog, 512, 3, return_runtime=True)
         reg = MetricsRegistry()
         collect_runtime(reg, rt, labels={"algo": "dash", "machine": "abstract"})
         snap = rt.stats.snapshot()
@@ -176,29 +171,6 @@ class TestCollectors:
         assert "allreduce" in ops and "alltoallv" in ops
         hist = reg.get("repro_rank_clock_seconds").labels(algo="dash", machine="abstract")
         assert hist.count == rt.size
-
-    def test_collect_phases_histogram_and_total(self):
-        results, _ = self._run(p=4)
-        reg = MetricsRegistry()
-        phases = results[0]["phases"]
-        collect_phases(reg, phases, labels={"algo": "dash"})
-        for name, seconds in phases.items():
-            child = reg.get("repro_phase_seconds").labels(algo="dash", phase=name)
-            assert child.count == 1
-            assert child.sum == seconds
-        assert reg.value("repro_phase_seconds_total") == pytest.approx(
-            sum(max(v, 0.0) for v in phases.values())
-        )
-
-    def test_collect_trace_spans(self):
-        _, rt = self._run(p=4)
-        reg = MetricsRegistry()
-        collect_trace(reg, rt.trace, labels={"algo": "dash"})
-        dur = reg.get("repro_span_seconds")
-        cats = {lab["cat"] for lab, _ in dur.samples()}
-        assert "phase" in cats and "collective" in cats
-        total_spans = sum(child.count for _, child in dur.samples())
-        assert total_spans == len(rt.trace)
 
     def test_one_registry_accumulates_many_runs(self):
         reg = MetricsRegistry()
@@ -226,35 +198,30 @@ class TestStatsSnapshot:
         assert snap.wire_bytes == snap.total_bytes_sent + snap.total_collective_bytes
         assert snap.total_collective_bytes > 0
 
-    def test_traffic_snapshot_capture_uses_public_api(self):
-        _, rt = spmd(4, _sort_prog, 256, 1, return_runtime=True)
-        traffic = TrafficSnapshot.capture(rt)
-        snap = rt.stats.snapshot()
-        assert traffic.bytes_sent == snap.total_bytes_sent
-        assert traffic.msgs_sent == snap.total_msgs_sent
-        assert traffic.collective_calls == {k: v[0] for k, v in snap.collectives.items()}
-        assert traffic.collective_bytes == {k: v[1] for k, v in snap.collectives.items()}
-
 
 class TestParity:
-    """Metrics collection must not perturb results or virtual time."""
+    """Metrics collection must not perturb results or virtual time, and the
+    records of one run — trial, snapshot, registry — must agree bit for bit."""
 
     def test_16_rank_bit_parity(self):
         machine = abstract_cluster(2, cores_per_node=8)
-        base = run_sort_trial(16, 600, algo="dash", seed=5, machine=machine)
-        reg = MetricsRegistry()
-        observed = run_sort_trial(
-            16, 600, algo="dash", seed=5, machine=machine,
-            metrics=reg, metrics_labels={"algo": "dash", "machine": "abstract2"},
+        trial = run_sort_trial(
+            16, 600, algo="dash", seed=5, machine=machine, config=SortConfig()
         )
-        assert observed.total == base.total  # exact, not approx
-        assert observed.phases == base.phases
-        assert observed.rounds == base.rounds
-        assert observed.exchanged_bytes == base.exchanged_bytes
-        assert observed.extra["bytes_sent"] == base.extra["bytes_sent"]
+        observed, rt = spmd(16, _sort_prog, 600, 5, machine=machine, return_runtime=True)
+        reg = MetricsRegistry()
+        labels = {"algo": "dash", "machine": "abstract2"}
+        collect_runtime(reg, rt, labels=labels)
+        assert rt.elapsed() == trial.total  # exact, not approx
+        assert combine_phases([o["phases"] for o in observed]) == trial.phases
+        snap = rt.stats.snapshot()
+        np.testing.assert_array_equal(snap.bytes_sent, trial.stats.bytes_sent)
+        np.testing.assert_array_equal(snap.msgs_sent, trial.stats.msgs_sent)
+        assert snap.collectives == trial.stats.collectives
         # and the registry did observe the run
         assert reg.value("repro_runs_total") == 1
-        assert reg.value("repro_makespan_seconds", {"algo": "dash", "machine": "abstract2"}) == base.total
+        assert reg.value("repro_makespan_seconds", labels) == trial.total
+        assert reg.value("repro_bytes_on_wire_total") == trial.stats.wire_bytes
 
     def test_collection_leaves_runtime_untouched(self):
         results, rt = spmd(16, _sort_prog, 400, 9, return_runtime=True)

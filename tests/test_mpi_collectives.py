@@ -214,7 +214,7 @@ class TestStats:
                 comm.recv(source=0)
 
         _, rt = run_spmd(2, prog, return_runtime=True)
-        summary = rt.stats.summary()
-        assert summary["msgs_sent"] == 1
-        assert summary["bytes_sent"] == 64
-        assert "allreduce" in summary["collectives"]
+        snap = rt.stats.snapshot()
+        assert snap.total_msgs_sent == 1
+        assert snap.total_bytes_sent == 64
+        assert "allreduce" in snap.collectives

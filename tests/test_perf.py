@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import run_sort_trial
+from repro.bench.harness import repeat_sort_trials, run_sort_trial
 from repro.machine import abstract_cluster
+from repro.mpi import StatsSnapshot
 from repro.perf import (
     SCHEMA_VERSION,
     CellSpec,
@@ -19,10 +20,12 @@ from repro.perf import (
     latest_bench_path,
     load_snapshot,
     next_bench_path,
+    run_cell,
     run_suite,
     write_snapshot,
 )
 from repro.perf.cli import main as perf_main
+from repro.perf.snapshot import HISTORY_NAME, history_line
 
 QUICK_CELL = "dash/uniform_u64/abstract2/p4"
 
@@ -69,16 +72,36 @@ class TestSuite:
         assert err["time_scale"] > 0
         assert err["per_phase_ratio"]["exchange"] > 0
 
-    def test_traffic_from_metrics_registry(self, quick_snapshot):
-        traffic = quick_snapshot["cells"][QUICK_CELL]["traffic"]
-        assert traffic["wire_bytes_per_run"] > 0
-        assert traffic["messages_per_run"] > 0
-        assert traffic["collective_calls_per_run"]["alltoallv"] >= 1
+    def test_traffic_is_the_mean_over_the_measured_trials(self):
+        # zipf: the round count, and with it the allreduce count, varies by
+        # seed, so a mean that let the warm-up seed in would read differently
+        spec = CellSpec("dash", "zipf_u64", "abstract2", p=4, n_per_rank=512, ranks_per_node=2)
+        cell = run_cell(spec, repeats=2, warmup=1, seed0=100)
+        _, trials = repeat_sort_trials(
+            spec.p, spec.n_per_rank, repeats=2, warmup=1, seed0=100, algo=spec.algo,
+            dist=spec.dist, machine=spec.machine(), ranks_per_node=spec.ranks_per_node,
+            config=spec.sort_config(),
+        )
+        stats = [t.stats for t in trials]
+        assert sorted(t.total for t in trials) == cell["measured"]["values_s"]
+        assert len({s.collectives["allreduce"][0] for s in stats}) > 1
+        assert cell["traffic"] == {
+            "wire_bytes_per_run": sum(s.wire_bytes for s in stats) / 2,
+            "p2p_bytes_per_run": sum(s.total_bytes_sent for s in stats) / 2,
+            "messages_per_run": sum(
+                s.total_msgs_sent + s.total_collective_calls for s in stats
+            ) / 2,
+            "collective_calls_per_run": {
+                op: sum(s.collectives[op][0] for s in stats) / 2
+                for op in sorted(stats[0].collectives)
+            },
+        }
 
-    def test_sim_overhead_recorded(self, quick_snapshot):
-        sim = quick_snapshot["cells"][QUICK_CELL]["sim"]
-        assert sim["wall_s_per_run"] > 0
-        assert sim["peak_rss_bytes"] > 0
+    @pytest.mark.parametrize("algo", ["sample_sort", "psrs"])
+    def test_fixed_round_algorithms_count_whole_collectives(self, algo):
+        spec = CellSpec(algo, "uniform_u64", "abstract2", p=4, n_per_rank=512, ranks_per_node=2)
+        calls = run_cell(spec, repeats=2, warmup=1)["traffic"]["collective_calls_per_run"]
+        assert calls and all(float(n).is_integer() for n in calls.values())
 
     def test_deterministic_measurements(self, quick_snapshot):
         again = run_suite("quick", repeats=2, warmup=0, seed0=100, label="again")
@@ -96,18 +119,26 @@ class TestSuite:
 
 
 class TestCommittedBaseline:
+    ROOT = Path(__file__).parents[1]
+
     def test_default_suite_reproduces_latest_bench_exactly(self):
-        # virtual time, rounds, traffic and the closed forms are
-        # deterministic: the committed snapshot is an exact oracle, not
+        # nothing in a snapshot depends on the wall clock: the committed
+        # file is an exact oracle for every key of every cell, not
         # something to compare within the gate's noise tolerance
-        base = load_snapshot(latest_bench_path(Path(__file__).parents[1]))
+        base = load_snapshot(latest_bench_path(self.ROOT))
         new = run_suite(
             "default", repeats=base["repeats"], warmup=base["warmup"], seed0=base["seed0"]
         )
         assert set(new["cells"]) == set(base["cells"])
         for cell_id, cell in base["cells"].items():
-            for key in ("measured", "rounds", "traffic", "modelled"):
-                assert new["cells"][cell_id][key] == cell[key], (cell_id, key)
+            assert new["cells"][cell_id] == cell, cell_id
+
+    def test_one_snapshot_and_a_history_that_ends_on_it(self):
+        (only,) = sorted(self.ROOT.glob("BENCH_*.json"))
+        lines = (self.ROOT / HISTORY_NAME).read_text().splitlines()
+        assert json.loads(lines[-1]) == history_line(load_snapshot(only))
+        labels = [json.loads(line)["label"] for line in lines]
+        assert labels == sorted(set(labels))  # one line per snapshot, in order
 
 
 class TestPersistence:
@@ -250,15 +281,20 @@ class TestCli:
         return str(path)
 
     def test_run_writes_next_bench_file(self, tmp_path, capsys):
-        code = perf_main([
-            "run", "--suite", "quick", "--dir", str(tmp_path),
-            "--repeats", "2", "--warmup", "0", "--quiet",
-        ])
-        assert code == 0
+        args = ["run", "--suite", "quick", "--dir", str(tmp_path),
+                "--repeats", "2", "--warmup", "0", "--quiet"]
+        assert perf_main(args) == 0
         out = capsys.readouterr().out
         assert "BENCH_0001.json" in out
         doc = load_snapshot(tmp_path / "BENCH_0001.json")
         assert doc["label"] == "BENCH_0001"
+        # ... and its line of the trajectory; an --out run is off the record
+        history = tmp_path / HISTORY_NAME
+        assert [json.loads(x) for x in history.read_text().splitlines()] == [
+            history_line(doc)
+        ]
+        assert perf_main(args + ["--out", str(tmp_path / "scratch.json")]) == 0
+        assert len(history.read_text().splitlines()) == 1
 
     def test_report(self, quick_snapshot, tmp_path, capsys):
         path = self._write(quick_snapshot, tmp_path / "BENCH_0001.json")
@@ -295,21 +331,22 @@ class TestCli:
         assert perf_main(["gate", "--baseline", str(tmp_path / "nope.json")]) == 2
 
     def test_gate_schema_mismatch_is_usage_error(self, quick_snapshot, tmp_path):
-        doc = dict(quick_snapshot, schema_version=SCHEMA_VERSION + 99)
-        self._write(doc, tmp_path / "BENCH_0001.json")
-        assert perf_main(["gate", "--dir", str(tmp_path), "--quiet"]) == 2
+        # schema 1 averaged traffic over the warm-up seed too: refused, not compared
+        for version in (1, SCHEMA_VERSION + 99):
+            doc = dict(quick_snapshot, schema_version=version)
+            self._write(doc, tmp_path / "BENCH_0001.json")
+            assert perf_main(["gate", "--dir", str(tmp_path), "--quiet"]) == 2
 
     def test_unknown_suite_is_usage_error(self, tmp_path):
         assert perf_main(["run", "--suite", "nope", "--dir", str(tmp_path)]) == 2
 
 
 class TestHarnessExtras:
-    def test_trial_extra_has_sim_overhead_and_traffic(self):
+    def test_trial_stats_is_the_runtime_snapshot(self):
         trial = run_sort_trial(
             4, 256, algo="dash", machine=abstract_cluster(1, cores_per_node=4)
         )
-        assert trial.extra["wall_s"] > 0
-        assert trial.extra["peak_rss_bytes"] > 0
-        assert trial.extra["msgs_sent"] >= 0
-        assert trial.extra["wire_bytes"] >= trial.extra["bytes_sent"]
-        assert trial.extra["collective_calls"] >= 1
+        assert isinstance(trial.stats, StatsSnapshot) and trial.stats.size == 4
+        assert trial.stats.wire_bytes >= trial.stats.total_bytes_sent
+        assert trial.stats.total_collective_calls >= 1
+        assert trial.extra == {}  # no faults, no tuner: nothing copied beside it

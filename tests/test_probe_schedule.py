@@ -7,6 +7,7 @@ references of the two vectorised kernels, and the parity of ``"midpoint"``
 with the snapshot recorded before the schedule existed.
 """
 
+import json
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import median_ci, repeat_sort_trials
 from repro.core import SortConfig, SplitterConfig, histogram_sort, multiselect
 from repro.core.multiselect import _ProbeArithmetic, accept_or_tighten
 from repro.data import make_partition
-from repro.perf.snapshot import SUITES, load_snapshot, run_cell
+from repro.perf.snapshot import HISTORY_NAME, SUITES
 
 from .conftest import spmd
 from .test_multiselect import _assert_valid
@@ -208,22 +210,26 @@ class TestMidpointParity:
     def test_midpoint_reproduces_bench_0015_dash_cells(self):
         # BENCH_0015 was recorded when Algorithm 3's schedule was the only
         # one: the "midpoint" placement must still be that program, to the
-        # last digit of virtual time
-        base = load_snapshot(Path(__file__).parents[1] / "BENCH_0015.json")
+        # last digit of virtual time.  Its line of the history is the oracle
+        # (three repeats after one warm-up, from seed 100).
+        lines = (Path(__file__).parents[1] / HISTORY_NAME).read_text().splitlines()
+        (base,) = (doc for doc in map(json.loads, lines) if doc["label"] == "BENCH_0015")
         midpoint = {"splitter": SplitterConfig(probe_schedule="midpoint")}
         dash = [s for s in SUITES["default"] if s.algo == "dash"]
         assert len(dash) == 5
         for spec in dash:
-            cell = run_cell(
-                replace(spec, config_kwargs=midpoint),
-                repeats=base["repeats"],
-                warmup=base["warmup"],
-                seed0=base["seed0"],
+            _, trials = repeat_sort_trials(
+                spec.p, spec.n_per_rank, repeats=4, warmup=0, seed0=100,
+                dist=spec.dist, machine=spec.machine(), ranks_per_node=spec.ranks_per_node,
+                config=replace(spec, config_kwargs=midpoint).sort_config(),
             )
             want = base["cells"][spec.cell_id]
-            assert cell["rounds"] == want["rounds"], spec.cell_id
-            assert cell["measured"] == want["measured"], spec.cell_id
-            assert cell["traffic"] == want["traffic"], spec.cell_id
+            measured = trials[1:]
+            assert max(t.rounds for t in measured) == want["rounds"], spec.cell_id
+            assert median_ci([t.total for t in measured]).median == want["median_s"], spec.cell_id
+            # schema 1 averaged the warm-up seed's traffic in as well
+            wire = sum(t.stats.wire_bytes for t in trials) / len(trials)
+            assert wire == want["wire_bytes_per_run"], spec.cell_id
 
 
 # ------------------------------------------------- loop references of the kernels

@@ -183,6 +183,53 @@ class TestResults:
         assert job.result.value[100.0] == src.result.value["max"]
 
 
+class TestTelemetry:
+    def test_registry_totals_are_the_sum_of_the_epochs_stats_snapshots(self):
+        # the contract benchmarks/ledger's serveload.py reads
+        runtimes = []
+
+        class Recording(SortService):
+            def _runtime(self, **kwargs):
+                runtimes.append(super()._runtime(**kwargs))
+                return runtimes[-1]
+
+        service = Recording(P)
+        service.replay(make_workload(P, seed=0))
+        snaps = [rt.stats.snapshot() for rt in runtimes]
+        assert len(snaps) == service.next_epoch
+        value = service.registry.value
+        assert value("repro_bytes_on_wire_total") == sum(s.wire_bytes for s in snaps)
+        assert value("repro_messages_total") == sum(
+            s.total_msgs_sent + s.total_collective_calls for s in snaps
+        )
+        assert value("repro_collective_calls_total") == sum(
+            s.total_collective_calls for s in snaps
+        )
+
+    def test_stats_latency_percentiles_match_the_job_records(self):
+        service, _ = _served()
+        fingerprint = service.fingerprint()
+        stats = service.stats()
+        assert service.fingerprint() == fingerprint
+
+        def nearest(values, pct):
+            ordered = sorted(values)
+            return ordered[nearest_rank(pct, len(ordered))]
+
+        jobs = list(service.jobs.values())
+        assert all(j.result is not None for j in jobs)
+        for kind, is_sort in (("sort", True), ("query", False)):
+            ttr = [j.result.time_to_result for j in jobs if (j.spec.kind == "sort") == is_sort]
+            assert stats["time_to_result_s"][kind] == {
+                "p50": nearest(ttr, 50), "p90": nearest(ttr, 90),
+            }
+        waits = [j.started_at - j.spec.arrival for j in jobs]
+        assert stats["queue_wait_s"] == {"p50": nearest(waits, 50), "p90": nearest(waits, 90)}
+        assert stats["queue_wait_s"]["p90"] > 0  # some job did queue
+        # before any job completes there is no distribution to report
+        assert SortService(P).stats()["queue_wait_s"] == {"p50": None, "p90": None}
+
+
 class TestWarmPlans:
     def test_repeat_fingerprints_hit_plan_cache(self):
         service, _ = _served()
@@ -253,6 +300,13 @@ class TestPersistence:
             assert other.index == ds.index
             for mine, theirs in zip(ds.parts, other.parts):
                 assert np.array_equal(mine, theirs)
+
+    def test_stats_survive_save_and_load(self, tmp_path):
+        service, _ = _served()
+        before = service.stats()
+        assert before["warm_plan_hits"] >= 1 and before["plan_dry_runs"] > 0
+        service.save(tmp_path / "svc")
+        assert SortService.load(tmp_path / "svc").stats() == before
 
     def test_job_ids_continue_after_load(self, tmp_path):
         service, workload = _served()

@@ -1,9 +1,8 @@
-"""Phase timers and traffic snapshots."""
+"""Phase timers."""
 
 import pytest
 
-from repro.mpi import Runtime, run_spmd
-from repro.trace import PhaseTimer, TrafficSnapshot, combine_phases, phase_fractions
+from repro.trace import PhaseTimer, combine_phases
 
 
 class TestPhaseTimer:
@@ -53,22 +52,3 @@ class TestCombine:
 
     def test_empty(self):
         assert combine_phases([]) == {}
-
-    def test_fractions(self):
-        fr = phase_fractions({"a": 1.0, "b": 3.0})
-        assert fr["a"] == pytest.approx(0.25)
-        assert fr["b"] == pytest.approx(0.75)
-
-    def test_fractions_of_zero_total(self):
-        assert phase_fractions({"a": 0.0}) == {"a": 0.0}
-
-
-class TestTrafficSnapshot:
-    def test_diff_isolates_section(self):
-        rt = Runtime(2)
-        before = TrafficSnapshot.capture(rt)
-        rt.run(lambda comm: comm.allreduce(1))
-        after = TrafficSnapshot.capture(rt)
-        delta = after.diff(before)
-        assert delta.collective_bytes.get("allreduce", 0) > 0
-        assert delta.msgs_sent == 0

@@ -74,9 +74,9 @@ class TestParity:
         NULL_TRACER.record("x", 0.0)
         NULL_TRACER.instant("y")
 
-    def test_sortconfig_trace_flag_enables_recorder(self):
+    def test_run_spmd_trace_flag_enables_recorder(self):
         results, rt = spmd(
-            4, _sort_prog, 200, 1, SortConfig(trace=True), return_runtime=True
+            4, _sort_prog, 200, 1, SortConfig(), trace=True, return_runtime=True
         )
         assert isinstance(rt.trace, TraceRecorder)
         assert len(rt.trace) > 0
@@ -338,25 +338,20 @@ class TestSatellites:
             sub.allreduce(1)
 
         _, rt = spmd(4, prog, return_runtime=True)
-        summary = rt.stats.summary()
-        calls, nbytes, ranks = summary["collectives"]["allreduce"]
+        calls, nbytes, ranks = rt.stats.snapshot().collectives["allreduce"]
         # One 4-rank allreduce + two 2-rank ones (one per subgroup).
         assert calls == 3
         assert ranks == 4 + 2 + 2
 
     def test_traffic_snapshot_exposes_calls_and_ranks(self):
-        from repro.trace import TrafficSnapshot
-
         def prog(comm):
             comm.allreduce(np.arange(4))
 
         _, rt = spmd(4, prog, return_runtime=True)
-        snap = TrafficSnapshot.capture(rt)
-        assert snap.collective_calls["allreduce"] == 1
-        assert snap.collective_ranks["allreduce"] == 4
-        diff = snap.diff(snap)
-        assert diff.collective_calls["allreduce"] == 0
-        assert diff.collective_ranks["allreduce"] == 0
+        snap = rt.stats.snapshot()
+        calls, nbytes, ranks = snap.collectives["allreduce"]
+        assert (calls, ranks) == (1, 4) and nbytes > 0
+        assert snap.total_collective_calls == 1 and snap.wire_bytes == nbytes
 
     def test_combine_phases_sum(self):
         per_rank = [{"a": 1.0, "b": 2.0}, {"a": 3.0}]

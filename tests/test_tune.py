@@ -282,6 +282,26 @@ class TestPlanCache:
         stale.put(plan.key, plan)  # and re-planning overwrites it
         assert PlanCache(path).get(plan.key) == plan
 
+    def test_entry_carrying_the_removed_trace_field_is_dropped_at_load(
+        self, fp, machine, tmp_path
+    ):
+        # `SortConfig.trace` was removed without a version bump (it never
+        # changed a plan): an entry persisted with it fails from_dict with a
+        # ValueError, which _load drops instead of raising
+        path = tmp_path / "c.json"
+        plan = self._plan(fp, machine)
+        cache = PlanCache(path)
+        cache.put(plan.key, plan)
+        cache.put("healthy", plan)
+        data = json.loads(path.read_text())
+        data["entries"][plan.key]["plan"]["config"]["trace"] = False
+        with pytest.raises(ValueError, match="trace"):
+            CacheEntry.from_dict(data["entries"][plan.key])
+        path.write_text(json.dumps(data))
+        loaded = PlanCache(path)
+        assert plan.key not in loaded
+        assert loaded.get("healthy") == plan  # one bad entry never poisons the rest
+
     def test_demoted_entry_misses_but_stays(self, fp, machine, tmp_path):
         cache = PlanCache(tmp_path / "c.json")
         plan = self._plan(fp, machine)
@@ -511,7 +531,6 @@ class TestConfigSerde:
             splitter=SplitterConfig(initial_guess="sample", probe_schedule="midpoint"),
             uniquify=True,
             overlap_exchange=True,
-            trace=True,
             resilient=False,
             max_recovery_attempts=3,
         )
