@@ -1,25 +1,27 @@
 """Shared vocabulary of the lint pass: findings, modules, suppression.
 
 A *rank function* holds a communicator — a parameter named ``comm`` or
-annotated ``Comm``, plus aliases created by ``split``/``dup`` — and is
-lowered once (:mod:`repro.analyze.lower`, cached per definition on its
-:class:`ModuleInfo`).  Findings print as ``file:line: RULE-ID message`` and
-the CLI exits non-zero when any survive.
+annotated ``Comm``, plus aliases created by ``split``/``dup``.  A parsed
+module is lowered once (:mod:`repro.analyze.lower`) when its
+:class:`ModuleInfo` is built.  Findings print as ``file:line: RULE-ID
+message`` and the CLI exits non-zero when any survive.
 
-Suppression: a line containing ``# spmd: ignore`` silences every rule on
-that line; ``# spmd: ignore[RULE-ID]`` silences one rule.  The ``SPMD-``
-prefix may be dropped inside the brackets (``# spmd: ignore[BUFFER-REUSE]``).
+Suppression: a comment ``# spmd: ignore`` silences every rule on its line;
+``# spmd: ignore[RULE-ID]`` silences one rule.  The ``SPMD-`` prefix may be
+dropped inside the brackets (``# spmd: ignore[BUFFER-REUSE]``).
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
-from dataclasses import dataclass, field
+import tokenize
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .lower import FunctionContext, lower
+from .lower import FunctionContext, ModuleLowering, lower_module
 
 __all__ = [
     "Finding",
@@ -32,7 +34,6 @@ __all__ = [
     "RULE_PARSE_ERROR",
     "RULE_STALE_SUPPRESSION",
     "suppression_table",
-    "ignore_comment_lines",
 ]
 
 RULE_PARSE_ERROR = "SPMD-PARSE-ERROR"
@@ -84,89 +85,46 @@ class Finding:
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "path": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "message": self.message,
-        }
-        if self.related:
-            out["related"] = [list(r) for r in self.related]
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        return cls(
-            path=d["path"],
-            line=int(d["line"]),
-            rule=d["rule"],
-            message=d["message"],
-            related=tuple((r[0], int(r[1])) for r in d.get("related", [])),
-        )
-
 
 @dataclass
 class ModuleInfo:
-    """A parsed module plus the metadata the rules need."""
+    """A parsed module and its one lowering."""
 
     path: str
     modname: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
-    _contexts: dict[int, FunctionContext] = field(default_factory=dict, repr=False)
+    lowering: ModuleLowering
+
+    def __post_init__(self) -> None:
+        self._contexts = {id(d.ctx.node): d.ctx for d in self.lowering.functions}
 
     def context(self, fn: ast.FunctionDef) -> FunctionContext:
-        """The lowering of one of this module's function definitions; every
-        consumer shares it, so each definition is walked once."""
-        ctx = self._contexts.get(id(fn))
-        if ctx is None:
-            ctx = self._contexts[id(fn)] = lower(fn)
-        return ctx
+        """The lowering of one of this module's function definitions."""
+        return self._contexts[id(fn)]
 
 
-def suppression_table(
-    lines: list[str], start: int = 1
-) -> dict[int, list[str] | None]:
-    """Map line number -> suppression spec for every ``# spmd: ignore`` line.
+def suppression_table(source: str) -> dict[int, list[str] | None]:
+    """Map line number -> suppression spec for every ``# spmd: ignore`` comment.
 
     ``None`` means the bare form (every rule suppressed); a list holds the
-    rule IDs named in the brackets, verbatim.  The table is trivially
-    JSON-serializable so the incremental store can reapply suppression on
-    warm runs without re-reading the source.
+    rule IDs named in the brackets, verbatim.  Only real comment tokens
+    count — marker text inside a string literal suppresses nothing — and
+    only a file whose text contains the marker is tokenized at all.
     """
     table: dict[int, list[str] | None] = {}
-    for offset, text in enumerate(lines):
-        m = _SUPPRESS_RE.search(text)
-        if m is None:
-            continue
-        rules = m.group("rules")
-        table[start + offset] = (
-            None if rules is None else [r.strip() for r in rules.split(",")]
-        )
-    return table
-
-
-def ignore_comment_lines(source: str) -> list[int]:
-    """Lines whose ``# spmd: ignore`` marker sits in a *real* comment.
-
-    :func:`suppression_table` is deliberately textual (it must work from
-    the cached line table on warm runs), so it also matches the marker
-    inside string literals — e.g. this module's own docstring.  The
-    stale-suppression lint only wants genuine comments, so it tokenizes
-    once at record-build time and stores the verified line numbers.
-    """
-    import io
-    import tokenize
-
-    out: list[int] = []
+    if _SUPPRESS_RE.search(source) is None:
+        return table
     try:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT and _SUPPRESS_RE.search(tok.string):
-                out.append(tok.start[0])
+            m = _SUPPRESS_RE.search(tok.string) if tok.type == tokenize.COMMENT else None
+            if m is not None:
+                rules = m.group("rules")
+                table[tok.start[0]] = (
+                    None if rules is None else [r.strip() for r in rules.split(",")]
+                )
     except (tokenize.TokenError, IndentationError, SyntaxError, ValueError):
-        return []
-    return out
+        return {}
+    return table
 
 
 def _suppresses(spec: list[str] | None | bool, rule: str) -> bool:
@@ -182,12 +140,6 @@ def _suppresses(spec: list[str] | None | bool, rule: str) -> bool:
         return True
     assert isinstance(spec, list)
     return rule in spec or rule.removeprefix("SPMD-") in spec
-
-
-def iter_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield node
 
 
 # --------------------------------------------------------------- module I/O
@@ -209,7 +161,7 @@ def module_from_source(
     except SyntaxError as exc:
         return Finding(path, exc.lineno or 1, RULE_PARSE_ERROR, exc.msg or "syntax error")
     name = modname if modname is not None else _derive_modname(Path(path))
-    return ModuleInfo(path, name, tree, source.splitlines())
+    return ModuleInfo(path, name, tree, lower_module(tree, name))
 
 
 def collect_files(paths: Iterable[str | Path]) -> list[Path]:

@@ -4,16 +4,16 @@ The interprocedural rules in :mod:`repro.analyze.interproc` need to know
 *who calls whom* across every module handed to the analyzer.  This module
 provides the two halves of that question:
 
-* **Per-file indexing** (AST in hand, cold runs only) —
-  :func:`index_module` walks one parsed module and produces a
+* **Per-file indexing** (cold runs only) — :func:`index_module` reads a
+  module's lowering (:func:`repro.analyze.lower.lower_module`) into a
   :class:`ModuleIndex`: every function definition (module-level functions,
   class methods, and nested closures, each with a dotted scope name like
   ``outer.<locals>.inner`` or ``Cls.method``), the module's import
   aliases, and *entry marks* for closures passed to ``run_spmd(p, fn)`` /
   ``rt.run(fn)`` / ``SortConfig(...)`` — their first parameter is a
   communicator even when it is not named ``comm``.  Everything in a
-  :class:`ModuleIndex` is JSON-serializable so the incremental store can
-  persist it and warm runs never touch an AST.
+  :class:`ModuleIndex` but the transient ``node`` is serialized by the
+  store, so warm runs never touch an AST.
 
 * **Whole-program resolution** (serializable data only) —
   :class:`CallGraph` stitches the per-module indexes together: a raw call
@@ -33,20 +33,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Iterator
 
 from .astlint import ModuleInfo
+from .lower import LOCALS_SEP, ModuleLowering
 
 __all__ = [
     "FunctionNode",
     "ModuleIndex",
     "CallGraph",
     "index_module",
-    "LOCALS_SEP",
 ]
-
-#: separator marking a nested (closure) scope inside a dotted function name
-LOCALS_SEP = "<locals>"
 
 #: callables whose Name arguments are SPMD entry points: name -> positional
 #: index of the rank function in the call's arguments
@@ -60,8 +57,8 @@ _ENTRY_CTORS = frozenset({"SortConfig"})
 class FunctionNode:
     """One function definition, addressable as ``modpath::dotted``.
 
-    ``node`` is only populated on cold runs (it is never serialized);
-    every field the whole-program phase needs survives a JSON round trip.
+    ``node`` is only populated on cold runs (the store skips transient
+    fields); everything the whole-program phase needs is serialized.
     """
 
     dotted: str  #: scope-qualified name inside the module (``f``, ``C.m``, ``f.<locals>.g``)
@@ -70,28 +67,9 @@ class FunctionNode:
     params: list[str]
     cls: str | None = None  #: owning class name for methods
     is_entry: bool = False  #: passed to run_spmd/rt.run/SortConfig somewhere in this module
-    node: ast.FunctionDef | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dotted": self.dotted,
-            "name": self.name,
-            "line": self.line,
-            "params": self.params,
-            "cls": self.cls,
-            "is_entry": self.is_entry,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionNode":
-        return cls(
-            dotted=data["dotted"],
-            name=data["name"],
-            line=int(data["line"]),
-            params=list(data["params"]),
-            cls=data.get("cls"),
-            is_entry=bool(data.get("is_entry", False)),
-        )
+    node: ast.FunctionDef | None = field(
+        default=None, compare=False, repr=False, metadata={"transient": True}
+    )
 
 
 @dataclass
@@ -106,159 +84,34 @@ class ModuleIndex:
     #: local name -> (module, symbol) (``from a.b import f as g``)
     import_symbols: dict[str, tuple[str, str]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "modname": self.modname,
-            "functions": {d: f.to_dict() for d, f in sorted(self.functions.items())},
-            "import_modules": dict(sorted(self.import_modules.items())),
-            "import_symbols": {
-                k: list(v) for k, v in sorted(self.import_symbols.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleIndex":
-        return cls(
-            path=data["path"],
-            modname=data["modname"],
-            functions={
-                d: FunctionNode.from_dict(f) for d, f in data["functions"].items()
-            },
-            import_modules=dict(data["import_modules"]),
-            import_symbols={
-                k: (v[0], v[1]) for k, v in data["import_symbols"].items()
-            },
-        )
-
 
 # ------------------------------------------------------------ per-file index
 
 
-def _resolve_relative(modname: str, module: str | None, level: int) -> str | None:
-    """Absolute module named by a ``from``-import inside ``modname``."""
-    if level == 0:
-        return module
-    parts = modname.split(".")
-    if level > len(parts):
-        return None
-    base = parts[: len(parts) - level]
-    if module:
-        base.append(module)
-    return ".".join(base) if base else None
-
-
-class _Indexer(ast.NodeVisitor):
-    def __init__(self, mod: ModuleInfo) -> None:
-        self.index = ModuleIndex(mod.path, mod.modname)
-        self.modname = mod.modname
-        self.scope: list[str] = []  #: dotted scope segments
-        self.cls: list[str] = []  #: enclosing class names
-
-    # -- definitions
-
-    def _add_function(self, node: ast.FunctionDef) -> FunctionNode:
-        dotted = ".".join([*self.scope, node.name])
-        args = node.args
-        params = [a.arg for a in [*args.posonlyargs, *args.args]]
-        fn = FunctionNode(
-            dotted=dotted,
-            name=node.name,
-            line=node.lineno,
-            params=params,
-            cls=self.cls[-1] if self.cls else None,
-            node=node,
-        )
-        self.index.functions[dotted] = fn
-        return fn
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._add_function(node)
-        self.scope.extend([node.name, LOCALS_SEP])
-        saved_cls = self.cls
-        self.cls = []  # methods of classes nested in functions are closures
-        self.generic_visit(node)
-        self.cls = saved_cls
-        del self.scope[-2:]
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        return  # the SPMD runtime is synchronous; async defs are out of scope
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.scope.append(node.name)
-        self.cls.append(node.name)
-        self.generic_visit(node)
-        self.cls.pop()
-        self.scope.pop()
-
-    # -- imports
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            local = alias.asname or alias.name
-            self.index.import_modules[local] = alias.name
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        target = _resolve_relative(self.modname, node.module, node.level)
-        if target is None:
-            return
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            local = alias.asname or alias.name
-            self.index.import_symbols[local] = (target, alias.name)
-
-
-def _mark_entries(mod: ModuleInfo, index: ModuleIndex) -> None:
+def _mark_entries(low: ModuleLowering, index: ModuleIndex) -> None:
     """Flag functions passed (by name) to run_spmd / rt.run / SortConfig.
 
     The mark means "the first parameter of this function is a communicator
     handle" — :mod:`repro.analyze.interproc` uses it to build summary
     contexts for rank functions whose comm parameter has a non-standard
-    name (``def body(c, xs)`` passed to ``run_spmd(4, body)``).
+    name (``def body(c, xs)`` passed to ``run_spmd(4, body)``).  It is
+    module-local, so a name match against the nearest definition in any
+    enclosing scope suffices.
     """
-    # Candidate names per lexical scope: map scope-dotted prefix handled by
-    # resolution below; the mark is module-local, so a simple name match
-    # against the nearest definition in any enclosing scope suffices.
     scopes = _scope_table(index)
-
-    class Marker(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.scope: list[str] = []
-
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-            self.scope.extend([node.name, LOCALS_SEP])
-            self.generic_visit(node)
-            del self.scope[-2:]
-
-        def visit_ClassDef(self, node: ast.ClassDef) -> None:
-            self.scope.append(node.name)
-            self.generic_visit(node)
-            self.scope.pop()
-
-        def visit_Call(self, node: ast.Call) -> None:
-            func = node.func
-            callee = None
-            if isinstance(func, ast.Name):
-                callee = func.id
-            elif isinstance(func, ast.Attribute):
-                callee = func.attr
-            candidates: list[ast.expr] = []
-            if callee in _ENTRY_SINKS:
-                idx = _ENTRY_SINKS[callee]
-                if len(node.args) > idx:
-                    candidates.append(node.args[idx])
-            elif callee in _ENTRY_CTORS:
-                candidates.extend(node.args)
-                candidates.extend(kw.value for kw in node.keywords)
-            for cand in candidates:
-                if isinstance(cand, ast.Name):
-                    hit = _lookup_name(scopes, ".".join(self.scope), cand.id)
-                    if hit is not None and hit.params:
-                        hit.is_entry = True
-            self.generic_visit(node)
-
-    Marker().visit(mod.tree)
+    for scope, call in low.all_calls():
+        func = call.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        candidates: list[ast.expr] = []
+        if callee in _ENTRY_SINKS:
+            candidates = call.args[_ENTRY_SINKS[callee] :][:1]
+        elif callee in _ENTRY_CTORS:
+            candidates = [*call.args, *(kw.value for kw in call.keywords)]
+        for cand in candidates:
+            if isinstance(cand, ast.Name):
+                hit = _lookup_name(scopes, scope, cand.id)
+                if hit is not None and hit.params:
+                    hit.is_entry = True
 
 
 def _scope_table(index: ModuleIndex) -> dict[str, dict[str, FunctionNode]]:
@@ -295,11 +148,19 @@ def _lookup_name(
 
 
 def index_module(mod: ModuleInfo) -> ModuleIndex:
-    """Index one parsed module: functions, imports, and entry marks."""
-    indexer = _Indexer(mod)
-    indexer.visit(mod.tree)
-    _mark_entries(mod, indexer.index)
-    return indexer.index
+    """Index one lowered module: functions, imports, and entry marks."""
+    low = mod.lowering
+    index = ModuleIndex(
+        mod.path, mod.modname, import_modules=low.import_modules, import_symbols=low.import_symbols
+    )
+    for dotted, cls, ctx in low.functions:
+        fn, args = ctx.node, ctx.node.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args]]
+        index.functions[dotted] = FunctionNode(
+            dotted, fn.name, fn.lineno, params, cls, node=fn
+        )
+    _mark_entries(low, index)
+    return index
 
 
 # ------------------------------------------------------- program resolution

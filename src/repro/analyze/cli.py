@@ -1,73 +1,27 @@
 """``python -m repro.analyze`` — static SPMD lint CLI.
 
 Exit codes: 0 clean, 1 findings, 2 usage/internal error (including
-unparsable inputs and a missing baseline in ``--baseline check`` mode).
+unparsable inputs).
 
 The analyzer is incremental by default: per-file records are cached in
-``~/.cache/repro/analyze.json`` (override with ``$REPRO_ANALYZE_CACHE``
-or ``--store``) keyed by content hash, so warm runs re-parse only files
-that changed since the last run.  ``--no-store`` disables the cache;
-findings are identical either way.
+``~/.cache/repro/analyze.json`` (override with ``$REPRO_ANALYZE_CACHE``)
+keyed by content hash, so warm runs re-parse only files that changed since
+the last run.  ``--no-store`` disables the cache; findings are identical
+either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .astlint import RULE_PARSE_ERROR, Finding, analyze_paths
-from .baseline import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    subtract_baseline,
-    write_baseline,
-)
 from .rules import RULES
 from .store import AnalysisStore
 
 __all__ = ["main"]
-
-
-def _changed_files(ref: str) -> set[Path] | None:
-    """Absolute paths changed vs ``ref``, plus untracked files.
-
-    Returns ``None`` (with a message on stderr) when git is unavailable
-    or the ref does not resolve — the caller exits 2.
-    """
-    try:
-        root = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or str(exc)
-        print(
-            f"repro.analyze: --changed-only failed: {detail.strip()}",
-            file=sys.stderr,
-        )
-        return None
-    out: set[Path] = set()
-    for line in (diff + untracked).splitlines():
-        line = line.strip()
-        if line:
-            out.add((Path(root) / line).resolve())
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,8 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         "Use the 'cost' subcommand (python -m repro.analyze cost --help) "
         "to cross-check static, modelled, and measured phase traffic.",
         epilog="Exit codes: 0 clean, 1 findings, 2 usage/internal error "
-        "(including unparsable inputs and a missing baseline in "
-        "--baseline check mode).",
+        "(including unparsable inputs).",
     )
     parser.add_argument(
         "paths",
@@ -112,45 +65,15 @@ def main(argv: list[str] | None = None) -> int:
         help="write the report to FILE instead of stdout",
     )
     parser.add_argument(
-        "--store",
-        metavar="FILE",
-        default=None,
-        help="incremental store location (default: $REPRO_ANALYZE_CACHE "
-        "or ~/.cache/repro/analyze.json)",
-    )
-    parser.add_argument(
         "--no-store",
         action="store_true",
-        help="disable the incremental store; parse every file fresh",
+        help="disable the incremental store ($REPRO_ANALYZE_CACHE or "
+        "~/.cache/repro/analyze.json); parse every file fresh",
     )
     parser.add_argument(
         "--stats",
         action="store_true",
         help="report files parsed vs reused from the store on stderr",
-    )
-    parser.add_argument(
-        "--changed-only",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="report findings only in files changed vs REF (default HEAD) "
-        "plus untracked files; the whole program is still analyzed so "
-        "cross-file rules keep full context",
-    )
-    parser.add_argument(
-        "--baseline",
-        choices=("write", "update", "check"),
-        default=None,
-        help="'write' (alias 'update'): snapshot current findings into the "
-        "baseline file and exit 0; 'check': report and fail only on "
-        "findings not in the baseline",
-    )
-    parser.add_argument(
-        "--baseline-file",
-        metavar="FILE",
-        default=DEFAULT_BASELINE,
-        help=f"baseline location (default: {DEFAULT_BASELINE})",
     )
     args = parser.parse_args(argv)
 
@@ -169,9 +92,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    store: AnalysisStore | None = None
-    if not args.no_store:
-        store = AnalysisStore(args.store)
+    store = None if args.no_store else AnalysisStore()
 
     try:
         findings = analyze_paths(args.paths, store=store)
@@ -186,59 +107,20 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    if args.changed_only is not None:
-        changed = _changed_files(args.changed_only)
-        if changed is None:
-            return 2
-        findings = [f for f in findings if Path(f.path).resolve() in changed]
-
-    if args.baseline in ("write", "update"):
-        # stale-suppression findings are never baselined: the fix is to
-        # delete the dead comment, not to accept it
-        from .astlint import RULE_STALE_SUPPRESSION
-
-        snapshot = [f for f in findings if f.rule != RULE_STALE_SUPPRESSION]
-        n = write_baseline(snapshot, args.baseline_file)
-        print(
-            f"repro.analyze: baseline written to {args.baseline_file} "
-            f"({n} finding{'s' if n != 1 else ''})",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline == "check":
-        try:
-            accepted = load_baseline(args.baseline_file)
-        except (OSError, ValueError) as exc:
-            print(f"repro.analyze: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = subtract_baseline(findings, accepted)
-        if suppressed:
-            print(
-                f"repro.analyze: {suppressed} baselined finding"
-                f"{'s' if suppressed != 1 else ''} suppressed",
-                file=sys.stderr,
-            )
-
     return _report(findings, args)
 
 
 def _report(findings: list[Finding], args: argparse.Namespace) -> int:
-    if args.format == "sarif":
-        from .sarif import dump_sarif
+    with (
+        open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    ) as out:
+        if args.format == "sarif":
+            from .sarif import dump_sarif
 
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                dump_sarif(findings, fh)
+            dump_sarif(findings, out)
         else:
-            dump_sarif(findings, sys.stdout)
-    else:
-        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-        try:
             for f in findings:
                 print(f.format(), file=out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
     if any(f.rule == RULE_PARSE_ERROR for f in findings):
         print("repro.analyze: could not parse some inputs", file=sys.stderr)
         return 2

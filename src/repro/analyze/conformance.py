@@ -10,8 +10,8 @@ this repo talks about communication volume:
   verb's recording multiplier, evaluated at a concrete ``(p, n, s)``;
 * **modelled** — the closed-form wire-byte formulas of
   :mod:`repro.model.phases` (``traffic_histsort`` & co.);
-* **measured** — a :class:`TrafficSnapshot` from a small virtual-clock
-  trial, attributing traced span bytes to algorithm phases via
+* **measured** — :func:`measure_traffic` runs a small traced
+  virtual-clock trial and bins its span bytes by algorithm phase via
   :func:`repro.trace.analysis.phase_traffic`.
 
 All three follow the runtime's byte-recording conventions (symmetric

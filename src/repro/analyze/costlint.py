@@ -42,23 +42,14 @@ __all__ = [
     "RULE_P2_TRAFFIC",
     "RULE_HANDROLLED",
     "RULE_OVERSIZED_REDUCE",
-    "COST_RULES",
     "extract_function_cost",
     "CostProgram",
-    "check_cost_program",
 ]
 
 RULE_ROOT_BOTTLENECK = "SPMD-ROOT-BOTTLENECK"
 RULE_P2_TRAFFIC = "SPMD-P2-TRAFFIC"
 RULE_HANDROLLED = "SPMD-HANDROLLED-COLLECTIVE"
 RULE_OVERSIZED_REDUCE = "SPMD-OVERSIZED-REDUCE"
-
-COST_RULES = (
-    RULE_ROOT_BOTTLENECK,
-    RULE_P2_TRAFFIC,
-    RULE_HANDROLLED,
-    RULE_OVERSIZED_REDUCE,
-)
 
 #: verbs whose first argument is a payload this analysis prices
 _PAYLOAD_VERBS = frozenset(
@@ -1022,8 +1013,3 @@ class CostProgram:
                 related=related,
             )
         ]
-
-
-def check_cost_program(summaries: Iterable[Any]) -> list[Finding]:
-    """All cost-rule findings over serialized module summaries."""
-    return CostProgram(summaries).findings()

@@ -58,9 +58,9 @@ _VIEW_METHODS = frozenset({"reshape", "ravel", "transpose", "swapaxes", "view", 
 
 # ------------------------------------------------------------------- CFG
 
-#: pseudo-statement emitted into a block: kill every request tracked under
-#: the given collection name (a ``for r in reqs: r.wait()`` loop header).
-_KillCollection = tuple  # ("kill-coll", name)
+# ``("kill-coll", name)`` is a pseudo-statement emitted into a block: kill
+# every request tracked under the given collection name (a
+# ``for r in reqs: r.wait()`` loop header).
 
 
 @dataclass

@@ -7,11 +7,12 @@ a one-file program.
 
 **Per file** (:func:`build_record`, cacheable).  Each ``.py`` file is
 hashed; on a store hit the cached :class:`~repro.analyze.store.FileRecord`
-is reused and the file is *never parsed*.  On a miss the file is parsed,
-each function definition is lowered once
-(:mod:`repro.analyze.lower`), and every parse-derived artifact is read off
-the lowerings: the per-function rule findings, the module-local tag audit,
-the suppression table, and the :class:`~repro.analyze.interproc.ModuleSummary`.
+is reused and the file is *never parsed*.  On a miss the file is parsed and
+lowered once (:func:`repro.analyze.lower.lower_module`), and every
+parse-derived artifact is read off that lowering: the per-function rule
+findings, the module-local tag audit and the
+:class:`~repro.analyze.interproc.ModuleSummary`; the suppression table
+comes from the file's comment tokens.
 
 **Global** (:func:`analyze_records`, every run).  The cross-module
 literal-tag join, the interprocedural rules and the cost rules run over one
@@ -36,7 +37,6 @@ from .astlint import (
     _derive_modname,
     _suppresses,
     collect_files,
-    ignore_comment_lines,
     module_from_source,
     suppression_table,
 )
@@ -58,7 +58,6 @@ __all__ = [
 class AnalysisStats:
     """How much work one :func:`analyze_program` call actually did."""
 
-    files: int = 0  #: files handed to the analyzer
     parsed: int = 0  #: files parsed + summarized this run (store misses)
     reused: int = 0  #: files served from the store without parsing
 
@@ -86,8 +85,7 @@ def build_record(source: str, path: str, modname: str | None = None) -> FileReco
         findings=check_module(mod),
         tag_findings=tag_findings,
         literal_tags=literal_tags,
-        suppression=suppression_table(mod.lines),
-        ignore_lines=ignore_comment_lines(source),
+        suppression=suppression_table(source),
         summary=summarize_module(mod),
     )
 
@@ -106,7 +104,6 @@ def analyze_program(
     records: list[FileRecord] = []
 
     for file in collect_files(paths):
-        report.stats.files += 1
         path = str(file)
         try:
             source = file.read_text(encoding="utf-8")
@@ -157,14 +154,12 @@ def analyze_records(records: list[FileRecord]) -> list[Finding]:
             used.add((f.path, f.line))
         else:
             kept.append(f)
-    # stale-suppression lint: an ignore comment (verified to be a real
-    # comment, not docstring text) that silenced nothing this run.  Like
-    # parse errors these are never themselves suppressible — a stale
-    # marker must not be able to hide behind itself.
+    # stale-suppression lint: an ignore comment that silenced nothing this
+    # run.  Like parse errors these are never themselves suppressible — a
+    # stale marker must not be able to hide behind itself.
     for rec in records:
-        for line in rec.ignore_lines:
-            spec = rec.suppression.get(line, False)
-            if spec is False or (rec.path, line) in used:
+        for line, spec in rec.suppression.items():
+            if (rec.path, line) in used:
                 continue
             listed = "" if spec is None else f"[{', '.join(spec)}]"
             kept.append(

@@ -8,13 +8,14 @@ and fed to a collective in another — are invisible to them.  This module
 closes that gap in two phases:
 
 **Summaries (per file, cacheable).**  :func:`summarize_module` reads each
-function's lowering (:mod:`repro.analyze.lower`) into a JSON-serializable
-:class:`FunctionSummary`: which requests escape through the return value,
-whether the return value is rank-tainted or a rank-sized container, which
-parameters flow into p2p ``tag`` arguments, every collective issued on a
-communicator handle, and every call site with its rank-divergence line plus
-enough caller-local facts (is the result waited? returned? fed to a uniform
-collective as a size?) that the whole-program phase never needs an AST.
+function's lowering (:mod:`repro.analyze.lower`) into a
+:class:`FunctionSummary` the store can serialize: which requests escape
+through the return value, whether the return value is rank-tainted or a
+rank-sized container, which parameters flow into p2p ``tag`` arguments,
+every collective issued on a communicator handle, and every call site with
+its rank-divergence line plus enough caller-local facts (is the result
+waited? returned? fed to a uniform collective as a size?) that the
+whole-program phase never needs an AST.
 
 **Whole-program join (every run, cheap).**  :class:`Program` resolves every
 call site and cost placeholder once through
@@ -41,9 +42,16 @@ from .astlint import (
     Finding,
     ModuleInfo,
 )
-from .callgraph import LOCALS_SEP, CallGraph, FunctionNode, ModuleIndex, index_module
+from .callgraph import CallGraph, FunctionNode, ModuleIndex, index_module
 from .dataflow import rank_sized_expr, rank_sized_names, uniform_collective_hits
-from .lower import REQUEST_METHODS, TAG_EXEMPT, FunctionContext, dotted_name, tag_expr
+from .lower import (
+    LOCALS_SEP,
+    REQUEST_METHODS,
+    TAG_EXEMPT,
+    FunctionContext,
+    dotted_name,
+    tag_expr,
+)
 
 _T = TypeVar("_T")
 
@@ -114,49 +122,6 @@ class CallSite:
             if name in callee.params:
                 yield name, item
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": list(self.spec),
-            "display": self.display,
-            "line": self.line,
-            "div_line": self.div_line,
-            "pos_const": {str(k): v for k, v in self.pos_const.items()},
-            "kw_const": dict(self.kw_const),
-            "pos_taint": list(self.pos_taint),
-            "kw_taint": list(self.kw_taint),
-            "pos_names": {str(k): v for k, v in self.pos_names.items()},
-            "kw_names": dict(self.kw_names),
-            "result": self.result,
-            "result_name": self.result_name,
-            "result_consumed": self.result_consumed,
-            "result_waited": self.result_waited,
-            "result_returned": self.result_returned,
-            "shape_hits_taint": [list(h) for h in self.shape_hits_taint],
-            "shape_hits_sized": [list(h) for h in self.shape_hits_sized],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CallSite":
-        return cls(
-            spec=tuple(d["spec"]),
-            display=d["display"],
-            line=int(d["line"]),
-            div_line=d.get("div_line"),
-            pos_const={int(k): int(v) for k, v in d.get("pos_const", {}).items()},
-            kw_const={k: int(v) for k, v in d.get("kw_const", {}).items()},
-            pos_taint=[int(i) for i in d.get("pos_taint", [])],
-            kw_taint=list(d.get("kw_taint", [])),
-            pos_names={int(k): v for k, v in d.get("pos_names", {}).items()},
-            kw_names=dict(d.get("kw_names", {})),
-            result=d.get("result", "other"),
-            result_name=d.get("result_name"),
-            result_consumed=bool(d.get("result_consumed", False)),
-            result_waited=bool(d.get("result_waited", False)),
-            result_returned=bool(d.get("result_returned", False)),
-            shape_hits_taint=[(h[0], int(h[1])) for h in d.get("shape_hits_taint", [])],
-            shape_hits_sized=[(h[0], int(h[1])) for h in d.get("shape_hits_sized", [])],
-        )
-
 
 @dataclass
 class FunctionSummary:
@@ -185,45 +150,6 @@ class FunctionSummary:
     #: ``None`` when the function has nothing cost-relevant
     cost: dict[str, Any] | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dotted": self.dotted,
-            "name": self.name,
-            "line": self.line,
-            "params": list(self.params),
-            "comm_params": list(self.comm_params),
-            "collectives": [list(c) for c in self.collectives],
-            "escaping": [list(e) for e in self.escaping],
-            "returns_taint": self.returns_taint,
-            "returns_taint_line": self.returns_taint_line,
-            "taint_params_to_return": list(self.taint_params_to_return),
-            "returns_sized": self.returns_sized,
-            "returns_sized_line": self.returns_sized_line,
-            "tag_params": dict(self.tag_params),
-            "calls": [c.to_dict() for c in self.calls],
-            "cost": self.cost,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            dotted=d["dotted"],
-            name=d["name"],
-            line=int(d["line"]),
-            params=list(d.get("params", [])),
-            comm_params=list(d.get("comm_params", [])),
-            collectives=[(c[0], int(c[1])) for c in d.get("collectives", [])],
-            escaping=[(e[0], int(e[1])) for e in d.get("escaping", [])],
-            returns_taint=bool(d.get("returns_taint", False)),
-            returns_taint_line=d.get("returns_taint_line"),
-            taint_params_to_return=list(d.get("taint_params_to_return", [])),
-            returns_sized=bool(d.get("returns_sized", False)),
-            returns_sized_line=d.get("returns_sized_line"),
-            tag_params={k: int(v) for k, v in d.get("tag_params", {}).items()},
-            calls=[CallSite.from_dict(c) for c in d.get("calls", [])],
-            cost=d.get("cost"),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -239,21 +165,6 @@ class ModuleSummary:
     @property
     def modname(self) -> str:
         return self.index.modname
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index.to_dict(),
-            "functions": {d: f.to_dict() for d, f in sorted(self.functions.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            index=ModuleIndex.from_dict(d["index"]),
-            functions={
-                k: FunctionSummary.from_dict(v) for k, v in d["functions"].items()
-            },
-        )
 
 
 # ------------------------------------------------------- per-file summaries
@@ -322,18 +233,7 @@ class _Summarizer:
         for call in ctx.comm_calls(COLLECTIVE_METHODS):
             n = call.node
             display = f"{n.func.value.id}.{n.func.attr}"  # type: ignore[union-attr]
-            # Listed once per own statement the call is nested in: that is
-            # what summaries have always stored (a historical artefact of
-            # the walk, not a fact about the program — the whole-program
-            # phase only takes the minimum), kept so records stay
-            # comparable across analyzer versions.
-            span = (n.lineno, n.col_offset, n.end_lineno, n.end_col_offset)
-            nesting = sum(
-                (st.lineno, st.col_offset) <= span[:2]
-                and span[2:] <= (st.end_lineno, st.end_col_offset)
-                for st in ctx.stmts
-            )
-            summary.collectives.extend([(display, n.lineno)] * nesting)
+            summary.collectives.append((display, n.lineno))
         summary.collectives.sort(key=lambda c: (c[1], c[0]))
 
     def _escaping(self, summary: FunctionSummary) -> None:
@@ -410,16 +310,14 @@ class _Summarizer:
                 kind_of[id(st.value)] = ("discarded", None)
             elif isinstance(st, ast.Return) and isinstance(st.value, ast.Call):
                 kind_of[id(st.value)] = ("returned", None)
-        for name, value, stmt in ctx.bindings:
-            # an annotated assignment's call stays "other", as summaries
-            # have always classified it
-            if isinstance(value, ast.Call) and isinstance(stmt, ast.Assign):
+        for name, value, _ in ctx.bindings:
+            if isinstance(value, ast.Call):
                 kind_of[id(value)] = ("named", name)
 
         sites: list[CallSite] = []
         for fact in ctx.calls:
             call = fact.node
-            spec_display = self._spec_for(call) if fact.spine else None
+            spec_display = self._spec_for(call)
             if spec_display is None:
                 continue
             spec, display = spec_display

@@ -1,4 +1,10 @@
-"""Lower one function definition, once, into the facts every rule reads.
+"""Lower one module, once, into the facts every rule reads.
+
+:func:`lower_module` is the only traversal of a whole module: one
+scope-aware walk that lists, in source order, every function definition
+(with its dotted scope name and owning class), the import tables, and the
+calls no function body owns (module level, class bodies, decorators,
+defaults).  It lowers each definition as it meets it:
 
 :func:`lower` makes a single ordered walk over a function's *own*
 statements — nested ``def``/``class`` bodies belong to their own
@@ -13,6 +19,7 @@ lowering — and records, in source order:
 * ``calls`` — every :class:`ast.Call` once, with its enclosing
   ``for``/``while`` loops and the chain of control-flow *guards* it sits
   under;
+* ``scopes`` — the nested ``def``/``class`` statements it stepped over;
 * ``loads`` and ``waited`` — how often each name is read, and which names
   have their requests completed (``wait``/``test``/``waitall``/drain loop).
 
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "SCOPES",
@@ -37,7 +44,11 @@ __all__ = [
     "Binding",
     "CallFact",
     "FunctionContext",
+    "Definition",
+    "ModuleLowering",
     "lower",
+    "lower_module",
+    "LOCALS_SEP",
     "dotted_name",
     "tag_expr",
     "wait_targets",
@@ -47,6 +58,9 @@ __all__ = [
 
 #: statements that open a scope of their own
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: separator marking a nested (closure) scope inside a dotted function name
+LOCALS_SEP = "<locals>"
 
 #: comm methods returning a Request that somebody must complete
 REQUEST_METHODS = frozenset({"isend", "irecv"})
@@ -162,10 +176,6 @@ class CallFact(NamedTuple):
     node: ast.Call
     loops: tuple[ast.stmt, ...]  #: enclosing ``for``/``while``, outermost first
     guards: tuple[Guard, ...]  #: conditions it sits under, outermost first
-    #: reached from its statement through expression children only — the
-    #: reach of the divergence rules and of call-site summaries; a call
-    #: inside a keyword value or a comprehension's ``for`` clause is not
-    spine: bool
 
 
 @dataclass
@@ -179,6 +189,7 @@ class FunctionContext:
     bindings: list[Binding] = field(default_factory=list)
     returns: list[ast.expr] = field(default_factory=list)
     calls: list[CallFact] = field(default_factory=list)
+    scopes: list[ast.stmt] = field(default_factory=list)
     loads: dict[str, int] = field(default_factory=dict)
     waited: set[str] = field(default_factory=set)
     #: id(expr) -> (names mentioned, names whose .rank is read); shared by
@@ -201,7 +212,7 @@ class FunctionContext:
         return replace(self, tainted=self.tainted | {tainted_name})
 
     def _resolve(self, comm: set[str]) -> tuple[set[str], set[str]]:
-        """Communicator aliases and rank-tainted names (bounded fixpoint)."""
+        """Communicator aliases, then rank-tainted names (two fixpoints)."""
         args = self.node.args
         for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
             if a.arg in _COMM_PARAM_NAMES or (
@@ -211,32 +222,28 @@ class FunctionContext:
         tainted: set[str] = set()
         if not comm:
             return comm, tainted
-        # Bounded, last binding first: a forward chain of more than four
-        # links stays untainted.  Cached summaries were built with exactly
-        # this reach; widening it is a rule change, not part of lowering.
-        for _ in range(4):
-            changed = False
-            for name, value, _ in reversed(self.bindings):
-                if name not in comm and (
-                    (isinstance(value, ast.Name) and value.id in comm)
-                    or (
-                        isinstance(value, ast.Call)
-                        and self.is_comm_call(value, ("split", "dup"), comm)
-                    )
-                ):
-                    comm.add(name)
-                    tainted.discard(name)
-                    changed = True
-                # Communicator handles are never treated as tainted values:
-                # collectives over a split/dup'd comm are congruent *within*
-                # that comm even though the handle differs across ranks.
-                if name not in tainted and name not in comm:
-                    names, rank_bases = self.reads(value)
-                    if rank_bases & comm or names & tainted:
-                        tainted.add(name)
+
+        def is_alias(value: ast.expr) -> bool:
+            return (isinstance(value, ast.Name) and value.id in comm) or (
+                isinstance(value, ast.Call)
+                and self.is_comm_call(value, ("split", "dup"), comm)
+            )
+
+        # Communicator handles are never treated as tainted values:
+        # collectives over a split/dup'd comm are congruent *within* that
+        # comm even though the handle differs across ranks.
+        def is_tainted(value: ast.expr) -> bool:
+            names, rank_bases = self.reads(value)
+            return bool(rank_bases & comm or names & tainted)
+
+        for known, grows in ((comm, is_alias), (tainted, is_tainted)):
+            changed = True
+            while changed:
+                changed = False
+                for name, value, _ in self.bindings:
+                    if name not in comm and name not in known and grows(value):
+                        known.add(name)
                         changed = True
-            if not changed:
-                break
         return comm, tainted
 
     # -- queries
@@ -301,6 +308,7 @@ def _body(
     """The one own-statement walk: each statement once, in source order."""
     for st in stmts:
         if isinstance(st, SCOPES):
+            ctx.scopes.append(st)
             continue
         ctx.stmts.append(st)
         ctx.bindings.extend(Binding(n, v, st) for n, v in bound_pairs(st))
@@ -309,7 +317,7 @@ def _body(
         if loop_waits_all(st):
             ctx.waited.add(st.iter.id)  # type: ignore[union-attr]
         if isinstance(st, ast.If):
-            _expr(ctx, st.test, guards, loops, True)
+            _expr(ctx, st.test, guards, loops)
             inner = guards + ((st.test, st.lineno),)
             _body(ctx, st.body, inner, loops)
             _body(ctx, st.orelse, inner, loops)
@@ -320,15 +328,15 @@ def _body(
         elif isinstance(st, (ast.For, ast.While)):
             test = st.test if isinstance(st, ast.While) else st.iter
             if isinstance(st, ast.For):
-                _expr(ctx, st.target, guards, loops, False)
-            _expr(ctx, test, guards, loops, True)
+                _expr(ctx, st.target, guards, loops)
+            _expr(ctx, test, guards, loops)
             _body(ctx, st.body, guards + ((test, st.lineno),), loops + (st,))
             _body(ctx, st.orelse, guards, loops)
         else:
-            _children(ctx, st, guards, loops, True)
+            _children(ctx, st, guards, loops)
 
 
-def _children(ctx: FunctionContext, node: ast.AST, guards, loops, spine: bool) -> None:
+def _children(ctx: FunctionContext, node: ast.AST, guards, loops) -> None:
     """Generic descent: statement lists are walked as bodies (reaching
     ``except`` handlers, ``match`` cases, ``with`` and ``try`` arms), anything
     else as part of the current statement."""
@@ -339,27 +347,26 @@ def _children(ctx: FunctionContext, node: ast.AST, guards, loops, spine: bool) -
             continue
         for item in items:
             if isinstance(item, ast.expr):
-                _expr(ctx, item, guards, loops, spine)
+                _expr(ctx, item, guards, loops)
             elif isinstance(item, ast.AST):
-                keeps_spine = spine and isinstance(item, ast.withitem)
-                _children(ctx, item, guards, loops, keeps_spine)
+                _children(ctx, item, guards, loops)
 
 
-def _expr(ctx: FunctionContext, node: ast.expr, guards, loops, spine: bool) -> None:
+def _expr(ctx: FunctionContext, node: ast.expr, guards, loops) -> None:
     if isinstance(node, ast.Call):
-        ctx.calls.append(CallFact(node, loops, guards, spine))
+        ctx.calls.append(CallFact(node, loops, guards))
         ctx.waited.update(wait_targets(node)[0])
     elif isinstance(node, ast.Name):
         if isinstance(node.ctx, ast.Load):
             ctx.loads[node.id] = ctx.loads.get(node.id, 0) + 1
         return
     elif isinstance(node, ast.IfExp):
-        _expr(ctx, node.test, guards, loops, spine)
+        _expr(ctx, node.test, guards, loops)
         inner = guards + ((node.test, node.lineno),)
-        _expr(ctx, node.body, inner, loops, spine)
-        _expr(ctx, node.orelse, inner, loops, spine)
+        _expr(ctx, node.body, inner, loops)
+        _expr(ctx, node.orelse, inner, loops)
         return
-    _children(ctx, node, guards, loops, spine)
+    _children(ctx, node, guards, loops)
 
 
 def lower(fn: ast.FunctionDef) -> FunctionContext:
@@ -368,3 +375,94 @@ def lower(fn: ast.FunctionDef) -> FunctionContext:
     _body(ctx, fn.body, (), ())
     ctx.comm_names, ctx.tainted = ctx._resolve(set())
     return ctx
+
+
+# ---------------------------------------------------------- the module walk
+
+
+class Definition(NamedTuple):
+    dotted: str  #: scope-qualified name (``f``, ``C.m``, ``f.<locals>.g``)
+    cls: str | None  #: owning class name for methods
+    ctx: FunctionContext
+
+
+@dataclass
+class ModuleLowering:
+    """One module's definitions, imports and unowned calls, in source order."""
+
+    functions: list[Definition] = field(default_factory=list)
+    #: local alias -> fully dotted module it names (``import a.b as x``)
+    import_modules: dict[str, str] = field(default_factory=dict)
+    #: local name -> (module, symbol) (``from a.b import f as g``)
+    import_symbols: dict[str, tuple[str, str]] = field(default_factory=dict)
+    #: ``(scope, call)`` for every call outside all function bodies
+    calls: list[tuple[str, ast.Call]] = field(default_factory=list)
+
+    def all_calls(self) -> Iterator[tuple[str, ast.Call]]:
+        """Every call of the module with the dotted scope it is made from."""
+        yield from self.calls
+        for d in self.functions:
+            scope = f"{d.dotted}.{LOCALS_SEP}"
+            for fact in d.ctx.calls:
+                yield scope, fact.node
+
+
+def _resolve_relative(modname: str, module: str | None, level: int) -> str | None:
+    """Absolute module named by a ``from``-import inside ``modname``."""
+    if level == 0:
+        return module
+    parts = modname.split(".")
+    if level > len(parts):
+        return None
+    return ".".join(parts[: len(parts) - level] + ([module] if module else [])) or None
+
+
+def lower_module(tree: ast.Module, modname: str = "") -> ModuleLowering:
+    """Walk ``tree`` once; relative imports resolve against ``modname``."""
+    low = ModuleLowering()
+
+    def imports(node: ast.AST) -> None:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                low.import_modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            # an import climbing above ``modname`` keeps its relative tail:
+            # it names no module of the fileset, but ``..mpi.tags`` is still
+            # recognisably a tags import
+            target = _resolve_relative(modname, node.module, node.level) or node.module
+            for alias in node.names:
+                if target is not None and alias.name != "*":
+                    low.import_symbols[alias.asname or alias.name] = (target, alias.name)
+
+    def scan(nodes: Iterable[ast.AST], scope: tuple[str, ...], cls: str | None) -> None:
+        """Code no function body owns: every node is visited."""
+        for node in nodes:
+            if isinstance(node, ast.ClassDef):
+                scan(ast.iter_child_nodes(node), scope + (node.name,), node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                define(node, scope, cls)
+            else:
+                if isinstance(node, ast.Call):
+                    low.calls.append((".".join(scope), node))
+                imports(node)
+                scan(ast.iter_child_nodes(node), scope, cls)
+
+    def define(
+        fn: ast.FunctionDef | ast.AsyncFunctionDef, scope: tuple[str, ...], cls: str | None
+    ) -> None:
+        # decorators, defaults and annotations run in the enclosing scope
+        scan([*fn.decorator_list, fn.args, *filter(None, [fn.returns])], scope, cls)
+        inner = scope + (fn.name, LOCALS_SEP)
+        if isinstance(fn, ast.AsyncFunctionDef):
+            # the SPMD runtime is synchronous: an async body is lowered by
+            # nobody, but the definitions nested in it are still listed
+            scan(fn.body, inner, None)
+            return
+        ctx = lower(fn)
+        low.functions.append(Definition(".".join(scope + (fn.name,)), cls, ctx))
+        for st in ctx.stmts:
+            imports(st)
+        scan(ctx.scopes, inner, None)  # methods of a local class are closures
+
+    scan(tree.body, (), None)
+    return low

@@ -14,13 +14,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from .astlint import (
-    COLLECTIVE_METHODS,
-    P2P_METHODS,
-    Finding,
-    ModuleInfo,
-    iter_functions,
-)
+from .astlint import COLLECTIVE_METHODS, P2P_METHODS, Finding, ModuleInfo
 from .dataflow import (
     RULE_BUFFER_REUSE,
     RULE_SHAPE_MISMATCH,
@@ -132,10 +126,12 @@ RULES: tuple[Rule, ...] = (
     Rule(
         RULE_VIEW_SEND,
         "payload of a send is a numpy view expression without .copy()",
-        doc="The sent payload is a slice or other numpy view. If the base "
-        "array is written while the message is in flight the receiver sees "
-        "the mutation (in-process) or torn data (real MPI with a "
-        "non-contiguous view). Append `.copy()` to the payload expression.",
+        doc="The sent payload is written as a slice or other numpy view "
+        "expression. A real-MPI portability lint: `Comm.send` copies the "
+        "payload at the call, so the in-process runtime cannot observe a "
+        "later write to the base array, but real MPI sends a non-contiguous "
+        "view as torn data. Purely syntactic: a view bound to a name first "
+        "is not tracked. Append `.copy()` to the payload expression.",
     ),
     Rule(
         RULE_SHAPE_MISMATCH,
@@ -231,7 +227,7 @@ RULES: tuple[Rule, ...] = (
 def _div_collective(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
     findings: list[Finding] = []
     for call in ctx.comm_calls(COLLECTIVE_METHODS):
-        div = ctx.divergence(call) if call.spine else None
+        div = ctx.divergence(call)
         if div is None:
             continue
         func = call.node.func
@@ -419,18 +415,6 @@ def _wallclock(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
 
 # ----------------------------------------------------- SPMD-TAG-COLLISION
 
-def _tags_imports(mod: ModuleInfo) -> dict[str, str]:
-    """Map local name -> attribute name for imports from repro.mpi.tags."""
-    out: dict[str, str] = {}
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.ImportFrom) and node.module and (
-            node.module == "tags" or node.module.endswith(".tags")
-        ):
-            for alias in node.names:
-                out[alias.asname or alias.name] = alias.name
-    return out
-
-
 def _namespace_table() -> dict[str, tuple[int, str]]:
     from repro.mpi import tags
 
@@ -462,14 +446,15 @@ def module_tag_sites(mod: ModuleInfo) -> tuple[list[Finding], list[tuple[int, in
     """
     findings: list[Finding] = []
     sites: list[tuple[int, int]] = []
-    imports = _tags_imports(mod)
+    #: local name -> attribute name for imports from repro.mpi.tags
+    imports = {
+        local: symbol
+        for local, (module, symbol) in mod.lowering.import_symbols.items()
+        if module.rpartition(".")[2] == "tags"
+    }
     bases = _namespace_bases()
-    for node in ast.walk(mod.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in TAG_ARG_INDEX
-        ):
+    for _, node in mod.lowering.all_calls():
+        if not (isinstance(node.func, ast.Attribute) and node.func.attr in TAG_ARG_INDEX):
             continue
         expr = tag_expr(node)
         if expr is None:
@@ -567,8 +552,7 @@ def _same_module(modname: str, owner: str) -> bool:
 def check_module(mod: ModuleInfo) -> list[Finding]:
     """Run all per-module rules over every rank function."""
     findings: list[Finding] = []
-    for fn in iter_functions(mod.tree):
-        ctx = mod.context(fn)
+    for _, _, ctx in mod.lowering.functions:
         if not ctx.comm_names:
             continue
         findings.extend(_div_collective(mod, ctx))

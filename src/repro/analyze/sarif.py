@@ -61,8 +61,7 @@ def _rule_catalogue() -> list[dict]:
     stale_doc = (
         "A `# spmd: ignore[RULE]` suppression comment no longer matches any "
         "finding on its line. Stale suppressions hide future regressions of "
-        "the suppressed rule; delete the comment (it is never baselined — "
-        "`--baseline write` excludes this rule)."
+        "the suppressed rule; delete the comment."
     )
     rules.append(
         {

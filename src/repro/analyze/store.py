@@ -12,6 +12,10 @@ parse-derived artifacts —
 * the call-graph :class:`~repro.analyze.callgraph.ModuleIndex` and the
   interprocedural :class:`~repro.analyze.interproc.ModuleSummary`.
 
+Records serialize themselves: :func:`encode` / :func:`decode` are driven
+by the dataclass fields and their type hints, so a record class declares
+its layout once.
+
 A record is valid while the file's SHA-256 matches; the whole store is
 valid while :data:`ANALYZER_VERSION` and the tag-namespace signature
 match (rule changes and ``repro.mpi.tags`` edits invalidate everything —
@@ -26,15 +30,18 @@ corruption — the store is an accelerator, never a correctness dependency.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .astlint import Finding
-from .callgraph import ModuleIndex  # noqa: F401  (re-exported record part)
 from .interproc import ModuleSummary
 
 __all__ = [
@@ -44,11 +51,13 @@ __all__ = [
     "AnalysisStore",
     "default_store_path",
     "content_hash",
+    "encode",
+    "decode",
 ]
 
 #: bump on any change to rule logic, summary extraction, or record layout —
 #: cached records embed findings and summaries produced by this code
-ANALYZER_VERSION = 3
+ANALYZER_VERSION = 4
 
 #: on-disk layout version of the store document itself
 STORE_SCHEMA = 1
@@ -89,6 +98,65 @@ def tags_signature() -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+# ------------------------------------------------------------------ codec
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+@functools.cache
+def _codec(tp: Any) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """``(encode, decode)`` for values of type ``tp``, built once per type
+    from its hints: dataclasses become dicts of their non-transient fields,
+    tuples lists, dict keys strings (``int`` keys come back as ``int``),
+    optionals stay ``None``; anything else passes through untouched."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # ``T | None``
+        ((enc, dec),) = (_codec(a) for a in args if a is not type(None))
+        if dec is _same:
+            return _same, _same
+        return (
+            lambda v: None if v is None else enc(v),
+            lambda v: None if v is None else dec(v),
+        )
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        parts = [
+            (f.name, *_codec(hints[f.name]))
+            for f in dataclasses.fields(tp)
+            if not f.metadata.get("transient")
+        ]
+        return (
+            lambda o: {name: enc(getattr(o, name)) for name, enc, _ in parts},
+            lambda d: tp(**{name: dec(d[name]) for name, _, dec in parts}),
+        )
+    if origin in (list, tuple):
+        # list[T], tuple[T, ...], or a fixed tuple of plain values
+        enc, dec = _codec(args[0])
+        if dec is _same:
+            return list, origin
+        return lambda v: [enc(x) for x in v], lambda v: origin(dec(x) for x in v)
+    if origin is dict:
+        key = int if args[0] is int else str
+        enc, dec = _codec(args[1])
+        return (
+            lambda v: {str(k): enc(x) for k, x in v.items()},
+            lambda v: {key(k): dec(x) for k, x in v.items()},
+        )
+    return _same, _same
+
+
+def encode(obj: Any) -> Any:
+    """A record (any dataclass instance) as JSON-ready data."""
+    return _codec(type(obj))[0](obj)
+
+
+def decode(tp: Any, data: Any) -> Any:
+    """Rebuild a value of type ``tp`` from :func:`encode`'s output."""
+    return _codec(tp)[1](data)
+
+
 @dataclass
 class FileRecord:
     """Every parse-derived artifact of one analyzed file."""
@@ -101,56 +169,12 @@ class FileRecord:
     tag_findings: list[Finding] = field(default_factory=list)
     #: free-literal tag sites feeding the cross-module join: [(value, line)]
     literal_tags: list[tuple[int, int]] = field(default_factory=list)
-    #: suppression (``spmd: ignore``) table: line -> None (all) | [rule ids]
+    #: suppression comments: line -> None (all rules) | [rule ids]
     suppression: dict[int, list[str] | None] = field(default_factory=dict)
-    #: suppression-table lines verified (by tokenizing) to be real comments
-    #: rather than marker text inside string literals — the only lines the
-    #: stale-suppression lint may flag
-    ignore_lines: list[int] = field(default_factory=list)
     #: interprocedural summary (None for files that failed to parse)
     summary: ModuleSummary | None = None
     #: parse failure, if any (the record is still cached by content hash)
     parse_error: Finding | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "modname": self.modname,
-            "findings": [f.to_dict() for f in self.findings],
-            "tag_findings": [f.to_dict() for f in self.tag_findings],
-            "literal_tags": [list(t) for t in self.literal_tags],
-            "suppression": {str(k): v for k, v in self.suppression.items()},
-            "ignore_lines": list(self.ignore_lines),
-            "summary": self.summary.to_dict() if self.summary is not None else None,
-            "parse_error": (
-                self.parse_error.to_dict() if self.parse_error is not None else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "FileRecord":
-        return cls(
-            path=d["path"],
-            modname=d["modname"],
-            findings=[Finding.from_dict(f) for f in d.get("findings", [])],
-            tag_findings=[Finding.from_dict(f) for f in d.get("tag_findings", [])],
-            literal_tags=[(int(t[0]), int(t[1])) for t in d.get("literal_tags", [])],
-            suppression={
-                int(k): (None if v is None else [str(r) for r in v])
-                for k, v in d.get("suppression", {}).items()
-            },
-            ignore_lines=[int(i) for i in d.get("ignore_lines", [])],
-            summary=(
-                ModuleSummary.from_dict(d["summary"])
-                if d.get("summary") is not None
-                else None
-            ),
-            parse_error=(
-                Finding.from_dict(d["parse_error"])
-                if d.get("parse_error") is not None
-                else None
-            ),
-        )
 
 
 class AnalysisStore:
@@ -165,6 +189,7 @@ class AnalysisStore:
         self._entries: dict[str, tuple[str, FileRecord]] = {}
         self.hits = 0
         self.misses = 0
+        self._dirty = False
         self._load()
 
     # ------------------------------------------------------------ persistence
@@ -183,18 +208,24 @@ class AnalysisStore:
             return  # stale rules or tag table: every cached record is suspect
         for key, raw in data.get("files", {}).items():
             try:
-                self._entries[key] = (raw["hash"], FileRecord.from_dict(raw["record"]))
-            except (KeyError, TypeError, ValueError):
+                self._entries[key] = (raw["hash"], decode(FileRecord, raw["record"]))
+            except (KeyError, TypeError, ValueError, AttributeError):
                 continue  # one bad entry never poisons the rest
 
     def save(self) -> None:
+        """Write the store, forgetting files that no longer exist on disk
+        (not files outside the current sweep: a narrower run keeps the rest)."""
+        live = {k: e for k, e in self._entries.items() if os.path.exists(k)}
+        if not self._dirty and len(live) == len(self._entries):
+            return  # nothing parsed, nothing forgotten: the file is current
+        self._entries, self._dirty = live, False
         self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": STORE_SCHEMA,
             "analyzer": ANALYZER_VERSION,
             "tags_sig": tags_signature(),
             "files": {
-                k: {"hash": h, "record": r.to_dict()}
+                k: {"hash": h, "record": encode(r)}
                 for k, (h, r) in sorted(self._entries.items())
             },
         }
@@ -214,16 +245,7 @@ class AnalysisStore:
 
     def put(self, path: str, digest: str, record: FileRecord) -> None:
         self._entries[path] = (digest, record)
-
-    def prune(self, keep: set[str]) -> int:
-        """Drop records for files outside ``keep``; returns how many."""
-        stale = [p for p in self._entries if p not in keep]
-        for p in stale:
-            del self._entries[p]
-        return len(stale)
+        self._dirty = True
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._entries

@@ -55,7 +55,11 @@ def hyperquicksort(comm: "Comm", local: np.ndarray) -> BaselineResult:
         if pivot is None:
             # First rank empty: fall back to the subcube-wide max of mins.
             lo = work[0] if work.size else None
-            cands = [c for c in sub.allgather(lo) if c is not None]
+            # `pivot` is the bcast result, equal on every rank of `sub`; the
+            # flow-insensitive taint still carries its pre-bcast value
+            cands = [
+                c for c in sub.allgather(lo) if c is not None  # spmd: ignore[DIV-COLLECTIVE]
+            ]
             pivot = cands[len(cands) // 2] if cands else np.float64(0)
 
         cut = int(np.searchsorted(work, pivot, side="right"))

@@ -35,18 +35,20 @@ def _isolated_analyze_store():
 
 
 @pytest.fixture(scope="session")
-def repo_sweep():
+def repo_sweep(tmp_path_factory):
     """Findings of the full four-directory sweep, filtered by path prefix.
 
     The whole-program analysis of the repository costs seconds, so the
     session performs it once; hygiene tests ask for the slice they guard,
-    e.g. ``repo_sweep("src", "examples")``.
+    e.g. ``repo_sweep("src", "examples")``, and ``repo_sweep.store`` is the
+    store that sweep filled.
     """
-    from repro.analyze import analyze_paths
+    from repro.analyze import AnalysisStore, analyze_paths
 
     root = Path(__file__).resolve().parents[1]
+    store = AnalysisStore(tmp_path_factory.mktemp("sweep") / "store.json")
     findings = analyze_paths(
-        [root / d for d in ("src", "examples", "tests", "benchmarks")]
+        [root / d for d in ("src", "examples", "tests", "benchmarks")], store=store
     )
 
     def under(*prefixes: str) -> list:
@@ -55,6 +57,7 @@ def repo_sweep():
             f for f in findings if any(d in Path(f.path).parents for d in dirs)
         ]
 
+    under.store = store
     return under
 
 

@@ -1,6 +1,5 @@
 """Cost lint: symbolic sizes, the four scalability rules, model conformance."""
 
-import json
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from repro.analyze.costlint import (
     RULE_OVERSIZED_REDUCE,
     RULE_P2_TRAFFIC,
     RULE_ROOT_BOTTLENECK,
-    check_cost_program,
+    CostProgram,
 )
 from repro.analyze.conformance import (
     check_conformance,
@@ -42,7 +41,7 @@ def cost_findings(*mods, rule=None):
         summarize_module(module_from_source(textwrap.dedent(src), path, modname))
         for src, path, modname in mods
     ]
-    out = check_cost_program(summaries)
+    out = CostProgram(summaries).findings()
     if rule is None:
         return out
     return [f for f in out if f.rule == rule]
@@ -505,53 +504,6 @@ class TestCostCli:
 
     def test_main_cost_callable_directly(self):
         assert main_cost(["--algo", "psrs", "--p", "4", "--n", "2048"]) == 0
-
-    def test_baseline_update_alias(self, tmp_path):
-        fixture = tmp_path / "prog.py"
-        fixture.write_text(
-            entry_fixture("return comm.gather(np.sort(local), root=0)"),
-            encoding="utf-8",
-        )
-        baseline = tmp_path / "baseline.json"
-        out = run_cli(
-            str(fixture),
-            "--no-store",
-            "--baseline",
-            "update",
-            "--baseline-file",
-            str(baseline),
-        )
-        assert out.returncode == 0, out.stdout + out.stderr
-        assert baseline.exists()
-        out = run_cli(
-            str(fixture),
-            "--no-store",
-            "--baseline",
-            "check",
-            "--baseline-file",
-            str(baseline),
-        )
-        assert out.returncode == 0, out.stdout + out.stderr
-
-    def test_baseline_update_excludes_stale_suppressions(self, tmp_path):
-        fixture = tmp_path / "prog.py"
-        fixture.write_text(
-            entry_fixture(
-                "return comm.allgather(local.size)  # spmd: ignore[P2-TRAFFIC]"
-            ),
-            encoding="utf-8",
-        )
-        baseline = tmp_path / "baseline.json"
-        out = run_cli(
-            str(fixture),
-            "--no-store",
-            "--baseline",
-            "update",
-            "--baseline-file",
-            str(baseline),
-        )
-        assert out.returncode == 0
-        assert json.loads(baseline.read_text())["findings"] == []
 
 
 # -------------------------------------------------------------- catalogue

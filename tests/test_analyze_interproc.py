@@ -7,19 +7,11 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analyze.astlint import Finding, module_from_source
-from repro.analyze.baseline import load_baseline, subtract_baseline, write_baseline
 from repro.analyze.callgraph import CallGraph, index_module
 from repro.analyze.engine import analyze_program
-from repro.analyze.interproc import (
-    INTERPROC_RULES,
-    ModuleSummary,
-    check_program,
-    summarize_module,
-)
-from repro.analyze.store import AnalysisStore
+from repro.analyze.interproc import INTERPROC_RULES, check_program, summarize_module
+from repro.analyze.store import AnalysisStore, FileRecord, decode, encode
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -636,9 +628,11 @@ class TestAnalysisStore:
         self._write(tmp_path)
         store_path = tmp_path / "store.json"
         cold = analyze_program([tmp_path], store=AnalysisStore(store_path))
+        written = store_path.stat().st_mtime_ns
         warm = analyze_program([tmp_path], store=AnalysisStore(store_path))
         assert cold.stats.parsed == 3 and cold.stats.reused == 0
         assert warm.stats.parsed == 0 and warm.stats.reused == 3
+        assert store_path.stat().st_mtime_ns == written  # nothing new to write
         assert warm.findings == cold.findings
         # the suppression comment survives the store round trip
         assert {f.rule for f in cold.findings} == {"SPMD-DIV-COLLECTIVE"}
@@ -681,24 +675,38 @@ class TestAnalysisStore:
         assert [f.rule for f in cold.findings] == ["SPMD-PARSE-ERROR"]
         assert warm.findings == cold.findings
 
-    def test_summary_round_trips_through_json(self):
-        mod = _mod(
-            """
-            def push(comm, buf):
-                return comm.isend(buf, 0, tag=3)
+    def test_deleted_file_is_forgotten(self, tmp_path):
+        for name in ("solo.py", "gone.py"):
+            (tmp_path / name).write_text(self.FIXTURES["solo.py"])
+        store_path = tmp_path / "store.json"
+        analyze_program([tmp_path], store=AnalysisStore(store_path))
+        assert len(AnalysisStore(store_path)) == 2
+        (tmp_path / "gone.py").unlink()
+        warm = analyze_program([tmp_path], store=AnalysisStore(store_path))
+        assert warm.stats.parsed == 0 and warm.stats.reused == 1
+        assert list(json.loads(store_path.read_text())["files"]) == [
+            str(tmp_path / "solo.py")
+        ]
+        assert warm.findings == analyze_program([tmp_path]).findings != []
 
-            def phase(comm, buf):
-                if comm.rank == 0:
-                    req = push(comm, buf)
-                    req.wait()
-            """,
-            "rt.py",
-            "rt",
-        )
-        summary = summarize_module(mod)
-        clone = ModuleSummary.from_dict(json.loads(json.dumps(summary.to_dict())))
-        assert clone.to_dict() == summary.to_dict()
-        assert check_program([clone]) == check_program([summary])
+    def test_narrower_sweep_keeps_the_other_files(self, tmp_path):
+        self._write(tmp_path)
+        store_path = tmp_path / "store.json"
+        analyze_program([tmp_path], store=AnalysisStore(store_path))
+        analyze_program([tmp_path / "solo.py"], store=AnalysisStore(store_path))
+        assert len(AnalysisStore(store_path)) == 3
+
+    def test_codec_round_trips_every_record_of_the_repo_sweep(self, repo_sweep):
+        store = repo_sweep.store
+        files = json.loads(store.path.read_text())["files"]
+        assert len(files) > 150
+        for path, entry in files.items():
+            rec = store.get(path, entry["hash"])
+            assert decode(FileRecord, entry["record"]) == rec, path
+            assert encode(rec) == entry["record"], path
+            # the transient AST node stays out of the document
+            for fn in entry["record"]["summary"]["index"]["functions"].values():
+                assert "node" not in fn and "line" in fn
 
 
 # ------------------------------------------------------------ repo hygiene
@@ -727,8 +735,6 @@ class TestCliWholeProgram:
             env=env,
         )
 
-    BAD = "def f(comm, x):\n    if comm.rank == 0:\n        comm.barrier()\n"
-
     def test_interproc_finding_through_cli(self, tmp_path):
         (tmp_path / "lib.py").write_text("def sync(comm):\n    comm.barrier()\n")
         (tmp_path / "use.py").write_text(
@@ -755,79 +761,10 @@ class TestCliWholeProgram:
         assert proc.returncode == 0
         assert not store.exists()
 
-    def test_baseline_write_then_check(self, tmp_path):
-        (tmp_path / "bad.py").write_text(self.BAD)
-        base = tmp_path / "base.json"
-        wrote = self._run(
-            str(tmp_path), "--baseline", "write", "--baseline-file", str(base), cwd=ROOT
-        )
-        assert wrote.returncode == 0
-        assert json.loads(base.read_text())["schema"] == 1
-        check = self._run(
-            str(tmp_path), "--baseline", "check", "--baseline-file", str(base), cwd=ROOT
-        )
-        assert check.returncode == 0, check.stdout + check.stderr
-        assert "1 baselined finding suppressed" in check.stderr
-
-    def test_baseline_check_fails_on_new_finding(self, tmp_path):
-        (tmp_path / "bad.py").write_text(self.BAD)
-        base = tmp_path / "base.json"
-        self._run(
-            str(tmp_path), "--baseline", "write", "--baseline-file", str(base), cwd=ROOT
-        )
-        (tmp_path / "worse.py").write_text(self.BAD)
-        check = self._run(
-            str(tmp_path), "--baseline", "check", "--baseline-file", str(base), cwd=ROOT
-        )
-        assert check.returncode == 1
-        assert "worse.py" in check.stdout
-        assert "bad.py" not in check.stdout
-
-    def test_baseline_check_missing_file_is_usage_error(self, tmp_path):
-        (tmp_path / "ok.py").write_text("def f(comm, x):\n    return x\n")
-        proc = self._run(
-            str(tmp_path),
-            "--baseline",
-            "check",
-            "--baseline-file",
-            str(tmp_path / "absent.json"),
-            cwd=ROOT,
-        )
-        assert proc.returncode == 2
-        assert "cannot read baseline" in proc.stderr
-
-    def test_changed_only_reports_only_changed_files(self, tmp_path):
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", "commit", "-q",
-             "--allow-empty", "-m", "seed"],
-            cwd=tmp_path,
-            check=True,
-        )
-        (tmp_path / "committed.py").write_text(self.BAD)
-        subprocess.run(["git", "add", "committed.py"], cwd=tmp_path, check=True)
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", "commit", "-q",
-             "-m", "add file"],
-            cwd=tmp_path,
-            check=True,
-        )
-        (tmp_path / "fresh.py").write_text(self.BAD)
-        proc = self._run(".", "--changed-only", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert "fresh.py" in proc.stdout
-        assert "committed.py" not in proc.stdout
-
     def test_nonexistent_path_is_usage_error(self, tmp_path):
         proc = self._run(str(tmp_path / "no_such_dir"), cwd=ROOT)
         assert proc.returncode == 2
         assert "no such file or directory" in proc.stderr
-
-    def test_changed_only_bad_ref_is_usage_error(self, tmp_path):
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        (tmp_path / "ok.py").write_text("def f(comm, x):\n    return x\n")
-        proc = self._run(".", "--changed-only=no-such-ref", cwd=tmp_path)
-        assert proc.returncode == 2
 
     def test_list_rules_shows_layers(self):
         proc = self._run("--list-rules", cwd=ROOT)
@@ -836,29 +773,6 @@ class TestCliWholeProgram:
             assert f"{rule} [inter]" in proc.stdout
         assert "SPMD-DIV-COLLECTIVE [intra]" in proc.stdout
         assert "SPMD-TAG-COLLISION [cross]" in proc.stdout
-
-
-# ------------------------------------------------------------ baselines
-
-
-class TestBaselineApi:
-    def test_round_trip_and_subtract(self, tmp_path):
-        f1 = Finding("a.py", 3, "SPMD-DIV-COLLECTIVE", "msg one")
-        f2 = Finding("b.py", 9, "SPMD-ESCAPED-REQUEST", "msg two")
-        path = tmp_path / "base.json"
-        assert write_baseline([f1, f2, f1], path) == 2
-        accepted = load_baseline(path)
-        new, suppressed = subtract_baseline([f1, f2], accepted)
-        assert new == [] and suppressed == 2
-        moved = Finding("a.py", 4, "SPMD-DIV-COLLECTIVE", "msg one")
-        new, suppressed = subtract_baseline([moved], accepted)
-        assert new == [moved] and suppressed == 0
-
-    def test_schema_mismatch_raises(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text('{"schema": 999, "findings": []}')
-        with pytest.raises(ValueError):
-            load_baseline(path)
 
 
 # ------------------------------------------------------------------ SARIF
