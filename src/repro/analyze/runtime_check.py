@@ -68,18 +68,15 @@ class RuntimeChecker:
     def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
         self._lock = threading.Lock()
-        #: (comm trace_id, group rank) -> next collective sequence number
-        self._coll_seq: dict[tuple[int, int], int] = {}
         #: (comm trace_id, seq) -> [op, root, site, world_rank, arrivals]
         self._coll_ops: dict[tuple[int, int], list] = {}
         self.requests: list[RequestRecord] = []
 
     def reset(self) -> None:
-        """Discard all state (paired with :meth:`Runtime.reset`): stale
-        collective sequence numbers would poison congruence checking of
-        the next run on the same runtime."""
+        """Discard all state (paired with :meth:`Runtime.reset`): a half
+        congruence record would poison checking of the next run on the
+        same runtime."""
         with self._lock:
-            self._coll_seq.clear()
             self._coll_ops.clear()
             self.requests = []
 
@@ -96,17 +93,15 @@ class RuntimeChecker:
     # ------------------------------------------------------------- congruence
 
     def collective_op(
-        self, state: "_CommState", idx: int, op: str, root: int | None
+        self, state: "_CommState", idx: int, seq: int, op: str,
+        root: int | None,
     ) -> str:
-        """Verify the Nth collective of this rank matches its peers';
-        returns its call site (for the wait ledger's barrier waits)."""
+        """Verify this rank's ``seq``-th collective on ``state`` matches
+        its peers'; returns its call site (for the wait ledger)."""
         wr = state.world_ranks[idx]
         site = call_site()
         mismatch: str | None = None
         with self._lock:
-            key = (state.trace_id, idx)
-            seq = self._coll_seq.get(key, 0)
-            self._coll_seq[key] = seq + 1
             op_key = (state.trace_id, seq)
             rec = self._coll_ops.get(op_key)
             if rec is None:

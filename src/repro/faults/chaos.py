@@ -184,11 +184,15 @@ def run_case(case: ChaosCase, wall_timeout: float = 120.0) -> ChaosOutcome:
     except TimeoutError as exc:  # the backstop fired: a real hang
         return ChaosOutcome(case, "hang", rt.elapsed(), str(exc))
     except (SPMDError, DeadlockError) as exc:
-        detail = f"{type(exc).__name__}: {exc}".splitlines()[0]
         inner = (exc.failures.values() if isinstance(exc, SPMDError) else (exc,))
         cause = ",".join(sorted({type(e).__name__ for e in inner}))
-        return ChaosOutcome(case, "typed-error", rt.elapsed(),
-                            f"{detail} [{rt.fault_stats.summary()}]", cause)
+        # No rank list: which ranks raised before abort() reached them is
+        # wall-clock raced, and the CI legs are compared run to run.
+        what = min(str(e).partition("\n")[0] for e in inner)
+        return ChaosOutcome(
+            case, "typed-error", rt.elapsed(),
+            f"{type(exc).__name__}: {cause}: {what} "
+            f"[{rt.fault_stats.summary()}]", cause)
     except BaseException as exc:  # noqa: BLE001 - classified, not swallowed
         return ChaosOutcome(case, "untyped-error", rt.elapsed(),
                             f"{type(exc).__name__}: {exc}",

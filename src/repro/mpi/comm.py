@@ -8,14 +8,20 @@ mpi4py's lowercase object interface (``send``/``recv``/``bcast``/``allreduce``
 Implementation notes
 --------------------
 Every collective runs through one skeleton (:meth:`_CommState.collective`),
-a deposit / plan / pick protocol around a cyclic three-phase barrier:
+a deposit / plan / pick protocol around one rendezvous on the
+communicator's condition:
 
-1. every rank writes its contribution into its slot and enters barrier A;
-2. the leader (the rank that drew index 0 at barrier A) *plans*: it combines
-   the slots and prices the operation, and the skeleton merges the group's
-   new virtual clocks, then everyone passes B;
-3. every rank takes its new clock and *picks* its result, then everyone
-   passes C so the slots may be reused by the next collective.
+1. a member's N-th collective is generation N: it writes its contribution
+   into ``slots[N & 1]`` and counts itself in;
+2. the last arriver *plans* — it combines the slots, prices the operation
+   and merges the group's new virtual clocks — then publishes
+   ``done = N + 1`` and wakes the others, who waited once;
+3. every member takes its new clock and *picks* its result, unlocked.
+
+Two slot buffers suffice: generation N + 2 cannot open before N + 1
+completed, N + 1 needs every member's deposit, and a member deposits N + 1
+only after it is through with N — so no deposit (nor the one result cell)
+is overwritten while a peer still reads it.
 
 This is deterministic in values (combines fold in rank order) and matches
 MPI's requirement that all ranks issue collectives in the same order.
@@ -94,9 +100,19 @@ class _CommState:
         self.runtime = runtime
         self.world_ranks: list[int] = [int(r) for r in world_ranks]
         self.size = len(self.world_ranks)
-        self.barrier = threading.Barrier(self.size)
-        self.slots: list[Any] = [None] * self.size
+        #: the one condition every rendezvous on this communicator waits on
+        self.cond = threading.Condition()
+        # collective rendezvous: member idx's next generation, the two
+        # deposit buffers (by generation parity), the members counted into
+        # the open generation, the number of completed generations and the
+        # last one's (shared value, new clocks)
+        self._seq = [0] * self.size
+        self.slots: tuple[list[Any], list[Any]] = (
+            [None] * self.size, [None] * self.size)
+        self.arrived = 0
+        self.done = 0
         self.cell: Any = None
+        self._entry_max = 0.0
         self.mailboxes = [_Mailbox() for _ in range(self.size)]
         self.aborted = False
         #: ULFM revocation flag; poisons every blocked/future ordinary
@@ -104,9 +120,8 @@ class _CommState:
         self.revoked = False
         self._members_set = frozenset(self.world_ranks)
         # fault-tolerant rendezvous (agree/shrink): generation-stamped
-        # deposits completed over the live membership, independent of the
-        # (possibly broken) collective barrier.
-        self.ft_cond = threading.Condition()
+        # deposits completed over the live membership, whatever became of
+        # the plain collectives.
         self.ft_count = [0] * self.size
         self.ft_deposits: dict[int, dict[int, tuple[Any, float]]] = {}
         self.ft_results: dict[int, tuple[Any, float, list[int]]] = {}
@@ -131,11 +146,9 @@ class _CommState:
         self.rel_detect: dict[tuple[int, int, int], Any] = {}
         self.rel_breaker: dict[tuple[int, int, int], int] = {}
         #: serial number of this communicator (set by the runtime registry);
-        #: together with the per-rank collective sequence number it matches
-        #: the spans of one collective invocation across ranks.
+        #: together with the collective generation it matches the spans of
+        #: one collective invocation across ranks.
         self.trace_id = -1
-        self._seq = [0] * self.size
-        self._entry_max = 0.0
         self._span_level: str | None = None
         runtime._register_state(self)
 
@@ -149,14 +162,18 @@ class _CommState:
                 self._span_level = placement.span_level(self.world_ranks).name.lower()
         return self._span_level
 
-    def abort(self) -> None:
-        self.aborted = True
-        self.barrier.abort()
+    def wake(self) -> None:
+        """Make every wait on this communicator re-check its predicate
+        (after an abort, a revocation or a member's death)."""
+        with self.cond:
+            self.cond.notify_all()
         for mb in self.mailboxes:
             with mb.cond:
                 mb.cond.notify_all()
-        with self.ft_cond:
-            self.ft_cond.notify_all()
+
+    def abort(self) -> None:
+        self.aborted = True
+        self.wake()
 
     def _aborted(self, what: str) -> Exception:
         """What an abort-woken operation raises: the wait ledger's deadlock
@@ -164,15 +181,23 @@ class _CommState:
         verdict = self.runtime._registry.verdict
         return Aborted(what) if verdict is None else DeadlockError(verdict)
 
-    def _barrier_wait(self, idx: int, op: str, site: str) -> int:
-        """``barrier.wait()`` registered in the wait ledger."""
-        reg = self.runtime._registry
-        wr = self.world_ranks[idx]
-        reg.block_barrier(wr, self, op, site)
-        try:
-            return self.barrier.wait()
-        finally:
-            reg.unblock(wr)
+    def _broken(self, name: str) -> Exception | None:
+        """What collective ``name`` raises because it can no longer
+        complete here, if it cannot — at entry and on a wake-up alike."""
+        if self.aborted:
+            return self._aborted(f"runtime aborted; '{name}' cannot complete")
+        if self.revoked:
+            return CommRevokedError(
+                f"communicator #{self.trace_id} was revoked"
+            )
+        failed = self.runtime.failed_ranks & self._members_set
+        if failed:
+            return RankFailedError(
+                f"collective '{name}' on comm#{self.trace_id}: member rank(s) "
+                f"{sorted(failed)} have failed",
+                failed,
+            )
+        return None
 
     def collective(
         self,
@@ -184,90 +209,84 @@ class _CommState:
         trace_bytes: int,
         root: int | None = None,
     ) -> Any:
-        """The one collective skeleton.  The leader calls ``plan(slots)``
-        for ``(shared value, cost, payload bytes for the statistics)`` —
-        ``cost`` a scalar or one entry per rank — and merges the clocks
-        (``latest entry + cost``); every rank then takes its new clock and
-        ``pick(slots, shared, idx)``, its result."""
+        """The one collective skeleton.  The last arriver calls
+        ``plan(slots)`` for ``(shared value, cost, payload bytes for the
+        statistics)`` — ``cost`` a scalar or one entry per rank — and merges
+        the clocks (``latest entry + cost``); every rank then takes its new
+        clock and ``pick(slots, shared, idx)``, its result."""
         rt = self.runtime
         wrank = self.world_ranks[idx]
         if rt._faults is not None:
             rt.maybe_crash(wrank)
-        if self.aborted:
-            raise self._aborted("communicator already aborted")
-        if self.revoked:
-            raise CommRevokedError(
-                f"communicator #{self.trace_id} was revoked"
-            )
-        failed = rt.failed_ranks
-        if failed and not failed.isdisjoint(self._members_set):
-            raise RankFailedError(
-                f"collective '{name}' on comm#{self.trace_id}: member rank(s) "
-                f"{sorted(failed & self._members_set)} have failed",
-                failed & self._members_set,
-            )
+        broken = self._broken(name)
+        if broken is not None:
+            raise broken
+        gen = self._seq[idx]
+        self._seq[idx] = gen + 1
         chk = rt.checker
-        site = chk.collective_op(self, idx, name, root) if chk is not None else ""
+        site = (chk.collective_op(self, idx, gen, name, root)
+                if chk is not None else "")
         san = rt.sanitizer
         if san is not None:
-            # Deposit edge: snapshot this member's vector clock and pin
-            # weak references to its deposit arrays (stable until barrier
-            # C releases the slots for reuse).
-            san.collective_entry(self, idx, deposit, name)
+            # Deposit edge, before the deposit below: every member's entry
+            # snapshot therefore precedes every member's exit.
+            san.collective_entry(self, idx, gen, deposit, name)
         rec = rt.trace
         if rec is not None:
             t0 = float(rt.clocks[wrank])
-            seq = self._seq[idx]
-            self._seq[idx] = seq + 1
-        self.slots[idx] = deposit
+        slots = self.slots[gen & 1]
+        slots[idx] = deposit
         try:
-            if self._barrier_wait(idx, name, site) == 0:
-                try:
-                    shared, cost, total_bytes = plan(self.slots)
+            with self.cond:
+                self.arrived += 1
+                last = self.arrived == self.size
+                if last:
+                    self.arrived = 0
+                    shared, cost, total_bytes = plan(slots)
                     rt.stats.record_collective(name, total_bytes, self.size)
-                    # Entry clocks are still untouched here (each rank takes
-                    # its new one after barrier B), so the last arrival is
-                    # also every rank's idle reference; barrier B orders
-                    # these writes before the readers below.
-                    last = rt.clocks[self.world_ranks].max()
-                    self._entry_max = float(last)
-                    self.cell = shared, last + np.asarray(cost, dtype=np.float64)
-                except BaseException:
-                    rt.abort()
-                    raise
-            self._barrier_wait(idx, name, site)
+                    # Every member is waiting below with its entry clock
+                    # untouched, so the latest arrival is also every rank's
+                    # idle reference.
+                    latest = rt.clocks[self.world_ranks].max()
+                    self._entry_max = float(latest)
+                    self.cell = shared, latest + np.asarray(cost, dtype=np.float64)
+                    self.done = gen + 1
+                    self.cond.notify_all()
+        except BaseException:
+            rt.abort()
+            raise
+        if not last:
+            reg = rt._registry
+            reg.block(wrank, "collective", self, op=name, site=site,
+                      can_progress=lambda: (self.done > gen
+                                            or self._broken(name) is not None))
             try:
-                shared, clocks = self.cell
-                rt.clocks[wrank] = clocks if clocks.ndim == 0 else clocks[idx]
-                out = pick(self.slots, shared, idx)
-            except BaseException:
-                rt.abort()
-                raise
-            if san is not None:
-                # Extraction edge, still before barrier C: every member's
-                # deposit is live here, so the alias check sees the true
-                # sharing relation between this result and peer deposits.
-                san.collective_exit(self, idx, out, name)
-            self._barrier_wait(idx, name, site)
-        except threading.BrokenBarrierError:
-            if not self.aborted:
-                if self.revoked:
-                    raise CommRevokedError(
-                        f"communicator #{self.trace_id} was revoked during "
-                        f"'{name}'"
-                    ) from None
-                failed = rt.failed_ranks & self._members_set
-                if failed:
-                    raise RankFailedError(
-                        f"rank(s) {sorted(failed)} failed during "
-                        f"collective '{name}' on comm#{self.trace_id}",
-                        failed,
-                    ) from None
-            raise self._aborted("runtime aborted during a collective") from None
+                with self.cond:
+                    # Completion first: a collective whose result is agreed
+                    # returns on every member, whatever happened since.
+                    while self.done <= gen:
+                        broken = self._broken(name)
+                        if broken is not None:
+                            raise broken
+                        self.cond.wait()
+            finally:
+                reg.unblock(wrank)
+        try:
+            shared, clocks = self.cell
+            rt.clocks[wrank] = clocks if clocks.ndim == 0 else clocks[idx]
+            out = pick(slots, shared, idx)
+        except BaseException:
+            rt.abort()
+            raise
+        if san is not None:
+            # Extraction edge: peers deposit the next generation into the
+            # other buffer, so every deposit of this one is still live and
+            # the alias check sees the true sharing relation.
+            san.collective_exit(self, idx, gen, out, name)
         if rec is not None:
             t1 = float(rt.clocks[wrank])
-            last = self._entry_max
-            idle = min(max(last - t0, 0.0), max(t1 - t0, 0.0))
+            latest = self._entry_max
+            idle = min(max(latest - t0, 0.0), max(t1 - t0, 0.0))
             rec.record(
                 wrank,
                 name,
@@ -279,8 +298,8 @@ class _CommState:
                 nranks=self.size,
                 level=self._group_level(),
                 comm=self.trace_id,
-                seq=seq,
-                last_arrival=last,
+                seq=gen,
+                last_arrival=latest,
             )
         return out
 
@@ -288,7 +307,7 @@ class _CommState:
 
     def _ft_try_complete(self, gen: int, combine, cost_fn) -> None:
         """Complete rendezvous generation ``gen`` if every live member has
-        deposited (caller holds ``ft_cond``)."""
+        deposited (caller holds ``cond``)."""
         if gen in self.ft_results:
             return
         deps = self.ft_deposits.get(gen, {})
@@ -303,7 +322,7 @@ class _CommState:
         live_world = [self.world_ranks[i] for i in live]
         result = combine(values, order, live)
         self.ft_results[gen] = (result, entry + float(cost_fn(live_world)), live)
-        self.ft_cond.notify_all()
+        self.cond.notify_all()
 
     def _ft_quorum(self, gen: int) -> bool:
         """Lock-free completion test for the timeout arbiter (monotone:
@@ -321,7 +340,7 @@ class _CommState:
         """Any reliable-layer wire message sitting in ``idx``'s mailbox?
         Read without the mailbox lock — callers are the quiescence arbiter
         (mailboxes stable) and the ft wait loop (re-checked under
-        ``ft_cond``, which orders against the sender's post-append
+        ``cond``, which orders against the sender's post-append
         notification).  ``exclude`` mirrors
         :func:`~repro.mpi.reliable.service_pending`: messages matching
         that receive pattern belong to the wait itself, not the channel
@@ -348,13 +367,14 @@ class _CommState:
                       name: str, comm: "Comm | None" = None) -> Any:
         """Fault-tolerant rendezvous (``agree``/``shrink``).
 
-        Completes over the set of *live* members without touching the
-        (possibly broken) collective barrier: each member's Nth ft op
-        joins generation N; a generation completes once every live member
-        has deposited, and rank crashes shrink that requirement and wake
-        the waiters, so completion never hangs on a dead rank.  This path
-        contains no crash checkpoints: a rank that deposits is guaranteed
-        to read the result, which is what makes completion sound.
+        Completes over the set of *live* members, whatever became of the
+        plain collectives (same condition, generations of its own): each
+        member's Nth ft op joins generation N; a generation completes once
+        every live member has deposited, and rank crashes shrink that
+        requirement and wake the waiters, so completion never hangs on a
+        dead rank.  This path contains no crash checkpoints: a rank that
+        deposits is guaranteed to read the result, which is what makes
+        completion sound.
 
         While waiting, the rank keeps *servicing reliable-channel traffic*
         (acknowledging data, buffering payloads) via ``comm`` — the ULFM
@@ -377,7 +397,7 @@ class _CommState:
 
         if self.aborted:
             raise self._aborted(f"runtime aborted before '{name}'")
-        with self.ft_cond:
+        with self.cond:
             gen = self.ft_count[idx]
             self.ft_count[idx] = gen + 1
             deps = self.ft_deposits.setdefault(gen, {})
@@ -390,15 +410,10 @@ class _CommState:
                         or self._ft_quorum(gen)
                         or (drain and pending()))
 
-            def wake() -> None:
-                with self.ft_cond:
-                    self.ft_cond.notify_all()
-
-            reg.block(wr, "ft", self, op=name,
-                      can_progress=can_progress, notify=wake)
+            reg.block(wr, "ft", self, op=name, can_progress=can_progress)
             try:
                 while True:
-                    with self.ft_cond:
+                    with self.cond:
                         if self.aborted:
                             raise self._aborted(
                                 f"runtime aborted during '{name}'")
@@ -406,13 +421,13 @@ class _CommState:
                         if gen in self.ft_results:
                             break
                         if not (drain and pending()):
-                            reg.rearm(wr)
-                            self.ft_cond.wait()
-                        # Mark the wake in flight (or the drain below) so
-                        # the arbiter holds its fire until repoll.
-                        reg.wake_ack(wr)
+                            self.cond.wait()
+                        if drain:
+                            # The drain below consumes what the predicate
+                            # shows: the arbiter holds its fire until repoll.
+                            reg.wake_ack(wr)
                     if drain:
-                        # Outside ft_cond: acking sends would self-deadlock
+                        # Outside cond: acking sends would self-deadlock
                         # on its notification otherwise.
                         comm._service_channels()
                         reg.repoll(wr)
@@ -632,16 +647,16 @@ class Comm:
                 RELIABLE_BASE <= tag < RELIABLE_BASE + NAMESPACE_WIDTH:
             # Wake ft-blocked members so they service the channel (the
             # dest may already sit in agree/shrink; see ft_collective).
-            with self._state.ft_cond:
-                self._state.ft_cond.notify_all()
+            with self._state.cond:
+                self._state.cond.notify_all()
             # The dest may instead be waiting in the spare-pool rendezvous,
             # which lives on the *world* state while this channel lives on
             # the work communicator — poke that condition too (waiters
             # re-check their predicates, so a spurious wake is harmless).
             ws = rt.world_state
             if ws is not self._state:
-                with ws.ft_cond:
-                    ws.ft_cond.notify_all()
+                with ws.cond:
+                    ws.cond.notify_all()
 
     def _post_mortem(self, msg: "_Message", dest: int, wdest: int,
                      protocol: bool) -> None:
@@ -1184,12 +1199,7 @@ class Comm:
             now = float(self._rt.clocks[self.world_rank])
             rec.record(self.world_rank, "revoke", "fault", now, now,
                        comm=state.trace_id)
-        # Wake everyone: break the collective barrier and poke mailboxes so
-        # blocked peers re-check `state.revoked`.
-        state.barrier.abort()
-        for mb in state.mailboxes:
-            with mb.cond:
-                mb.cond.notify_all()
+        state.wake()
 
     def agree(self, flag: Any = True) -> bool:
         """ULFM ``MPI_Comm_agree``: fault-tolerant logical-AND over the

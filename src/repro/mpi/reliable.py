@@ -200,12 +200,12 @@ def _process(comm: Comm, msg, tag: int) -> None:
     # release slot depends on processing order.  A retransmission has a
     # new arrival and still draws a fresh ack (and fate) — that is what
     # keeps the retry ladder live when an earlier ack was dropped.
-    acked_arrivals = state.rel_ack_sent.setdefault(kkey, [])
-    if arrival in acked_arrivals:
+    acked_at = state.rel_ack_sent.setdefault(kkey, [])
+    if arrival in acked_at:
         if comm.tracer.enabled:
             comm.tracer.instant("dedup-ack", src=src, tag=tag, seq=seq)
         return
-    acked_arrivals.append(arrival)
+    acked_at.append(arrival)
     k = state.rel_ackseq.get(kkey, 0)
     state.rel_ackseq[kkey] = k + 1
     comm.send((_ACK, seq), src, wire, _at=arrival, _stream=_ACK_STREAM,

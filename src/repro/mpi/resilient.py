@@ -1,7 +1,7 @@
 """A communicator whose collectives survive message drops and duplications.
 
 The base :class:`~repro.mpi.comm.Comm` implements collectives with a
-deposit/leader/extract protocol over shared slots — no messages travel, so
+deposit/plan/pick protocol over shared slots — no messages travel, so
 a :class:`~repro.faults.FaultPlan` cannot perturb them.  That is exactly
 wrong for fault-injection experiments.  :class:`ResilientComm` re-expresses
 every collective in terms of *point-to-point messages* carried by the

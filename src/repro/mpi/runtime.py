@@ -413,15 +413,10 @@ class Runtime:
                     crash_drain(Comm(state, idx), now)
         for state in states:
             if world_rank in state._members_set:
-                # Peers blocked in a collective see a broken barrier and
-                # map it to RankFailedError; blocked receivers and ft
-                # waiters re-check the failed set after the notify.
-                state.barrier.abort()
-                for mb in state.mailboxes:
-                    with mb.cond:
-                        mb.cond.notify_all()
-                with state.ft_cond:
-                    state.ft_cond.notify_all()
+                # Blocked peers re-check the failed set: collectives and
+                # receives map it to RankFailedError, ft waits shrink
+                # their quorum.
+                state.wake()
         self._registry.die(world_rank)
         raise RankCrashed(f"rank {world_rank} crashed at virtual t={now:.6g}s")
 

@@ -1,7 +1,7 @@
 """The wait ledger: what every rank is blocked on, and the one arbiter.
 
-Every rank thread registers what it is blocked on (a receive, a barrier
-phase of a collective, or a fault-tolerant rendezvous) as structured
+Every rank thread registers what it is blocked on (a receive, a
+collective rendezvous, or a fault-tolerant rendezvous) as structured
 fields, in every run.  Three consumers read the one table:
 
 * ``Runtime.run(timeout=...)`` expiry reports *which ranks* were blocked
@@ -22,10 +22,10 @@ fields, in every run.  Three consumers read the one table:
   thread scheduling.
 
 Lock discipline: the registry lock is a leaf for condition variables —
-wait predicates (``can_progress``) only *read* mailbox lists and barrier
-state, which are stable at quiescence; notifications and aborts happen
-after the registry lock is released, and callers never invoke
-``block*``/``repoll`` while holding a mailbox condition.
+wait predicates (``can_progress``) only *read* mailbox lists and
+rendezvous state, which are stable at quiescence; notifications and aborts
+happen after the registry lock is released, and callers never invoke
+``block``/``repoll`` while holding a mailbox or rendezvous condition.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class WaitInfo:
         #: the waiter saw its wake condition hold and is acting on it — it
         #: may be consuming the very message the predicate sees, so the
         #: arbiter must treat it as in-flight progress (non-monotone recv
-        #: and drain predicates only; barrier/quorum predicates are monotone)
+        #: and drain predicates only; collective and quorum predicates are
+        #: monotone)
         self.awake = False
         #: the arbiter decided this wait must abandon with a revocation
         #: error (quiescence reached, nothing can progress, comm revoked)
@@ -93,9 +94,6 @@ class WaitRegistry:
         self._state = [RUNNING] * size
         self._waits: list[WaitInfo | None] = [None] * size
         self._nrunning = size
-        # barrier arrival counters (keyed per barrier object) so the
-        # arbiter can tell "release in flight" from "stuck waiting"
-        self._arrivals: dict[int, int] = {}
         #: the deadlock diagnosis, once the arbiter has issued it
         self.verdict: str | None = None
         self._on_deadlock: Callable[[], None] | None = None
@@ -111,7 +109,6 @@ class WaitRegistry:
             self._state = [RUNNING] * self.size
             self._waits = [None] * self.size
             self._nrunning = self.size
-            self._arrivals.clear()
             self.verdict = None
             self._on_deadlock = on_deadlock
             self._on_fire = on_fire
@@ -120,45 +117,18 @@ class WaitRegistry:
 
     def block(self, rank: int, kind: str, state: Any, **fields) -> WaitInfo:
         """Mark ``rank`` blocked (``fields`` as for :class:`WaitInfo`).
-        Must NOT be called while holding any mailbox condition (the
-        arbiter's follow-up actions may notify arbitrary conditions or
-        abort the runtime)."""
+        Must NOT be called while holding any mailbox or rendezvous
+        condition (the arbiter's follow-up actions may notify arbitrary
+        conditions or abort the runtime)."""
         w = WaitInfo(rank, kind, state, **fields)
         with self._lock:
-            action = self._enter_locked(w)
+            if self._state[rank] == RUNNING:
+                self._nrunning -= 1
+            self._state[rank] = BLOCKED
+            self._waits[rank] = w
+            action = self._arbitrate_locked()
         self._perform(action)
         return w
-
-    def block_barrier(self, rank: int, state: Any, op: str,
-                      site: str = "") -> None:
-        """Mark ``rank`` blocked on (and arrived at) a phase of
-        ``state.barrier``.  Phase generations proceed in lockstep (the
-        barrier enforces it), so arrival ``n`` belongs to generation
-        ``n // parties``; a waiter of a fully-arrived generation has been
-        *released* even if its thread has not run yet."""
-        barrier = state.barrier
-        key = id(barrier)
-        arrivals = self._arrivals
-        with self._lock:
-            n = arrivals.get(key, 0)
-            arrivals[key] = n + 1
-            need = (n // barrier.parties + 1) * barrier.parties
-
-            def arrived() -> bool:
-                return barrier.broken or arrivals.get(key, 0) >= need
-
-            action = self._enter_locked(WaitInfo(
-                rank, "collective", state, op=op, site=site,
-                can_progress=arrived))
-        self._perform(action)
-
-    def _enter_locked(self, w: WaitInfo):
-        rank = w.rank
-        if self._state[rank] == RUNNING:
-            self._nrunning -= 1
-        self._state[rank] = BLOCKED
-        self._waits[rank] = w
-        return self._arbitrate_locked()
 
     def unblock(self, rank: int) -> None:
         with self._lock:
@@ -176,21 +146,14 @@ class WaitRegistry:
             if w is not None:
                 w.awake = True
 
-    def rearm(self, rank: int) -> None:
-        """The waiter re-checked its predicate and is about to wait again."""
-        with self._lock:
-            w = self._waits[rank]
-            if w is not None:
-                w.awake = False
-
     def repoll(self, rank: int) -> None:
         """The waiter finished wake-up work that consumed progress invisibly
         (e.g. an ft-blocked rank drained protocol traffic from its mailbox
         without leaving the BLOCKED state) and is about to wait again.
-        Unlike :meth:`rearm` this re-runs arbitration: the drain may have
-        removed the last pending wake, leaving a deadline as the only way
-        forward.  Must not be called while holding a mailbox or ft
-        condition (the arbiter's follow-up may notify arbitrary ones)."""
+        This re-runs arbitration: the drain may have removed the last
+        pending wake, leaving a deadline as the only way forward.  Must not
+        be called while holding a mailbox or rendezvous condition (the
+        arbiter's follow-up may notify arbitrary ones)."""
         with self._lock:
             w = self._waits[rank]
             if w is not None:
@@ -204,8 +167,8 @@ class WaitRegistry:
 
     def die(self, rank: int) -> None:
         """Mark a rank dead (fault-injected crash).  Call *after* all
-        death bookkeeping (failed sets, barrier aborts, notifications) so
-        the arbiter sees a consistent picture."""
+        death bookkeeping (failed sets, crash drain, wake-ups) so the
+        arbiter sees a consistent picture."""
         self._leave(rank, DEAD)
 
     def _leave(self, rank: int, final: int) -> None:

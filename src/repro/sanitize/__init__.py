@@ -82,7 +82,7 @@ class Sanitizer:
     All state lives behind one lock; every hook is called with no runtime
     lock held (send hooks run before the mailbox append, receive hooks
     after the message left the mailbox, collective hooks outside the
-    barrier waits), so the lock is a leaf and cannot deadlock.
+    rendezvous condition), so the lock is a leaf and cannot deadlock.
     """
 
     def __init__(self, runtime: "Runtime"):
@@ -95,8 +95,6 @@ class Sanitizer:
         self._seen: set[tuple] = set()
         #: id(obj) -> AccessHistory for closure-shared objects
         self._shared: dict[int, AccessHistory] = {}
-        #: (comm trace_id, member idx) -> next collective generation
-        self._coll_gen: dict[tuple[int, int], int] = {}
         #: (comm trace_id, generation) -> entry snapshots + deposit refs
         self._coll: dict[tuple[int, int], dict[str, Any]] = {}
 
@@ -224,21 +222,19 @@ class Sanitizer:
     # --------------------------------------------------------- collectives
 
     def collective_entry(
-        self, state: "_CommState", idx: int, deposit: Any, op: str
+        self, state: "_CommState", idx: int, gen: int, deposit: Any, op: str
     ) -> None:
-        """Deposit edge (before barrier A): snapshot the member's clock and
-        keep weak references to its deposit arrays for the exit-side
+        """Deposit edge of the member's ``gen``-th collective on ``state``,
+        called before the deposit is visible: snapshot the member's clock
+        and keep weak references to its deposit arrays for the exit-side
         alias check."""
         arrays = list(iter_arrays(deposit))
         refs = [ref for ref, _ in payload_fingerprints(deposit, iter_arrays)]
         wr = state.world_ranks[idx]
-        key = (state.trace_id, idx)
         with self._lock:
             self._opnum[wr] += 1
             for arr in arrays:
                 self._auto_read_locked(wr, arr, op)
-            gen = self._coll_gen.get(key, 0)
-            self._coll_gen[key] = gen + 1
             ent = self._coll.setdefault(
                 (state.trace_id, gen), {"vcs": {}, "deps": {}, "exits": 0}
             )
@@ -246,15 +242,14 @@ class Sanitizer:
             ent["deps"][idx] = refs
 
     def collective_exit(
-        self, state: "_CommState", idx: int, out: Any, op: str
+        self, state: "_CommState", idx: int, gen: int, out: Any, op: str
     ) -> None:
-        """Extraction edge (after barrier B, before the slots are reused):
-        join every member's entry clock — a collective is a full
+        """Extraction edge (generation complete, its slot buffer not yet
+        reused): join every member's entry clock — a collective is a full
         synchronization — and alias-check this member's result against the
         other members' live deposits."""
         extracted = list(iter_arrays(out))
         wr = state.world_ranks[idx]
-        gen = self._coll_gen[(state.trace_id, idx)] - 1
         with self._lock:
             ent = self._coll.get((state.trace_id, gen))
             if ent is None:  # peer finished the generation's cleanup already

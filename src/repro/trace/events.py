@@ -12,9 +12,9 @@ Thread-safety
 Ranks are concurrent threads, so the recorder keeps **one span list per
 rank** and every rank appends only to its own list — no locking on the hot
 path.  The only cross-thread value is the collective entry-maximum written
-by the collective leader between two barriers (see
-:meth:`repro.mpi.comm._CommState.collective`), whose visibility those
-barriers already order.
+by a collective's last arriver before it wakes the others (see
+:meth:`repro.mpi.comm._CommState.collective`), whose visibility that
+rendezvous already orders.
 
 Zero cost when disabled
 -----------------------

@@ -16,6 +16,7 @@ from repro.mpi import (
     CommRevokedError,
     MessageTimeoutError,
     RankFailedError,
+    ReduceOp,
     RetryPolicy,
     SPMDError,
     reliable_recv,
@@ -191,3 +192,97 @@ def test_ft_waits_service_the_reliable_channel():
     results = spmd(2, prog, faults=_OneAckDrop(), timeout=WALL)
     assert results[0] == (2, True)  # one retransmission, then agreement
     assert results[1] == ("final", True)
+
+
+# ------------------------------------------------- the collective rendezvous
+
+
+class TestCompletedCollective:
+    """A collective whose result was agreed returns on every member, no
+    matter what a faster member does next; only one that cannot complete
+    raises.  The races are wall-clock ones, hence the repeats."""
+
+    REPEATS = 100
+    P = 8
+
+    def test_crash_at_the_next_operation(self):
+        def prog(comm):
+            total = comm.allreduce(1)
+            with pytest.raises(RankFailedError):
+                comm.barrier()  # rank 0 dies entering it
+            return total
+
+        clocks = set()
+        for _ in range(self.REPEATS):
+            plan = FaultPlan(FaultSpec(crashes=(CrashEvent(rank=0, at_op=1),)),
+                             seed=1, size=self.P)
+            out, rt = spmd(self.P, prog, faults=plan, timeout=WALL,
+                           return_runtime=True)
+            assert out == [None] + [self.P] * (self.P - 1)
+            clocks.add(tuple(rt.clocks))
+        assert len(clocks) == 1
+
+    def test_revoke_right_after(self):
+        def prog(comm):
+            total = comm.allreduce(1)
+            if comm.rank == 0:
+                comm.revoke()
+            else:
+                with pytest.raises(CommRevokedError):
+                    comm.barrier()  # spmd: ignore[DIV-COLLECTIVE]
+            return total
+
+        for _ in range(self.REPEATS):
+            assert spmd(self.P, prog, timeout=WALL) == [self.P] * self.P
+
+    def test_stalled_pick_reads_its_own_generation(self):
+        # Rank 0's pick of generation 0 stalls until every peer has
+        # deposited generation 1: the peers' deposits must have gone to the
+        # other slot buffer, and generation 2 (same buffer as 0) cannot
+        # open before rank 0 is through.
+        p = 4
+        overlapped = []
+
+        class Stall:
+            def __init__(self, state):
+                self.state = state
+
+            def __deepcopy__(self, memo):
+                state = self.state
+                with state.cond:
+                    for _ in range(30_000):
+                        if state.arrived == p - 1:
+                            break
+                        state.cond.wait(1e-3)
+                    overlapped.append(state.arrived == p - 1)
+                return ("g0", 0, 0)
+
+        def prog(comm):
+            rounds = []
+            for g in ("g0", "g1", "g2"):
+                row = [(g, comm.rank, dst) for dst in range(p)]
+                if g == "g0" and comm.rank == 0:
+                    row[0] = Stall(comm._state)
+                rounds.append(comm.alltoall(row))
+            return rounds
+
+        out = spmd(p, prog, timeout=WALL)
+        assert overlapped == [True]
+        for rank, rounds in enumerate(out):
+            assert rounds == [[(g, src, rank) for src in range(p)]
+                              for g in ("g0", "g1", "g2")]
+
+    def test_raising_plan_fails_exactly_one_rank(self):
+        class Boom(RuntimeError):
+            pass
+
+        def boom(a, b):
+            raise Boom("reduction failed")
+
+        def prog(comm):
+            return comm.allreduce(comm.rank, op=ReduceOp("boom", boom))
+
+        with pytest.raises(SPMDError) as excinfo:
+            spmd(self.P, prog, timeout=WALL)
+        (failure,) = excinfo.value.failures.values()
+        assert isinstance(failure, Boom)

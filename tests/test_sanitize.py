@@ -107,6 +107,18 @@ class TestRecvAlias:
         assert RECV_ALIAS in kinds(ei.value)
         assert any(f.world_rank == 1 for f in ei.value.findings)
 
+    def test_collective_result_aliasing_a_peer_deposit_is_flagged(self):
+        def prog(comm):
+            box = _SelfBox(np.ones(32)) if comm.rank == 0 else None
+            got = comm.bcast(box)
+            comm.barrier()  # the root's deposit outlives the next generation
+            return got
+
+        with pytest.raises(SanitizerError) as ei:
+            run_spmd(4, prog, sanitize=True)
+        assert kinds(ei.value) == {RECV_ALIAS}
+        assert {f.world_rank for f in ei.value.findings} == {1, 2, 3}
+
     def test_normal_payloads_are_copied(self):
         def prog(comm):
             if comm.rank == 0:
@@ -183,7 +195,7 @@ class TestHbRace:
             comm.mark_write(shared)
             shared["slot"] = comm.rank
 
-        run_spmd(2, prog)  # sanitize off: marks must not raise or track
+        run_spmd(2, prog, sanitize=False)  # marks must not raise or track
 
 
 # --------------------------------------------------------- configuration
