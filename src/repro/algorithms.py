@@ -80,11 +80,18 @@ def _dash_prior_rounds(fp, config) -> int:
     Bisection (``"midpoint"``) takes ``min(key_bits, ~log2 N + c)`` rounds.
     The ``"shared"`` schedule spends round 1 on ``p - 1`` equally spaced
     probes, which resolves ``floor(log2 p)`` of those bits at once; the
-    rounds after it can only do better than bisection.
+    rounds after it can only do better than bisection.  ``"squeeze"`` starts
+    the same way, then leaves ~sqrt of a bracket's ``n / p`` keys per round
+    on a smooth input — ``log2 log2 (n / p)`` rounds — and gathers the rest;
+    on a heavy tail it is the shared schedule.
     """
+    schedule = config.splitter.probe_schedule
     base = min(fp.key_bits, int(math.log2(max(fp.n_total, 2))) + 2)
-    if config.splitter.probe_schedule == "shared":
+    if schedule != "midpoint":
         base -= int(math.log2(max(fp.p, 1))) - 1
+    if schedule == "squeeze":
+        per_rank = max(fp.n_total / max(fp.p, 1), 4.0)
+        base = min(base, 2 + math.ceil(math.log2(math.log2(per_rank))))
     return max(base, 1)
 
 

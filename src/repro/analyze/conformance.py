@@ -71,6 +71,8 @@ class TrafficSnapshot:
     n: int
     rounds: int
     phase_bytes: dict[str, float]
+    #: payload of the histogram sort's exact gather, in keys (one of ``rounds``)
+    gathered: int = 0
 
 
 @dataclass(frozen=True)
@@ -117,24 +119,24 @@ class _Entry:
     #: non-ground atom values at (p, n): ``$param``/``$param.attr`` sizes
     bindings: Callable[[int, int], dict[str, float]]
     #: closed-form wire-byte model from :mod:`repro.model.phases`
-    model: Callable[[int, int, int], dict[str, float]]
+    model: Callable[[int, int, int, int], dict[str, float]]
     #: the traced trial's row in :data:`repro.algorithms.ALGORITHMS`
     sort: str
 
 
-def _model_histsort(n: int, p: int, rounds: int) -> dict[str, float]:
+def _model_histsort(n: int, p: int, rounds: int, gathered: int) -> dict[str, float]:
     from ..model.phases import traffic_histsort
 
-    return traffic_histsort(n, p, rounds=rounds)
+    return traffic_histsort(n, p, rounds=rounds, gathered_keys=gathered)
 
 
-def _model_samplesort(n: int, p: int, rounds: int) -> dict[str, float]:
+def _model_samplesort(n: int, p: int, rounds: int, gathered: int) -> dict[str, float]:
     from ..model.phases import traffic_samplesort
 
     return traffic_samplesort(n, p)
 
 
-def _model_psrs(n: int, p: int, rounds: int) -> dict[str, float]:
+def _model_psrs(n: int, p: int, rounds: int, gathered: int) -> dict[str, float]:
     from ..model.phases import traffic_psrs
 
     return traffic_psrs(n, p)
@@ -167,6 +169,7 @@ ALGORITHMS: dict[str, _Entry] = {
         phase_of={
             "histsort:local_sort": "local_sort",
             "multiselect:find_splitters": "splitting",
+            "multiselect:_gather_finish": "splitting",
             "exchange:build_exchange_plan": "other",
             "exchange:exchange": "exchange",
         },
@@ -223,9 +226,10 @@ def _function_phase(entry: _Entry, key: str) -> str | None:
 
 
 def static_traffic(
-    algo: str, p: int, n: int, rounds: int
+    algo: str, p: int, n: int, rounds: int, gathered: int = 0
 ) -> tuple[dict[str, float], dict[str, list[str]], list[str]]:
-    """Statically derived per-phase wire bytes at concrete ``(p, n, s)``.
+    """Statically derived per-phase wire bytes at concrete ``(p, n, s)``;
+    ``gathered`` keys (not ``n``) size the exact gather's per-rank payload.
 
     Returns ``(phase_bytes, attribution, unpriced)``: the evaluated bytes,
     the per-phase symbolic terms with their call sites, and the sites
@@ -239,6 +243,7 @@ def static_traffic(
         "logp": math.log2(max(p, 2)),
         "n": float(n),
         "s": float(max(rounds, 1)),
+        "$residue": gathered / p,
     }
     env.update(entry.bindings(p, n))
 
@@ -292,7 +297,8 @@ def measure_traffic(algo: str, p: int, n: int, seed: int = 7) -> TrafficSnapshot
     def prog(comm):
         rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
         local = rng.integers(0, 2**62, size=n_local, dtype=np.uint64)
-        return sort(comm, local, SortConfig()).rounds
+        res = sort(comm, local, SortConfig())
+        return res.rounds, getattr(getattr(res, "splitters", None), "gathered_keys", 0)
 
     results, rt = run_spmd(p, prog, trace=True, return_runtime=True)
     spans = rt.trace.spans()
@@ -300,14 +306,17 @@ def measure_traffic(algo: str, p: int, n: int, seed: int = 7) -> TrafficSnapshot
         algo=algo,
         p=p,
         n=n_local * p,
-        rounds=int(max(results)),
+        rounds=int(max(r for r, _ in results)),
         phase_bytes={k: float(v) for k, v in phase_traffic(spans).items()},
+        gathered=int(results[0][1]),
     )
 
 
-def model_traffic(algo: str, p: int, n: int, rounds: int) -> dict[str, float]:
+def model_traffic(
+    algo: str, p: int, n: int, rounds: int, gathered: int = 0
+) -> dict[str, float]:
     """Closed-form wire-byte prediction from :mod:`repro.model.phases`."""
-    return ALGORITHMS[algo].model(n, p, rounds)
+    return ALGORITHMS[algo].model(n, p, rounds, gathered)
 
 
 # ------------------------------------------------------------- comparison
@@ -334,8 +343,10 @@ def check_conformance(
             f"unknown algorithm {algo!r}; have {sorted(ALGORITHMS)}"
         )
     snap = measure_traffic(algo, p, n, seed=seed)
-    static, attribution, unpriced = static_traffic(algo, p, snap.n, snap.rounds)
-    modelled = model_traffic(algo, p, snap.n, snap.rounds)
+    static, attribution, unpriced = static_traffic(
+        algo, p, snap.n, snap.rounds, snap.gathered
+    )
+    modelled = model_traffic(algo, p, snap.n, snap.rounds, snap.gathered)
 
     report = ConformanceReport(
         algo=algo, p=p, n=snap.n, rounds=snap.rounds, unpriced=unpriced

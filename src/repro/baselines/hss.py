@@ -25,7 +25,13 @@ import numpy as np
 
 from ..core.config import SortConfig
 from ..core.histsort import SortState, run_pipeline
-from ..core.multiselect import _MINMAX, SplitterResult, accept_or_tighten
+from ..core.multiselect import (
+    _MINMAX,
+    SplitterResult,
+    _ProbeArithmetic,
+    accept_or_tighten,
+    tightened_ranks,
+)
 from ..seq.search import local_histogram
 from .common import BaselineResult
 
@@ -123,12 +129,7 @@ def hss_splitters(
     rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
 
     # Interval state per boundary: value bounds and their achieved ranks.
-    if work.size:
-        lmin, lmax = work[0], work[-1]
-    else:
-        info = np.iinfo(dtype) if dtype.kind in "iu" else np.finfo(dtype)
-        lmin, lmax = dtype.type(info.max), dtype.type(info.min)
-    gmin, gmax = comm.allreduce((lmin, lmax), op=_MINMAX)
+    gmin, gmax = comm.allreduce(_ProbeArithmetic(dtype).extremes(work), op=_MINMAX)
 
     lo_val = np.full(m, gmin, dtype=dtype)
     hi_val = np.full(m, gmax, dtype=dtype)
@@ -178,16 +179,14 @@ def hss_splitters(
         # style refinement, whose convergence is fast exactly when the key
         # CDF is locally linear and slow on skewed regions (the source of
         # the volatility the paper observes).
-        interp = np.empty(act.size, dtype=dtype)
-        for j, i in enumerate(act):
-            span = float(hi_rank[i] - lo_rank[i])
-            frac = (float(targets[i] - lo_rank[i]) / span) if span > 0 else 0.5
-            frac = min(max(frac, 0.02), 0.98)
-            val = float(lo_val[i]) + (float(hi_val[i]) - float(lo_val[i])) * frac
-            interp[j] = np.asarray(val).astype(dtype)
-        cand = np.unique(
-            np.concatenate([*gathered, lo_val[act], hi_val[act], interp])
-        )
+        t = targets[act]
+        lo, hi = lo_val[act], hi_val[act]
+        span = (hi_rank[act] - lo_rank[act]).astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(span > 0, (t - lo_rank[act]) / span, 0.5).clip(0.02, 0.98)
+        lo64 = lo.astype(np.float64)
+        interp = (lo64 + (hi.astype(np.float64) - lo64) * frac).astype(dtype)
+        cand = np.unique(np.concatenate([*gathered, lo, hi, interp]))
         cand = cand[(cand >= gmin) & (cand <= gmax)]
         comm.compute(compute.sort(max(int(cand.size), 1)))
 
@@ -199,19 +198,15 @@ def hss_splitters(
 
         # Accept the first candidate achieving a target within tolerance,
         # otherwise shrink its interval to the bracketing candidates.
-        t = targets[act]
-        hit, first, new_lo, new_hi = accept_or_tighten(
-            cand, L, U, t, tol, lo_val[act], hi_val[act]
+        hit, first, lo_val[act], hi_val[act] = accept_or_tighten(cand, L, U, t, tol, lo, hi)
+        lo_rank[act], hi_rank[act] = tightened_ranks(
+            first, L, U, lo_val[act] > lo, hi_val[act] < hi, lo_rank[act], hi_rank[act]
         )
         done, j = act[hit], first[hit]
         values[done] = cand[j]
         lower[done], upper[done] = L[j], U[j]
         realized[done] = np.clip(t[hit], L[j], U[j])
         active[done] = False
-        up = ~hit & (new_lo > lo_val[act])
-        lo_val[act[up]], lo_rank[act[up]] = new_lo[up], U[first[up] - 1]
-        down = ~hit & (new_hi < hi_val[act])
-        hi_val[act[down]], hi_rank[act[down]] = new_hi[down], L[first[down]]
         comm.compute(compute.call_overhead + 2.0e-9 * int(cand.size))
         tracer.record(
             "hss_round",

@@ -93,9 +93,12 @@ def guess_policy_ablation(repeats: int = 3) -> Series:
         columns=["probe_schedule", "initial_guess", "rounds", "wire_bytes", "splitting_s"],
         params={"p": _P, "n_per_rank": _NPR},
         notes="paper (§V-A): better initial guesses reduce histogram rounds; "
-        "the shared schedule spends the same probes on distinct values",
+        "the shared schedule spends the same probes on distinct values, "
+        "squeeze places them by rank and gathers the residue",
     )
-    for schedule, guess in (("midpoint", "minmax"), ("shared", "minmax"), ("shared", "sample")):
+    for schedule, guess in (
+        ("midpoint", "minmax"), ("shared", "minmax"), ("shared", "sample"), ("squeeze", "minmax"),
+    ):
         cfg = SortConfig(
             splitter=SplitterConfig(initial_guess=guess, probe_schedule=schedule)
         )

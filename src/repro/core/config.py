@@ -9,7 +9,7 @@ __all__ = ["SplitterConfig", "SortConfig"]
 
 _MERGE_STRATEGIES = ("sort", "binary_tree", "tournament", "adaptive")
 _GUESS_POLICIES = ("minmax", "sample")
-_PROBE_SCHEDULES = ("shared", "midpoint")
+_PROBE_SCHEDULES = ("squeeze", "shared", "midpoint")
 
 
 def _checked_kwargs(cls, data: Mapping[str, Any]) -> dict[str, Any]:
@@ -38,19 +38,25 @@ class SplitterConfig:
         Regular samples drawn per rank for the ``"sample"`` policy.
     probe_schedule:
         Where a round places its probes — at most one per open splitter
-        either way, and every open bracket is tightened by every probe.
-        ``"shared"`` treats them as one budget: the splitters sharing a
-        bracket spread their probes equally over it, so round 1 resolves
-        ``log2 P`` bits instead of one.  ``"midpoint"`` is the paper's
-        literal Algorithm 3: every splitter bisects its own bracket, which
-        ships the same midpoint once per splitter sharing it.
+        in every case, and every open bracket is tightened by every probe.
+        ``"squeeze"`` (default) keeps the global counts at each bracket's
+        ends, interpolates the probe on them aimed past the target into the
+        bracket's wider side, falls back to the ``"shared"`` spread for a
+        bracket whose rank span failed to halve, and allgathers the keys
+        still inside the open brackets as soon as that costs no more
+        modelled time than the next round.  ``"shared"`` treats the probes
+        as one budget: the splitters sharing a bracket spread theirs
+        equally over it, so round 1 resolves ``log2 P`` bits instead of
+        one.  ``"midpoint"`` is the paper's literal Algorithm 3: every
+        splitter bisects its own bracket, which ships the same midpoint
+        once per splitter sharing it.
     max_rounds:
-        Safety cap on histogramming iterations.
+        Safety cap on histogramming iterations (the gather counts as one).
     """
 
     initial_guess: str = "minmax"
     sample_factor: int = 8
-    probe_schedule: str = "shared"
+    probe_schedule: str = "squeeze"
     max_rounds: int = 512
 
     def __post_init__(self) -> None:

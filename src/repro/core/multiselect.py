@@ -9,10 +9,12 @@ partition density.
 Algorithm sketch (per round, every rank):
 
 1. place at most one probe per still-open splitter into one sorted probe
-   vector — the splitters sharing a bracket spread theirs equally over it
-   (``probe_schedule="shared"``), or each bisects its own bracket
-   (``"midpoint"``, the paper's literal Algorithm 3, which repeats a
-   shared bracket's midpoint once per splitter);
+   vector — interpolated on the global counts at its bracket's two ends
+   and aimed past the target rank into the wider side
+   (``probe_schedule="squeeze"``, the default), spread equally over the
+   bracket the splitters share (``"shared"``), or at the bracket's
+   midpoint (``"midpoint"``, the paper's literal Algorithm 3, which
+   repeats a shared bracket's midpoint once per splitter);
 2. local histogram of the probe vector by binary search on the locally
    sorted partition (two ``np.searchsorted`` calls);
 3. ``ALLREDUCE`` the local ``(l, u)`` vectors into the global ``(L, U)``;
@@ -20,6 +22,11 @@ Algorithm sketch (per round, every rank):
    lowest probe whose ``[L, U]`` can meet the target rank ``t_i`` within
    tolerance, otherwise move ``lo_i`` / ``hi_i`` to the two neighbouring
    probes that bracket it.
+
+``"squeeze"`` ends the search exactly, as DSELECT does (Algorithm 1,
+§IV-B): once the keys still inside the open brackets can be allgathered
+for no more modelled time than the next round would cost, every rank
+gathers them and reads each remaining splitter off the sorted residue.
 
 Ties (duplicate keys) need no key uniquification here: acceptance uses the
 achievable-interval test and the exchange (Algorithm 4) later splits the
@@ -45,6 +52,7 @@ __all__ = [
     "SplitterResult",
     "SplitterConvergenceError",
     "accept_or_tighten",
+    "tightened_ranks",
     "find_splitters",
 ]
 
@@ -64,7 +72,8 @@ class SplitterResult:
     ``i`` and ``i+1``); ``realized_ranks[i]`` the exact number of keys the
     exchange will place left of that boundary (within tolerance of
     ``targets[i]``); ``lower``/``upper`` the boundary's global histogram
-    ``(L, U)``.
+    ``(L, U)``.  ``rounds`` counts the exact finish as one round;
+    ``gathered_keys`` is its payload (0 when it never fired).
     """
 
     values: np.ndarray
@@ -77,6 +86,7 @@ class SplitterResult:
     tolerance: int
     rounds: int
     probes_total: int
+    gathered_keys: int = 0
 
     @property
     def nboundaries(self) -> int:
@@ -110,6 +120,22 @@ class _ProbeArithmetic:
                 f"histogram splitting requires numeric keys, got dtype {self.dtype}"
             )
         self.is_int = self.dtype.kind in "iu"
+        #: (min, max) of the finite keys if a global extreme is infinite: no
+        #: arithmetic works on such a bracket end, so probes go inside these
+        self.finite: tuple | None = None
+
+    def extremes(self, keys) -> tuple:
+        """``(min, max)`` of sorted ``keys``; the MINMAX identity if empty."""
+        if keys.size:
+            return keys[0], keys[-1]
+        info = np.iinfo(self.dtype) if self.is_int else np.finfo(self.dtype)
+        return self.dtype.type(info.max), self.dtype.type(info.min)
+
+    def below(self, hi) -> np.ndarray:
+        """The largest key value under each ``hi``."""
+        if self.is_int:
+            return hi - self.dtype.type(1)
+        return np.nextafter(hi, self.dtype.type(-np.inf))
 
     def spread(self, lo, hi, j, g) -> np.ndarray:
         """Probe ``j`` of ``g`` equally spaced ones inside each ``(lo, hi]``.
@@ -117,7 +143,9 @@ class _ProbeArithmetic:
         All arguments are aligned arrays with ``1 <= j <= g``; the probe sits
         at ``lo + ceil(j * (hi - lo) / (g + 1))``, so ``g == 1`` is the
         bisection midpoint of Algorithm 3 (``== hi`` at collapse).  A bracket
-        narrower than its ``g`` repeats values; callers deduplicate.
+        narrower than its ``g`` repeats values; callers deduplicate.  With
+        ``j / (g + 1)`` a rank fraction this is the interpolated placement
+        (integer keys: exact while ``g < 2**32``).
         """
         if self.is_int:
             # Modulo-2^64 arithmetic on the width is exact for every integer
@@ -128,6 +156,8 @@ class _ProbeArithmetic:
             ju = j.astype(np.uint64)
             return (base + ju * q + (ju * r + parts - 1) // parts).astype(self.dtype)
         lo64, hi64 = lo.astype(np.float64), hi.astype(np.float64)
+        if self.finite is not None:
+            lo64, hi64 = np.maximum(lo64, self.finite[0]), np.minimum(hi64, self.finite[1])
         frac = j / (g + 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             raw = lo64 + (hi64 - lo64) * frac
@@ -160,12 +190,102 @@ def accept_or_tighten(probes, L, U, t, tol, lo, hi):
     return hit, first, np.maximum(lo, ext[first]), np.minimum(hi, ext[first + 1])
 
 
+def tightened_ranks(first, L, U, lo_moved, hi_moved, lo_rank, hi_rank):
+    """Global counts at the bracket ends :func:`accept_or_tighten` moved
+    (``lo_moved`` / ``hi_moved``; ``first`` is its result for the same
+    ``(L, U)``): a new ``lo`` is the probe below ``first`` and carries its
+    ``U``, a new ``hi`` is ``probes[first]`` and carries its ``L`` — so
+    ``hi_rank - lo_rank`` keys lie strictly inside the bracket."""
+    return (
+        np.where(lo_moved, U[first - 1], lo_rank),
+        np.where(hi_moved, L.take(first, mode="clip"), hi_rank),
+    )
+
+
+class _GatherRule:
+    """When the exact finish of ``"squeeze"`` pays.
+
+    Gathering ``residue`` keys replaces a round's ALLREDUCE and searches by
+    an ALLGATHER of ``residue / P`` keys per rank and a merge of the ``P``
+    sorted runs that arrive; the coefficients of both sides are read off
+    the cost model once per call.
+    """
+
+    def __init__(self, comm: "Comm", itemsize: int, n_mean: int):
+        cost, ranks = comm.cost, tuple(comm.world_ranks)
+        self.compute, self.p, self.n_mean = cost.compute, len(ranks), n_mean
+        self.gather0 = cost.allgather(0.0, ranks)
+        self.gather1 = (cost.allgather(1.0, ranks) - self.gather0) * itemsize / self.p
+        self.reduce0 = cost.allreduce(0.0, ranks)
+        self.reduce1 = cost.allreduce(16.0, ranks) - self.reduce0
+
+    def pays(self, residue: int, k: int) -> bool:
+        """No dearer than the round of ``k`` probes that is certain to follow."""
+        return (
+            self.gather0 + self.gather1 * residue + self.compute.kway_merge(residue, self.p)
+            <= self.reduce0 + self.reduce1 * k + self.compute.search(2 * k, self.n_mean)
+        )
+
+
+def _residue(local_sorted, lo, hi) -> np.ndarray:
+    """The local keys strictly inside the open brackets (a shared one once)."""
+    own = np.ones(lo.size, dtype=bool)
+    own[1:] = lo[1:] != lo[:-1]
+    start = local_sorted.searchsorted(lo[own], side="right")
+    count = local_sorted.searchsorted(hi[own], side="left") - start
+    inside = np.repeat(start - (count.cumsum() - count), count) + np.arange(count.sum())
+    return local_sorted[inside]
+
+
+def _gather_finish(comm: "Comm", residue, t, lo, lo_rank):
+    """DSELECT's endgame: ``(values, L, U, nkeys)`` of the open targets, read
+    off everybody's ``residue``.  The key of global rank ``t`` is in it:
+    ``lo_rank < t < hi_rank`` on every open bracket."""
+    keys = np.sort(np.concatenate(comm.allgather(residue)))  # P sorted runs
+    comm.compute(comm.cost.compute.kway_merge(keys.size, comm.size))
+    base = keys.searchsorted(lo, side="right")
+    values = keys[base + (t - lo_rank)]
+    base = lo_rank - base
+    return (
+        values,
+        keys.searchsorted(values) + base,
+        keys.searchsorted(values, side="right") + base,
+        int(keys.size),
+    )
+
+
 def _bracket_slots(lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(j, g)`` per open target: its 1-based slot among the ``g`` targets
     sharing its bracket.  Open brackets are disjoint or identical and
     monotone in the target, so ``lo`` alone identifies (and sorts) them."""
     left = lo.searchsorted(lo)
     return np.arange(1, lo.size + 1) - left, lo.searchsorted(lo, side="right") - left
+
+
+def _squeeze_slots(t, lo, lo_rank, span, stalled) -> tuple[np.ndarray, np.ndarray]:
+    """``(j, g)`` under "squeeze": each probe sits at rank fraction ``j / (g + 1)``.
+
+    A target alone in a bracket whose span halved last round interpolates on
+    the counts at the bracket's ends, aiming ``min(sqrt(span), side) / 2``
+    ranks past the target into the bracket's wider ``side`` — so that side
+    collapses to ~sqrt(span) keys, where plain regula falsi lets one end
+    creep.  A ``stalled`` bracket, and one that targets still share, takes its
+    "shared" slot instead: key-space bisection, which bounds the rounds
+    whatever the distribution.
+    """
+    mixed = stalled.any() or (lo[1:] == lo[:-1]).any()
+    if mixed:
+        js, gs = _bracket_slots(lo)
+        spread_it = stalled | (gs > 1)
+        if spread_it.all():
+            return js, gs
+    left = t - lo_rank
+    up = left + left < span
+    push = (np.minimum(np.sqrt(span), np.where(up, span - left, left)) * 0.5).astype(np.int64)
+    j, g = np.where(up, left + push, left - push), span - 1
+    if mixed:
+        j, g = np.where(spread_it, js, j), np.where(spread_it, gs, g)
+    return j, g
 
 
 def _regular_sample(local_sorted: np.ndarray, count: int) -> np.ndarray:
@@ -234,12 +354,11 @@ def find_splitters(
 
     # Global (min, max) — one reduction (Algorithm 3 line 3).  Empty ranks
     # contribute identity sentinels.
-    if n_local:
-        local_min, local_max = local_sorted[0], local_sorted[-1]
-    else:
-        info = np.iinfo(dtype) if arith.is_int else np.finfo(dtype)
-        local_min, local_max = dtype.type(info.max), dtype.type(info.min)
-    gmin, gmax = comm.allreduce((local_min, local_max), op=_MINMAX)
+    gmin, gmax = comm.allreduce(arith.extremes(local_sorted), op=_MINMAX)
+    if not (arith.is_int or (np.isfinite(gmin) and np.isfinite(gmax))):
+        # one more reduction, on inputs holding -inf / +inf keys only
+        finite = local_sorted[np.isfinite(local_sorted)]
+        arith.finite = comm.allreduce(arith.extremes(finite), op=_MINMAX)
     # Global bounds of the extreme keys.  Targets inside the global-minimum
     # duplicate run can only be met by the splitter value gmin itself, which
     # the half-open probe interval (lo, hi] would never test — resolve them
@@ -266,13 +385,19 @@ def find_splitters(
     upper = np.zeros(boundaries, dtype=np.int64)
     realized = np.zeros(boundaries, dtype=np.int64)
 
+    schedule = config.probe_schedule
+    squeeze = schedule == "squeeze"
     # Covered by the minimum key's run (includes empty-output ranks) ...
     at_min = targets - tol <= u_gmin
     values[at_min] = gmin
     realized[at_min] = np.minimum(targets[at_min], u_gmin)
     upper[at_min] = u_gmin
-    # ... or by the maximum key's.
-    at_max = ~at_min & (targets + tol >= total)
+    # ... or by the maximum key's.  The pinned schedules resolve only the
+    # targets at N here and probe ``hi = gmax`` for the rest of its run;
+    # "squeeze" treats ``hi`` as a known miss (and no probe reaches +inf),
+    # so there the whole run resolves now.
+    whole_run = squeeze or not np.isfinite(gmax)
+    at_max = ~at_min & (targets + tol >= (l_gmax if whole_run else total))
     values[at_max] = gmax
     realized[at_max] = np.clip(targets[at_max], l_gmax, total)
     lower[at_max], upper[at_max] = l_gmax, total
@@ -290,32 +415,56 @@ def find_splitters(
             idx = np.clip((frac * (flat.size - 1)).round().astype(np.int64), 0, flat.size - 1)
             first_probes = flat[idx]
 
-    shared = config.probe_schedule == "shared"
     # Compact state of the open targets, in target order.
     t, lo, hi = targets[active], lo[active], hi[active]
+    m = t.size
+    if squeeze:
+        # Counts at the bracket ends, U(lo) and L(hi): span keys lie strictly
+        # inside.  A bracket whose span failed to halve is ``stalled``.
+        lo_rank = np.full(m, u_gmin, dtype=np.int64)
+        hi_rank = np.full(m, l_gmax, dtype=np.int64)
+        span = hi_rank - lo_rank
+        stalled = np.ones(m, dtype=bool)
+        rule = _GatherRule(comm, dtype.itemsize, max(total // p, 1))
     rounds = 0
     probes_total = 0
+    gathered_keys = 0
     tracer = comm.tracer
-    while active.any():
+    while m:
         t_round = comm.clock
         rounds += 1
         if rounds > config.max_rounds:
             raise SplitterConvergenceError(
                 f"splitters did not converge within {config.max_rounds} rounds "
-                f"({t.size} of {boundaries} boundaries still open)"
+                f"({m} of {boundaries} boundaries still open)"
             )
-        m = t.size
         # One sorted probe vector of at most one probe per open target.
         if rounds == 1 and first_probes is not None:
             probes = np.clip(first_probes, gmin, gmax).astype(dtype)
         else:
             # "shared": the targets sharing a bracket spread their probes over
-            # it; Algorithm 3: every target bisects its own (slot 1 of 1)
-            j, g = _bracket_slots(lo) if shared else np.ones((2, m), np.int64)
-            probes = arith.spread(lo, hi, j, g)
-        if shared and (probes[1:] == probes[:-1]).any():
+            # it; Algorithm 3: every target bisects its own (slot 1 of 1);
+            # "squeeze" never re-probes ``hi``, a known miss
+            if squeeze:
+                j, g = _squeeze_slots(t, lo, lo_rank, span, stalled)
+            else:
+                j, g = _bracket_slots(lo) if schedule == "shared" else np.ones((2, m), np.int64)
+            probes = arith.spread(lo, arith.below(hi) if squeeze else hi, j, g)
+        if schedule != "midpoint" and (probes[1:] <= probes[:-1]).any():
             probes = np.unique(probes)  # a bracket narrower than its budget
         k = probes.size
+
+        if squeeze and rounds > 1 and rule.pays(int(span.sum()), k):
+            got, L, U, gathered_keys = _gather_finish(
+                comm, _residue(local_sorted, lo, hi), t, lo, lo_rank
+            )
+            done = active.nonzero()[0]
+            values[done], lower[done], upper[done], realized[done] = got, L, U, t
+            comm.compute(compute.call_overhead + 2.0e-9 * m)
+            tracer.record(
+                "histogram_gather", t_round, round=rounds, keys=gathered_keys, targets=int(m)
+            )
+            break
         probes_total += k
 
         # Local histogram by binary search (Algorithm 3 line 7) ...
@@ -325,7 +474,14 @@ def find_splitters(
         glob = comm.allreduce(np.concatenate([l_loc, u_loc]))
         L, U = glob[:k], glob[k:]
 
-        hit, first, lo, hi = accept_or_tighten(probes, L, U, t, tol, lo, hi)
+        hit, first, new_lo, new_hi = accept_or_tighten(probes, L, U, t, tol, lo, hi)
+        if squeeze:
+            lo_rank, hi_rank = tightened_ranks(
+                first, L, U, new_lo > lo, new_hi < hi, lo_rank, hi_rank
+            )
+            was, span = span, hi_rank - lo_rank
+            stalled = was < span + span
+        lo, hi = new_lo, new_hi
         if hit.any():
             done, j = active.nonzero()[0][hit], first[hit]
             values[done] = probes[j]
@@ -334,6 +490,9 @@ def find_splitters(
             active[done] = False
             still = ~hit
             t, lo, hi = t[still], lo[still], hi[still]
+            if squeeze:
+                lo_rank, hi_rank = lo_rank[still], hi_rank[still]
+                span, stalled = span[still], stalled[still]
 
         comm.compute(compute.call_overhead + 2.0e-9 * m)
         tracer.record(
@@ -344,6 +503,7 @@ def find_splitters(
             targets=int(m),
             open=int(t.size),
         )
+        m = t.size
 
     return SplitterResult(
         values=values,
@@ -356,4 +516,5 @@ def find_splitters(
         tolerance=tol,
         rounds=rounds,
         probes_total=probes_total,
+        gathered_keys=gathered_keys,
     )

@@ -74,7 +74,10 @@ class ChaosCase:
             delay_rate=0.1,
             degrade_links=1,
             crash_ranks=self.crash_ranks,
-            crash_op_range=(10, 120),
+            # a non-root rank's whole sort is ~30 operations (2 per
+            # collective: 3 set-up, 3-4 histogram rounds, the exact gather,
+            # then the exchange); a later trigger would never fire
+            crash_op_range=(5, 28),
         )
         return FaultPlan(spec, seed=self.seed, size=self.size + self.spares)
 

@@ -72,6 +72,9 @@ class CostModel:
             latency=max(node_link.latency * 4, (net.latency * 0.6) if net else 1.0e-6),
             bandwidth=node_link.bandwidth * 0.5,
         )
+        # _group_link per rank tuple: every collective of a communicator
+        # prices the same group, and deriving its span walks every rank
+        self._group_links: dict[tuple[int, ...], LinkSpec] = {}
 
     # ------------------------------------------------------------------ links
 
@@ -94,13 +97,16 @@ class CostModel:
         return self.software_overhead + self.link_for(level).cost(nbytes)
 
     def _group_link(self, ranks: Sequence[int]) -> LinkSpec:
-        level = self.placement.span_level(ranks)
-        link = self.link_for(level)
-        if level >= Level.NETWORK and self.nic_sharing:
-            ranks = list(ranks)
-            sharers = min(self.placement.ranks_per_node, max(len(ranks), 1))
-            if sharers > 1:
-                link = LinkSpec(latency=link.latency, bandwidth=link.bandwidth / sharers)
+        key = tuple(ranks)
+        link = self._group_links.get(key)
+        if link is None:
+            level = self.placement.span_level(key)
+            link = self.link_for(level)
+            if level >= Level.NETWORK and self.nic_sharing:
+                sharers = min(self.placement.ranks_per_node, max(len(key), 1))
+                if sharers > 1:
+                    link = LinkSpec(latency=link.latency, bandwidth=link.bandwidth / sharers)
+            self._group_links[key] = link
         return link
 
     # ------------------------------------------------------------ collectives

@@ -10,10 +10,11 @@ analysis:
 * local sort: ``c_sort · (N/P) · log2(N/P)``
 * splitting:  ``rounds × (allreduce(2·(P-1)·8 B) + binary-search histogram)``
   — a round ships at most one probe per *open* splitter, so ``2·(P-1)``
-  counts is an upper bound under either probe schedule; ``rounds`` tracks
-  the key width (§V-A) less, under the default shared schedule, the
-  ``log2 P`` bits its first round resolves, and is taken from executed
-  runs of the same key type and schedule;
+  counts is an upper bound under every probe schedule; ``rounds`` is taken
+  from executed runs of the same key type and schedule.  The default
+  ``"squeeze"`` schedule ends in one exact gather, which counts as a round
+  and is priced as what it is once its payload ``gathered_keys`` is given:
+  an allgather of that many keys plus the merge of the ``P`` sorted runs;
 * exchange:   one ALL-TO-ALLV of the full volume, priced per locality level
   with the bisection-bandwidth floor;
 * merge:      strategy-dependent (re-sort in the paper's configuration);
@@ -43,7 +44,7 @@ __all__ = [
 #: bumped whenever a closed-form formula changes; cached tuning plans carry
 #: the version they were scored under and are invalidated on mismatch
 #: (see :mod:`repro.tune.cache`).
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,17 @@ def predict_histsort(
     *,
     ranks_per_node: int,
     rounds: int,
+    gathered_keys: int = 0,
     itemsize: int = 8,
     merge_strategy: str = "sort",
     use_shm: bool = True,
 ) -> PhasePrediction:
-    """Modelled phase times of the histogram sort at scale ``(N, P)``."""
+    """Modelled phase times of the histogram sort at scale ``(N, P)``.
+
+    ``rounds`` includes the exact gather of the ``"squeeze"`` schedule; with
+    ``gathered_keys == 0`` that round is priced like a histogram round (which
+    the firing rule guarantees it does not exceed).
+    """
     if p < 1 or n_total < 0:
         raise ValueError("need p >= 1 and n_total >= 0")
     placement = make_placement(machine, p, ranks_per_node)
@@ -102,6 +109,14 @@ def predict_histsort(
         + 2.0e-9 * max(p - 1, 1)
     )
     splitting = rounds * per_round + cost.allreduce(16, ranks)
+    if gathered_keys:
+        splitting += (
+            cost.allgather(gathered_keys * itemsize / p, ranks)
+            + compute.kway_merge(gathered_keys, p)
+            + compute.call_overhead
+            + 2.0e-9 * max(p - 1, 1)
+            - per_round
+        )
 
     # Exchange: with a random input every rank sends ~(1 - 1/P) of its data,
     # spread uniformly over the other ranks; locality splits the volume into
@@ -164,7 +179,7 @@ def predict_histsort(
 
 
 def traffic_histsort(
-    n_total: int, p: int, *, rounds: int, itemsize: int = 8
+    n_total: int, p: int, *, rounds: int, gathered_keys: int = 0, itemsize: int = 8
 ) -> dict[str, float]:
     """Modelled per-phase wire bytes of the histogram sort.
 
@@ -173,7 +188,8 @@ def traffic_histsort(
     ``rounds`` histogram ALLREDUCEs of ``2(p-1)`` int64 counts — an upper
     bound, since a round carries at most one probe per *open* boundary
     (fewer where the shared schedule deduplicates a narrow bracket) and
-    boundaries retire as they converge.  ``other`` is the
+    boundaries retire as they converge; the exact gather, one of the
+    ``rounds``, ships its ``gathered_keys`` instead.  ``other`` is the
     exchange preparation (rank-order-fill EXCLUSIVE_SCAN + send-count
     ALL-TO-ALL); ``exchange`` the full data volume.
     """
@@ -182,7 +198,9 @@ def traffic_histsort(
     b = max(p - 1, 0)
     return {
         "local_sort": 0.0,
-        "splitting": p * (8.0 + 24.0 + 16.0) + rounds * p * 16.0 * b,
+        "splitting": p * (8.0 + 24.0 + 16.0)
+        + (rounds - bool(gathered_keys)) * p * 16.0 * b
+        + float(gathered_keys) * itemsize,
         "other": p * 8.0 * b + p * (8.0 * p + 8.0),
         "exchange": float(n_total) * itemsize,
         "merge": 0.0,

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.machine import abstract_cluster
 from repro.mpi import run_spmd
+
+# Hypothesis profiles for the modules that leave ``max_examples`` to the
+# profile (tests/test_splitter_properties.py): the tier-1 run is bounded and
+# repeats exactly; ``REPRO_HYPOTHESIS_PROFILE=deep`` is CI's own job.
+settings.register_profile("bounded", max_examples=20, deadline=None, derandomize=True)
+settings.register_profile("deep", max_examples=400, deadline=None)
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "bounded"))
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -20,8 +29,6 @@ def _isolated_analyze_store():
     tests must neither read a developer's warm store (their hit/miss
     assertions would flake) nor pollute it with fixture files.
     """
-    import os
-
     with tempfile.TemporaryDirectory(prefix="repro-analyze-test-") as tmp:
         old = os.environ.get("REPRO_ANALYZE_CACHE")
         os.environ["REPRO_ANALYZE_CACHE"] = str(Path(tmp) / "analyze.json")

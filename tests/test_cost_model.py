@@ -139,6 +139,48 @@ class TestAlltoallv:
         assert np.all(per >= floor * 0.9)
 
 
+class TestGroupLinkMemo:
+    GROUPS = (
+        list(range(112)),        # every node
+        list(range(28)),         # one node
+        list(range(0, 112, 28)),  # one rank per node
+        [3, 4],                  # one NUMA domain
+        [5],
+    )
+
+    @pytest.mark.parametrize("use_shm", [True, False])
+    @pytest.mark.parametrize("nic_sharing", [True, False])
+    def test_every_collective_prices_the_same_cold_and_warm(self, use_shm, nic_sharing):
+        machine = supermuc_phase2(nodes=4)
+        pl = make_placement(machine, 112, ranks_per_node=28)
+        warm = CostModel(pl, use_shm=use_shm, nic_sharing=nic_sharing)
+        for ranks in self.GROUPS:
+            for name in ("bcast", "reduce", "allreduce", "gather", "scatter",
+                         "allgather", "scan", "alltoall"):
+                cold = getattr(CostModel(pl, use_shm=use_shm, nic_sharing=nic_sharing), name)
+                first = getattr(warm, name)(4096.0, ranks)
+                assert first == cold(4096.0, ranks) == getattr(warm, name)(4096.0, tuple(ranks))
+            for name in ("barrier", "comm_split"):
+                cold = getattr(CostModel(pl, use_shm=use_shm, nic_sharing=nic_sharing), name)
+                assert getattr(warm, name)(ranks) == cold(ranks) == getattr(warm, name)(ranks)
+            vols = np.full((len(ranks), len(ranks)), 512.0)
+            cold = CostModel(pl, use_shm=use_shm, nic_sharing=nic_sharing)
+            assert warm.alltoallv(vols, ranks) == cold.alltoallv(vols, ranks)
+        assert set(warm._group_links) == {tuple(g) for g in self.GROUPS}
+
+    def test_the_group_is_walked_once(self, cm, monkeypatch):
+        calls = []
+        real = type(cm.placement).span_level
+        monkeypatch.setattr(
+            type(cm.placement), "span_level",
+            lambda self, ranks: calls.append(1) or real(self, ranks),
+        )
+        ranks = list(range(112))
+        assert cm.allreduce(64, ranks) == cm.allreduce(64, ranks)
+        cm.allgather(8, ranks), cm.barrier(ranks)
+        assert len(calls) == 1
+
+
 class TestZeroCostModel:
     def test_everything_free(self):
         machine = abstract_cluster(1)

@@ -54,6 +54,12 @@ def _expect(ranks, n):
     return np.sort(np.concatenate(parts))
 
 
+#: rank 3 dies in the first histogram round of the first epoch (its op 10,
+#: after the entry checkpoint and three set-up collectives), rank 1 inside the
+#: exact gather of the second epoch (its ops 27-28)
+MID_SPLITTING_AND_MID_GATHER = ((1, 28), (3, 10))
+
+
 def _crash_plan(seed, size, *crashes, drop=0.05):
     return FaultPlan(
         FaultSpec(drop_rate=drop, dup_rate=drop / 2,
@@ -66,7 +72,7 @@ def _crash_plan(seed, size, *crashes, drop=0.05):
 def test_spare_substitution_keeps_rank_count_and_all_data():
     # two crashes, two spares, checkpointing on: p stays 4 and nothing
     # is lost — the tentpole acceptance case
-    plan = _crash_plan(11, 6, (1, 40), (3, 55))
+    plan = _crash_plan(11, 6, *MID_SPLITTING_AND_MID_GATHER)
     rt, live = _run(4, plan, spares=2)
     assert sorted(rt.fault_stats.crashed) == [1, 3]
     assert len(live) == 4
@@ -88,7 +94,7 @@ def test_spare_substitution_keeps_rank_count_and_all_data():
 def test_shrink_fallback_salvages_when_spares_exhausted():
     # two crashes but only one spare: the second failure falls back to
     # shrink, yet buddy replicas keep the data (salvage) — lost stays ()
-    plan = _crash_plan(11, 5, (1, 40), (3, 55))
+    plan = _crash_plan(11, 5, *MID_SPLITTING_AND_MID_GATHER)
     rt, live = _run(4, plan, spares=1)
     assert sorted(rt.fault_stats.crashed) == [1, 3]
     assert live, "no survivors"
@@ -158,6 +164,7 @@ def test_recovery_epoch_exact_replay():
     def once():
         plan = _crash_plan(23, 5, (1, 50), drop=0.15)
         rt, live = _run(4, plan, spares=1)
+        assert rt.fault_stats.crashed == [1]
         outs = [r.output for r in sorted(live, key=lambda r: r.comm.rank)]
         return rt.elapsed(), np.array(rt.clocks), rt.fault_stats.summary(), outs
 
@@ -223,8 +230,9 @@ def test_control_traffic_separate_from_wire_bytes():
 
 
 def test_recovery_metrics_exported():
-    plan = _crash_plan(11, 6, (1, 40), (3, 55))
+    plan = _crash_plan(11, 6, *MID_SPLITTING_AND_MID_GATHER)
     rt, live = _run(4, plan, spares=2)
+    assert sorted(rt.fault_stats.crashed) == [1, 3]
     assert len(live) == 4
     reg = MetricsRegistry()
     collect_runtime(reg, rt, labels={"algo": "hist"})
@@ -245,3 +253,4 @@ def test_chaos_oracle_accepts_lossless_case():
                              checkpoint=True),
                    wall_timeout=WALL)
     assert out.ok, f"{out.kind}: {out.detail}"
+    assert "crashed=[2]" in out.detail and "restored=1" in out.detail

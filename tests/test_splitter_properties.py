@@ -1,0 +1,324 @@
+"""Differential properties of the splitter search, every probe schedule.
+
+One strategy feeds all of it: a distribution of :mod:`repro.data` cast to a
+key dtype, ragged per-rank sizes (empty ranks, ``n < p``, one rank holding
+everything), optional extreme keys (the dtype's full range, ``±inf``),
+``eps`` and explicit capacities.  Over it:
+
+* every schedule sorts to ``np.sort`` of the input, meets the capacity
+  contract (exactly at ``eps = 0``) and — at ``eps = 0`` — realises the same
+  ranks; virtual time repeats run to run;
+* the exact gather of ``"squeeze"`` never makes a run read more virtual time
+  than the same run with the gather disabled;
+* the stated worst-case round bound of ``"squeeze"`` holds on adversarial
+  brackets; and the placement kernel stays inside its bracket.
+
+``max_examples`` comes from the profile in ``conftest.py``
+(``REPRO_HYPOTHESIS_PROFILE=deep`` for the long run).
+
+Not covered, in any schedule: float64 keys whose magnitudes differ by
+hundreds of binades (``±finfo.max`` outliers among unit-scale keys; a run of
+0.0 that is not the minimum, which only a probe of exactly 0.0 splits).
+Algorithm 3 bisects the key *width* down to the ulp of the key it isolates,
+up to ~2100 halvings there — beyond ``max_rounds``.  The ``"max"`` edge below
+therefore moves every key to the top two binades of the range, where
+``hi - lo`` still overflows, and the ``"inf"`` edge keeps 0.0 out.
+"""
+
+from contextlib import nullcontext
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.core import SortConfig, SplitterConfig, find_splitters, histogram_sort, multiselect
+from repro.core.multiselect import _ProbeArithmetic
+from repro.data import DISTRIBUTIONS, make_partition
+from repro.machine import abstract_cluster
+
+from .conftest import spmd
+from .test_multiselect import _assert_valid
+from .test_probe_schedule import SCHEDULES, _bisection_rounds
+
+DTYPES = (np.uint64, np.int64, np.float32, np.float64)
+
+#: tests/test_histsort.py::test_ragged_sizes[duplicates_i64]: the last two
+#: targets sit inside the maximum key's duplicate run without reaching N —
+#: neither resolved up front by ``t + tol >= N`` nor left with a key strictly
+#: inside their bracket, which is what the exact gather reads.
+MAX_RUN_RAGGED = dict(
+    seed=3, p=5, dist="duplicates_i64", dtype=np.int64, sizes="ragged", edge="none",
+    eps=0.0, explicit_caps=False,
+)
+
+
+def _cast(keys: np.ndarray, dtype) -> np.ndarray:
+    """``keys`` as ``dtype``, order-preserving where the value fits."""
+    dtype = np.dtype(dtype)
+    if keys.dtype.kind == "f" and dtype.kind in "iu":
+        keys = np.round(keys * 1000.0)
+        if dtype.kind == "u":
+            keys = np.abs(keys)
+    elif keys.dtype.kind == "i" and dtype.kind == "u":
+        keys = np.abs(keys)
+    return keys.astype(dtype)
+
+
+def _dataset(seed, p, dist, dtype, sizes, edge):
+    """Per-rank unsorted key arrays."""
+    rng = np.random.default_rng(seed)
+    if sizes == "ragged":
+        counts = np.array([0, 1, 777, 2000, 13][:p] + [5] * max(p - 5, 0))
+    elif sizes == "one_holder":
+        counts = np.zeros(p, dtype=np.int64)
+        counts[rng.integers(p)] = 60
+    else:
+        counts = rng.integers(0, int(sizes) + 1, p)
+    parts = [
+        _cast(make_partition(dist, int(n), rank=r, seed=seed % 1000), dtype)
+        for r, n in enumerate(counts)
+    ]
+    holders = [q for q in parts if q.size]
+    dtype = np.dtype(dtype)
+    if edge != "none" and holders:
+        if dtype.kind in "iu":  # the full-range bracket
+            lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        elif edge == "inf":
+            for q in holders:
+                q += 1  # no run of 0.0 above the minimum: see the module docstring
+            lo, hi = -np.inf, np.inf
+        else:  # every key within two binades of +-max; hi - lo overflows
+            top = np.finfo(dtype).max
+            peak = max(max(float(np.abs(q).max()) for q in holders), 1.0)
+            for q in holders:
+                q[:] = np.where(q < 0, -1, 1) * (top / 8) * (1 + np.abs(q) / peak)
+            lo, hi = -top, top
+        holders[0][0] = lo
+        holders[-1][-1] = hi
+        if edge == "inf" and holders[-1].size > 2:
+            holders[-1][1] = hi  # a run of +inf
+    return parts
+
+
+DATASETS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 8),
+    dist=st.sampled_from(sorted(DISTRIBUTIONS)),
+    dtype=st.sampled_from(DTYPES),
+    sizes=st.sampled_from(["1", "3", "40", "ragged", "one_holder"]),
+    edge=st.sampled_from(["none", "max", "inf"]),
+    eps=st.sampled_from([0.0, 0.05]),
+    explicit_caps=st.booleans(),
+)
+
+
+def _capacities(seed, parts, explicit_caps):
+    sizes = np.array([q.size for q in parts])
+    if not explicit_caps:
+        return sizes
+    rng = np.random.default_rng(seed + 1)
+    return rng.multinomial(int(sizes.sum()), rng.dirichlet(np.ones(len(parts))))
+
+
+class TestEverySchedule:
+    @given(**DATASETS)
+    @example(**MAX_RUN_RAGGED)
+    def test_sorts_partitions_and_agrees(
+        self, seed, p, dist, dtype, sizes, edge, eps, explicit_caps
+    ):
+        parts = _dataset(seed, p, dist, dtype, sizes, edge)
+        caps = _capacities(seed, parts, explicit_caps)
+        want = np.sort(np.concatenate(parts))
+        cut = np.cumsum(caps)[:-1]
+
+        realized, elapsed = {}, {}
+        for schedule in SCHEDULES + ("squeeze",):  # the default, twice
+            config = SortConfig(eps=eps, splitter=SplitterConfig(probe_schedule=schedule))
+
+            def prog(comm):
+                return histogram_sort(
+                    comm, parts[comm.rank], config=config,
+                    capacities=caps if explicit_caps else None,
+                )
+
+            out, rt = spmd(p, prog, return_runtime=True)
+            res = out[0].splitters
+            _assert_valid(parts, res, eps)
+            got = np.concatenate([r.output for r in out])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            sizes_out = np.cumsum([r.output.size for r in out])[:-1]
+            assert np.all(np.abs(sizes_out - cut) <= res.tolerance)
+            assert res.rounds <= SplitterConfig().max_rounds
+            realized.setdefault(schedule, res.realized_ranks)
+            elapsed.setdefault(schedule, []).append(rt.elapsed())
+
+        assert elapsed["squeeze"][0] == elapsed["squeeze"][1]
+        if eps == 0.0:
+            assert all(np.array_equal(r, cut) for r in realized.values())
+
+
+def _find_both_ways(parts, caps, eps):
+    """``find_splitters`` under "squeeze" with the gather armed and disarmed."""
+    work = [np.sort(q) for q in parts]
+    runs = []
+    for armed in (True, False):
+        def prog(comm):
+            return find_splitters(comm, work[comm.rank], capacities=caps, eps=eps)
+
+        seam = mock.patch.object(multiselect._GatherRule, "pays", lambda self, r, k: False)
+        with nullcontext() if armed else seam:
+            out, rt = spmd(len(parts), prog, trace=True, return_runtime=True)
+        runs.append((out[0], rt))
+    return runs
+
+
+class TestGatherRule:
+    @given(**DATASETS)
+    @example(**MAX_RUN_RAGGED)
+    @example(  # rank 0 holds the whole residue: the pricing gap below is not 0
+        seed=1, p=4, dist="uniform_u64", dtype=np.uint64, sizes="one_holder",
+        edge="none", eps=0.0, explicit_caps=True,
+    )
+    def test_a_run_that_gathers_never_reads_more_virtual_time(
+        self, seed, p, dist, dtype, sizes, edge, eps, explicit_caps
+    ):
+        parts = _dataset(seed, p, dist, dtype, sizes, edge)
+        caps = _capacities(seed, parts, explicit_caps)
+        (res, rt), (plain, rt_plain) = _find_both_ways(parts, caps, eps)
+        assert plain.gathered_keys == 0
+        _assert_valid(parts, res, eps)
+        _assert_valid(parts, plain, eps)
+        if not res.gathered_keys:
+            assert rt.elapsed() == rt_plain.elapsed() and res.rounds == plain.rounds
+            return
+        assert res.rounds <= plain.rounds
+        # The rule prices the allgather by the mean deposit (what moves); the
+        # runtime prices a collective by rank 0's.  Only that gap may show.
+        (span,) = [s for s in rt.trace.rank_spans(0) if s.name == "allgather"][1:]
+        ranks = list(range(p))
+        mean = res.gathered_keys * res.values.dtype.itemsize / p
+        gap = rt.cost.allgather(span.attrs["bytes"], ranks) - rt.cost.allgather(mean, ranks)
+        assert rt.elapsed() <= rt_plain.elapsed() * (1 + 1e-12) + max(gap, 0.0)
+
+    def test_gather_fires_and_is_recorded(self):
+        parts = [make_partition("uniform_u64", 3000, rank=r, seed=5) for r in range(8)]
+        work = [np.sort(q) for q in parts]
+
+        def prog(comm):
+            return find_splitters(comm, work[comm.rank])
+
+        out, rt = spmd(
+            8, prog, trace=True, return_runtime=True,
+            machine=abstract_cluster(2, cores_per_node=4), ranks_per_node=4,
+        )
+        res = out[0]
+        _assert_valid(parts, res)
+        (gather,) = [s for s in rt.trace.rank_spans(0) if s.name == "histogram_gather"]
+        rounds = [s for s in rt.trace.rank_spans(0) if s.name == "histogram_round"]
+        assert gather.attrs["keys"] == res.gathered_keys > 0
+        assert res.rounds == len(rounds) + 1 == gather.attrs["round"] <= 4
+        assert rt.stats.snapshot().collectives["allgather"][0] == 2
+
+
+# ------------------------------------------------------------ the round bound
+
+
+def _adversarial(rng, shape, dtype, n):
+    info = np.iinfo(dtype)
+    if shape == "giant_run":  # one value holds 90 % of the keys
+        keys = np.where(rng.random(n) < 0.9, 17, rng.integers(0, 1 << 20, n))
+    elif shape == "power_law":
+        keys = np.minimum(rng.zipf(1.3, n), 1 << 40)
+    elif shape == "mass_at_low_end":  # everything at the bottom, one key at the top
+        keys = rng.integers(0, 50, n)
+        keys[0] = 1 << 40
+    else:  # mass at the high end of the full range
+        keys = np.full(n, info.max, dtype=dtype) - rng.integers(0, 50, n).astype(dtype)
+        keys[0] = info.min
+    return keys.astype(dtype)
+
+
+class TestRoundBound:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 8),
+        shape=st.sampled_from(["giant_run", "power_law", "mass_at_low_end", "mass_at_high_end"]),
+        dtype=st.sampled_from([np.uint64, np.int64]),
+        n=st.sampled_from([3, 60, 700]),
+    )
+    def test_squeeze_rounds_stay_under_the_stated_bound(self, seed, p, shape, dtype, n):
+        """``rounds <= ceil(log2 N) + 2 * (bisection's bound on the key width)
+        + 1``: a round either halves a bracket's rank span (``log2 N`` times at
+        most) or sends it to the key-space spread next, which halves its width."""
+        rng = np.random.default_rng(seed)
+        parts = [np.sort(_adversarial(rng, shape, dtype, n)) for _ in range(p)]
+
+        def prog(comm):
+            return find_splitters(comm, parts[comm.rank])
+
+        with mock.patch.object(multiselect._GatherRule, "pays", lambda self, r, k: False):
+            res = spmd(p, prog)[0]
+        _assert_valid(parts, res)
+        allk = np.concatenate(parts)
+        width = int(allk.max()) - int(allk.min())
+        total = allk.size
+        bound = (total - 1).bit_length() + 2 * _bisection_rounds(max(width, 1)) + 1
+        assert res.rounds <= bound
+
+
+# ------------------------------------------------------- the placement kernel
+
+
+def _rank_brackets(rng, dtype, n):
+    """Brackets with a rank span and an aim inside it, full range included."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        top = np.finfo(dtype).max
+        a = (rng.normal(size=(2, n)) * 10.0 ** rng.integers(-30, 30, n)).astype(dtype)
+        a[:, 0] = -top, top  # hi - lo overflows
+        a[:, 1] = -np.inf, np.inf
+    else:
+        info = np.iinfo(dtype)
+        a = rng.integers(info.min, info.max, (2, n), dtype=dtype, endpoint=True)
+        a[:, 0] = info.min, info.max
+    lo, hi = a.min(axis=0), a.max(axis=0)
+    keep = lo < hi
+    lo, hi = lo[keep], hi[keep]
+    span = rng.integers(2, 1 << 31, lo.size)
+    return lo, hi, span
+
+
+class TestPlacementKernel:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_interpolated_probe_is_inside_and_monotone_in_the_aim(self, dtype, rng):
+        lo, hi, span = _rank_brackets(rng, dtype, 300)
+        arith = _ProbeArithmetic(dtype)
+        if np.dtype(dtype).kind == "f":
+            arith.finite = (np.float64(-1e30), np.float64(1e30))
+        aims = np.sort(rng.integers(1, span, (5, span.size)), axis=0)
+        with np.errstate(all="ignore"):
+            probes = np.stack([arith.spread(lo, hi, j, span - 1) for j in aims])
+        assert probes.dtype == np.dtype(dtype)
+        assert np.all(probes > lo) and np.all(probes <= hi)
+        assert np.all(probes[1:] >= probes[:-1])
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_integer_interpolation_is_exact_for_rank_sized_spans(self, dtype, rng):
+        lo, hi, span = _rank_brackets(rng, dtype, 300)
+        j = rng.integers(1, span)
+        got = _ProbeArithmetic(dtype).spread(lo, hi, j, span - 1)
+        for a, b, jj, s, probe in zip(lo, hi, j, span, got):
+            assert int(probe) == int(a) + -(-int(jj) * (int(b) - int(a)) // int(s))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_below_is_the_previous_key_value(self, dtype, rng):
+        _, hi, _ = _rank_brackets(rng, dtype, 50)
+        under = _ProbeArithmetic(dtype).below(hi)
+        assert under.dtype == np.dtype(dtype) and np.all(under < hi)
+        if np.dtype(dtype).kind == "f":
+            with np.errstate(over="ignore"):  # stepping back up to +inf
+                assert np.array_equal(np.nextafter(under, hi), hi)
+        else:
+            assert np.array_equal(under + np.dtype(dtype).type(1), hi)
