@@ -103,7 +103,7 @@ class CostModel:
             level = self.placement.span_level(key)
             link = self.link_for(level)
             if level >= Level.NETWORK and self.nic_sharing:
-                sharers = min(self.placement.ranks_per_node, max(len(key), 1))
+                sharers = self.placement.node_occupancy(key)
                 if sharers > 1:
                     link = LinkSpec(latency=link.latency, bandwidth=link.bandwidth / sharers)
             self._group_links[key] = link
@@ -207,7 +207,7 @@ class CostModel:
             b = link.beta
             if level >= Level.NETWORK:
                 if self.nic_sharing:
-                    b *= min(self.placement.ranks_per_node, p)
+                    b *= self.placement.node_occupancy(ranks)
                 b *= self.alltoallv_inefficiency
             beta[mask] = b
             lat[mask] = link.latency

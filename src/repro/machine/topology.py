@@ -105,6 +105,11 @@ class Placement:
             return -(-self.nranks // self.ranks_per_node)
         return len({self.node_of(r) for r in ranks})
 
+    def node_occupancy(self, ranks: Sequence[int]) -> int:
+        """The most ranks of the group on any one node — they share its NIC."""
+        nodes = np.asarray(list(ranks), dtype=np.int64) // self.ranks_per_node
+        return int(np.bincount(nodes).max())
+
     def level_matrix(self, ranks: Sequence[int]) -> np.ndarray:
         """Dense ``len(ranks) x len(ranks)`` matrix of locality levels."""
         ranks = np.asarray(list(ranks), dtype=np.int64)

@@ -139,6 +139,34 @@ class TestAlltoallv:
         assert np.all(per >= floor * 0.9)
 
 
+class TestNicOccupancy:
+    """NIC sharers are the group's ranks on one node, not ``ranks_per_node``."""
+
+    @pytest.fixture
+    def cm8x8(self):
+        return CostModel(make_placement(abstract_cluster(8, cores_per_node=8), 64, 8))
+
+    def test_sharers_are_counted_per_node(self, cm8x8):
+        net = cm8x8.machine.link(Level.NETWORK).bandwidth
+        one_per_node, four_plus_four = range(0, 64, 8), [0, 1, 2, 3, 8, 9, 10, 11]
+        assert cm8x8._group_link(one_per_node).bandwidth == net
+        assert cm8x8._group_link(four_plus_four).bandwidth == net / 4
+        assert cm8x8._group_link(range(64)).bandwidth == net / 8
+        assert cm8x8.allreduce(1008, one_per_node) < cm8x8.allreduce(1008, four_plus_four)
+
+    def test_alltoallv_shares_the_nic_likewise(self, cm8x8):
+        vols = np.full((8, 8), float(1 << 20))
+        spread = cm8x8.alltoallv(vols, range(0, 64, 8))
+        packed = cm8x8.alltoallv(vols, [0, 1, 2, 3, 8, 9, 10, 11])
+        assert spread < packed
+
+    @pytest.mark.parametrize("rpn", [1, 3, 4, 8])
+    def test_full_communicators_are_priced_as_before(self, rpn):
+        pl = make_placement(abstract_cluster(8, cores_per_node=8), 8 * rpn, rpn)
+        for p in range(1, 8 * rpn + 1):
+            assert pl.node_occupancy(range(p)) == min(rpn, p)
+
+
 class TestGroupLinkMemo:
     GROUPS = (
         list(range(112)),        # every node
