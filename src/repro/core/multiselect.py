@@ -17,7 +17,8 @@ Algorithm sketch (per round, every rank):
    repeats a shared bracket's midpoint once per splitter);
 2. local histogram of the probe vector by binary search on the locally
    sorted partition (two ``np.searchsorted`` calls);
-3. ``ALLREDUCE`` the local ``(l, u)`` vectors into the global ``(L, U)``;
+3. ``ALLREDUCE`` the local ``(l, u)`` vectors into the global ``(L, U)``
+   (``"squeeze"``: composed by node, ``by_node=True``);
 4. VALIDATE_SPLITTER, every open splitter against every probe: accept the
    lowest probe whose ``[L, U]`` can meet the target rank ``t_i`` within
    tolerance, otherwise move ``lo_i`` / ``hi_i`` to the two neighbouring
@@ -208,7 +209,10 @@ class _GatherRule:
     Gathering ``residue`` keys replaces a round's ALLREDUCE and searches by
     an ALLGATHER of ``residue / P`` keys per rank and a merge of the ``P``
     sorted runs that arrive; the coefficients of both sides are read off
-    the cost model once per call.
+    the cost model once per call.  Both collectives are weighed flat, like
+    for like: the allgather has no node-composed algorithm, and against the
+    composed round alone the gather waits out rounds that together cost more
+    (uniform keys on 2 x 8 ranks: 11 rounds, 118 us; this way 4 and 66).
     """
 
     def __init__(self, comm: "Comm", itemsize: int, n_mean: int):
@@ -220,7 +224,7 @@ class _GatherRule:
         self.reduce1 = cost.allreduce(16.0, ranks) - self.reduce0
 
     def pays(self, residue: int, k: int) -> bool:
-        """No dearer than the round of ``k`` probes that is certain to follow."""
+        """No dearer than the flat round of ``k`` probes that is certain to follow."""
         return (
             self.gather0 + self.gather1 * residue + self.compute.kway_merge(residue, self.p)
             <= self.reduce0 + self.reduce1 * k + self.compute.search(2 * k, self.n_mean)
@@ -352,13 +356,16 @@ def find_splitters(
     if total == 0 or boundaries == 0:
         return SplitterResult.trivial(dtype, targets, caps, total, tol)
 
+    schedule = config.probe_schedule
+    squeeze = schedule == "squeeze"  # the pinned schedules keep the paper's flat ALLREDUCE
+
     # Global (min, max) — one reduction (Algorithm 3 line 3).  Empty ranks
     # contribute identity sentinels.
-    gmin, gmax = comm.allreduce(arith.extremes(local_sorted), op=_MINMAX)
+    gmin, gmax = comm.allreduce(arith.extremes(local_sorted), op=_MINMAX, by_node=squeeze)
     if not (arith.is_int or (np.isfinite(gmin) and np.isfinite(gmax))):
         # one more reduction, on inputs holding -inf / +inf keys only
         finite = local_sorted[np.isfinite(local_sorted)]
-        arith.finite = comm.allreduce(arith.extremes(finite), op=_MINMAX)
+        arith.finite = comm.allreduce(arith.extremes(finite), op=_MINMAX, by_node=squeeze)
     # Global bounds of the extreme keys.  Targets inside the global-minimum
     # duplicate run can only be met by the splitter value gmin itself, which
     # the half-open probe interval (lo, hi] would never test — resolve them
@@ -373,7 +380,8 @@ def find_splitters(
                     np.searchsorted(local_sorted, gmax, side="left"),
                 ],
                 dtype=np.int64,
-            )
+            ),
+            by_node=squeeze,
         )
     )
     comm.compute(compute.call_overhead)
@@ -385,8 +393,6 @@ def find_splitters(
     upper = np.zeros(boundaries, dtype=np.int64)
     realized = np.zeros(boundaries, dtype=np.int64)
 
-    schedule = config.probe_schedule
-    squeeze = schedule == "squeeze"
     # Covered by the minimum key's run (includes empty-output ranks) ...
     at_min = targets - tol <= u_gmin
     values[at_min] = gmin
@@ -471,7 +477,7 @@ def find_splitters(
         l_loc, u_loc = local_histogram(local_sorted, probes)
         comm.compute(compute.search(2 * k, max(n_local, 1)))
         # ... and the global histogram via a single ALLREDUCE (line 8).
-        glob = comm.allreduce(np.concatenate([l_loc, u_loc]))
+        glob = comm.allreduce(np.concatenate([l_loc, u_loc]), by_node=squeeze)
         L, U = glob[:k], glob[k:]
 
         hit, first, new_lo, new_hi = accept_or_tighten(probes, L, U, t, tol, lo, hi)

@@ -7,7 +7,7 @@ long it took.  The model is the classic :math:`\\alpha`-:math:`\\beta`
 
 * point-to-point cost depends on the locality level of the pair,
 * tree collectives pay ``ceil(log2 P)`` rounds at the widest level spanned
-  by the group,
+  by the group (:meth:`CostModel.node_allreduce` composes them per level),
 * ``alltoallv`` is priced per rank from the full volume matrix, with a
   1-factor round structure and a bisection-bandwidth congestion floor.
 
@@ -75,6 +75,7 @@ class CostModel:
         # _group_link per rank tuple: every collective of a communicator
         # prices the same group, and deriving its span walks every rank
         self._group_links: dict[tuple[int, ...], LinkSpec] = {}
+        self._node_groups: dict[tuple[int, ...], tuple | None] = {}
 
     # ------------------------------------------------------------------ links
 
@@ -128,6 +129,53 @@ class CostModel:
         link = self._group_link(ranks)
         rounds = _log2_ceil(len(ranks))
         return self.software_overhead + 2 * rounds * link.cost(nbytes)
+
+    def node_groups(
+        self, ranks: Sequence[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """``(largest node-local group, first rank of every node)`` of a group
+        with two levels — several nodes, one of them holding several of its
+        ranks — else ``None``."""
+        key = tuple(ranks)
+        if key not in self._node_groups:
+            by_node: dict[int, list[int]] = {}
+            for r in key:
+                by_node.setdefault(self.placement.node_of(r), []).append(r)
+            groups = list(by_node.values())
+            self._node_groups[key] = (
+                (tuple(max(groups, key=len)), tuple(g[0] for g in groups))
+                if 1 < len(groups) < len(key)
+                else None
+            )
+        return self._node_groups[key]
+
+    def node_allreduce_stages(self, nbytes: float, ranks: Sequence[int]) -> tuple[float, ...]:
+        """The collectives a node-composed allreduce is priced as, in order:
+        reduce inside the node, allreduce over one leader per node, bcast
+        inside the node — or the flat allreduce alone where the group has
+        one level or that is no dearer."""
+        flat = self.allreduce(nbytes, ranks)
+        groups = self.node_groups(ranks)
+        if groups is not None:
+            local, leaders = groups
+            stages = (
+                self.reduce(nbytes, local),
+                self.allreduce(nbytes, leaders),
+                self.bcast(nbytes, local),
+            )
+            if sum(stages) < flat:
+                return stages
+        return (flat,)
+
+    def node_allreduce(self, nbytes: float, ranks: Sequence[int]) -> float:
+        """Allreduce composed by node, or flat where that is no dearer."""
+        return sum(self.node_allreduce_stages(nbytes, ranks))
+
+    def node_setup(self, ranks: Sequence[int]) -> float:
+        """Building the node-local and the leader communicator of a two-level
+        group (two ``comm_split``s).  Paid where the communicator is created,
+        outside the run's clocks for the world."""
+        return 2 * self.comm_split(ranks) if self.node_groups(ranks) else 0.0
 
     def gather(self, nbytes_per_rank: float, ranks: Sequence[int]) -> float:
         """Binomial-tree gather: log P latency, (P-1)·n bandwidth at the root."""

@@ -12,9 +12,11 @@ analysis:
   — a round ships at most one probe per *open* splitter, so ``2·(P-1)``
   counts is an upper bound under every probe schedule; ``rounds`` is taken
   from executed runs of the same key type and schedule.  The default
-  ``"squeeze"`` schedule ends in one exact gather, which counts as a round
-  and is priced as what it is once its payload ``gathered_keys`` is given:
-  an allgather of that many keys plus the merge of the ``P`` sorted runs;
+  ``"squeeze"`` schedule composes its allreduces by node
+  (:meth:`CostModel.node_allreduce`) and ends in one exact gather, which
+  counts as a round and is priced as what it is once its payload
+  ``gathered_keys`` is given: an allgather of that many keys plus the merge
+  of the ``P`` sorted runs;
 * exchange:   one ALL-TO-ALLV of the full volume, priced per locality level
   with the bisection-bandwidth floor;
 * merge:      strategy-dependent (re-sort in the paper's configuration);
@@ -44,7 +46,7 @@ __all__ = [
 #: bumped whenever a closed-form formula changes; cached tuning plans carry
 #: the version they were scored under and are invalidated on mismatch
 #: (see :mod:`repro.tune.cache`).
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,15 @@ def predict_histsort(
     itemsize: int = 8,
     merge_strategy: str = "sort",
     use_shm: bool = True,
+    probe_schedule: str = "squeeze",
 ) -> PhasePrediction:
     """Modelled phase times of the histogram sort at scale ``(N, P)``.
 
     ``rounds`` includes the exact gather of the ``"squeeze"`` schedule; with
-    ``gathered_keys == 0`` that round is priced like a histogram round (which
-    the firing rule guarantees it does not exceed).
+    ``gathered_keys == 0`` that round is priced like a histogram round (the
+    firing rule guarantees it does not exceed a flat one).  As in
+    :func:`~repro.core.find_splitters`, only ``"squeeze"`` composes its
+    allreduces by node.
     """
     if p < 1 or n_total < 0:
         raise ValueError("need p >= 1 and n_total >= 0")
@@ -102,13 +107,14 @@ def predict_histsort(
     # Splitting: per round one allreduce of at most 2(P-1) int64 counts (one
     # probe per open splitter) plus the local histogram binary searches and
     # the validation of every open splitter.
+    allreduce = cost.node_allreduce if probe_schedule == "squeeze" else cost.allreduce
     per_round = (
-        cost.allreduce(2 * max(p - 1, 1) * 8, ranks)
+        allreduce(2 * max(p - 1, 1) * 8, ranks)
         + compute.search(2 * max(p - 1, 1), max(int(n_local), 2))
         + compute.call_overhead
         + 2.0e-9 * max(p - 1, 1)
     )
-    splitting = rounds * per_round + cost.allreduce(16, ranks)
+    splitting = rounds * per_round + allreduce(16, ranks)
     if gathered_keys:
         splitting += (
             cost.allgather(gathered_keys * itemsize / p, ranks)

@@ -150,6 +150,9 @@ class _CommState:
         #: one collective invocation across ranks.
         self.trace_id = -1
         self._span_level: str | None = None
+        self._node_levels: list[str] | None = None
+        #: did the last completed collective's price have several stages?
+        self._staged = False
         runtime._register_state(self)
 
     def _group_level(self) -> str:
@@ -161,6 +164,21 @@ class _CommState:
             else:
                 self._span_level = placement.span_level(self.world_ranks).name.lower()
         return self._span_level
+
+    def _node_level(self, idx: int) -> str:
+        """Level member ``idx``'s deposit travels in a node-composed
+        collective: across the network for the first member of a node, to
+        that member for the others (cached)."""
+        if self._node_levels is None:
+            placement = self.runtime.cost.placement
+            _, leaders = self.runtime.cost.node_groups(self.world_ranks)
+            lead = {placement.node_of(r): r for r in leaders}
+            self._node_levels = [
+                "network" if r in leaders
+                else placement.level(r, lead[placement.node_of(r)]).name.lower()
+                for r in self.world_ranks
+            ]
+        return self._node_levels[idx]
 
     def wake(self) -> None:
         """Make every wait on this communicator re-check its predicate
@@ -211,9 +229,10 @@ class _CommState:
     ) -> Any:
         """The one collective skeleton.  The last arriver calls
         ``plan(slots)`` for ``(shared value, cost, payload bytes for the
-        statistics)`` — ``cost`` a scalar or one entry per rank — and merges
-        the clocks (``latest entry + cost``); every rank then takes its new
-        clock and ``pick(slots, shared, idx)``, its result."""
+        statistics)`` — ``cost`` a scalar, one entry per rank, or a tuple of
+        such stages — and merges the clocks (``latest entry + cost``, stage
+        by stage, as consecutive collectives would add them); every rank then
+        takes its new clock and ``pick(slots, shared, idx)``, its result."""
         rt = self.runtime
         wrank = self.world_ranks[idx]
         if rt._faults is not None:
@@ -247,9 +266,13 @@ class _CommState:
                     # Every member is waiting below with its entry clock
                     # untouched, so the latest arrival is also every rank's
                     # idle reference.
-                    latest = rt.clocks[self.world_ranks].max()
+                    latest = clocks = rt.clocks[self.world_ranks].max()
                     self._entry_max = float(latest)
-                    self.cell = shared, latest + np.asarray(cost, dtype=np.float64)
+                    stages = cost if isinstance(cost, tuple) else (cost,)
+                    self._staged = len(stages) > 1
+                    for stage in stages:
+                        clocks = clocks + np.asarray(stage, dtype=np.float64)
+                    self.cell = shared, clocks
                     self.done = gen + 1
                     self.cond.notify_all()
         except BaseException:
@@ -296,7 +319,7 @@ class _CommState:
                 idle=idle,
                 bytes=int(trace_bytes),
                 nranks=self.size,
-                level=self._group_level(),
+                level=self._node_level(idx) if self._staged else self._group_level(),
                 comm=self.trace_id,
                 seq=gen,
                 last_arrival=latest,
@@ -1011,13 +1034,21 @@ class Comm:
             everyone=False,
         )
 
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
+    def allreduce(self, value: Any, op: ReduceOp = SUM, *, by_node: bool = False) -> Any:
+        """Reduce to every rank.  ``by_node`` asks for the node-composed
+        algorithm — reduce inside each node, allreduce over one leader per
+        node, bcast inside each node — still one rendezvous, priced stage by
+        stage (:meth:`CostModel.node_allreduce_stages`) and recorded as
+        ``node_allreduce``.  Its two sub-communicators belong to the
+        communicator's creation (:meth:`CostModel.node_setup`), not to the
+        call."""
         ranks = self._state.world_ranks
+        price = self._rt.cost.node_allreduce_stages if by_node else self._rt.cost.allreduce
         return self._combined(
-            "allreduce",
+            "node_allreduce" if by_node else "allreduce",
             value,
             lambda s: functools.reduce(op, s),
-            lambda s: self._rt.cost.allreduce(payload_nbytes(s[0]), ranks),
+            lambda s: price(payload_nbytes(s[0]), ranks),
         )
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:

@@ -126,7 +126,8 @@ class ResilientComm(Comm):
             return None
         return functools.reduce(op, slots)
 
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
+    def allreduce(self, value: Any, op: ReduceOp = SUM, *, by_node: bool = False) -> Any:
+        # the linear p2p trees have no node level to compose
         acc = self.reduce(value, op, 0)
         return self._bcast0(acc)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from .events import Span
 
@@ -29,6 +30,7 @@ __all__ = [
     "phase_of",
     "traffic_matrix",
     "phase_traffic",
+    "level_traffic",
     "PathSegment",
     "critical_path",
     "critical_path_composition",
@@ -142,6 +144,13 @@ class _PhaseIndex:
         return "-"
 
 
+def _payload_spans(spans: list[Span]) -> Iterator[Span]:
+    """The spans that moved a payload: collectives and p2p sends."""
+    for s in spans:
+        if (s.cat == "collective" or (s.cat == "p2p" and s.name == "send")) and s.nbytes > 0:
+            yield s
+
+
 def traffic_matrix(spans: list[Span]) -> dict[tuple[str, str], int]:
     """Bytes moved, keyed by ``(phase, operation)``.
 
@@ -151,14 +160,20 @@ def traffic_matrix(spans: list[Span]) -> dict[tuple[str, str], int]:
     """
     phases = phase_of(spans)
     out: dict[tuple[str, str], int] = defaultdict(int)
-    for s in spans:
-        if s.cat == "collective" or (s.cat == "p2p" and s.name == "send"):
-            nbytes = s.nbytes
-            if nbytes <= 0:
-                continue
-            index = phases.get(s.rank)
-            phase = index.at(s.t0) if index is not None else "-"
-            out[(phase, s.name)] += nbytes
+    for s in _payload_spans(spans):
+        index = phases.get(s.rank)
+        phase = index.at(s.t0) if index is not None else "-"
+        out[(phase, s.name)] += s.nbytes
+    return dict(out)
+
+
+def level_traffic(spans: list[Span]) -> dict[str, int]:
+    """Bytes moved per locality level: a collective's deposits count at the
+    widest level its communicator spans — or, composed by node, at the level
+    each one travels — a send at its pair's."""
+    out: dict[str, int] = defaultdict(int)
+    for s in _payload_spans(spans):
+        out[s.attrs.get("level", "-")] += s.nbytes
     return dict(out)
 
 

@@ -3,7 +3,8 @@
 Renders, for any trace written by :func:`repro.trace.export.write_chrome_trace`
 (or a live :class:`~repro.trace.TraceRecorder`): per-rank busy/idle times,
 the aggregate idle fraction and load-imbalance ratio, the phase breakdown,
-a phase x collective traffic table, and the critical path through the run.
+traffic by phase x collective and by locality level, and the critical path
+through the run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .analysis import (
     critical_path_composition,
     idle_fraction,
     imbalance_ratio,
+    level_traffic,
     makespan_of,
     phase_breakdown,
     rank_activity,
@@ -128,6 +130,10 @@ def render_report(spans: list[Span], *, top: int = 12, metadata: dict | None = N
         ]
         rows.append(totals)
         out.append(_table(["phase"] + ops, rows))
+        out.append("")
+        out.append("-- traffic by locality level (payload bytes, all ranks) --")
+        by_level = sorted(level_traffic(spans).items(), key=lambda kv: -kv[1])
+        out.append(_table(["level", "bytes"], [[lv, _fmt_bytes(n)] for lv, n in by_level]))
 
     path = critical_path(spans)
     if path:

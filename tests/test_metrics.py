@@ -168,7 +168,7 @@ class TestCollectors:
         assert reg.value("repro_makespan_seconds", {"algo": "dash", "machine": "abstract"}) == rt.elapsed()
         calls = reg.get("repro_collective_calls_total")
         ops = {lab["op"] for lab, _ in calls.samples()}
-        assert "allreduce" in ops and "alltoallv" in ops
+        assert "node_allreduce" in ops and "alltoallv" in ops
         hist = reg.get("repro_rank_clock_seconds").labels(algo="dash", machine="abstract")
         assert hist.count == rt.size
 

@@ -84,7 +84,7 @@ class TestSuite:
         )
         stats = [t.stats for t in trials]
         assert sorted(t.total for t in trials) == cell["measured"]["values_s"]
-        assert len({s.collectives["allreduce"][0] for s in stats}) > 1
+        assert len({s.collectives["node_allreduce"][0] for s in stats}) > 1
         assert cell["traffic"] == {
             "wire_bytes_per_run": sum(s.wire_bytes for s in stats) / 2,
             "p2p_bytes_per_run": sum(s.total_bytes_sent for s in stats) / 2,

@@ -7,7 +7,8 @@ everything), optional extreme keys (the dtype's full range, ``±inf``),
 
 * every schedule sorts to ``np.sort`` of the input, meets the capacity
   contract (exactly at ``eps = 0``) and — at ``eps = 0`` — realises the same
-  ranks; virtual time repeats run to run;
+  ranks; virtual time repeats run to run — on one node and on two or three,
+  where ``"squeeze"`` reduces by node;
 * the exact gather of ``"squeeze"`` never makes a run read more virtual time
   than the same run with the gather disabled;
 * the stated worst-case round bound of ``"squeeze"`` holds on adversarial
@@ -123,11 +124,13 @@ def _capacities(seed, parts, explicit_caps):
 
 
 class TestEverySchedule:
-    @given(**DATASETS)
-    @example(**MAX_RUN_RAGGED)
+    @given(nodes=st.integers(1, 3), **DATASETS)
+    @example(nodes=2, **MAX_RUN_RAGGED)
     def test_sorts_partitions_and_agrees(
-        self, seed, p, dist, dtype, sizes, edge, eps, explicit_caps
+        self, nodes, seed, p, dist, dtype, sizes, edge, eps, explicit_caps
     ):
+        rpn = -(-p // nodes)  # the last node may be short, or unused
+        machine = abstract_cluster(nodes, cores_per_node=rpn)
         parts = _dataset(seed, p, dist, dtype, sizes, edge)
         caps = _capacities(seed, parts, explicit_caps)
         want = np.sort(np.concatenate(parts))
@@ -143,7 +146,7 @@ class TestEverySchedule:
                     capacities=caps if explicit_caps else None,
                 )
 
-            out, rt = spmd(p, prog, return_runtime=True)
+            out, rt = spmd(p, prog, return_runtime=True, machine=machine, ranks_per_node=rpn)
             res = out[0].splitters
             _assert_valid(parts, res, eps)
             got = np.concatenate([r.output for r in out])

@@ -109,7 +109,7 @@ class TestRecorder:
         assert ("user", "histogram_round") in names
         assert ("user", "exchange_plan") in names
         assert ("user", "exchange_data") in names
-        assert ("collective", "allreduce") in names
+        assert ("collective", "node_allreduce") in names
         assert ("collective", "alltoallv") in names
         assert ("compute", "compute") in names
 
@@ -271,7 +271,7 @@ class TestAnalysis:
         _, rt = _traced_sort(8)
         tm = traffic_matrix(rt.trace.spans())
         assert tm[("exchange", "alltoallv")] > 0
-        assert tm[("splitting", "allreduce")] > 0
+        assert tm[("splitting", "node_allreduce")] > 0
 
     def test_critical_path_covers_makespan(self):
         _, rt = _traced_sort(8)
