@@ -115,16 +115,17 @@ class SortConfig:
     overlap_exchange: bool = False
     #: run the fault-tolerant driver (:mod:`repro.core.resilient`):
     #: collectives ride the reliable p2p layer, and on a rank failure the
-    #: survivors agree, shrink, and re-run splitter determination —
-    #: :func:`~repro.core.histsort.histogram_sort` then returns a
+    #: live ranks rendezvous, rebuild the communicator — a spare
+    #: substituted where the runtime has one, shrunk otherwise — and
+    #: resume; :func:`~repro.core.histsort.histogram_sort` then returns a
     #: :class:`~repro.core.resilient.ResilientSortResult`.
     resilient: bool = False
-    #: bound on shrink-and-retry epochs before the resilient driver gives up
+    #: bound on recovery epochs before the resilient driver gives up
     max_recovery_attempts: int = 8
-    #: buddy-checkpoint each phase boundary (:mod:`repro.mpi.checkpoint`)
-    #: and recover losslessly through the spare-pool rendezvous instead of
-    #: shrink-and-restart; requires ``resilient``.  Off by default — the
-    #: legacy recovery path is then executed unchanged.
+    #: buddy-checkpoint each phase boundary (:mod:`repro.mpi.checkpoint`):
+    #: recovery then restores or salvages a crashed rank's partition
+    #: instead of reporting it ``lost``, and resumes from the deepest
+    #: phase every member reached; requires ``resilient``.
     checkpoint: bool = False
 
     def __post_init__(self) -> None:

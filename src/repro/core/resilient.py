@@ -1,58 +1,44 @@
 """ULFM-style fault-tolerant driver around the histogram sort.
 
-The resilient sort runs the ordinary four-superstep
-:func:`~repro.core.histsort.histogram_sort` on a
+The resilient sort runs :func:`~repro.core.histsort.run_pipeline` over a
+resumable :class:`~repro.core.histsort.SortState` on a
 :class:`~repro.mpi.resilient.ResilientComm` — whose collectives travel the
 reliable p2p layer, healing injected drops/duplications by retransmission
-— inside a recovery loop modelled on MPI's User-Level Failure Mitigation
-(ULFM) proposal.  Two recovery modes share one state machine
-(detect → revoke → agree → restore/substitute → resume):
+— inside one recovery loop modelled on MPI's User-Level Failure Mitigation
+(ULFM) proposal.  One state machine, whatever the mode:
 
-**Shrink-and-restart** (the default, when ``run_spmd`` has no spares and
-``config.checkpoint`` is off):
-
-1. Run one *epoch* of the sort on the current communicator.  A rank that
-   observes a failure (:class:`RankFailedError` from a crashed peer,
-   :class:`CommRevokedError`, or a :class:`MessageTimeoutError` from an
-   unhealable link) **revokes** the communicator, which hoists every
+1. **Detect.**  Run one *epoch* of the sort on the current communicator.
+   A rank that observes a failure (:class:`RankFailedError` from a crashed
+   peer, :class:`CommRevokedError`, or a :class:`MessageTimeoutError` from
+   an unhealable link) **revokes** the communicator, which hoists every
    surviving peer out of whatever it was blocked on.
-2. All live ranks then **agree** (a fault-tolerant AND, immune to both
-   revocation and crashes) on whether everyone finished and the output
-   verified globally.  Agreement is the only exit: either every survivor
-   returns, or every survivor retries — no rank can be left behind.
-3. On disagreement the survivors **shrink** to a fresh communicator over
-   the live membership and re-run the sort — including a fresh splitter
-   determination, since the rank count changed — on their original,
-   untouched input partitions.
+2. **Rendezvous.**  Every live rank ends the epoch in exactly one
+   fault-tolerant pool round (:mod:`repro.mpi.spare`), immune to both
+   revocation and crashes.  It is the only exit: either every survivor
+   returns (all finished and the output verified globally), or every
+   survivor gets the same ``recover`` verdict — no rank is left behind.
+3. **Recover.**  The verdict names a fresh communicator and how each
+   crashed member's place and data are made good, from what the run has:
 
-Data on crashed ranks is lost in this mode (it models process failure
-without checkpointing): the recovered sort is a correct, verified sort of
-the *survivors'* data.
+   * a warm spare (``run_spmd(..., spares=k)``) is **substituted** for the
+     crashed rank, keeping ``p`` and any capacity-tuned plan valid;
+   * a buddy replica (``SortConfig(checkpoint=True)``,
+     :mod:`repro.mpi.checkpoint`) is **restored** into the substitute, or
+     — with the pool empty — **salvaged** into the surviving buddy;
+   * with neither, the survivors **shrink** and the crashed rank's input
+     is reported in ``lost``.
 
-**Lossless recovery** (``run_spmd(..., spares=k)`` and/or
-``SortConfig(checkpoint=True)``): each epoch is one
-:func:`~repro.core.histsort.run_pipeline` call over a resumable
-:class:`~repro.core.histsort.SortState`, with buddy checkpointing
-(:mod:`repro.mpi.checkpoint`) at its step boundaries, and exits through the
-spare-pool rendezvous (:mod:`repro.mpi.spare`) instead of agree+shrink.
-On failure the verdict substitutes a warm spare for each crashed rank —
-keeping ``p`` and any capacity-tuned plan valid — restores the lost
-partitions from their buddies' replicas, and resumes the epoch from the
-deepest phase every member has checkpointed (``PH_START`` → input,
-``PH_SORTED`` → skip the local sort, ``PH_SPLIT`` → skip splitter
-determination too).  Shrinking remains the fallback once the pool is
-exhausted; a dropped rank's partition is then *salvaged* into the
-surviving buddy so the sort still completes on the full input.  Only an
+4. **Resume.**  The epoch restarts from the deepest phase every member has
+   checkpointed (``PH_START`` → input, ``PH_SORTED`` → skip the local
+   sort, ``PH_SPLIT`` → skip splitter determination too); a membership
+   change always restarts at ``PH_START``, since splitters and capacity
+   targets depend on the rank count.
+
+With no spares and no checkpoints this is plain shrink-and-restart: a
+correct, verified sort of the *survivors'* data.  With checkpoints only an
 adjacent double failure (a rank and its buddy in the same epoch) loses
-data, which the result reports in ``lost`` by initial rank.
-
-Every rank ends each epoch with exactly one fault-tolerant rendezvous
-(``agree`` or the pool round) and, on a failed epoch, exactly one
-membership change, which keeps the rendezvous generations congruent
-across ranks.  Both modes are deterministic under a seeded
-:class:`~repro.faults.FaultPlan`; with spares and checkpointing disabled
-the legacy path below is executed unchanged, bit-identical to previous
-releases.
+data.  The run is deterministic under a seeded
+:class:`~repro.faults.FaultPlan` in every mode.
 """
 
 from __future__ import annotations
@@ -74,7 +60,7 @@ from ..mpi.errors import CommRevokedError, MessageTimeoutError, RankFailedError
 from ..mpi.resilient import ResilientComm
 from ..mpi.spare import PoolVerdict, pool_round
 from .config import SortConfig
-from .histsort import SortResult, SortState, histogram_sort, run_pipeline
+from .histsort import SortResult, SortState, run_pipeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
@@ -95,12 +81,11 @@ class ResilientSortResult:
 
     ``output`` is this rank's partition of the globally sorted data;
     ``comm`` is the (possibly substituted or shrunk) communicator it
-    lives on.  Under lossless recovery ``spares_used`` counts pool
-    substitutions and ``lost`` names the initial ranks whose input could
-    not be recovered (empty unless a rank and its checkpoint buddy died
-    in the same epoch, or checkpointing was off); in legacy
-    shrink-and-restart mode every crashed rank's data is lost but
-    ``lost`` stays empty for backward compatibility — consult ``failed``.
+    lives on.  ``survivors`` and ``failed`` are world ranks;
+    ``spares_used`` counts pool substitutions; ``lost`` names, by initial
+    rank in the sorted communicator, every member whose input is not in
+    the output — without checkpoints every ``failed`` member, with them
+    only a rank whose buddy died in the same epoch.
     """
 
     output: np.ndarray
@@ -157,7 +142,8 @@ def resilient_sort(
     config: SortConfig | None = None,
     capacities: Sequence[int] | None = None,
 ) -> ResilientSortResult:
-    """Fault-tolerant :func:`histogram_sort`; collective over ``comm``.
+    """Fault-tolerant :func:`~repro.core.histsort.histogram_sort`; collective
+    over ``comm``.
 
     Completes a verified sort of the recoverable data under injected
     message drops, duplications, delays, and rank crashes, or raises a
@@ -166,10 +152,6 @@ def resilient_sort(
     Never hangs: blocked survivors are hoisted out by revocation, crashed
     peers by the runtime's failure notifications, and silent message loss
     by virtual-time retry deadlines.
-
-    When the runtime has spare ranks or ``config.checkpoint`` is set, the
-    lossless pooled recovery path runs (see the module docs); otherwise
-    the legacy shrink-and-restart loop below executes unchanged.
     """
     if config is None:
         config = SortConfig(resilient=True)
@@ -181,55 +163,18 @@ def resilient_sort(
         if isinstance(comm, ResilientComm)
         else ResilientComm(comm._state, comm.rank)
     )
-    rt = comm._rt
-    if rt.spares > 0 or config.checkpoint:
-        return _pooled_sort(rt, work, local, config, capacities)
     initial_members = tuple(work.world_ranks)
-    inner_cfg = config.with_(resilient=False)
-    tracer = comm.tracer
-
-    for attempt in range(1, config.max_recovery_attempts + 1):
-        result: SortResult | None = None
-        ok_local = True
-        try:
-            result = histogram_sort(
-                work,
-                local.copy(),
-                inner_cfg,
-                capacities if work.size == len(initial_members) else None,
-            )
-            ok_local = _verified(work, int(local.size), result.output)
-        except RECOVERABLE:
-            # Hoist peers still blocked on this epoch's traffic out of
-            # their waits, then vote to retry.
-            work.revoke()
-            ok_local = False
-        if work.agree(ok_local):
-            assert result is not None
-            survivors = tuple(work.world_ranks)
-            return ResilientSortResult(
-                output=result.output,
-                result=result,
-                comm=work,
-                attempts=attempt,
-                survivors=survivors,
-                failed=tuple(r for r in initial_members if r not in survivors),
-            )
-        t0 = work.clock
-        work.revoke()
-        work = work.shrink()
-        if tracer.enabled:
-            tracer.record("recover", t0, cat="fault", attempt=attempt,
-                          survivors=work.size)
-    raise RecoveryExhaustedError(
-        f"sort did not complete within {config.max_recovery_attempts} "
-        "recovery attempts"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Lossless recovery: phase-granular epochs over the spare-pool rendezvous.
-# ---------------------------------------------------------------------------
+    st = _EpochState(local=local.copy(), dtype=local.dtype,
+                     origins=(work.rank,))
+    meta = {
+        "config": config,
+        "capacities": None if capacities is None else tuple(capacities),
+        "initial_members": initial_members,
+        "dtype": local.dtype,
+    }
+    origin_map = {i: (i,) for i in range(len(initial_members))}
+    return _epoch_loop(comm._rt, work, st, meta, origin_map=origin_map,
+                       epoch=0, spares_used=0, lost=())
 
 
 @dataclass
@@ -249,35 +194,13 @@ class _EpochState(SortState):
         return int(self.local.size)
 
 
-def _pooled_sort(rt, work: ResilientComm, local: np.ndarray,
-                 config: SortConfig, capacities) -> ResilientSortResult:
-    """Entry point of the pooled (checkpoint + spares) recovery path for
-    the initial active ranks."""
-    initial_members = tuple(work.world_ranks)
-    st = _EpochState(local=local.copy(), dtype=local.dtype,
-                     origins=(work.rank,))
-    ckpt = BuddyCheckpointer() if config.checkpoint else None
-    meta = {
-        "config": config,
-        "capacities": None if capacities is None else tuple(capacities),
-        "initial_p": len(initial_members),
-        "initial_members": initial_members,
-        "dtype": local.dtype,
-    }
-    origin_map = {i: (i,) for i in range(len(initial_members))}
-    return _epoch_loop(rt, work, st, ckpt, meta, origin_map=origin_map,
-                       epoch=0, spares_used=0, lost=())
-
-
 def _substitute_entry(rt, wc, verdict: PoolVerdict, pos: int):
     """Continuation a spare runs after the pool assigned it position
     ``pos`` (deposited by the actives; see :func:`repro.mpi.spare.spare_main`).
     Receives the buddy replica planned for it (if any) and joins the
     epoch loop as a full member."""
     meta = verdict.meta
-    config: SortConfig = meta["config"]
     work = ResilientComm(verdict.state, pos)
-    ckpt = BuddyCheckpointer() if config.checkpoint else None
     st = _EpochState(local=np.empty(0, dtype=meta["dtype"]),
                      dtype=meta["dtype"], origins=())
     try:
@@ -289,22 +212,21 @@ def _substitute_entry(rt, wc, verdict: PoolVerdict, pos: int):
         work.revoke()
     if st.marker >= PH_SPLIT:
         st.splitters = verdict.splitters
-    return _epoch_loop(rt, work, st, ckpt, meta,
+    return _epoch_loop(rt, work, st, meta,
                        origin_map=dict(verdict.origin_map),
                        epoch=verdict.epoch, spares_used=verdict.spares_used,
                        lost=verdict.lost)
 
 
-def _epoch_loop(rt, work: ResilientComm, st: _EpochState,
-                ckpt: BuddyCheckpointer | None, meta: dict, *,
+def _epoch_loop(rt, work: ResilientComm, st: _EpochState, meta: dict, *,
                 origin_map: dict[int, tuple[int, ...]], epoch: int,
                 spares_used: int,
                 lost: tuple[int, ...]) -> ResilientSortResult:
-    """Run recovery epochs until the pool rendezvous declares the sort
-    done (or the attempt budget is exhausted)."""
+    """The recovery loop: run epochs until the pool rendezvous declares
+    the sort done (or the attempt budget is exhausted)."""
     config: SortConfig = meta["config"]
-    initial_p: int = meta["initial_p"]
     initial_members: tuple[int, ...] = meta["initial_members"]
+    ckpt = BuddyCheckpointer() if config.checkpoint else None
     while True:
         epoch += 1
         result: SortResult | None = None
@@ -314,7 +236,8 @@ def _epoch_loop(rt, work: ResilientComm, st: _EpochState,
             # Tuned capacities are only meaningful while the rank count
             # and the input multiset both match the original plan.
             caps = (meta["capacities"]
-                    if work.size == initial_p and not lost else None)
+                    if work.size == len(initial_members) and not lost
+                    else None)
             result = run_pipeline(
                 work, st, config, caps,
                 on_boundary=(None if ckpt is None
@@ -341,7 +264,7 @@ def _epoch_loop(rt, work: ResilientComm, st: _EpochState,
             "cont": _substitute_entry,
             "meta": meta,
         })
-        verdict = pool_round(rt, work.world_rank, deposit, work)
+        verdict = pool_round(rt, deposit, work)
         if verdict.kind == "done":
             assert result is not None
             survivors = tuple(work.world_ranks)

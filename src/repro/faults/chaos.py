@@ -11,12 +11,12 @@ Optionally every case is executed twice and the virtual-time makespan and
 fault tally are compared for exact equality (``--determinism``), pinning
 the schedule-independence guarantee of the fault layer.
 
-With ``--spares`` and/or ``--checkpoint`` the sweep exercises the
-lossless recovery path (:mod:`repro.core.resilient`): the contract
-tightens to a **no-data-loss oracle** — the output multiset must equal
-the regenerated inputs of every initial rank except those the result
-itself reports as ``lost`` (and legacy mode's crashed ranks), and with
-enough spares the rank count must come back unchanged.
+The oracle is the same in every mode (:mod:`repro.core.resilient`): the
+output multiset must equal the regenerated inputs of every initial rank
+except those the result itself reports as ``lost`` — every crashed rank
+without ``--checkpoint``, none with it short of an adjacent double
+failure — and with enough ``--spares`` the rank count must come back
+unchanged.
 
 Usage::
 
@@ -57,15 +57,10 @@ class ChaosCase:
     crash_ranks: int
     n_per_rank: int
     check: bool
-    #: warm spare ranks substituted for crashed actives (lossless path)
+    #: warm spare ranks substituted for crashed actives
     spares: int = 0
     #: buddy-checkpoint phase boundaries and restore lost partitions
     checkpoint: bool = False
-
-    @property
-    def pooled(self) -> bool:
-        """True when the case runs the lossless (pool) recovery path."""
-        return self.spares > 0 or self.checkpoint
 
     def plan(self) -> FaultPlan:
         spec = FaultSpec(
@@ -144,11 +139,7 @@ def _check_outputs(case: ChaosCase, rt: Runtime, results: list) -> str | None:
     if len(live) != first.comm.size:
         return f"{len(live)} results for a size-{first.comm.size} communicator"
     # Multiset conservation: everything not reported lost must come out.
-    # The legacy path loses every crashed rank's data but reports lost=()
-    # for backward compatibility, so fold `failed` in for it.
     missing = set(first.lost)
-    if not case.pooled:
-        missing |= set(first.failed)
     expect = np.sort(np.concatenate(
         [_case_input(1000 + case.seed, r, case.n_per_rank)
          for r in range(case.size) if r not in missing]
@@ -167,7 +158,7 @@ def _check_outputs(case: ChaosCase, rt: Runtime, results: list) -> str | None:
     # deep enough to cover every crash of the run — counting crashes of
     # spares themselves (a parked spare's death drains the pool, a
     # substituted spare's death needs covering again).
-    if case.pooled and len(rt.fault_stats.crashed) <= case.spares:
+    if len(rt.fault_stats.crashed) <= case.spares:
         if first.comm.size != case.size:
             return (f"p changed to {first.comm.size} although {case.spares} "
                     f"spare(s) could cover {len(rt.fault_stats.crashed)} "
@@ -266,9 +257,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="ranks the plan crashes (0 disables crashes)")
     ap.add_argument("--n", type=int, default=96, help="elements per rank")
     ap.add_argument("--spares", type=int, default=0,
-                    help="warm spare ranks for lossless substitution")
+                    help="warm spare ranks substituted for crashed actives")
     ap.add_argument("--checkpoint", action="store_true",
-                    help="buddy-checkpoint phase boundaries (lossless path)")
+                    help="buddy-checkpoint phase boundaries (no data loss)")
     ap.add_argument("--check", action="store_true",
                     help="enable the runtime correctness checker")
     ap.add_argument("--determinism", action="store_true",

@@ -300,8 +300,8 @@ class Runtime:
         self._registry = WaitRegistry(total)
         self.world_state = _CommState(self, range(total))
         #: the communicator the rank function runs on: the world when
-        #: there are no spares (bit-identical legacy path), otherwise a
-        #: separate state over the active ranks only
+        #: there are no spares, otherwise a separate state over the active
+        #: ranks only (spares substitute into its positions)
         self.active_state = (self.world_state if spares == 0
                              else _CommState(self, range(size)))
         if trace:

@@ -1,16 +1,10 @@
-"""Spare-rank pool: warm substitutes and the recovery rendezvous.
+"""The recovery rendezvous, and the warm substitutes parked in it.
 
-ULFM's shrink-and-restart recovery changes the rank count, which
-invalidates capacity-tuned plans and shifts every partition boundary.
-The spare pool keeps ``p`` constant instead: ``run_spmd(..., spares=k)``
-spawns ``k`` extra ranks that sit out the sort in a **pool rendezvous**
-— a fault-tolerant collective on the *world* state (all actives and
-spares) — and are substituted, one per crashed active, when a recovery
-epoch needs a replacement.  Shrinking remains the fallback once the
-pool is exhausted.
-
-The protocol is one :meth:`~repro.mpi.comm._CommState.ft_collective`
-per epoch exit:
+Every epoch of the resilient sort (:mod:`repro.core.resilient`) ends in
+one **pool round**: a :meth:`~repro.mpi.comm._CommState.ft_collective`
+over the communicator being sorted — or, when ``run_spmd(..., spares=k)``
+spawned ``k`` extra ranks that sit the sort out in this rendezvous, over
+the *world* state (all actives and spares).
 
 * every live **active** deposits its epoch outcome — position, the
   membership it ran on, its verified/failed verdict, its phase-progress
@@ -20,14 +14,15 @@ per epoch exit:
 * the combine (:func:`_pool_combine`, pure bookkeeping — it never
   communicates) diagnoses the epoch: all verified and nobody dead →
   ``done``; attempts exhausted → ``exhausted``; otherwise it builds a
-  ``recover`` verdict — a fresh communicator state with spares
-  substituted into the crashed positions (or the survivors only, once
-  spares run out), the phase to resume from (the minimum marker over
-  the new membership), which buddy restores which partition, and what
-  was irrecoverably lost.
+  ``recover`` verdict — a fresh communicator state with a spare
+  substituted into each crashed position, which keeps ``p`` and any
+  capacity-tuned plan valid, or, for the crashes the pool cannot cover,
+  shrunk to the survivors; the phase to resume from (the minimum marker
+  over the new membership); which buddy restores or salvages which
+  partition; and what is irrecoverably lost.
 
-Every live world rank makes exactly one pool call per epoch exit, so
-the rendezvous generations stay congruent: a spare's Nth call meets the
+Every live participant makes exactly one pool call per epoch exit, so the
+rendezvous generations stay congruent: a spare's Nth call meets the
 actives' Nth epoch verdict.  Deposits from ranks that later crash are
 ignored via the rendezvous' ``live`` membership, and the combine folds
 in deterministic (sorted) order, so verdicts are a pure function of the
@@ -85,8 +80,8 @@ def _pool_combine(rt, values: list, order: list[int], live: list[int]):
     Runs once per generation on whichever thread completes the
     rendezvous; everything it reads is a deposit or the (stable at this
     point) failed set, and all iteration is in sorted order, so the
-    verdict is schedule-independent.  On the world state, deposit index
-    equals world rank.
+    verdict is schedule-independent.  Spares deposit on the world state
+    only, where the deposit index is the world rank.
     """
     live_set = set(live)
     actives: dict[int, tuple[int, dict]] = {}
@@ -223,15 +218,19 @@ def _pool_combine(rt, values: list, order: list[int], live: list[int]):
     )
 
 
-def pool_round(rt, world_rank: int, deposit: tuple,
-               service_comm: Comm) -> PoolVerdict:
-    """One pool rendezvous call (collective over every live world rank).
+def pool_round(rt, deposit: tuple, service_comm: Comm) -> PoolVerdict:
+    """One pool rendezvous call.
 
-    ``service_comm`` is the communicator whose reliable channels must
-    stay serviced while blocked (the work communicator for actives, the
-    world handle for spares) — see :meth:`_CommState.ft_collective`.
+    Collective over the communicator being sorted; with spares in the
+    runtime — world ranks outside it that must take part — over the world.
+    ``service_comm`` is the caller's handle on the former (the world
+    handle for a parked spare): its reliable channels stay serviced while
+    blocked — see :meth:`_CommState.ft_collective`.
     """
-    state = rt.world_state
+    if rt.spares:
+        state, idx = rt.world_state, service_comm.world_rank
+    else:
+        state, idx = service_comm._state, service_comm.rank
 
     def combine(values, order, live):
         return _pool_combine(rt, values, order, live)
@@ -239,7 +238,7 @@ def pool_round(rt, world_rank: int, deposit: tuple,
     def cost_fn(live_world):
         return rt.cost.allreduce(64, live_world)
 
-    return state.ft_collective(world_rank, deposit, combine, cost_fn,
+    return state.ft_collective(idx, deposit, combine, cost_fn,
                                "spare_pool", comm=service_comm)
 
 
@@ -252,7 +251,7 @@ def spare_main(rt, world_rank: int) -> Any:
     """
     wc = Comm(rt.world_state, world_rank)
     while True:
-        verdict = pool_round(rt, world_rank, ("spare",), wc)
+        verdict = pool_round(rt, ("spare",), wc)
         if verdict.kind != "recover":
             return None
         pos = verdict.assigned.get(world_rank)
