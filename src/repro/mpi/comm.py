@@ -344,7 +344,8 @@ class _CommState:
         entry = max(deps[i][1] for i in order)
         live_world = [self.world_ranks[i] for i in live]
         result = combine(values, order, live)
-        self.ft_results[gen] = (result, entry + float(cost_fn(live_world)), live)
+        self.ft_results[gen] = (
+            result, entry + float(cost_fn(live_world, result)), live)
         self.cond.notify_all()
 
     def _ft_quorum(self, gen: int) -> bool:
@@ -1241,7 +1242,7 @@ class Comm:
         def combine(values: list[Any], order: list[int], live: list[int]) -> bool:
             return all(bool(v) for v in values)
 
-        def cost_fn(live_world: list[int]) -> float:
+        def cost_fn(live_world: list[int], _agreed: bool) -> float:
             return rt.cost.allreduce(8, live_world)
 
         return self._state.ft_collective(
@@ -1260,7 +1261,7 @@ class Comm:
             mapping = {idx: new_rank for new_rank, idx in enumerate(live)}
             return new_state, mapping
 
-        def cost_fn(live_world: list[int]) -> float:
+        def cost_fn(live_world: list[int], _shrunk: Any) -> float:
             return rt.cost.comm_split(live_world)
 
         new_state, mapping = self._state.ft_collective(

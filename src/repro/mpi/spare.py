@@ -235,8 +235,13 @@ def pool_round(rt, deposit: tuple, service_comm: Comm) -> PoolVerdict:
     def combine(values, order, live):
         return _pool_combine(rt, values, order, live)
 
-    def cost_fn(live_world):
-        return rt.cost.allreduce(64, live_world)
+    def cost_fn(live_world, verdict):
+        cost = rt.cost.allreduce(64, live_world)
+        if verdict.kind == "recover":
+            # creating the recovered communicator costs what `split` and
+            # `shrink` pay for theirs
+            cost += rt.cost.comm_split(verdict.positions)
+        return cost
 
     return state.ft_collective(idx, deposit, combine, cost_fn,
                                "spare_pool", comm=service_comm)
