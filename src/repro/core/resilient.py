@@ -8,10 +8,9 @@ reliable p2p layer, healing injected drops/duplications by retransmission
 (ULFM) proposal.  One state machine, whatever the mode:
 
 1. **Detect.**  Run one *epoch* of the sort on the current communicator.
-   A rank that observes a failure (:class:`RankFailedError` from a crashed
-   peer, :class:`CommRevokedError`, or a :class:`MessageTimeoutError` from
-   an unhealable link) **revokes** the communicator, which hoists every
-   surviving peer out of whatever it was blocked on.
+   A rank that observes a failure (any of :data:`RECOVERABLE`: a crashed
+   peer, a revoked communicator, an unhealable link) **revokes** the
+   communicator, which hoists every surviving peer out of its wait.
 2. **Rendezvous.**  Every live rank ends the epoch in exactly one
    fault-tolerant pool round (:mod:`repro.mpi.spare`), immune to both
    revocation and crashes.  It is the only exit: either every survivor
@@ -19,15 +18,12 @@ reliable p2p layer, healing injected drops/duplications by retransmission
    survivor gets the same ``recover`` verdict — no rank is left behind.
 3. **Recover.**  The verdict names a fresh communicator and how each
    crashed member's place and data are made good, from what the run has:
-
-   * a warm spare (``run_spmd(..., spares=k)``) is **substituted** for the
-     crashed rank, keeping ``p`` and any capacity-tuned plan valid;
-   * a buddy replica (``SortConfig(checkpoint=True)``,
-     :mod:`repro.mpi.checkpoint`) is **restored** into the substitute, or
-     — with the pool empty — **salvaged** into the surviving buddy;
-   * with neither, the survivors **shrink** and the crashed rank's input
-     is reported in ``lost``.
-
+   a warm spare (``run_spmd(..., spares=k)``) is **substituted** for it,
+   keeping ``p`` and any capacity-tuned plan valid; its buddy replica
+   (``SortConfig(checkpoint=True)``, :mod:`repro.mpi.checkpoint`) is
+   **restored** into the substitute or, with the pool empty, **salvaged**
+   into the surviving buddy; with neither, the survivors **shrink** and
+   its input is reported in ``lost``.
 4. **Resume.**  The epoch restarts from the deepest phase every member has
    checkpointed (``PH_START`` → input, ``PH_SORTED`` → skip the local
    sort, ``PH_SPLIT`` → skip splitter determination too); a membership
@@ -35,10 +31,9 @@ reliable p2p layer, healing injected drops/duplications by retransmission
    targets depend on the rank count.
 
 With no spares and no checkpoints this is plain shrink-and-restart: a
-correct, verified sort of the *survivors'* data.  With checkpoints only an
-adjacent double failure (a rank and its buddy in the same epoch) loses
-data.  The run is deterministic under a seeded
-:class:`~repro.faults.FaultPlan` in every mode.
+verified sort of the *survivors'* data.  With checkpoints only an adjacent
+double failure (a rank and its buddy in the same epoch) loses data.  Every
+mode is deterministic under a seeded :class:`~repro.faults.FaultPlan`.
 """
 
 from __future__ import annotations
@@ -149,6 +144,8 @@ def resilient_sort(
     message drops, duplications, delays, and rank crashes, or raises a
     typed error (:class:`RecoveryExhaustedError` after too many epochs;
     :class:`RankFailedError` if this rank cannot take part in recovery).
+    With spares in the runtime, ``comm`` must be the communicator
+    ``run_spmd`` handed out (``ValueError`` otherwise).
     Never hangs: blocked survivors are hoisted out by revocation, crashed
     peers by the runtime's failure notifications, and silent message loss
     by virtual-time retry deadlines.
@@ -158,6 +155,12 @@ def resilient_sort(
     local = np.asarray(local)
     if local.ndim != 1:
         raise ValueError("local partition must be 1-D")
+    rt = comm._rt
+    if rt.spares and comm._state is not rt.active_state:
+        raise ValueError(
+            "with spares, a resilient sort must run on the communicator "
+            "run_spmd handed out: spares substitute into its positions"
+        )
     work = (
         comm
         if isinstance(comm, ResilientComm)
@@ -172,9 +175,10 @@ def resilient_sort(
         "initial_members": initial_members,
         "dtype": local.dtype,
     }
-    origin_map = {i: (i,) for i in range(len(initial_members))}
-    return _epoch_loop(comm._rt, work, st, meta, origin_map=origin_map,
-                       epoch=0, spares_used=0, lost=())
+    start = PoolVerdict(
+        kind="start",
+        origin_map={i: (i,) for i in range(len(initial_members))})
+    return _epoch_loop(rt, work, st, meta, start)
 
 
 @dataclass
@@ -204,31 +208,23 @@ def _substitute_entry(rt, wc, verdict: PoolVerdict, pos: int):
     st = _EpochState(local=np.empty(0, dtype=meta["dtype"]),
                      dtype=meta["dtype"], origins=())
     try:
-        for holder, target in verdict.restores:
-            if pos == target:
-                rep = BuddyCheckpointer.restore_recv(work, holder)
-                _load_replica(st, rep, verdict.resume_marker)
+        _run_transfers(work, st, None, verdict)
     except RECOVERABLE:
         work.revoke()
-    if st.marker >= PH_SPLIT:
-        st.splitters = verdict.splitters
-    return _epoch_loop(rt, work, st, meta,
-                       origin_map=dict(verdict.origin_map),
-                       epoch=verdict.epoch, spares_used=verdict.spares_used,
-                       lost=verdict.lost)
+    return _epoch_loop(rt, work, st, meta, verdict)
 
 
-def _epoch_loop(rt, work: ResilientComm, st: _EpochState, meta: dict, *,
-                origin_map: dict[int, tuple[int, ...]], epoch: int,
-                spares_used: int,
-                lost: tuple[int, ...]) -> ResilientSortResult:
+def _epoch_loop(rt, work: ResilientComm, st: _EpochState, meta: dict,
+                verdict: PoolVerdict) -> ResilientSortResult:
     """The recovery loop: run epochs until the pool rendezvous declares
-    the sort done (or the attempt budget is exhausted)."""
+    the sort done (or the attempt budget is exhausted).  ``verdict`` is
+    the bookkeeping this rank starts from: the round that made it a
+    member, or the driver's ``start``."""
     config: SortConfig = meta["config"]
     initial_members: tuple[int, ...] = meta["initial_members"]
     ckpt = BuddyCheckpointer() if config.checkpoint else None
     while True:
-        epoch += 1
+        epoch = verdict.epoch + 1
         result: SortResult | None = None
         ok = True
         try:
@@ -236,7 +232,7 @@ def _epoch_loop(rt, work: ResilientComm, st: _EpochState, meta: dict, *,
             # Tuned capacities are only meaningful while the rank count
             # and the input multiset both match the original plan.
             caps = (meta["capacities"]
-                    if work.size == len(initial_members) and not lost
+                    if work.size == len(initial_members) and not verdict.lost
                     else None)
             result = run_pipeline(
                 work, st, config, caps,
@@ -256,11 +252,11 @@ def _epoch_loop(rt, work: ResilientComm, st: _EpochState, meta: dict, *,
             "held": (None if ckpt is None or ckpt.held is None
                      else (ckpt.held.owner_pos, ckpt.held.marker)),
             "splitters": st.splitters,
-            "lost": lost,
-            "origin_map": origin_map,
+            "lost": verdict.lost,
+            "origin_map": verdict.origin_map,
             "epoch": epoch,
             "max_epochs": config.max_recovery_attempts,
-            "spares_used": spares_used,
+            "spares_used": verdict.spares_used,
             "cont": _substitute_entry,
             "meta": meta,
         })
@@ -285,10 +281,6 @@ def _epoch_loop(rt, work: ResilientComm, st: _EpochState, meta: dict, *,
                 f"{config.max_recovery_attempts} recovery attempts"
             )
         assert verdict.kind == "recover", verdict.kind
-        epoch = verdict.epoch
-        spares_used = verdict.spares_used
-        lost = verdict.lost
-        origin_map = dict(verdict.origin_map)
         work = _apply_recovery(work, st, ckpt, verdict)
 
 
@@ -344,8 +336,8 @@ def _run_transfers(nw: ResilientComm, st: _EpochState,
 
     Every rank walks the same globally ordered transfer list; blocked
     reliable operations service the whole channel, so the pairwise
-    sends/receives cannot deadlock.  Substitute targets run their
-    receives in :func:`_substitute_entry` instead."""
+    sends/receives cannot deadlock.  A fresh substitute (``ckpt`` is
+    ``None``: it holds no replica yet) only ever receives."""
     for holder, target in verdict.restores:
         if nw.rank == holder:
             assert ckpt is not None

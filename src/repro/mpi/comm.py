@@ -389,7 +389,8 @@ class _CommState:
 
     def ft_collective(self, idx: int, value: Any, combine, cost_fn,
                       name: str, comm: "Comm | None" = None) -> Any:
-        """Fault-tolerant rendezvous (``agree``/``shrink``).
+        """Fault-tolerant rendezvous (``agree``/``shrink``, the recovery pool
+        round).
 
         Completes over the set of *live* members, whatever became of the
         plain collectives (same condition, generations of its own): each

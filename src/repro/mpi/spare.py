@@ -44,7 +44,8 @@ __all__ = ["PoolVerdict", "pool_round", "spare_main"]
 class PoolVerdict:
     """Outcome of one pool rendezvous (identical on every live rank)."""
 
-    #: "done" | "recover" | "exhausted" | "dead"
+    #: "done" | "recover" | "exhausted" | "dead" — or "start", the
+    #: driver's own initial bookkeeping before any round
     kind: str
     #: epoch attempts completed so far
     epoch: int = 0

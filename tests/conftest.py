@@ -14,7 +14,8 @@ from repro.machine import abstract_cluster
 from repro.mpi import run_spmd
 
 # Hypothesis profiles for the modules that leave ``max_examples`` to the
-# profile (tests/test_splitter_properties.py, tests/test_node_allreduce.py):
+# profile (tests/test_splitter_properties.py, tests/test_node_allreduce.py,
+# tests/test_recovery_properties.py):
 # the tier-1 run is bounded and repeats exactly;
 # ``REPRO_HYPOTHESIS_PROFILE=deep`` is CI's own job.
 settings.register_profile("bounded", max_examples=20, deadline=None, derandomize=True)

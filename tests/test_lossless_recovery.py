@@ -1,7 +1,7 @@
 """Lossless recovery: buddy checkpointing, spare substitution, breakers.
 
-Exercises the pool-based recovery path of :mod:`repro.core.resilient`
-(``SortConfig(checkpoint=True)`` / ``Runtime(spares=k)``): crashed ranks
+Exercises the recovery loop of :mod:`repro.core.resilient` with what makes
+it lossless (``SortConfig(checkpoint=True)`` / ``Runtime(spares=k)``): crashed ranks
 are replaced by warm spares, their partitions restored from buddy
 replicas, and the sort resumes from the last checkpointed phase — the
 no-data-loss contract the chaos harness verifies at scale.  Also pins
@@ -120,8 +120,8 @@ def test_spares_without_checkpoint_report_lost_ranks():
     assert np.array_equal(got, _expect([0, 1, 3], 64))
 
 
-def test_pooled_faultless_matches_legacy_output():
-    # with no faults the lossless machinery must be output-invisible
+def test_faultless_checkpoints_and_spares_leave_the_output_alone():
+    # with no faults checkpoints and parked spares must be output-invisible
     def outputs(**kw):
         rt, live = _run(4, None, **kw)
         assert len(live) == 4
@@ -135,10 +135,10 @@ def test_pooled_faultless_matches_legacy_output():
 
 @pytest.mark.parametrize("p", [4, 8])
 @pytest.mark.parametrize("uniquify", [False, True])
-def test_pooled_faultless_epoch_is_the_legacy_pipeline(p, uniquify):
-    # one pipeline, two drivers: without faults the pooled epoch (a warm
-    # spare, checkpointing off) and the legacy loop must report the same
-    # diagnostics bit for bit, not merely the same output
+def test_faultless_idle_spare_is_invisible_in_the_diagnostics(p, uniquify):
+    # without faults a parked spare (rendezvous on the world, actives on
+    # their own communicator) must leave the epoch's diagnostics the same
+    # bit for bit, not merely the output
     cfg = SortConfig(resilient=True, uniquify=uniquify)
 
     def prog(comm):

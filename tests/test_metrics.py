@@ -10,6 +10,7 @@ import pytest
 from repro.bench.harness import run_sort_trial
 from repro.core import SortConfig, histogram_sort
 from repro.data import make_partition
+from repro.faults import CrashEvent, FaultPlan, FaultSpec
 from repro.machine import abstract_cluster
 from repro.metrics import (
     BYTES_BUCKETS,
@@ -178,6 +179,27 @@ class TestCollectors:
             _, rt = spmd(4, _sort_prog, 256, seed, return_runtime=True)
             collect_runtime(reg, rt, labels={"algo": "dash"})
         assert reg.value("repro_runs_total") == 2
+
+    def test_a_crash_without_spares_counts_a_recovery_and_a_loss(self):
+        # shrink-and-restart is a recovery of the one loop: it shows in the
+        # same counters as a substitution, and the crashed rank's data is lost
+        plan = FaultPlan(FaultSpec(crashes=(CrashEvent(rank=1, at_op=11),)), seed=9, size=4)
+
+        def prog(comm):
+            local = make_partition("uniform_u64", 64, rank=comm.rank, seed=3)
+            return histogram_sort(comm, local, SortConfig(resilient=True)).lost
+
+        results, rt = spmd(4, prog, faults=plan, return_runtime=True)
+        assert rt.fault_stats.crashed == [1]
+        assert [r for r in results if r is not None] == [(1,)] * 3
+        reg = MetricsRegistry()
+        collect_runtime(reg, rt, labels={"algo": "dash"})
+
+        def events(event):
+            return reg.value("repro_fault_events_total", {"algo": "dash", "event": event})
+
+        assert events("recoveries") >= 1
+        assert events("lost") == events("crashed") == 1
 
 
 class TestStatsSnapshot:
