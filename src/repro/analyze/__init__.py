@@ -7,11 +7,9 @@ Two layers over :mod:`repro.mpi`:
   One pipeline (:mod:`repro.analyze.engine`): each function definition is
   *lowered* once (:mod:`repro.analyze.lower`), the per-function rules are
   *judged* on that lowering (:mod:`repro.analyze.rules`,
-  :mod:`repro.analyze.dataflow`), per-function summaries are *joined* into
-  one whole program for the interprocedural and cost rules
-  (:mod:`repro.analyze.interproc`, :mod:`repro.analyze.costlint`), and
-  per-file records are *cached* by content hash
-  (:mod:`repro.analyze.store`) so warm runs re-parse only changed files.
+  :mod:`repro.analyze.dataflow`), and per-function summaries are *joined*
+  into one whole program for the interprocedural and cost rules
+  (:mod:`repro.analyze.interproc`, :mod:`repro.analyze.costlint`).
   ``RULES`` in :mod:`repro.analyze.rules` is the rule catalogue.
 * **Runtime** — ``run_spmd(..., check=True)`` (or ``REPRO_CHECK=1``)
   attaches a :class:`~repro.analyze.runtime_check.RuntimeChecker` that
@@ -33,7 +31,6 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "analyze_program",
-    "AnalysisStore",
     "CallGraph",
     "check_program",
     "summarize_module",
@@ -50,7 +47,6 @@ _EXPORTS = {
     "analyze_paths": ("repro.analyze.astlint", "analyze_paths"),
     "analyze_source": ("repro.analyze.astlint", "analyze_source"),
     "analyze_program": ("repro.analyze.engine", "analyze_program"),
-    "AnalysisStore": ("repro.analyze.store", "AnalysisStore"),
     "CallGraph": ("repro.analyze.callgraph", "CallGraph"),
     "check_program": ("repro.analyze.interproc", "check_program"),
     "summarize_module": ("repro.analyze.interproc", "summarize_module"),

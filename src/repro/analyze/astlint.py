@@ -178,20 +178,16 @@ def collect_files(paths: Iterable[str | Path]) -> list[Path]:
 # ------------------------------------------------------------- entry points
 
 
-def analyze_paths(
-    paths: Iterable[str | Path], store=None
-) -> list[Finding]:
+def analyze_paths(paths: Iterable[str | Path]) -> list[Finding]:
     """Lint every ``.py`` file under the given paths (full rule set).
 
     Runs the whole-program pipeline — intraprocedural rules, the
     cross-module tag audit, and the interprocedural rules of
-    :mod:`repro.analyze.interproc`.  Pass an
-    :class:`~repro.analyze.store.AnalysisStore` to reuse cached per-file
-    records across runs; the findings are identical either way.
+    :mod:`repro.analyze.interproc`.
     """
     from .engine import analyze_program
 
-    return analyze_program(paths, store=store).findings
+    return analyze_program(paths)
 
 
 def analyze_source(

@@ -4,20 +4,17 @@ The interprocedural rules in :mod:`repro.analyze.interproc` need to know
 *who calls whom* across every module handed to the analyzer.  This module
 provides the two halves of that question:
 
-* **Per-file indexing** (cold runs only) — :func:`index_module` reads a
-  module's lowering (:func:`repro.analyze.lower.lower_module`) into a
-  :class:`ModuleIndex`: every function definition (module-level functions,
-  class methods, and nested closures, each with a dotted scope name like
+* **Per-file indexing** — :func:`index_module` reads a module's lowering
+  (:func:`repro.analyze.lower.lower_module`) into a :class:`ModuleIndex`:
+  every function definition (module-level functions, class methods, and
+  nested closures, each with a dotted scope name like
   ``outer.<locals>.inner`` or ``Cls.method``), the module's import
   aliases, and *entry marks* for closures passed to ``run_spmd(p, fn)`` /
   ``rt.run(fn)`` / ``SortConfig(...)`` — their first parameter is a
-  communicator even when it is not named ``comm``.  Everything in a
-  :class:`ModuleIndex` but the transient ``node`` is serialized by the
-  store, so warm runs never touch an AST.
+  communicator even when it is not named ``comm``.
 
-* **Whole-program resolution** (serializable data only) —
-  :class:`CallGraph` stitches the per-module indexes together: a raw call
-  *spec* recorded at a call site (``("name", "f")``, ``("attr",
+* **Whole-program resolution** — :class:`CallGraph` stitches the
+  per-module indexes together: a raw call *spec* recorded at a call site (``("name", "f")``, ``("attr",
   "helpers", "f")``, ``("self", "m")``) resolves through the caller's
   lexical scope chain, then module-level definitions, then the import
   maps.  Unresolvable calls (builtins, third-party code, dynamic
@@ -55,11 +52,7 @@ _ENTRY_CTORS = frozenset({"SortConfig"})
 
 @dataclass
 class FunctionNode:
-    """One function definition, addressable as ``modpath::dotted``.
-
-    ``node`` is only populated on cold runs (the store skips transient
-    fields); everything the whole-program phase needs is serialized.
-    """
+    """One function definition, addressable as ``modpath::dotted``."""
 
     dotted: str  #: scope-qualified name inside the module (``f``, ``C.m``, ``f.<locals>.g``)
     name: str
@@ -67,14 +60,12 @@ class FunctionNode:
     params: list[str]
     cls: str | None = None  #: owning class name for methods
     is_entry: bool = False  #: passed to run_spmd/rt.run/SortConfig somewhere in this module
-    node: ast.FunctionDef | None = field(
-        default=None, compare=False, repr=False, metadata={"transient": True}
-    )
+    node: ast.FunctionDef | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class ModuleIndex:
-    """Functions and import aliases of one module (JSON-serializable)."""
+    """Functions and import aliases of one module."""
 
     path: str
     modname: str

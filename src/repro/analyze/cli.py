@@ -1,13 +1,8 @@
 """``python -m repro.analyze`` — static SPMD lint CLI.
 
 Exit codes: 0 clean, 1 findings, 2 usage/internal error (including
-unparsable inputs).
-
-The analyzer is incremental by default: per-file records are cached in
-``~/.cache/repro/analyze.json`` (override with ``$REPRO_ANALYZE_CACHE``)
-keyed by content hash, so warm runs re-parse only files that changed since
-the last run.  ``--no-store`` disables the cache; findings are identical
-either way.
+unparsable inputs).  Every run parses every file; the only thing written
+is the report.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from pathlib import Path
 
 from .astlint import RULE_PARSE_ERROR, Finding, analyze_paths
 from .rules import RULES
-from .store import AnalysisStore
 
 __all__ = ["main"]
 
@@ -64,17 +58,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="write the report to FILE instead of stdout",
     )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="disable the incremental store ($REPRO_ANALYZE_CACHE or "
-        "~/.cache/repro/analyze.json); parse every file fresh",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="report files parsed vs reused from the store on stderr",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -92,21 +75,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    store = None if args.no_store else AnalysisStore()
-
     try:
-        findings = analyze_paths(args.paths, store=store)
+        findings = analyze_paths(args.paths)
     except Exception as exc:  # internal error, not a lint finding
         print(f"repro.analyze: internal error: {exc}", file=sys.stderr)
         return 2
-
-    if args.stats and store is not None:
-        print(
-            f"repro.analyze: {store.hits + store.misses} files "
-            f"({store.misses} parsed, {store.hits} reused)",
-            file=sys.stderr,
-        )
-
     return _report(findings, args)
 
 

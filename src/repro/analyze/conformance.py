@@ -41,6 +41,7 @@ from typing import Any, Callable
 
 from . import symbolic as sym
 from .costlint import CostProgram
+from .interproc import Program
 
 __all__ = [
     "TrafficSnapshot",
@@ -237,7 +238,7 @@ def static_traffic(
     contribution is dropped, which the caller surfaces).
     """
     entry = ALGORITHMS[algo]
-    prog = CostProgram(_module_summaries(entry.modules))
+    prog = CostProgram(Program(_module_summaries(entry.modules)))
     env: dict[str, float] = {
         "p": float(p),
         "logp": math.log2(max(p, 2)),
@@ -251,15 +252,15 @@ def static_traffic(
     attribution: dict[str, list[str]] = {}
     unpriced: list[str] = []
     for key in sorted(prog.cost):
-        for site in prog.cost[key].get("sites", []):
-            verb = site["verb"]
+        for site in prog.cost[key].sites:
+            verb = site.verb
             phase = _function_phase(entry, key)
             if phase is None:
                 continue
-            payload, _via = prog.resolve_size(key, sym.from_json(site["payload"]))
-            loop, _ = prog.resolve_size(key, sym.from_json(site["loop"]))
+            payload, _via = prog.resolve_size(key, site.payload)
+            loop, _ = prog.resolve_size(key, site.loop)
             term = sym.mul(payload, loop)
-            where = f"{Path(key.partition('::')[0]).name}:{site['line']}"
+            where = f"{Path(key.partition('::')[0]).name}:{site.line}"
             if term is sym.UNKNOWN:
                 unpriced.append(f"{where} {verb}(payload unknown) -> {phase}")
                 continue

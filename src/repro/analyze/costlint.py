@@ -3,7 +3,7 @@
 Two halves, mirroring the summaries/join split of
 :mod:`repro.analyze.interproc`:
 
-**Extraction (per file, cacheable).**  :func:`extract_function_cost` runs a
+**Extraction (per file).**  :func:`extract_function_cost` runs a
 flow-insensitive abstract interpretation over one function, mapping names
 to :mod:`repro.analyze.symbolic` sizes: array lengths for buffers, value
 magnitudes for integers.  Seeds are the SPMD vocabulary — ``comm.size`` is
@@ -13,10 +13,11 @@ through assignments, non-comm parameters become ``$param`` atoms, and
 unresolved user calls become ``@line_col`` atoms.  The result — every
 collective/p2p *cost site* of the function's lowering with its payload term
 and enclosing-loop multiplier, every ``for``-loop issuing point-to-point
-traffic, and the function's symbolic return size — is a JSON dict stored on
-the function's :class:`~repro.analyze.interproc.FunctionSummary`.
+traffic, and the function's symbolic return size — is the
+:class:`FunctionCost` on the function's
+:class:`~repro.analyze.interproc.FunctionSummary`.
 
-**Whole-program resolution (every run, cheap).**  :class:`CostProgram`
+**Whole-program resolution.**  :class:`CostProgram`
 resolves ``@`` placeholders bottom-up over the SCCs of the shared
 :class:`~repro.analyze.interproc.Program` (substituting callee return sizes
 with ``$param`` atoms bound to the caller's argument sizes) and judges the
@@ -30,7 +31,8 @@ analysis that prefers missed findings over false alarms.
 from __future__ import annotations
 
 import ast
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from . import symbolic as sym
 from .astlint import COLLECTIVE_METHODS, Finding
@@ -42,6 +44,10 @@ __all__ = [
     "RULE_P2_TRAFFIC",
     "RULE_HANDROLLED",
     "RULE_OVERSIZED_REDUCE",
+    "CostSite",
+    "PeerLoop",
+    "CallSize",
+    "FunctionCost",
     "extract_function_cost",
     "CostProgram",
 ]
@@ -70,7 +76,6 @@ _PAYLOAD_VERBS = frozenset(
     }
 )
 
-_P2P_SEND = frozenset({"send", "isend", "sendrecv"})
 _P2P_BLOCKING = frozenset({"send", "recv", "sendrecv"})
 _P2P_ALL = frozenset({"send", "recv", "sendrecv", "isend", "irecv"})
 
@@ -111,6 +116,51 @@ _METHOD_SCALAR = frozenset(
 )
 
 
+# ------------------------------------------------------------ cost facts
+
+
+@dataclass
+class CostSite:
+    """One priced comm call: payload elements, times its enclosing loops."""
+
+    verb: str
+    line: int
+    payload: sym.Size
+    loop: sym.Size
+
+
+@dataclass
+class PeerLoop:
+    """One outermost ``for`` loop issuing point-to-point traffic."""
+
+    line: int
+    count: sym.Size
+    verbs: set[str] = field(default_factory=set)
+    blocking: bool = False
+    payload: sym.Size = sym.ZERO  #: elements sent per trip
+
+
+@dataclass
+class CallSize:
+    """An unresolved user call (an ``@line_col`` atom) and its argument sizes."""
+
+    spec: tuple[str, ...]
+    display: str
+    args: list[sym.Size]
+    kwargs: dict[str, sym.Size]
+
+
+@dataclass
+class FunctionCost:
+    """Symbolic cost facts of one function, caller-agnostic."""
+
+    returns: sym.Size
+    defaults: dict[str, sym.Size]  #: literal parameter defaults
+    sites: list[CostSite]
+    loops: list[PeerLoop]
+    calls: dict[str, CallSize]  #: placeholder atom -> the call behind it
+
+
 # --------------------------------------------------------------- inference
 
 _NUM, _ARR, _SEQ, _UNK = "num", "arr", "seq", "unk"
@@ -130,7 +180,7 @@ class _Inference:
         self.spec_for = spec_for
         self.entry = entry
         self.env: dict[str, tuple[str, Any]] = {}
-        self.calls: dict[str, dict[str, Any]] = {}
+        self.calls: dict[str, CallSize] = {}
         self.defaults: dict[str, Any] = {}
         self._seed()
 
@@ -436,12 +486,9 @@ class _Inference:
     def _div(a: Any, b: Any) -> Any:
         if a is sym.UNKNOWN:
             return sym.UNKNOWN
-        if b is not sym.UNKNOWN and len(b) == 1:
-            (c, pw), = b
-            if abs(c) > 1e-12:
-                inv = sym.from_json([[1.0 / c, [[at, -ex] for at, ex in pw]]])
-                return sym.mul(a, inv)
-        return a  # division cannot grow a non-negative size
+        inv = sym.reciprocal(b)
+        # division cannot grow a non-negative size
+        return a if inv is sym.UNKNOWN else sym.mul(a, inv)
 
     def _comprehension(self, e) -> tuple[str, Any]:
         if len(e.generators) != 1:
@@ -546,17 +593,11 @@ class _Inference:
         spec = self.spec_for(e)
         if spec is not None:
             key = f"@{e.lineno}_{e.col_offset}"
-            self.calls[key] = {
-                "line": e.lineno,
-                "spec": list(spec[0]),
-                "display": spec[1],
-                "args": [sym.to_json(self.elems(a)) for a in e.args],
-                "kwargs": {
-                    kw.arg: sym.to_json(self.elems(kw.value))
-                    for kw in e.keywords
-                    if kw.arg
-                },
-            }
+            self.calls[key] = CallSize(
+                *spec,
+                args=[self.elems(a) for a in e.args],
+                kwargs={kw.arg: self.elems(kw.value) for kw in e.keywords if kw.arg},
+            )
             return (_UNK, sym.atom(key))
         if "size" in kwargs:  # rng-style constructor on an unknown object
             _, s = self.eval(kwargs["size"])
@@ -713,95 +754,57 @@ class _Inference:
 # ------------------------------------------------------------ cost extraction
 
 
-def _cost_sites(inf: _Inference) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+def _cost_sites(inf: _Inference) -> tuple[list[CostSite], list[PeerLoop]]:
     """Cost sites and p2p loops of a function: its lowered comm calls priced
     under their enclosing loops (``for`` multiplies by the iterable's size,
     ``while`` by the symbolic round count ``s``)."""
     ctx = inf.ctx
     trips = {id(st): inf.elems(st.iter) for st in ctx.stmts if isinstance(st, ast.For)}
-    sites: list[dict[str, Any]] = []
-    loops: dict[int, dict[str, Any]] = {}
+    sites: list[CostSite] = []
+    loops: dict[int, PeerLoop] = {}
     for call in ctx.comm_calls(_PAYLOAD_VERBS | {"recv", "irecv"}):
         node = call.node
         verb = node.func.attr  # type: ignore[union-attr]
-        for_stack = [
-            (lp.lineno, trips[id(lp)]) for lp in call.loops if isinstance(lp, ast.For)
-        ]
-        if verb in _PAYLOAD_VERBS:
+        priced = verb in _PAYLOAD_VERBS  # recv/irecv only count towards loops
+        payload = inf.elems(node.args[0]) if priced and node.args else sym.ZERO
+        if priced:
             factor = sym.ONE
             for lp in call.loops:
-                count = trips[id(lp)] if isinstance(lp, ast.For) else sym.atom("s")
-                factor = (
-                    sym.mul(factor, count) if count is not sym.UNKNOWN else sym.UNKNOWN
+                factor = sym.mul(
+                    factor, trips[id(lp)] if isinstance(lp, ast.For) else sym.atom("s")
                 )
-            payload = inf.elems(node.args[0]) if node.args else sym.ZERO
-            sites.append(
-                {
-                    "verb": verb,
-                    "line": node.lineno,
-                    "payload": sym.to_json(payload),
-                    "loop": sym.to_json(factor),
-                }
-            )
-        if verb in _P2P_ALL and for_stack:
-            _record_loop(inf, loops, node, verb, for_stack)
-    return sites, sorted(loops.values(), key=lambda r: r["line"])
-
-
-def _record_loop(
-    inf: _Inference,
-    loops: dict[int, dict[str, Any]],
-    call: ast.Call,
-    verb: str,
-    for_stack: list[tuple[int, Any]],
-) -> None:
-    head_line = for_stack[0][0]
-    count = sym.ONE
-    for _, c in for_stack:
-        count = sym.mul(count, c) if c is not sym.UNKNOWN else sym.UNKNOWN
-    payload = (
-        inf.elems(call.args[0]) if call.args and verb in _P2P_SEND else sym.ZERO
-    )
-    rec = loops.setdefault(
-        head_line,
-        {"line": head_line, "count": sym.to_json(count), "verbs": [],
-         "blocking": False, "payload": sym.to_json(sym.ZERO)},
-    )
-    if verb not in rec["verbs"]:
-        rec["verbs"] = sorted(rec["verbs"] + [verb])
-    if verb in _P2P_BLOCKING:
-        rec["blocking"] = True
-    rec["payload"] = sym.to_json(
-        sym.add(sym.from_json(rec["payload"]), payload)
-    )
-    prev = sym.from_json(rec["count"])
-    if prev is sym.UNKNOWN:
-        rec["count"] = sym.to_json(count)
-    elif count is not sym.UNKNOWN and sym.smin(prev, count) == prev:
-        rec["count"] = sym.to_json(count)  # deeper nesting: keep the max
+            sites.append(CostSite(verb, node.lineno, payload, factor))
+        fors = [lp for lp in call.loops if isinstance(lp, ast.For)]
+        if verb in _P2P_ALL and fors:
+            count = sym.ONE
+            for lp in fors:
+                count = sym.mul(count, trips[id(lp)])
+            rec = loops.setdefault(fors[0].lineno, PeerLoop(fors[0].lineno, count))
+            rec.verbs.add(verb)
+            rec.blocking |= verb in _P2P_BLOCKING
+            rec.payload = sym.add(rec.payload, payload)
+            if rec.count is sym.UNKNOWN or (
+                count is not sym.UNKNOWN and sym.smin(rec.count, count) == rec.count
+            ):
+                rec.count = count  # deeper nesting: keep the max
+    return sites, sorted(loops.values(), key=lambda r: r.line)
 
 
 def extract_function_cost(
     ctx: FunctionContext,
     spec_for: Callable[[ast.Call], tuple[tuple[str, ...], str] | None],
     entry: bool = False,
-) -> dict[str, Any] | None:
-    """Symbolic cost facts of one lowered function (cacheable JSON dict)."""
+) -> FunctionCost | None:
+    """Symbolic cost facts of one lowered function."""
     inf = _Inference(ctx, spec_for, entry=entry)
     inf.run()
     sites, loops = _cost_sites(inf)
-    returns: Any = sym.ZERO
-    for value in ctx.returns:
-        returns = sym.add(returns, inf.elems(value))
     if not (sites or loops or inf.calls or ctx.returns):
-        return None  # keep the store compact: nothing cost-relevant here
-    return {
-        "returns": sym.to_json(returns),
-        "defaults": {k: sym.to_json(v) for k, v in inf.defaults.items()},
-        "sites": sites,
-        "loops": loops,
-        "calls": inf.calls,
-    }
+        # nothing to price — and no return statement to size: a caller must
+        # read "unknown" off this function (it may be a generator), not 0
+        return None
+    returns = sym.add(sym.ZERO, *(inf.elems(value) for value in ctx.returns))
+    return FunctionCost(returns, inf.defaults, sites, loops, inf.calls)
 
 
 # ------------------------------------------------------- whole-program phase
@@ -810,15 +813,11 @@ def extract_function_cost(
 class CostProgram:
     """Resolves ``@`` placeholders bottom-up and judges the cost rules."""
 
-    def __init__(self, program: Program | Iterable[Any]) -> None:
-        """``program`` is the shared :class:`Program`, or the module
-        summaries to build one from."""
-        if not isinstance(program, Program):
-            program = Program(program)
+    def __init__(self, program: Program) -> None:
         self.program = program
         self.path_of = program.path_of
-        self.cost: dict[str, dict[str, Any]] = {
-            key: fs.cost for key, fs in program.summary.items() if fs.cost
+        self.cost: dict[str, FunctionCost] = {
+            key: fs.cost for key, fs in program.summary.items() if fs.cost is not None
         }
         self.returns: dict[str, Any] = {}
         self._propagate()
@@ -833,50 +832,50 @@ class CostProgram:
                         self.returns[key] = self._returns_of(key)
 
     def _returns_of(self, key: str) -> Any:
-        cost = self.cost[key]
-        ret = sym.from_json(cost.get("returns"))
+        ret = self.cost[key].returns
         subst, _ = self._subst_env(key)
         return sym.substitute(ret, subst) if subst else ret
 
     def _subst_env(self, key: str) -> tuple[dict[str, Any], dict[str, tuple[str, str, int]]]:
         """Placeholder substitutions for ``key``, plus via-witness metadata."""
-        cost = self.cost.get(key, {})
         env: dict[str, Any] = {}
         via: dict[str, tuple[str, str, int]] = {}
-        for ph, meta in cost.get("calls", {}).items():
+        for ph, call in self.cost[key].calls.items():
             callee = self.program.placeholders[key].get(ph)
             if callee is None:
                 continue
-            bound = self._bind_call(callee, meta)
-            if bound is None:
+            bound = self._bind_call(callee, call)
+            if bound is sym.UNKNOWN:
                 continue
             env[ph] = bound
             via[ph] = (
-                meta.get("display", "?"),
+                call.display,
                 self.path_of[callee],
                 self.program.graph.functions[callee].line,
             )
         return env, via
 
-    def _bind_call(self, callee: str, meta: dict[str, Any]) -> Any:
+    def _bind_call(self, callee: str, call: CallSize) -> Any:
+        cost = self.cost.get(callee)
+        if cost is None:
+            return sym.UNKNOWN
         ret = self.returns.get(callee)
-        if ret is None:
-            cost = self.cost.get(callee)
-            ret = sym.from_json(cost.get("returns")) if cost else sym.UNKNOWN
+        if ret is sym.UNKNOWN:  # no propagated size (yet): fall back to the raw one
+            ret = cost.returns
         if ret is sym.UNKNOWN:
             return sym.UNKNOWN
         params = self.program.summary[callee].params
-        offset = 1 if meta.get("spec", ["name"])[0] == "self" else 0
+        offset = 1 if call.spec[0] == "self" else 0
         binding: dict[str, Any] = {}
-        for i, arg in enumerate(meta.get("args", [])):
+        for i, arg in enumerate(call.args):
             idx = i + offset
-            if idx < len(params) and arg is not None:
-                binding["$" + params[idx]] = sym.from_json(arg)
-        for kw, arg in meta.get("kwargs", {}).items():
-            if arg is not None:
-                binding["$" + kw] = sym.from_json(arg)
-        for name, dflt in (self.cost.get(callee, {}).get("defaults") or {}).items():
-            binding.setdefault("$" + name, sym.from_json(dflt))
+            if idx < len(params) and arg is not sym.UNKNOWN:
+                binding["$" + params[idx]] = arg
+        for kw, arg in call.kwargs.items():
+            if arg is not sym.UNKNOWN:
+                binding["$" + kw] = arg
+        for name, dflt in cost.defaults.items():
+            binding.setdefault("$" + name, dflt)
         bound = sym.substitute(ret, binding)
         # a surviving @-atom belongs to the *callee's* line numbers — it
         # must never leak into the caller where it could collide with the
@@ -906,16 +905,15 @@ class CostProgram:
         out: list[Finding] = []
         for key in sorted(self.cost):
             path = self.path_of[key]
-            cost = self.cost[key]
-            for site in cost.get("sites", []):
+            for site in self.cost[key].sites:
                 out.extend(self._judge_site(key, path, site))
-            for loop in cost.get("loops", []):
+            for loop in self.cost[key].loops:
                 out.extend(self._judge_loop(key, path, loop))
         return out
 
-    def _judge_site(self, key: str, path: str, site: dict[str, Any]) -> list[Finding]:
-        verb = site["verb"]
-        payload, via = self.resolve_size(key, sym.from_json(site["payload"]))
+    def _judge_site(self, key: str, path: str, site: CostSite) -> list[Finding]:
+        verb = site.verb
+        payload, via = self.resolve_size(key, site.payload)
         if not sym.is_ground(payload):
             return []
         related = tuple((p, ln) for _, p, ln in via)
@@ -930,7 +928,7 @@ class CostProgram:
             return [
                 Finding(
                     path,
-                    site["line"],
+                    site.line,
                     RULE_ROOT_BOTTLENECK,
                     f"{verb} of an Ω(n/p) payload — inferred {term} elements "
                     f"per rank, so the root materializes Θ({root_vol}); "
@@ -944,7 +942,7 @@ class CostProgram:
             return [
                 Finding(
                     path,
-                    site["line"],
+                    site.line,
                     RULE_P2_TRAFFIC,
                     f"allgather deposit of {term} elements grows with "
                     f"{'p' if dp >= 1 else 'n'} — every rank materializes "
@@ -957,7 +955,7 @@ class CostProgram:
             return [
                 Finding(
                     path,
-                    site["line"],
+                    site.line,
                     RULE_P2_TRAFFIC,
                     f"{verb} row payload of {term} elements per rank exceeds "
                     f"the O(p) counts / O(n/p) data budget — "
@@ -970,7 +968,7 @@ class CostProgram:
             return [
                 Finding(
                     path,
-                    site["line"],
+                    site.line,
                     RULE_OVERSIZED_REDUCE,
                     f"{verb} payload of {term} elements grows with n — "
                     f"reductions should carry O(p) histogram/count vectors, "
@@ -980,21 +978,21 @@ class CostProgram:
             ]
         return []
 
-    def _judge_loop(self, key: str, path: str, loop: dict[str, Any]) -> list[Finding]:
-        count, _ = self.resolve_size(key, sym.from_json(loop["count"]))
+    def _judge_loop(self, key: str, path: str, loop: PeerLoop) -> list[Finding]:
+        count, _ = self.resolve_size(key, loop.count)
         if not sym.is_ground(count) or sym.degree(count, "p") < 1:
             return []
-        payload, via = self.resolve_size(key, sym.from_json(loop.get("payload")))
+        payload, via = self.resolve_size(key, loop.payload)
         big_payload = sym.is_ground(payload) and (
             sym.degree(payload, "n") >= 1 or sym.degree(payload, "p") >= 1
         )
-        if not loop["blocking"] and not big_payload:
+        if not loop.blocking and not big_payload:
             # nonblocking O(1) payloads over a peer loop (e.g. isend +
             # waitall of per-peer counts) are latency-bound, not a
             # re-implemented data collective
             return []
-        verbs = "/".join(loop["verbs"])
-        kind = "blocking rounds" if loop["blocking"] else "in-flight volume"
+        verbs = "/".join(sorted(loop.verbs))
+        kind = "blocking rounds" if loop.blocking else "in-flight volume"
         related = tuple((p, ln) for _, p, ln in via)
         detail = (
             f" moving {sym.fmt(payload)} elements per round"
@@ -1004,7 +1002,7 @@ class CostProgram:
         return [
             Finding(
                 path,
-                loop["line"],
+                loop.line,
                 RULE_HANDROLLED,
                 f"loop over {sym.fmt(sym.dominant(count))} peers issuing "
                 f"{verbs}{detail} re-implements a collective with O(p) "

@@ -1,26 +1,22 @@
-"""The one analysis pipeline: lower, judge per function, join, cache.
+"""The one analysis pipeline: lower, judge per function, join.
 
 :func:`analyze_program` is the entry point behind the CLI and
 :func:`repro.analyze.astlint.analyze_paths`;
 :func:`repro.analyze.astlint.analyze_source` runs the same two phases over
 a one-file program.
 
-**Per file** (:func:`build_record`, cacheable).  Each ``.py`` file is
-hashed; on a store hit the cached :class:`~repro.analyze.store.FileRecord`
-is reused and the file is *never parsed*.  On a miss the file is parsed and
+**Per file** (:func:`build_record`).  Each ``.py`` file is parsed and
 lowered once (:func:`repro.analyze.lower.lower_module`), and every
-parse-derived artifact is read off that lowering: the per-function rule
-findings, the module-local tag audit and the
-:class:`~repro.analyze.interproc.ModuleSummary`; the suppression table
-comes from the file's comment tokens.
+parse-derived artifact is read off that lowering into a
+:class:`FileRecord`: the per-function rule findings, the module-local tag
+audit and the :class:`~repro.analyze.interproc.ModuleSummary`; the
+suppression table comes from the file's comment tokens.
 
-**Global** (:func:`analyze_records`, every run).  The cross-module
-literal-tag join, the interprocedural rules and the cost rules run over one
-:class:`~repro.analyze.interproc.Program` built from the union of cached
-and fresh records — cheap because it only touches serialized summaries.
-Suppression is applied from the cached tables, then findings are
-deduplicated and sorted.  The output is therefore byte-identical between
-cold and warm runs.
+**Global** (:func:`analyze_records`).  The cross-module literal-tag join,
+the interprocedural rules and the cost rules run over one
+:class:`~repro.analyze.interproc.Program` built from the records'
+summaries.  Suppression is applied from the records' tables, then findings
+are deduplicated and sorted.
 """
 
 from __future__ import annotations
@@ -41,13 +37,11 @@ from .astlint import (
     suppression_table,
 )
 from .costlint import CostProgram
-from .interproc import Program, summarize_module
+from .interproc import ModuleSummary, Program, summarize_module
 from .rules import check_module, join_literal_tags, module_tag_sites
-from .store import AnalysisStore, FileRecord, content_hash
 
 __all__ = [
-    "AnalysisStats",
-    "AnalysisReport",
+    "FileRecord",
     "analyze_program",
     "analyze_records",
     "build_record",
@@ -55,21 +49,27 @@ __all__ = [
 
 
 @dataclass
-class AnalysisStats:
-    """How much work one :func:`analyze_program` call actually did."""
+class FileRecord:
+    """Every parse-derived artifact of one analyzed file."""
 
-    parsed: int = 0  #: files parsed + summarized this run (store misses)
-    reused: int = 0  #: files served from the store without parsing
-
-
-@dataclass
-class AnalysisReport:
+    path: str
+    modname: str
+    #: raw intraprocedural findings (check_module), unsuppressed
     findings: list[Finding] = field(default_factory=list)
-    stats: AnalysisStats = field(default_factory=AnalysisStats)
+    #: module-local tag-audit findings (namespace ownership), unsuppressed
+    tag_findings: list[Finding] = field(default_factory=list)
+    #: free-literal tag sites feeding the cross-module join: [(value, line)]
+    literal_tags: list[tuple[int, int]] = field(default_factory=list)
+    #: suppression comments: line -> None (all rules) | [rule ids]
+    suppression: dict[int, list[str] | None] = field(default_factory=dict)
+    #: interprocedural summary (None for files that failed to parse)
+    summary: ModuleSummary | None = None
+    #: parse failure, if any
+    parse_error: Finding | None = None
 
 
 def build_record(source: str, path: str, modname: str | None = None) -> FileRecord:
-    """Extract every cacheable artifact from one file's source (cold path)."""
+    """Extract every parse-derived artifact from one file's source."""
     out = module_from_source(source, path, modname)
     if isinstance(out, Finding):
         return FileRecord(
@@ -90,19 +90,9 @@ def build_record(source: str, path: str, modname: str | None = None) -> FileReco
     )
 
 
-def analyze_program(
-    paths: Iterable[str | Path], store: AnalysisStore | None = None
-) -> AnalysisReport:
-    """Analyze every ``.py`` file under ``paths`` with the full rule set.
-
-    With a ``store``, unchanged files are served from cache (their record
-    was extracted by an earlier run) and the store is saved afterwards;
-    without one, every file is parsed fresh.  Output is identical either
-    way — only the work differs.
-    """
-    report = AnalysisReport()
+def analyze_program(paths: Iterable[str | Path]) -> list[Finding]:
+    """Analyze every ``.py`` file under ``paths`` with the full rule set."""
     records: list[FileRecord] = []
-
     for file in collect_files(paths):
         path = str(file)
         try:
@@ -111,21 +101,8 @@ def analyze_program(
             unreadable = Finding(path, 1, RULE_PARSE_ERROR, str(exc))
             records.append(FileRecord(path, file.stem, parse_error=unreadable))
             continue
-        digest = content_hash(source)
-        record = store.get(path, digest) if store is not None else None
-        if record is None:
-            record = build_record(source, path)
-            report.stats.parsed += 1
-            if store is not None:
-                store.put(path, digest, record)
-        else:
-            report.stats.reused += 1
-        records.append(record)
-
-    if store is not None:
-        store.save()
-    report.findings = analyze_records(records)
-    return report
+        records.append(build_record(source, path))
+    return analyze_records(records)
 
 
 def analyze_records(records: list[FileRecord]) -> list[Finding]:

@@ -7,9 +7,9 @@ into a ``send``, a rank-dependent partition size computed in one function
 and fed to a collective in another — are invisible to them.  This module
 closes that gap in two phases:
 
-**Summaries (per file, cacheable).**  :func:`summarize_module` reads each
+**Summaries (per file).**  :func:`summarize_module` reads each
 function's lowering (:mod:`repro.analyze.lower`) into a
-:class:`FunctionSummary` the store can serialize: which requests escape
+:class:`FunctionSummary`: which requests escape
 through the return value, whether the return value is rank-tainted or a
 rank-sized container, which parameters flow into p2p ``tag`` arguments,
 every collective issued on a communicator handle, and every call site with
@@ -17,7 +17,7 @@ its rank-divergence line plus enough caller-local facts (is the result
 waited? returned? fed to a uniform collective as a size?) that the
 whole-program phase never needs an AST.
 
-**Whole-program join (every run, cheap).**  :class:`Program` resolves every
+**Whole-program join.**  :class:`Program` resolves every
 call site and cost placeholder once through
 :class:`repro.analyze.callgraph.CallGraph` and propagates summaries
 bottom-up over SCCs (a fixpoint within each SCC handles recursion, e.g.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar
 
 from .astlint import (
     COLLECTIVE_METHODS,
@@ -52,6 +52,9 @@ from .lower import (
     dotted_name,
     tag_expr,
 )
+
+if TYPE_CHECKING:  # costlint imports Program from here
+    from .costlint import FunctionCost
 
 _T = TypeVar("_T")
 
@@ -82,7 +85,7 @@ INTERPROC_RULES = (
 )
 
 
-# ----------------------------------------------------------- serializable IR
+# ------------------------------------------------------------- summary IR
 
 
 @dataclass
@@ -148,7 +151,7 @@ class FunctionSummary:
     #: symbolic communication-cost facts (:mod:`repro.analyze.costlint`):
     #: payload sites, p2p loops, call placeholders, and the return size —
     #: ``None`` when the function has nothing cost-relevant
-    cost: dict[str, Any] | None = None
+    cost: FunctionCost | None = None
 
 
 @dataclass
@@ -400,8 +403,7 @@ def _propagate_comm_params(mod: ModuleInfo, index: ModuleIndex) -> dict[str, set
     :meth:`FunctionContext.with_comms` so helpers whose comm parameter has
     a non-standard name (``def helper(c): c.barrier()``) still summarize
     their collectives.  Module-local on purpose — cross-file propagation
-    would make per-file summaries depend on other files' content, which
-    the incremental store cannot cache.
+    would make per-file summaries depend on other files' content.
     """
     from .callgraph import _lookup_name, _scope_table
 
@@ -453,7 +455,7 @@ def _propagate_comm_params(mod: ModuleInfo, index: ModuleIndex) -> dict[str, set
 
 
 def summarize_module(mod: ModuleInfo, index: ModuleIndex | None = None) -> ModuleSummary:
-    """Summarize every function of a parsed module (cold path)."""
+    """Summarize every function of a parsed module."""
     if index is None:
         index = index_module(mod)
     resolvable = set(index.import_symbols)
@@ -515,8 +517,8 @@ class Program:
                 if (callee := self._resolve(key, site.spec)) is not None
             ]
             self.placeholders[key] = {
-                ph: self._resolve(key, tuple(meta["spec"]))
-                for ph, meta in (fs.cost or {}).get("calls", {}).items()
+                ph: self._resolve(key, call.spec)
+                for ph, call in (fs.cost.calls if fs.cost else {}).items()
             }
         #: SCCs of the resolved graph, callees first
         self.sccs = list(self.graph.sccs_bottom_up())

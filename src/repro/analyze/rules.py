@@ -440,9 +440,7 @@ def module_tag_sites(mod: ModuleInfo) -> tuple[list[Finding], list[tuple[int, in
 
     Returns the module-local findings (namespace borrowing, literals inside
     a foreign namespace) plus the free-literal ``(value, line)`` sites that
-    feed the cross-module collision join.  Both halves are derived from one
-    file only, so the incremental store can cache them per file; the cheap
-    join (:func:`join_literal_tags`) re-runs on every analysis.
+    feed the cross-module collision join (:func:`join_literal_tags`).
     """
     findings: list[Finding] = []
     sites: list[tuple[int, int]] = []

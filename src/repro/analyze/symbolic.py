@@ -27,8 +27,8 @@ of ``(atom, exponent)`` pairs with non-zero integer exponents.  ``n/p`` is
 touching ``UNKNOWN`` stays ``UNKNOWN``.
 
 The representation is deliberately plain tuples + module functions (no
-classes): sizes round-trip through the analysis store as JSON and are
-hashable for fixpoint change detection.
+classes): sizes are hashable and compare by value, which is what fixpoint
+change detection needs.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "scale",
     "smin",
     "smax",
+    "reciprocal",
     "logify",
     "degree",
     "free_atoms",
@@ -58,8 +59,6 @@ __all__ = [
     "evaluate",
     "evaluate_ground",
     "fmt",
-    "to_json",
-    "from_json",
 ]
 
 #: the lattice top: nothing is known about the size
@@ -130,6 +129,14 @@ def mul(a: Size, b: Size) -> Size:
                 powers[at] = powers.get(at, 0) + e
             out.append((ca * cb, tuple(powers.items())))
     return _norm(out)
+
+
+def reciprocal(size: Size) -> Size:
+    """``1 / size`` — only a single non-zero monomial is invertible."""
+    if size is UNKNOWN or len(size) != 1 or abs(size[0][0]) <= 1e-12:
+        return UNKNOWN
+    ((coeff, powers),) = size
+    return _norm([(1.0 / coeff, tuple((a, -e) for a, e in powers))])
 
 
 def _dominance_key(powers: tuple[tuple[str, int], ...]) -> tuple:
@@ -238,7 +245,8 @@ def dominant(size: Size) -> Size:
 
 
 def substitute(size: Size, env: dict[str, Size]) -> Size:
-    """Replace atoms by sizes; atoms absent from ``env`` are kept.
+    """Replace atoms by sizes; atoms absent from ``env`` (or mapped to
+    ``UNKNOWN``, which is ``None``) are kept.
 
     A negative exponent on a substituted atom only survives when the
     replacement is a single monomial (invertible); otherwise the whole
@@ -254,18 +262,13 @@ def substitute(size: Size, env: dict[str, Size]) -> Size:
             if rep is None:
                 term = mul(term, atom(at, exp))
                 continue
-            if rep is UNKNOWN:
-                return UNKNOWN
             if exp >= 0:
                 for _ in range(exp):
                     term = mul(term, rep)
             else:
-                if len(rep) != 1:
+                inv = reciprocal(rep)
+                if inv is UNKNOWN:
                     return UNKNOWN
-                (rc, rpw), = rep
-                if abs(rc) <= 1e-12:
-                    return UNKNOWN
-                inv = _norm([(1.0 / rc, tuple((a, -e) for a, e in rpw))])
                 for _ in range(-exp):
                     term = mul(term, inv)
         total = add(total, term)
@@ -346,20 +349,3 @@ def fmt(size: Size) -> str:
             s += "/" + "/".join(den)
         parts.append(s)
     return " + ".join(parts)
-
-
-# ------------------------------------------------------------ serialization
-
-
-def to_json(size: Size) -> Any:
-    if size is UNKNOWN:
-        return None
-    return [[c, [[a, e] for a, e in pw]] for c, pw in size]
-
-
-def from_json(data: Any) -> Size:
-    if data is None:
-        return UNKNOWN
-    return _norm(
-        (float(c), tuple((str(a), int(e)) for a, e in pw)) for c, pw in data
-    )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -23,42 +22,18 @@ settings.register_profile("deep", max_examples=400, deadline=None)
 settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "bounded"))
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_analyze_store():
-    """Keep analyzer CLI subprocesses away from the user's real store.
-
-    The lint CLI persists per-file records under ``~/.cache`` by default;
-    tests must neither read a developer's warm store (their hit/miss
-    assertions would flake) nor pollute it with fixture files.
-    """
-    with tempfile.TemporaryDirectory(prefix="repro-analyze-test-") as tmp:
-        old = os.environ.get("REPRO_ANALYZE_CACHE")
-        os.environ["REPRO_ANALYZE_CACHE"] = str(Path(tmp) / "analyze.json")
-        try:
-            yield
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_ANALYZE_CACHE", None)
-            else:
-                os.environ["REPRO_ANALYZE_CACHE"] = old
-
-
 @pytest.fixture(scope="session")
-def repo_sweep(tmp_path_factory):
+def repo_sweep():
     """Findings of the full four-directory sweep, filtered by path prefix.
 
     The whole-program analysis of the repository costs seconds, so the
     session performs it once; hygiene tests ask for the slice they guard,
-    e.g. ``repo_sweep("src", "examples")``, and ``repo_sweep.store`` is the
-    store that sweep filled.
+    e.g. ``repo_sweep("src", "examples")``.
     """
-    from repro.analyze import AnalysisStore, analyze_paths
+    from repro.analyze import analyze_paths
 
     root = Path(__file__).resolve().parents[1]
-    store = AnalysisStore(tmp_path_factory.mktemp("sweep") / "store.json")
-    findings = analyze_paths(
-        [root / d for d in ("src", "examples", "tests", "benchmarks")], store=store
-    )
+    findings = analyze_paths([root / d for d in ("src", "examples", "tests", "benchmarks")])
 
     def under(*prefixes: str) -> list:
         dirs = [root / p for p in prefixes]
@@ -66,7 +41,6 @@ def repo_sweep(tmp_path_factory):
             f for f in findings if any(d in Path(f.path).parents for d in dirs)
         ]
 
-    under.store = store
     return under
 
 

