@@ -1,8 +1,8 @@
 """``python -m repro.analyze`` — static SPMD lint CLI.
 
 Exit codes: 0 clean, 1 findings, 2 usage/internal error (including
-unparsable inputs).  Every run parses every file; the only thing written
-is the report.
+unparsable inputs and an unwritable ``--output``).  Every run parses every
+file; the only thing written is the report.
 """
 
 from __future__ import annotations
@@ -84,16 +84,23 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _report(findings: list[Finding], args: argparse.Namespace) -> int:
-    with (
-        open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
-    ) as out:
-        if args.format == "sarif":
-            from .sarif import dump_sarif
+    try:
+        with (
+            open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+        ) as out:
+            if args.format == "sarif":
+                from .sarif import dump_sarif
 
-            dump_sarif(findings, out)
-        else:
-            for f in findings:
-                print(f.format(), file=out)
+                dump_sarif(findings, out)
+            else:
+                for f in findings:
+                    print(f.format(), file=out)
+    except OSError as exc:  # an undelivered report must not read as "findings"
+        print(
+            f"repro.analyze: cannot write {args.output or '<stdout>'}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     if any(f.rule == RULE_PARSE_ERROR for f in findings):
         print("repro.analyze: could not parse some inputs", file=sys.stderr)
         return 2

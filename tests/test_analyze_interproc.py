@@ -659,6 +659,13 @@ class TestCliWholeProgram:
         assert proc.returncode == 2
         assert "no such file or directory" in proc.stderr
 
+    def test_unwritable_output_is_an_error_not_findings(self, tmp_path):
+        (tmp_path / "ok.py").write_text("def f(comm, x):\n    return comm.allreduce(x)\n")
+        proc = self._run(str(tmp_path), "--output", str(tmp_path / "no_dir" / "x.txt"), cwd=ROOT)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("repro.analyze: cannot write ")
+        assert len(proc.stderr.splitlines()) == 1  # no traceback
+
     def test_list_rules_shows_layers(self):
         proc = self._run("--list-rules", cwd=ROOT)
         assert proc.returncode == 0
