@@ -1,12 +1,12 @@
 """The per-function rules that need *order*: a small CFG plus a forward
-may-analysis for buffer reuse, and the payload-shape rules.
+may-analysis for buffer reuse, and the payload-shape rule.
 
 Whether a write to a buffer happens between an ``isend`` and the matching
 ``wait()`` depends on which paths through the function exist, so
 :func:`build_cfg` lowers ``if``/``while``/``for``/``try`` to edges between
 basic blocks of simple statements and a worklist fixpoint carries the set of
-live (request, buffer-names) facts.  The view-send and shape rules read the
-calls and bindings of the function's lowering
+live (request, buffer-names) facts.  The shape rule reads the calls and
+bindings of the function's lowering
 (:class:`~repro.analyze.lower.FunctionContext`).  Everything here is a *may*
 analysis: a finding means some path exhibits the hazard, not all paths.
 """
@@ -21,7 +21,6 @@ from .lower import SCOPES, FunctionContext, bound_pairs, loop_waits_all, wait_ta
 
 __all__ = [
     "RULE_BUFFER_REUSE",
-    "RULE_VIEW_SEND",
     "RULE_SHAPE_MISMATCH",
     "build_cfg",
     "check_function",
@@ -31,11 +30,7 @@ __all__ = [
 ]
 
 RULE_BUFFER_REUSE = "SPMD-BUFFER-REUSE"
-RULE_VIEW_SEND = "SPMD-VIEW-SEND"
 RULE_SHAPE_MISMATCH = "SPMD-SHAPE-MISMATCH"
-
-#: comm methods whose first positional argument is an outgoing payload
-_SEND_PAYLOAD_METHODS = frozenset({"send", "isend", "sendrecv", "bcast", "scatter"})
 
 #: collectives whose payload must have the same shape on every rank
 _UNIFORM_COLLECTIVES = frozenset({"allreduce", "reduce", "scan", "exscan", "alltoall"})
@@ -50,10 +45,6 @@ _NP_INPLACE_FUNCS = frozenset({"copyto", "put", "place", "putmask"})
 
 #: numpy constructors whose first argument is a size/shape
 _SIZE_CONSTRUCTORS = frozenset({"zeros", "ones", "empty", "full", "arange"})
-
-#: ndarray attributes / methods that return views of the receiver
-_VIEW_ATTRS = frozenset({"T"})
-_VIEW_METHODS = frozenset({"reshape", "ravel", "transpose", "swapaxes", "view", "squeeze"})
 
 
 # ------------------------------------------------------------------- CFG
@@ -433,55 +424,6 @@ def _buffer_reuse(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
     return findings
 
 
-# ----------------------------------------------------- SPMD-VIEW-SEND
-
-
-def _has_slice(sl: ast.expr) -> bool:
-    if isinstance(sl, ast.Slice):
-        return True
-    if isinstance(sl, ast.Tuple):
-        return any(isinstance(e, ast.Slice) for e in sl.elts)
-    return False
-
-
-def _view_reason(expr: ast.expr) -> str | None:
-    """Why the expression is (likely) a numpy view, or None."""
-    if isinstance(expr, ast.Subscript) and _has_slice(expr.slice):
-        return "a slice is a view of the base array"
-    if isinstance(expr, ast.Attribute) and expr.attr in _VIEW_ATTRS:
-        return f".{expr.attr} is a transposed view"
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in _VIEW_METHODS
-    ):
-        return f".{expr.func.attr}() returns a view when it can"
-    return None
-
-
-def _view_send(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
-    findings: list[Finding] = []
-    for call in ctx.comm_calls(_SEND_PAYLOAD_METHODS):
-        n = call.node
-        if not n.args:
-            continue
-        reason = _view_reason(n.args[0])
-        if reason is None:
-            continue
-        verb = n.func.attr  # type: ignore[union-attr]
-        findings.append(
-            Finding(
-                mod.path,
-                n.lineno,
-                RULE_VIEW_SEND,
-                f"payload of '{verb}()' is a view expression ({reason}); "
-                "it pins the base array and may not be contiguous — send "
-                "an explicit .copy()",
-            )
-        )
-    return findings
-
-
 # ------------------------------------------------- SPMD-SHAPE-MISMATCH
 
 
@@ -596,6 +538,5 @@ def _shape_mismatch(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
 def check_function(mod: ModuleInfo, ctx: FunctionContext) -> list[Finding]:
     """All dataflow rules over one rank function."""
     findings = _buffer_reuse(mod, ctx)
-    findings.extend(_view_send(mod, ctx))
     findings.extend(_shape_mismatch(mod, ctx))
     return findings

@@ -18,7 +18,6 @@ from .astlint import COLLECTIVE_METHODS, P2P_METHODS, Finding, ModuleInfo
 from .dataflow import (
     RULE_BUFFER_REUSE,
     RULE_SHAPE_MISMATCH,
-    RULE_VIEW_SEND,
     check_function as _dataflow_rules,
 )
 
@@ -122,16 +121,6 @@ RULES: tuple[Rule, ...] = (
         "the matching `wait()`. MPI owns the buffer until completion; the "
         "receiver may observe either version. Complete the request first, "
         "or send a copy.",
-    ),
-    Rule(
-        RULE_VIEW_SEND,
-        "payload of a send is a numpy view expression without .copy()",
-        doc="The sent payload is written as a slice or other numpy view "
-        "expression. A real-MPI portability lint: `Comm.send` copies the "
-        "payload at the call, so the in-process runtime cannot observe a "
-        "later write to the base array, but real MPI sends a non-contiguous "
-        "view as torn data. Purely syntactic: a view bound to a name first "
-        "is not tracked. Append `.copy()` to the payload expression.",
     ),
     Rule(
         RULE_SHAPE_MISMATCH,

@@ -486,7 +486,7 @@ class TestSarifCatalogue:
         from repro.analyze.sarif import to_sarif
 
         rules = to_sarif([])["runs"][0]["tool"]["driver"]["rules"]
-        assert len(rules) == 18  # 16 catalogue + parse error + stale
+        assert len(rules) == 17  # 15 catalogue + parse error + stale
         for r in rules:
             assert r["helpUri"].startswith("DESIGN.md#spmd-"), r["id"]
             assert r["fullDescription"]["markdown"], r["id"]

@@ -260,59 +260,6 @@ class TestBufferReuse:
         )
 
 
-class TestViewSend:
-    RULE = "SPMD-VIEW-SEND"
-
-    def test_slice_payload(self):
-        hits = findings_for(
-            """
-            import numpy as np
-            def f(comm):
-                a = np.zeros((4, 4))
-                comm.send(a[1:], 1)
-            """,
-            self.RULE,
-        )
-        assert len(hits) == 1
-        assert "slice" in hits[0].message
-
-    def test_transpose_and_reshape(self):
-        hits = findings_for(
-            """
-            import numpy as np
-            def f(comm):
-                a = np.zeros((4, 4))
-                comm.isend(a.T, 1)
-                comm.bcast(a.reshape(16), root=0)
-            """,
-            self.RULE,
-        )
-        assert len(hits) == 2
-
-    def test_copy_is_clean(self):
-        assert not findings_for(
-            """
-            import numpy as np
-            def f(comm):
-                a = np.zeros((4, 4))
-                comm.send(a[1:].copy(), 1)
-                comm.send(a, 1)
-                comm.send(a[0], 1)
-            """,
-            self.RULE,
-        )
-
-    def test_recv_side_not_flagged(self):
-        assert not findings_for(
-            """
-            def f(comm):
-                msg = comm.recv(0)
-                return msg[1:]
-            """,
-            self.RULE,
-        )
-
-
 class TestShapeMismatch:
     RULE = "SPMD-SHAPE-MISMATCH"
 
@@ -397,6 +344,6 @@ class TestRepoIsCleanUnderDataflowRules:
             f
             for f in repo_sweep("src/repro")
             if f.rule
-            in ("SPMD-BUFFER-REUSE", "SPMD-VIEW-SEND", "SPMD-SHAPE-MISMATCH")
+            in ("SPMD-BUFFER-REUSE", "SPMD-SHAPE-MISMATCH")
         ]
         assert findings == [], [f.format() for f in findings]
