@@ -1,25 +1,19 @@
-"""SPMD correctness analysis: static lint + runtime verification.
+"""SPMD correctness analysis: the static lint over :mod:`repro.mpi` programs.
 
-Two layers over :mod:`repro.mpi`:
+``python -m repro.analyze src/ examples/`` prints ``file:line: RULE-ID
+message`` findings with a CI-friendly exit code.  One pipeline
+(:mod:`repro.analyze.engine`): each function definition is *lowered* once
+(:mod:`repro.analyze.lower`), the per-function rules are *judged* on that
+lowering (:mod:`repro.analyze.rules`, :mod:`repro.analyze.dataflow`), and
+per-function summaries are *joined* into one whole program for the
+interprocedural and cost rules (:mod:`repro.analyze.interproc`,
+:mod:`repro.analyze.costlint`).  ``RULES`` in :mod:`repro.analyze.rules` is
+the rule catalogue.  The runtime's own checks (collective congruence,
+deadlocks, ``check=True`` leak accounting) live in :mod:`repro.mpi`.
 
-* **Static** — ``python -m repro.analyze src/ examples/`` prints
-  ``file:line: RULE-ID message`` findings with a CI-friendly exit code.
-  One pipeline (:mod:`repro.analyze.engine`): each function definition is
-  *lowered* once (:mod:`repro.analyze.lower`), the per-function rules are
-  *judged* on that lowering (:mod:`repro.analyze.rules`,
-  :mod:`repro.analyze.dataflow`), and per-function summaries are *joined*
-  into one whole program for the interprocedural and cost rules
-  (:mod:`repro.analyze.interproc`, :mod:`repro.analyze.costlint`).
-  ``RULES`` in :mod:`repro.analyze.rules` is the rule catalogue.
-* **Runtime** — ``run_spmd(..., check=True)`` (or ``REPRO_CHECK=1``)
-  attaches a :class:`~repro.analyze.runtime_check.RuntimeChecker` that
-  verifies collective congruence, detects deadlocks via a wait-for graph,
-  and reports leaked messages / never-completed requests at finalize —
-  without perturbing the virtual clocks.
-
-Attribute access is lazy so that :mod:`repro.mpi` can import the runtime
-checker without dragging the lint engine (and its import of
-:mod:`repro.mpi.tags`) into a cycle.
+Attribute access is lazy so that importing one submodule — the CLI, or
+:mod:`repro.analyze.symbolic` alone — loads only what it needs, not every
+layer of the engine.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ __all__ = [
     "check_program",
     "summarize_module",
     "RULES",
-    "RuntimeChecker",
     "main",
     "check_conformance",
     "ConformanceReport",
@@ -51,7 +44,6 @@ _EXPORTS = {
     "check_program": ("repro.analyze.interproc", "check_program"),
     "summarize_module": ("repro.analyze.interproc", "summarize_module"),
     "RULES": ("repro.analyze.rules", "RULES"),
-    "RuntimeChecker": ("repro.analyze.runtime_check", "RuntimeChecker"),
     "main": ("repro.analyze.cli", "main"),
     "check_conformance": ("repro.analyze.conformance", "check_conformance"),
     "ConformanceReport": ("repro.analyze.conformance", "ConformanceReport"),

@@ -134,9 +134,9 @@ def run_sort_trial(
 
     ``trace_path`` enables event tracing for the run and writes a
     Chrome-trace JSON there (open it in Perfetto, or summarize it with
-    ``python -m repro.trace.report``).  ``check`` enables the runtime
-    correctness checker (collective congruence, deadlock detection, leak
-    report); ``None`` defers to the ``REPRO_CHECK`` environment variable.
+    ``python -m repro.trace.report``).  ``check`` adds call sites to
+    deadlock and collective-mismatch errors and makes leaks raise;
+    ``None`` defers to the ``REPRO_CHECK`` environment variable.
     ``sanitize`` enables the happens-before/buffer-lifetime sanitizer
     (:mod:`repro.sanitize`); ``None`` defers to ``REPRO_SANITIZE``.
     Neither tracing, checking nor sanitizing perturbs the modelled times.

@@ -32,6 +32,7 @@ __all__ = [
     "sort",
     "sorted_result",
     "nth_element",
+    "nearest_rank",
     "percentile",
     "top_k",
     "find_splitters",
@@ -179,22 +180,35 @@ def nth_element(comm: "Comm", local: np.ndarray, n: int):
     return dselect(comm, local, n).value
 
 
+def nearest_rank(pct: float, n: int) -> int:
+    """0-based global position of the ``pct``-th percentile (nearest-rank).
+
+    ``ceil(pct/100 * n) - 1`` clamped into ``[0, n-1]``: exact at both
+    edges (``pct=100`` maps to the maximum, never one past it — the
+    truncation bug an open-coded variant had).
+    """
+    if n < 1:
+        raise ValueError("nearest_rank needs n >= 1")
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError(f"percentile {pct} outside [0, 100]")
+    return min(max(math.ceil(pct / 100.0 * n) - 1, 0), n - 1)
+
+
 def percentile(
     comm: "Comm", local: np.ndarray, pcts: float | Sequence[float]
 ) -> Any:
     """Nearest-rank percentile(s) of the distributed set; no data moves.
 
     ``pcts`` may be one percentile or a sequence, each in ``[0, 100]``;
-    a sequence returns ``{pct: value}``.  The nearest-rank definition
-    maps ``pct`` to global position ``ceil(pct/100 * n) - 1`` clamped
-    into ``[0, n-1]``, so ``pct=100`` yields the maximum (never an
-    out-of-range position) and ``pct=0`` the minimum.  Each percentile
-    costs one :func:`nth_element` — O(log n) ALLREDUCE rounds, zero
-    record movement.
+    a sequence returns ``{pct: value}``.  Each maps to global position
+    :func:`nearest_rank`, so ``pct=100`` yields the maximum and ``pct=0``
+    the minimum.  Each percentile costs one :func:`nth_element` —
+    O(log n) ALLREDUCE rounds, zero record movement.
     """
     scalar = np.isscalar(pcts)
     wanted = (float(pcts),) if scalar else tuple(float(p) for p in pcts)
     for pct in wanted:
+        # before the first collective, so every rank raises alike
         if not 0.0 <= pct <= 100.0:
             raise ValueError(f"percentile {pct} outside [0, 100]")
     local = np.asarray(local)
@@ -203,8 +217,7 @@ def percentile(
         raise ValueError("percentile of an empty distributed set")
     out = {}
     for pct in wanted:
-        k = min(max(math.ceil(pct / 100.0 * total) - 1, 0), total - 1)
-        out[pct] = dselect(comm, local, k).value
+        out[pct] = dselect(comm, local, nearest_rank(pct, total)).value
     return out[wanted[0]] if scalar else out
 
 

@@ -290,10 +290,6 @@ class ZeroCostModel(CostModel):
 
     software_overhead: float = 0.0
 
-    def __getattribute__(self, name):  # pragma: no cover - trivial dispatch
-        attr = object.__getattribute__(self, name)
-        return attr
-
     def ptp(self, src, dst, nbytes):
         return 0.0
 

@@ -12,19 +12,22 @@ a deposit / plan / pick protocol around one rendezvous on the
 communicator's condition:
 
 1. a member's N-th collective is generation N: it writes its contribution
-   into ``slots[N & 1]`` and counts itself in;
-2. the last arriver *plans* — it combines the slots, prices the operation
-   and merges the group's new virtual clocks — then publishes
+   into ``slots[N & 1]``, its ``(op, root)`` into ``calls[N & 1]``, and
+   counts itself in;
+2. the last arriver checks that every member called the same ``(op,
+   root)`` — MPI's rule that all ranks issue collectives in the same order,
+   checked in every run — then *plans*: it combines the slots, prices the
+   operation and merges the group's new virtual clocks, publishes
    ``done = N + 1`` and wakes the others, who waited once;
 3. every member takes its new clock and *picks* its result, unlocked.
 
-Two slot buffers suffice: generation N + 2 cannot open before N + 1
-completed, N + 1 needs every member's deposit, and a member deposits N + 1
-only after it is through with N — so no deposit (nor the one result cell)
-is overwritten while a peer still reads it.
+Two buffers suffice: generation N + 2 cannot open before N + 1 completed,
+N + 1 needs every member's deposit, and a member deposits N + 1 only after
+it is through with N — so no deposit, call record (nor the one result
+cell) is overwritten while a peer still reads it.  That is also why the
+sanitizer can read every member's deposit and entry clock at exit.
 
-This is deterministic in values (combines fold in rank order) and matches
-MPI's requirement that all ranks issue collectives in the same order.
+This is deterministic in values: combines fold in rank order.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 from ..trace.events import NULL_TRACER, NullTracer, RankTracer
 from .errors import (
     Aborted,
+    CollectiveMismatchError,
     CommRevokedError,
     CommunicatorError,
     DeadlockError,
@@ -50,6 +54,7 @@ from .ops import SUM, ReduceOp
 from .payload import copy_payload, payload_nbytes
 from .requests import Request, _DoneRequest, _IRecvRequest
 from .tags import NAMESPACE_WIDTH, RELIABLE_BASE
+from .waitstate import call_site
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -102,12 +107,17 @@ class _CommState:
         self.size = len(self.world_ranks)
         #: the one condition every rendezvous on this communicator waits on
         self.cond = threading.Condition()
-        # collective rendezvous: member idx's next generation, the two
-        # deposit buffers (by generation parity), the members counted into
-        # the open generation, the number of completed generations and the
-        # last one's (shared value, new clocks)
+        # collective rendezvous: member idx's next generation; by generation
+        # parity, the deposit buffers, each member's (op, root) and — when
+        # checking or sanitizing — its (call site, sanitizer entry clock);
+        # the members counted into the open generation, the number of
+        # completed generations and the last one's (shared value, new clocks)
         self._seq = [0] * self.size
         self.slots: tuple[list[Any], list[Any]] = (
+            [None] * self.size, [None] * self.size)
+        self.calls: tuple[list[Any], list[Any]] = (
+            [None] * self.size, [None] * self.size)
+        self.notes: tuple[list[Any], list[Any]] = (
             [None] * self.size, [None] * self.size)
         self.arrived = 0
         self.done = 0
@@ -217,6 +227,23 @@ class _CommState:
             )
         return None
 
+    def _mismatch(self, gen: int) -> CollectiveMismatchError:
+        """Generation ``gen``'s incongruent calls: the first member's and
+        the first that differs from it, with call sites under ``check``."""
+        calls, notes = self.calls[gen & 1], self.notes[gen & 1]
+        other = next(i for i, c in enumerate(calls) if c != calls[0])
+
+        def called(i: int) -> str:
+            op, root = calls[i]
+            text = f"rank {self.world_ranks[i]} called {op}("
+            text += "" if root is None else f"root={root}"
+            return text + (f") at {notes[i][0]}" if self.runtime.check else ")")
+
+        return CollectiveMismatchError(
+            f"mismatched collectives on comm#{self.trace_id} (members "
+            f"{self.world_ranks}), generation {gen}: {called(0)}; {called(other)}"
+        )
+
     def collective(
         self,
         idx: int,
@@ -224,15 +251,19 @@ class _CommState:
         deposit: Any,
         plan: Callable[[list[Any]], tuple[Any, Any, float]],
         pick: Callable[[list[Any], Any, int], Any],
-        trace_bytes: int,
+        *,
         root: int | None = None,
+        trace_bytes: int | None = None,
     ) -> Any:
-        """The one collective skeleton.  The last arriver calls
-        ``plan(slots)`` for ``(shared value, cost, payload bytes for the
-        statistics)`` — ``cost`` a scalar, one entry per rank, or a tuple of
-        such stages — and merges the clocks (``latest entry + cost``, stage
-        by stage, as consecutive collectives would add them); every rank then
-        takes its new clock and ``pick(slots, shared, idx)``, its result."""
+        """The one collective skeleton.  The last arriver raises
+        :class:`CollectiveMismatchError` unless every member called ``(name,
+        root)``, then calls ``plan(slots)`` for ``(shared value, cost,
+        payload bytes for the statistics)`` — ``cost`` a scalar, one entry
+        per rank, or a tuple of such stages — and merges the clocks (``latest
+        entry + cost``, stage by stage, as consecutive collectives would add
+        them); every rank then takes its new clock and ``pick(slots, shared,
+        idx)``, its result.  The traced payload size defaults to the
+        deposit's."""
         rt = self.runtime
         wrank = self.world_ranks[idx]
         if rt._faults is not None:
@@ -242,25 +273,28 @@ class _CommState:
             raise broken
         gen = self._seq[idx]
         self._seq[idx] = gen + 1
-        chk = rt.checker
-        site = (chk.collective_op(self, idx, gen, name, root)
-                if chk is not None else "")
+        site = call_site() if rt.check else ""
         san = rt.sanitizer
-        if san is not None:
+        if rt.check or san is not None:
             # Deposit edge, before the deposit below: every member's entry
             # snapshot therefore precedes every member's exit.
-            san.collective_entry(self, idx, gen, deposit, name)
+            snap = None if san is None else san.collective_entry(self, idx, deposit, name)
+            self.notes[gen & 1][idx] = site, snap
         rec = rt.trace
         if rec is not None:
             t0 = float(rt.clocks[wrank])
         slots = self.slots[gen & 1]
         slots[idx] = deposit
+        calls = self.calls[gen & 1]
+        calls[idx] = call = (name, root)
         try:
             with self.cond:
                 self.arrived += 1
                 last = self.arrived == self.size
                 if last:
                     self.arrived = 0
+                    if calls.count(call) != self.size:
+                        raise self._mismatch(gen)
                     shared, cost, total_bytes = plan(slots)
                     rt.stats.record_collective(name, total_bytes, self.size)
                     # Every member is waiting below with its entry clock
@@ -303,13 +337,15 @@ class _CommState:
             raise
         if san is not None:
             # Extraction edge: peers deposit the next generation into the
-            # other buffer, so every deposit of this one is still live and
-            # the alias check sees the true sharing relation.
-            san.collective_exit(self, idx, gen, out, name)
+            # other buffers, so every deposit and entry clock of this one is
+            # still live and the alias check sees the true sharing relation.
+            san.collective_exit(self, idx, slots, self.notes[gen & 1], out, name)
         if rec is not None:
             t1 = float(rt.clocks[wrank])
             latest = self._entry_max
             idle = min(max(latest - t0, 0.0), max(t1 - t0, 0.0))
+            if trace_bytes is None:
+                trace_bytes = payload_nbytes(deposit)
             rec.record(
                 wrank,
                 name,
@@ -805,7 +841,6 @@ class Comm:
         abort/revocation/failure wake-up, or a fired virtual deadline."""
         rt = self._rt
         state = self._state
-        chk = rt.checker
         reg = rt._registry
         rank = self._rank
         wr = self.world_rank
@@ -858,7 +893,7 @@ class Comm:
                 mb.cond.notify_all()
 
         w = reg.block(wr, "recv", state, source=source, tag=tag,
-                      site=chk.call_site() if chk is not None else "",
+                      site=call_site() if rt.check else "",
                       deadline=None if timeout is None else entry + timeout,
                       can_progress=ready, notify=wake,
                       revocable=lambda: state.revoked)
@@ -932,10 +967,12 @@ class Comm:
         return req
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        req = _IRecvRequest(self, source, tag)
-        chk = self._rt.checker
-        if chk is not None:
-            req._record = chk.note_irecv(self.world_rank, source, tag)
+        rt = self._rt
+        if not rt.check:
+            return _IRecvRequest(self, source, tag)
+        # Checked runs keep every irecv for finalize leak accounting.
+        req = _IRecvRequest(self, source, tag, call_site())
+        rt.irecvs.append(req)
         return req
 
     # ------------------------------------------------------------ sanitizer
@@ -971,18 +1008,6 @@ class Comm:
 
     # ------------------------------------------------------------ collectives
 
-    def _collective(
-        self, name: str, deposit: Any, plan, pick, *,
-        root: int | None = None, trace_bytes: int | None = None,
-    ) -> Any:
-        """This rank's share of :meth:`_CommState.collective`; the traced
-        payload size defaults to the deposit's."""
-        if trace_bytes is None:
-            trace_bytes = payload_nbytes(deposit)
-        return self._state.collective(
-            self._rank, name, deposit, plan, pick, trace_bytes, root
-        )
-
     def _combined(
         self,
         name: str,
@@ -1003,7 +1028,7 @@ class Comm:
         def pick(slots: list[Any], result: Any, idx: int) -> Any:
             return copy_payload(result) if everyone or idx == root else None
 
-        return self._collective(name, deposit, plan, pick, root=root)
+        return self._state.collective(self._rank, name, deposit, plan, pick, root=root)
 
     def barrier(self) -> None:
         """Synchronize all ranks (and their virtual clocks)."""
@@ -1088,7 +1113,8 @@ class Comm:
             nbytes = payload_nbytes(slots[root])
             return slots[root], self._rt.cost.scatter(nbytes / size, ranks), nbytes
 
-        return self._collective(
+        return self._state.collective(
+            self._rank,
             "scatter",
             values if self._rank == root else None,
             plan,
@@ -1107,7 +1133,8 @@ class Comm:
             total = sum(payload_nbytes(row) for row in slots)
             return None, self._rt.cost.alltoall(total / size**2, ranks), total
 
-        return self._collective(
+        return self._state.collective(
+            self._rank,
             "alltoall",
             list(values),
             plan,
@@ -1134,7 +1161,8 @@ class Comm:
             per_rank = self._rt.cost.alltoallv_per_rank(vols, ranks)
             return None, per_rank, float(vols.sum())
 
-        return self._collective(
+        return self._state.collective(
+            self._rank,
             "alltoallv",
             chunks,
             plan,
@@ -1151,8 +1179,9 @@ class Comm:
                     self._rt.cost.scan(payload_nbytes(slots[0]), ranks),
                     sum(payload_nbytes(s) for s in slots))
 
-        return self._collective(
-            name, value, plan, lambda slots, prefix, idx: copy_payload(prefix[idx])
+        return self._state.collective(
+            self._rank, name, value, plan,
+            lambda slots, prefix, idx: copy_payload(prefix[idx]),
         )
 
     def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
@@ -1188,8 +1217,8 @@ class Comm:
                     assignment[idx] = Comm(new_state, new_rank)
             return assignment, rt.cost.comm_split(ranks), 16 * len(ranks)
 
-        return self._collective(
-            "split", (color, key), plan,
+        return self._state.collective(
+            self._rank, "split", (color, key), plan,
             lambda slots, assignment, idx: assignment.get(idx),
             trace_bytes=16,
         )

@@ -55,9 +55,9 @@ class CommunicatorError(RuntimeError):
 class CollectiveMismatchError(CommunicatorError):
     """Two ranks issued incongruent collectives on the same communicator.
 
-    Raised by the ``check=True`` runtime verifier when the Nth collective
-    of one rank disagrees with the Nth collective of another on operation
-    name or root; the message carries both ranks' call sites.
+    Raised in every run by the rendezvous' last arriver when the members'
+    Nth collectives disagree on operation name or root; under
+    ``check=True`` the message carries both ranks' call sites.
     """
 
 

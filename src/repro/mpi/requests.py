@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..analyze.runtime_check import RequestRecord
     from ..sanitize import Sanitizer
     from ..sanitize.shadow import InflightRecord
     from .comm import Comm
@@ -60,17 +59,18 @@ class _DoneRequest(Request):
 
 
 class _IRecvRequest(Request):
-    """A pending receive; completes on :meth:`wait` or a successful test."""
+    """A pending receive; completes on :meth:`wait` or a successful test.
+    ``site`` is the user call site, recorded under ``check=True`` for the
+    finalize leak report."""
 
-    def __init__(self, comm: "Comm", source: int, tag: int):
+    def __init__(self, comm: "Comm", source: int, tag: int, site: str = ""):
         self._comm = comm
         self._source = source
         self._tag = tag
+        self._site = site
         self._done = False
         self._payload: Any = None
         self._exc: BaseException | None = None
-        #: finalize-accounting entry, set by Comm.irecv under check=True
-        self._record: "RequestRecord | None" = None
 
     def wait(self) -> Any:
         if self._done:
@@ -85,8 +85,6 @@ class _IRecvRequest(Request):
             self._exc = exc
             raise
         self._done = True
-        if self._record is not None:
-            self._record.done = True
         return self._payload
 
     def test(self) -> tuple[bool, Any]:

@@ -34,14 +34,10 @@ from .errors import Aborted, MessageLeakError, RankCrashed, SPMDError
 from .waitstate import WaitRegistry
 
 
-def _check_default() -> bool:
-    """Resolve ``check=None`` from the ``REPRO_CHECK`` environment variable."""
-    return os.environ.get("REPRO_CHECK", "").strip().lower() not in ("", "0", "false")
-
-
-def _sanitize_default() -> bool:
-    """Resolve ``sanitize=None`` from the ``REPRO_SANITIZE`` environment variable."""
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() not in ("", "0", "false")
+def _env_flag(name: str) -> bool:
+    """Resolve ``check=None`` / ``sanitize=None`` from environment variable
+    ``name`` (``REPRO_CHECK`` / ``REPRO_SANITIZE``)."""
+    return os.environ.get(name, "").strip().lower() not in ("", "0", "false")
 
 
 @dataclass(frozen=True)
@@ -190,10 +186,10 @@ class Runtime:
         (``runtime.trace``).  Off by default; recording never changes the
         virtual clocks.
     check:
-        Attach a :class:`~repro.analyze.runtime_check.RuntimeChecker` that
-        verifies collective congruence, adds call sites to deadlock
-        diagnoses (deadlocks themselves are diagnosed in every run), and
-        raises on leaked messages / pending requests at finalize.
+        Record user call sites — in deadlock diagnoses and collective
+        mismatch errors (both are detected in every run) — and keep every
+        ``irecv`` request, so leaked messages and never-completed requests
+        raise :class:`~repro.mpi.errors.MessageLeakError` at finalize.
         ``None`` (the default) reads the ``REPRO_CHECK`` environment
         variable.  Checking never changes the virtual clocks: a checked
         run is bit-identical to an unchecked one.
@@ -263,16 +259,13 @@ class Runtime:
         self.clocks = np.zeros(total, dtype=np.float64)
         self.stats = Stats(total)
         self.trace: TraceRecorder | None = None
-        self.checker = None
-        if check is None:
-            check = _check_default()
-        if check:
-            from ..analyze.runtime_check import RuntimeChecker
-
-            self.checker = RuntimeChecker(self)
+        self.check: bool = _env_flag("REPRO_CHECK") if check is None else bool(check)
+        #: the run's irecv requests (``check=True`` only), for finalize
+        #: leak accounting
+        self.irecvs: list = []
         self.sanitizer = None
         if sanitize is None:
-            sanitize = _sanitize_default()
+            sanitize = _env_flag("REPRO_SANITIZE")
         if sanitize:
             from ..sanitize import Sanitizer
 
@@ -522,16 +515,16 @@ class Runtime:
                 RuntimeWarning,
                 stacklevel=3,
             )
-        pending = self.checker.pending_requests() if self.checker is not None else []
-        if self.checker is not None and (leaks or pending):
+        pending = [r for r in self.irecvs if not r._done]
+        if self.check and (leaks or pending):
             lines = [
                 f"SPMD run leaked {len(leaks)} message(s) and "
                 f"{len(pending)} pending request(s)"
             ]
             lines += [f"  undelivered: src={s} dest={d} tag={t}" for s, d, t in leaks]
             lines += [
-                f"  never-completed irecv on rank {r.world_rank} "
-                f"(source={r.source}, tag={r.tag}) from {r.site}"
+                f"  never-completed irecv on rank {r._comm.world_rank} "
+                f"(source={r._source}, tag={r._tag}) from {r._site}"
                 for r in pending
             ]
             raise MessageLeakError("\n".join(lines))
@@ -559,7 +552,8 @@ class Runtime:
 
     def reset(self) -> None:
         """Zero clocks, statistics, fault bookkeeping, any recorded trace,
-        and the attached checker's state (keeps communicators)."""
+        the kept irecv requests and the sanitizer's state (keeps
+        communicators)."""
         self.clocks[:] = 0.0
         self.stats = Stats(self.size)
         if self.trace is not None:
@@ -567,8 +561,7 @@ class Runtime:
         self.failed_ranks.clear()
         self.fault_stats = FaultStats()
         self._op_counts = [0] * self.size
-        if self.checker is not None:
-            self.checker.reset()
+        self.irecvs = []
         if self.sanitizer is not None:
             from ..sanitize import Sanitizer
 
@@ -596,14 +589,15 @@ def run_spmd(
 
     With ``trace=True`` the runtime records a virtual-time span for every
     communication call (pair it with ``return_runtime=True`` to reach the
-    recorder at ``rt.trace``).  With ``check=True`` (default: the
-    ``REPRO_CHECK`` environment variable) the runtime verifies collective
-    congruence, names call sites in deadlock diagnoses, and raises on
-    message leaks — without changing the virtual clocks.  With ``sanitize=True`` (default: the
-    ``REPRO_SANITIZE`` environment variable) it additionally tracks
-    happens-before vector clocks and buffer lifetimes, raising
-    :class:`~repro.sanitize.SanitizerError` on write-after-isend,
-    receive-aliasing, or data races — again without touching the clocks.
+    recorder at ``rt.trace``).  Every run raises on incongruent collectives
+    and diagnoses deadlocks; with ``check=True`` (default: the
+    ``REPRO_CHECK`` environment variable) both name user call sites, and
+    message leaks raise — without changing the virtual clocks.  With
+    ``sanitize=True`` (default: the ``REPRO_SANITIZE`` environment variable)
+    it additionally tracks happens-before vector clocks and buffer
+    lifetimes, raising :class:`~repro.sanitize.SanitizerError` on
+    write-after-isend, receive-aliasing, or data races — again without
+    touching the clocks.
 
     >>> def hello(comm):
     ...     return comm.allreduce(comm.rank)

@@ -2,7 +2,8 @@
 
 Every rank thread registers what it is blocked on (a receive, a
 collective rendezvous, or a fault-tolerant rendezvous) as structured
-fields, in every run.  Three consumers read the one table:
+fields, in every run — with its user :func:`call_site` under
+``check=True``.  Three consumers read the one table:
 
 * ``Runtime.run(timeout=...)`` expiry reports *which ranks* were blocked
   and on what operation (:meth:`WaitRegistry.describe_blocked`).
@@ -30,12 +31,27 @@ happen after the registry lock is released, and callers never invoke
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Any, Callable
 
 RUNNING, BLOCKED, FINISHED, DEAD = range(4)
 
 _STATE_NAMES = {RUNNING: "running", FINISHED: "finished", DEAD: "dead"}
+
+#: path fragments whose frames are skipped when attributing a call site
+_INTERNAL_PARTS = ("repro/mpi/", "repro\\mpi\\", "repro/sanitize/", "repro\\sanitize\\")
+
+
+def call_site(skip: int = 2) -> str:
+    """``file:line (function)`` of the first frame outside the runtime."""
+    frame = sys._getframe(skip)
+    while frame is not None:
+        fn = frame.f_code.co_filename
+        if not any(part in fn for part in _INTERNAL_PARTS):
+            return f"{fn}:{frame.f_lineno} ({frame.f_code.co_name})"
+        frame = frame.f_back
+    return "<unknown>"
 
 
 class WaitInfo:
@@ -61,7 +77,7 @@ class WaitInfo:
         #: group-rank source and tag specs, ``-1`` = ANY ("recv" waits)
         self.source = source
         self.tag = tag
-        #: user call site, captured only under ``check=True``
+        #: user call site (:func:`call_site`), captured only under ``check=True``
         self.site = site
         self.deadline = deadline
         self.fired = False

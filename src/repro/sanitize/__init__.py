@@ -4,9 +4,10 @@ The in-process SPMD runtime passes numpy payloads between rank *threads*,
 so the aliasing bugs real MPI programs hit — mutating a buffer that an
 ``isend`` still owns, holding a received reference that aliases the
 sender's live array, racing on an object shared through closures — are
-all expressible here, and all invisible to the protocol-level checker
-(``check=True``).  ``run_spmd(..., sanitize=True)`` (or ``REPRO_SANITIZE=1``)
-attaches a :class:`Sanitizer` that catches them deterministically:
+all expressible here, and all invisible to the protocol-level checks
+(collective congruence, deadlocks, ``check=True`` leak accounting).
+``run_spmd(..., sanitize=True)`` (or ``REPRO_SANITIZE=1``) attaches a
+:class:`Sanitizer` that catches them deterministically:
 
 * **WRITE-AFTER-ISEND** — buffers handed to ``isend`` are fingerprinted
   (strided content samples, shape, dtype) and re-checked when the request
@@ -33,20 +34,20 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..mpi.payload import iter_arrays
+from ..mpi.waitstate import call_site
 from .report import (
     HB_RACE,
     RECV_ALIAS,
     WRITE_AFTER_ISEND,
     SanitizeFinding,
     SanitizerError,
-    user_site,
 )
-from .shadow import AccessHistory, InflightRecord, fingerprint, payload_fingerprints
+from .shadow import AccessHistory, InflightRecord, payload_fingerprints
 from .vclock import VClockTable, leq
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,6 +84,8 @@ class Sanitizer:
     lock held (send hooks run before the mailbox append, receive hooks
     after the message left the mailbox, collective hooks outside the
     rendezvous condition), so the lock is a leaf and cannot deadlock.
+    Collectives keep nothing here: the rendezvous holds each member's
+    entry snapshot beside its deposit, for the generation's lifetime.
     """
 
     def __init__(self, runtime: "Runtime"):
@@ -95,8 +98,6 @@ class Sanitizer:
         self._seen: set[tuple] = set()
         #: id(obj) -> AccessHistory for closure-shared objects
         self._shared: dict[int, AccessHistory] = {}
-        #: (comm trace_id, generation) -> entry snapshots + deposit refs
-        self._coll: dict[tuple[int, int], dict[str, Any]] = {}
 
     # ------------------------------------------------------------- findings
 
@@ -198,7 +199,7 @@ class Sanitizer:
                 tag,
                 self._opnum[world_rank] + 1,  # the send edge about to happen
                 self.vclocks.snapshot(world_rank),
-                user_site(),
+                call_site(),
                 entries,
             )
 
@@ -222,48 +223,37 @@ class Sanitizer:
     # --------------------------------------------------------- collectives
 
     def collective_entry(
-        self, state: "_CommState", idx: int, gen: int, deposit: Any, op: str
-    ) -> None:
-        """Deposit edge of the member's ``gen``-th collective on ``state``,
-        called before the deposit is visible: snapshot the member's clock
-        and keep weak references to its deposit arrays for the exit-side
-        alias check."""
-        arrays = list(iter_arrays(deposit))
-        refs = [ref for ref, _ in payload_fingerprints(deposit, iter_arrays)]
+        self, state: "_CommState", idx: int, deposit: Any, op: str
+    ) -> tuple[int, ...]:
+        """Deposit edge of a member's collective on ``state``, called before
+        the deposit is visible: returns the member's clock snapshot, which
+        the rendezvous keeps beside the deposit for :meth:`collective_exit`."""
         wr = state.world_ranks[idx]
         with self._lock:
             self._opnum[wr] += 1
-            for arr in arrays:
+            for arr in iter_arrays(deposit):
                 self._auto_read_locked(wr, arr, op)
-            ent = self._coll.setdefault(
-                (state.trace_id, gen), {"vcs": {}, "deps": {}, "exits": 0}
-            )
-            ent["vcs"][idx] = self.vclocks.snapshot(wr)
-            ent["deps"][idx] = refs
+            return self.vclocks.snapshot(wr)
 
     def collective_exit(
-        self, state: "_CommState", idx: int, gen: int, out: Any, op: str
+        self, state: "_CommState", idx: int, deposits: list, notes: list,
+        out: Any, op: str,
     ) -> None:
-        """Extraction edge (generation complete, its slot buffer not yet
-        reused): join every member's entry clock — a collective is a full
+        """Extraction edge, reading the generation's buffers (complete, not
+        yet reused): join every member's entry clock from ``notes`` (``(call
+        site, snapshot)`` per member) — a collective is a full
         synchronization — and alias-check this member's result against the
-        other members' live deposits."""
+        other members' live ``deposits``."""
         extracted = list(iter_arrays(out))
         wr = state.world_ranks[idx]
         with self._lock:
-            ent = self._coll.get((state.trace_id, gen))
-            if ent is None:  # peer finished the generation's cleanup already
-                return
-            for snap in ent["vcs"].values():
+            for _, snap in notes:
                 self.vclocks.merge(wr, snap)
             self.vclocks.tick(wr)
-            for j, refs in ent["deps"].items():
+            for j, deposit in enumerate(deposits):
                 if j == idx:
                     continue
-                for ref in refs:
-                    src_arr = ref() if ref is not None else None
-                    if src_arr is None:
-                        continue
+                for src_arr in iter_arrays(deposit):
                     for arr in extracted:
                         if np.shares_memory(arr, src_arr):
                             self._report_locked(
@@ -275,15 +265,12 @@ class Sanitizer:
                                 f"{state.world_ranks[j]}'s live deposit "
                                 f"{_describe(src_arr)}",
                             )
-            ent["exits"] += 1
-            if ent["exits"] >= state.size:
-                del self._coll[(state.trace_id, gen)]
 
     # ------------------------------------------------------- shared objects
 
     def mark_write(self, world_rank: int, obj: Any) -> None:
         """Record a write to a closure-shared object by ``world_rank``."""
-        site = user_site()
+        site = call_site()
         with self._lock:
             hist = self._history_locked(obj)
             now = self.vclocks.snapshot(world_rank)
@@ -303,7 +290,7 @@ class Sanitizer:
 
     def mark_read(self, world_rank: int, obj: Any) -> None:
         """Record a read of a closure-shared object by ``world_rank``."""
-        site = user_site()
+        site = call_site()
         with self._lock:
             self._read_locked(world_rank, obj, site, create=True)
 
@@ -353,13 +340,3 @@ class Sanitizer:
             f"{rank_a}'s {kind_a} at {site_a}: no happens-before edge "
             "orders them (vector clocks are concurrent)",
         )
-
-    # ----------------------------------------------------------- utilities
-
-    def arrays(self, payload: Any) -> Iterator[np.ndarray]:  # pragma: no cover
-        """Expose the payload walker (diagnostic convenience)."""
-        return iter_arrays(payload)
-
-    def digest(self, arr: np.ndarray) -> int:  # pragma: no cover
-        """Expose the fingerprint function (diagnostic convenience)."""
-        return fingerprint(arr)

@@ -10,7 +10,6 @@ it hit rather than dying on the first.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "WRITE_AFTER_ISEND",
     "RECV_ALIAS",
     "HB_RACE",
-    "user_site",
 ]
 
 #: sender mutated a buffer between ``isend`` and the request's ``wait()``
@@ -28,24 +26,6 @@ WRITE_AFTER_ISEND = "WRITE-AFTER-ISEND"
 RECV_ALIAS = "RECV-ALIAS"
 #: unordered read/write pair on an object shared across rank closures
 HB_RACE = "HB-RACE"
-
-#: path fragments whose frames are skipped when attributing a call site
-_INTERNAL_PARTS = (
-    "repro/mpi/", "repro\\mpi\\",
-    "repro/sanitize/", "repro\\sanitize\\",
-    "repro/analyze/", "repro\\analyze\\",
-)
-
-
-def user_site(skip: int = 2) -> str:
-    """``file:line (function)`` of the first frame outside the runtime."""
-    frame = sys._getframe(skip)
-    while frame is not None:
-        fn = frame.f_code.co_filename
-        if not any(part in fn for part in _INTERNAL_PARTS):
-            return f"{fn}:{frame.f_lineno} ({frame.f_code.co_name})"
-        frame = frame.f_back
-    return "<unknown>"
 
 
 @dataclass(frozen=True)

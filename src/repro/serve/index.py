@@ -18,31 +18,18 @@ index, because epochs are serialized on the service's virtual clock.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
+from ..core.api import nearest_rank
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
 
 __all__ = ["Dataset", "SortedIndex", "nearest_rank", "query_program"]
-
-
-def nearest_rank(pct: float, n: int) -> int:
-    """0-based global position of the ``pct``-th percentile (nearest-rank).
-
-    ``ceil(pct/100 * n) - 1`` clamped into ``[0, n-1]``: exact at both
-    edges (``pct=100`` maps to the maximum, never one past it — the
-    truncation bug the open-coded variant had).
-    """
-    if n < 1:
-        raise ValueError("nearest_rank needs n >= 1")
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"percentile {pct} outside [0, 100]")
-    return min(max(math.ceil(pct / 100.0 * n) - 1, 0), n - 1)
 
 
 @dataclass(frozen=True)

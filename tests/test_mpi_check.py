@@ -20,7 +20,31 @@ def _failure_types(excinfo):
     return {type(e) for e in excinfo.value.failures.values()}
 
 
+def _bcast_vs_allreduce(comm):
+    if comm.rank == 0:
+        return comm.bcast(1, root=0)  # spmd: ignore[DIV-COLLECTIVE]
+    return comm.allreduce(1)  # spmd: ignore[DIV-COLLECTIVE]
+
+
+def _bcast_roots_disagree(comm):
+    return comm.bcast(1, root=0 if comm.rank == 0 else 1)
+
+
+def _allgather_vs_allreduce(comm):
+    if comm.rank == 0:
+        return comm.allgather(1)  # spmd: ignore[DIV-COLLECTIVE]
+    return comm.allreduce(1)  # spmd: ignore[DIV-COLLECTIVE]
+
+
 class TestCollectiveCongruence:
+    """The rendezvous' last arriver checks congruence in every run;
+    ``check`` only adds the two call sites.  The cases built on
+    ``_mismatch`` follow ``self.check`` (the first three pass
+    ``check=True`` themselves); ``TestCollectiveCongruenceUnchecked``
+    re-runs them unchecked."""
+
+    check = True
+
     def test_mismatched_op_names(self):
         def prog(comm):
             if comm.rank == 0:
@@ -52,6 +76,56 @@ class TestCollectiveCongruence:
             return comm.bcast(x, root=0)
 
         assert run_spmd(4, prog, check=True, timeout=30) == [6, 6, 6, 6]
+
+    def _mismatch(self, size, prog):
+        with pytest.raises(SPMDError) as ei:
+            run_spmd(size, prog, check=self.check, timeout=30)
+        assert _failure_types(ei) == {CollectiveMismatchError}
+        msg = str(ei.value.__cause__)
+        assert msg.count("test_mpi_check.py") == (2 if self.check else 0)
+        return msg
+
+    @pytest.mark.parametrize("prog, first, other", [
+        (_bcast_vs_allreduce, "bcast(root=0)", "allreduce()"),
+        (_bcast_roots_disagree, "bcast(root=0)", "bcast(root=1)"),
+        (_allgather_vs_allreduce, "allgather()", "allreduce()"),
+    ])
+    def test_three_ranks(self, prog, first, other):
+        msg = self._mismatch(3, prog)
+        assert f"rank 0 called {first}" in msg
+        assert f"rank 1 called {other}" in msg
+
+    def test_only_the_last_arriver_differs(self):
+        def prog(comm):
+            if comm.rank == 2:
+                state = comm._state
+                with state.cond:
+                    for _ in range(30_000):
+                        if state.arrived == 2:
+                            break
+                        state.cond.wait(1e-3)
+                return comm.bcast(1, root=0)  # spmd: ignore[DIV-COLLECTIVE]
+            return comm.allreduce(1)  # spmd: ignore[DIV-COLLECTIVE]
+
+        msg = self._mismatch(3, prog)
+        assert "rank 0 called allreduce()" in msg
+        assert "rank 2 called bcast(root=0)" in msg
+
+    def test_inside_one_split_half(self):
+        def prog(comm):
+            half = comm.split(comm.rank // 2, comm.rank)
+            if comm.rank == 3:
+                return half.bcast(1, root=0)  # spmd: ignore[DIV-COLLECTIVE]
+            return half.allreduce(1)  # spmd: ignore[DIV-COLLECTIVE]
+
+        msg = self._mismatch(4, prog)
+        assert "(members [2, 3])" in msg
+        assert "rank 2 called allreduce()" in msg
+        assert "rank 3 called bcast(root=0)" in msg
+
+
+class TestCollectiveCongruenceUnchecked(TestCollectiveCongruence):
+    check = False
 
 
 class TestDeadlockDetection:
