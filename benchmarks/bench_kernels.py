@@ -3,8 +3,11 @@
 ``benchmarks/ledger`` times the merge kernels at the 8x4096 shape, the
 local histogram, ``allreduce``/``alltoallv`` and the end-to-end sorts on a
 pinned CPU; what is left here is what it lacks: the selection kernels,
-the many-small-runs merge shape, ``comm.split`` and ``dselect``.
+``sort_keys`` against the stable ``np.sort`` it replaces, the
+many-small-runs merge shape, ``comm.split`` and ``dselect``.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,12 +15,27 @@ import pytest
 from repro.core import dselect
 from repro.data import make_partition
 from repro.mpi import run_spmd
-from repro.seq import floyd_rivest, kway_merge, quickselect, weighted_median
+from repro.seq import floyd_rivest, kway_merge, quickselect, sort_keys, weighted_median
 
 rng = np.random.default_rng(99)
 
+_LOCAL_SORTS = {"sort_keys": sort_keys, "np_sort_stable": partial(np.sort, kind="stable")}
+
 
 class TestSequentialKernels:
+    @pytest.mark.parametrize("kernel", sorted(_LOCAL_SORTS))
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            pytest.param(lambda: rng.integers(0, 2**64, 1 << 18, dtype=np.uint64), id="u64-2^18"),
+            pytest.param(lambda: rng.normal(size=1 << 15), id="f64-2^15"),
+        ],
+    )
+    def test_local_sort(self, benchmark, kernel, keys):
+        x = keys()
+        out = benchmark(_LOCAL_SORTS[kernel], x)
+        assert out.tobytes() == np.sort(x, kind="stable").tobytes()
+
     def test_quickselect(self, benchmark):
         x = rng.normal(size=200_000)
         v = benchmark(quickselect, x, 100_000)

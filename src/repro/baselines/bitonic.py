@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..mpi.tags import BITONIC_STAGE_BASE
-from ..seq.kmerge import merge_two_sorted
+from ..seq.kmerge import merge_two_sorted, sort_keys
 from ..trace.timer import PhaseTimer
 from .common import BaselineResult
 
@@ -41,7 +41,7 @@ def bitonic_sort(comm: "Comm", local: np.ndarray) -> BaselineResult:
         # block sizes (0-1 principle on blocks).
         raise ValueError(f"bitonic sort requires equal partition sizes, got {sizes}")
 
-    work = np.sort(local)
+    work = sort_keys(local)
     comm.compute(compute.sort(work.size))
     timer.mark("local_sort")
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..seq.kmerge import binary_merge_tree
+from ..seq.kmerge import binary_merge_tree, sort_keys
 from ..trace.timer import PhaseTimer
 from .common import BaselineResult
 
@@ -66,7 +66,7 @@ def hyksort(
     timer = PhaseTimer(comm)
     rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
 
-    work = np.sort(local)
+    work = sort_keys(local)
     comm.compute(compute.sort(work.size))
     timer.mark("local_sort")
 

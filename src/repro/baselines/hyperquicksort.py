@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..mpi.tags import HYPERQUICKSORT_ROUND_BASE
-from ..seq.kmerge import merge_two_sorted
+from ..seq.kmerge import merge_two_sorted, sort_keys
 from ..trace.timer import PhaseTimer
 from .common import BaselineResult
 
@@ -34,7 +34,7 @@ def hyperquicksort(comm: "Comm", local: np.ndarray) -> BaselineResult:
     compute = comm.cost.compute
     timer = PhaseTimer(comm)
 
-    work = np.sort(local)
+    work = sort_keys(local)
     comm.compute(compute.sort(work.size))
     timer.mark("local_sort")
 

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..core.merge import local_merge
+from ..seq.kmerge import sort_keys
 from ..trace.timer import PhaseTimer
 from .common import BaselineResult, exchange_by_splitters
 
@@ -82,7 +83,7 @@ def _sort_by_sample(
 
 
 def _local_sort(comm: "Comm", local: np.ndarray) -> np.ndarray:
-    work = np.sort(local)
+    work = sort_keys(local)
     comm.compute(comm.cost.compute.sort(work.size))
     return work
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..mpi.checkpoint import MARKER_NAMES, PH_SORTED, PH_SPLIT, PH_START
 from ..mpi.ops import MAX
+from ..seq.kmerge import sort_keys
 from ..trace.timer import PhaseTimer
 from .config import SortConfig
 from .exchange import ExchangePlan, build_exchange_plan, exchange
@@ -96,7 +97,7 @@ def local_sort(comm: "Comm", st: SortState, config: SortConfig, *_) -> None:
         spec = plan_packing(gmax_key, comm.size, max(gmax_n, 1))
         work = pack_keys(work, comm.rank, spec)
         comm.compute(compute.partition(work.size))
-    work = np.sort(work, kind="stable")
+    work = sort_keys(work)
     comm.compute(compute.sort(work.size, work.dtype.itemsize))
     st.work, st.spec = work, spec
 

@@ -9,9 +9,10 @@ Strategy selection mirrors the paper's discussion:
   (the §VI-E.2 finding that merging many small chunks with many threads
   degrades into cache misses while a parallel sort keeps winning).
 
-The strategy selects the *virtual-time* charge (:func:`merge_cost`), so the
-merge study bench can compare them at paper scale; the host work is one
-natural merge whichever is chosen (see :mod:`repro.seq.kmerge`).
+The strategy selects only the *virtual-time* charge (:func:`merge_cost`),
+so the merge study bench can compare them at paper scale; the host work is
+one ``kway_merge(chunks, "sort")`` call whichever is chosen (see
+:mod:`repro.seq.kmerge`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..seq.kmerge import binary_merge_tree, kway_merge, loser_tree_merge
+from ..seq.kmerge import kway_merge
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
@@ -62,13 +63,4 @@ def local_merge(
         strategy = "sort" if (small and k > 4) else "binary_tree"
 
     comm.compute(merge_cost(compute, n_total, k, strategy))
-    if not nonempty:
-        dtype = chunks[0].dtype if chunks else np.float64
-        return np.empty(0, dtype=dtype)
-    if strategy == "sort":
-        return kway_merge(nonempty, "sort")
-    if strategy == "binary_tree":
-        return binary_merge_tree(nonempty)
-    if strategy == "tournament":
-        return loser_tree_merge(nonempty)
-    raise ValueError(f"unknown merge strategy {strategy!r}")
+    return kway_merge(chunks, "sort")

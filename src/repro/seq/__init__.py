@@ -1,4 +1,4 @@
-"""Sequential building blocks: selection, weighted median, search, k-way merge."""
+"""Sequential building blocks: selection, weighted median, search, local sort, k-way merge."""
 
 from .checks import (
     balance_violation,
@@ -13,6 +13,7 @@ from .kmerge import (
     kway_merge,
     loser_tree_merge,
     merge_two_sorted,
+    sort_keys,
 )
 from .search import counts_between, local_histogram, rank_of
 from .select import floyd_rivest, median_of_medians, nsmallest_value, quickselect
@@ -37,5 +38,6 @@ __all__ = [
     "nsmallest_value",
     "quickselect",
     "rank_of",
+    "sort_keys",
     "weighted_median",
 ]

@@ -1,4 +1,4 @@
-"""K-way merging of sorted runs (§V-C of the paper).
+"""Local sorting and k-way merging of sorted runs (§V-C of the paper).
 
 The paper weighs three ways of combining the ``P`` sorted chunks a rank
 receives from the exchange:
@@ -10,14 +10,17 @@ receives from the exchange:
 The strategy selects what the *virtual* machine is charged
 (:func:`repro.core.merge.merge_cost`, the §VI-E.2 study); on the host every
 strategy does its real work with one primitive, :func:`_natural_merge` —
-concatenate, then stable-sort in place.  On presorted pieces NumPy's
-stable sort *is* a merge (timsort: run detection + galloping merges,
-``O(n log k)`` comparisons), and stability puts equal keys of a
-lower-indexed run first, which is :class:`LoserTree`'s tie rule, so all
-strategies return the same bytes.  DESIGN.md ("Vectorisation") has the
-sizing table that picked it over merge-path and chunk-bounds variants;
-:class:`LoserTree` stays as the element-wise reference the tests compare
-against.
+concatenate, then sort in place.  Every kernel here returns the bytes of
+``np.sort(..., kind="stable")`` of the concatenation: equal keys of a
+lower-indexed run first, which is :class:`LoserTree`'s tie rule.
+
+Which sort gets there is :func:`_sort_kind`'s call.  Where equal keys are
+equal bytes (integers, bools, floats holding no ±0 and no NaN) the order of
+ties cannot show, so NumPy's SIMD quicksort is used — ~10× timsort on
+random keys.  Elsewhere, and for two-run merges, timsort stays: on two
+presorted runs its galloping merge is linear and beats the SIMD sort.
+DESIGN.md ("Vectorisation") has the sizing tables; :class:`LoserTree`
+stays as the element-wise reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "sort_keys",
     "merge_two_sorted",
     "binary_merge_tree",
     "LoserTree",
@@ -35,18 +39,39 @@ __all__ = [
 ]
 
 
+def _sort_kind(a: np.ndarray) -> str | None:
+    """``None`` (NumPy's SIMD default) where an unstable sort of ``a``
+    yields the stable sort's bytes, else ``"stable"``.
+
+    Only ±0 and NaNs are equal keys with distinct bytes among the IEEE
+    floats; longdouble's padding bytes and NaT keep other kinds stable.
+    """
+    if a.dtype.kind in "biu":
+        return None
+    if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+        if a.all() and not np.isnan(a).any():
+            return None
+    return "stable"
+
+
+def sort_keys(a: np.ndarray) -> np.ndarray:
+    """A sorted copy of ``a``, byte-identical to ``np.sort(a, kind="stable")``."""
+    a = np.asarray(a)
+    return np.sort(a, kind=_sort_kind(a))
+
+
 def _natural_merge(runs: Sequence[np.ndarray]) -> np.ndarray:
     """Stable merge of sorted ``runs``: concatenate, then sort in place.
 
     Always a fresh array; empty runs do not vote on its dtype unless all
-    are empty.
+    are empty.  Two runs stay on timsort, whose galloping merge is linear.
     """
     runs = [np.asarray(r) for r in runs]
     nonempty = [r for r in runs if r.size]
     if not nonempty:
         return np.empty(0, dtype=np.result_type(*runs) if runs else np.float64)
     out = np.concatenate(nonempty)
-    out.sort(kind="stable")
+    out.sort(kind="stable" if len(nonempty) < 3 else _sort_kind(out))
     return out
 
 
@@ -59,26 +84,8 @@ def merge_two_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def binary_merge_tree(runs: Sequence[np.ndarray]) -> np.ndarray:
-    """Merge ``k`` sorted runs with ceil(log2 k) pairwise passes.
-
-    Each element is touched once per pass; pairs can merge as soon as both
-    inputs are available, which is what makes this strategy overlap well
-    with an incoming all-to-all (§VI-E.1).
-    """
-    runs = [np.asarray(r) for r in runs]
-    nonempty = [r for r in runs if r.size]
-    if not nonempty:
-        return _natural_merge(runs)
-    runs = nonempty
-    while len(runs) > 1:
-        nxt = [
-            merge_two_sorted(runs[i], runs[i + 1])
-            for i in range(0, len(runs) - 1, 2)
-        ]
-        if len(runs) % 2:
-            nxt.append(runs[-1])
-        runs = nxt
-    return runs[0]
+    """K-way merge with the bytes of ceil(log2 k) pairwise stable passes."""
+    return _natural_merge(runs)
 
 
 class LoserTree:
@@ -171,15 +178,11 @@ def loser_tree_merge(runs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def kway_merge(runs: Sequence[np.ndarray], strategy: str = "binary_tree") -> np.ndarray:
-    """Merge sorted runs with the chosen strategy.
+    """Merge sorted runs; every strategy returns the same bytes.
 
     ``strategy`` is one of ``binary_tree``, ``tournament``, or ``sort``
     (concatenate + re-sort, the paper's evaluated configuration).
     """
-    if strategy == "binary_tree":
-        return binary_merge_tree(runs)
-    if strategy == "tournament":
-        return loser_tree_merge(runs)
-    if strategy == "sort":
-        return _natural_merge(runs)
-    raise ValueError(f"unknown merge strategy {strategy!r}")
+    if strategy not in ("binary_tree", "tournament", "sort"):
+        raise ValueError(f"unknown merge strategy {strategy!r}")
+    return _natural_merge(runs)

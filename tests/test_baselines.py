@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import ALGORITHMS
 from repro.baselines import (
     BASELINES,
     bitonic_sort,
@@ -12,6 +13,7 @@ from repro.baselines import (
     psrs_sort,
     sample_sort,
 )
+from repro.core import SortConfig
 from repro.data import make_partition
 from repro.mpi import SPMDError
 from repro.seq import is_globally_sorted, is_permutation
@@ -84,6 +86,20 @@ class TestAllBaselines:
         out = _run_baseline(run, BASELINES[name], parts)
         assert out[0].phases
         assert out[0].time > 0
+
+
+class TestStableBytes:
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_signed_zeros_keep_input_order(self, run, name):
+        # -0.0 == 0.0, so only the bytes tell whether ties kept their
+        # global input order (rank, then position), as the stable oracle
+        # does; a plain np.sort local sort reorders the zero block
+        rng = np.random.default_rng(29)
+        parts = [rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=300) for _ in range(4)]
+        algo = ALGORITHMS[name]
+        out = run(4, lambda comm: algo.run(comm, parts[comm.rank], SortConfig()))
+        got = np.concatenate([r.output for r in out])
+        assert got.tobytes() == np.sort(np.concatenate(parts), kind="stable").tobytes()
 
 
 class TestSampleSort:

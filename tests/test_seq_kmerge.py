@@ -1,8 +1,8 @@
-"""K-way merge kernels: unit + property tests."""
+"""Local sort and k-way merge kernels: unit + property tests."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.seq import (
@@ -11,6 +11,7 @@ from repro.seq import (
     kway_merge,
     loser_tree_merge,
     merge_two_sorted,
+    sort_keys,
 )
 
 sorted_runs = st.lists(
@@ -215,3 +216,115 @@ class TestKwayMerge:
         out = binary_merge_tree([np.array([1.5]), np.array([0.5])])
         assert out.dtype == np.float64
         assert out.tolist() == [0.5, 1.5]
+
+
+# ------------------------------------------------ byte-stable on every dtype
+
+_DTYPES = [
+    np.bool_, np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+    np.float16, np.float32, np.float64,
+]
+
+
+def _float_bits(dtype):
+    """Bit patterns of duplicate-heavy float keys: ±0, ±inf, a few finite
+    keys, and NaNs of both signs with distinct payloads."""
+    uint = np.dtype(f"u{dtype.itemsize}")
+    plain = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.5, 3.0, np.inf], dtype)
+    nan = int(np.array(np.nan, dtype).view(uint))
+    sign = 1 << (8 * dtype.itemsize - 1)
+    nans = [nan, nan | 1, nan | 2, nan | sign, nan | sign | 3]
+    return [int(b) for b in plain.view(uint)] + nans
+
+
+@st.composite
+def key_arrays(draw, dtype, max_size=60):
+    """One array of ``dtype``; floats are built from bits so that NaN
+    payloads survive."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        bits = draw(st.lists(st.sampled_from(_float_bits(dtype)), max_size=max_size))
+        return np.array(bits, dtype=f"u{dtype.itemsize}").view(dtype)
+    if dtype.kind == "b":
+        return np.array(draw(st.lists(st.booleans(), max_size=max_size)), dtype=dtype)
+    info = np.iinfo(dtype)
+    keys = st.one_of(st.integers(max(info.min, -3), 3), st.integers(info.min, info.max))
+    return np.array(draw(st.lists(keys, max_size=max_size)), dtype=dtype)
+
+
+@st.composite
+def any_keys(draw):
+    return draw(key_arrays(draw(st.sampled_from(_DTYPES))))
+
+
+@st.composite
+def ragged_runs(draw):
+    """0..33 sorted runs of one dtype, empties mixed in."""
+    dtype = draw(st.sampled_from(_DTYPES))
+    runs = draw(st.lists(key_arrays(dtype, max_size=12), max_size=33))
+    return [np.sort(r, kind="stable") for r in runs]
+
+
+def _stable(runs):
+    """The oracle: a stable sort of the concatenation."""
+    return np.sort(np.concatenate(runs), kind="stable") if runs else np.empty(0)
+
+
+def _same_bytes(out, ref):
+    return out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+_NEG_ZERO = np.array([0.0, 1.5, -0.0, 0.0, -1.0])  # one -0.0 among +0.0s
+
+
+class TestStableBytes:
+    """``sort_keys`` and every merge return a stable sort's bytes, also
+    where they take the unstable SIMD sort."""
+
+    @given(a=any_keys())
+    @example(a=np.array([3, -1, 3, 0, 127, -128], np.int8))  # integers: SIMD
+    @example(a=np.array([2.5, -1.0, 2.5, np.inf, -np.inf]))  # no zero, no NaN: SIMD
+    @example(a=_NEG_ZERO)  # a signed zero: stable
+    @settings(max_examples=200, deadline=None)
+    def test_sort_keys_matches_stable_sort(self, a):
+        assert _same_bytes(sort_keys(a), np.sort(a, kind="stable"))
+
+    @given(runs=ragged_runs())
+    @example(runs=[np.array(r, np.int32) for r in ([0, 3], [-1, 3], [2])])  # integers: SIMD
+    @example(runs=[np.array([-1.0, 2.5]), np.array([2.5, np.inf]), np.array([0.5])])  # SIMD
+    @example(runs=[np.sort(_NEG_ZERO, kind="stable"), np.array([0.0, 0.5]), np.array([0.0])])
+    @example(runs=[np.array([-0.0, 1.0]), np.array([0.0, 0.5])])  # k = 2: timsort
+    @settings(max_examples=150, deadline=None)
+    def test_merges_match_stable_sort(self, runs):
+        ref = _stable(runs)
+        for strategy in STRATEGIES:
+            assert _same_bytes(kway_merge(runs, strategy), ref), strategy
+        for merge in (binary_merge_tree, loser_tree_merge):
+            assert _same_bytes(merge(runs), ref), merge.__name__
+        if runs:
+            a, b = runs[0], runs[-1]
+            assert _same_bytes(merge_two_sorted(a, b), _stable([a, b]))
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_all_empty_input_keeps_its_dtype(self, dtype):
+        empty = np.empty(0, dtype)
+        assert sort_keys(empty).dtype == dtype
+        assert merge_two_sorted(empty, empty).dtype == dtype
+        for strategy in STRATEGIES:
+            assert kway_merge([empty] * 5, strategy).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_long_zero_blocks_keep_input_order(self, rng, dtype):
+        # long enough that the SIMD sort's partitioning, not its insertion
+        # sort, would meet the zeros
+        a = rng.choice(np.array([-0.0, 0.0, 1.0, -2.0], dtype), size=4096)
+        assert _same_bytes(sort_keys(a), np.sort(a, kind="stable"))
+        runs = [np.sort(c, kind="stable") for c in np.array_split(a, 8)]
+        assert _same_bytes(kway_merge(runs, "sort"), _stable(runs))
+
+    def test_sort_keys_returns_a_copy(self):
+        a = np.array([3, 1, 2])
+        out = sort_keys(a)
+        out[0] = 99
+        assert a.tolist() == [3, 1, 2]
