@@ -170,7 +170,6 @@ ALGORITHMS: dict[str, _Entry] = {
         phase_of={
             "histsort:local_sort": "local_sort",
             "multiselect:find_splitters": "splitting",
-            "multiselect:_gather_finish": "splitting",
             "exchange:build_exchange_plan": "other",
             "exchange:exchange": "exchange",
         },
@@ -220,10 +219,20 @@ def _module_summaries(modules: tuple[str, ...]) -> list[Any]:
     return out
 
 
+#: functions whose result size depends on the data, priced as an atom of
+#: the environment below: the exact gather's per-rank payload
+_DATA_SIZED = {"multiselect:_residue": "$residue"}
+
+
+def _short(key: str) -> str:
+    """``"<file stem>:<dotted>"`` of a cost-program function key."""
+    path, _, dotted = key.partition("::")
+    return f"{Path(path).stem}:{dotted}"
+
+
 def _function_phase(entry: _Entry, key: str) -> str | None:
     """Phase a cost site bills to, or ``None`` when out of scope."""
-    path, _, dotted = key.partition("::")
-    return entry.phase_of.get(f"{Path(path).stem}:{dotted}")
+    return entry.phase_of.get(_short(key))
 
 
 def static_traffic(
@@ -239,6 +248,9 @@ def static_traffic(
     """
     entry = ALGORITHMS[algo]
     prog = CostProgram(Program(_module_summaries(entry.modules)))
+    for key in prog.returns:
+        if _short(key) in _DATA_SIZED:
+            prog.returns[key] = sym.atom(_DATA_SIZED[_short(key)])
     env: dict[str, float] = {
         "p": float(p),
         "logp": math.log2(max(p, 2)),

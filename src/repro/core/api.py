@@ -145,8 +145,8 @@ def autosort(
         payload = (plan.to_dict(), cache_hit)
     else:
         payload = None
-    plan_dict, cache_hit = comm.bcast(payload)
-    plan = SortPlan.from_dict(plan_dict)
+    # decoded once, by the bcast's last arriver: every rank shares the plan
+    plan, cache_hit = comm.bcast(payload, then=lambda d: (SortPlan.from_dict(d[0]), d[1]))
 
     recorder = comm.trace_recorder
     if recorder is not None and comm.rank == 0:

@@ -22,7 +22,9 @@ Algorithm sketch (per round, every rank):
 4. VALIDATE_SPLITTER, every open splitter against every probe: accept the
    lowest probe whose ``[L, U]`` can meet the target rank ``t_i`` within
    tolerance, otherwise move ``lo_i`` / ``hi_i`` to the two neighbouring
-   probes that bracket it.
+   probes that bracket it.  Every rank would compute the same brackets, so
+   the ALLREDUCE's last arriver does it once for all (``then=``), and
+   places the next probe vector with it.
 
 ``"squeeze"`` ends the search exactly, as DSELECT does (Algorithm 1,
 §IV-B): once the keys still inside the open brackets can be allgathered
@@ -241,23 +243,6 @@ def _residue(local_sorted, lo, hi) -> np.ndarray:
     return local_sorted[inside]
 
 
-def _gather_finish(comm: "Comm", residue, t, lo, lo_rank):
-    """DSELECT's endgame: ``(values, L, U, nkeys)`` of the open targets, read
-    off everybody's ``residue``.  The key of global rank ``t`` is in it:
-    ``lo_rank < t < hi_rank`` on every open bracket."""
-    keys = np.sort(np.concatenate(comm.allgather(residue)))  # P sorted runs
-    comm.compute(comm.cost.compute.kway_merge(keys.size, comm.size))
-    base = keys.searchsorted(lo, side="right")
-    values = keys[base + (t - lo_rank)]
-    base = lo_rank - base
-    return (
-        values,
-        keys.searchsorted(values) + base,
-        keys.searchsorted(values, side="right") + base,
-        int(keys.size),
-    )
-
-
 def _bracket_slots(lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(j, g)`` per open target: its 1-based slot among the ``g`` targets
     sharing its bracket.  Open brackets are disjoint or identical and
@@ -299,6 +284,145 @@ def _regular_sample(local_sorted: np.ndarray, count: int) -> np.ndarray:
         return local_sorted[:0]
     idx = np.linspace(0, n - 1, num=min(count, n)).astype(np.int64)
     return local_sorted[idx]
+
+
+class _Search:
+    """The search's replicated state, one object for every rank.
+
+    Every rank would derive the same brackets from the same global values,
+    so the last arriver of each collective of the search advances this
+    object once (``then=``) and all ranks read it: built from ``(U(gmin),
+    L(gmax))``, seeded by the sampled probes, advanced by each histogram
+    round, finished by the exact gather.  Each step ends by placing the next
+    round's probes and deciding whether the gather pays (:meth:`_place`).
+    What it publishes to the ranks is read-only.
+    """
+
+    def __init__(self, ends, targets, tol, total, gmin, gmax, arith, config, rule):
+        u_gmin, l_gmax = (int(v) for v in ends)
+        self.schedule = config.probe_schedule
+        self.squeeze = self.schedule == "squeeze"
+        self.tol, self.total, self.gmin, self.gmax = tol, total, gmin, gmax
+        self.arith, self.rule = arith, rule
+        self.values = np.empty(targets.size, dtype=arith.dtype)
+        self.lower, self.upper, self.realized = (np.zeros(targets.size, np.int64) for _ in range(3))
+        # Targets inside the global-minimum duplicate run can only be met by
+        # the splitter value gmin itself, which the half-open probe interval
+        # (lo, hi] would never test — resolve them up front (includes
+        # empty-output ranks) ...
+        at_min = targets - tol <= u_gmin
+        self.values[at_min] = gmin
+        self.realized[at_min] = np.minimum(targets[at_min], u_gmin)
+        self.upper[at_min] = u_gmin
+        # ... and those at N, to gmax, whose true lower bound the exchange
+        # needs for its rank-order fill.  The pinned schedules probe ``hi =
+        # gmax`` for the rest of its run; "squeeze" treats ``hi`` as a known
+        # miss (and no probe reaches +inf), so there the whole run resolves now.
+        whole_run = self.squeeze or not np.isfinite(gmax)
+        at_max = ~at_min & (targets + tol >= (l_gmax if whole_run else total))
+        self.values[at_max] = gmax
+        self.realized[at_max] = np.clip(targets[at_max], l_gmax, total)
+        self.lower[at_max], self.upper[at_max] = l_gmax, total
+        self.active = ~(at_min | at_max)
+        # Compact state of the open targets, in target order.
+        self.t = targets[self.active]
+        m = self.t.size
+        self.lo, self.hi = np.full(m, gmin, dtype=arith.dtype), np.full(m, gmax, dtype=arith.dtype)
+        if self.squeeze:
+            # Counts at the bracket ends, U(lo) and L(hi): span keys lie strictly
+            # inside.  A bracket whose span failed to halve is ``stalled``.
+            self.lo_rank = np.full(m, u_gmin, dtype=np.int64)
+            self.hi_rank = np.full(m, l_gmax, dtype=np.int64)
+            self.span = self.hi_rank - self.lo_rank
+            self.stalled = np.ones(m, dtype=bool)
+        self.rounds = self.probes_total = self.gathered_keys = self.sampled = 0
+        if config.initial_guess != "sample" or not m:
+            self._place()
+
+    def seed(self, samples):
+        """Round 1 probes the targets' quantiles of everybody's regular sample."""
+        flat = np.sort(np.concatenate(samples))
+        self.sampled, probes = flat.size, None
+        if flat.size:
+            frac = self.t.astype(np.float64) / self.total
+            idx = np.clip((frac * (flat.size - 1)).round().astype(np.int64), 0, flat.size - 1)
+            probes = np.clip(flat[idx], self.gmin, self.gmax).astype(self.arith.dtype)
+        self._place(probes)
+        return self
+
+    def advance(self, glob):
+        """VALIDATE_SPLITTER of the open targets on one round's ``(L, U)``."""
+        probes, t, lo, hi = self.probes, self.t, self.lo, self.hi
+        k = probes.size
+        L, U = glob[:k], glob[k:]
+        hit, first, self.lo, self.hi = accept_or_tighten(probes, L, U, t, self.tol, lo, hi)
+        if self.squeeze:
+            self.lo_rank, self.hi_rank = tightened_ranks(
+                first, L, U, self.lo > lo, self.hi < hi, self.lo_rank, self.hi_rank
+            )
+            was, self.span = self.span, self.hi_rank - self.lo_rank
+            self.stalled = was < self.span + self.span
+        if hit.any():
+            done, j = self.active.nonzero()[0][hit], first[hit]
+            self.values[done] = probes[j]
+            self.lower[done], self.upper[done] = L[j], U[j]
+            self.realized[done] = t[hit].clip(L[j], U[j])
+            self.active[done] = False
+            still = ~hit
+            self.t, self.lo, self.hi = t[still], self.lo[still], self.hi[still]
+            if self.squeeze:
+                self.lo_rank, self.hi_rank = self.lo_rank[still], self.hi_rank[still]
+                self.span, self.stalled = self.span[still], self.stalled[still]
+        self.rounds += 1
+        self.probes_total += k
+        self._place()
+        return self
+
+    def finish(self, residues):
+        """DSELECT's endgame: each open target's key, read off everybody's
+        sorted residue.  The key of global rank ``t`` is in it: ``lo_rank <
+        t < hi_rank`` on every open bracket."""
+        keys = np.sort(np.concatenate(residues))
+        base = keys.searchsorted(self.lo, side="right")
+        values = keys[base + (self.t - self.lo_rank)]
+        base = self.lo_rank - base
+        done = self.active.nonzero()[0]
+        self.values[done] = values
+        self.lower[done] = keys.searchsorted(values) + base
+        self.upper[done] = keys.searchsorted(values, side="right") + base
+        self.realized[done] = self.t
+        self.gathered_keys, self.rounds, self.t = int(keys.size), self.rounds + 1, self.t[:0]
+        self._place()
+        return self
+
+    def _place(self, probes=None):
+        """The next round's sorted probe vector, at most one probe per open
+        target, and whether the exact finish pays instead; with no target
+        left open, the result is final."""
+        if not self.t.size:
+            for a in (self.values, self.lower, self.upper, self.realized):
+                a.setflags(write=False)
+            return
+        if probes is None:
+            # "shared": the targets sharing a bracket spread their probes over
+            # it; Algorithm 3: every target bisects its own (slot 1 of 1);
+            # "squeeze" never re-probes ``hi``, a known miss
+            if self.squeeze:
+                j, g = _squeeze_slots(self.t, self.lo, self.lo_rank, self.span, self.stalled)
+            elif self.schedule == "shared":
+                j, g = _bracket_slots(self.lo)
+            else:
+                j, g = np.ones((2, self.t.size), np.int64)
+            hi = self.arith.below(self.hi) if self.squeeze else self.hi
+            probes = self.arith.spread(self.lo, hi, j, g)
+        if self.schedule != "midpoint" and (probes[1:] <= probes[:-1]).any():
+            probes = np.unique(probes)  # a bracket narrower than its budget
+        self.probes = probes
+        self.gather = (
+            self.squeeze and self.rounds > 0 and self.rule.pays(int(self.span.sum()), probes.size)
+        )
+        for a in (self.t, self.lo, self.hi, probes):
+            a.setflags(write=False)
 
 
 def find_splitters(
@@ -356,8 +480,7 @@ def find_splitters(
     if total == 0 or boundaries == 0:
         return SplitterResult.trivial(dtype, targets, caps, total, tol)
 
-    schedule = config.probe_schedule
-    squeeze = schedule == "squeeze"  # the pinned schedules keep the paper's flat ALLREDUCE
+    squeeze = config.probe_schedule == "squeeze"  # the pinned schedules keep the paper's flat ALLREDUCE
 
     # Global (min, max) — one reduction (Algorithm 3 line 3).  Empty ranks
     # contribute identity sentinels.
@@ -366,161 +489,73 @@ def find_splitters(
         # one more reduction, on inputs holding -inf / +inf keys only
         finite = local_sorted[np.isfinite(local_sorted)]
         arith.finite = comm.allreduce(arith.extremes(finite), op=_MINMAX, by_node=squeeze)
-    # Global bounds of the extreme keys.  Targets inside the global-minimum
-    # duplicate run can only be met by the splitter value gmin itself, which
-    # the half-open probe interval (lo, hi] would never test — resolve them
-    # up front; targets at N resolve to gmax, whose true lower bound the
-    # exchange needs for its rank-order fill.
-    u_gmin, l_gmax = (
-        int(v)
-        for v in comm.allreduce(
-            np.array(
-                [
-                    np.searchsorted(local_sorted, gmin, side="right"),
-                    np.searchsorted(local_sorted, gmax, side="left"),
-                ],
-                dtype=np.int64,
-            ),
-            by_node=squeeze,
-        )
+    def build(ends):
+        rule = _GatherRule(comm, dtype.itemsize, max(total // p, 1)) if squeeze else None
+        return _Search(ends, targets, tol, total, gmin, gmax, arith, config, rule)
+
+    # Global bounds of the extreme keys, U(gmin) and L(gmax): the search
+    # starts from them.
+    search = comm.allreduce(
+        np.array(
+            [
+                np.searchsorted(local_sorted, gmin, side="right"),
+                np.searchsorted(local_sorted, gmax, side="left"),
+            ],
+            dtype=np.int64,
+        ),
+        by_node=squeeze,
+        then=build,
     )
     comm.compute(compute.call_overhead)
 
-    lo = np.full(boundaries, gmin, dtype=dtype)
-    hi = np.full(boundaries, gmax, dtype=dtype)
-    values = np.empty(boundaries, dtype=dtype)
-    lower = np.zeros(boundaries, dtype=np.int64)
-    upper = np.zeros(boundaries, dtype=np.int64)
-    realized = np.zeros(boundaries, dtype=np.int64)
-
-    # Covered by the minimum key's run (includes empty-output ranks) ...
-    at_min = targets - tol <= u_gmin
-    values[at_min] = gmin
-    realized[at_min] = np.minimum(targets[at_min], u_gmin)
-    upper[at_min] = u_gmin
-    # ... or by the maximum key's.  The pinned schedules resolve only the
-    # targets at N here and probe ``hi = gmax`` for the rest of its run;
-    # "squeeze" treats ``hi`` as a known miss (and no probe reaches +inf),
-    # so there the whole run resolves now.
-    whole_run = squeeze or not np.isfinite(gmax)
-    at_max = ~at_min & (targets + tol >= (l_gmax if whole_run else total))
-    values[at_max] = gmax
-    realized[at_max] = np.clip(targets[at_max], l_gmax, total)
-    lower[at_max], upper[at_max] = l_gmax, total
-    active = ~(at_min | at_max)
-
     # Optional sampled initial probes (§III-B "optimizing initial guesses").
-    first_probes: np.ndarray | None = None
-    if config.initial_guess == "sample" and active.any():
+    if config.initial_guess == "sample" and search.t.size:
         sample = _regular_sample(local_sorted, config.sample_factor)
-        gathered = comm.allgather(sample)
-        flat = np.sort(np.concatenate(gathered)) if gathered else local_sorted[:0]
-        comm.compute(compute.sort(flat.size))
-        if flat.size:
-            frac = targets[active].astype(np.float64) / total
-            idx = np.clip((frac * (flat.size - 1)).round().astype(np.int64), 0, flat.size - 1)
-            first_probes = flat[idx]
+        search = comm.allgather(sample, then=search.seed)
+        comm.compute(compute.sort(search.sampled))
 
-    # Compact state of the open targets, in target order.
-    t, lo, hi = targets[active], lo[active], hi[active]
-    m = t.size
-    if squeeze:
-        # Counts at the bracket ends, U(lo) and L(hi): span keys lie strictly
-        # inside.  A bracket whose span failed to halve is ``stalled``.
-        lo_rank = np.full(m, u_gmin, dtype=np.int64)
-        hi_rank = np.full(m, l_gmax, dtype=np.int64)
-        span = hi_rank - lo_rank
-        stalled = np.ones(m, dtype=bool)
-        rule = _GatherRule(comm, dtype.itemsize, max(total // p, 1))
-    rounds = 0
-    probes_total = 0
-    gathered_keys = 0
     tracer = comm.tracer
-    while m:
-        t_round = comm.clock
-        rounds += 1
-        if rounds > config.max_rounds:
+    while search.t.size:
+        t_round, m, k = comm.clock, search.t.size, search.probes.size
+        if search.rounds >= config.max_rounds:
             raise SplitterConvergenceError(
                 f"splitters did not converge within {config.max_rounds} rounds "
                 f"({m} of {boundaries} boundaries still open)"
             )
-        # One sorted probe vector of at most one probe per open target.
-        if rounds == 1 and first_probes is not None:
-            probes = np.clip(first_probes, gmin, gmax).astype(dtype)
-        else:
-            # "shared": the targets sharing a bracket spread their probes over
-            # it; Algorithm 3: every target bisects its own (slot 1 of 1);
-            # "squeeze" never re-probes ``hi``, a known miss
-            if squeeze:
-                j, g = _squeeze_slots(t, lo, lo_rank, span, stalled)
-            else:
-                j, g = _bracket_slots(lo) if schedule == "shared" else np.ones((2, m), np.int64)
-            probes = arith.spread(lo, arith.below(hi) if squeeze else hi, j, g)
-        if schedule != "midpoint" and (probes[1:] <= probes[:-1]).any():
-            probes = np.unique(probes)  # a bracket narrower than its budget
-        k = probes.size
-
-        if squeeze and rounds > 1 and rule.pays(int(span.sum()), k):
-            got, L, U, gathered_keys = _gather_finish(
-                comm, _residue(local_sorted, lo, hi), t, lo, lo_rank
-            )
-            done = active.nonzero()[0]
-            values[done], lower[done], upper[done], realized[done] = got, L, U, t
-            comm.compute(compute.call_overhead + 2.0e-9 * m)
-            tracer.record(
-                "histogram_gather", t_round, round=rounds, keys=gathered_keys, targets=int(m)
-            )
+        if search.gather:
             break
-        probes_total += k
-
         # Local histogram by binary search (Algorithm 3 line 7) ...
-        l_loc, u_loc = local_histogram(local_sorted, probes)
+        l_loc, u_loc = local_histogram(local_sorted, search.probes)
         comm.compute(compute.search(2 * k, max(n_local, 1)))
-        # ... and the global histogram via a single ALLREDUCE (line 8).
-        glob = comm.allreduce(np.concatenate([l_loc, u_loc]), by_node=squeeze)
-        L, U = glob[:k], glob[k:]
-
-        hit, first, new_lo, new_hi = accept_or_tighten(probes, L, U, t, tol, lo, hi)
-        if squeeze:
-            lo_rank, hi_rank = tightened_ranks(
-                first, L, U, new_lo > lo, new_hi < hi, lo_rank, hi_rank
-            )
-            was, span = span, hi_rank - lo_rank
-            stalled = was < span + span
-        lo, hi = new_lo, new_hi
-        if hit.any():
-            done, j = active.nonzero()[0][hit], first[hit]
-            values[done] = probes[j]
-            lower[done], upper[done] = L[j], U[j]
-            realized[done] = t[hit].clip(L[j], U[j])
-            active[done] = False
-            still = ~hit
-            t, lo, hi = t[still], lo[still], hi[still]
-            if squeeze:
-                lo_rank, hi_rank = lo_rank[still], hi_rank[still]
-                span, stalled = span[still], stalled[still]
-
+        # ... and the global histogram via a single ALLREDUCE (line 8), whose
+        # last arriver validates every open splitter against it.
+        search = comm.allreduce(
+            np.concatenate([l_loc, u_loc]), by_node=squeeze, then=search.advance
+        )
         comm.compute(compute.call_overhead + 2.0e-9 * m)
         tracer.record(
-            "histogram_round",
-            t_round,
-            round=rounds,
-            probes=int(k),
-            targets=int(m),
-            open=int(t.size),
+            "histogram_round", t_round, round=search.rounds,
+            probes=int(k), targets=int(m), open=int(search.t.size),
         )
-        m = t.size
+    if search.t.size:  # the exact finish: the keys left inside the brackets
+        search = comm.allgather(_residue(local_sorted, search.lo, search.hi), then=search.finish)
+        comm.compute(compute.kway_merge(search.gathered_keys, p))  # P sorted runs
+        comm.compute(compute.call_overhead + 2.0e-9 * m)
+        tracer.record(
+            "histogram_gather", t_round, round=search.rounds,
+            keys=search.gathered_keys, targets=int(m),
+        )
 
     return SplitterResult(
-        values=values,
-        realized_ranks=realized,
-        lower=lower,
-        upper=upper,
+        values=search.values,
+        realized_ranks=search.realized,
+        lower=search.lower,
+        upper=search.upper,
         targets=targets,
         capacities=caps,
         total=total,
         tolerance=tol,
-        rounds=rounds,
-        probes_total=probes_total,
-        gathered_keys=gathered_keys,
+        rounds=search.rounds,
+        probes_total=search.probes_total,
+        gathered_keys=search.gathered_keys,
     )

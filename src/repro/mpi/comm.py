@@ -12,14 +12,17 @@ a deposit / plan / pick protocol around one rendezvous on the
 communicator's condition:
 
 1. a member's N-th collective is generation N: it writes its contribution
-   into ``slots[N & 1]``, its ``(op, root)`` into ``calls[N & 1]``, and
-   counts itself in;
+   into ``slots[N & 1]``, its ``(op, root, then)`` into ``calls[N & 1]``,
+   and counts itself in;
 2. the last arriver checks that every member called the same ``(op,
-   root)`` — MPI's rule that all ranks issue collectives in the same order,
-   checked in every run — then *plans*: it combines the slots, prices the
-   operation and merges the group's new virtual clocks, publishes
-   ``done = N + 1`` and wakes the others, who waited once;
-3. every member takes its new clock and *picks* its result, unlocked.
+   root, then)`` — MPI's rule that all ranks issue collectives in the same
+   order, checked in every run — then *plans*: it combines the slots
+   (applying the ``then=`` step of ``allreduce`` / ``allgather`` / ``bcast``
+   to the combined value, once), prices the operation and merges the
+   group's new virtual clocks, publishes ``done = N + 1`` and wakes the
+   others, who waited once;
+3. every member takes its new clock and *picks* its result, unlocked: a
+   copy of the combined value, or the ``then=`` result itself, shared.
 
 Two buffers suffice: generation N + 2 cannot open before N + 1 completed,
 N + 1 needs every member's deposit, and a member deposits N + 1 only after
@@ -108,7 +111,7 @@ class _CommState:
         #: the one condition every rendezvous on this communicator waits on
         self.cond = threading.Condition()
         # collective rendezvous: member idx's next generation; by generation
-        # parity, the deposit buffers, each member's (op, root) and — when
+        # parity, the deposit buffers, each member's (op, root, then) and — when
         # checking or sanitizing — its (call site, sanitizer entry clock);
         # the members counted into the open generation, the number of
         # completed generations and the last one's (shared value, new clocks)
@@ -234,9 +237,9 @@ class _CommState:
         other = next(i for i, c in enumerate(calls) if c != calls[0])
 
         def called(i: int) -> str:
-            op, root = calls[i]
-            text = f"rank {self.world_ranks[i]} called {op}("
-            text += "" if root is None else f"root={root}"
+            op, root, then = calls[i]
+            args = ([] if root is None else [f"root={root}"]) + (["then=…"] if then else [])
+            text = f"rank {self.world_ranks[i]} called {op}({', '.join(args)}"
             return text + (f") at {notes[i][0]}" if self.runtime.check else ")")
 
         return CollectiveMismatchError(
@@ -253,11 +256,13 @@ class _CommState:
         pick: Callable[[list[Any], Any, int], Any],
         *,
         root: int | None = None,
+        then: bool = False,
         trace_bytes: int | None = None,
     ) -> Any:
         """The one collective skeleton.  The last arriver raises
         :class:`CollectiveMismatchError` unless every member called ``(name,
-        root)``, then calls ``plan(slots)`` for ``(shared value, cost,
+        root, then)`` — ``then``: whether the caller gave a ``then=`` step —
+        then calls ``plan(slots)`` for ``(shared value, cost,
         payload bytes for the statistics)`` — ``cost`` a scalar, one entry
         per rank, or a tuple of such stages — and merges the clocks (``latest
         entry + cost``, stage by stage, as consecutive collectives would add
@@ -286,7 +291,7 @@ class _CommState:
         slots = self.slots[gen & 1]
         slots[idx] = deposit
         calls = self.calls[gen & 1]
-        calls[idx] = call = (name, root)
+        calls[idx] = call = (name, root, then)
         try:
             with self.cond:
                 self.arrived += 1
@@ -1017,18 +1022,26 @@ class Comm:
         *,
         root: int | None = None,
         everyone: bool = True,
+        then: Callable[[Any], Any] | None = None,
     ) -> Any:
         """Collective with a uniform cost and one combined value, delivered
-        to every rank or (``everyone=False``) to ``root`` only."""
+        to every rank or (``everyone=False``) to ``root`` only.  With
+        ``then``, the last arriver applies it to the combined value once and
+        every rank receives that one object, uncopied: computation every
+        rank would repeat on the same value is done once."""
 
         def plan(slots: list[Any]) -> Any:
-            return (combine(slots), cost_fn(slots),
+            shared = combine(slots)
+            return (shared if then is None else then(shared), cost_fn(slots),
                     sum(payload_nbytes(s) for s in slots))
 
         def pick(slots: list[Any], result: Any, idx: int) -> Any:
+            if then is not None:
+                return result
             return copy_payload(result) if everyone or idx == root else None
 
-        return self._state.collective(self._rank, name, deposit, plan, pick, root=root)
+        return self._state.collective(self._rank, name, deposit, plan, pick,
+                                      root=root, then=then is not None)
 
     def barrier(self) -> None:
         """Synchronize all ranks (and their virtual clocks)."""
@@ -1037,7 +1050,8 @@ class Comm:
             "barrier", None, lambda s: None, lambda s: self._rt.cost.barrier(ranks)
         )
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
+    def bcast(self, obj: Any, root: int = 0, *, then: Callable[[Any], Any] | None = None) -> Any:
+        """Broadcast ``root``'s ``obj``; ``then`` as in :meth:`allreduce`."""
         self._check_peer(root)
         ranks = self._state.world_ranks
         deposit = obj if self._rank == root else None
@@ -1047,6 +1061,7 @@ class Comm:
             lambda s: s[root],
             lambda s: self._rt.cost.bcast(payload_nbytes(s[root]), ranks),
             root=root,
+            then=then,
         )
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
@@ -1061,14 +1076,23 @@ class Comm:
             everyone=False,
         )
 
-    def allreduce(self, value: Any, op: ReduceOp = SUM, *, by_node: bool = False) -> Any:
+    def allreduce(
+        self, value: Any, op: ReduceOp = SUM, *, by_node: bool = False,
+        then: Callable[[Any], Any] | None = None,
+    ) -> Any:
         """Reduce to every rank.  ``by_node`` asks for the node-composed
         algorithm — reduce inside each node, allreduce over one leader per
         node, bcast inside each node — still one rendezvous, priced stage by
         stage (:meth:`CostModel.node_allreduce_stages`) and recorded as
         ``node_allreduce``.  Its two sub-communicators belong to the
         communicator's creation (:meth:`CostModel.node_setup`), not to the
-        call."""
+        call.
+
+        ``then(result)`` runs once, on the last arriver and before anyone
+        returns, and every rank returns its value — the same object, not a
+        copy, so it must be treated as read-only.  It must not communicate;
+        what it raises fails the last arriver.  Every member passes ``then``
+        or none does (the congruence check sees whether it was given)."""
         ranks = self._state.world_ranks
         price = self._rt.cost.node_allreduce_stages if by_node else self._rt.cost.allreduce
         return self._combined(
@@ -1076,6 +1100,7 @@ class Comm:
             value,
             lambda s: functools.reduce(op, s),
             lambda s: price(payload_nbytes(s[0]), ranks),
+            then=then,
         )
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
@@ -1090,13 +1115,16 @@ class Comm:
             everyone=False,
         )
 
-    def allgather(self, value: Any) -> list[Any]:
+    def allgather(self, value: Any, *, then: Callable[[list[Any]], Any] | None = None) -> Any:
+        """Every rank's ``value``, in rank order; ``then`` as in
+        :meth:`allreduce` (it receives the members' deposits themselves)."""
         ranks = self._state.world_ranks
         return self._combined(
             "allgather",
             value,
             lambda s: list(s),
             lambda s: self._rt.cost.allgather(payload_nbytes(s[0]), ranks),
+            then=then,
         )
 
     def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:

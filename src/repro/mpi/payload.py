@@ -1,8 +1,13 @@
 """Payload handling: value-semantics copies and size accounting.
 
 The runtime is in-process, so without copies a "sent" NumPy array would be
-aliased between ranks; every payload is copied exactly once at the send /
-deposit side, mirroring MPI's value semantics.
+aliased between ranks; every payload is copied exactly once, mirroring
+MPI's value semantics.  A point-to-point message is copied when it is sent
+(:meth:`Comm.send`); a collective copies at extraction, when each member
+picks its result from the deposits.  The one exception is the ``then=``
+step of ``allreduce`` / ``allgather`` / ``bcast``: its result is computed
+once and shared by every member, not copied, so it is read-only by
+contract.
 """
 
 from __future__ import annotations

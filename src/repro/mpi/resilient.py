@@ -35,7 +35,7 @@ recovery loops stay on the resilient implementation.
 from __future__ import annotations
 
 import functools
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -48,6 +48,12 @@ from .tags import RESILIENT_COLL_TAG
 __all__ = ["ResilientComm"]
 
 _CH = RESILIENT_COLL_TAG
+
+
+def _local(then: Callable[[Any], Any] | None, value: Any) -> Any:
+    """The ``then=`` step of a collective, applied on each rank: no member
+    shares one rendezvous here to run it once for all."""
+    return value if then is None else then(value)
 
 
 class ResilientComm(Comm):
@@ -102,13 +108,14 @@ class ResilientComm(Comm):
         self._gather0(None)
         self._bcast0(None)
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
+    def bcast(self, obj: Any, root: int = 0, *,
+              then: Callable[[Any], Any] | None = None) -> Any:
         if self.rank == root:
             for dest in range(self.size):
                 if dest != root:
                     self._rsend(obj, dest)
-            return copy_payload(obj)
-        return self._rrecv(root)
+            return _local(then, copy_payload(obj))
+        return _local(then, self._rrecv(root))
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
         if self.rank == root:
@@ -126,13 +133,15 @@ class ResilientComm(Comm):
             return None
         return functools.reduce(op, slots)
 
-    def allreduce(self, value: Any, op: ReduceOp = SUM, *, by_node: bool = False) -> Any:
+    def allreduce(self, value: Any, op: ReduceOp = SUM, *, by_node: bool = False,
+                  then: Callable[[Any], Any] | None = None) -> Any:
         # the linear p2p trees have no node level to compose
         acc = self.reduce(value, op, 0)
-        return self._bcast0(acc)
+        return _local(then, self._bcast0(acc))
 
-    def allgather(self, value: Any) -> list[Any]:
-        return self._bcast0(self._gather0(value))
+    def allgather(self, value: Any, *,
+                  then: Callable[[list[Any]], Any] | None = None) -> Any:
+        return _local(then, self._bcast0(self._gather0(value)))
 
     def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
         if self.rank == root:

@@ -427,7 +427,11 @@ class Runtime:
 
         Returns the per-rank results.  If any rank raises, all others are
         aborted and an :class:`SPMDError` carrying the per-rank exceptions
-        is raised.
+        is raised.  A run whose ranks were aborted with no failure of their
+        own (the runtime torn down from outside) raises an :class:`SPMDError`
+        of their :class:`Aborted` exceptions; an aborted runtime — like an
+        ``MPI_Abort``-ed job — runs nothing again: ``run`` raises
+        :class:`Aborted` (:meth:`reset` does not revive it).
 
         With spares, ``fn`` runs only on the active ranks (indexed by the
         active communicator); spare slots run the pool loop and yield
@@ -436,9 +440,12 @@ class Runtime:
         """
         if per_rank_args is not None and len(per_rank_args) != self.active_size:
             raise ValueError("per_rank_args must have one entry per active rank")
+        if self._aborted:
+            raise Aborted("this runtime was aborted by an earlier run; build a new one")
 
         results: list[Any] = [None] * self.size
         failures: dict[int, BaseException] = {}
+        casualties: dict[int, BaseException] = {}
         failures_lock = threading.Lock()
         self._registry.begin(on_deadlock=self.abort,
                              on_fire=self._count_detection)
@@ -454,8 +461,9 @@ class Runtime:
                     from .spare import spare_main
 
                     results[rank] = spare_main(self, rank)
-            except Aborted:
-                pass  # secondary casualty of another rank's failure
+            except Aborted as exc:
+                with failures_lock:  # secondary casualty of another rank's failure
+                    casualties[rank] = exc
             except RankCrashed:
                 pass  # fault-injected death: peers observe RankFailedError
             except BaseException as exc:  # noqa: BLE001 - must not hang peers
@@ -486,6 +494,9 @@ class Runtime:
                     f"SPMD run exceeded {timeout}s (thread {t.name}); "
                     f"per-rank wait states at expiry:\n{blocked}"
                 )
+        # Aborted ranks and no primary failure: the runtime was torn down
+        # from outside, and those ranks' results are missing.
+        failures = failures or casualties
         if failures:
             first = failures[min(failures)]
             raise SPMDError(failures) from first
@@ -553,7 +564,7 @@ class Runtime:
     def reset(self) -> None:
         """Zero clocks, statistics, fault bookkeeping, any recorded trace,
         the kept irecv requests and the sanitizer's state (keeps
-        communicators)."""
+        communicators, and an abort: see :meth:`run`)."""
         self.clocks[:] = 0.0
         self.stats = Stats(self.size)
         if self.trace is not None:

@@ -1,9 +1,25 @@
 """Collective semantics of the SPMD runtime."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.mpi import MAX, MIN, PROD, SUM, CommunicatorError, SPMDError, run_spmd
+from repro.core import SortConfig, histogram_sort, multiselect
+from repro.data import make_partition
+from repro.machine import abstract_cluster
+from repro.mpi import (
+    MAX,
+    MIN,
+    PROD,
+    SUM,
+    CollectiveMismatchError,
+    CommunicatorError,
+    SPMDError,
+    run_spmd,
+)
+
+from .conftest import spmd
 
 
 class TestBcast:
@@ -218,3 +234,87 @@ class TestStats:
         assert snap.total_msgs_sent == 1
         assert snap.total_bytes_sent == 64
         assert "allreduce" in snap.collectives
+
+
+#: the collectives with a ``then=`` step, each called the same way on every rank
+THEN_CALLS = {
+    "allreduce": lambda comm, then: comm.allreduce(np.array([comm.rank, 1]), then=then),
+    "node_allreduce": lambda comm, then: comm.allreduce(
+        np.array([comm.rank, 1]), by_node=True, then=then
+    ),
+    "allgather": lambda comm, then: comm.allgather(comm.rank, then=then),
+    "bcast": lambda comm, then: comm.bcast([7] if comm.rank == 0 else None, then=then),
+}
+
+
+def _counted(fn):
+    """``fn`` and the list its calls append to (``append`` is atomic)."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper, calls
+
+
+class TestThen:
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    @pytest.mark.parametrize("name", sorted(THEN_CALLS))
+    def test_runs_once_per_call_and_every_member_gets_its_result(self, name, p):
+        then, calls = _counted(lambda value: {"got": value})
+
+        def prog(comm):
+            return [THEN_CALLS[name](comm, then) for _ in range(2)]
+
+        # two nodes of four: ``by_node`` composes at p = 8
+        out = spmd(p, prog, machine=abstract_cluster(2, cores_per_node=4), ranks_per_node=4)
+        assert len(calls) == 2
+        for i, (value,) in enumerate(calls):
+            assert all(r[i] is out[0][i] for r in out)
+            assert out[0][i]["got"] is value
+        want = {
+            "allgather": list(range(p)), "bcast": [7],
+        }.get(name, [p * (p - 1) // 2, p])
+        assert np.array_equal(calls[0][0], want)
+
+    @pytest.mark.parametrize("name", sorted(THEN_CALLS))
+    def test_without_then_every_rank_owns_a_copy(self, name):
+        out = spmd(3, lambda comm: THEN_CALLS[name](comm, None))
+        assert len({id(r) for r in out}) == 3
+
+    def test_then_joins_the_congruence_record(self):
+        def prog(comm):
+            # rank 1 alone asks for a then= step
+            return comm.allreduce(comm.rank, then=str if comm.rank == 1 else None)
+
+        with pytest.raises(SPMDError) as ei:
+            run_spmd(3, prog, check=False, timeout=30)
+        (err,) = [e for e in ei.value.failures.values() if isinstance(e, CollectiveMismatchError)]
+        assert "then=" in str(err)
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_the_splitter_search_validates_once_per_round(self, p):
+        parts = [make_partition("zipf_u64", 500, rank=r, seed=3) for r in range(p)]
+        seam, calls = _counted(multiselect.accept_or_tighten)
+        with mock.patch.object(multiselect, "accept_or_tighten", seam):
+            out = spmd(p, lambda comm: histogram_sort(comm, parts[comm.rank]))
+        res = out[0].splitters
+        assert res.rounds > 2
+        assert len(calls) == res.rounds - (res.gathered_keys > 0)
+        assert all(r.splitters.values is res.values for r in out)
+        assert not res.values.flags.writeable
+
+    def test_a_resilient_sort_applies_it_on_every_rank(self):
+        p = 4
+        parts = [make_partition("zipf_u64", 500, rank=r, seed=3) for r in range(p)]
+        seam, calls = _counted(multiselect.accept_or_tighten)
+        with mock.patch.object(multiselect, "accept_or_tighten", seam):
+            out = spmd(p, lambda comm: histogram_sort(
+                comm, parts[comm.rank], SortConfig(resilient=True)
+            ))
+        res = out[0].splitters
+        assert res.rounds > 2
+        assert len(calls) == p * (res.rounds - (res.gathered_keys > 0))
+        assert out[1].splitters.values is not res.values
+        np.testing.assert_array_equal(out[1].splitters.values, res.values)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpi import Runtime, SPMDError, run_spmd
+from repro.mpi import Aborted, Runtime, SPMDError, run_spmd
 
 
 class TestSplit:
@@ -89,6 +89,34 @@ class TestFailures:
         with pytest.raises(SPMDError) as ei:
             run(3, prog)
         assert set(ei.value.failures) == {0, 1, 2}
+
+    def test_an_aborted_runtime_runs_nothing_again(self):
+        rt = Runtime(4)
+
+        def prog(comm):
+            if comm.rank == 1:
+                raise ValueError("boom")
+            return comm.allreduce(comm.rank)  # spmd: ignore[DIV-COLLECTIVE]
+
+        with pytest.raises(SPMDError):
+            rt.run(prog)
+        rt.reset()
+        # it used to return [None, None, None, None]: every rank Aborted
+        with pytest.raises(Aborted, match="aborted by an earlier run"):
+            rt.run(lambda comm: comm.allreduce(comm.rank))
+
+    def test_ranks_aborted_from_outside_return_no_results(self):
+        rt = Runtime(3)
+
+        def prog(comm):
+            if comm.rank == 0:
+                rt.abort()  # torn down by no rank's failure
+            return comm.allreduce(comm.rank)
+
+        with pytest.raises(SPMDError) as ei:
+            rt.run(prog)
+        assert ei.value.failures
+        assert all(isinstance(e, Aborted) for e in ei.value.failures.values())
 
     def test_failure_inside_subcommunicator(self, run):
         def prog(comm):

@@ -5,10 +5,11 @@ key dtype, ragged per-rank sizes (empty ranks, ``n < p``, one rank holding
 everything), optional extreme keys (the dtype's full range, ``±inf``),
 ``eps`` and explicit capacities.  Over it:
 
-* every schedule sorts to ``np.sort`` of the input, meets the capacity
-  contract (exactly at ``eps = 0``) and — at ``eps = 0`` — realises the same
-  ranks; virtual time repeats run to run — on one node and on two or three,
-  where ``"squeeze"`` reduces by node;
+* every schedule, seeded from the key range or from regular samples of any
+  size, sorts to ``np.sort`` of the input, meets the capacity contract
+  (exactly at ``eps = 0``) and — at ``eps = 0`` — realises the same ranks;
+  virtual time repeats run to run — on one node and on two or three, where
+  ``"squeeze"`` reduces by node;
 * the exact gather of ``"squeeze"`` never makes a run read more virtual time
   than the same run with the gather disabled;
 * the stated worst-case round bound of ``"squeeze"`` holds on adversarial
@@ -124,10 +125,16 @@ def _capacities(seed, parts, explicit_caps):
 
 
 class TestEverySchedule:
-    @given(nodes=st.integers(1, 3), **DATASETS)
-    @example(nodes=2, **MAX_RUN_RAGGED)
+    @given(
+        nodes=st.integers(1, 3),
+        initial_guess=st.sampled_from(["minmax", "sample"]),
+        sample_factor=st.sampled_from([1, 3, 8, 64]),
+        **DATASETS,
+    )
+    @example(nodes=2, initial_guess="minmax", sample_factor=8, **MAX_RUN_RAGGED)
     def test_sorts_partitions_and_agrees(
-        self, nodes, seed, p, dist, dtype, sizes, edge, eps, explicit_caps
+        self, nodes, initial_guess, sample_factor, seed, p, dist, dtype, sizes, edge, eps,
+        explicit_caps,
     ):
         rpn = -(-p // nodes)  # the last node may be short, or unused
         machine = abstract_cluster(nodes, cores_per_node=rpn)
@@ -138,7 +145,9 @@ class TestEverySchedule:
 
         realized, elapsed = {}, {}
         for schedule in SCHEDULES + ("squeeze",):  # the default, twice
-            config = SortConfig(eps=eps, splitter=SplitterConfig(probe_schedule=schedule))
+            config = SortConfig(eps=eps, splitter=SplitterConfig(
+                probe_schedule=schedule, initial_guess=initial_guess, sample_factor=sample_factor,
+            ))
 
             def prog(comm):
                 return histogram_sort(
