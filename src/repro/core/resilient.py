@@ -1,11 +1,11 @@
 """ULFM-style fault-tolerant driver around the histogram sort.
 
 The resilient sort runs :func:`~repro.core.histsort.run_pipeline` over a
-resumable :class:`~repro.core.histsort.SortState` on a
-:class:`~repro.mpi.resilient.ResilientComm` — whose collectives travel the
-reliable p2p layer, healing injected drops/duplications by retransmission
-— inside one recovery loop modelled on MPI's User-Level Failure Mitigation
-(ULFM) proposal.  One state machine, whatever the mode:
+resumable :class:`~repro.core.histsort.SortState` on the communicator it is
+given — the same collectives a plain sort runs, whose rendezvous prices
+injected drops, duplicates and delays as retransmissions — inside one
+recovery loop modelled on MPI's User-Level Failure Mitigation (ULFM)
+proposal.  One state machine, whatever the mode:
 
 1. **Detect.**  Run one *epoch* of the sort on the current communicator.
    A rank that observes a failure (any of :data:`RECOVERABLE`: a crashed
@@ -40,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..mpi import Comm
 from ..mpi.checkpoint import (
     MARKER_NAMES,
     PH_SORTED,
@@ -52,13 +53,10 @@ from ..mpi.checkpoint import (
     BuddyCheckpointer,
 )
 from ..mpi.errors import CommRevokedError, MessageTimeoutError, RankFailedError
-from ..mpi.resilient import ResilientComm
 from ..mpi.spare import PoolVerdict, pool_round
 from .config import SortConfig
 from .histsort import SortResult, SortState, run_pipeline
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..mpi import Comm
 
 __all__ = ["ResilientSortResult", "RecoveryExhaustedError", "resilient_sort"]
 
@@ -85,7 +83,7 @@ class ResilientSortResult:
 
     output: np.ndarray
     result: SortResult
-    comm: ResilientComm
+    comm: Comm
     attempts: int
     survivors: tuple[int, ...]
     failed: tuple[int, ...]
@@ -110,7 +108,7 @@ class ResilientSortResult:
         return self.result.exchanged_bytes
 
 
-def _verified(work: ResilientComm, n_in: int, output: np.ndarray) -> bool:
+def _verified(work: Comm, n_in: int, output: np.ndarray) -> bool:
     """Global output verification (collective over ``work``): element
     conservation across the live ranks plus sorted, non-overlapping
     partition boundaries."""
@@ -132,7 +130,7 @@ def _verified(work: ResilientComm, n_in: int, output: np.ndarray) -> bool:
 
 
 def resilient_sort(
-    comm: "Comm",
+    comm: Comm,
     local: np.ndarray,
     config: SortConfig | None = None,
     capacities: Sequence[int] | None = None,
@@ -144,8 +142,8 @@ def resilient_sort(
     message drops, duplications, delays, and rank crashes, or raises a
     typed error (:class:`RecoveryExhaustedError` after too many epochs;
     :class:`RankFailedError` if this rank cannot take part in recovery).
-    With spares in the runtime, ``comm`` must be the communicator
-    ``run_spmd`` handed out (``ValueError`` otherwise).
+    While spares are parked, ``comm`` must be the communicator ``run_spmd``
+    handed out (``ValueError`` otherwise).
     Never hangs: blocked survivors are hoisted out by revocation, crashed
     peers by the runtime's failure notifications, and silent message loss
     by virtual-time retry deadlines.
@@ -156,19 +154,14 @@ def resilient_sort(
     if local.ndim != 1:
         raise ValueError("local partition must be 1-D")
     rt = comm._rt
-    if rt.spares and comm._state is not rt.active_state:
+    if rt.pool_open and comm._state is not rt.active_state:
         raise ValueError(
             "with spares, a resilient sort must run on the communicator "
             "run_spmd handed out: spares substitute into its positions"
         )
-    work = (
-        comm
-        if isinstance(comm, ResilientComm)
-        else ResilientComm(comm._state, comm.rank)
-    )
-    initial_members = tuple(work.world_ranks)
+    initial_members = tuple(comm.world_ranks)
     st = _EpochState(local=local.copy(), dtype=local.dtype,
-                     origins=(work.rank,))
+                     origins=(comm.rank,))
     meta = {
         "config": config,
         "capacities": None if capacities is None else tuple(capacities),
@@ -178,7 +171,7 @@ def resilient_sort(
     start = PoolVerdict(
         kind="start",
         origin_map={i: (i,) for i in range(len(initial_members))})
-    return _epoch_loop(rt, work, st, meta, start)
+    return _epoch_loop(rt, comm, st, meta, start)
 
 
 @dataclass
@@ -204,7 +197,7 @@ def _substitute_entry(rt, wc, verdict: PoolVerdict, pos: int):
     Receives the buddy replica planned for it (if any) and joins the
     epoch loop as a full member."""
     meta = verdict.meta
-    work = ResilientComm(verdict.state, pos)
+    work = Comm(verdict.state, pos)
     st = _EpochState(local=np.empty(0, dtype=meta["dtype"]),
                      dtype=meta["dtype"], origins=())
     try:
@@ -214,7 +207,7 @@ def _substitute_entry(rt, wc, verdict: PoolVerdict, pos: int):
     return _epoch_loop(rt, work, st, meta, verdict)
 
 
-def _epoch_loop(rt, work: ResilientComm, st: _EpochState, meta: dict,
+def _epoch_loop(rt, work: Comm, st: _EpochState, meta: dict,
                 verdict: PoolVerdict) -> ResilientSortResult:
     """The recovery loop: run epochs until the pool rendezvous declares
     the sort done (or the attempt budget is exhausted).  ``verdict`` is
@@ -284,9 +277,9 @@ def _epoch_loop(rt, work: ResilientComm, st: _EpochState, meta: dict,
         work = _apply_recovery(work, st, ckpt, verdict)
 
 
-def _apply_recovery(work: ResilientComm, st: _EpochState,
+def _apply_recovery(work: Comm, st: _EpochState,
                     ckpt: BuddyCheckpointer | None,
-                    verdict: PoolVerdict) -> ResilientComm:
+                    verdict: PoolVerdict) -> Comm:
     """Move a surviving rank onto the recovered communicator: roll state
     back to the agreed resume phase and execute this rank's share of the
     planned replica transfers.  A failure *during* recovery revokes the
@@ -294,7 +287,7 @@ def _apply_recovery(work: ResilientComm, st: _EpochState,
     recoverable failure — the following rendezvous plans again."""
     t0 = work.clock
     new_pos = verdict.positions.index(work.world_rank)
-    nw = ResilientComm(verdict.state, new_pos)
+    nw = Comm(verdict.state, new_pos)
     _rollback(st, verdict)
     try:
         _run_transfers(nw, st, ckpt, verdict)
@@ -329,7 +322,7 @@ def _rollback(st: _EpochState, verdict: PoolVerdict) -> None:
         st.spec = None
 
 
-def _run_transfers(nw: ResilientComm, st: _EpochState,
+def _run_transfers(nw: Comm, st: _EpochState,
                    ckpt: BuddyCheckpointer | None,
                    verdict: PoolVerdict) -> None:
     """Execute this rank's share of the verdict's replica transfers.
@@ -382,7 +375,7 @@ def _load_replica(st: _EpochState, rep, resume: int) -> None:
         st.marker = PH_START
 
 
-def _checkpoint(ckpt: BuddyCheckpointer, work: ResilientComm,
+def _checkpoint(ckpt: BuddyCheckpointer, work: Comm,
                 st: _EpochState, phase: str | None) -> None:
     """Pipeline boundary callback: replicate ``st`` to the ring buddy."""
     if phase == "splitting":

@@ -69,10 +69,12 @@ class ChaosCase:
             delay_rate=0.1,
             degrade_links=1,
             crash_ranks=self.crash_ranks,
-            # a non-root rank's whole sort is ~30 operations (2 per
-            # collective: 3 set-up, 3-4 histogram rounds, the exact gather,
-            # then the exchange); a later trigger would never fire
-            crash_op_range=(5, 28),
+            # a rank's whole sort is ~10 operations, one per collective (3
+            # set-up, 1-3 histogram rounds, the exact gather, 3 of the
+            # exchange, the verification allgather; a checkpointed epoch adds
+            # 2 per ring exchange): from the key-range allreduce (op 1) on,
+            # a trigger in range fires
+            crash_op_range=(1, 9),
         )
         return FaultPlan(spec, seed=self.seed, size=self.size + self.spares)
 

@@ -16,10 +16,9 @@ Quick start::
 
 Fault tolerance: pass ``faults=FaultPlan(...)`` (see :mod:`repro.faults`)
 to inject deterministic message drops/duplications/delays and rank
-crashes; :mod:`repro.mpi.reliable` and :class:`~repro.mpi.resilient.
-ResilientComm` provide the ARQ p2p layer and drop-tolerant collectives,
-and ``comm.revoke()`` / ``comm.agree()`` / ``comm.shrink()`` implement
-ULFM-style recovery.
+crashes.  Collectives price the plan's link faults into their rendezvous;
+:mod:`repro.mpi.reliable` is the ARQ p2p layer, and ``comm.revoke()`` /
+``comm.agree()`` / ``comm.shrink()`` implement ULFM-style recovery.
 """
 
 from .checkpoint import PH_SORTED, PH_SPLIT, PH_START, BuddyCheckpointer, Replica
@@ -46,7 +45,6 @@ from .reliable import (
     reliable_send,
 )
 from .requests import Request, waitall
-from .resilient import ResilientComm
 from .runtime import Runtime, Stats, StatsSnapshot, run_spmd
 from .spare import PoolVerdict
 
@@ -80,7 +78,6 @@ __all__ = [
     "ReduceOp",
     "Replica",
     "Request",
-    "ResilientComm",
     "RetryPolicy",
     "Runtime",
     "SPMDError",

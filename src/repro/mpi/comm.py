@@ -18,9 +18,10 @@ communicator's condition:
    root, then)`` — MPI's rule that all ranks issue collectives in the same
    order, checked in every run — then *plans*: it combines the slots
    (applying the ``then=`` step of ``allreduce`` / ``allgather`` / ``bcast``
-   to the combined value, once), prices the operation and merges the
-   group's new virtual clocks, publishes ``done = N + 1`` and wakes the
-   others, who waited once;
+   to the combined value, once), prices the operation — with the fault
+   plan's link faults, when there is one — and merges the group's new
+   virtual clocks, publishes ``done = N + 1`` and wakes the others, who
+   waited once;
 3. every member takes its new clock and *picks* its result, unlocked: a
    copy of the combined value, or the ``then=`` result itself, shared.
 
@@ -114,7 +115,8 @@ class _CommState:
         # parity, the deposit buffers, each member's (op, root, then) and — when
         # checking or sanitizing — its (call site, sanitizer entry clock);
         # the members counted into the open generation, the number of
-        # completed generations and the last one's (shared value, new clocks)
+        # completed generations and the last one's (shared value, new clocks,
+        # fault-plan failure or None)
         self._seq = [0] * self.size
         self.slots: tuple[list[Any], list[Any]] = (
             [None] * self.size, [None] * self.size)
@@ -268,7 +270,12 @@ class _CommState:
         entry + cost``, stage by stage, as consecutive collectives would add
         them); every rank then takes its new clock and ``pick(slots, shared,
         idx)``, its result.  The traced payload size defaults to the
-        deposit's."""
+        deposit's.
+
+        Under a fault plan the last arriver also prices the plan's link
+        faults into each stage (:func:`~repro.mpi.reliable.collective_faults`);
+        a stage beyond repair completes the generation with every member
+        raising :class:`MessageTimeoutError` at the same clock."""
         rt = self.runtime
         wrank = self.world_ranks[idx]
         if rt._faults is not None:
@@ -309,33 +316,35 @@ class _CommState:
                     self._entry_max = float(latest)
                     stages = cost if isinstance(cost, tuple) else (cost,)
                     self._staged = len(stages) > 1
+                    failure = None
+                    if rt._faults is not None:
+                        from .reliable import collective_faults  # circular
+
+                        stages, failure = collective_faults(self, gen, name, latest, stages)
                     for stage in stages:
                         clocks = clocks + np.asarray(stage, dtype=np.float64)
-                    self.cell = shared, clocks
+                    self.cell = shared, clocks, failure
                     self.done = gen + 1
                     self.cond.notify_all()
         except BaseException:
             rt.abort()
             raise
         if not last:
-            reg = rt._registry
-            reg.block(wrank, "collective", self, op=name, site=site,
-                      can_progress=lambda: (self.done > gen
-                                            or self._broken(name) is not None))
-            try:
-                with self.cond:
-                    # Completion first: a collective whose result is agreed
-                    # returns on every member, whatever happened since.
-                    while self.done <= gen:
-                        broken = self._broken(name)
-                        if broken is not None:
-                            raise broken
-                        self.cond.wait()
-            finally:
-                reg.unblock(wrank)
+            self._wait(wrank, "collective", name,
+                       lambda: self.done > gen or self._broken(name) is not None,
+                       site=site)
+            # Completion first: a collective whose result is agreed returns
+            # on every member, whatever happened since.
+            if self.done <= gen:
+                raise self._broken(name)
+        shared, clocks, failure = self.cell
+        rt.clocks[wrank] = clocks if clocks.ndim == 0 else clocks[idx]
+        if failure is not None:
+            if rec is not None:
+                rec.record(wrank, f"{name}_timeout", "fault", t0, float(rt.clocks[wrank]),
+                           comm=self.trace_id, seq=gen)
+            raise MessageTimeoutError(failure)
         try:
-            shared, clocks = self.cell
-            rt.clocks[wrank] = clocks if clocks.ndim == 0 else clocks[idx]
             out = pick(slots, shared, idx)
         except BaseException:
             rt.abort()
@@ -404,7 +413,7 @@ class _CommState:
     ) -> bool:
         """Any reliable-layer wire message sitting in ``idx``'s mailbox?
         Read without the mailbox lock — callers are the quiescence arbiter
-        (mailboxes stable) and the ft wait loop (re-checked under
+        (mailboxes stable) and the rendezvous wait loop (re-checked under
         ``cond``, which orders against the sender's post-append
         notification).  ``exclude`` mirrors
         :func:`~repro.mpi.reliable.service_pending`: messages matching
@@ -428,8 +437,49 @@ class _CommState:
                 return True
         return False
 
+    def _wait(self, wr: int, kind: str, name: str, ready: Callable[[], bool],
+              comm: "Comm | None" = None, site: str = "") -> None:
+        """Block world rank ``wr`` on ``cond`` until ``ready()``, a predicate
+        the quiescence arbiter also reads lock-free (monotone: once true it
+        stays true).
+
+        Under a fault plan the wait keeps *servicing* ``comm``'s reliable
+        channels (acknowledging data, buffering payloads), as a blocked
+        receive does: the transport stays live while its user waits.
+        Without this, a peer whose last ack of the epoch was dropped would
+        retransmit into the void — everyone it could reach has moved into
+        the rendezvous and would never re-ack.  ``comm`` defaults to ``wr``'s
+        handle on this communicator; it may live on another state (the
+        spare-pool round meets on the world while the channels run on the
+        work communicator), so the drain looks at its own mailbox."""
+        reg = self.runtime._registry
+        drain = self.runtime._faults is not None
+        if drain and comm is None:
+            comm = Comm(self, self.world_ranks.index(wr))
+        reg.block(wr, kind, self, op=name, site=site, can_progress=(
+            (lambda: ready() or comm._state._pending_protocol(comm.rank))
+            if drain else ready))
+        try:
+            while True:
+                with self.cond:
+                    while not ready():
+                        if drain and comm._state._pending_protocol(comm.rank):
+                            # The drain below consumes what the predicate
+                            # shows: the arbiter holds its fire until repoll.
+                            reg.wake_ack(wr)
+                            break
+                        self.cond.wait()
+                    else:
+                        return
+                # Outside cond: acking sends would self-deadlock on its
+                # notification otherwise.
+                comm._service_channels()
+                reg.repoll(wr)
+        finally:
+            reg.unblock(wr)
+
     def ft_collective(self, idx: int, value: Any, combine, cost_fn,
-                      name: str, comm: "Comm | None" = None) -> Any:
+                      name: str, comm: "Comm") -> Any:
         """Fault-tolerant rendezvous (``agree``/``shrink``, the recovery pool
         round).
 
@@ -440,27 +490,12 @@ class _CommState:
         requirement and wake the waiters, so completion never hangs on a
         dead rank.  This path contains no crash checkpoints: a rank that
         deposits is guaranteed to read the result, which is what makes
-        completion sound.
-
-        While waiting, the rank keeps *servicing reliable-channel traffic*
-        (acknowledging data, buffering payloads) via ``comm`` — the ULFM
-        agreement runs over a live transport.  Without this, a peer whose
-        last ack of the epoch was dropped would retransmit into the void:
-        everyone it could reach has moved into the rendezvous and would
-        never re-ack, so its retry ladder is doomed no matter the policy.
+        completion sound.  While waiting, the rank services ``comm``'s
+        reliable channels (:meth:`_wait`): the ULFM agreement runs over a
+        live transport.
         """
         rt = self.runtime
-        reg = rt._registry
         wr = self.world_ranks[idx]
-        drain = comm is not None and rt._faults is not None
-
-        def pending() -> bool:
-            # ``comm`` may live on a *different* communicator state than the
-            # rendezvous (the spare-pool protocol runs on the world state
-            # while ARQ channels run on the work communicator): the drain
-            # check must look at the servicing comm's own mailbox.
-            return comm._state._pending_protocol(comm.rank)
-
         if self.aborted:
             raise self._aborted(f"runtime aborted before '{name}'")
         with self.cond:
@@ -471,34 +506,14 @@ class _CommState:
             self._ft_try_complete(gen, combine, cost_fn)
             done = gen in self.ft_results
         if not done:
-            def can_progress() -> bool:
-                return (self.aborted or gen in self.ft_results
-                        or self._ft_quorum(gen)
-                        or (drain and pending()))
-
-            reg.block(wr, "ft", self, op=name, can_progress=can_progress)
-            try:
-                while True:
-                    with self.cond:
-                        if self.aborted:
-                            raise self._aborted(
-                                f"runtime aborted during '{name}'")
-                        self._ft_try_complete(gen, combine, cost_fn)
-                        if gen in self.ft_results:
-                            break
-                        if not (drain and pending()):
-                            self.cond.wait()
-                        if drain:
-                            # The drain below consumes what the predicate
-                            # shows: the arbiter holds its fire until repoll.
-                            reg.wake_ack(wr)
-                    if drain:
-                        # Outside cond: acking sends would self-deadlock
-                        # on its notification otherwise.
-                        comm._service_channels()
-                        reg.repoll(wr)
-            finally:
-                reg.unblock(wr)
+            self._wait(wr, "ft", name,
+                       lambda: (self.aborted or gen in self.ft_results
+                                or self._ft_quorum(gen)),
+                       comm)
+            with self.cond:
+                if self.aborted:
+                    raise self._aborted(f"runtime aborted during '{name}'")
+                self._ft_try_complete(gen, combine, cost_fn)
         result, newclock, live = self.ft_results[gen]
         t0 = float(rt.clocks[wr])
         rt.clocks[wr] = max(t0, newclock)
@@ -711,8 +726,8 @@ class Comm:
                 self._post_mortem(dup, dest, wdest, _at is not None)
         if plan is not None and \
                 RELIABLE_BASE <= tag < RELIABLE_BASE + NAMESPACE_WIDTH:
-            # Wake ft-blocked members so they service the channel (the
-            # dest may already sit in agree/shrink; see ft_collective).
+            # Wake rendezvous-blocked members so they service the channel
+            # (the dest may already sit in a collective; see _wait).
             with self._state.cond:
                 self._state.cond.notify_all()
             # The dest may instead be waiting in the spare-pool rendezvous,
@@ -745,7 +760,7 @@ class Comm:
             # Dead for a reason other than an injected crash (e.g. an
             # error unwound the rank): no cut is defined, message dies.
             return
-        dcomm = type(self)(self._state, dest)
+        dcomm = Comm(self._state, dest)
         if dcomm._arrival(msg) > t_c:
             return
         from .reliable import _process  # circular at module level
@@ -852,7 +867,7 @@ class Comm:
         entry = float(rt.clocks[wr])
 
         # With faults active, a blocked receive doubles as a channel
-        # servicer (like the ft waits): reliable wire traffic on *other*
+        # servicer (like the rendezvous waits): reliable wire traffic on *other*
         # tags is acked/buffered from here, so a serviceable message can
         # never sit stranded at quiescence — whether its ack goes out
         # before a peer's virtual deadline must not depend on thread
@@ -1278,18 +1293,19 @@ class Comm:
         operations :meth:`agree` and :meth:`shrink` remain usable — that
         is the whole point: survivors revoke, agree on the outcome, and
         shrink to continue.  Idempotent and deliberately *local*: it
-        returns without waiting for other ranks.
+        returns without waiting for other ranks.  Every caller records its
+        own ``revoke`` span — which survivor gets here first is a wall-clock
+        race — and the first sets the flag and wakes the waiters.
         """
         state = self._state
-        if state.revoked:
-            return
-        state.revoked = True
         rec = self._rt.trace
         if rec is not None:
             now = float(self._rt.clocks[self.world_rank])
             rec.record(self.world_rank, "revoke", "fault", now, now,
                        comm=state.trace_id)
-        state.wake()
+        if not state.revoked:
+            state.revoked = True
+            state.wake()
 
     def agree(self, flag: Any = True) -> bool:
         """ULFM ``MPI_Comm_agree``: fault-tolerant logical-AND over the
@@ -1325,7 +1341,7 @@ class Comm:
         new_state, mapping = self._state.ft_collective(
             self._rank, None, combine, cost_fn, "shrink", comm=self
         )
-        return type(self)(new_state, mapping[self._rank])
+        return Comm(new_state, mapping[self._rank])
 
     def _service_channels(self, exclude: tuple[int, int] | None = None) -> int:
         """Drain and process pending reliable-layer wire traffic (clock

@@ -43,9 +43,12 @@ FIFO, so those arrivals — and therefore the modelled makespan — are a
 pure function of the fault plan's seed, independent of thread
 scheduling.
 
-Stop-and-wait keeps each ``(sender, dest, tag)`` channel in-order, so
-higher layers (:class:`~repro.mpi.resilient.ResilientComm`) can multiplex
-entire collectives over one channel tag.
+Stop-and-wait keeps each ``(sender, dest, tag)`` channel in-order; the
+buddy checkpoints (:mod:`repro.mpi.checkpoint`) ride on it.
+
+Collectives move no messages — the rendezvous combines deposits — so
+:func:`collective_faults` prices the same drops, duplicates and delays
+into them instead, with :data:`DEFAULT_POLICY`'s retry ladder.
 """
 
 from __future__ import annotations
@@ -53,19 +56,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..faults.detector import PhiAccrualDetector
 from .comm import ANY_SOURCE, Comm
 from .errors import CircuitOpenError, MessageTimeoutError
 from .tags import NAMESPACE_WIDTH, RELIABLE_BASE
 
 __all__ = ["RetryPolicy", "DEFAULT_POLICY", "ADAPTIVE_POLICY",
-           "reliable_send", "reliable_recv", "service_pending"]
+           "reliable_send", "reliable_recv", "service_pending",
+           "collective_faults"]
 
 _DATA = "d"
 _ACK = "a"
 
 #: fault-decision stream of acknowledgement messages (see FaultPlan.link_event)
 _ACK_STREAM = 1
+#: fault-decision stream of the messages a collective stands for
+_COLLECTIVE_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -137,8 +145,9 @@ class RetryPolicy:
 
 DEFAULT_POLICY = RetryPolicy()
 
-#: the resilient layer's default: phi-accrual-adapted deadlines plus a
-#: 3-strike circuit breaker (see :class:`repro.mpi.resilient.ResilientComm`)
+#: the checkpoint channel's policy (:class:`repro.mpi.checkpoint.
+#: BuddyCheckpointer`): phi-accrual-adapted deadlines plus a 3-strike
+#: circuit breaker
 ADAPTIVE_POLICY = RetryPolicy(adaptive=True, breaker_threshold=3)
 
 
@@ -476,3 +485,61 @@ def reliable_recv(
             service_pending(comm)
             return obj
         _dispatch(comm, tag, timeout, source, recv_from=source)
+
+
+def collective_faults(state, gen: int, name: str, start: float,
+                      stages: tuple) -> tuple[tuple, str | None]:
+    """The fault plan's price on generation ``gen`` of collective ``name``
+    on ``state``, computed once by the last arriver: ``(stages, failure)``.
+
+    The rendezvous moves no messages, so each priced stage stands for the
+    ones a message-passing collective would send: one from every other
+    member to member 0 and one back — for ``alltoall``/``alltoallv``, one
+    per ordered pair.  Attempt ``a`` of a message draws its fate from the
+    content identity ``(comm, generation, stage, a)``, as an ack does, so
+    the price is a pure function of the seed.  A dropped attempt costs
+    :data:`DEFAULT_POLICY`'s deadline for it; the delivered attempt's delay
+    and degraded-window penalty multiply the stage cost (its receiver's,
+    for a per-rank stage).  A stage ends at its slowest message.  A message
+    dropped on every attempt is beyond repair: its stage costs the whole
+    ladder and ends the list, and ``failure`` says which message it was.
+    """
+    rt = state.runtime
+    plan = rt._faults
+    ranks = state.world_ranks
+    p = len(ranks)
+    if name in ("alltoall", "alltoallv"):
+        links = [(i, j) for i in range(p) for j in range(p) if i != j]
+    else:
+        links = [(i, 0) for i in range(1, p)] + [(0, i) for i in range(1, p)]
+    policy = DEFAULT_POLICY
+    clocks = np.full(p, float(start))
+    priced = []
+    for s, stage in enumerate(stages):
+        cost = np.broadcast_to(np.asarray(stage, dtype=np.float64), (p,))
+        extra = np.zeros(p)
+        for src, dst in links:
+            waited = 0.0
+            for a in range(policy.max_attempts):
+                fate = plan.link_event(ranks[src], ranks[dst], _COLLECTIVE_STREAM,
+                                       (state.trace_id, gen, s, a))
+                if not fate.drop:
+                    break
+                rt._count_fault("dropped")
+                waited += policy.timeout(a)
+            else:
+                return (*priced, waited), (
+                    f"{name} on comm#{state.trace_id} (generation {gen}): its "
+                    f"message {ranks[src]} -> {ranks[dst]} was dropped on all "
+                    f"{policy.max_attempts} attempts")
+            if fate.duplicate:
+                rt._count_fault("duplicated")
+            penalty = fate.delay_factor + plan.degrade_factor(
+                ranks[src], ranks[dst], clocks[src] + waited)
+            if penalty:
+                rt._count_fault("delayed")
+            extra[dst] = max(extra[dst], waited + penalty * cost[dst])
+        stage = stage + (extra if np.ndim(stage) else extra.max())
+        priced.append(stage)
+        clocks = clocks + stage
+    return tuple(priced), None

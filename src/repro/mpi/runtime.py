@@ -297,6 +297,10 @@ class Runtime:
         #: ranks only (spares substitute into its positions)
         self.active_state = (self.world_state if spares == 0
                              else _CommState(self, range(size)))
+        #: are spares parked in the pool rendezvous?  From each run's start
+        #: until a verdict other than ``recover`` releases them
+        #: (:mod:`repro.mpi.spare`)
+        self.pool_open = False
         if trace:
             self.trace = TraceRecorder(self)
 
@@ -447,6 +451,7 @@ class Runtime:
         failures: dict[int, BaseException] = {}
         casualties: dict[int, BaseException] = {}
         failures_lock = threading.Lock()
+        self.pool_open = self.spares > 0
         self._registry.begin(on_deadlock=self.abort,
                              on_fire=self._count_detection)
 

@@ -222,19 +222,24 @@ def _pool_combine(rt, values: list, order: list[int], live: list[int]):
 def pool_round(rt, deposit: tuple, service_comm: Comm) -> PoolVerdict:
     """One pool rendezvous call.
 
-    Collective over the communicator being sorted; with spares in the
-    runtime — world ranks outside it that must take part — over the world.
-    ``service_comm`` is the caller's handle on the former (the world
-    handle for a parked spare): its reliable channels stay serviced while
-    blocked — see :meth:`_CommState.ft_collective`.
+    Collective over the communicator being sorted; while spares are parked
+    in the pool — world ranks outside it that must take part — over the
+    world.  A verdict other than ``recover`` releases them, so later rounds
+    (a second sort) meet as in a spare-less runtime.  ``service_comm`` is
+    the caller's handle on the sorted communicator (the world handle for a
+    parked spare): its reliable channels stay serviced while blocked — see
+    :meth:`_CommState.ft_collective`.
     """
-    if rt.spares:
+    if rt.pool_open:
         state, idx = rt.world_state, service_comm.world_rank
     else:
         state, idx = service_comm._state, service_comm.rank
 
     def combine(values, order, live):
-        return _pool_combine(rt, values, order, live)
+        verdict = _pool_combine(rt, values, order, live)
+        if verdict.kind != "recover":
+            rt.pool_open = False
+        return verdict
 
     def cost_fn(live_world, verdict):
         cost = rt.cost.allreduce(64, live_world)

@@ -33,7 +33,6 @@ __all__ = [
     "BITONIC_STAGE_BASE",
     "HYPERQUICKSORT_ROUND_BASE",
     "RELIABLE_BASE",
-    "RESILIENT_COLL_TAG",
     "CHECKPOINT_TAG",
     "USER_BASE",
     "NAMESPACES",
@@ -63,13 +62,8 @@ RELIABLE_BASE = 4 * NAMESPACE_WIDTH
 #: first base free for application / example code
 USER_BASE = 8 * NAMESPACE_WIDTH
 
-#: channel tag (inside the reliable namespaces) that the collectives of
-#: :class:`repro.mpi.resilient.ResilientComm` multiplex over
-RESILIENT_COLL_TAG = 500_000
-
-#: channel tag of the buddy-checkpoint replication ring and restore
-#: transfers (:mod:`repro.mpi.checkpoint`); disjoint from the resilient
-#: collective channel so recovery traffic never reorders data traffic
+#: channel tag (inside the reliable namespace) of the buddy-checkpoint
+#: replication ring and restore transfers (:mod:`repro.mpi.checkpoint`)
 CHECKPOINT_TAG = 500_001
 
 #: namespace name -> (base, owner module); consumed by the TAG-COLLISION rule

@@ -164,7 +164,7 @@ class WaitRegistry:
 
     def repoll(self, rank: int) -> None:
         """The waiter finished wake-up work that consumed progress invisibly
-        (e.g. an ft-blocked rank drained protocol traffic from its mailbox
+        (e.g. a rendezvous-blocked rank drained protocol traffic from its mailbox
         without leaving the BLOCKED state) and is about to wait again.
         This re-runs arbitration: the drain may have removed the last
         pending wake, leaving a deadline as the only way forward.  Must not

@@ -111,23 +111,23 @@ def make_chaos(workload: Sequence[JobSpec], *, seed: int = 1) -> ServiceChaos:
     """A crash schedule proportioned to ``workload``'s sort epochs.
 
     Injects two mid-epoch rank crashes, one in the first sort epoch
-    (which carries the fused cluster) and one in a later epoch.  Both
-    ``at_op`` values fall inside the splitter's three set-up collectives
-    (size allgather, key range, extreme-key bounds), which a checkpointed
-    epoch reaches after the 4 ops of its entry checkpoint and which cost a
-    non-root rank 2 ops each: late enough that packing and splitter
-    determination have started, and — unlike anything from the first
-    histogram round on — at the same op whatever the round count is (a
-    rank that finishes before its ``at_op`` never crashes).  Both victims
-    are non-root ranks: when the collectives' root dies inside one, which
-    survivor records the ``revoke`` span is a wall-clock race, and traced
-    replays stop being bit-identical.  Epoch ordinals count *sort* epochs
-    only, matching :class:`~repro.serve.service.ServiceChaos` semantics.
+    (which carries the fused cluster) and one in a later epoch.  A
+    checkpointed epoch spends its ops 0-3 on two ring exchanges (2 ops
+    each) and then one op per collective, so both ``at_op`` values fall
+    inside the splitter's three set-up collectives (size allgather at op 4,
+    key range at op 5, extreme-key bounds at op 6): late enough that
+    packing and splitter determination have started, and — unlike anything
+    from the first histogram round on — at the same op whatever the round
+    count is (a rank that finishes before its ``at_op`` never crashes).
+    Epoch ordinals count *sort* epochs only, matching
+    :class:`~repro.serve.service.ServiceChaos` semantics.
     """
     n_sorts = sum(1 for s in workload if s.kind == "sort")
-    crashes: dict[int, tuple[tuple[int, int], ...]] = {0: ((1, 8),)}
+    # rank 1 in the extreme-key bounds allreduce
+    crashes: dict[int, tuple[tuple[int, int], ...]] = {0: ((1, 6),)}
     if n_sorts > 2:
-        crashes[2] = ((3, 6),)
+        # rank 3 in the key-range allreduce
+        crashes[2] = ((3, 5),)
     return ServiceChaos(crashes=crashes, spares=2, seed=seed)
 
 

@@ -2,23 +2,31 @@
 
 Covers the building blocks :func:`repro.core.resilient.resilient_sort`
 stands on — virtual-time receive deadlines, the stop-and-wait ARQ layer
-healing drops/duplicates, and the ``revoke``/``agree``/``shrink``
-recovery triple — each in isolation, under a deterministic
-:class:`FaultPlan`.
+healing drops/duplicates, link faults priced into the collective
+rendezvous, and the ``revoke``/``agree``/``shrink`` recovery triple — each
+in isolation, under a deterministic :class:`FaultPlan`.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core import SortConfig, histogram_sort
+from repro.core.resilient import RecoveryExhaustedError
+from repro.data import make_partition
 from repro.faults import CrashEvent, FaultPlan, FaultSpec
+from repro.machine import abstract_cluster
 from repro.mpi import (
+    DEFAULT_POLICY,
     CommRevokedError,
     MessageTimeoutError,
     RankFailedError,
     ReduceOp,
     RetryPolicy,
+    Runtime,
     SPMDError,
+    payload_nbytes,
     reliable_recv,
     reliable_send,
 )
@@ -161,6 +169,23 @@ def test_shrink_after_injected_crash():
     assert all(r == (3, (0, 1, 3)) for r in live)
 
 
+class _OneAckDrop(FaultPlan):
+    """Drops the first ack-stream event only: seq 0's first ack dies, and
+    the retransmission's ack must get through."""
+
+    def __init__(self):
+        super().__init__(FaultSpec(), seed=1, size=2)
+        self._killed = False
+
+    def link_event(self, src, dst, stream=0, event=None):
+        ev = super().link_event(src, dst, stream, event)
+        if stream == 1 and not self._killed:
+            self._killed = True
+            return type(ev)(drop=True, duplicate=ev.duplicate,
+                            delay_factor=ev.delay_factor)
+        return ev
+
+
 def test_ft_waits_service_the_reliable_channel():
     # Two-generals corner: rank 1's ack for rank 0's *last* message is
     # dropped, and rank 1 immediately enters `agree`.  The rendezvous wait
@@ -174,24 +199,24 @@ def test_ft_waits_service_the_reliable_channel():
         ok = comm.agree(True)
         return (obj, ok)
 
-    # drop every ack-stream event once: seq 0's first ack dies, the
-    # retransmission's ack must get through via the ft drain
-    class _OneAckDrop(FaultPlan):
-        def __init__(self):
-            super().__init__(FaultSpec(), seed=1, size=2)
-            self._killed = False
-
-        def link_event(self, src, dst, stream=0, event=None):
-            ev = super().link_event(src, dst, stream, event)
-            if stream == 1 and not self._killed:
-                self._killed = True
-                return type(ev)(drop=True, duplicate=ev.duplicate,
-                                delay_factor=ev.delay_factor)
-            return ev
-
     results = spmd(2, prog, faults=_OneAckDrop(), timeout=WALL)
     assert results[0] == (2, True)  # one retransmission, then agreement
     assert results[1] == ("final", True)
+
+
+def test_collective_waits_service_the_reliable_channel():
+    # The same corner with a plain collective: rank 1 waits in the allreduce
+    # rendezvous while rank 0 retransmits, so the wait must ack it.
+    def prog(comm):
+        if comm.rank == 0:
+            got = reliable_send(comm, "final", 1, tag=9)
+        else:
+            got = reliable_recv(comm, 0, tag=9)
+        return (got, comm.allreduce(1))
+
+    results = spmd(2, prog, faults=_OneAckDrop(), timeout=WALL)
+    assert results[0] == (2, 2)
+    assert results[1] == ("final", 2)
 
 
 # ------------------------------------------------- the collective rendezvous
@@ -286,3 +311,81 @@ class TestCompletedCollective:
             spmd(self.P, prog, timeout=WALL)
         (failure,) = excinfo.value.failures.values()
         assert isinstance(failure, Boom)
+
+
+# ------------------------------------------------- priced collective faults
+
+
+def _cluster_sort(p, resilient, faults=None):
+    """Uniform u64, 4,096 keys per rank, four ranks per node."""
+    def prog(comm):
+        local = make_partition("uniform_u64", 4096, rank=comm.rank, seed=7)
+        return histogram_sort(comm, local, SortConfig(resilient=resilient))
+
+    rt = Runtime(p, machine=abstract_cluster(p // 4, cores_per_node=4),
+                 ranks_per_node=4, faults=faults)
+    return rt.run(prog, timeout=WALL), rt
+
+
+@pytest.mark.parametrize("p", [8, 16])
+def test_a_faultless_resilient_sort_is_priced_as_the_plain_one(p):
+    # the same collectives, then the verification allgather and the pool
+    # round: nothing else moves the clocks
+    plain, rt_plain = _cluster_sort(p, False)
+    res, rt = _cluster_sort(p, True)
+    ranks = range(p)
+    for a, b in zip(plain, res):
+        assert b.phases == a.phases
+        assert b.output.tobytes() == a.output.tobytes()
+    out = res[0].output
+    cell = (4096, int(out.size), float(out[0]), float(out[-1]))
+    verified = rt_plain.elapsed() + rt.cost.allgather(payload_nbytes(cell), ranks)
+    assert rt.elapsed() == verified + rt.cost.allreduce(64, ranks)
+    assert np.all(rt.clocks == rt.elapsed())
+
+
+def test_priced_faults_repeat_with_the_seed():
+    def once():
+        plan = FaultPlan(FaultSpec(drop_rate=0.2, dup_rate=0.1, delay_rate=0.1,
+                                   degrade_links=2), seed=5, size=8)
+        _, rt = _cluster_sort(8, False, plan)
+        return np.array(rt.clocks), rt.fault_stats.summary(), rt.fault_stats
+
+    clocks, summary, stats = once()
+    again, summary_again, _ = once()
+    assert np.array_equal(clocks, again)
+    assert summary == summary_again
+    assert stats.dropped and stats.duplicated and stats.delayed
+    _, rt_plain = _cluster_sort(8, False)
+    assert np.all(clocks > rt_plain.elapsed())  # retransmissions cost time
+
+
+def test_a_link_beyond_repair_times_out_every_member_without_an_abort():
+    ladder = sum(DEFAULT_POLICY.timeout(a) for a in range(DEFAULT_POLICY.max_attempts))
+
+    def prog(comm):
+        comm.compute(1e-3 * comm.rank)
+        try:
+            comm.allreduce(1)
+        except MessageTimeoutError:
+            # the runtime lives on: the fault-tolerant rendezvous completes
+            return comm.clock, comm.agree(True)
+        return None
+
+    p = 4
+    plan = FaultPlan(FaultSpec(drop_rate=1.0), seed=1, size=p)
+    out = spmd(p, prog, faults=plan, timeout=WALL)
+    entry = 1e-3 * (p - 1)
+    assert all(clock == entry + ladder and agreed for clock, agreed in out)
+
+
+def test_a_resilient_sort_on_a_dead_network_exhausts_recovery():
+    plan = FaultPlan(FaultSpec(drop_rate=1.0), seed=1, size=4)
+
+    def prog(comm):
+        return histogram_sort(comm, np.arange(16) * (comm.rank + 1),
+                              SortConfig(resilient=True, max_recovery_attempts=2))
+
+    with pytest.raises(SPMDError) as err:
+        spmd(4, prog, faults=plan, timeout=WALL)
+    assert all(isinstance(e, RecoveryExhaustedError) for e in err.value.failures.values())

@@ -54,10 +54,13 @@ def _expect(ranks, n):
     return np.sort(np.concatenate(parts))
 
 
-#: rank 3 dies in the first histogram round of the first epoch (its op 10,
-#: after the entry checkpoint and three set-up collectives), rank 1 inside the
-#: exact gather of the second epoch (its ops 27-28)
-MID_SPLITTING_AND_MID_GATHER = ((1, 28), (3, 10))
+#: rank 3 dies in the first histogram round of the first epoch (its op 7,
+#: after two ring exchanges of 2 ops and three set-up collectives of one),
+#: rank 1 in the exact gather allgather of the second epoch (its op 16: one
+#: retransmission in its first ring exchange, epoch 1 ends at op 8 in the
+#: round rank 3 died in, then a ring exchange, three set-up collectives and
+#: two histogram rounds)
+MID_SPLITTING_AND_MID_GATHER = ((1, 16), (3, 7))
 
 
 def _crash_plan(seed, size, *crashes, drop=0.05):
@@ -108,7 +111,8 @@ def test_shrink_fallback_salvages_when_spares_exhausted():
 def test_spares_without_checkpoint_report_lost_ranks():
     # substitution keeps p constant, but with no replicas the crashed
     # rank's partition is gone — and the result must say so
-    plan = _crash_plan(7, 5, (2, 25))
+    # op 2 of rank 2: the extreme-key bounds allreduce
+    plan = _crash_plan(7, 5, (2, 2))
     rt, live = _run(4, plan, spares=1, checkpoint=False)
     assert rt.fault_stats.crashed == [2]
     assert len(live) == 4
@@ -162,7 +166,9 @@ def test_recovery_epoch_exact_replay():
     # a full lossless recovery (crash + restore + substitution) replays
     # bit-identically: same makespan, clocks, fault tally, outputs
     def once():
-        plan = _crash_plan(23, 5, (1, 50), drop=0.15)
+        # op 5 of rank 1: the size allgather, after two ring exchanges
+        # (one send retransmitted)
+        plan = _crash_plan(23, 5, (1, 5), drop=0.15)
         rt, live = _run(4, plan, spares=1)
         assert rt.fault_stats.crashed == [1]
         outs = [r.output for r in sorted(live, key=lambda r: r.comm.rank)]

@@ -183,7 +183,8 @@ class TestCollectors:
     def test_a_crash_without_spares_counts_a_recovery_and_a_loss(self):
         # shrink-and-restart is a recovery of the one loop: it shows in the
         # same counters as a substitution, and the crashed rank's data is lost
-        plan = FaultPlan(FaultSpec(crashes=(CrashEvent(rank=1, at_op=11),)), seed=9, size=4)
+        # op 2 of rank 1: the splitter's extreme-key bounds allreduce
+        plan = FaultPlan(FaultSpec(crashes=(CrashEvent(rank=1, at_op=2),)), seed=9, size=4)
 
         def prog(comm):
             local = make_partition("uniform_u64", 64, rank=comm.rank, seed=3)

@@ -305,7 +305,9 @@ class TestThen:
         assert all(r.splitters.values is res.values for r in out)
         assert not res.values.flags.writeable
 
-    def test_a_resilient_sort_applies_it_on_every_rank(self):
+    def test_a_resilient_sort_validates_once_per_round_too(self):
+        # a resilient sort runs the plain collectives: one search state,
+        # stepped by the last arriver of each round
         p = 4
         parts = [make_partition("zipf_u64", 500, rank=r, seed=3) for r in range(p)]
         seam, calls = _counted(multiselect.accept_or_tighten)
@@ -315,6 +317,5 @@ class TestThen:
             ))
         res = out[0].splitters
         assert res.rounds > 2
-        assert len(calls) == p * (res.rounds - (res.gathered_keys > 0))
-        assert out[1].splitters.values is not res.values
-        np.testing.assert_array_equal(out[1].splitters.values, res.values)
+        assert len(calls) == res.rounds - (res.gathered_keys > 0)
+        assert all(r.splitters.values is res.values for r in out)

@@ -5,8 +5,9 @@ sorted, ragged per-rank sizes (empty ranks, ``n < p``), a key dtype, warm
 spares or none, buddy checkpoints or none, *which* communicator is sorted —
 the world, one ``split`` half while the other half idles, both halves at
 once — and a seeded :class:`FaultPlan`: message drops plus one crash of a
-member somewhere in its sort (ops 5..27, ``faults/chaos.py``'s range).  Over
-it, for every group that sorted:
+member somewhere in its sort (ops 1..9, ``faults/chaos.py``'s range: one op
+per collective, two per ring exchange).  Over it, for every group that
+sorted:
 
 * the outputs, concatenated in final rank order, are ``np.sort`` of the
   inputs of the initial ranks not named in ``lost``;
@@ -19,6 +20,8 @@ it, for every group that sorted:
 (``REPRO_HYPOTHESIS_PROFILE=deep`` for the long run).  The named cases below
 pin that the crash of the generated plans really fires where it matters.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -116,7 +119,7 @@ def _cases(draw):
         drop=draw(st.sampled_from((0.0, 0.05, 0.1))),
         # an initial rank of the (first) sorting group
         victim=draw(st.integers(0, p - 1)),
-        at_op=draw(st.integers(5, 27)),
+        at_op=draw(st.integers(1, 9)),
     )
 
 
@@ -131,8 +134,11 @@ def _run_case(case):
         return None
 
 
+#: op 5 of rank 2, the only rank holding keys: the exchange's alltoallv
+#: without checkpoints (three keys need no histogram round), the (gmin, gmax)
+#: allreduce after two ring exchanges with them
 EMPTY_BUT_ONE = dict(seed=11, sizes=(0, 0, 3, 0), dtype=np.float64, spares=0,
-                     drop=0.05, victim=2, at_op=9)
+                     drop=0.05, victim=2, at_op=5)
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -158,7 +164,11 @@ def test_recovered_sort_is_the_sort_of_what_was_not_lost(layout, checkpoint, cas
 # ------------------------------------------------ named cases: the crash fires
 
 
-def _sub(layout, checkpoint, victim=1, at_op=14):
+def _sub(layout, checkpoint, victim=1, at_op=3):
+    # op 3 of a split half's member, after the world split: the extreme-key
+    # bounds allreduce without checkpoints, the second ring exchange's send
+    # with them; in the world layout without checkpoints, the first
+    # histogram round
     return dict(seed=3, sizes=(64, 64, 64, 64), dtype=np.int64, spares=0,
                 checkpoint=checkpoint, layout=layout, drop=0.0, victim=victim,
                 at_op=at_op)
@@ -223,3 +233,24 @@ def test_spares_need_the_runtimes_own_communicator():
         Runtime(4, spares=1).run(prog, timeout=WALL)
     assert all(isinstance(e, ValueError) and "spares" in str(e)
                for e in err.value.failures.values())
+
+
+def test_a_second_sort_runs_after_the_spares_were_released():
+    # the first sort's verdict releases the parked spare; the second sort's
+    # pool round meets on the sorted communicator, as without spares
+    def prog(comm):
+        cfg = SortConfig(resilient=True)
+        first = histogram_sort(comm, np.arange(8) + comm.rank, cfg)
+        second = histogram_sort(comm, first.output[::-1], cfg)
+        return first.attempts, second.attempts
+
+    # five rank threads on fewer cores, switched often: the release is
+    # written by the last arriver and read by every later round
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            results = Runtime(4, spares=1).run(prog, timeout=WALL)
+            assert results == [(1, 1)] * 4 + [None]
+    finally:
+        sys.setswitchinterval(interval)

@@ -50,10 +50,10 @@ def test_drops_are_healed_without_recovery_epochs():
 
 
 def test_crash_recovery_completes_on_survivors():
-    # op 11 of rank 1 is inside the splitter's exact gather (its ops 10-11
-    # here: 3 set-up collectives, 2 histogram rounds, 2 ops each)
+    # op 2 of rank 1 is the splitter's extreme-key bounds allreduce (one op
+    # per collective: the size allgather, the key range, then this)
     plan = FaultPlan(
-        FaultSpec(drop_rate=0.05, crashes=(CrashEvent(rank=1, at_op=11),)),
+        FaultSpec(drop_rate=0.05, crashes=(CrashEvent(rank=1, at_op=2),)),
         seed=9, size=4,
     )
     rt, live = _run(4, plan)
@@ -69,8 +69,10 @@ def test_crash_recovery_completes_on_survivors():
 def test_same_seed_is_bit_identical():
     def once():
         plan = FaultPlan(
+            # ops 1..9: the key-range allreduce up to the verification
+            # allgather (one op per collective)
             FaultSpec(drop_rate=0.2, dup_rate=0.1, delay_rate=0.1,
-                      crash_ranks=1, crash_op_range=(5, 28)),
+                      crash_ranks=1, crash_op_range=(1, 9)),
             seed=13, size=4,
         )
         rt, live = _run(4, plan)
@@ -97,8 +99,9 @@ def test_inert_plan_matches_plain_run_bit_for_bit():
 
 def test_checker_stays_quiet_under_faults():
     plan = lambda: FaultPlan(  # noqa: E731 - fresh plan per run
+        # the key-range allreduce up to the verification allgather
         FaultSpec(drop_rate=0.2, dup_rate=0.1, crash_ranks=1,
-                  crash_op_range=(5, 28)),
+                  crash_op_range=(1, 9)),
         seed=21, size=4,
     )
     rt_plain, live_plain = _run(4, plan(), check=False)

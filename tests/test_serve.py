@@ -262,6 +262,16 @@ class TestDeterminism:
         for job_id in range(len(workload)):
             assert a.jobs[job_id].result.value == clean.jobs[job_id].result.value
 
+    def test_traced_chaos_replays_agree_on_the_revoke_spans(self):
+        # Every survivor meets a crash in the same rendezvous and revokes;
+        # which of them gets there first is a wall-clock race, so each
+        # records its own span, and the replays must not tell them apart.
+        chaos = make_chaos(make_workload(P, seed=0))
+        runs = [_served(trace=True, chaos=chaos)[0] for _ in range(6)]
+        revokes = [s for e in runs[0].events for s in e.get("spans", ()) if s[1] == "revoke"]
+        assert len(revokes) >= 2 * (P - 1)  # two crashes, every survivor
+        assert len({s.fingerprint() for s in runs}) == 1
+
 
 class TestChaos:
     def test_jobs_survive_mid_epoch_crashes(self):
