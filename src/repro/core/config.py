@@ -114,8 +114,10 @@ class SortConfig:
     #: (the §VI-E.1 optimisation); replaces the merge phase entirely.
     overlap_exchange: bool = False
     #: run the fault-tolerant driver (:mod:`repro.core.resilient`):
-    #: collectives ride the reliable p2p layer, and on a rank failure the
-    #: live ranks rendezvous, rebuild the communicator — a spare
+    #: the same collectives as a plain sort, whose rendezvous prices a
+    #: fault plan's drops, duplicates and delays as retransmissions, and
+    #: on a rank failure the live ranks rendezvous, rebuild the
+    #: communicator — a spare
     #: substituted where the runtime has one, shrunk otherwise — and
     #: resume; :func:`~repro.core.histsort.histogram_sort` then returns a
     #: :class:`~repro.core.resilient.ResilientSortResult`.

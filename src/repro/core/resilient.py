@@ -51,6 +51,7 @@ from ..mpi.checkpoint import (
     PH_SPLIT,
     PH_START,
     BuddyCheckpointer,
+    move,
 )
 from ..mpi.errors import CommRevokedError, MessageTimeoutError, RankFailedError
 from ..mpi.spare import PoolVerdict, pool_round
@@ -327,24 +328,28 @@ def _run_transfers(nw: Comm, st: _EpochState,
                    verdict: PoolVerdict) -> None:
     """Execute this rank's share of the verdict's replica transfers.
 
-    Every rank walks the same globally ordered transfer list; blocked
-    reliable operations service the whole channel, so the pairwise
-    sends/receives cannot deadlock.  A fresh substitute (``ckpt`` is
+    The restores are one :func:`~repro.mpi.checkpoint.move` over the new
+    communicator, which every member enters when there are any: a holder
+    ships its replica to its target.  A fresh substitute (``ckpt`` is
     ``None``: it holds no replica yet) only ever receives."""
-    for holder, target in verdict.restores:
-        if nw.rank == holder:
-            assert ckpt is not None
-            ckpt.restore_send(nw, target)
-        elif nw.rank == target:
-            # Dataless until the replica actually lands: if the transfer
-            # dies halfway we must not claim data we do not hold (the
-            # next rendezvous re-plans the restore from the live buddy).
-            st.local = np.empty(0, dtype=st.dtype)
-            st.origins = ()
-            st.work = None
-            st.spec = None
-            st.marker = PH_START
-            rep = BuddyCheckpointer.restore_recv(nw, holder)
+    if verdict.restores:
+        dest = payload = None
+        for holder, target in verdict.restores:
+            if nw.rank == holder:
+                assert ckpt is not None
+                dest, payload = target, ckpt.held
+            elif nw.rank == target:
+                # Dataless until the replica actually lands: if the transfer
+                # fails we must not claim data we do not hold (the next
+                # rendezvous re-plans the restore from the live buddy).
+                st.local = np.empty(0, dtype=st.dtype)
+                st.origins = ()
+                st.work = None
+                st.spec = None
+                st.marker = PH_START
+        rep = move(nw, "restore", dest, payload)
+        if rep is not None:
+            nw._rt._count_fault("restored")
             _load_replica(st, rep, verdict.resume_marker)
             if st.marker >= PH_SPLIT:
                 st.splitters = verdict.splitters

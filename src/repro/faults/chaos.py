@@ -72,7 +72,7 @@ class ChaosCase:
             # a rank's whole sort is ~10 operations, one per collective (3
             # set-up, 1-3 histogram rounds, the exact gather, 3 of the
             # exchange, the verification allgather; a checkpointed epoch adds
-            # 2 per ring exchange): from the key-range allreduce (op 1) on,
+            # its 3 ring exchanges): from the key-range allreduce (op 1) on,
             # a trigger in range fires
             crash_op_range=(1, 9),
         )

@@ -194,11 +194,11 @@ class FaultPlan:
 
         ``event`` replaces the per-link counter with an explicit event
         identity: the decision becomes a pure function of *what* is being
-        sent instead of *how many* messages preceded it on the link.  The
-        reliable layer uses it for acknowledgements — acks are reactive
-        (one per arrival), so counting them would let a thread-scheduling
-        race during epoch teardown (consume-then-ack vs. raise-first)
-        skew every later decision on the link.
+        sent instead of *how many* messages preceded it on the link.
+        Collectives use it for the messages they stand for
+        (:func:`~repro.mpi.reliable.collective_faults`): their fates are
+        drawn by whichever member arrives last, so no per-link counter
+        could be race-free.
         """
         if event is None:
             key = (src, dst, stream)
@@ -279,14 +279,13 @@ class FaultStats:
     Every counter here must stay a *pure function of the plan's seed* for
     runs that complete: the chaos harness replays a seed and compares
     summaries bit-for-bit.  The injection counters are advanced by the
-    sending rank at data-plane decision points; the detection/recovery
-    counters are advanced at virtual-time-deterministic events only
-    (fired quiescence deadlines, exhausted retry ladders, recovery epoch
-    transitions) — never at schedule-dependent points like ack
-    processing.  The one exception is the teardown window of a *failing*
-    run: between one rank's raise and the abort reaching its peers, a
-    peer mid-retry-ladder may squeeze in a few more counted events, so
-    the chaos harness compares only error classes (not tallies) for
+    sending rank, or a collective's last arriver, at data-plane decision
+    points; the detection/recovery counters are advanced at
+    virtual-time-deterministic events only (fired quiescence deadlines,
+    recovery epoch transitions).  The one exception is the teardown
+    window of a *failing* run: between one rank's raise and the abort
+    reaching its peers, a peer may squeeze in a few more counted events,
+    so the chaos harness compares only error classes (not tallies) for
     error outcomes.
     """
 
@@ -296,9 +295,6 @@ class FaultStats:
     crashed: list[int] = field(default_factory=list)
     #: virtual deadlines fired by the quiescence arbiter (failure suspicions)
     detections: int = 0
-    #: per-link circuit breakers that tripped open (retry budget exhausted
-    #: ``breaker_threshold`` times in a row)
-    breaker_trips: int = 0
     #: recovery epochs that rebuilt a communicator (spare substitution or
     #: shrink) after a failure
     recoveries: int = 0
@@ -314,9 +310,8 @@ class FaultStats:
     def summary(self) -> str:
         s = (f"dropped={self.dropped} duplicated={self.duplicated} "
              f"delayed={self.delayed} crashed={sorted(self.crashed)}")
-        if self.detections or self.breaker_trips:
-            s += (f" detections={self.detections} "
-                  f"breaker_trips={self.breaker_trips}")
+        if self.detections:
+            s += f" detections={self.detections}"
         if self.recoveries or self.checkpoints:
             s += (f" recoveries={self.recoveries} spares={self.spares_used} "
                   f"checkpoints={self.checkpoints} restored={self.restored} "

@@ -65,8 +65,8 @@ def collect_runtime(
         "repro_ranks", "World size of the last observed run", names
     ).labels(**base).set(runtime.size)
 
-    # Control-plane traffic (ARQ acks/retransmissions, buddy checkpoints,
-    # heartbeats) is accounted separately from the data-plane families
+    # Control-plane traffic (buddy checkpoints and restores) is
+    # accounted separately from the data-plane families
     # above, so repro_bytes_on_wire_total stays comparable across runs
     # with and without the recovery machinery enabled.
     ctl_names = names + ("kind",)
@@ -96,7 +96,6 @@ def collect_runtime(
         ("delayed", fs.delayed),
         ("crashed", len(fs.crashed)),
         ("detections", fs.detections),
-        ("breaker_trips", fs.breaker_trips),
         ("recoveries", fs.recoveries),
         ("spares_used", fs.spares_used),
         ("checkpoints", fs.checkpoints),

@@ -16,16 +16,15 @@ Quick start::
 
 Fault tolerance: pass ``faults=FaultPlan(...)`` (see :mod:`repro.faults`)
 to inject deterministic message drops/duplications/delays and rank
-crashes.  Collectives price the plan's link faults into their rendezvous;
-:mod:`repro.mpi.reliable` is the ARQ p2p layer, and ``comm.revoke()`` /
-``comm.agree()`` / ``comm.shrink()`` implement ULFM-style recovery.
+crashes.  Collectives price the plan's link faults into their rendezvous
+(:mod:`repro.mpi.reliable`), and ``comm.revoke()`` / ``comm.agree()`` /
+``comm.shrink()`` implement ULFM-style recovery.
 """
 
 from .checkpoint import PH_SORTED, PH_SPLIT, PH_START, BuddyCheckpointer, Replica
 from .comm import ANY_SOURCE, ANY_TAG, Comm
 from .errors import (
     Aborted,
-    CircuitOpenError,
     CollectiveMismatchError,
     CommRevokedError,
     CommunicatorError,
@@ -37,24 +36,16 @@ from .errors import (
 )
 from .ops import LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM, ReduceOp
 from .payload import copy_payload, payload_nbytes
-from .reliable import (
-    ADAPTIVE_POLICY,
-    DEFAULT_POLICY,
-    RetryPolicy,
-    reliable_recv,
-    reliable_send,
-)
+from .reliable import DEFAULT_POLICY, RetryPolicy
 from .requests import Request, waitall
 from .runtime import Runtime, Stats, StatsSnapshot, run_spmd
 from .spare import PoolVerdict
 
 __all__ = [
-    "ADAPTIVE_POLICY",
     "ANY_SOURCE",
     "ANY_TAG",
     "Aborted",
     "BuddyCheckpointer",
-    "CircuitOpenError",
     "CollectiveMismatchError",
     "Comm",
     "CommRevokedError",
@@ -86,8 +77,6 @@ __all__ = [
     "StatsSnapshot",
     "copy_payload",
     "payload_nbytes",
-    "reliable_recv",
-    "reliable_send",
     "run_spmd",
     "waitall",
 ]

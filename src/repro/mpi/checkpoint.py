@@ -1,13 +1,12 @@
-"""Buddy checkpointing: in-memory partition replication over the ARQ ring.
+"""Buddy checkpointing: in-memory partition replication around a ring.
 
 Diskless checkpoint/restart in the style of Plank's diskless
 checkpointing and the buddy schemes of SCR/Fenix: at every phase
 boundary of an epoch, each rank replicates its partition and a
 *phase-progress marker* to its **buddy** — the occupant of the next ring
-position, ``(pos + 1) % p`` — over the reliable (ARQ) channel
-:data:`~repro.mpi.tags.CHECKPOINT_TAG`.  The replica lives in the
-buddy's process memory (here: its rank thread's
-:class:`BuddyCheckpointer` instance), so the failure model is honest:
+position, ``(pos + 1) % p``.  The replica lives in the buddy's process
+memory (here: its rank thread's :class:`BuddyCheckpointer` instance), so
+the failure model is honest:
 
 * a rank crash destroys that rank's *own* state **and every replica it
   held for others** — the thread unwinds and the checkpointer object
@@ -18,16 +17,14 @@ buddy's process memory (here: its rank thread's
   counts it in ``FaultStats.lost`` and the chaos oracle subtracts it
   from the conservation check.
 
-The ring exchange is deadlock-free even though the ARQ sender blocks for
-its acknowledgement: every blocked reliable operation *services the
-whole channel* (see :mod:`repro.mpi.reliable`), so a ring of
-``reliable_send``s to successors completes — each rank acknowledges its
-predecessor's replica while waiting for its own ack.
-
-All checkpoint traffic is control-plane (``control="checkpoint"``): it
-is tallied in :meth:`Stats.record_control` instead of the data-plane
-byte counters, so ``wire_bytes`` stays comparable between runs with and
-without checkpointing.
+A ring exchange, like a restore after a failure, is one collective,
+:func:`move`: it rides the same rendezvous as the sort's own collectives,
+so a fault plan's drops, duplicates and delays are priced into it on the
+links that carry a replica, and a link beyond repair raises
+:class:`~repro.mpi.errors.MessageTimeoutError` on every member.  Its bytes
+are control-plane traffic (``Stats.record_control(..., "checkpoint")``),
+so ``wire_bytes`` stays comparable between runs with and without
+checkpointing.
 
 Phase markers
 -------------
@@ -53,12 +50,11 @@ from typing import Any
 import numpy as np
 
 from .comm import Comm
-from .reliable import ADAPTIVE_POLICY, RetryPolicy, reliable_recv, reliable_send
-from .tags import CHECKPOINT_TAG
+from .payload import copy_payload, payload_nbytes
 
 __all__ = [
     "PH_START", "PH_SORTED", "PH_SPLIT", "MARKER_NAMES",
-    "Replica", "BuddyCheckpointer",
+    "Replica", "BuddyCheckpointer", "move",
 ]
 
 #: epoch entered; replica payload is the input partition
@@ -90,6 +86,12 @@ class Replica:
     spec: Any = None
     dtype: Any = None
 
+    @property
+    def nbytes(self) -> int:
+        """Wire size: the partition plus its header (owner, marker, origins)."""
+        return int(self.data.nbytes) + payload_nbytes(
+            (self.owner_pos, self.marker, self.origins))
+
     def unpacked(self) -> np.ndarray:
         """The replica's payload as unpacked (original-key) elements."""
         if self.spec is None:
@@ -97,6 +99,47 @@ class Replica:
         from ..core.keys import unpack_keys
 
         return unpack_keys(self.data, self.spec, dtype=self.dtype)
+
+
+def _nbytes(payload: Any) -> int:
+    return payload.nbytes if isinstance(payload, Replica) else payload_nbytes(payload)
+
+
+def move(comm: Comm, name: str, dest: int | None, payload: Any) -> Any:
+    """One collective ``name`` over ``comm`` in which each member sends
+    ``payload`` to member ``dest`` (nothing when ``dest`` is ``None``) and
+    gets back what was sent to it, or ``None``; at most one payload may be
+    sent to any member.
+
+    Priced by :meth:`~repro.machine.cost.CostModel.alltoallv_per_rank`
+    over the volume matrix of what moves; under a fault plan only the
+    pairs that move something draw link fates.  The bytes are accounted
+    as ``"checkpoint"`` control traffic, one message per payload.
+    """
+    state = comm._state
+    rt = comm._rt
+    ranks = state.world_ranks
+
+    def plan(slots: list[Any]) -> Any:
+        vols = np.zeros((len(slots), len(slots)))
+        senders = {}
+        for i, (to, obj) in enumerate(slots):
+            if to is not None:
+                vols[i, to] = nbytes = _nbytes(obj)
+                senders[to] = i
+                rt.stats.record_control(ranks[i], nbytes, "checkpoint")
+        return senders, rt.cost.alltoallv_per_rank(vols, ranks), 0
+
+    def pick(slots: list[Any], senders: dict[int, int], idx: int) -> Any:
+        src = senders.get(idx)
+        return None if src is None else copy_payload(slots[src][1])
+
+    def links(slots: list[Any]) -> list[tuple[int, int]]:
+        return [(i, to) for i, (to, _) in enumerate(slots) if to is not None]
+
+    return state.collective(comm.rank, name, (dest, payload), plan, pick,
+                            trace_bytes=0 if dest is None else _nbytes(payload),
+                            links=links)
 
 
 class BuddyCheckpointer:
@@ -109,43 +152,26 @@ class BuddyCheckpointer:
     agreement changes no data).
     """
 
-    def __init__(self, policy: RetryPolicy = ADAPTIVE_POLICY):
-        self.policy = policy
+    def __init__(self) -> None:
         #: the predecessor's replica (None until the first ring exchange)
         self.held: Replica | None = None
-
-    # ------------------------------------------------------------------ ring
 
     def _ring(self, comm: Comm, payload: Replica | tuple) -> None:
         """One ring exchange: send ``payload`` to the successor, hold what
         the predecessor sent.  ``p == 1`` degenerates to self-buddying —
         the replica dies with its owner either way, so nothing travels."""
         p = comm.size
-        if p == 1:
-            if isinstance(payload, Replica):
-                self.held = payload
-            else:  # marker-only update of the (self-held) replica
-                if self.held is not None:
-                    self.held.marker = payload[1]
-            return
-        succ = (comm.rank + 1) % p
-        pred = (comm.rank - 1) % p
-        reliable_send(comm, payload, succ, CHECKPOINT_TAG, self.policy,
-                      control="checkpoint")
-        got = reliable_recv(comm, pred, CHECKPOINT_TAG)
+        got = payload if p == 1 else move(comm, "checkpoint", (comm.rank + 1) % p, payload)
         if isinstance(got, Replica):
             self.held = got
         elif self.held is not None and self.held.owner_pos == got[0]:
             self.held.marker = got[1]
 
-    # ------------------------------------------------------------------- API
-
     def save(self, comm: Comm, marker: int, origins: tuple[int, ...],
              data: np.ndarray, spec: Any = None, dtype: Any = None) -> None:
         """Replicate this rank's partition at a phase boundary.
 
-        Collective over the ring: every rank must call it (the successor
-        is blocked receiving).  Counted in ``FaultStats.checkpoints``
+        Collective over ``comm``.  Counted in ``FaultStats.checkpoints``
         (deterministic: one per rank per boundary reached).
         """
         comm._rt._count_fault("checkpoints")
@@ -157,22 +183,6 @@ class BuddyCheckpointer:
     def save_marker(self, comm: Comm, marker: int) -> None:
         """Advance only the progress marker at the buddy (splitter
         agreement: the data is unchanged, so a full replica would waste
-        a partition's worth of wire).  Collective over the ring."""
+        a partition's worth of wire).  Collective over ``comm``."""
         comm._rt._count_fault("checkpoints")
         self._ring(comm, (comm.rank, marker))
-
-    # ------------------------------------------------------------- transfers
-
-    def restore_send(self, comm: Comm, target: int) -> None:
-        """Ship the held replica to ``target`` (a substitute or a dataless
-        survivor) over the checkpoint channel of the *new* communicator."""
-        assert self.held is not None
-        reliable_send(comm, self.held, target, CHECKPOINT_TAG, self.policy,
-                      control="checkpoint")
-
-    @staticmethod
-    def restore_recv(comm: Comm, holder: int) -> Replica:
-        """Receive a replica from ``holder``; counted as a restore."""
-        rep = reliable_recv(comm, holder, CHECKPOINT_TAG)
-        comm._rt._count_fault("restored")
-        return rep

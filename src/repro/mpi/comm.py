@@ -57,7 +57,6 @@ from .errors import (
 from .ops import SUM, ReduceOp
 from .payload import copy_payload, payload_nbytes
 from .requests import Request, _DoneRequest, _IRecvRequest
-from .tags import NAMESPACE_WIDTH, RELIABLE_BASE
 from .waitstate import call_site
 
 ANY_SOURCE = -1
@@ -86,18 +85,12 @@ class _Mailbox:
         self.cond = threading.Condition()
         self.messages: list[_Message] = []
 
-    def find(self, source: int, tag: int, *, remove: bool,
-             visible=None) -> _Message | None:
-        """First message matching (source, tag); wildcards are ``-1``.
-
-        ``visible`` optionally filters matches: messages it rejects are
-        skipped (and left in place) as if they had not arrived yet — the
-        reliable layer uses this to keep data a crash-pending rank may
-        not ack yet out of its channel waits."""
+    def find(self, source: int, tag: int, *, remove: bool) -> _Message | None:
+        """First message matching (source, tag); wildcards are ``-1``."""
         for i, m in enumerate(self.messages):
             if (source == ANY_SOURCE or m.src == source) and (
                 tag == ANY_TAG or m.tag == tag
-            ) and (visible is None or visible(m)):
+            ):
                 return self.messages.pop(i) if remove else m
         return None
 
@@ -140,26 +133,6 @@ class _CommState:
         self.ft_count = [0] * self.size
         self.ft_deposits: dict[int, dict[int, tuple[Any, float]]] = {}
         self.ft_results: dict[int, tuple[Any, float, list[int]]] = {}
-        # reliable p2p bookkeeping, all keyed (own rank, peer, tag): send
-        # sequence counters, highest (ack seq, arrival), highest in-order
-        # delivery, buffered (payload, arrival) pairs awaiting consumption,
-        # and per-sequence ack transmission counts.  Every key's first
-        # element is the rank that touches it, so no locking is needed.
-        self.rel_seq: dict[tuple[int, int, int], int] = {}
-        self.rel_acked: dict[tuple[int, int, int], tuple[int, float]] = {}
-        self.rel_delivered: dict[tuple[int, int, int], int] = {}
-        self.rel_buf: dict[tuple[int, int, int], list[tuple[Any, float]]] = {}
-        self.rel_ackseq: dict[tuple[int, int, int, int], int] = {}
-        # per-sequence data arrivals already acknowledged: duplicate
-        # copies of one transmission share an arrival and get ONE ack
-        # (see _process — a second ack with its own fate would make the
-        # sender's release time depend on processing order)
-        self.rel_ack_sent: dict[tuple[int, int, int, int], list[float]] = {}
-        # adaptive-ARQ extensions, same (own rank, peer, tag) ownership
-        # discipline: per-link phi-accrual arrival histories and per-link
-        # consecutive retry-budget exhaustions (the circuit breaker).
-        self.rel_detect: dict[tuple[int, int, int], Any] = {}
-        self.rel_breaker: dict[tuple[int, int, int], int] = {}
         #: serial number of this communicator (set by the runtime registry);
         #: together with the collective generation it matches the spans of
         #: one collective invocation across ranks.
@@ -260,6 +233,7 @@ class _CommState:
         root: int | None = None,
         then: bool = False,
         trace_bytes: int | None = None,
+        links: Callable[[list[Any]], list[tuple[int, int]]] | None = None,
     ) -> Any:
         """The one collective skeleton.  The last arriver raises
         :class:`CollectiveMismatchError` unless every member called ``(name,
@@ -273,9 +247,10 @@ class _CommState:
         deposit's.
 
         Under a fault plan the last arriver also prices the plan's link
-        faults into each stage (:func:`~repro.mpi.reliable.collective_faults`);
-        a stage beyond repair completes the generation with every member
-        raising :class:`MessageTimeoutError` at the same clock."""
+        faults into each stage (:func:`~repro.mpi.reliable.collective_faults`)
+        — on the ``(src, dst)`` member pairs ``links(slots)`` names, when
+        given; a stage beyond repair completes the generation with every
+        member raising :class:`MessageTimeoutError` at the same clock."""
         rt = self.runtime
         wrank = self.world_ranks[idx]
         if rt._faults is not None:
@@ -320,7 +295,9 @@ class _CommState:
                     if rt._faults is not None:
                         from .reliable import collective_faults  # circular
 
-                        stages, failure = collective_faults(self, gen, name, latest, stages)
+                        stages, failure = collective_faults(
+                            self, gen, name, latest, stages,
+                            None if links is None else links(slots))
                     for stage in stages:
                         clocks = clocks + np.asarray(stage, dtype=np.float64)
                     self.cell = shared, clocks, failure
@@ -408,78 +385,22 @@ class _CommState:
         return all(idx in deps or self.world_ranks[idx] in failed
                    for idx in range(self.size))
 
-    def _pending_protocol(
-        self, idx: int, exclude: tuple[int, int] | None = None
-    ) -> bool:
-        """Any reliable-layer wire message sitting in ``idx``'s mailbox?
-        Read without the mailbox lock — callers are the quiescence arbiter
-        (mailboxes stable) and the rendezvous wait loop (re-checked under
-        ``cond``, which orders against the sender's post-append
-        notification).  ``exclude`` mirrors
-        :func:`~repro.mpi.reliable.service_pending`: messages matching
-        that receive pattern belong to the wait itself, not the channel
-        servicer.  Data the rank may not ack yet — a crash-pending rank's
-        clock-bounded servicing, :func:`~repro.mpi.reliable.deferred` —
-        does not count: waking for it would spin, since the drain leaves
-        it in place."""
-        comm = None
-        for m in self.mailboxes[idx].messages:
-            if RELIABLE_BASE <= m.tag < RELIABLE_BASE + NAMESPACE_WIDTH:
-                if exclude is not None \
-                        and (exclude[0] < 0 or m.src == exclude[0]) \
-                        and (exclude[1] < 0 or m.tag == exclude[1]):
-                    continue
-                if comm is None:
-                    from .reliable import deferred
-                    comm = Comm(self, idx)
-                if deferred(comm, m):
-                    continue
-                return True
-        return False
-
     def _wait(self, wr: int, kind: str, name: str, ready: Callable[[], bool],
-              comm: "Comm | None" = None, site: str = "") -> None:
+              site: str = "") -> None:
         """Block world rank ``wr`` on ``cond`` until ``ready()``, a predicate
         the quiescence arbiter also reads lock-free (monotone: once true it
-        stays true).
-
-        Under a fault plan the wait keeps *servicing* ``comm``'s reliable
-        channels (acknowledging data, buffering payloads), as a blocked
-        receive does: the transport stays live while its user waits.
-        Without this, a peer whose last ack of the epoch was dropped would
-        retransmit into the void — everyone it could reach has moved into
-        the rendezvous and would never re-ack.  ``comm`` defaults to ``wr``'s
-        handle on this communicator; it may live on another state (the
-        spare-pool round meets on the world while the channels run on the
-        work communicator), so the drain looks at its own mailbox."""
+        stays true)."""
         reg = self.runtime._registry
-        drain = self.runtime._faults is not None
-        if drain and comm is None:
-            comm = Comm(self, self.world_ranks.index(wr))
-        reg.block(wr, kind, self, op=name, site=site, can_progress=(
-            (lambda: ready() or comm._state._pending_protocol(comm.rank))
-            if drain else ready))
+        reg.block(wr, kind, self, op=name, site=site, can_progress=ready)
         try:
-            while True:
-                with self.cond:
-                    while not ready():
-                        if drain and comm._state._pending_protocol(comm.rank):
-                            # The drain below consumes what the predicate
-                            # shows: the arbiter holds its fire until repoll.
-                            reg.wake_ack(wr)
-                            break
-                        self.cond.wait()
-                    else:
-                        return
-                # Outside cond: acking sends would self-deadlock on its
-                # notification otherwise.
-                comm._service_channels()
-                reg.repoll(wr)
+            with self.cond:
+                while not ready():
+                    self.cond.wait()
         finally:
             reg.unblock(wr)
 
     def ft_collective(self, idx: int, value: Any, combine, cost_fn,
-                      name: str, comm: "Comm") -> Any:
+                      name: str) -> Any:
         """Fault-tolerant rendezvous (``agree``/``shrink``, the recovery pool
         round).
 
@@ -490,9 +411,7 @@ class _CommState:
         requirement and wake the waiters, so completion never hangs on a
         dead rank.  This path contains no crash checkpoints: a rank that
         deposits is guaranteed to read the result, which is what makes
-        completion sound.  While waiting, the rank services ``comm``'s
-        reliable channels (:meth:`_wait`): the ULFM agreement runs over a
-        live transport.
+        completion sound.
         """
         rt = self.runtime
         wr = self.world_ranks[idx]
@@ -508,8 +427,7 @@ class _CommState:
         if not done:
             self._wait(wr, "ft", name,
                        lambda: (self.aborted or gen in self.ft_results
-                                or self._ft_quorum(gen)),
-                       comm)
+                                or self._ft_quorum(gen)))
             with self.cond:
                 if self.aborted:
                     raise self._aborted(f"runtime aborted during '{name}'")
@@ -609,56 +527,31 @@ class Comm:
 
     # ------------------------------------------------------------------- p2p
 
-    def send(self, obj: Any, dest: int, tag: int = 0, *,
-             _at: float | None = None, _stream: int = 0,
-             _event: tuple[int, ...] | None = None,
-             _control: str | None = None) -> None:
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Buffered (eager) send: never blocks.
 
         Under a fault plan the message may be dropped, duplicated, or
         tagged with a delay penalty — decided deterministically from the
-        plan's seed and this link's per-stream send counter.  Sends to
-        crashed ranks are silently buffered into the dead mailbox (like
-        an eager MPI send whose peer died): failure surfaces at the
-        *receiving* side, which keeps the sender's behaviour independent
-        of crash timing.
-
-        ``_at`` (protocol-internal, used for the reliable layer's acks)
-        stamps the message with the given causal departure time instead
-        of this rank's clock and leaves the clock untouched, so the
-        timestamp is independent of what else this rank happened to be
-        doing — a prerequisite for deterministic virtual times under
-        faults.  ``_at`` sends are not crash checkpoints.
-
-        ``_control`` classifies the payload as control-plane traffic of
-        the named kind (``"arq"`` acks/retransmissions, ``"checkpoint"``
-        buddy replication, ``"heartbeat"``): it is tallied in
-        :meth:`Stats.record_control` instead of the data-plane
-        ``bytes_sent`` counters, keeping ``wire_bytes`` comparable across
-        runs with and without the recovery machinery.
+        plan's seed and this link's send counter.  Sends to crashed ranks
+        are silently buffered into the dead mailbox (like an eager MPI send
+        whose peer died): failure surfaces at the *receiving* side, which
+        keeps the sender's behaviour independent of crash timing.
         """
         self._check_peer(dest)
         rt = self._rt
         plan = rt._faults
-        if plan is not None and _at is None:
+        if plan is not None:
             rt.maybe_crash(self.world_rank)
         nbytes = payload_nbytes(obj)
-        t0 = self.clock if _at is None else _at
+        t0 = self.clock
         departure = t0 + rt.cost.software_overhead
-        if _at is None:
-            self.clock = departure
+        self.clock = departure
         msg = _Message(self._rank, tag, copy_payload(obj), departure, nbytes)
-        if _control is None:
-            rt.stats.record_send(self.world_rank, nbytes)
-        else:
-            rt.stats.record_control(self.world_rank, nbytes, _control)
+        rt.stats.record_send(self.world_rank, nbytes)
         rec = rt.trace
         wdest = self._state.world_ranks[dest]
         san = rt.sanitizer
-        if san is not None and _at is None:
-            # Protocol (``_at``) sends are reactive retransmissions; their
-            # delivery timing is thread-scheduling dependent, so they carry
-            # no happens-before annotation (the data-plane copy already did).
+        if san is not None:
             msg.san = san.on_send(self.world_rank, obj, wdest, tag)
         if rec is not None:
             rec.record(
@@ -674,99 +567,33 @@ class Comm:
             )
         fault = None
         if plan is not None:
-            fault = plan.link_event(self.world_rank, wdest, _stream, _event)
+            fault = plan.link_event(self.world_rank, wdest)
             penalty = fault.delay_factor + plan.degrade_factor(
                 self.world_rank, wdest, departure
             )
-            # Protocol (``_at``) sends are reactive — whether the very last
-            # ack of a dying epoch goes out depends on thread scheduling —
-            # so only data-plane faults are tallied; that keeps FaultStats
-            # a pure function of the seed.
             if penalty:
                 msg.penalty = penalty
-                if _at is None:
-                    rt._count_fault("delayed")
+                rt._count_fault("delayed")
             if fault.drop:
-                if _at is None:
-                    rt._count_fault("dropped")
+                rt._count_fault("dropped")
                 if rec is not None:
                     rec.record(self.world_rank, "drop", "fault", t0, departure,
                                peer=wdest, tag=tag, bytes=nbytes)
                 return
         mb = self._state.mailboxes[dest]
-        # Reliable wire traffic to a crashed rank diverts to the
-        # post-mortem path — the failed check shares the mailbox
-        # condition with the crash-time drain's scan, so a message is
-        # always either drained by the dying rank or diverted here,
-        # never stranded in the dead mailbox by the race between the
-        # deposit and the crash.
-        divert = (plan is not None
-                  and RELIABLE_BASE <= tag < RELIABLE_BASE + NAMESPACE_WIDTH)
         with mb.cond:
-            dead = divert and wdest in rt.failed_ranks
-            if not dead:
-                mb.messages.append(msg)
-                mb.cond.notify_all()
-        if dead:
-            self._post_mortem(msg, dest, wdest, _at is not None)
+            mb.messages.append(msg)
+            mb.cond.notify_all()
         if fault is not None and fault.duplicate:
-            if _at is None:
-                rt._count_fault("duplicated")
+            rt._count_fault("duplicated")
             if rec is not None:
                 rec.record(self.world_rank, "dup", "fault", t0, departure,
                            peer=wdest, tag=tag, bytes=nbytes)
             dup = _Message(self._rank, tag, copy_payload(msg.payload),
                            departure, nbytes, penalty=msg.penalty, san=msg.san)
             with mb.cond:
-                dead = divert and wdest in rt.failed_ranks
-                if not dead:
-                    mb.messages.append(dup)
-                    mb.cond.notify_all()
-            if dead:
-                self._post_mortem(dup, dest, wdest, _at is not None)
-        if plan is not None and \
-                RELIABLE_BASE <= tag < RELIABLE_BASE + NAMESPACE_WIDTH:
-            # Wake rendezvous-blocked members so they service the channel
-            # (the dest may already sit in a collective; see _wait).
-            with self._state.cond:
-                self._state.cond.notify_all()
-            # The dest may instead be waiting in the spare-pool rendezvous,
-            # which lives on the *world* state while this channel lives on
-            # the work communicator — poke that condition too (waiters
-            # re-check their predicates, so a spurious wake is harmless).
-            ws = rt.world_state
-            if ws is not self._state:
-                with ws.cond:
-                    ws.cond.notify_all()
-
-    def _post_mortem(self, msg: "_Message", dest: int, wdest: int,
-                     protocol: bool) -> None:
-        """Deterministic fate for reliable wire traffic addressed to a
-        crashed rank: if the message's virtual arrival precedes the
-        crash instant, process it on the dead rank's behalf — the same
-        cut :func:`~repro.mpi.reliable.crash_drain` applies to traffic
-        deposited before the crash — so the ack it owes goes out with
-        its causal timestamp.  Later arrivals, and protocol (ack)
-        messages that could only release a wait the dead rank no longer
-        runs, die with the rank.  Serialized per dead rank against the
-        crash-time drain and other senders; channel dict entries are
-        keyed by the dead rank, which never touches them again."""
-        if protocol:
-            return
-        rt = self._rt
-        lock = rt._dead_channel_locks.get(wdest)
-        t_c = rt.crash_clocks.get(wdest)
-        if lock is None or t_c is None:
-            # Dead for a reason other than an injected crash (e.g. an
-            # error unwound the rank): no cut is defined, message dies.
-            return
-        dcomm = Comm(self._state, dest)
-        if dcomm._arrival(msg) > t_c:
-            return
-        from .reliable import _process  # circular at module level
-
-        with lock:
-            _process(dcomm, msg, msg.tag - RELIABLE_BASE)
+                mb.messages.append(dup)
+                mb.cond.notify_all()
 
     def recv(
         self,
@@ -791,10 +618,17 @@ class Comm:
         rt = self._rt
         if rt._faults is not None:
             rt.maybe_crash(self.world_rank)
+        if source != ANY_SOURCE:
+            self._check_peer(source)
         rec = rt.trace
         t0 = self.clock if rec is not None else 0.0
-        msg = self._recv_message(source, tag, timeout=timeout,
-                                 span_name=_span_name)
+        mb = self._state.mailboxes[self._rank]
+        with mb.cond:
+            if self._state.aborted:
+                raise self._state._aborted("runtime aborted during recv")
+            msg = mb.find(source, tag, remove=True)
+        if msg is None:
+            msg = self._recv_wait(mb, source, tag, timeout, _span_name)
         wsrc = self._state.world_ranks[msg.src]
         self.clock = max(self.clock, self._arrival(msg))
         san = rt.sanitizer
@@ -827,35 +661,9 @@ class Comm:
             cost = cost * (1.0 + msg.penalty)
         return msg.departure + cost
 
-    def _recv_message(
-        self, source: int, tag: int, *, timeout: float | None = None,
-        fail_source: int | None = None, span_name: str = "recv",
-        visible=None,
-    ) -> _Message:
-        """Clock-neutral matching receive: returns the raw message without
-        advancing this rank's clock or recording a span (the caller decides
-        when the arrival is merged — the reliable layer consumes channel
-        traffic on behalf of *later* operations).  ``fail_source`` names a
-        group rank whose death fails the wait even under ``ANY_SOURCE``
-        matching; a named ``source`` implies it.  ``visible`` filters the
-        mailbox match (see :meth:`_Mailbox.find`)."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-            if fail_source is None:
-                fail_source = source
-        mb = self._state.mailboxes[self._rank]
-        with mb.cond:
-            if self._state.aborted:
-                raise self._state._aborted("runtime aborted during recv")
-            msg = mb.find(source, tag, remove=True, visible=visible)
-        if msg is None:
-            msg = self._recv_wait(mb, source, tag, timeout, span_name,
-                                  fail_source, visible)
-        return msg
-
     def _recv_wait(
         self, mb: _Mailbox, source: int, tag: int, timeout: float | None,
-        span_name: str, fail_source: int | None, visible=None,
+        span_name: str,
     ) -> _Message:
         """Slow path of :meth:`recv`: block until a matching message, an
         abort/revocation/failure wake-up, or a fired virtual deadline."""
@@ -866,28 +674,16 @@ class Comm:
         wr = self.world_rank
         entry = float(rt.clocks[wr])
 
-        # With faults active, a blocked receive doubles as a channel
-        # servicer (like the rendezvous waits): reliable wire traffic on *other*
-        # tags is acked/buffered from here, so a serviceable message can
-        # never sit stranded at quiescence — whether its ack goes out
-        # before a peer's virtual deadline must not depend on thread
-        # scheduling.  The wait's own (source, tag) pattern is excluded:
-        # consuming the quarry from the servicer would starve the wait.
-        drain = rt._faults is not None
-
-        def pending() -> bool:
-            return state._pending_protocol(rank, exclude=(source, tag))
-
         def peer_failed() -> str | None:
             """Why no live peer can still send the quarry, if none can."""
             failed = rt.failed_ranks
             if not failed:
                 return None
-            if fail_source is not None:
-                if state.world_ranks[fail_source] in failed:
-                    return (f"recv: peer rank {fail_source} (world "
-                            f"{state.world_ranks[fail_source]}) has failed")
-            elif source == ANY_SOURCE and all(
+            if source != ANY_SOURCE:
+                if state.world_ranks[source] in failed:
+                    return (f"recv: peer rank {source} (world "
+                            f"{state.world_ranks[source]}) has failed")
+            elif all(
                 r in failed for i, r in enumerate(state.world_ranks) if i != rank
             ):
                 return f"recv: every peer on comm#{state.trace_id} has failed"
@@ -903,8 +699,7 @@ class Comm:
             # revoked waits at quiescence instead.
             return (
                 state.aborted
-                or mb.find(source, tag, remove=False, visible=visible) is not None
-                or (drain and pending())
+                or mb.find(source, tag, remove=False) is not None
                 or peer_failed() is not None
             )
 
@@ -918,44 +713,38 @@ class Comm:
                       can_progress=ready, notify=wake,
                       revocable=lambda: state.revoked)
         try:
-            while True:
-                with mb.cond:
-                    while not (ready() or w.hoisted or w.fired):
-                        mb.cond.wait()
-                    # This rank acts from here on, and what it consumes
-                    # the predicate stops showing: the arbiter must hold
-                    # its fire until the unblock (or the repoll below).
-                    reg.wake_ack(wr)
-                    if state.aborted:
-                        raise state._aborted("runtime aborted during recv")
-                    msg = mb.find(source, tag, remove=True, visible=visible)
-                    if msg is not None:
-                        return msg
-                    why = peer_failed()
-                    if why is not None:
-                        raise RankFailedError(
-                            why, rt.failed_ranks & state._members_set)
-                    if w.hoisted:
-                        raise CommRevokedError(
-                            f"communicator #{state.trace_id} was revoked "
-                            "while blocked in recv"
-                        )
-                    if w.fired:
-                        rt.clocks[wr] = max(float(rt.clocks[wr]), w.deadline)
-                        rec = rt.trace
-                        if rec is not None:
-                            rec.record(wr, f"{span_name}_timeout", "fault",
-                                       entry, float(rt.clocks[wr]),
-                                       tag=tag, deadline=w.deadline)
-                        raise MessageTimeoutError(
-                            f"{w.describe()} timed out at virtual "
-                            f"t={w.deadline:.6g}s (timeout={timeout:g}s)"
-                        )
-                # Serviceable channel traffic: drain it outside the mailbox
-                # condition (acking acquires peers' conditions — holding
-                # ours across that inverts lock order), then re-arbitrate.
-                self._service_channels(exclude=(source, tag))
-                reg.repoll(wr)
+            with mb.cond:
+                while not (ready() or w.hoisted or w.fired):
+                    mb.cond.wait()
+                # This rank acts from here on, and what it consumes the
+                # predicate stops showing: the arbiter must hold its fire
+                # until the unblock.
+                reg.wake_ack(wr)
+                if state.aborted:
+                    raise state._aborted("runtime aborted during recv")
+                msg = mb.find(source, tag, remove=True)
+                if msg is not None:
+                    return msg
+                why = peer_failed()
+                if why is not None:
+                    raise RankFailedError(
+                        why, rt.failed_ranks & state._members_set)
+                if w.hoisted:
+                    raise CommRevokedError(
+                        f"communicator #{state.trace_id} was revoked "
+                        "while blocked in recv"
+                    )
+                # What is left is the fired virtual deadline.
+                rt.clocks[wr] = max(float(rt.clocks[wr]), w.deadline)
+                rec = rt.trace
+                if rec is not None:
+                    rec.record(wr, f"{span_name}_timeout", "fault",
+                               entry, float(rt.clocks[wr]),
+                               tag=tag, deadline=w.deadline)
+                raise MessageTimeoutError(
+                    f"{w.describe()} timed out at virtual "
+                    f"t={w.deadline:.6g}s (timeout={timeout:g}s)"
+                )
         finally:
             reg.unblock(wr)
 
@@ -1320,7 +1109,7 @@ class Comm:
             return rt.cost.allreduce(8, live_world)
 
         return self._state.ft_collective(
-            self._rank, flag, combine, cost_fn, "agree", comm=self
+            self._rank, flag, combine, cost_fn, "agree"
         )
 
     def shrink(self) -> "Comm":
@@ -1339,16 +1128,9 @@ class Comm:
             return rt.cost.comm_split(live_world)
 
         new_state, mapping = self._state.ft_collective(
-            self._rank, None, combine, cost_fn, "shrink", comm=self
+            self._rank, None, combine, cost_fn, "shrink"
         )
         return Comm(new_state, mapping[self._rank])
-
-    def _service_channels(self, exclude: tuple[int, int] | None = None) -> int:
-        """Drain and process pending reliable-layer wire traffic (clock
-        neutral; see :func:`repro.mpi.reliable.service_pending`)."""
-        from .reliable import service_pending  # circular at module level
-
-        return service_pending(self, exclude)
 
     # --------------------------------------------------------------- helpers
 

@@ -102,25 +102,13 @@ class CommRevokedError(CommunicatorError):
 
 
 class MessageTimeoutError(CommunicatorError):
-    """A ``recv(timeout=...)`` virtual-time deadline expired.
+    """A virtual-time deadline expired: a ``recv(timeout=...)`` or a
+    collective message dropped on every attempt of its retry ladder
+    (:mod:`repro.mpi.reliable`).
 
-    The deadline is priced on the virtual clock: the receiving rank's
-    clock is advanced to the deadline before this is raised, exactly as if
-    it had idled the full timeout.  The retry layer
-    (:mod:`repro.mpi.reliable`) turns this into retransmissions.
-    """
-
-
-class CircuitOpenError(MessageTimeoutError):
-    """A reliable link's circuit breaker is open (ULFM-adjacent degradation).
-
-    After ``RetryPolicy.breaker_threshold`` consecutive reliable sends on
-    one ``(dest, tag)`` channel exhausted their retry budgets, further
-    sends on that channel fail fast with this error instead of paying
-    another doomed retry ladder.  A subclass of
-    :class:`MessageTimeoutError`, so recovery loops that absorb timeouts
-    absorb open breakers identically; the breaker is per communicator and
-    resets when recovery shrinks or substitutes onto a fresh one.
+    The deadline is priced on the virtual clock: the waiting rank's clock
+    is advanced to the deadline before this is raised, exactly as if it
+    had idled the full timeout.
     """
 
 

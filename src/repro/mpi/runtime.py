@@ -57,9 +57,8 @@ class StatsSnapshot:
     msgs_sent: np.ndarray
     compute_time: np.ndarray
     collectives: dict[str, tuple[int, float, int]]
-    #: control-plane traffic by kind (``arq`` acks/retransmissions,
-    #: ``checkpoint`` buddy replication, ``heartbeat`` liveness probes) as
-    #: ``kind -> (messages, bytes)`` — kept OUT of ``bytes_sent``/
+    #: control-plane traffic by kind (``checkpoint``: buddy replication and
+    #: restores) as ``kind -> (messages, bytes)`` — kept OUT of ``bytes_sent``/
     #: ``wire_bytes`` so data-plane traffic cells stay comparable across
     #: runs with and without the recovery machinery.
     control: dict[str, tuple[int, float]] = field(default_factory=dict)
@@ -118,9 +117,8 @@ class Stats:
         self._lock = threading.Lock()
         #: collective name -> [calls, total payload bytes, participant-ranks total]
         self.collectives: dict[str, list[float]] = defaultdict(lambda: [0, 0.0, 0])
-        #: control kind -> [messages, bytes] (ARQ acks/retransmissions,
-        #: checkpoint replication, heartbeats); disjoint from the data-plane
-        #: counters above
+        #: control kind -> [messages, bytes] (checkpoint replication and
+        #: restores); disjoint from the data-plane counters above
         self.control: dict[str, list[float]] = defaultdict(lambda: [0, 0.0])
 
     def record_send(self, world_rank: int, nbytes: int) -> None:
@@ -280,13 +278,6 @@ class Runtime:
         self.fault_stats = FaultStats()
         self._fault_lock = threading.Lock()
         self._op_counts = [0] * total
-        #: virtual clock at which each crashed rank died, by world rank —
-        #: the cut that decides which in-flight messages the dead rank
-        #: still acknowledges (see _execute_crash and Comm._post_mortem)
-        self.crash_clocks: dict[int, float] = {}
-        #: per-dead-rank locks serializing post-mortem channel processing
-        #: (the crash-time drain vs. senders emulating owed acks)
-        self._dead_channel_locks: dict[int, threading.Lock] = {}
         #: the wait ledger: what each rank is blocked on, in every run, and
         #: the one quiescence arbiter (virtual deadlines, revocation
         #: hoists, the deadlock verdict) — see repro.mpi.waitstate
@@ -335,25 +326,11 @@ class Runtime:
 
     def _count_detection(self, wait) -> None:
         """A virtual deadline fired (quiescence arbiter): under a fault
-        plan this is a failure *suspicion* of the adaptive detector, so it
-        counts toward ``FaultStats.detections``.  Fired deadlines are
+        plan this is a failure *suspicion*, so it counts toward
+        ``FaultStats.detections``.  Fired deadlines are
         quiescence-determined, hence a pure function of the seed."""
         if self._faults is not None:
             self._count_fault("detections")
-
-    def crash_pending(self, world_rank: int) -> bool:
-        """Does ``world_rank`` have a planned crash it has not reached yet?
-
-        While this is true the rank's channel servicing must stay
-        *clock-bounded* (see :func:`repro.mpi.reliable.service_pending`):
-        acking a message whose virtual arrival lies beyond the rank's own
-        clock would assert the rank was alive at a time its upcoming crash
-        may prove it was not — and whether the wall-clock thread schedule
-        let it service that message before reaching the crash op is
-        exactly the kind of accident virtual time must not observe."""
-        plan = self._faults
-        return (plan is not None and world_rank in plan.crashes
-                and world_rank not in self.failed_ranks)
 
     def maybe_crash(self, world_rank: int) -> None:
         """Crash checkpoint: called by the communication layer at the top
@@ -373,17 +350,10 @@ class Runtime:
 
     def _execute_crash(self, world_rank: int) -> None:
         """Kill ``world_rank`` (called on its own thread): record the
-        failure, drain the channel traffic the rank still owes acks for,
-        wake every operation it could be participating in, and unwind the
-        thread with :class:`RankCrashed`."""
+        failure, wake every operation it could be participating in, and
+        unwind the thread with :class:`RankCrashed`."""
         now = float(self.clocks[world_rank])
-        lock = threading.Lock()
         with self._fault_lock:
-            # Lock and clock must be visible before the failure is: a
-            # sender that observes ``failed_ranks`` diverts to the
-            # post-mortem path, which needs both.
-            self._dead_channel_locks[world_rank] = lock
-            self.crash_clocks[world_rank] = now
             self.failed_ranks.add(world_rank)
             self.fault_stats.crashed.append(world_rank)
         if self.trace is not None:
@@ -391,23 +361,6 @@ class Runtime:
                               op=self._op_counts[world_rank])
         with self._registry_lock:
             states = list(self._states)
-        # Final channel drain: acknowledge every reliable message whose
-        # virtual arrival precedes the crash instant.  Whether the dying
-        # rank's thread happened to service a message before reaching its
-        # crash op is a wall-clock accident; cutting by virtual arrival
-        # time makes "did the dead rank ack me" a pure function of the
-        # schedule.  Runs before peers are notified, so a peer that
-        # observes the failure also observes every ack it was owed
-        # (receivers check their mailbox before the failed set).  Late
-        # deposits — senders that race past this drain — take the same
-        # cut in Comm._post_mortem, serialized by the same lock.
-        from .reliable import crash_drain  # circular at module level
-
-        with lock:
-            for state in states:
-                if world_rank in state._members_set:
-                    idx = list(state.world_ranks).index(world_rank)
-                    crash_drain(Comm(state, idx), now)
         for state in states:
             if world_rank in state._members_set:
                 # Blocked peers re-check the failed set: collectives and

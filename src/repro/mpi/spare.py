@@ -227,8 +227,7 @@ def pool_round(rt, deposit: tuple, service_comm: Comm) -> PoolVerdict:
     world.  A verdict other than ``recover`` releases them, so later rounds
     (a second sort) meet as in a spare-less runtime.  ``service_comm`` is
     the caller's handle on the sorted communicator (the world handle for a
-    parked spare): its reliable channels stay serviced while blocked — see
-    :meth:`_CommState.ft_collective`.
+    parked spare).
     """
     if rt.pool_open:
         state, idx = rt.world_state, service_comm.world_rank
@@ -249,8 +248,7 @@ def pool_round(rt, deposit: tuple, service_comm: Comm) -> PoolVerdict:
             cost += rt.cost.comm_split(verdict.positions)
         return cost
 
-    return state.ft_collective(idx, deposit, combine, cost_fn,
-                               "spare_pool", comm=service_comm)
+    return state.ft_collective(idx, deposit, combine, cost_fn, "spare_pool")
 
 
 def spare_main(rt, world_rank: int) -> Any:

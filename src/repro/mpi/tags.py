@@ -32,8 +32,6 @@ __all__ = [
     "OVERLAP_ROUND_BASE",
     "BITONIC_STAGE_BASE",
     "HYPERQUICKSORT_ROUND_BASE",
-    "RELIABLE_BASE",
-    "CHECKPOINT_TAG",
     "USER_BASE",
     "NAMESPACES",
     "round_tag",
@@ -54,24 +52,14 @@ BITONIC_STAGE_BASE = 2 * NAMESPACE_WIDTH
 #: halving rounds of :mod:`repro.baselines.hyperquicksort`
 HYPERQUICKSORT_ROUND_BASE = 3 * NAMESPACE_WIDTH
 
-#: channel messages (data *and* acks share one wire tag, so a blocked
-#: reliable operation can service both) of the drop/duplicate-tolerant
-#: p2p layer (:mod:`repro.mpi.reliable`): user tag ``t`` → ``BASE + t``
-RELIABLE_BASE = 4 * NAMESPACE_WIDTH
-
 #: first base free for application / example code
 USER_BASE = 8 * NAMESPACE_WIDTH
-
-#: channel tag (inside the reliable namespace) of the buddy-checkpoint
-#: replication ring and restore transfers (:mod:`repro.mpi.checkpoint`)
-CHECKPOINT_TAG = 500_001
 
 #: namespace name -> (base, owner module); consumed by the TAG-COLLISION rule
 NAMESPACES: dict[str, tuple[int, str]] = {
     "overlap_round": (OVERLAP_ROUND_BASE, "repro.core.overlap"),
     "bitonic_stage": (BITONIC_STAGE_BASE, "repro.baselines.bitonic"),
     "hyperquicksort_round": (HYPERQUICKSORT_ROUND_BASE, "repro.baselines.hyperquicksort"),
-    "reliable": (RELIABLE_BASE, "repro.mpi.reliable"),
 }
 
 

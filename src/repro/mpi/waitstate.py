@@ -26,7 +26,7 @@ Lock discipline: the registry lock is a leaf for condition variables —
 wait predicates (``can_progress``) only *read* mailbox lists and
 rendezvous state, which are stable at quiescence; notifications and aborts
 happen after the registry lock is released, and callers never invoke
-``block``/``repoll`` while holding a mailbox or rendezvous condition.
+``block`` while holding a mailbox or rendezvous condition.
 """
 
 from __future__ import annotations
@@ -83,9 +83,8 @@ class WaitInfo:
         self.fired = False
         #: the waiter saw its wake condition hold and is acting on it — it
         #: may be consuming the very message the predicate sees, so the
-        #: arbiter must treat it as in-flight progress (non-monotone recv
-        #: and drain predicates only; collective and quorum predicates are
-        #: monotone)
+        #: arbiter must treat it as in-flight progress (the non-monotone recv
+        #: predicate only; collective and quorum predicates are monotone)
         self.awake = False
         #: the arbiter decided this wait must abandon with a revocation
         #: error (quiescence reached, nothing can progress, comm revoked)
@@ -162,29 +161,14 @@ class WaitRegistry:
             if w is not None:
                 w.awake = True
 
-    def repoll(self, rank: int) -> None:
-        """The waiter finished wake-up work that consumed progress invisibly
-        (e.g. a rendezvous-blocked rank drained protocol traffic from its mailbox
-        without leaving the BLOCKED state) and is about to wait again.
-        This re-runs arbitration: the drain may have removed the last
-        pending wake, leaving a deadline as the only way forward.  Must not
-        be called while holding a mailbox or rendezvous condition (the
-        arbiter's follow-up may notify arbitrary ones)."""
-        with self._lock:
-            w = self._waits[rank]
-            if w is not None:
-                w.awake = False
-            action = self._arbitrate_locked()
-        self._perform(action)
-
     def finish(self, rank: int) -> None:
         """``rank``'s function returned (or raised); it will act no more."""
         self._leave(rank, FINISHED)
 
     def die(self, rank: int) -> None:
         """Mark a rank dead (fault-injected crash).  Call *after* all
-        death bookkeeping (failed sets, crash drain, wake-ups) so the
-        arbiter sees a consistent picture."""
+        death bookkeeping (failed sets, wake-ups) so the arbiter sees a
+        consistent picture."""
         self._leave(rank, DEAD)
 
     def _leave(self, rank: int, final: int) -> None:

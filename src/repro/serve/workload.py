@@ -112,10 +112,10 @@ def make_chaos(workload: Sequence[JobSpec], *, seed: int = 1) -> ServiceChaos:
 
     Injects two mid-epoch rank crashes, one in the first sort epoch
     (which carries the fused cluster) and one in a later epoch.  A
-    checkpointed epoch spends its ops 0-3 on two ring exchanges (2 ops
-    each) and then one op per collective, so both ``at_op`` values fall
-    inside the splitter's three set-up collectives (size allgather at op 4,
-    key range at op 5, extreme-key bounds at op 6): late enough that
+    checkpointed epoch spends its ops 0-1 on two ring exchanges and then
+    one op per collective, so both ``at_op`` values fall inside the
+    splitter's three set-up collectives (size allgather at op 2, key range
+    at op 3, extreme-key bounds at op 4): late enough that
     packing and splitter determination have started, and — unlike anything
     from the first histogram round on — at the same op whatever the round
     count is (a rank that finishes before its ``at_op`` never crashes).
@@ -124,10 +124,10 @@ def make_chaos(workload: Sequence[JobSpec], *, seed: int = 1) -> ServiceChaos:
     """
     n_sorts = sum(1 for s in workload if s.kind == "sort")
     # rank 1 in the extreme-key bounds allreduce
-    crashes: dict[int, tuple[tuple[int, int], ...]] = {0: ((1, 6),)}
+    crashes: dict[int, tuple[tuple[int, int], ...]] = {0: ((1, 4),)}
     if n_sorts > 2:
         # rank 3 in the key-range allreduce
-        crashes[2] = ((3, 5),)
+        crashes[2] = ((3, 3),)
     return ServiceChaos(crashes=crashes, spares=2, seed=seed)
 
 

@@ -1,10 +1,10 @@
-"""MPI-layer fault machinery: timeouts, the reliable channel, ULFM ops.
+"""MPI-layer fault machinery: timeouts, priced link faults, ULFM ops.
 
 Covers the building blocks :func:`repro.core.resilient.resilient_sort`
-stands on — virtual-time receive deadlines, the stop-and-wait ARQ layer
-healing drops/duplicates, link faults priced into the collective
-rendezvous, and the ``revoke``/``agree``/``shrink`` recovery triple — each
-in isolation, under a deterministic :class:`FaultPlan`.
+stands on — virtual-time receive deadlines, link faults priced into the
+collective rendezvous with the retry ladder, and the
+``revoke``/``agree``/``shrink`` recovery triple — each in isolation, under
+a deterministic :class:`FaultPlan`.
 """
 
 from __future__ import annotations
@@ -19,16 +19,17 @@ from repro.faults import CrashEvent, FaultPlan, FaultSpec
 from repro.machine import abstract_cluster
 from repro.mpi import (
     DEFAULT_POLICY,
+    PH_SPLIT,
+    PH_START,
     CommRevokedError,
     MessageTimeoutError,
     RankFailedError,
     ReduceOp,
+    Replica,
     RetryPolicy,
     Runtime,
     SPMDError,
     payload_nbytes,
-    reliable_recv,
-    reliable_send,
 )
 from tests.conftest import spmd
 
@@ -64,42 +65,6 @@ def test_recv_timeout_loses_to_arriving_message():
 
     plan = FaultPlan(FaultSpec(), seed=1, size=2)
     assert spmd(2, prog, faults=plan, timeout=WALL)[1] == "payload"
-
-
-# ---------------------------------------------------------- reliable channel
-
-
-def test_reliable_roundtrip_under_heavy_drops():
-    def prog(comm, n):
-        peer = 1 - comm.rank
-        got = []
-        for i in range(n):
-            if comm.rank == 0:
-                reliable_send(comm, ("msg", i), peer, tag=7)
-            else:
-                got.append(reliable_recv(comm, peer, tag=7))
-        return got
-
-    plan = FaultPlan(FaultSpec(drop_rate=0.3, dup_rate=0.2), seed=11, size=2)
-    results = spmd(2, prog, 20, faults=plan, timeout=WALL)
-    # in order, exactly once, despite drops of data/acks and duplicates
-    assert results[1] == [("msg", i) for i in range(20)]
-
-
-def test_reliable_send_gives_up_with_typed_error():
-    def prog(comm):
-        if comm.rank == 0:
-            policy = RetryPolicy(max_attempts=2, base_timeout=1e-4)
-            reliable_send(comm, "x", 1, tag=3, policy=policy)
-        else:
-            comm.recv(source=0, tag=99, timeout=50.0)  # never services tag 3
-        return None
-
-    plan = FaultPlan(FaultSpec(drop_rate=1.0), seed=2, size=2)
-    with pytest.raises(SPMDError) as excinfo:
-        spmd(2, prog, faults=plan, timeout=WALL)
-    assert isinstance(excinfo.value.failures[0], MessageTimeoutError)
-    assert "gave up after 2 attempts" in str(excinfo.value.failures[0])
 
 
 def test_retry_policy_validation():
@@ -167,56 +132,6 @@ def test_shrink_after_injected_crash():
     live = [r for r in results if r is not None]
     assert len(live) == 3
     assert all(r == (3, (0, 1, 3)) for r in live)
-
-
-class _OneAckDrop(FaultPlan):
-    """Drops the first ack-stream event only: seq 0's first ack dies, and
-    the retransmission's ack must get through."""
-
-    def __init__(self):
-        super().__init__(FaultSpec(), seed=1, size=2)
-        self._killed = False
-
-    def link_event(self, src, dst, stream=0, event=None):
-        ev = super().link_event(src, dst, stream, event)
-        if stream == 1 and not self._killed:
-            self._killed = True
-            return type(ev)(drop=True, duplicate=ev.duplicate,
-                            delay_factor=ev.delay_factor)
-        return ev
-
-
-def test_ft_waits_service_the_reliable_channel():
-    # Two-generals corner: rank 1's ack for rank 0's *last* message is
-    # dropped, and rank 1 immediately enters `agree`.  The rendezvous wait
-    # must keep acknowledging retransmissions or rank 0 can never finish.
-    def prog(comm):
-        if comm.rank == 0:
-            attempts = reliable_send(comm, "final", 1, tag=9)
-            ok = comm.agree(True)
-            return (attempts, ok)
-        obj = reliable_recv(comm, 0, tag=9)
-        ok = comm.agree(True)
-        return (obj, ok)
-
-    results = spmd(2, prog, faults=_OneAckDrop(), timeout=WALL)
-    assert results[0] == (2, True)  # one retransmission, then agreement
-    assert results[1] == ("final", True)
-
-
-def test_collective_waits_service_the_reliable_channel():
-    # The same corner with a plain collective: rank 1 waits in the allreduce
-    # rendezvous while rank 0 retransmits, so the wait must ack it.
-    def prog(comm):
-        if comm.rank == 0:
-            got = reliable_send(comm, "final", 1, tag=9)
-        else:
-            got = reliable_recv(comm, 0, tag=9)
-        return (got, comm.allreduce(1))
-
-    results = spmd(2, prog, faults=_OneAckDrop(), timeout=WALL)
-    assert results[0] == (2, 2)
-    assert results[1] == ("final", 2)
 
 
 # ------------------------------------------------- the collective rendezvous
@@ -316,11 +231,12 @@ class TestCompletedCollective:
 # ------------------------------------------------- priced collective faults
 
 
-def _cluster_sort(p, resilient, faults=None):
+def _cluster_sort(p, resilient, faults=None, checkpoint=False):
     """Uniform u64, 4,096 keys per rank, four ranks per node."""
     def prog(comm):
         local = make_partition("uniform_u64", 4096, rank=comm.rank, seed=7)
-        return histogram_sort(comm, local, SortConfig(resilient=resilient))
+        return histogram_sort(comm, local, SortConfig(resilient=resilient,
+                                                      checkpoint=checkpoint))
 
     rt = Runtime(p, machine=abstract_cluster(p // 4, cores_per_node=4),
                  ranks_per_node=4, faults=faults)
@@ -341,6 +257,30 @@ def test_a_faultless_resilient_sort_is_priced_as_the_plain_one(p):
     cell = (4096, int(out.size), float(out[0]), float(out[-1]))
     verified = rt_plain.elapsed() + rt.cost.allgather(payload_nbytes(cell), ranks)
     assert rt.elapsed() == verified + rt.cost.allreduce(64, ranks)
+    assert np.all(rt.clocks == rt.elapsed())
+
+
+@pytest.mark.parametrize("p", [8, 16])
+def test_faultless_checkpoints_add_only_their_ring_moves(p):
+    # three ring moves per epoch — the input, the sorted partition and the
+    # splitting marker, each to the successor — priced as the alltoallv of
+    # what moves; every other clock charge is the resilient sort's (the
+    # moves land mid-run, so the sums associate differently: a few ulps)
+    resilient, rt_resilient = _cluster_sort(p, True)
+    checkpointed, rt = _cluster_sort(p, True, checkpoint=True)
+    for a, b in zip(resilient, checkpointed):
+        assert b.output.tobytes() == a.output.tobytes()
+    ranks = range(p)
+
+    def ring(nbytes):
+        vols = np.zeros((p, p))
+        vols[np.arange(p), (np.arange(p) + 1) % p] = nbytes
+        return rt.cost.alltoallv_per_rank(vols, ranks).max()
+
+    partition = Replica(0, PH_START, (0,), np.zeros(4096, np.uint64)).nbytes
+    marker = payload_nbytes((0, PH_SPLIT))
+    moves = ring(partition) + ring(partition) + ring(marker)
+    assert rt.elapsed() == pytest.approx(rt_resilient.elapsed() + moves, rel=1e-15, abs=0)
     assert np.all(rt.clocks == rt.elapsed())
 
 

@@ -1,33 +1,28 @@
-"""Lossless recovery: buddy checkpointing, spare substitution, breakers.
+"""Lossless recovery: buddy checkpointing and spare substitution.
 
 Exercises the recovery loop of :mod:`repro.core.resilient` with what makes
 it lossless (``SortConfig(checkpoint=True)`` / ``Runtime(spares=k)``): crashed ranks
 are replaced by warm spares, their partitions restored from buddy
 replicas, and the sort resumes from the last checkpointed phase — the
 no-data-loss contract the chaos harness verifies at scale.  Also pins
-the degradation machinery (phi-accrual adaptive deadlines, per-link
-circuit breakers) to typed errors and exact virtual-time replay.
+the checkpoint collectives' price and fault links, and exact virtual-time
+replay.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from repro.core.config import SortConfig
 from repro.core.histsort import histogram_sort
-from repro.core.resilient import ResilientSortResult
+from repro.core.resilient import RecoveryExhaustedError, ResilientSortResult
 from repro.faults import CrashEvent, FaultPlan, FaultSpec
 from repro.faults.chaos import ChaosCase, run_case
 from repro.metrics import MetricsRegistry, collect_runtime, to_prometheus
-from repro.mpi import (
-    ADAPTIVE_POLICY,
-    CircuitOpenError,
-    MessageTimeoutError,
-    Runtime,
-    reliable_recv,
-    reliable_send,
-)
+from repro.mpi import DEFAULT_POLICY, Runtime, SPMDError
 
 WALL = 120.0
 
@@ -54,13 +49,12 @@ def _expect(ranks, n):
     return np.sort(np.concatenate(parts))
 
 
-#: rank 3 dies in the first histogram round of the first epoch (its op 7,
-#: after two ring exchanges of 2 ops and three set-up collectives of one),
-#: rank 1 in the exact gather allgather of the second epoch (its op 16: one
-#: retransmission in its first ring exchange, epoch 1 ends at op 8 in the
-#: round rank 3 died in, then a ring exchange, three set-up collectives and
-#: two histogram rounds)
-MID_SPLITTING_AND_MID_GATHER = ((1, 16), (3, 7))
+#: rank 3 dies in the first histogram round of the first epoch (its op 5,
+#: after two ring exchanges and three set-up collectives, one op each),
+#: rank 1 in the exact gather allgather of the second epoch (its op 13:
+#: epoch 1 ends at op 5 in the round rank 3 died in, then the restore, a
+#: ring exchange, three set-up collectives and two histogram rounds)
+MID_SPLITTING_AND_MID_GATHER = ((1, 13), (3, 5))
 
 
 def _crash_plan(seed, size, *crashes, drop=0.05):
@@ -166,8 +160,8 @@ def test_recovery_epoch_exact_replay():
     # a full lossless recovery (crash + restore + substitution) replays
     # bit-identically: same makespan, clocks, fault tally, outputs
     def once():
-        # op 5 of rank 1: the size allgather, after two ring exchanges
-        # (one send retransmitted)
+        # op 5 of rank 1: the first histogram round, after two ring
+        # exchanges and three set-up collectives
         plan = _crash_plan(23, 5, (1, 5), drop=0.15)
         rt, live = _run(4, plan, spares=1)
         assert rt.fault_stats.crashed == [1]
@@ -183,42 +177,9 @@ def test_recovery_epoch_exact_replay():
     assert "recoveries=" in stats_a  # the recovery actually happened
 
 
-def test_degraded_link_soak_trips_breaker_not_hang():
-    # a link that eats every message: the adaptive policy's ladder must
-    # end in typed errors and the breaker must open — never a hang (the
-    # Runtime.run timeout is the backstop that would catch one)
-    plan = FaultPlan(FaultSpec(drop_rate=1.0), seed=3, size=2)
-
-    def prog(comm):
-        if comm.rank == 0:
-            for i in range(ADAPTIVE_POLICY.breaker_threshold + 2):
-                try:
-                    reliable_send(comm, i, 1, tag=7, policy=ADAPTIVE_POLICY)
-                except CircuitOpenError:  # subclass — catch before parent
-                    return "circuit-open"
-                except MessageTimeoutError:
-                    continue
-                return "delivered?"
-            return "no-trip"
-        try:
-            while True:
-                reliable_recv(comm, 0, 7, timeout=0.5)
-        except MessageTimeoutError:
-            return "starved"
-
-    rt = Runtime(2, faults=plan)
-    results = rt.run(prog, timeout=WALL)
-    assert results[0] == "circuit-open"
-    assert results[1] == "starved"
-    assert rt.fault_stats.breaker_trips >= 1
-    # fail-fast: the open breaker refuses immediately, with no ladder
-    assert rt.fault_stats.dropped <= ADAPTIVE_POLICY.breaker_threshold * (
-        ADAPTIVE_POLICY.max_attempts + 1)
-
-
 def test_control_traffic_separate_from_wire_bytes():
-    # checkpoint replication and ARQ retransmissions are control-plane:
-    # wire_bytes must not move when checkpointing turns on
+    # checkpoint replication is control-plane: wire_bytes must not move
+    # when checkpointing turns on
     def snap(checkpoint):
         plan = FaultPlan(FaultSpec(drop_rate=0.1), seed=31, size=5)
         rt, live = _run(4, plan, spares=1, checkpoint=checkpoint)
@@ -230,9 +191,73 @@ def test_control_traffic_separate_from_wire_bytes():
     assert "checkpoint" in on.control and "checkpoint" not in off.control
     ck_msgs, ck_bytes = on.control["checkpoint"]
     assert ck_msgs > 0 and ck_bytes > 0
-    assert on.control.get("arq", (0, 0))[0] > 0  # retransmissions under drops
     assert on.wire_bytes == off.wire_bytes  # data plane unchanged
     assert on.total_control_bytes > off.total_control_bytes
+
+
+def test_checkpoint_bytes_cover_the_replicated_partitions():
+    # a replica is priced by its partition, not as an opaque object
+    rt, live = _run(4, None, n=512)
+    assert len(live) == 4
+    n_msgs, n_bytes = rt.stats.snapshot().control["checkpoint"]
+    assert n_msgs == 3 * 4  # input, sorted partition, marker: one move each
+    assert n_bytes >= 2 * 4 * _input(0, 512).nbytes
+
+
+class _LinkLog(FaultPlan):
+    """Records the links each priced collective message crosses, on its
+    first attempt, by (communicator, generation)."""
+
+    def __init__(self, spec, seed, size):
+        super().__init__(spec, seed, size)
+        self.links = defaultdict(list)
+
+    def link_event(self, src, dst, stream=0, event=None):
+        if event is not None and event[2:] == (0, 0):
+            self.links[event[:2]].append((src, dst))
+        return super().link_event(src, dst, stream, event)
+
+
+def test_checkpoint_moves_draw_fates_on_the_moving_links_only():
+    # a ring generation draws p fates (one per successor link), a restore
+    # one per replica shipped — never the p(p - 1) of an alltoallv
+    plan = _LinkLog(FaultSpec(crashes=(CrashEvent(rank=3, at_op=5),)), seed=11, size=5)
+    cfg = SortConfig(resilient=True, checkpoint=True)
+    rt = Runtime(4, spares=1, faults=plan, trace=True)
+    rt.run(_sorter, args=(64, cfg), timeout=WALL)
+    assert rt.fault_stats.crashed == [3] and rt.fault_stats.restored == 1
+    names = {(s.attrs["comm"], s.attrs["seq"]): s.name
+             for s in rt.trace.spans() if s.cat == "collective" and "seq" in s.attrs}
+    rings = restores = 0
+    for (comm, gen), links in plan.links.items():
+        members = rt._states[comm].world_ranks
+        if names[comm, gen] == "checkpoint":
+            rings += 1
+            assert sorted(links) == sorted(
+                (w, members[(i + 1) % 4]) for i, w in enumerate(members))
+        elif names[comm, gen] == "restore":
+            restores += 1
+            # rank 3's buddy (position 0) ships its replica to the spare
+            assert links == [(0, 4)]
+    # epoch 1: input and sorted rings, then the crash; epoch 2 resumes
+    # sorted: the refresh on entry and the splitting marker
+    assert rings == 2 + 2 and restores == 1
+
+
+def test_a_dead_network_times_out_the_first_ring_on_every_member():
+    # the ring is a collective: a link beyond repair raises
+    # MessageTimeoutError on every member at the same clock, without an
+    # abort, and recovery runs out of epochs
+    plan = FaultPlan(FaultSpec(drop_rate=1.0), seed=1, size=4)
+    cfg = SortConfig(resilient=True, checkpoint=True, max_recovery_attempts=2)
+    rt = Runtime(4, faults=plan, trace=True)
+    with pytest.raises(SPMDError) as err:
+        rt.run(_sorter, args=(64, cfg), timeout=WALL)
+    assert all(isinstance(e, RecoveryExhaustedError) for e in err.value.failures.values())
+    ladder = sum(DEFAULT_POLICY.timeout(a) for a in range(DEFAULT_POLICY.max_attempts))
+    for rank in range(4):
+        first = next(s for s in rt.trace.spans() if s.rank == rank and s.cat == "fault")
+        assert (first.name, first.attrs["seq"], first.t1) == ("checkpoint_timeout", 0, ladder)
 
 
 def test_recovery_metrics_exported():

@@ -201,14 +201,14 @@ def test_resilient_sort_on_two_nodes(spares):
     def prog(comm):
         return histogram_sort(comm, _input(comm.rank), SortConfig(resilient=True, checkpoint=True))
 
-    # rank 5 dies in the first epoch's (gmin, gmax) allreduce (op 6: two ring
-    # exchanges, one send retransmitted, and the size allgather before it);
-    # rank 2 in a set-up collective of the second epoch (op 10: the size
-    # allgather after a shrink restarts from the input, the extreme-key
-    # bounds allreduce after a substitution resumes from the sorted keys)
+    # rank 5 dies in the first epoch's (gmin, gmax) allreduce (op 3: two ring
+    # exchanges and the size allgather before it); rank 2 in the same
+    # allreduce of the second epoch (op 7: a shrink restarts from the input
+    # with two ring exchanges, a substitution resumes from the sorted keys
+    # with the restore and one ring exchange, then the size allgather)
     spec = FaultSpec(
         drop_rate=0.05, dup_rate=0.025,
-        crashes=(CrashEvent(rank=5, at_op=6), CrashEvent(rank=2, at_op=10)),
+        crashes=(CrashEvent(rank=5, at_op=3), CrashEvent(rank=2, at_op=7)),
     )
     rt = Runtime(
         8, machine=abstract_cluster(3, cores_per_node=4), ranks_per_node=4,

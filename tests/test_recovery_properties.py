@@ -135,8 +135,9 @@ def _run_case(case):
 
 
 #: op 5 of rank 2, the only rank holding keys: the exchange's alltoallv
-#: without checkpoints (three keys need no histogram round), the (gmin, gmax)
-#: allreduce after two ring exchanges with them
+#: without checkpoints (three keys need no histogram round), the splitting
+#: marker's ring exchange with them (after two ring exchanges and the three
+#: set-up collectives)
 EMPTY_BUT_ONE = dict(seed=11, sizes=(0, 0, 3, 0), dtype=np.float64, spares=0,
                      drop=0.05, victim=2, at_op=5)
 
@@ -166,9 +167,9 @@ def test_recovered_sort_is_the_sort_of_what_was_not_lost(layout, checkpoint, cas
 
 def _sub(layout, checkpoint, victim=1, at_op=3):
     # op 3 of a split half's member, after the world split: the extreme-key
-    # bounds allreduce without checkpoints, the second ring exchange's send
-    # with them; in the world layout without checkpoints, the first
-    # histogram round
+    # bounds allreduce without checkpoints, the size allgather after two
+    # ring exchanges with them; in the world layout, the first histogram
+    # round without checkpoints and the (gmin, gmax) allreduce with them
     return dict(seed=3, sizes=(64, 64, 64, 64), dtype=np.int64, spares=0,
                 checkpoint=checkpoint, layout=layout, drop=0.0, victim=victim,
                 at_op=at_op)
