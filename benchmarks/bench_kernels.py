@@ -4,7 +4,8 @@
 local histogram, ``allreduce``/``alltoallv`` and the end-to-end sorts on a
 pinned CPU; what is left here is what it lacks: the selection kernels,
 ``sort_keys`` against the stable ``np.sort`` it replaces, the
-many-small-runs merge shape, ``comm.split`` and ``dselect``.
+many-small-runs merge shape, ``comm.split``, ``dselect``, and the runtime
+at p = 64: a no-op run and the sort's exchange.
 """
 
 from functools import partial
@@ -58,6 +59,17 @@ class TestSequentialKernels:
         assert np.array_equal(out, np.sort(np.concatenate(runs)))
 
 
+def _sort_exchange(comm, parts):
+    """The sort's exchange at even cuts: the count ``alltoall``, then the
+    ``alltoallv`` of the sorted partition."""
+    work = parts[comm.rank]
+    counts = np.diff(np.linspace(0, work.size, comm.size + 1).astype(np.int64))
+    recv_counts = comm.alltoall(counts.tolist())
+    buf, got = comm.alltoallv(work, counts)
+    assert got.tolist() == recv_counts
+    return buf.size
+
+
 class TestRuntimeKernels:
     def test_comm_split(self, benchmark):
         def prog(comm):
@@ -65,6 +77,19 @@ class TestRuntimeKernels:
             return sub.allreduce(1)
 
         benchmark(lambda: run_spmd(16, prog))
+
+    def test_noop_run_p64(self, benchmark):
+        """What a run costs before its rank function does anything: the
+        floor under every ``run_spmd`` cell at p = 64."""
+        out = benchmark(lambda: run_spmd(64, lambda comm: None))
+        assert out == [None] * 64
+
+    def test_sort_exchange_p64(self, benchmark):
+        """The count ``alltoall`` + ``alltoallv`` at 2048 keys/rank, p = 64
+        (one run each; the no-op cell is its floor)."""
+        parts = [np.sort(make_partition("uniform_u64", 2048, rank=r, seed=5)) for r in range(64)]
+        out = benchmark(lambda: run_spmd(64, _sort_exchange, parts))
+        assert sum(out) == 64 * 2048
 
 
 class TestEndToEnd:

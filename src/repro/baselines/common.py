@@ -39,14 +39,13 @@ class BaselineResult:
 
 def exchange_by_splitters(
     comm: "Comm", local_sorted: np.ndarray, splitter_values: np.ndarray
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cut a sorted partition at the P-1 splitter values (keys <= splitter go
     left; no tie refinement — baselines are allowed imbalance) and run the
-    ALL-TO-ALLV."""
+    ALL-TO-ALLV; returns its ``(recvbuf, recv_counts)``."""
     t0 = comm.clock
     cuts = np.searchsorted(local_sorted, splitter_values, side="right")
     cuts = np.concatenate(([0], cuts, [local_sorted.size]))
-    chunks = [local_sorted[cuts[d] : cuts[d + 1]] for d in range(comm.size)]
-    received = comm.alltoallv(chunks)
+    received = comm.alltoallv(local_sorted, np.diff(cuts))
     comm.tracer.record("exchange_data", t0, elements_sent=int(local_sorted.size))
     return received

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..seq.kmerge import binary_merge_tree, sort_keys
+from ..seq.kmerge import merge_in_place, sort_keys
 from ..trace.timer import PhaseTimer
 from .common import BaselineResult
 
@@ -97,21 +97,16 @@ def hyksort(
         bucket_cuts = np.concatenate(
             ([0], np.searchsorted(work, splitters, side="right"), [work.size])
         ).astype(np.int64)
-        chunks: list[np.ndarray] = []
-        for dest in range(sub.size):
-            g = int(np.searchsorted(starts, dest, side="right") - 1)
-            lo_b, hi_b = bucket_cuts[g], bucket_cuts[g + 1]
-            seg = work[lo_b:hi_b]
-            # Split bucket g evenly over the members of subgroup g.
-            within = dest - int(starts[g])
-            gs = group_sizes[g]
-            a = (seg.size * within) // gs
-            b = (seg.size * (within + 1)) // gs
-            chunks.append(seg[a:b])
-        received = sub.alltoallv(chunks)
-        moved += int(sum(c.size for c in chunks if c.size)) - int(chunks[sub.rank].size)
-        work = binary_merge_tree(received)
-        comm.compute(compute.kway_merge(work.size, max(len(received), 2)))
+        # Bucket g is split evenly over the members of subgroup g; buckets
+        # are contiguous in ``work``, so the sends are ``work`` cut by counts.
+        dest = np.arange(sub.size)
+        g = np.searchsorted(starts, dest, side="right") - 1
+        seg, within, gs = np.diff(bucket_cuts)[g], dest - starts[g], np.asarray(group_sizes)[g]
+        counts = (seg * (within + 1)) // gs - (seg * within) // gs
+        moved += int(work.size - counts[sub.rank])
+        work, got = sub.alltoallv(work, counts)
+        work = merge_in_place(work, int(np.count_nonzero(got)))
+        comm.compute(compute.kway_merge(work.size, max(sub.size, 2)))
 
         new_sub = sub.split(my_group, sub.rank)
         assert new_sub is not None

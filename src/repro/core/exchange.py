@@ -108,24 +108,14 @@ def build_exchange_plan(
 
 def exchange(
     comm: "Comm", local_sorted: np.ndarray, plan: ExchangePlan
-) -> list[np.ndarray]:
-    """Run the single ALL-TO-ALLV round; returns the received sorted chunks."""
-    local_sorted = np.asarray(local_sorted)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the single ALL-TO-ALLV round; returns its ``(recvbuf, recv_counts)``."""
     t_data = comm.clock
-    chunks = [
-        local_sorted[plan.cuts[d] : plan.cuts[d + 1]] for d in range(comm.size)
-    ]
-    received = comm.alltoallv(chunks)
+    received = comm.alltoallv(local_sorted, plan.send_counts)
     comm.tracer.record(
         "exchange_data",
         t_data,
         elements_sent=plan.elements_sent,
         elements_received=plan.elements_received,
     )
-    expected = plan.recv_counts
-    got = np.array([c.size for c in received], dtype=np.int64)
-    if not np.array_equal(got, expected):
-        raise AssertionError(
-            f"rank {comm.rank}: received counts {got} != planned {expected}"
-        )
     return received

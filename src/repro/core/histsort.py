@@ -67,7 +67,7 @@ class SortState:
     roll-back to ``PH_START`` can always restart from scratch.  ``work``
     and ``spec`` hold the (packed) locally sorted partition once
     ``marker`` reaches ``PH_SORTED``; ``splitters`` the agreed splitter
-    set at ``PH_SPLIT``.  ``plan``, ``chunks`` and ``output`` are the
+    set at ``PH_SPLIT``.  ``plan``, ``received`` and ``output`` are the
     products of the last three steps, which are never resumed into.
     """
 
@@ -78,7 +78,7 @@ class SortState:
     spec: PackSpec | None = None
     splitters: SplitterResult | None = None
     plan: ExchangePlan | None = None
-    chunks: list[np.ndarray] | None = None
+    received: tuple[np.ndarray, np.ndarray] | None = None
     output: np.ndarray | None = None
 
 
@@ -119,14 +119,14 @@ def exchange_data(comm: "Comm", st: SortState, config: SortConfig, *_) -> None:
         # behind communication; supersteps 3 and 4 fuse.
         st.output = exchange_merge_overlap(comm, st.work, st.plan).output
     else:
-        st.chunks = exchange(comm, st.work, st.plan)
+        st.received = exchange(comm, st.work, st.plan)
 
 
 def merge(comm: "Comm", st: SortState, config: SortConfig, *_) -> None:
-    """Superstep 4: local merge of the received chunks, then unpack."""
+    """Superstep 4: local merge of the received runs, then unpack."""
     if not config.overlap_exchange:
-        st.output = local_merge(comm, st.chunks, strategy=config.merge_strategy)
-        st.chunks = None
+        st.output = local_merge(comm, st.received, strategy=config.merge_strategy)
+        st.received = None
     if st.spec is not None:
         st.output = unpack_keys(st.output, st.spec, dtype=st.dtype)
         comm.compute(comm.cost.compute.partition(st.output.size))

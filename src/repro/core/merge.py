@@ -11,18 +11,18 @@ Strategy selection mirrors the paper's discussion:
 
 The strategy selects only the *virtual-time* charge (:func:`merge_cost`),
 so the merge study bench can compare them at paper scale; the host work is
-one ``kway_merge(chunks, "sort")`` call whichever is chosen (see
-:mod:`repro.seq.kmerge`).
+one in-place sort of the receive buffer whichever is chosen
+(:func:`~repro.seq.kmerge.merge_in_place`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..seq.kmerge import kway_merge
+from ..seq.kmerge import merge_in_place
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi import Comm
@@ -49,13 +49,13 @@ def merge_cost(compute, n_total: int, k: int, strategy: str) -> float:
 
 
 def local_merge(
-    comm: "Comm", chunks: Sequence[np.ndarray], strategy: str = "sort"
+    comm: "Comm", received: tuple[np.ndarray, np.ndarray], strategy: str = "sort"
 ) -> np.ndarray:
-    """Merge the received sorted chunks into this rank's output partition."""
-    chunks = [np.asarray(c) for c in chunks]
-    nonempty = [c for c in chunks if c.size]
-    n_total = int(sum(c.size for c in nonempty))
-    k = len(nonempty)
+    """Merge the received runs — the exchange's ``(recvbuf, recv_counts)`` —
+    into this rank's output partition: the buffer, sorted in place."""
+    buf, counts = received
+    n_total = int(buf.size)
+    k = int(np.count_nonzero(counts))
     compute = comm.cost.compute
 
     if strategy == "adaptive":
@@ -63,4 +63,4 @@ def local_merge(
         strategy = "sort" if (small and k > 4) else "binary_tree"
 
     comm.compute(merge_cost(compute, n_total, k, strategy))
-    return kway_merge(chunks, "sort")
+    return merge_in_place(buf, k)

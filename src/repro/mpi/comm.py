@@ -973,33 +973,51 @@ class Comm:
             lambda slots, _, idx: [copy_payload(row[idx]) for row in slots],
         )
 
-    def alltoallv(self, chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Irregular personalized exchange of NumPy arrays.
-
-        ``chunks[j]`` is what this rank sends to group rank ``j``; the return
-        value is the list of arrays received, indexed by source rank.  Costs
-        come from :meth:`CostModel.alltoallv_per_rank` over the full volume
-        matrix.
+    def alltoallv(
+        self, sendbuf: np.ndarray | Sequence[np.ndarray], counts: Sequence[int] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Irregular personalized exchange in MPI's buffer form: ``counts[j]``
+        elements of ``sendbuf``, back to back in rank order, go to group rank
+        ``j`` (a sequence of ``size`` arrays, without ``counts``, is
+        concatenated at entry).  Returns ``(recvbuf, recv_counts)``: what
+        arrived, in source order, in one fresh buffer — empty segments vote on
+        its dtype only if all are empty — and the count from each source.
+        Priced by :meth:`CostModel.alltoallv_per_rank` over the count matrix.
         """
-        if len(chunks) != self.size:
-            raise CommunicatorError(f"alltoallv needs {self.size} chunks")
-        chunks = [np.asarray(c) for c in chunks]
+        size = self.size
+        if counts is None:
+            if len(sendbuf) != size:
+                raise CommunicatorError(f"alltoallv needs {size} chunks")
+            chunks = [np.asarray(c) for c in sendbuf]
+            counts = [c.size for c in chunks]
+            sendbuf = np.concatenate(
+                [c for c in chunks if c.size] or [np.empty(0, np.result_type(*chunks))])
+        sendbuf = np.asarray(sendbuf)
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (size,) or counts.sum() != sendbuf.size or (counts < 0).any():
+            raise CommunicatorError(
+                f"alltoallv needs {size} non-negative counts summing to the "
+                f"{sendbuf.size} elements sent, got {counts.tolist()}")
         ranks = self._state.world_ranks
 
         def plan(slots: list[Any]) -> Any:
-            vols = np.array(
-                [[c.nbytes for c in row] for row in slots], dtype=np.float64
-            )
+            matrix = np.stack([c for _, c in slots])
+            offsets = np.cumsum(np.pad(matrix, ((0, 0), (1, 0))), axis=1)
+            vols = matrix * np.array([[b.itemsize] for b, _ in slots], dtype=np.float64)
             per_rank = self._rt.cost.alltoallv_per_rank(vols, ranks)
-            return None, per_rank, float(vols.sum())
+            return (matrix, offsets), per_rank, float(vols.sum())
+
+        def pick(slots: list[Any], shared: Any, idx: int) -> Any:
+            matrix, offsets = shared
+            recv_counts = matrix[:, idx].copy()
+            lo, hi = offsets[:, idx].tolist(), offsets[:, idx + 1].tolist()
+            segs = [b[start:end] for (b, _), start, end in zip(slots, lo, hi) if end > start]
+            return np.concatenate(
+                segs or [np.empty(0, np.result_type(*(b for b, _ in slots)))]), recv_counts
 
         return self._state.collective(
-            self._rank,
-            "alltoallv",
-            chunks,
-            plan,
-            lambda slots, _, idx: [row[idx].copy() for row in slots],
-            trace_bytes=sum(c.nbytes for c in chunks),
+            self._rank, "alltoallv", (sendbuf, counts), plan, pick,
+            trace_bytes=sendbuf.nbytes,
         )
 
     def _prefix(self, name: str, value: Any, prefixes) -> Any:

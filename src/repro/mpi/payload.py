@@ -21,6 +21,8 @@ import numpy as np
 
 def copy_payload(obj: Any) -> Any:
     """Deep-enough copy of a message payload."""
+    if type(obj) is int or type(obj) is float:  # the common scalars, first
+        return obj
     if obj is None or isinstance(obj, (bool, int, float, complex, str, bytes, np.generic)):
         return obj
     if isinstance(obj, np.ndarray):
@@ -76,6 +78,8 @@ def iter_arrays(obj: Any, *, _depth: int = 0, _seen: set[int] | None = None) -> 
 
 def payload_nbytes(obj: Any) -> int:
     """Approximate wire size of a payload in bytes."""
+    if type(obj) is int or type(obj) is float:  # exact types: no ``Number`` ABC walk
+        return 8
     if obj is None:
         return 0
     if isinstance(obj, np.ndarray):

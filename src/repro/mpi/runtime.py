@@ -1,4 +1,4 @@
-"""The SPMD runtime: spawns one thread per rank and runs a rank function.
+"""The SPMD runtime: runs a rank function on one thread per rank.
 
 This is the in-process substitute for ``mpiexec`` + MPI: a
 :class:`Runtime` owns the world communicator, the per-rank virtual clocks,
@@ -11,14 +11,16 @@ communication call and every explicit :meth:`Comm.compute` charge advances
 it by the machine model's price.  After a run, ``runtime.elapsed()`` (the
 max over ranks) is the modelled makespan of the SPMD program — this is what
 the benchmarks report.
+
+Rank threads come from one process-wide, unbounded pool of parked workers.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
-import time
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -32,6 +34,60 @@ from ..trace.events import TraceRecorder
 from .comm import Comm, _CommState
 from .errors import Aborted, MessageLeakError, RankCrashed, SPMDError
 from .waitstate import WaitRegistry
+
+
+_idle: list[queue.SimpleQueue] = []  # the parked workers' inboxes
+_idle_lock = threading.Lock()
+os.register_at_fork(after_in_child=_idle.clear)  # a child has none of these threads
+
+
+class _Join:
+    """The ranks of one run still running; a timed-out run abandons its workers."""
+
+    def __init__(self, task: Callable[[int], None], size: int):
+        """Run ``task(rank)`` for every rank on a pooled worker of its own."""
+        self.cond = threading.Condition()
+        self.pending = set(range(size))
+        self.abandoned = False
+        with _idle_lock:
+            inboxes = [_idle.pop() for _ in range(min(size, len(_idle)))]
+        for _ in range(size - len(inboxes)):
+            inboxes.append(queue.SimpleQueue())
+            threading.Thread(target=_worker, args=(inboxes[-1],), daemon=True).start()
+        for rank, inbox in enumerate(inboxes):
+            inbox.put((task, rank, self))
+
+    def leave(self, rank: int, inbox: queue.SimpleQueue) -> bool:
+        """``rank``'s task returned: park its worker unless abandoned."""
+        with self.cond:
+            self.pending.discard(rank)
+            if not self.abandoned:
+                with _idle_lock:
+                    _idle.append(inbox)
+            if not self.pending:
+                self.cond.notify_all()
+            return not self.abandoned
+
+    def wait(self, timeout: float | None) -> int | None:
+        """Wait for every rank, or ``timeout``: then abandon, naming the lowest rank left."""
+        with self.cond:
+            if self.cond.wait_for(lambda: not self.pending, timeout):
+                return None
+            self.abandoned = True
+            return min(self.pending)
+
+
+def _worker(inbox: queue.SimpleQueue) -> None:
+    """A pooled rank thread: one rank task per job, parked in between."""
+    thread = threading.current_thread()
+    while True:
+        task, rank, join = inbox.get()
+        thread.name = f"rank-{rank}"
+        task(rank)
+        del task  # nothing of the run may stay reachable from a parked worker
+        thread.name = "rank-parked"
+        if not join.leave(rank, inbox):
+            return
 
 
 def _env_flag(name: str) -> bool:
@@ -211,7 +267,7 @@ class Runtime:
         the fault machinery: clocks, statistics, and traces are unchanged.
     spares:
         Warm spare ranks held in reserve for the recovery layer: the
-        runtime spawns ``size + spares`` threads, but the rank function
+        runtime runs ``size + spares`` rank threads, but the rank function
         runs only on the first ``size`` (the *actives*, on their own
         communicator); spares sit in the spare-pool rendezvous
         (:mod:`repro.mpi.spare`) until a failure substitutes one for a
@@ -408,7 +464,7 @@ class Runtime:
         self._registry.begin(on_deadlock=self.abort,
                              on_fire=self._count_detection)
 
-        def worker(rank: int) -> None:
+        def task(rank: int) -> None:
             try:
                 if rank < self.active_size:
                     comm = Comm(self.active_state, rank)
@@ -433,25 +489,17 @@ class Runtime:
                 # can complete a deadlock, so the ledger re-arbitrates.
                 self._registry.finish(rank)
 
-        threads = [
-            threading.Thread(target=worker, args=(r,), name=f"rank-{r}", daemon=True)
-            for r in range(self.size)
-        ]
-        for t in threads:
-            t.start()
-        # One deadline for the whole run: per-thread join(timeout) would
-        # let ranks finishing one after another stretch the wait to p * T.
-        expiry = None if timeout is None else time.monotonic() + timeout
-        for t in threads:
-            t.join(None if expiry is None else max(0.0, expiry - time.monotonic()))
-            if t.is_alive():
-                blocked = self._registry.describe_blocked()
-                self.abort()
-                t.join(5.0)
-                raise TimeoutError(
-                    f"SPMD run exceeded {timeout}s (thread {t.name}); "
-                    f"per-rank wait states at expiry:\n{blocked}"
-                )
+        join = _Join(task, self.size)
+        # One deadline for the whole run, however the ranks finish.
+        straggler = join.wait(timeout)
+        if straggler is not None:
+            blocked = self._registry.describe_blocked()
+            self.abort()
+            join.wait(5.0)
+            raise TimeoutError(
+                f"SPMD run exceeded {timeout}s (thread rank-{straggler}); "
+                f"per-rank wait states at expiry:\n{blocked}"
+            )
         # Aborted ranks and no primary failure: the runtime was torn down
         # from outside, and those ranks' results are missing.
         failures = failures or casualties

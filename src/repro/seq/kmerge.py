@@ -36,6 +36,7 @@ __all__ = [
     "LoserTree",
     "loser_tree_merge",
     "kway_merge",
+    "merge_in_place",
 ]
 
 
@@ -60,19 +61,24 @@ def sort_keys(a: np.ndarray) -> np.ndarray:
     return np.sort(a, kind=_sort_kind(a))
 
 
+def merge_in_place(buf: np.ndarray, k: int) -> np.ndarray:
+    """Sort ``buf``, ``k`` non-empty sorted runs back to back, in place into
+    their stable merge's bytes.  Two runs stay on timsort (a linear merge)."""
+    buf.sort(kind="stable" if k < 3 else _sort_kind(buf))
+    return buf
+
+
 def _natural_merge(runs: Sequence[np.ndarray]) -> np.ndarray:
     """Stable merge of sorted ``runs``: concatenate, then sort in place.
 
     Always a fresh array; empty runs do not vote on its dtype unless all
-    are empty.  Two runs stay on timsort, whose galloping merge is linear.
+    are empty.
     """
     runs = [np.asarray(r) for r in runs]
     nonempty = [r for r in runs if r.size]
     if not nonempty:
         return np.empty(0, dtype=np.result_type(*runs) if runs else np.float64)
-    out = np.concatenate(nonempty)
-    out.sort(kind="stable" if len(nonempty) < 3 else _sort_kind(out))
-    return out
+    return merge_in_place(np.concatenate(nonempty), len(nonempty))
 
 
 def merge_two_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

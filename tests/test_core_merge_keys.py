@@ -8,6 +8,11 @@ from repro.core.keys import PackError, PackSpec
 from repro.machine import supermuc_phase2
 
 
+def _received(chunks):
+    """The exchange's ``(recvbuf, recv_counts)`` for these runs."""
+    return np.concatenate(chunks), np.array([c.size for c in chunks])
+
+
 class TestLocalMerge:
     @pytest.fixture
     def chunks(self, rng):
@@ -18,26 +23,36 @@ class TestLocalMerge:
         ref = np.sort(np.concatenate(chunks))
 
         def prog(comm):
-            return local_merge(comm, chunks, strategy=strategy)
+            return local_merge(comm, _received(chunks), strategy=strategy)
 
         out = run(1, prog)[0]
         assert np.array_equal(out, ref)
 
     def test_empty_chunks(self, run):
         def prog(comm):
-            return local_merge(comm, [np.array([]), np.array([])])
+            return local_merge(comm, _received([np.array([]), np.array([])]))
 
         assert run(1, prog)[0].size == 0
 
+    def test_sorts_the_receive_buffer_in_place(self, run, chunks):
+        buf, counts = _received(chunks)
+        ref = np.sort(buf)
+
+        def prog(comm):
+            return local_merge(comm, (buf, counts))
+
+        assert run(1, prog)[0] is buf
+        assert np.array_equal(buf, ref)
+
     def test_no_chunks(self, run):
         def prog(comm):
-            return local_merge(comm, [])
+            return local_merge(comm, (np.array([]), np.array([], np.int64)))
 
         assert run(1, prog)[0].size == 0
 
     def test_unknown_strategy(self, run, chunks):
         def prog(comm):
-            return local_merge(comm, chunks, strategy="nope")
+            return local_merge(comm, _received(chunks), strategy="nope")
 
         from repro.mpi import SPMDError
 
@@ -47,7 +62,7 @@ class TestLocalMerge:
     def test_charges_virtual_time(self, run, chunks):
         def prog(comm):
             t0 = comm.clock
-            local_merge(comm, chunks, strategy="sort")
+            local_merge(comm, _received(chunks), strategy="sort")
             return comm.clock - t0
 
         assert run(1, prog)[0] > 0
@@ -57,7 +72,7 @@ class TestLocalMerge:
         ref = np.sort(np.concatenate(small))
 
         def prog(comm):
-            return local_merge(comm, small, strategy="adaptive")
+            return local_merge(comm, _received(small), strategy="adaptive")
 
         assert np.array_equal(run(1, prog)[0], ref)
 

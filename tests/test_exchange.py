@@ -51,8 +51,9 @@ class TestExchangePlan:
     def test_received_chunks_sorted(self, run, rng):
         parts = [rng.normal(size=600) for _ in range(4)]
         out = _plan_and_exchange(run, parts)
-        for _, received in out:
-            for chunk in received:
+        for plan, (buf, counts) in out:
+            assert counts.tolist() == plan.recv_counts.tolist()
+            for chunk in np.split(buf, np.cumsum(counts)[:-1]):
                 assert np.all(chunk[:-1] <= chunk[1:])
 
     def test_chunk_ranges_respect_splitters(self, run, rng):
@@ -60,8 +61,7 @@ class TestExchangePlan:
         parts = [rng.integers(0, 10**6, 900).astype(np.int64) for _ in range(4)]
         out = _plan_and_exchange(run, parts)
         maxima, minima = [], []
-        for _, received in out:
-            allv = np.concatenate([c for c in received if c.size])
+        for _, (allv, _) in out:
             maxima.append(allv.max())
             minima.append(allv.min())
         for i in range(3):
@@ -77,9 +77,9 @@ class TestExchangePlan:
     def test_single_rank_plan(self, run, rng):
         parts = [rng.normal(size=50)]
         out = _plan_and_exchange(run, parts)
-        plan, received = out[0]
+        plan, (buf, counts) = out[0]
         assert plan.send_counts.tolist() == [50]
-        assert received[0].size == 50
+        assert buf.size == 50 and counts.tolist() == [50]
 
     def test_custom_capacities_move_everything(self, run, rng):
         parts = [rng.integers(0, 100, 500).astype(np.int64) for _ in range(4)]

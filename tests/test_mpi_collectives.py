@@ -138,27 +138,107 @@ class TestAlltoall:
         def prog(comm):
             # deliberately p²-total payload — exercises varying row sizes
             chunks = [np.full(d + 1, comm.rank) for d in range(comm.size)]
-            got = comm.alltoallv(chunks)  # spmd: ignore[P2-TRAFFIC]
-            return [c.tolist() for c in got]
+            buf, counts = comm.alltoallv(chunks)  # spmd: ignore[P2-TRAFFIC]
+            return buf.tolist(), counts.tolist()
 
         out = run(3, prog)
-        # rank 1 receives chunks of size 2 from every source
-        assert out[1] == [[0, 0], [1, 1], [2, 2]]
+        # rank 1 receives runs of size 2 from every source, in source order
+        assert out[1] == ([0, 0, 1, 1, 2, 2], [2, 2, 2])
 
     def test_alltoallv_wrong_count(self, run):
         def prog(comm):
             comm.alltoallv([np.zeros(1)])
 
-        with pytest.raises(SPMDError):
+        with pytest.raises(SPMDError) as info:
             run(2, prog)
+        assert all(isinstance(e, CommunicatorError) for e in info.value.failures.values())
 
     def test_alltoallv_empty_chunks(self, run):
         def prog(comm):
             chunks = [np.zeros(0) for _ in range(comm.size)]
-            got = comm.alltoallv(chunks)
-            return sum(c.size for c in got)
+            buf, counts = comm.alltoallv(chunks)
+            return buf.size, counts.tolist()
 
-        assert run(4, prog) == [0, 0, 0, 0]
+        assert run(4, prog) == [(0, [0, 0, 0, 0])] * 4
+
+
+class TestAlltoallvBufferForm:
+    @pytest.mark.parametrize("counts", [[1, 1], [1, 1, 0, 0], [1, 1, 0], [2, 2, 0], [4, -1, 0]],
+                             ids=["short", "long", "sum-low", "sum-high", "negative"])
+    def test_bad_counts_raise_on_every_rank(self, run, counts):
+        def prog(comm):
+            comm.alltoallv(np.arange(3), counts)
+
+        with pytest.raises(SPMDError) as info:
+            run(3, prog)
+        failures = info.value.failures
+        assert sorted(failures) == [0, 1, 2]
+        assert all(isinstance(e, CommunicatorError) for e in failures.values())
+
+    def test_empty_ranks(self, run):
+        def prog(comm):
+            # ranks 0 and 2 hold nothing; rank 1 sends one 1, rank 3 three 3s
+            # to each peer
+            buf = np.full(comm.rank * comm.size if comm.rank != 2 else 0, comm.rank, np.int64)
+            counts = np.full(comm.size, buf.size // comm.size)
+            got, got_counts = comm.alltoallv(buf, counts)  # spmd: ignore[P2-TRAFFIC]
+            return got.tolist(), got_counts.tolist()
+
+        assert run(4, prog) == [([1, 3, 3, 3], [0, 1, 0, 3])] * 4
+
+    def test_single_rank(self, run):
+        def prog(comm):
+            buf = np.array([3, 1, 2], np.uint32)
+            got, counts = comm.alltoallv(buf, [3])
+            assert not np.shares_memory(got, buf)
+            return got.dtype, got.tolist(), counts.tolist()
+
+        assert run(1, prog) == [(np.dtype(np.uint32), [3, 1, 2], [3])]
+
+    @pytest.mark.parametrize("listed", [False, True], ids=["buffer", "list"])
+    def test_float64_empties_keep_the_receive_dtype(self, run, listed):
+        # the sampling baselines' empty ranks hold np.empty(0) float64
+        def prog(comm):
+            if comm.rank == 0:
+                buf = np.empty(0)
+            else:
+                buf = np.arange(comm.size, dtype=np.uint64) + np.uint64(2**63)
+            counts = np.full(comm.size, buf.size // comm.size)
+            if listed:  # a float64 empty to self beside the u64 chunks
+                chunks = [buf[d:d + 1] if d != comm.rank else np.empty(0)
+                          for d in range(comm.size)] if buf.size else [buf] * comm.size
+                got, _ = comm.alltoallv(chunks)  # spmd: ignore[P2-TRAFFIC] (one key per peer)
+            else:
+                got, _ = comm.alltoallv(buf, counts)
+            return got
+
+        out = run(3, prog)
+        assert all(g.dtype == np.uint64 for g in out)
+        assert out[2].tolist() == ([2**63 + 2] if listed else [2**63 + 2] * 2)
+
+    def test_list_and_buffer_forms_agree(self, run):
+        def prog(comm, listed):
+            rng = np.random.default_rng(comm.rank)
+            counts = rng.integers(0, 5, comm.size)
+            buf = rng.integers(0, 2**64, counts.sum(), dtype=np.uint64)
+            cuts = np.concatenate(([0], np.cumsum(counts)))
+            if listed:
+                chunks = [buf[cuts[d]:cuts[d + 1]] for d in range(comm.size)]
+                return comm.alltoallv(chunks)
+            return comm.alltoallv(buf, counts)
+
+        runs = [run(5, prog, listed, trace=True, return_runtime=True)
+                for listed in (True, False)]
+        (out_l, rt_l), (out_b, rt_b) = runs
+        for (bl, cl), (bb, cb) in zip(out_l, out_b):
+            assert bl.tobytes() == bb.tobytes() and bl.dtype == bb.dtype
+            assert cl.tolist() == cb.tolist()
+        assert rt_l.clocks.tobytes() == rt_b.clocks.tobytes()
+        snap_l, snap_b = rt_l.stats.snapshot(), rt_b.stats.snapshot()
+        assert snap_l.collectives == snap_b.collectives
+        assert snap_l.bytes_sent.tolist() == snap_b.bytes_sent.tolist()
+        assert snap_l.msgs_sent.tolist() == snap_b.msgs_sent.tolist()
+        assert repr(rt_l.trace.spans()) == repr(rt_b.trace.spans())
 
 
 class TestScans:

@@ -1,6 +1,13 @@
-"""Runtime lifecycle: split/dup, failure propagation, determinism."""
+"""Runtime lifecycle: split/dup, failure propagation, determinism, the
+rank-thread pool."""
 
+import gc
+import os
+import subprocess
+import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -208,3 +215,84 @@ class TestDeterminism:
             return comm.allreduce(1)
 
         assert run(32, prog) == [32] * 32
+
+
+class TestRankThreadPool:
+    def test_workers_are_named_by_rank_while_they_run(self):
+        assert run_spmd(4, lambda comm: threading.current_thread().name) == [
+            f"rank-{r}" for r in range(4)]
+
+    def test_a_run_after_a_timeout_succeeds(self):
+        straggler = []
+
+        def prog(comm):
+            if comm.rank == 1:
+                straggler.append(threading.current_thread())
+                time.sleep(0.3)
+
+        with pytest.raises(TimeoutError, match=r"thread rank-1\)"):
+            run_spmd(2, prog, timeout=0.05)
+        assert run_spmd(2, lambda comm: comm.allreduce(comm.rank)) == [1, 1]
+        # the timed-out run's worker finishes its task and is not parked again
+        straggler[0].join(5.0)
+        assert not straggler[0].is_alive()
+
+    def test_ranks_may_run_nested_programs_concurrently(self):
+        # more pool users than cores, switching often: two runs popping the
+        # same parked worker would cross their results or hang
+        def inner(comm, base):
+            return comm.allreduce(base + comm.rank)
+
+        def outer(comm):
+            return [run_spmd(3, inner, 10 * comm.rank + i) for i in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = run_spmd(6, outer, timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [[[3 * (10 * r + i) + 3] * 3 for i in range(10)] for r in range(6)]
+
+    def test_the_run_after_a_failure_is_correct(self):
+        def bad(comm):
+            if comm.rank == 2:
+                raise ValueError("boom")
+            return comm.allreduce(1)  # spmd: ignore[DIV-COLLECTIVE]
+
+        for _ in range(3):
+            with pytest.raises(SPMDError):
+                run_spmd(4, bad)
+            assert run_spmd(4, lambda comm: comm.allgather(comm.rank)) == [[0, 1, 2, 3]] * 4
+
+    def test_a_finished_run_is_not_kept_alive(self):
+        bufs = []
+
+        def prog(comm):
+            buf = np.arange(4 * comm.size)
+            bufs.append(weakref.ref(buf))
+            return comm.alltoallv(buf, [4] * comm.size)[1].sum()
+
+        out, rt = run_spmd(4, prog, return_runtime=True)
+        assert out == [16] * 4
+        dead = weakref.ref(rt)
+        del rt
+        gc.collect()
+        assert dead() is None
+        assert len(bufs) == 4 and all(ref() is None for ref in bufs)
+
+    def test_repeated_runs_reuse_p_threads(self):
+        # a fresh interpreter: this process's pool holds other tests' workers
+        script = (
+            "import threading\n"
+            "from repro.mpi import run_spmd\n"
+            "counts = set()\n"
+            "for _ in range(20):\n"
+            "    run_spmd(8, lambda comm: comm.allreduce(1))\n"
+            "    counts.add(threading.active_count())\n"
+            "print(sorted(counts))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[9]"
