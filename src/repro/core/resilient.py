@@ -146,8 +146,9 @@ def resilient_sort(
     While spares are parked, ``comm`` must be the communicator ``run_spmd``
     handed out (``ValueError`` otherwise).
     Never hangs: blocked survivors are hoisted out by revocation, crashed
-    peers by the runtime's failure notifications, and silent message loss
-    by virtual-time retry deadlines.
+    peers by the runtime's failure notifications, and a message the plan
+    drops on every attempt by the retry ladder's
+    :class:`~repro.mpi.MessageTimeoutError`.
     """
     if config is None:
         config = SortConfig(resilient=True)

@@ -95,7 +95,6 @@ def collect_runtime(
         ("duplicated", fs.duplicated),
         ("delayed", fs.delayed),
         ("crashed", len(fs.crashed)),
-        ("detections", fs.detections),
         ("recoveries", fs.recoveries),
         ("spares_used", fs.spares_used),
         ("checkpoints", fs.checkpoints),

@@ -16,7 +16,8 @@ Quick start::
 
 Fault tolerance: pass ``faults=FaultPlan(...)`` (see :mod:`repro.faults`)
 to inject deterministic message drops/duplications/delays and rank
-crashes.  Collectives price the plan's link faults into their rendezvous
+crashes.  Every message — a send, or one a collective stands for — climbs
+one retry ladder that prices the plan's link faults onto its arrival
 (:mod:`repro.mpi.reliable`), and ``comm.revoke()`` / ``comm.agree()`` /
 ``comm.shrink()`` implement ULFM-style recovery.
 """
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .ops import LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM, ReduceOp
 from .payload import copy_payload, payload_nbytes
-from .reliable import DEFAULT_POLICY, RetryPolicy
 from .requests import Request, waitall
 from .runtime import Runtime, Stats, StatsSnapshot, run_spmd
 from .spare import PoolVerdict
@@ -50,7 +50,6 @@ __all__ = [
     "Comm",
     "CommRevokedError",
     "CommunicatorError",
-    "DEFAULT_POLICY",
     "DeadlockError",
     "LAND",
     "LOR",
@@ -69,7 +68,6 @@ __all__ = [
     "ReduceOp",
     "Replica",
     "Request",
-    "RetryPolicy",
     "Runtime",
     "SPMDError",
     "SUM",

@@ -65,8 +65,9 @@ class DeadlockError(CommunicatorError):
     """The wait ledger's quiescence arbiter found a deadlock (any run).
 
     Every live rank is blocked (recv / collective / rendezvous) and no
-    pending message, completion, deadline or revocation can wake any of
-    them; the message contains the per-rank waits (with call sites under
+    pending message, completion or revocation can wake any of them — a
+    fault plan's drops cannot cause one, since every message reaches its
+    receiver or times out there; the message contains the per-rank waits (with call sites under
     ``check=True``) and, when one exists, the wait-for cycle.
     """
 
@@ -102,13 +103,13 @@ class CommRevokedError(CommunicatorError):
 
 
 class MessageTimeoutError(CommunicatorError):
-    """A virtual-time deadline expired: a ``recv(timeout=...)`` or a
-    collective message dropped on every attempt of its retry ladder
-    (:mod:`repro.mpi.reliable`).
+    """A message was dropped on every attempt of its retry ladder
+    (:mod:`repro.mpi.reliable`): a send, raised by the receive that takes
+    it, or a collective's, raised on every member.
 
-    The deadline is priced on the virtual clock: the waiting rank's clock
-    is advanced to the deadline before this is raised, exactly as if it
-    had idled the full timeout.
+    The ladder is priced on the virtual clock: the raising rank's clock is
+    advanced to the message's departure plus the whole ladder first,
+    exactly as if it had waited out every attempt.
     """
 
 

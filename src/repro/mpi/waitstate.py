@@ -7,20 +7,15 @@ fields, in every run — with its user :func:`call_site` under
 
 * ``Runtime.run(timeout=...)`` expiry reports *which ranks* were blocked
   and on what operation (:meth:`WaitRegistry.describe_blocked`).
-* Deadlocks: when the arbiter finds quiescence with no deadline and no
-  revocation left to drive progress, it stores the diagnosis — the same
-  table plus the wait-for cycle — in :attr:`WaitRegistry.verdict` and
-  aborts the run; every abort-woken wait re-raises it as
-  :class:`~repro.mpi.errors.DeadlockError`.
-* Virtual-time p2p deadlines (``recv(timeout=...)``): there is no global
-  event queue in this runtime — ranks run as free threads — so a timeout
-  cannot "fire at virtual time T" eagerly.  Instead the registry detects
+* Revocation: a receive on a revoked communicator is abandoned only at
   *quiescence* (no rank is runnable and no blocked wait can make
-  progress) and only then fires the earliest ``(deadline, rank)``
-  timeout.  That is exactly the point where the virtual clocks can no
-  longer advance on their own, so firing is deterministic: quiescent
-  configurations are determined by the program + fault schedule, not by
-  thread scheduling.
+  progress) — the point where the program, not thread scheduling,
+  decides that its message can never come.
+* Deadlocks: when the arbiter finds quiescence with no revocation left
+  to drive progress, it stores the diagnosis — the same table plus the
+  wait-for cycle — in :attr:`WaitRegistry.verdict` and aborts the run;
+  every abort-woken wait re-raises it as
+  :class:`~repro.mpi.errors.DeadlockError`.
 
 Lock discipline: the registry lock is a leaf for condition variables —
 wait predicates (``can_progress``) only *read* mailbox lists and
@@ -58,12 +53,10 @@ class WaitInfo:
     """One rank's current wait."""
 
     __slots__ = ("rank", "kind", "state", "op", "source", "tag", "site",
-                 "deadline", "fired", "awake", "hoisted", "can_progress",
-                 "notify", "revocable")
+                 "awake", "hoisted", "can_progress", "notify", "revocable")
 
     def __init__(self, rank: int, kind: str, state: Any, *, op: str = "",
                  source: int = -1, tag: int = -1, site: str = "",
-                 deadline: float | None = None,
                  can_progress: Callable[[], bool] | None = None,
                  notify: Callable[[], None] | None = None,
                  revocable: Callable[[], bool] | None = None):
@@ -79,8 +72,6 @@ class WaitInfo:
         self.tag = tag
         #: user call site (:func:`call_site`), captured only under ``check=True``
         self.site = site
-        self.deadline = deadline
-        self.fired = False
         #: the waiter saw its wake condition hold and is acting on it — it
         #: may be consuming the very message the predicate sees, so the
         #: arbiter must treat it as in-flight progress (the non-monotone recv
@@ -112,21 +103,16 @@ class WaitRegistry:
         #: the deadlock diagnosis, once the arbiter has issued it
         self.verdict: str | None = None
         self._on_deadlock: Callable[[], None] | None = None
-        self._on_fire: Callable[[WaitInfo], None] | None = None
 
-    def begin(self, *, on_deadlock: Callable[[], None] | None = None,
-              on_fire: Callable[[WaitInfo], None] | None = None) -> None:
+    def begin(self, *, on_deadlock: Callable[[], None] | None = None) -> None:
         """Reset for a fresh run.  ``on_deadlock`` tears the run down once
-        :attr:`verdict` is set; ``on_fire`` observes every fired virtual
-        deadline (the failure detector's *suspicion* events —
-        quiescence-determined, hence deterministic; used for counting)."""
+        :attr:`verdict` is set."""
         with self._lock:
             self._state = [RUNNING] * self.size
             self._waits = [None] * self.size
             self._nrunning = self.size
             self.verdict = None
             self._on_deadlock = on_deadlock
-            self._on_fire = on_fire
 
     # -- transitions -----------------------------------------------------
 
@@ -190,34 +176,28 @@ class WaitRegistry:
         if not blocked:
             return None
         for w in blocked:
-            if w.fired or w.awake or w.hoisted:
-                return None  # a firing or a wake-up is already in flight
+            if w.awake or w.hoisted:
+                return None  # a wake-up is already in flight
             try:
                 if w.can_progress is not None and w.can_progress():
                     return None
             except Exception:
                 return None  # predicate raced with a wake-up: assume progress
-        with_deadline = [w for w in blocked if w.deadline is not None]
-        if with_deadline:
-            w = min(with_deadline, key=lambda w: (w.deadline, w.rank))
-            w.fired = True
-            return ("fire", w)
-        # No deadline left to drive progress: waits on a revoked
-        # communicator abandon with CommRevokedError.  Deciding this only
-        # here — at quiescence, where the revoked flag and every mailbox
-        # are stable — rather than eagerly on wake-up keeps the schedule a
-        # pure function of virtual time: a blocked receive whose message
-        # is still (causally) coming always completes; revocation hoists
-        # only the traffic that can never be satisfied.
+        # Waits on a revoked communicator abandon with CommRevokedError.
+        # Deciding this only here — at quiescence, where the revoked flag
+        # and every mailbox are stable — rather than eagerly on wake-up
+        # keeps the schedule a pure function of virtual time: a blocked
+        # receive whose message is still (causally) coming always
+        # completes; revocation hoists only the traffic that can never be
+        # satisfied.
         hoist = [w for w in blocked
                  if w.revocable is not None and w.revocable()]
         if hoist:
             for w in hoist:
                 w.hoisted = True
             return ("hoist", hoist)
-        # Nothing left that could ever wake anyone — a programming error,
-        # or a fault plan that starved the program (e.g. dropped a message
-        # it only sends once).  Abort rather than hang.
+        # Nothing left that could ever wake anyone — a programming error.
+        # Abort rather than hang.
         self.verdict = "\n".join(
             ["SPMD deadlock: every live rank is blocked and none can progress",
              self._describe_locked(), *self._cycle_locked(blocked)])
@@ -227,13 +207,7 @@ class WaitRegistry:
         if action is None:
             return
         what, payload = action
-        if what == "fire":
-            cb = self._on_fire
-            if cb is not None:
-                cb(payload)
-            if payload.notify is not None:
-                payload.notify()
-        elif what == "hoist":
+        if what == "hoist":
             for w in payload:
                 if w.notify is not None:
                     w.notify()
@@ -251,8 +225,6 @@ class WaitRegistry:
             line = f"  rank {w.rank}: blocked in {w.describe()}"
             if len(w.state.world_ranks) < self.size:
                 line += f" (members {w.state.world_ranks})"
-            if w.deadline is not None:
-                line += f" (deadline t={w.deadline:.6g})"
             if w.site:
                 line += f" at {w.site}"
             lines.append(line)

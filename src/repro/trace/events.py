@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Span", "TraceRecorder", "RankTracer", "NullTracer", "NULL_TRACER"]
 
 #: span categories, used by the exporter and the analysis ("fault" marks
-#: injected drops/duplicates/delays, crashes, timeouts, and revocations)
+#: crashes, retry-ladder timeouts and revocations)
 CATEGORIES = ("phase", "collective", "p2p", "compute", "user", "fault")
 
 
