@@ -1,8 +1,8 @@
-"""Sanitizer demo: catch three memory hazards the checker cannot see.
+"""Sanitizer demo: catch three memory hazards the runtime's checks cannot see.
 
-``check=True`` verifies the *protocol* (congruent collectives, no leaked
-requests); ``sanitize=True`` verifies the *memory model*: who may touch a
-buffer, and when.  This script runs three deliberately buggy programs under
+Every run verifies the *protocol* (congruent collectives, no deadlock, no
+leaked messages or requests); ``sanitize=True`` verifies the *memory
+model*: who may touch a buffer, and when.  This script runs three deliberately buggy programs under
 ``run_spmd(..., sanitize=True)`` and prints the sanitizer's diagnosis of
 each, then re-runs a correct 16-rank histogram sort twice to show the
 non-perturbation guarantee: virtual clocks are bit-identical with the

@@ -9,7 +9,7 @@ per-function summaries are *joined* into one whole program for the
 interprocedural and cost rules (:mod:`repro.analyze.interproc`,
 :mod:`repro.analyze.costlint`).  ``RULES`` in :mod:`repro.analyze.rules` is
 the rule catalogue.  The runtime's own checks (collective congruence,
-deadlocks, ``check=True`` leak accounting) live in :mod:`repro.mpi`.
+deadlocks, leak accounting) live in :mod:`repro.mpi`.
 
 Attribute access is lazy so that importing one submodule — the CLI, or
 :mod:`repro.analyze.symbolic` alone — loads only what it needs, not every

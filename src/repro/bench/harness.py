@@ -123,7 +123,6 @@ def run_sort_trial(
     config: SortConfig | None = None,
     use_shm: bool = True,
     trace_path: str | Path | None = None,
-    check: bool | None = None,
     sanitize: bool | None = None,
     faults=None,
     plan: str | None = None,
@@ -134,12 +133,10 @@ def run_sort_trial(
 
     ``trace_path`` enables event tracing for the run and writes a
     Chrome-trace JSON there (open it in Perfetto, or summarize it with
-    ``python -m repro.trace.report``).  ``check`` adds call sites to
-    deadlock and collective-mismatch errors and makes leaks raise;
-    ``None`` defers to the ``REPRO_CHECK`` environment variable.
-    ``sanitize`` enables the happens-before/buffer-lifetime sanitizer
-    (:mod:`repro.sanitize`); ``None`` defers to ``REPRO_SANITIZE``.
-    Neither tracing, checking nor sanitizing perturbs the modelled times.
+    ``python -m repro.trace.report``).  ``sanitize`` enables the
+    happens-before/buffer-lifetime sanitizer (:mod:`repro.sanitize`);
+    ``None`` defers to ``REPRO_SANITIZE``.  Neither tracing nor
+    sanitizing perturbs the modelled times.
 
     ``faults`` injects a :class:`~repro.faults.FaultPlan` (pair it with a
     resilient ``config`` so the sort can heal); ranks the plan crashes
@@ -175,7 +172,6 @@ def run_sort_trial(
         use_shm=use_shm,
         return_runtime=True,
         trace=trace_path is not None,
-        check=check,
         sanitize=sanitize,
         faults=faults,
     )

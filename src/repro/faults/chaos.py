@@ -21,7 +21,7 @@ unchanged.
 Usage::
 
     python -m repro.faults.chaos --seeds 20 --sizes 4,8 --drops 0.05,0.2 \\
-        --crash-ranks 1 --check --determinism
+        --crash-ranks 1 --determinism
     python -m repro.faults.chaos --spares 2 --checkpoint --crash-ranks 2
 
 Exit status is non-zero if any case hangs, produces an unsorted/unverified
@@ -56,7 +56,6 @@ class ChaosCase:
     drop_rate: float
     crash_ranks: int
     n_per_rank: int
-    check: bool
     #: warm spare ranks substituted for crashed actives
     spares: int = 0
     #: buddy-checkpoint phase boundaries and restore lost partitions
@@ -172,7 +171,7 @@ def run_case(case: ChaosCase, wall_timeout: float = 120.0) -> ChaosOutcome:
     """Run one chaos case; never raises for in-contract behaviour."""
     plan = case.plan()
     cfg = SortConfig(resilient=True, checkpoint=case.checkpoint)
-    rt = Runtime(case.size, spares=case.spares, faults=plan, check=case.check)
+    rt = Runtime(case.size, spares=case.spares, faults=plan)
     try:
         results = rt.run(_sort_program,
                          args=(case.n_per_rank, 1000 + case.seed, cfg),
@@ -233,7 +232,7 @@ def sweep(
                 f"[{flag}] seed={case.seed:<3d} p={case.size:<2d} "
                 f"drop={case.drop_rate:<4g} crash={case.crash_ranks} "
                 f"spares={case.spares} ckpt={int(case.checkpoint)} "
-                f"check={int(case.check)} -> {out.kind:<11s} "
+                f"-> {out.kind:<11s} "
                 f"t={out.makespan:.5f} {out.detail}"
             )
     return outcomes
@@ -262,8 +261,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="warm spare ranks substituted for crashed actives")
     ap.add_argument("--checkpoint", action="store_true",
                     help="buddy-checkpoint phase boundaries (no data loss)")
-    ap.add_argument("--check", action="store_true",
-                    help="enable the runtime correctness checker")
     ap.add_argument("--determinism", action="store_true",
                     help="run every case twice and require identical replay")
     ap.add_argument("--wall-timeout", type=float, default=120.0,
@@ -272,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cases = [
         ChaosCase(seed=s, size=p, drop_rate=d, crash_ranks=args.crash_ranks,
-                  n_per_rank=args.n, check=args.check, spares=args.spares,
+                  n_per_rank=args.n, spares=args.spares,
                   checkpoint=args.checkpoint)
         for p in _parse_list(args.sizes, int)
         for d in _parse_list(args.drops, float)

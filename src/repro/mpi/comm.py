@@ -109,8 +109,8 @@ class _CommState:
         #: the one condition every rendezvous on this communicator waits on
         self.cond = threading.Condition()
         # collective rendezvous: member idx's next generation; by generation
-        # parity, the deposit buffers, each member's (op, root, then) and — when
-        # checking or sanitizing — its (call site, sanitizer entry clock);
+        # parity, the deposit buffers, each member's (op, root, then) and —
+        # when sanitizing — its sanitizer entry clock;
         # the members counted into the open generation, the number of
         # completed generations and the last one's (shared value, new clocks,
         # fault-plan failure or None)
@@ -213,15 +213,17 @@ class _CommState:
 
     def _mismatch(self, gen: int) -> CollectiveMismatchError:
         """Generation ``gen``'s incongruent calls: the first member's and
-        the first that differs from it, with call sites under ``check``."""
-        calls, notes = self.calls[gen & 1], self.notes[gen & 1]
+        the first that differs from it, each at its call site (every member
+        is still inside the collective)."""
+        calls = self.calls[gen & 1]
         other = next(i for i, c in enumerate(calls) if c != calls[0])
 
         def called(i: int) -> str:
             op, root, then = calls[i]
             args = ([] if root is None else [f"root={root}"]) + (["then=…"] if then else [])
-            text = f"rank {self.world_ranks[i]} called {op}({', '.join(args)}"
-            return text + (f") at {notes[i][0]}" if self.runtime.check else ")")
+            wrank = self.world_ranks[i]
+            return (f"rank {wrank} called {op}({', '.join(args)}) at "
+                    f"{self.runtime._registry.site(wrank)}")
 
         return CollectiveMismatchError(
             f"mismatched collectives on comm#{self.trace_id} (members "
@@ -266,13 +268,11 @@ class _CommState:
             raise broken
         gen = self._seq[idx]
         self._seq[idx] = gen + 1
-        site = call_site() if rt.check else ""
         san = rt.sanitizer
-        if rt.check or san is not None:
+        if san is not None:
             # Deposit edge, before the deposit below: every member's entry
             # snapshot therefore precedes every member's exit.
-            snap = None if san is None else san.collective_entry(self, idx, deposit, name)
-            self.notes[gen & 1][idx] = site, snap
+            self.notes[gen & 1][idx] = san.collective_entry(self, idx, deposit, name)
         rec = rt.trace
         if rec is not None:
             t0 = float(rt.clocks[wrank])
@@ -312,8 +312,7 @@ class _CommState:
             raise
         if not last:
             self._wait(wrank, "collective", name,
-                       lambda: self.done > gen or self._broken(name) is not None,
-                       site=site)
+                       lambda: self.done > gen or self._broken(name) is not None)
             # Completion first: a collective whose result is agreed returns
             # on every member, whatever happened since.
             if self.done <= gen:
@@ -389,13 +388,12 @@ class _CommState:
         return all(idx in deps or self.world_ranks[idx] in failed
                    for idx in range(self.size))
 
-    def _wait(self, wr: int, kind: str, name: str, ready: Callable[[], bool],
-              site: str = "") -> None:
+    def _wait(self, wr: int, kind: str, name: str, ready: Callable[[], bool]) -> None:
         """Block world rank ``wr`` on ``cond`` until ``ready()``, a predicate
         the quiescence arbiter also reads lock-free (monotone: once true it
         stays true)."""
         reg = self.runtime._registry
-        reg.block(wr, kind, self, op=name, site=site, can_progress=ready)
+        reg.block(wr, kind, self, op=name, can_progress=ready)
         try:
             with self.cond:
                 while not ready():
@@ -698,7 +696,6 @@ class Comm:
                 mb.cond.notify_all()
 
         w = reg.block(wr, "recv", state, source=source, tag=tag,
-                      site=call_site() if rt.check else "",
                       can_progress=ready, notify=wake,
                       revocable=lambda: state.revoked)
         try:
@@ -754,12 +751,9 @@ class Comm:
         return req
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        rt = self._rt
-        if not rt.check:
-            return _IRecvRequest(self, source, tag)
-        # Checked runs keep every irecv for finalize leak accounting.
+        # Kept for the finalize leak accounting, which names its call site.
         req = _IRecvRequest(self, source, tag, call_site())
-        rt.irecvs.append(req)
+        self._rt.irecvs.append(req)
         return req
 
     # ------------------------------------------------------------ sanitizer

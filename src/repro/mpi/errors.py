@@ -55,26 +55,27 @@ class CommunicatorError(RuntimeError):
 class CollectiveMismatchError(CommunicatorError):
     """Two ranks issued incongruent collectives on the same communicator.
 
-    Raised in every run by the rendezvous' last arriver when the members'
-    Nth collectives disagree on operation name or root; under
-    ``check=True`` the message carries both ranks' call sites.
+    Raised by the rendezvous' last arriver when the members' Nth
+    collectives disagree on operation name or root; the message carries
+    both ranks' call sites.
     """
 
 
 class DeadlockError(CommunicatorError):
-    """The wait ledger's quiescence arbiter found a deadlock (any run).
+    """The wait ledger's quiescence arbiter found a deadlock.
 
     Every live rank is blocked (recv / collective / rendezvous) and no
     pending message, completion or revocation can wake any of them — a
     fault plan's drops cannot cause one, since every message reaches its
-    receiver or times out there; the message contains the per-rank waits (with call sites under
-    ``check=True``) and, when one exists, the wait-for cycle.
+    receiver or times out there; the message contains the per-rank waits
+    with their call sites and, when one exists, the wait-for cycle.
     """
 
 
 class MessageLeakError(CommunicatorError):
-    """A ``check=True`` run finished with undelivered messages or pending
-    requests; the message lists every orphaned (source, dest, tag)."""
+    """A run with no crashed rank finished with undelivered messages or
+    never-completed ``irecv`` requests; the message lists every orphaned
+    (source, dest, tag) and every such request's call site."""
 
 
 class RankFailedError(CommunicatorError):

@@ -60,8 +60,8 @@ class _DoneRequest(Request):
 
 class _IRecvRequest(Request):
     """A pending receive; completes on :meth:`wait` or a successful test.
-    ``site`` is the user call site, recorded under ``check=True`` for the
-    finalize leak report."""
+    The runtime keeps every one until its run ends: one never completed is
+    a leak, reported at ``site``, the user call site."""
 
     def __init__(self, comm: "Comm", source: int, tag: int, site: str = ""):
         self._comm = comm

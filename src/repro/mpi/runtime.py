@@ -21,7 +21,6 @@ import math
 import os
 import queue
 import threading
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -88,12 +87,6 @@ def _worker(inbox: queue.SimpleQueue) -> None:
         thread.name = "rank-parked"
         if not join.leave(rank, inbox):
             return
-
-
-def _env_flag(name: str) -> bool:
-    """Resolve ``check=None`` / ``sanitize=None`` from environment variable
-    ``name`` (``REPRO_CHECK`` / ``REPRO_SANITIZE``)."""
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false")
 
 
 @dataclass(frozen=True)
@@ -239,14 +232,6 @@ class Runtime:
         call, compute charge, and wait is recorded as a virtual-time span
         (``runtime.trace``).  Off by default; recording never changes the
         virtual clocks.
-    check:
-        Record user call sites — in deadlock diagnoses and collective
-        mismatch errors (both are detected in every run) — and keep every
-        ``irecv`` request, so leaked messages and never-completed requests
-        raise :class:`~repro.mpi.errors.MessageLeakError` at finalize.
-        ``None`` (the default) reads the ``REPRO_CHECK`` environment
-        variable.  Checking never changes the virtual clocks: a checked
-        run is bit-identical to an unchecked one.
     sanitize:
         Attach a :class:`~repro.sanitize.Sanitizer`: per-rank vector
         clocks advanced at every send/recv/collective edge, buffer
@@ -258,7 +243,7 @@ class Runtime:
         :class:`~repro.sanitize.SanitizerError` at finalize.  ``None``
         (the default) reads the ``REPRO_SANITIZE`` environment variable.
         Sanitizing never changes the virtual clocks and composes with
-        ``check`` and ``trace``.
+        ``trace``.
     faults:
         A :class:`~repro.faults.FaultPlan` to inject into the delivery
         path (message drops/duplications/delays, degraded links, rank
@@ -286,7 +271,6 @@ class Runtime:
         cost_model: CostModel | None = None,
         use_shm: bool = True,
         trace: bool = False,
-        check: bool | None = None,
         sanitize: bool | None = None,
         faults: FaultPlan | None = None,
         spares: int = 0,
@@ -313,13 +297,12 @@ class Runtime:
         self.clocks = np.zeros(total, dtype=np.float64)
         self.stats = Stats(total)
         self.trace: TraceRecorder | None = None
-        self.check: bool = _env_flag("REPRO_CHECK") if check is None else bool(check)
-        #: the run's irecv requests (``check=True`` only), for finalize
-        #: leak accounting
+        #: the run's irecv requests, for finalize leak accounting
         self.irecvs: list = []
         self.sanitizer = None
         if sanitize is None:
-            sanitize = _env_flag("REPRO_SANITIZE")
+            flag = os.environ.get("REPRO_SANITIZE", "").strip().lower()
+            sanitize = flag not in ("", "0", "false")
         if sanitize:
             from ..sanitize import Sanitizer
 
@@ -466,6 +449,7 @@ class Runtime:
         self._registry.begin(on_deadlock=self.abort)
 
         def task(rank: int) -> None:
+            self._registry.threads[rank] = threading.get_ident()
             try:
                 if rank < self.active_size:
                     comm = Comm(self.active_state, rank)
@@ -504,62 +488,45 @@ class Runtime:
         # Aborted ranks and no primary failure: the runtime was torn down
         # from outside, and those ranks' results are missing.
         failures = failures or casualties
+        leaks = self._finalize()
         if failures:
             first = failures[min(failures)]
             raise SPMDError(failures) from first
         if self.sanitizer is not None:
             self.sanitizer.raise_if_findings()
-        self._finalize_check()
+        if leaks is not None:
+            raise MessageLeakError(leaks)
         return results
 
-    def _finalize_check(self) -> None:
-        """Post-run accounting: orphaned messages always warn; under
-        ``check=True`` they (and never-completed requests) raise."""
-        if self.failed_ranks:
-            # Crashed ranks leave mailbox residue by design: sends to a
-            # dead rank, and the messages it never took.
-            return
-        leaks = self.leaked_messages()
-        if leaks:
-            listing = ", ".join(
-                f"(src={s}, dest={d}, tag={t})" for s, d, t in leaks[:8]
-            )
-            if len(leaks) > 8:
-                listing += f", ... {len(leaks) - 8} more"
-            warnings.warn(
-                f"SPMD run finished with {len(leaks)} undelivered message(s): "
-                f"{listing}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        pending = [r for r in self.irecvs if not r._done]
-        if self.check and (leaks or pending):
-            lines = [
-                f"SPMD run leaked {len(leaks)} message(s) and "
-                f"{len(pending)} pending request(s)"
-            ]
-            lines += [f"  undelivered: src={s} dest={d} tag={t}" for s, d, t in leaks]
-            lines += [
-                f"  never-completed irecv on rank {r._comm.world_rank} "
-                f"(source={r._source}, tag={r._tag}) from {r._site}"
-                for r in pending
-            ]
-            raise MessageLeakError("\n".join(lines))
-
-    def leaked_messages(self) -> list[tuple[int, int, int]]:
-        """Undelivered ``(src_world, dest_world, tag)`` across all mailboxes."""
+    def _finalize(self) -> str | None:
+        """End-of-run accounting: empty every mailbox and drop the kept
+        irecv requests, so nothing of this run reaches the next.  Returns
+        the leak report — undelivered messages and never-completed irecvs
+        — when the run left any and no rank crashed (crashed ranks leave
+        residue by design: sends to a dead rank, and the messages it never
+        took)."""
         with self._registry_lock:
             states = list(self._states)
-        leaks: list[tuple[int, int, int]] = []
+        leaks = []
         for state in states:
             for dest_idx, mb in enumerate(state.mailboxes):
                 with mb.cond:
-                    msgs = list(mb.messages)
-                for m in msgs:
-                    leaks.append(
-                        (state.world_ranks[m.src], state.world_ranks[dest_idx], m.tag)
-                    )
-        return leaks
+                    msgs, mb.messages = mb.messages, []
+                leaks += [f"  undelivered: src={state.world_ranks[m.src]} "
+                          f"dest={state.world_ranks[dest_idx]} tag={m.tag}"
+                          for m in msgs]
+        pending = [r for r in self.irecvs if not r._done]
+        self.irecvs = []
+        if self.failed_ranks or not (leaks or pending):
+            return None
+        return "\n".join([
+            f"SPMD run leaked {len(leaks)} message(s) and "
+            f"{len(pending)} pending request(s)",
+            *leaks,
+            *(f"  never-completed irecv on rank {r._comm.world_rank} "
+              f"(source={r._source}, tag={r._tag}) from {r._site}"
+              for r in pending),
+        ])
 
     # ------------------------------------------------------------- reporting
 
@@ -568,9 +535,9 @@ class Runtime:
         return float(self.clocks.max())
 
     def reset(self) -> None:
-        """Zero clocks, statistics, fault bookkeeping, any recorded trace,
-        the kept irecv requests and the sanitizer's state (keeps
-        communicators, and an abort: see :meth:`run`)."""
+        """Zero clocks, statistics, fault bookkeeping, any recorded trace
+        and the sanitizer's state (keeps communicators, and an abort: see
+        :meth:`run`)."""
         self.clocks[:] = 0.0
         self.stats = Stats(self.size)
         if self.trace is not None:
@@ -578,7 +545,6 @@ class Runtime:
         self.failed_ranks.clear()
         self.fault_stats = FaultStats()
         self._op_counts = [0] * self.size
-        self.irecvs = []
         if self.sanitizer is not None:
             from ..sanitize import Sanitizer
 
@@ -594,7 +560,6 @@ def run_spmd(
     cost_model: CostModel | None = None,
     use_shm: bool = True,
     trace: bool = False,
-    check: bool | None = None,
     sanitize: bool | None = None,
     faults: FaultPlan | None = None,
     spares: int = 0,
@@ -606,15 +571,13 @@ def run_spmd(
 
     With ``trace=True`` the runtime records a virtual-time span for every
     communication call (pair it with ``return_runtime=True`` to reach the
-    recorder at ``rt.trace``).  Every run raises on incongruent collectives
-    and diagnoses deadlocks; with ``check=True`` (default: the
-    ``REPRO_CHECK`` environment variable) both name user call sites, and
-    message leaks raise — without changing the virtual clocks.  With
-    ``sanitize=True`` (default: the ``REPRO_SANITIZE`` environment variable)
-    it additionally tracks happens-before vector clocks and buffer
-    lifetimes, raising :class:`~repro.sanitize.SanitizerError` on
-    write-after-isend, receive-aliasing, or data races — again without
-    touching the clocks.
+    recorder at ``rt.trace``).  Every run raises on incongruent collectives,
+    diagnoses deadlocks — both naming user call sites — and raises on
+    leaked messages when no rank crashed.  With ``sanitize=True``
+    (default: the ``REPRO_SANITIZE`` environment variable) it additionally
+    tracks happens-before vector clocks and buffer lifetimes, raising
+    :class:`~repro.sanitize.SanitizerError` on write-after-isend,
+    receive-aliasing, or data races — without touching the clocks.
 
     >>> def hello(comm):
     ...     return comm.allreduce(comm.rank)
@@ -628,7 +591,6 @@ def run_spmd(
         cost_model=cost_model,
         use_shm=use_shm,
         trace=trace,
-        check=check,
         sanitize=sanitize,
         faults=faults,
         spares=spares,

@@ -2,8 +2,10 @@
 
 Every rank thread registers what it is blocked on (a receive, a
 collective rendezvous, or a fault-tolerant rendezvous) as structured
-fields, in every run — with its user :func:`call_site` under
-``check=True``.  Three consumers read the one table:
+fields, in every run.  Call sites are not recorded per operation: a
+diagnosis reads each named rank's user frame off its live stack
+(:meth:`WaitRegistry.site`), since every rank it names is still inside
+the runtime call.  Three consumers read the one table:
 
 * ``Runtime.run(timeout=...)`` expiry reports *which ranks* were blocked
   and on what operation (:meth:`WaitRegistry.describe_blocked`).
@@ -38,25 +40,35 @@ _STATE_NAMES = {RUNNING: "running", FINISHED: "finished", DEAD: "dead"}
 _INTERNAL_PARTS = ("repro/mpi/", "repro\\mpi\\", "repro/sanitize/", "repro\\sanitize\\")
 
 
-def call_site(skip: int = 2) -> str:
-    """``file:line (function)`` of the first frame outside the runtime."""
-    frame = sys._getframe(skip)
+def call_site(frame=None) -> str:
+    """``file:line (function)`` of the user frame that called into the
+    runtime: below the runtime frames nearest the top of the stack at
+    ``frame`` (default: the caller's).  Frames above them (a blocked
+    thread's ``threading`` waits) are skipped; ``""`` when the runtime
+    frames reach down to the thread's bootstrap (a spare's pool loop)."""
+    frame = sys._getframe(1) if frame is None else frame
+    inside = False
     while frame is not None:
-        fn = frame.f_code.co_filename
-        if not any(part in fn for part in _INTERNAL_PARTS):
-            return f"{fn}:{frame.f_lineno} ({frame.f_code.co_name})"
+        internal = any(part in frame.f_code.co_filename for part in _INTERNAL_PARTS)
+        if inside and not internal:
+            if frame.f_globals.get("__name__") == "threading":
+                return ""
+            return f"{frame.f_code.co_filename}:{frame.f_lineno} ({frame.f_code.co_name})"
+        inside = inside or internal
         frame = frame.f_back
-    return "<unknown>"
+    return ""
 
 
 class WaitInfo:
-    """One rank's current wait."""
+    """One rank's current wait, as structured fields; the rank's call site
+    is not among them, but read off its stack when a diagnosis names it
+    (:meth:`WaitRegistry.site`)."""
 
-    __slots__ = ("rank", "kind", "state", "op", "source", "tag", "site",
+    __slots__ = ("rank", "kind", "state", "op", "source", "tag",
                  "awake", "hoisted", "can_progress", "notify", "revocable")
 
     def __init__(self, rank: int, kind: str, state: Any, *, op: str = "",
-                 source: int = -1, tag: int = -1, site: str = "",
+                 source: int = -1, tag: int = -1,
                  can_progress: Callable[[], bool] | None = None,
                  notify: Callable[[], None] | None = None,
                  revocable: Callable[[], bool] | None = None):
@@ -70,8 +82,6 @@ class WaitInfo:
         #: group-rank source and tag specs, ``-1`` = ANY ("recv" waits)
         self.source = source
         self.tag = tag
-        #: user call site (:func:`call_site`), captured only under ``check=True``
-        self.site = site
         #: the waiter saw its wake condition hold and is acting on it — it
         #: may be consuming the very message the predicate sees, so the
         #: arbiter must treat it as in-flight progress (the non-monotone recv
@@ -100,6 +110,8 @@ class WaitRegistry:
         self._state = [RUNNING] * size
         self._waits: list[WaitInfo | None] = [None] * size
         self._nrunning = size
+        #: each rank's thread id in the current run (set by the rank's task)
+        self.threads = [0] * size
         #: the deadlock diagnosis, once the arbiter has issued it
         self.verdict: str | None = None
         self._on_deadlock: Callable[[], None] | None = None
@@ -111,8 +123,16 @@ class WaitRegistry:
             self._state = [RUNNING] * self.size
             self._waits = [None] * self.size
             self._nrunning = self.size
+            self.threads = [0] * self.size
             self.verdict = None
             self._on_deadlock = on_deadlock
+
+    def site(self, rank: int) -> str:
+        """``rank``'s user call site, read off its thread's live stack —
+        valid while the rank is inside a runtime call, as every rank a
+        diagnosis names is."""
+        frame = sys._current_frames().get(self.threads[rank])
+        return "" if frame is None else call_site(frame)
 
     # -- transitions -----------------------------------------------------
 
@@ -225,8 +245,9 @@ class WaitRegistry:
             line = f"  rank {w.rank}: blocked in {w.describe()}"
             if len(w.state.world_ranks) < self.size:
                 line += f" (members {w.state.world_ranks})"
-            if w.site:
-                line += f" at {w.site}"
+            site = self.site(w.rank)
+            if site:
+                line += f" at {site}"
             lines.append(line)
         for st, name in _STATE_NAMES.items():
             ranks = [r for r in range(self.size) if self._state[r] == st]

@@ -5,7 +5,7 @@ so the aliasing bugs real MPI programs hit — mutating a buffer that an
 ``isend`` still owns, holding a received reference that aliases the
 sender's live array, racing on an object shared through closures — are
 all expressible here, and all invisible to the protocol-level checks
-(collective congruence, deadlocks, ``check=True`` leak accounting).
+every run makes (collective congruence, deadlocks, leak accounting).
 ``run_spmd(..., sanitize=True)`` (or ``REPRO_SANITIZE=1``) attaches a
 :class:`Sanitizer` that catches them deterministically:
 
@@ -26,8 +26,8 @@ all expressible here, and all invisible to the protocol-level checks
 
 The sanitizer only *observes*: it never touches ``runtime.clocks``, so a
 sanitized run's virtual clocks and results are bit-identical to an
-unsanitized run's — the same guarantee tracing and checking give, and
-the three layers compose freely.
+unsanitized run's — the same guarantee tracing gives, and the two
+compose freely.
 """
 
 from __future__ import annotations
@@ -240,14 +240,14 @@ class Sanitizer:
         out: Any, op: str,
     ) -> None:
         """Extraction edge, reading the generation's buffers (complete, not
-        yet reused): join every member's entry clock from ``notes`` (``(call
-        site, snapshot)`` per member) — a collective is a full
-        synchronization — and alias-check this member's result against the
-        other members' live ``deposits``."""
+        yet reused): join every member's entry clock from ``notes`` (one
+        snapshot per member) — a collective is a full synchronization — and
+        alias-check this member's result against the other members' live
+        ``deposits``."""
         extracted = list(iter_arrays(out))
         wr = state.world_ranks[idx]
         with self._lock:
-            for _, snap in notes:
+            for snap in notes:
                 self.vclocks.merge(wr, snap)
             self.vclocks.tick(wr)
             for j, deposit in enumerate(deposits):

@@ -120,7 +120,6 @@ class SortService:
         plan_cache: PlanCache | None = None,
         chaos: ServiceChaos | None = None,
         trace: bool = False,
-        check: bool | None = None,
         seed: int = 0,
         registry: MetricsRegistry | None = None,
     ):
@@ -131,7 +130,6 @@ class SortService:
         self.ranks_per_node = ranks_per_node
         self.chaos = chaos
         self.trace = trace
-        self.check = check
         self.seed = seed
         from ..tune.cache import MemoryPlanCache
 
@@ -323,7 +321,6 @@ class SortService:
             machine=self.machine,
             ranks_per_node=self.ranks_per_node,
             trace=self.trace,
-            check=self.check,
             faults=faults,
             spares=spares,
         )

@@ -87,7 +87,7 @@ def test_a_message_beyond_repair_times_out_its_receive():
         return "delivered"
 
     plan = FaultPlan(FaultSpec(drop_rate=1.0), seed=1, size=2)
-    out, rt = run_spmd(2, prog, faults=plan, trace=True, check=True,
+    out, rt = run_spmd(2, prog, faults=plan, trace=True,
                        return_runtime=True, timeout=WALL)
     assert out[1] == 5e-7 + LADDER
     assert rt.fault_stats.dropped == len(DEADLINES)
@@ -101,11 +101,12 @@ def test_a_duplicate_is_counted_and_leaves_nothing_behind():
         comm.send(comm.rank, peer)
         return comm.recv(source=peer)
 
-    out, rt = run_spmd(2, prog, faults=_DropFirst(0, 2, duplicate=True), check=True,
+    out, rt = run_spmd(2, prog, faults=_DropFirst(0, 2, duplicate=True),
                        return_runtime=True, timeout=WALL)
+    # returning at all is the leak check: a duplicate left in a mailbox
+    # would have raised MessageLeakError at the run's end
     assert out == [1, 0]
     assert rt.fault_stats.duplicated == 2
-    assert rt.leaked_messages() == []
 
 
 P2P_SORTS = {
@@ -132,9 +133,9 @@ def _p2p_sort(algo, drop, p=8, n=4096):
 @pytest.mark.parametrize("algo", sorted(P2P_SORTS))
 def test_p2p_sorts_survive_drops(algo, drop):
     # every dropped message is retransmitted up the ladder: no deadlock,
-    # and no duplicate left behind in a mailbox
+    # and no duplicate left behind in a mailbox (that would raise
+    # MessageLeakError at the run's end)
     rt = _p2p_sort(algo, drop)
-    assert rt.leaked_messages() == []
     assert rt.fault_stats.dropped > 0
 
 

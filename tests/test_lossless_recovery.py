@@ -37,9 +37,9 @@ def _sorter(comm, n, cfg):
     return histogram_sort(comm, _input(comm.rank, n), cfg)
 
 
-def _run(p, plan, *, spares=0, checkpoint=True, n=64, check=False):
+def _run(p, plan, *, spares=0, checkpoint=True, n=64):
     cfg = SortConfig(resilient=True, checkpoint=checkpoint)
-    rt = Runtime(p, spares=spares, faults=plan, check=check)
+    rt = Runtime(p, spares=spares, faults=plan)
     results = rt.run(_sorter, args=(n, cfg), timeout=WALL)
     live = [r for r in results if isinstance(r, ResilientSortResult)]
     return rt, live
@@ -282,7 +282,7 @@ def test_checkpoint_requires_resilient():
 
 def test_chaos_oracle_accepts_lossless_case():
     out = run_case(ChaosCase(seed=11, size=4, drop_rate=0.1, crash_ranks=2,
-                             n_per_rank=48, check=False, spares=2,
+                             n_per_rank=48, spares=2,
                              checkpoint=True),
                    wall_timeout=WALL)
     assert out.ok, f"{out.kind}: {out.detail}"

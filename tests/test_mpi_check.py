@@ -1,16 +1,21 @@
-"""Runtime verification layer (``check=True``): congruence, deadlock,
-finalize accounting, request idempotency, and clock invariance."""
+"""Runtime verification, made by every run: congruence, deadlock and
+timeout diagnoses with call sites, finalize accounting, request
+idempotency, and a false-positive soak."""
+
+import re
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.data import make_partition
 from repro.mpi import (
     Aborted,
     CollectiveMismatchError,
     DeadlockError,
     MessageLeakError,
     MessageTimeoutError,
+    Runtime,
     SPMDError,
     run_spmd,
 )
@@ -18,6 +23,12 @@ from repro.mpi import (
 
 def _failure_types(excinfo):
     return {type(e) for e in excinfo.value.failures.values()}
+
+
+def _site(fn, offset):
+    """Pattern of the call site ``offset`` lines into ``fn``'s definition."""
+    line = fn.__code__.co_firstlineno + offset
+    return rf"\S*test_mpi_check\.py:{line} \({fn.__name__}\)"
 
 
 def _bcast_vs_allreduce(comm):
@@ -36,14 +47,20 @@ def _allgather_vs_allreduce(comm):
     return comm.allreduce(1)  # spmd: ignore[DIV-COLLECTIVE]
 
 
-class TestCollectiveCongruence:
-    """The rendezvous' last arriver checks congruence in every run;
-    ``check`` only adds the two call sites.  The cases built on
-    ``_mismatch`` follow ``self.check`` (the first three pass
-    ``check=True`` themselves); ``TestCollectiveCongruenceUnchecked``
-    re-runs them unchecked."""
+class _SanitizerAxis:
+    """Runs each case with the sanitizer on; the ``...Unchecked``
+    subclasses re-run every case with it off.  The diagnoses, call sites
+    included, must not depend on its wrapper frames."""
 
-    check = True
+    sanitize = True
+
+    def _run(self, *args, **kwargs):
+        return run_spmd(*args, sanitize=self.sanitize, **kwargs)
+
+
+class TestCollectiveCongruence(_SanitizerAxis):
+    """The rendezvous' last arriver checks congruence in every run and
+    names both members' call sites."""
 
     def test_mismatched_op_names(self):
         def prog(comm):
@@ -52,19 +69,19 @@ class TestCollectiveCongruence:
             return comm.allreduce(1)  # spmd: ignore[DIV-COLLECTIVE]
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=True, timeout=30)
+            self._run(2, prog, timeout=30)
         assert CollectiveMismatchError in _failure_types(ei)
         msg = str(ei.value.__cause__)
         # Both ranks' call sites are named in the diagnosis.
-        assert "bcast" in msg and "allreduce" in msg
-        assert msg.count("test_mpi_check.py") == 2
+        assert re.search(rf"rank 0 called bcast\(root=0\) at {_site(prog, 2)}", msg)
+        assert re.search(rf"rank 1 called allreduce\(\) at {_site(prog, 3)}", msg)
 
     def test_mismatched_bcast_root(self):
         def prog(comm):
             return comm.bcast(comm.rank, root=0 if comm.rank == 0 else 1)
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=True, timeout=30)
+            self._run(2, prog, timeout=30)
         assert CollectiveMismatchError in _failure_types(ei)
         assert "root=0" in str(ei.value.__cause__)
         assert "root=1" in str(ei.value.__cause__)
@@ -75,14 +92,14 @@ class TestCollectiveCongruence:
             comm.barrier()
             return comm.bcast(x, root=0)
 
-        assert run_spmd(4, prog, check=True, timeout=30) == [6, 6, 6, 6]
+        assert self._run(4, prog, timeout=30) == [6, 6, 6, 6]
 
     def _mismatch(self, size, prog):
         with pytest.raises(SPMDError) as ei:
-            run_spmd(size, prog, check=self.check, timeout=30)
+            self._run(size, prog, timeout=30)
         assert _failure_types(ei) == {CollectiveMismatchError}
         msg = str(ei.value.__cause__)
-        assert msg.count("test_mpi_check.py") == (2 if self.check else 0)
+        assert msg.count("test_mpi_check.py") == 2
         return msg
 
     @pytest.mark.parametrize("prog, first, other", [
@@ -125,15 +142,12 @@ class TestCollectiveCongruence:
 
 
 class TestCollectiveCongruenceUnchecked(TestCollectiveCongruence):
-    check = False
+    sanitize = False
 
 
-class TestDeadlockDetection:
-    """Deadlocks are diagnosed from the wait ledger in every run; ``check``
-    only adds call sites.  ``TestDeadlockDetectionUnchecked`` re-runs every
-    case with the checker off."""
-
-    check = True
+class TestDeadlockDetection(_SanitizerAxis):
+    """Deadlocks are diagnosed from the wait ledger in every run, each
+    blocked rank at its call site, read off its stack."""
 
     def test_recv_recv_cycle(self):
         def prog(comm):
@@ -143,7 +157,7 @@ class TestDeadlockDetection:
             return got
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=self.check, timeout=30)
+            self._run(2, prog, timeout=30)
         assert DeadlockError in _failure_types(ei)
         msg = str(ei.value.__cause__)
         assert "wait-for cycle" in msg
@@ -157,7 +171,7 @@ class TestDeadlockDetection:
             return comm.rank
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=self.check, timeout=30)
+            self._run(2, prog, timeout=30)
         assert DeadlockError in _failure_types(ei)
         msg = str(ei.value.__cause__)
         assert "blocked in collective 'barrier'" in msg
@@ -170,7 +184,7 @@ class TestDeadlockDetection:
             return None
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=self.check, timeout=30)
+            self._run(2, prog, timeout=30)
         assert DeadlockError in _failure_types(ei)
         assert "blocked in recv(source=1, tag=3)" in str(ei.value.__cause__)
 
@@ -181,7 +195,7 @@ class TestDeadlockDetection:
             return None
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=self.check, timeout=30)
+            self._run(2, prog, timeout=30)
         assert DeadlockError in _failure_types(ei)
         msg = str(ei.value.__cause__)
         assert "rank 0: blocked in recv(source=1, tag=4)" in msg
@@ -198,7 +212,7 @@ class TestDeadlockDetection:
             comm.barrier()
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(4, prog, check=self.check, timeout=30)
+            self._run(4, prog, timeout=30)
         assert _failure_types(ei) == {DeadlockError}
         assert set(ei.value.failures) == {0, 1, 2, 3}
         msg = str(ei.value.__cause__)
@@ -206,6 +220,9 @@ class TestDeadlockDetection:
         assert "(members [2, 3])" in msg
         assert "rank 3: blocked in collective 'barrier'" in msg
         assert "wait-for cycle: rank 2 -> rank 3 -> rank 2" in msg
+        for rank, offset in ((0, 4), (1, 4), (2, 3), (3, 4)):
+            assert re.search(rf"rank {rank}: blocked in .* at {_site(prog, offset)}$",
+                             msg, re.M), rank
 
     def test_recv_from_finished_rank(self):
         # Rank 1 sends once and returns; rank 0's second receive can only
@@ -218,7 +235,7 @@ class TestDeadlockDetection:
             return first, comm.recv(source=1, tag=5)  # spmd: ignore[TAG-COLLISION]
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=self.check, timeout=30)
+            self._run(2, prog, timeout=30)
         assert set(ei.value.failures) == {0}
         msg = str(ei.value.__cause__)
         assert "blocked in recv(source=1, tag=5)" in msg
@@ -226,13 +243,39 @@ class TestDeadlockDetection:
         assert "wait-for cycle" not in msg
 
     def test_call_sites_only_when_checked(self):
+        # Every run is a checked run: each rank line of the verdict ends at
+        # the rank's blocked call.
         def prog(comm):
             return comm.recv(source=1 - comm.rank, tag=2)  # spmd: ignore[TAG-COLLISION]
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=self.check, timeout=30)
+            self._run(2, prog, timeout=30)
         msg = str(ei.value.__cause__)
-        assert msg.count("test_mpi_check.py") == (2 if self.check else 0)
+        for rank in (0, 1):
+            assert re.search(rf"rank {rank}: blocked in recv\(source={1 - rank}, tag=2\) "
+                             rf"on comm#0 at {_site(prog, 1)}$", msg, re.M)
+        # A parked spare has no user frame: its line names no site.
+        with pytest.raises(SPMDError) as ei:
+            self._run(2, prog, spares=1, timeout=30)
+        msg = str(ei.value.__cause__)
+        assert msg.count("test_mpi_check.py") == 2
+        assert re.search(r"rank 2: blocked in ft 'spare_pool' on comm#0$", msg, re.M)
+
+    def test_timeout_report_names_call_sites(self):
+        # Rank 1 keeps running (no verdict) until the expiry's abort.
+        def prog(comm):
+            if comm.rank == 0:
+                return comm.recv(source=1, tag=8)
+            while not comm._state.aborted:
+                time.sleep(1e-3)
+            return None
+
+        with pytest.raises(TimeoutError) as ei:
+            self._run(2, prog, timeout=0.5)
+        msg = str(ei.value)
+        assert re.search(rf"rank 0: blocked in recv\(source=1, tag=8\) on comm#0 "
+                         rf"at {_site(prog, 2)}$", msg, re.M)
+        assert "running rank(s): [1]" in msg
 
     def test_starved_by_fault_plan(self):
         # The plan drops the only message on every attempt: the receive
@@ -249,32 +292,23 @@ class TestDeadlockDetection:
             return comm.clock
 
         plan = FaultPlan(FaultSpec(drop_rate=1.0), seed=3, size=2)
-        out = run_spmd(2, prog, faults=plan, check=self.check, timeout=30)
+        out = self._run(2, prog, faults=plan, timeout=30)
         assert out[1] == 5e-7 + LADDER
 
     def test_unchecked_still_works(self):
-        # Same clean program without the checker: no interference.
+        # A clean program: the checks every run makes do not interfere.
         def prog(comm):
             peer = 1 - comm.rank
             return comm.sendrecv(comm.rank, peer, tag=1)  # spmd: ignore[TAG-COLLISION]
 
-        assert run_spmd(2, prog, check=False, timeout=30) == [1, 0]
+        assert self._run(2, prog, timeout=30) == [1, 0]
 
 
 class TestDeadlockDetectionUnchecked(TestDeadlockDetection):
-    check = False
+    sanitize = False
 
 
 class TestFinalizeAccounting:
-    def test_leak_warns_unchecked(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(b"orphan", 1, tag=9)  # spmd: ignore[TAG-COLLISION]
-            return None
-
-        with pytest.warns(RuntimeWarning, match=r"src=0, dest=1, tag=9"):
-            run_spmd(2, prog, check=False, timeout=30)
-
     def test_leak_raises_checked(self):
         from repro.faults import FaultPlan, FaultSpec
 
@@ -286,9 +320,34 @@ class TestFinalizeAccounting:
         # A crash-free fault plan leaves no residue of its own: every
         # message reaches its mailbox once, so a leak is still a leak.
         for faults in (None, FaultPlan(FaultSpec(drop_rate=0.1), seed=1, size=2)):
-            with pytest.raises(MessageLeakError, match=r"src=0 dest=1 tag=9"):
-                with pytest.warns(RuntimeWarning):
-                    run_spmd(2, prog, check=True, faults=faults, timeout=30)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # one error, no warning first
+                with pytest.raises(MessageLeakError, match=r"src=0 dest=1 tag=9"):
+                    run_spmd(2, prog, faults=faults, timeout=30)
+
+    def test_reused_runtime_starts_clean(self):
+        # A leaking run is reported once, and its orphans are discarded:
+        # neither the next run nor one after reset() sees them.
+        rt = Runtime(2)
+
+        def orphan(comm):
+            if comm.rank == 0:
+                comm.send(b"orphan", 1, tag=9)  # spmd: ignore[TAG-COLLISION]
+                comm.irecv(source=1, tag=4)  # spmd: ignore[UNWAITED-REQUEST]
+            return None
+
+        with pytest.raises(MessageLeakError, match=r"never-completed irecv"):
+            rt.run(orphan, timeout=30)
+        assert rt.run(lambda comm: comm.allreduce(1), timeout=30) == [2, 2]
+        rt.reset()
+
+        def take(comm):
+            if comm.rank == 1:
+                return comm.recv(source=0, tag=9)  # spmd: ignore[TAG-COLLISION]
+            comm.send(b"fresh", 1, tag=9)  # spmd: ignore[TAG-COLLISION]
+            return None
+
+        assert rt.run(take, timeout=30) == [None, b"fresh"]
 
     def test_pending_irecv_raises_checked(self):
         def prog(comm):
@@ -298,7 +357,7 @@ class TestFinalizeAccounting:
             return None
 
         with pytest.raises(MessageLeakError, match=r"never-completed irecv"):
-            run_spmd(2, prog, check=True, timeout=30)
+            run_spmd(2, prog, timeout=30)
 
     def test_clean_run_no_warning(self, recwarn):
         def prog(comm):
@@ -306,7 +365,7 @@ class TestFinalizeAccounting:
             comm.send(comm.rank, peer, tag=2)  # spmd: ignore[TAG-COLLISION]
             return comm.recv(source=peer, tag=2)  # spmd: ignore[TAG-COLLISION]
 
-        assert run_spmd(2, prog, check=True, timeout=30) == [1, 0]
+        assert run_spmd(2, prog, timeout=30) == [1, 0]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -323,7 +382,7 @@ class TestRequestIdempotency:
             assert done and payload is first
             return first["from"]
 
-        assert run(2, prog, check=True, timeout=30) == [1, 0]
+        assert run(2, prog, timeout=30) == [1, 0]
 
     def test_wait_after_abort_is_stable(self):
         # Rank 1 dies; rank 0's wait() aborts — and keeps raising the same
@@ -341,7 +400,7 @@ class TestRequestIdempotency:
             raise ValueError("boom")
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(2, prog, check=False, timeout=30)
+            run_spmd(2, prog, timeout=30)
         assert set(ei.value.failures) == {1}
 
 
@@ -356,7 +415,7 @@ class TestFailurePropagation:
             return None
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(4, prog, check=True, timeout=30)
+            run_spmd(4, prog, timeout=30)
         assert set(ei.value.failures) == {0}
         assert isinstance(ei.value.failures[0], ValueError)
 
@@ -367,32 +426,16 @@ class TestFailurePropagation:
             raise ValueError(f"rank {comm.rank} failed")
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(3, prog, check=True, timeout=30)
+            run_spmd(3, prog, timeout=30)
         assert set(ei.value.failures) == {0, 1, 2}
         for r, exc in ei.value.failures.items():
             assert str(exc) == f"rank {r} failed"
 
 
 class TestClockInvariance:
-    def test_checked_run_is_bit_identical(self):
-        """Acceptance: 16-rank histogram sort, check on vs off, same clocks."""
-        from repro.core import histogram_sort
-
-        def prog(comm):
-            local = make_partition("uniform_u64", 2000, rank=comm.rank, seed=11)
-            res = histogram_sort(comm, local)
-            return float(res.output[0]) if res.output.size else None
-
-        clocks = {}
-        for check in (False, True):
-            _, rt = run_spmd(16, prog, check=check, return_runtime=True, timeout=60)
-            clocks[check] = rt.clocks.copy()
-        assert np.array_equal(clocks[False], clocks[True])
-        assert clocks[True].dtype == np.float64
-
     def test_no_false_positive_soak(self):
         """200 rounds of random-partner sendrecv + allreduce at p=16: the
-        ledger never cries deadlock, checked or not, and clocks are identical."""
+        ledger never cries deadlock."""
         p, rounds = 16, 200
 
         def prog(comm):
@@ -407,9 +450,5 @@ class TestClockInvariance:
                 total += comm.allreduce(got)
             return total
 
-        clocks = {}
-        for check in (False, True):
-            res, rt = run_spmd(p, prog, check=check, return_runtime=True, timeout=120)
-            assert len(set(res)) == 1
-            clocks[check] = rt.clocks.copy()
-        assert np.array_equal(clocks[False], clocks[True])
+        res = run_spmd(p, prog, timeout=120)
+        assert len(set(res)) == 1

@@ -369,7 +369,7 @@ class TestThen:
             return comm.allreduce(comm.rank, then=str if comm.rank == 1 else None)
 
         with pytest.raises(SPMDError) as ei:
-            run_spmd(3, prog, check=False, timeout=30)
+            run_spmd(3, prog, timeout=30)
         (err,) = [e for e in ei.value.failures.values() if isinstance(e, CollectiveMismatchError)]
         assert "then=" in str(err)
 

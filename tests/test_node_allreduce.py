@@ -156,7 +156,7 @@ def test_flat_against_composed_is_a_reported_mismatch():
         return comm.allreduce(1, by_node=comm.rank != 0)
 
     with pytest.raises(SPMDError, match="mismatched collectives") as err:
-        run_spmd(4, prog, check=True, timeout=WALL)
+        run_spmd(4, prog, timeout=WALL)
     assert "node_allreduce()" in str(err.value) and " allreduce()" in str(err.value)
 
 

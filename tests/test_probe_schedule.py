@@ -67,7 +67,7 @@ def _bisection_rounds(width: int) -> int:
 
 
 def _sort_and_observe(parts, config, caps):
-    """Run the sort checked and traced, spying on every rank's probe vectors."""
+    """Run the sort traced, spying on every rank's probe vectors."""
     probes_by_thread: dict[int, list[bytes]] = {}
     real = multiselect.local_histogram
 
@@ -79,7 +79,7 @@ def _sort_and_observe(parts, config, caps):
         return histogram_sort(comm, parts[comm.rank], config=config, capacities=caps)
 
     with mock.patch.object(multiselect, "local_histogram", spy):
-        out, rt = spmd(len(parts), prog, check=True, trace=True, return_runtime=True)
+        out, rt = spmd(len(parts), prog, trace=True, return_runtime=True)
     rounds = [
         s.attrs for s in rt.trace.rank_spans(0) if s.name == "histogram_round"
     ]

@@ -27,8 +27,8 @@ def _sorter(comm, n, seed=77):
     return (int(out.size), res.attempts, res.survivors, res.failed)
 
 
-def _run(p, plan, n=64, check=False):
-    rt = Runtime(p, faults=plan, check=check)
+def _run(p, plan, n=64):
+    rt = Runtime(p, faults=plan)
     results = rt.run(_sorter, args=(n,), timeout=WALL)
     return rt, [r for r in results if r is not None]
 
@@ -94,7 +94,7 @@ def test_inert_plan_matches_plain_run_bit_for_bit():
         rt.run(_sorter, args=(64,), timeout=WALL)
         return np.array(rt.clocks)
 
-    assert np.array_equal(clocks(), clocks(faults=None, check=True))
+    assert np.array_equal(clocks(), clocks(faults=FaultPlan(FaultSpec(), seed=1, size=4)))
 
 
 def test_checker_stays_quiet_under_faults():
@@ -104,22 +104,20 @@ def test_checker_stays_quiet_under_faults():
                   crash_op_range=(1, 9)),
         seed=21, size=4,
     )
-    rt_plain, live_plain = _run(4, plan(), check=False)
-    rt_check, live_check = _run(4, plan(), check=True)
-    assert rt_plain.fault_stats.crashed and rt_check.fault_stats.crashed
-    # no false leak/deadlock reports, and checking must not perturb the
-    # virtual schedule
-    assert rt_plain.elapsed() == rt_check.elapsed()
-    assert live_plain == live_check
+    rt_a, live_a = _run(4, plan())
+    rt_b, live_b = _run(4, plan())
+    assert rt_a.fault_stats.crashed and rt_b.fault_stats.crashed
+    # no false leak/deadlock reports, and the same virtual schedule twice
+    assert rt_a.elapsed() == rt_b.elapsed()
+    assert live_a == live_b
 
 
 def test_mini_chaos_sweep_contract():
     cases = [
         ChaosCase(seed=s, size=4, drop_rate=d, crash_ranks=1,
-                  n_per_rank=48, check=check)
+                  n_per_rank=48)
         for s in (1, 2, 3)
         for d in (0.05, 0.2)
-        for check in (False, True)
     ]
     outcomes = sweep(cases, wall_timeout=WALL, determinism=True,
                      verbose=False)
@@ -129,7 +127,7 @@ def test_mini_chaos_sweep_contract():
 
 def test_run_case_classifies_success():
     out = run_case(ChaosCase(seed=4, size=4, drop_rate=0.1, crash_ranks=0,
-                             n_per_rank=32, check=False),
+                             n_per_rank=32),
                    wall_timeout=WALL)
     assert out.ok and out.kind == "sorted"
     assert out.makespan > 0.0

@@ -237,7 +237,7 @@ class TestConfiguration:
             return histogram_sort(comm, local).output
 
         results, rt = run_spmd(
-            4, prog, sanitize=True, check=True, trace=True, return_runtime=True
+            4, prog, sanitize=True, trace=True, return_runtime=True
         )
         assert rt.sanitizer is not None
         assert rt.sanitizer.findings == []
