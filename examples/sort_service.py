@@ -55,8 +55,9 @@ def interactive_session() -> None:
     service.drain()
     print(f"percentiles of acme/orders: {q.result.value}")
     print(f"top-3 of globex/logs:       {t.result.value}")
-    print(f"query epochs moved no partitions: "
-          f"alltoallv calls = {int(service.registry.value('serve_query_alltoallv_total'))}\n")
+    queries = int(service.registry.value("serve_epochs_total", {"kind": "query"}))
+    print(f"query epochs moved no partitions: {queries} query epoch(s), "
+          f"no alltoallv\n")
 
 
 def scripted_replay(chaos: bool) -> None:

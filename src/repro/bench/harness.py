@@ -79,8 +79,11 @@ class RepeatStats:
     values: tuple[float, ...]
 
 
-def median_ci(values: Sequence[float], confidence: float = 0.95) -> RepeatStats:
-    """Distribution-free CI of the median via binomial order statistics."""
+def median_ci(values: Sequence[float]) -> RepeatStats:
+    """Distribution-free 95 % CI of the median via binomial order statistics.
+
+    The interval is fixed at 95 %; below three values it is the range.
+    """
     vals = sorted(float(v) for v in values)
     n = len(vals)
     if n == 0:
@@ -88,9 +91,9 @@ def median_ci(values: Sequence[float], confidence: float = 0.95) -> RepeatStats:
     med = float(np.median(vals))
     if n < 3:
         return RepeatStats(med, vals[0], vals[-1], n, tuple(vals))
-    # Normal approximation to the binomial(n, 0.5) order-statistic interval.
-    z = 1.959963984540054 if confidence == 0.95 else abs(np.sqrt(2) * math.erf(confidence))
-    half = z * math.sqrt(n) / 2.0
+    # Normal approximation to the binomial(n, 0.5) order-statistic interval;
+    # 1.95996... is the standard normal's 97.5 % quantile.
+    half = 1.959963984540054 * math.sqrt(n) / 2.0
     lo = max(0, int(math.floor(n / 2.0 - half)))
     hi = min(n - 1, int(math.ceil(n / 2.0 + half)) - 1)
     return RepeatStats(med, vals[lo], vals[hi], n, tuple(vals))

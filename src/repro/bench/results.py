@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..trace.report import _table
+
 __all__ = ["Series", "format_table"]
 
 
@@ -22,15 +24,7 @@ def _fmt(value: Any) -> str:
 
 def format_table(columns: Sequence[str], rows: Sequence[dict]) -> str:
     """Plain-text aligned table of ``rows`` projected onto ``columns``."""
-    cells = [[_fmt(r.get(c, "")) for c in columns] for r in rows]
-    widths = [
-        max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
-        for i, col in enumerate(columns)
-    ]
-    header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
-    sep = "  ".join("-" * w for w in widths)
-    body = "\n".join("  ".join(row[i].ljust(widths[i]) for i in range(len(columns))) for row in cells)
-    return "\n".join([header, sep, body]) if cells else "\n".join([header, sep])
+    return _table(columns, [[_fmt(r.get(c, "")) for c in columns] for r in rows])
 
 
 @dataclass

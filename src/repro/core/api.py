@@ -92,7 +92,7 @@ class AutoSortResult:
     plan: "SortPlan"
     fingerprint: "WorkloadFingerprint"
     cache_hit: bool
-    feedback: "FeedbackRecord | None"
+    feedback: "FeedbackRecord"
 
     @property
     def output(self) -> np.ndarray:
@@ -106,8 +106,6 @@ def autosort(
     eps: float = 0.0,
     cache: "PlanCache | None" = None,
     seed: int = 0,
-    dry_runs: bool = True,
-    feedback: bool = True,
 ) -> AutoSortResult:
     """Sort a distributed array with an auto-tuned plan; collective.
 
@@ -137,9 +135,7 @@ def autosort(
         plan = cache.get(key) if cache is not None else None
         cache_hit = plan is not None
         if plan is None:
-            plan = plan_sort(
-                fp, comm.cost.machine, eps=eps, seed=seed, dry_runs=dry_runs
-            )
+            plan = plan_sort(fp, comm.cost.machine, eps=eps, seed=seed)
             if cache is not None:
                 cache.put(key, plan)
         payload = (plan.to_dict(), cache_hit)
@@ -161,11 +157,8 @@ def autosort(
     result = ALGORITHMS[plan.algo].run(comm, local, plan.config, seed)
 
     observed = comm.allreduce(float(sum(result.phases.values())), op=MAX)
-    record = None
-    if feedback:
-        if comm.rank == 0:
-            record = record_feedback(cache, plan, observed)
-        record = comm.bcast(record)
+    record = record_feedback(cache, plan, observed) if comm.rank == 0 else None
+    record = comm.bcast(record)
     return AutoSortResult(
         result=result, plan=plan, fingerprint=fp, cache_hit=bool(cache_hit),
         feedback=record,

@@ -7,7 +7,7 @@ testbed: a declarative :class:`~repro.machine.spec.MachineSpec`, a rank
 in virtual seconds.
 """
 
-from .cost import CostModel, ZeroCostModel
+from .cost import CostModel
 from .presets import abstract_cluster, laptop, single_node, supermuc_phase2
 from .spec import ComputeSpec, Level, LinkSpec, MachineSpec, NodeSpec
 from .topology import Placement, make_placement
@@ -20,7 +20,6 @@ __all__ = [
     "MachineSpec",
     "NodeSpec",
     "Placement",
-    "ZeroCostModel",
     "abstract_cluster",
     "laptop",
     "make_placement",

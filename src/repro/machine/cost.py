@@ -279,49 +279,3 @@ class CostModel:
     def alltoallv(self, volumes: np.ndarray, ranks: Sequence[int]) -> float:
         """Completion time of the whole irregular exchange (max over ranks)."""
         return float(self.alltoallv_per_rank(volumes, ranks).max())
-
-
-@dataclass
-class ZeroCostModel(CostModel):
-    """A cost model in which everything is free.
-
-    Useful for pure-correctness tests where virtual time is irrelevant.
-    """
-
-    software_overhead: float = 0.0
-
-    def ptp(self, src, dst, nbytes):
-        return 0.0
-
-    def barrier(self, ranks):
-        return 0.0
-
-    def bcast(self, nbytes, ranks):
-        return 0.0
-
-    def reduce(self, nbytes, ranks):
-        return 0.0
-
-    def allreduce(self, nbytes, ranks):
-        return 0.0
-
-    def gather(self, nbytes_per_rank, ranks):
-        return 0.0
-
-    def scatter(self, nbytes_per_rank, ranks):
-        return 0.0
-
-    def allgather(self, nbytes_per_rank, ranks):
-        return 0.0
-
-    def scan(self, nbytes, ranks):
-        return 0.0
-
-    def alltoall(self, nbytes_per_pair, ranks):
-        return 0.0
-
-    def comm_split(self, ranks):
-        return 0.0
-
-    def alltoallv_per_rank(self, volumes, ranks):
-        return np.zeros(len(list(ranks)))

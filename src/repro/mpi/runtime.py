@@ -144,10 +144,6 @@ class StatsSnapshot:
     def total_control_bytes(self) -> float:
         return float(sum(v[1] for v in self.control.values()))
 
-    @property
-    def total_control_msgs(self) -> int:
-        return int(sum(v[0] for v in self.control.values()))
-
 
 class Stats:
     """Per-rank and aggregate communication statistics.
@@ -223,8 +219,6 @@ class Runtime:
         abstract flat cluster with 16 cores per node, sized to fit.
     ranks_per_node:
         Placement density; defaults to one rank per core.
-    cost_model:
-        Overrides machine/ranks_per_node when given.
     use_shm:
         Price intra-node traffic as shared-memory copies (paper default).
     trace:
@@ -268,7 +262,6 @@ class Runtime:
         *,
         machine: MachineSpec | None = None,
         ranks_per_node: int | None = None,
-        cost_model: CostModel | None = None,
         use_shm: bool = True,
         trace: bool = False,
         sanitize: bool | None = None,
@@ -288,12 +281,10 @@ class Runtime:
         self.size = total
         self.active_size = size
         self.spares = spares
-        if cost_model is None:
-            if machine is None:
-                machine = abstract_cluster(max(1, math.ceil(total / 16)))
-            placement = make_placement(machine, total, ranks_per_node)
-            cost_model = CostModel(placement, use_shm=use_shm)
-        self.cost = cost_model
+        if machine is None:
+            machine = abstract_cluster(max(1, math.ceil(total / 16)))
+        placement = make_placement(machine, total, ranks_per_node)
+        self.cost = CostModel(placement, use_shm=use_shm)
         self.clocks = np.zeros(total, dtype=np.float64)
         self.stats = Stats(total)
         self.trace: TraceRecorder | None = None
@@ -557,7 +548,6 @@ def run_spmd(
     *args: Any,
     machine: MachineSpec | None = None,
     ranks_per_node: int | None = None,
-    cost_model: CostModel | None = None,
     use_shm: bool = True,
     trace: bool = False,
     sanitize: bool | None = None,
@@ -588,7 +578,6 @@ def run_spmd(
         size,
         machine=machine,
         ranks_per_node=ranks_per_node,
-        cost_model=cost_model,
         use_shm=use_shm,
         trace=trace,
         sanitize=sanitize,

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -96,7 +96,6 @@ class CellSpec:
     n_per_rank: int
     ranks_per_node: int | None = None
     overlap: bool = False
-    config_kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def cell_id(self) -> str:
@@ -112,7 +111,7 @@ class CellSpec:
             ) from None
 
     def sort_config(self) -> SortConfig:
-        return SortConfig(overlap_exchange=self.overlap, **dict(self.config_kwargs))
+        return SortConfig(overlap_exchange=self.overlap)
 
 
 #: the committed grids.  ``default`` is the per-PR snapshot (and the CI

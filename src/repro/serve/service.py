@@ -73,17 +73,12 @@ class ServiceChaos:
     crashes: Mapping[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     spares: int = 2
     seed: int = 1
-    drop_rate: float = 0.0
 
     def plan_for(self, ordinal: int, total_ranks: int) -> FaultPlan | None:
         events = self.crashes.get(ordinal)
         if not events:
             return None
-        spec = FaultSpec(
-            drop_rate=self.drop_rate,
-            dup_rate=self.drop_rate / 2,
-            crashes=tuple(CrashEvent(rank=r, at_op=op) for r, op in events),
-        )
+        spec = FaultSpec(crashes=tuple(CrashEvent(rank=r, at_op=op) for r, op in events))
         return FaultPlan(spec, seed=self.seed + ordinal, size=total_ranks)
 
 
@@ -121,7 +116,6 @@ class SortService:
         chaos: ServiceChaos | None = None,
         trace: bool = False,
         seed: int = 0,
-        registry: MetricsRegistry | None = None,
     ):
         if p < 1:
             raise ValueError("p must be >= 1")
@@ -134,7 +128,7 @@ class SortService:
         from ..tune.cache import MemoryPlanCache
 
         self.plan_cache = plan_cache if plan_cache is not None else MemoryPlanCache()
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._queue = JobQueue(policy)
         self.jobs: dict[int, Job] = {}
         self.datasets: dict[tuple[str, str], Dataset] = {}
@@ -191,10 +185,6 @@ class SortService:
         ).default()
         self._m_dry = reg.counter(
             "serve_plan_dry_runs_total", "Planner dry runs performed by sort epochs"
-        ).default()
-        self._m_query_a2av = reg.counter(
-            "serve_query_alltoallv_total",
-            "ALLTOALLV calls observed in query epochs (must stay 0)",
         ).default()
         self._m_crash = reg.counter(
             "serve_crashes_survived_total", "Rank crashes absorbed inside epochs"
@@ -381,10 +371,7 @@ class SortService:
         rt = self._runtime()
         results = rt.run(query_program, args=(queries,))
         answers = results[0]
-        snap = rt.stats.snapshot()
-        a2av_calls = snap.collectives.get("alltoallv", (0, 0.0, 0))[0]
-        self._m_query_a2av.inc(a2av_calls)
-        if a2av_calls:
+        if "alltoallv" in rt.stats.snapshot().collectives:
             raise ServiceError(
                 "query epoch moved data: the index tier must never alltoallv"
             )
@@ -541,10 +528,6 @@ class SortService:
                 [j.started_at - j.spec.arrival for j in completed]
             ),
         }
-
-    def span_tree(self) -> list[dict[str, Any]]:
-        """Epoch records (with spans when tracing) on the service timeline."""
-        return [dict(e) for e in self.events]
 
     def fingerprint(self) -> str:
         """Canonical digest of batch composition + results + span tree.

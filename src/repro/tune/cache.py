@@ -149,12 +149,13 @@ class PlanCache:
         return self._entries.get(key)
 
     def record_feedback(self, key: str, ratio: float, *, correction: float | None = None,
-                        demote: bool = False, window: int = 16) -> None:
-        """Append one observed/predicted ratio to ``key``'s service record."""
+                        demote: bool = False) -> None:
+        """Append one observed/predicted ratio to ``key``'s service record
+        (the last 16 are kept)."""
         entry = self._entries.get(key)
         if entry is None:
             return
-        entry.feedback = (entry.feedback + [float(ratio)])[-window:]
+        entry.feedback = (entry.feedback + [float(ratio)])[-16:]
         if correction is not None:
             entry.correction = float(correction)
         if demote:

@@ -50,9 +50,6 @@ def record_feedback(
     cache: PlanCache | None,
     plan: SortPlan,
     observed_s: float,
-    *,
-    demote_ratio: float = DEMOTE_RATIO,
-    min_samples: int = MIN_SAMPLES,
 ) -> FeedbackRecord:
     """Fold one executed makespan into the plan's cache entry.
 
@@ -71,8 +68,8 @@ def record_feedback(
             correction = fit_time_scale(
                 observed=history, predicted=[1.0] * len(history)
             )
-            demoted = len(history) >= min_samples and not (
-                1.0 / demote_ratio <= correction <= demote_ratio
+            demoted = len(history) >= MIN_SAMPLES and not (
+                1.0 / DEMOTE_RATIO <= correction <= DEMOTE_RATIO
             )
             cache.record_feedback(
                 plan.key, ratio, correction=correction, demote=demoted

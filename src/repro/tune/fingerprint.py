@@ -35,7 +35,7 @@ __all__ = ["WorkloadFingerprint", "fingerprint_partition", "fingerprint_collecti
 #: must not alias new ones
 FINGERPRINT_VERSION = 1
 
-#: default per-rank sample budget; stride sampling, so cost is O(SAMPLE)
+#: per-rank sample budget; stride sampling, so cost is O(SAMPLE)
 SAMPLE = 1024
 
 
@@ -132,9 +132,9 @@ def _sample(local: np.ndarray, budget: int) -> np.ndarray:
     return local[:: max(stride, 1)][:budget]
 
 
-def _local_stats(local: np.ndarray, budget: int) -> tuple[float, float, float, float, float]:
+def _local_stats(local: np.ndarray) -> tuple[float, float, float, float, float]:
     """(dup_ratio, sortedness, skew, vmin, vmax) of one partition's sample."""
-    s = _sample(np.asarray(local), budget)
+    s = _sample(np.asarray(local), SAMPLE)
     if s.size == 0:
         return 0.0, 1.0, 0.0, 0.0, 0.0
     dup = 1.0 - np.unique(s).size / s.size
@@ -162,21 +162,19 @@ def fingerprint_partition(
     p: int,
     machine: "MachineSpec",
     ranks_per_node: int | None = None,
-    n_total: int | None = None,
-    sample: int = SAMPLE,
 ) -> WorkloadFingerprint:
     """Fingerprint from a single local partition (no communication).
 
     Assumes the other ``p - 1`` partitions look statistically like this one
-    (``n_total`` defaults to ``p * local.size``).  Use
+    (``n_total`` is ``p * local.size``).  Use
     :func:`fingerprint_collective` inside an SPMD program for globally
     agreed statistics.
     """
     local = np.asarray(local)
-    dup, sortedness, skew, vmin, vmax = _local_stats(local, sample)
+    dup, sortedness, skew, vmin, vmax = _local_stats(local)
     rpn = ranks_per_node if ranks_per_node is not None else min(p, machine.node.cores)
     return WorkloadFingerprint(
-        n_total=int(n_total if n_total is not None else p * local.size),
+        n_total=int(p * local.size),
         p=int(p),
         ranks_per_node=int(rpn),
         itemsize=int(local.dtype.itemsize),
@@ -189,9 +187,7 @@ def fingerprint_partition(
     )
 
 
-def fingerprint_collective(
-    comm: "Comm", local: np.ndarray, *, sample: int = SAMPLE
-) -> WorkloadFingerprint:
+def fingerprint_collective(comm: "Comm", local: np.ndarray) -> WorkloadFingerprint:
     """Collective fingerprint: every rank returns the identical value.
 
     One scalar allreduce combines the per-rank sample statistics
@@ -202,7 +198,7 @@ def fingerprint_collective(
     from ..mpi.ops import ReduceOp
 
     local = np.asarray(local)
-    dup, sortedness, skew, vmin, vmax = _local_stats(local, sample)
+    dup, sortedness, skew, vmin, vmax = _local_stats(local)
     n = int(local.size)
     w = float(n)
 

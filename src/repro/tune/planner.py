@@ -155,9 +155,7 @@ def _resolve_merge(fp: WorkloadFingerprint, strategy: str) -> str:
     return "sort" if (chunk < (1 << 14) and fp.p > 4) else "binary_tree"
 
 
-def model_score(
-    cand: Candidate, fp: WorkloadFingerprint, machine: MachineSpec, *, use_shm: bool = True
-) -> float:
+def model_score(cand: Candidate, fp: WorkloadFingerprint, machine: MachineSpec) -> float:
     """Closed-form predicted makespan of ``cand`` at the fingerprint's scale."""
     algo = ALGORITHMS[cand.algo]
     pred = algo.predict(
@@ -168,7 +166,6 @@ def model_score(
         merge_strategy=_resolve_merge(fp, cand.config.merge_strategy),
         ranks_per_node=fp.ranks_per_node,
         itemsize=fp.itemsize,
-        use_shm=use_shm,
     )
     if cand.config.overlap_exchange:
         # 1-factor overlap hides merge work behind transfers (§VI-E.1);
@@ -236,7 +233,6 @@ def _dry_run_candidate(
     machine: MachineSpec,
     *,
     seed: int,
-    use_shm: bool = True,
 ) -> float:
     """Virtual-clock makespan of one candidate on the reduced problem."""
     global _DRY_RUN_COUNT
@@ -252,7 +248,6 @@ def _dry_run_candidate(
         seed,
         machine=machine,
         ranks_per_node=rpn,
-        use_shm=use_shm,
         return_runtime=True,
     )
     return rt.elapsed()
@@ -269,8 +264,6 @@ def plan_sort(
     seed: int = 0,
     top_k: int = 3,
     dry_runs: bool = True,
-    use_shm: bool = True,
-    candidates: list[Candidate] | None = None,
 ) -> SortPlan:
     """Plan the sort for ``fp`` on ``machine``; deterministic in the inputs.
 
@@ -284,11 +277,8 @@ def plan_sort(
             "fingerprint was taken on a different machine "
             f"({fp.machine} != {machine.signature()})"
         )
-    cands = candidates if candidates is not None else enumerate_candidates(fp, eps=eps)
-    if not cands:
-        raise ValueError("no candidates to plan over")
-
-    scored = [(model_score(c, fp, machine, use_shm=use_shm), i, c) for i, c in enumerate(cands)]
+    cands = enumerate_candidates(fp, eps=eps)
+    scored = [(model_score(c, fp, machine), i, c) for i, c in enumerate(cands)]
     refine_idx = {i for _, i, _ in sorted(scored)[: max(top_k, 1)]}
     refine_idx.add(0)  # the paper default is always measured as the control
 
@@ -310,8 +300,8 @@ def plan_sort(
                 skew=fp.skew,
                 machine=fp.machine,
             )
-            dry_s = _dry_run_candidate(cand, fp, machine, seed=seed, use_shm=use_shm)
-            dry_model_s = model_score(cand, fp_dry, machine, use_shm=use_shm)
+            dry_s = _dry_run_candidate(cand, fp, machine, seed=seed)
+            dry_model_s = model_score(cand, fp_dry, machine)
             refined = model_s * (dry_s / dry_model_s) if dry_model_s > 0 else dry_s
         score = refined if refined is not None else model_s
         audit.append(

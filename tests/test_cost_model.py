@@ -6,7 +6,6 @@ import pytest
 from repro.machine import (
     CostModel,
     Level,
-    ZeroCostModel,
     make_placement,
     supermuc_phase2,
     abstract_cluster,
@@ -207,13 +206,3 @@ class TestGroupLinkMemo:
         assert cm.allreduce(64, ranks) == cm.allreduce(64, ranks)
         cm.allgather(8, ranks), cm.barrier(ranks)
         assert len(calls) == 1
-
-
-class TestZeroCostModel:
-    def test_everything_free(self):
-        machine = abstract_cluster(1)
-        pl = make_placement(machine, 4, ranks_per_node=4)
-        z = ZeroCostModel(pl)
-        assert z.ptp(0, 1, 1 << 30) == 0.0
-        assert z.allreduce(1 << 30, [0, 1, 2, 3]) == 0.0
-        assert z.alltoallv_per_rank(np.ones((4, 4)), [0, 1, 2, 3]).sum() == 0.0

@@ -11,7 +11,6 @@ recorded before the schedule existed.  The differential properties over
 
 import json
 import threading
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -263,14 +262,14 @@ class TestMidpointParity:
         # (three repeats after one warm-up, from seed 100).
         lines = (Path(__file__).parents[1] / HISTORY_NAME).read_text().splitlines()
         (base,) = (doc for doc in map(json.loads, lines) if doc["label"] == "BENCH_0015")
-        midpoint = {"splitter": SplitterConfig(probe_schedule="midpoint")}
+        midpoint = SplitterConfig(probe_schedule="midpoint")
         dash = [s for s in SUITES["default"] if s.algo == "dash"]
         assert len(dash) == 5
         for spec in dash:
             _, trials = repeat_sort_trials(
                 spec.p, spec.n_per_rank, repeats=4, warmup=0, seed0=100,
                 dist=spec.dist, machine=spec.machine(), ranks_per_node=spec.ranks_per_node,
-                config=replace(spec, config_kwargs=midpoint).sort_config(),
+                config=spec.sort_config().with_(splitter=midpoint),
             )
             want = base["cells"][spec.cell_id]
             measured = trials[1:]

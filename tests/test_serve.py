@@ -11,14 +11,15 @@ from repro.serve import (
     MalformedJobError,
     QueueFullError,
     QuotaExceededError,
-    ServiceChaos,
+    ServiceError,
     SortService,
     make_chaos,
     make_workload,
     nearest_rank,
     oracle_all,
 )
-from repro.serve.batch import demux_output, plan_batches
+from repro.serve import service as service_module
+from repro.serve.batch import demux_output
 from repro.tune import MemoryPlanCache
 from repro.tune.planner import dry_run_count
 
@@ -158,7 +159,21 @@ class TestResults:
     def test_query_epochs_move_no_data(self):
         service, _ = _served()
         assert any(e["kind"] == "query" for e in service.events)
-        assert service.registry.value("serve_query_alltoallv_total") == 0
+
+    def test_query_epoch_that_moves_data_raises(self, monkeypatch):
+        real = service_module.query_program
+
+        def moving(comm, queries):
+            comm.alltoallv(np.zeros(comm.size, dtype=np.int64), [1] * comm.size)
+            return real(comm, queries)
+
+        service = SortService(P)
+        service.submit(_spec(n_per_rank=32))
+        service.drain()
+        monkeypatch.setattr(service_module, "query_program", moving)
+        service.submit(_spec(kind="percentile", pcts=(50.0,)))
+        with pytest.raises(ServiceError, match="must never alltoallv"):
+            service.drain()
 
     def test_queries_after_load_run_without_planning(self, tmp_path):
         service, _ = _served()
