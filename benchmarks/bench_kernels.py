@@ -1,11 +1,13 @@
 """Micro-benchmarks of the hot kernels the ledger does not time (real wall time).
 
 ``benchmarks/ledger`` times the merge kernels at the 8x4096 shape, the
-local histogram, ``allreduce``/``alltoallv`` and the end-to-end sorts on a
-pinned CPU; what is left here is what it lacks: the selection kernels,
-``sort_keys`` against the stable ``np.sort`` it replaces, the
-many-small-runs merge shape, ``comm.split``, ``dselect``, and the runtime
-at p = 64: a no-op run and the sort's exchange.
+local histogram, ``allreduce``/``alltoallv`` at its workloads' p and the
+end-to-end sorts on a pinned CPU; what is left here is what it lacks: the
+selection kernels, ``sort_keys`` against the stable ``np.sort`` it
+replaces, the many-small-runs merge shape, ``comm.split``, ``dselect``,
+and the runtime: at p = 64 a no-op run and the sort's exchange, at p = 64
+and 256 a run of 100 128-byte ``allreduce`` calls (the splitter search's
+collective skeleton).
 """
 
 from functools import partial
@@ -70,6 +72,14 @@ def _sort_exchange(comm, parts):
     return buf.size
 
 
+def _allreduce_loop(comm):
+    """100 allreduces of 128 bytes (16 float64)."""
+    v = np.zeros(16)
+    for _ in range(100):
+        total = comm.allreduce(v)
+    return total.nbytes
+
+
 class TestRuntimeKernels:
     def test_comm_split(self, benchmark):
         def prog(comm):
@@ -83,6 +93,17 @@ class TestRuntimeKernels:
         floor under every ``run_spmd`` cell at p = 64."""
         out = benchmark(lambda: run_spmd(64, lambda comm: None))
         assert out == [None] * 64
+
+    def test_allreduce_p64(self, benchmark):
+        """100 128-byte ``allreduce`` calls in one run: per call, what a
+        histogram round's rendezvous costs (the no-op cell is its floor)."""
+        out = benchmark(lambda: run_spmd(64, _allreduce_loop))
+        assert out == [128] * 64
+
+    def test_allreduce_p256(self, benchmark):
+        """The same loop at p = 256."""
+        out = benchmark(lambda: run_spmd(256, _allreduce_loop))
+        assert out == [128] * 256
 
     def test_sort_exchange_p64(self, benchmark):
         """The count ``alltoall`` + ``alltoallv`` at 2048 keys/rank, p = 64

@@ -8,22 +8,31 @@ mpi4py's lowercase object interface (``send``/``recv``/``bcast``/``allreduce``
 Implementation notes
 --------------------
 Every collective runs through one skeleton (:meth:`_CommState.collective`),
-a deposit / plan / pick protocol around one rendezvous on the
-communicator's condition:
+a deposit / plan / pick protocol around one rendezvous: members count in
+under the communicator's condition and wait at a turnstile:
 
 1. a member's N-th collective is generation N: it writes its contribution
    into ``slots[N & 1]``, its ``(op, root, then)`` into ``calls[N & 1]``,
-   and counts itself in;
+   and counts itself in — the first to count in closes a fresh turnstile
+   ``gate`` for the generation, and every other member captures it;
 2. the last arriver checks that every member called the same ``(op,
    root, then)`` — MPI's rule that all ranks issue collectives in the same
-   order, checked in every run — then *plans*: it combines the slots
-   (applying the ``then=`` step of ``allreduce`` / ``allgather`` / ``bcast``
-   to the combined value, once), prices the operation — with the fault
-   plan's link faults, when there is one — and merges the group's new
-   virtual clocks, publishes ``done = N + 1`` and wakes the others, who
-   waited once;
+   order, checked in every run — then *plans*: it sizes every deposit once,
+   combines the slots (applying the ``then=`` step of ``allreduce`` /
+   ``allgather`` / ``bcast`` to the combined value, once), prices the
+   operation — with the fault plan's link faults, when there is one — and
+   merges the group's new virtual clocks, publishes ``done = N + 1``, hands
+   the members back to the wait ledger as runnable
+   (:meth:`~repro.mpi.waitstate.WaitRegistry.release`) and opens the gate;
+   each waiter passes the gate and opens it for the next, so the members
+   wake one after another instead of as one herd fighting for the
+   interpreter lock;
 3. every member takes its new clock and *picks* its result, unlocked: a
    copy of the combined value, or the ``then=`` result itself, shared.
+
+:meth:`_CommState.wake` (abort, revocation, a member's death, the deadlock
+verdict) opens the open generation's gate too; what a woken member returns
+or raises is still decided by ``done > N`` first, then :meth:`_CommState._broken`.
 
 Two buffers suffice: generation N + 2 cannot open before N + 1 completed,
 N + 1 needs every member's deposit, and a member deposits N + 1 only after
@@ -106,7 +115,7 @@ class _CommState:
         self.runtime = runtime
         self.world_ranks: list[int] = [int(r) for r in world_ranks]
         self.size = len(self.world_ranks)
-        #: the one condition every rendezvous on this communicator waits on
+        #: guards the rendezvous state; the fault-tolerant rendezvous waits on it
         self.cond = threading.Condition()
         # collective rendezvous: member idx's next generation; by generation
         # parity, the deposit buffers, each member's (op, root, then) and —
@@ -124,6 +133,10 @@ class _CommState:
         self.arrived = 0
         self.done = 0
         self.cell: Any = None
+        #: the open generation's turnstile: held (closed) from the first
+        #: arrival until the last arriver or a wake-up opens it; ``None``
+        #: once opened
+        self.gate: Any = None
         self._entry_max = 0.0
         self.mailboxes = [_Mailbox() for _ in range(self.size)]
         self.aborted = False
@@ -131,6 +144,7 @@ class _CommState:
         #: operation on this communicator (shrink/agree keep working)
         self.revoked = False
         self._members_set = frozenset(self.world_ranks)
+        self._members = np.array(self.world_ranks, dtype=np.intp)
         # fault-tolerant rendezvous (agree/shrink): generation-stamped
         # deposits completed over the live membership, whatever became of
         # the plain collectives.
@@ -176,12 +190,21 @@ class _CommState:
 
     def wake(self) -> None:
         """Make every wait on this communicator re-check its predicate
-        (after an abort, a revocation or a member's death)."""
+        (after an abort, a revocation or a member's death): open the open
+        generation's gate, notify the fault-tolerant rendezvous and the
+        mailboxes.  Callers set what :meth:`_broken` reads first."""
         with self.cond:
+            self._open_gate()
             self.cond.notify_all()
         for mb in self.mailboxes:
             with mb.cond:
                 mb.cond.notify_all()
+
+    def _open_gate(self) -> None:
+        """Open the open generation's gate, once (caller holds ``cond``)."""
+        gate, self.gate = self.gate, None
+        if gate is not None:
+            gate.release()
 
     def abort(self) -> None:
         self.aborted = True
@@ -202,8 +225,8 @@ class _CommState:
             return CommRevokedError(
                 f"communicator #{self.trace_id} was revoked"
             )
-        failed = self.runtime.failed_ranks & self._members_set
-        if failed:
+        failed = self.runtime.failed_ranks
+        if failed and (failed := failed & self._members_set):
             return RankFailedError(
                 f"collective '{name}' on comm#{self.trace_id}: member rank(s) "
                 f"{sorted(failed)} have failed",
@@ -284,7 +307,15 @@ class _CommState:
             with self.cond:
                 self.arrived += 1
                 last = self.arrived == self.size
-                if last:
+                if not last:
+                    if self.arrived == 1:
+                        # A wake-up before this generation opened found no
+                        # gate to open: the members see _broken at once.
+                        if self._broken(name) is None:
+                            self.gate = threading.Lock()
+                            self.gate.acquire()
+                    gate = self.gate
+                else:
                     self.arrived = 0
                     if calls.count(call) != self.size:
                         raise self._mismatch(gen)
@@ -293,7 +324,7 @@ class _CommState:
                     # Every member is waiting below with its entry clock
                     # untouched, so the latest arrival is also every rank's
                     # idle reference.
-                    latest = clocks = rt.clocks[self.world_ranks].max()
+                    latest = clocks = rt.clocks[self._members].max()
                     self._entry_max = float(latest)
                     stages = cost if isinstance(cost, tuple) else (cost,)
                     self._staged = len(stages) > 1
@@ -306,13 +337,25 @@ class _CommState:
                         clocks = clocks + np.asarray(stage, dtype=np.float64)
                     self.cell = shared, clocks, failure
                     self.done = gen + 1
-                    self.cond.notify_all()
+                    # The members are runnable from here on, whenever their
+                    # threads get to run: the ledger must not count them
+                    # towards quiescence meanwhile.
+                    rt._registry.release(self.world_ranks)
+                    self._open_gate()
         except BaseException:
             rt.abort()
             raise
         if not last:
-            self._wait(wrank, "collective", name,
-                       lambda: self.done > gen or self._broken(name) is not None)
+            reg = rt._registry
+            reg.block(wrank, "collective", self, op=name,
+                      can_progress=lambda: self.done > gen or self._broken(name) is not None)
+            try:
+                if gate is not None:
+                    # The turnstile: pass, then let the next member through.
+                    gate.acquire()
+                    gate.release()
+            finally:
+                reg.unblock(wrank)
             # Completion first: a collective whose result is agreed returns
             # on every member, whatever happened since.
             if self.done <= gen:
@@ -388,12 +431,12 @@ class _CommState:
         return all(idx in deps or self.world_ranks[idx] in failed
                    for idx in range(self.size))
 
-    def _wait(self, wr: int, kind: str, name: str, ready: Callable[[], bool]) -> None:
+    def _ft_wait(self, wr: int, name: str, ready: Callable[[], bool]) -> None:
         """Block world rank ``wr`` on ``cond`` until ``ready()``, a predicate
         the quiescence arbiter also reads lock-free (monotone: once true it
         stays true)."""
         reg = self.runtime._registry
-        reg.block(wr, kind, self, op=name, can_progress=ready)
+        reg.block(wr, "ft", self, op=name, can_progress=ready)
         try:
             with self.cond:
                 while not ready():
@@ -427,9 +470,9 @@ class _CommState:
             self._ft_try_complete(gen, combine, cost_fn)
             done = gen in self.ft_results
         if not done:
-            self._wait(wr, "ft", name,
-                       lambda: (self.aborted or gen in self.ft_results
-                                or self._ft_quorum(gen)))
+            self._ft_wait(wr, name,
+                          lambda: (self.aborted or gen in self.ft_results
+                                   or self._ft_quorum(gen)))
             with self.cond:
                 if self.aborted:
                     raise self._aborted(f"runtime aborted during '{name}'")
@@ -794,7 +837,7 @@ class Comm:
         name: str,
         deposit: Any,
         combine: Callable[[list[Any]], Any],
-        cost_fn: Callable[[list[Any]], float],
+        cost_fn: Callable[[list[int]], Any],
         *,
         root: int | None = None,
         everyone: bool = True,
@@ -804,12 +847,15 @@ class Comm:
         to every rank or (``everyone=False``) to ``root`` only.  With
         ``then``, the last arriver applies it to the combined value once and
         every rank receives that one object, uncopied: computation every
-        rank would repeat on the same value is done once."""
+        rank would repeat on the same value is done once.  ``cost_fn``
+        prices the members' deposit sizes, each walked once."""
 
         def plan(slots: list[Any]) -> Any:
             shared = combine(slots)
-            return (shared if then is None else then(shared), cost_fn(slots),
-                    sum(payload_nbytes(s) for s in slots))
+            if then is not None:
+                shared = then(shared)
+            sizes = [payload_nbytes(s) for s in slots]
+            return shared, cost_fn(sizes), sum(sizes)
 
         def pick(slots: list[Any], result: Any, idx: int) -> Any:
             if then is not None:
@@ -823,7 +869,7 @@ class Comm:
         """Synchronize all ranks (and their virtual clocks)."""
         ranks = self._state.world_ranks
         self._combined(
-            "barrier", None, lambda s: None, lambda s: self._rt.cost.barrier(ranks)
+            "barrier", None, lambda s: None, lambda n: self._rt.cost.barrier(ranks)
         )
 
     def bcast(self, obj: Any, root: int = 0, *, then: Callable[[Any], Any] | None = None) -> Any:
@@ -835,7 +881,7 @@ class Comm:
             "bcast",
             deposit,
             lambda s: s[root],
-            lambda s: self._rt.cost.bcast(payload_nbytes(s[root]), ranks),
+            lambda n: self._rt.cost.bcast(n[root], ranks),
             root=root,
             then=then,
         )
@@ -847,7 +893,7 @@ class Comm:
             "reduce",
             value,
             lambda s: functools.reduce(op, s),
-            lambda s: self._rt.cost.reduce(payload_nbytes(s[0]), ranks),
+            lambda n: self._rt.cost.reduce(n[0], ranks),
             root=root,
             everyone=False,
         )
@@ -875,7 +921,7 @@ class Comm:
             "node_allreduce" if by_node else "allreduce",
             value,
             lambda s: functools.reduce(op, s),
-            lambda s: price(payload_nbytes(s[0]), ranks),
+            lambda n: price(n[0], ranks),
             then=then,
         )
 
@@ -886,7 +932,7 @@ class Comm:
             "gather",
             value,
             lambda s: list(s),
-            lambda s: self._rt.cost.gather(payload_nbytes(s[0]), ranks),
+            lambda n: self._rt.cost.gather(n[0], ranks),
             root=root,
             everyone=False,
         )
@@ -899,7 +945,7 @@ class Comm:
             "allgather",
             value,
             lambda s: list(s),
-            lambda s: self._rt.cost.allgather(payload_nbytes(s[0]), ranks),
+            lambda n: self._rt.cost.allgather(n[0], ranks),
             then=then,
         )
 
@@ -942,7 +988,7 @@ class Comm:
             "alltoall",
             list(values),
             plan,
-            lambda slots, _, idx: [copy_payload(row[idx]) for row in slots],
+            lambda slots, _, idx: copy_payload([row[idx] for row in slots]),
         )
 
     def alltoallv(
@@ -997,9 +1043,8 @@ class Comm:
         ranks = self._state.world_ranks
 
         def plan(slots: list[Any]) -> Any:
-            return (prefixes(slots),
-                    self._rt.cost.scan(payload_nbytes(slots[0]), ranks),
-                    sum(payload_nbytes(s) for s in slots))
+            sizes = [payload_nbytes(s) for s in slots]
+            return prefixes(slots), self._rt.cost.scan(sizes[0], ranks), sum(sizes)
 
         return self._state.collective(
             self._rank, name, value, plan,

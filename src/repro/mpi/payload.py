@@ -19,6 +19,15 @@ from typing import Any, Iterator
 import numpy as np
 
 
+#: the exact scalar types of a flat row: immutable, 8 wire bytes each
+_FLAT = frozenset((int, float))
+
+
+def _flat(row: list | tuple) -> bool:
+    """Is every element an exact ``int`` or ``float`` (no per-element call)?"""
+    return _FLAT.issuperset(map(type, row))
+
+
 def copy_payload(obj: Any) -> Any:
     """Deep-enough copy of a message payload."""
     if type(obj) is int or type(obj) is float:  # the common scalars, first
@@ -28,9 +37,9 @@ def copy_payload(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return obj.copy()
     if isinstance(obj, tuple):
-        return tuple(copy_payload(x) for x in obj)
+        return tuple(obj) if _flat(obj) else tuple(copy_payload(x) for x in obj)
     if isinstance(obj, list):
-        return [copy_payload(x) for x in obj]
+        return obj[:] if _flat(obj) else [copy_payload(x) for x in obj]
     if isinstance(obj, dict):
         return {k: copy_payload(v) for k, v in obj.items()}
     return copy.deepcopy(obj)
@@ -95,6 +104,8 @@ def payload_nbytes(obj: Any) -> int:
     if isinstance(obj, Number):
         return 8
     if isinstance(obj, (tuple, list)):
+        if _flat(obj):
+            return 8 * len(obj) + 8
         return sum(payload_nbytes(x) for x in obj) + 8
     if isinstance(obj, dict):
         return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()) + 8

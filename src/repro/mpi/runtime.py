@@ -148,10 +148,11 @@ class StatsSnapshot:
 class Stats:
     """Per-rank and aggregate communication statistics.
 
-    All mutators take ``_lock``: ranks are concurrent threads and the
-    counters must stay exact under interleaved sends, computes, and
-    collectives.  Readers go through :meth:`snapshot`, which copies
-    everything under the same lock.
+    Ranks are concurrent threads and the counters must stay exact under
+    interleaved sends, computes, and collectives: every mutator takes
+    ``_lock`` except :meth:`record_compute`, whose slot has one writer (the
+    rank itself).  Readers go through :meth:`snapshot`, which copies
+    everything under the lock.
     """
 
     def __init__(self, size: int):
@@ -178,8 +179,7 @@ class Stats:
             entry[1] += nbytes
 
     def record_compute(self, world_rank: int, seconds: float) -> None:
-        with self._lock:
-            self.compute_time[world_rank] += seconds
+        self.compute_time[world_rank] += seconds
 
     def record_collective(self, name: str, total_bytes: float, nranks: int) -> None:
         with self._lock:

@@ -19,6 +19,12 @@ the runtime call.  Three consumers read the one table:
   every abort-woken wait re-raises it as
   :class:`~repro.mpi.errors.DeadlockError`.
 
+Arbitration runs only at quiescence: :meth:`WaitRegistry.block` and a
+rank's exit look at the blocked waits only once no rank is runnable, and
+a completed collective hands its members back as runnable at once
+(:meth:`WaitRegistry.release`), before their threads wake — so a rank
+that was merely not yet scheduled never makes the ledger walk every wait.
+
 Lock discipline: the registry lock is a leaf for condition variables —
 wait predicates (``can_progress``) only *read* mailbox lists and
 rendezvous state, which are stable at quiescence; notifications and aborts
@@ -150,6 +156,19 @@ class WaitRegistry:
             action = self._arbitrate_locked()
         self._perform(action)
         return w
+
+    def release(self, ranks) -> None:
+        """A completed rendezvous hands its blocked members back: they are
+        runnable from here on, before their threads get to run and
+        :meth:`unblock`, so arbitration in between does not mistake them
+        for quiescent.  Never arbitrates (it can only add runnable ranks),
+        so it is safe under the rendezvous condition."""
+        with self._lock:
+            for rank in ranks:
+                if self._state[rank] == BLOCKED:
+                    self._nrunning += 1
+                    self._state[rank] = RUNNING
+                    self._waits[rank] = None
 
     def unblock(self, rank: int) -> None:
         with self._lock:

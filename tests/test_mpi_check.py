@@ -5,6 +5,7 @@ idempotency, and a false-positive soak."""
 import re
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.mpi import (
     SPMDError,
     run_spmd,
 )
+from repro.mpi.waitstate import WaitRegistry
 
 
 def _failure_types(excinfo):
@@ -306,6 +308,29 @@ class TestDeadlockDetection(_SanitizerAxis):
 
 class TestDeadlockDetectionUnchecked(TestDeadlockDetection):
     sanitize = False
+
+
+class TestArbitrationAtQuiescence:
+    def test_a_collective_loop_arbitrates_at_most_p_times(self):
+        # A completed collective hands its members back as runnable, so the
+        # ledger walks its blocked waits only when no rank can run — not
+        # each time a member blocks while its peers are not yet scheduled.
+        p, rounds = 64, 200
+        arbitrate = WaitRegistry._arbitrate_locked
+        walks = []
+
+        def counted(reg):
+            if reg._nrunning == 0 and reg.verdict is None:
+                walks.append(1)
+            return arbitrate(reg)
+
+        def prog(comm):
+            for _ in range(rounds):
+                comm.allreduce(np.zeros(16))
+
+        with mock.patch.object(WaitRegistry, "_arbitrate_locked", counted):
+            run_spmd(p, prog, timeout=60)
+        assert len(walks) <= p
 
 
 class TestFinalizeAccounting:

@@ -1,5 +1,7 @@
 """Collective semantics of the SPMD runtime."""
 
+import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -7,14 +9,19 @@ import pytest
 
 from repro.core import SortConfig, histogram_sort, multiselect
 from repro.data import make_partition
+from repro.faults import CrashEvent, FaultPlan, FaultSpec
 from repro.machine import abstract_cluster
 from repro.mpi import (
     MAX,
     MIN,
     PROD,
     SUM,
+    Aborted,
     CollectiveMismatchError,
+    CommRevokedError,
     CommunicatorError,
+    DeadlockError,
+    RankFailedError,
     SPMDError,
     run_spmd,
 )
@@ -399,3 +406,105 @@ class TestThen:
         assert res.rounds > 2
         assert len(calls) == res.rounds - (res.gathered_keys > 0)
         assert all(r.splitters.values is res.values for r in out)
+
+
+#: wall-clock bound of one run: a waiter nobody wakes fails the run instead
+#: of hanging it
+WALL = 60
+
+
+def _wait_parked(comm, n):
+    """Wait until ``n`` ranks are blocked in the wait ledger."""
+    waits = comm._rt._registry._waits
+    for _ in range(30_000):
+        if sum(w is not None for w in waits) == n:
+            return
+        time.sleep(1e-3)
+    raise AssertionError(f"{n} ranks never parked")
+
+
+def _snapshot(rt):
+    s = rt.stats.snapshot()
+    return (s.bytes_sent.tolist(), s.msgs_sent.tolist(), s.compute_time.tolist(),
+            s.collectives, s.control)
+
+
+class TestTurnstile:
+    """A generation's members pass its gate one after another.  Every wake
+    that is not a completion opens the gate too: with p - 1 members parked
+    in one allreduce, each waiter raises its own typed error."""
+
+    P = 64
+
+    def _parked(self, act):
+        """``act(comm)`` on rank 0 once every other rank is parked in an
+        allreduce; what each of those raises."""
+        seen = {}
+
+        def prog(comm):
+            if comm.rank == 0:
+                _wait_parked(comm, self.P - 1)
+                return act(comm)
+            try:
+                comm.allreduce(1)  # spmd: ignore[DIV-COLLECTIVE]
+            except (Aborted, CommunicatorError) as exc:
+                seen[comm.rank] = type(exc)
+            return None
+
+        return prog, seen
+
+    def _every_waiter(self, seen, error):
+        assert seen == {rank: error for rank in range(1, self.P)}
+
+    def test_abort(self):
+        def fail(comm):
+            raise ValueError("rank 0 fails")
+
+        prog, seen = self._parked(fail)
+        with pytest.raises(SPMDError) as ei:
+            spmd(self.P, prog, timeout=WALL)
+        assert set(ei.value.failures) == {0}
+        self._every_waiter(seen, Aborted)
+
+    def test_revoke(self):
+        prog, seen = self._parked(lambda comm: comm.revoke())
+        spmd(self.P, prog, timeout=WALL)
+        self._every_waiter(seen, CommRevokedError)
+
+    def test_crash(self):
+        prog, seen = self._parked(lambda comm: comm.allreduce(1))  # rank 0 dies entering it
+        plan = FaultPlan(FaultSpec(crashes=(CrashEvent(rank=0, at_op=0),)), seed=1, size=self.P)
+        spmd(self.P, prog, faults=plan, timeout=WALL)
+        self._every_waiter(seen, RankFailedError)
+
+    def test_skipped_collective(self):
+        # Rank 0 returns instead: the ledger's verdict aborts the run.
+        prog, seen = self._parked(lambda comm: None)
+        spmd(self.P, prog, timeout=WALL)
+        self._every_waiter(seen, DeadlockError)
+
+    def test_soak_under_a_tiny_switch_interval(self):
+        def prog(comm):
+            half = comm.split(comm.rank % 2, comm.rank)
+            out = []
+            for i in range(40):
+                comm.compute(1e-6 * (comm.rank + i))
+                out.append(comm.allreduce(comm.rank + i))
+                out.append(half.allreduce(np.full(4, comm.rank)).tolist())
+                out.append(half.bcast(i if half.rank == 0 else None))
+                out.append(comm.alltoall([comm.rank * i] * comm.size))
+                out.append(half.exscan(comm.rank))
+            return out
+
+        def once():
+            out, rt = spmd(16, prog, timeout=WALL, return_runtime=True)
+            return out, rt.clocks.tolist(), _snapshot(rt)
+
+        default = once()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tiny = once()
+        finally:
+            sys.setswitchinterval(interval)
+        assert tiny == default

@@ -56,6 +56,91 @@ class TestPayloadNbytes:
         assert payload_nbytes(Thing()) == 64
 
 
+def _nbytes_reference(obj):
+    """The recursive definition of a payload's wire size."""
+    if obj is None:
+        return 0
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, np.generic):
+        return obj.itemsize
+    if isinstance(obj, bool):
+        return 1
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", errors="replace"))
+    if isinstance(obj, (int, float)):
+        return 8
+    return sum(_nbytes_reference(x) for x in obj) + 8
+
+
+def _equal(a, b):
+    """Same type and value, element by element (arrays by dtype and bytes)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _mutables(obj):
+    """Every list and array reachable in ``obj``, the object itself included."""
+    if isinstance(obj, (list, np.ndarray)):
+        yield obj
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _mutables(x)
+
+
+_SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+_ARRAYS = st.lists(st.integers(-1000, 1000), max_size=5).map(np.array)
+
+
+def _rows(element):
+    return st.one_of(st.lists(element, max_size=8), st.lists(element, max_size=8).map(tuple))
+
+
+#: rows of scalars only (where a fast path may wrongly take a bool or a
+#: NumPy scalar for a Python number), and nested rows with arrays
+_PAYLOADS = st.one_of(
+    _rows(_SCALARS),
+    st.recursive(st.one_of(_SCALARS, _ARRAYS), _rows, max_leaves=24).filter(
+        lambda x: isinstance(x, (list, tuple))),
+)
+
+
+class TestPayloadProperties:
+    """Rows of mixed scalars, nested rows and arrays: the flat int/float
+    fast paths must agree with the recursive definitions."""
+
+    @given(_PAYLOADS)
+    @settings(max_examples=100, deadline=None)
+    def test_nbytes_is_the_recursive_definition(self, row):
+        assert payload_nbytes(row) == _nbytes_reference(row)
+
+    @given(_PAYLOADS)
+    @settings(max_examples=100, deadline=None)
+    def test_copy_is_equal_and_shares_nothing_mutable(self, row):
+        dup = copy_payload(row)
+        assert _equal(dup, row)
+        ours = list(_mutables(row))
+        for obj in _mutables(dup):
+            assert all(obj is not o for o in ours)
+            if isinstance(obj, np.ndarray):
+                assert not any(np.shares_memory(obj, o) for o in ours
+                               if isinstance(o, np.ndarray))
+
+
 class TestReduceOps:
     def test_sum_prod_minmax_scalars(self):
         assert SUM(2, 3) == 5
