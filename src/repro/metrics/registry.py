@@ -1,66 +1,26 @@
-"""The typed metrics registry: counters, gauges, virtual-time histograms.
+"""The traffic registry: labelled counters that sum many runs.
 
-A :class:`MetricsRegistry` owns metric *families*; a family has a name, a
-help string, a type, and a fixed tuple of label names.  ``family.labels``
-resolves (and lazily creates) one *child* per label-value combination —
-the Prometheus data model, scaled down to what this repository needs:
+A :class:`MetricsRegistry` owns counter *families*; a family has a name
+and a fixed tuple of label names.  ``family.labels`` resolves (and lazily
+creates) one :class:`Counter` per label-value combination — the
+Prometheus data model, scaled down to what this repository reads.
 
-* :class:`Counter` — monotone float, ``inc()`` only;
-* :class:`Gauge` — settable float (``set``/``inc``/``dec``);
-* :class:`Histogram` — observation counts over **fixed exponential
-  buckets**.  All histograms in this codebase observe virtual-time
-  seconds or payload bytes, both of which span many orders of magnitude,
-  so linear buckets are useless; :func:`exponential_buckets` builds the
-  geometric ``le`` ladders and two canonical ladders are provided
-  (:data:`TIME_BUCKETS`, :data:`BYTES_BUCKETS`).
-
-Determinism and non-perturbation
---------------------------------
-The registry is plain Python state fed *after* (or strictly outside of)
-virtual-time accounting — collectors in :mod:`repro.metrics.collect` read
-:meth:`repro.mpi.Stats.snapshot`, finished trace spans, and phase
-dictionaries, and never touch a clock.  A run observed into a registry is
-bit-identical to an unobserved one (asserted by the 16-rank parity test).
-Exposition (:meth:`MetricsRegistry.to_prometheus` /
-:meth:`~MetricsRegistry.to_json`) orders families by name and children by
-label values, so rendered output is deterministic too.
+The registry is plain Python state fed *after* virtual-time accounting:
+:func:`repro.metrics.collect_runtime` reads
+:meth:`repro.mpi.Stats.snapshot` and never touches a clock, so a run
+observed into a registry is bit-identical to an unobserved one.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import threading
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
-__all__ = [
-    "BYTES_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricsRegistry",
-    "TIME_BUCKETS",
-    "exponential_buckets",
-]
+__all__ = ["Counter", "MetricFamily", "MetricsRegistry"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-def exponential_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
-    """``count`` geometric upper bounds ``start * factor**i`` (no +Inf entry;
-    the histogram adds the implicit overflow bucket itself)."""
-    if start <= 0 or factor <= 1 or count < 1:
-        raise ValueError("need start > 0, factor > 1, count >= 1")
-    return tuple(start * factor**i for i in range(count))
-
-
-#: virtual-time seconds: 1 µs .. ~4.4 ks in ×4 steps (17 buckets)
-TIME_BUCKETS = exponential_buckets(1e-6, 4.0, 17)
-
-#: payload bytes: 64 B .. 4 GiB in ×4 steps (14 buckets)
-BYTES_BUCKETS = exponential_buckets(64.0, 4.0, 14)
 
 
 class Counter:
@@ -81,115 +41,21 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Histogram:
-    """Observation counts over fixed exponential buckets.
-
-    ``counts[i]`` counts observations ``<= buckets[i]`` *non*-cumulatively;
-    the exposition layer renders the cumulative Prometheus form.  The last
-    implicit bucket (``+Inf``) is ``overflow``.
-    """
-
-    __slots__ = ("buckets", "counts", "overflow", "sum", "count")
-
-    def __init__(self, buckets: Sequence[float]):
-        self.buckets = tuple(float(b) for b in buckets)
-        if list(self.buckets) != sorted(set(self.buckets)):
-            raise ValueError("histogram buckets must be strictly increasing")
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket")
-        self.counts = [0] * len(self.buckets)
-        self.overflow = 0
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError("cannot observe NaN")
-        self.sum += value
-        self.count += 1
-        # buckets are few (<= ~17): linear scan beats bisect overhead here
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.overflow += 1
-
-    def cumulative(self) -> list[tuple[float, int]]:
-        """``(le, cumulative_count)`` pairs, ending with ``(inf, count)``."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.buckets, self.counts):
-            running += n
-            out.append((bound, running))
-        out.append((math.inf, running + self.overflow))
-        return out
-
-    @property
-    def value(self) -> float:
-        """The sum, so mixed-type family reports have a scalar to show."""
-        return self.sum
-
-
-_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricFamily:
-    """One named metric with a fixed label-name tuple and many children."""
+    """One named counter with a fixed label-name tuple and many children."""
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        type: str,
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] | None = None,
-    ):
+    def __init__(self, name: str, labelnames: Sequence[str] = ()):
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         for ln in labelnames:
             if not _LABEL_RE.match(ln):
                 raise ValueError(f"invalid label name {ln!r}")
-        if type not in _TYPES:
-            raise ValueError(f"metric type must be one of {sorted(_TYPES)}, got {type!r}")
-        if buckets is not None and type != "histogram":
-            raise ValueError("buckets only apply to histograms")
         self.name = name
-        self.help = help
-        self.type = type
         self.labelnames = tuple(labelnames)
-        self.buckets = tuple(buckets) if buckets is not None else TIME_BUCKETS
-        self._children: dict[tuple[str, ...], Any] = {}
+        self._children: dict[tuple[str, ...], Counter] = {}
         self._lock = threading.Lock()
 
-    def _make_child(self):
-        if self.type == "histogram":
-            return Histogram(self.buckets)
-        return _TYPES[self.type]()
-
-    def labels(self, **labels: Any) -> Any:
+    def labels(self, **labels: Any) -> Counter:
         """The child for this label-value combination (created on demand)."""
         if set(labels) != set(self.labelnames):
             raise ValueError(
@@ -199,84 +65,47 @@ class MetricFamily:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = self._children[key] = self._make_child()
+                child = self._children[key] = Counter()
             return child
 
-    def samples(self) -> list[tuple[dict[str, str], Any]]:
+    def samples(self) -> list[tuple[dict[str, str], Counter]]:
         """``(labels_dict, child)`` pairs ordered by label values."""
         with self._lock:
             items = sorted(self._children.items())
-        return [
-            (dict(zip(self.labelnames, key)), child) for key, child in items
-        ]
+        return [(dict(zip(self.labelnames, key)), child) for key, child in items]
 
     def total(self) -> float:
         """Sum of child values across every label combination."""
         return float(sum(child.value for _, child in self.samples()))
 
-    # convenience for the no-label case ------------------------------------
-    def default(self) -> Any:
-        if self.labelnames:
-            raise ValueError(f"{self.name} is labelled; use .labels(...)")
-        return self.labels()
-
 
 class MetricsRegistry:
-    """A collection of metric families, keyed by name.
+    """A collection of counter families, keyed by name.
 
-    Registration is idempotent when the re-declaration matches exactly
-    (same type, help, label names, buckets) — collectors can declare their
-    families on every collection pass — and raises on any mismatch, so two
-    subsystems cannot silently share a name with different meanings.
+    Registration is idempotent when the label names match — a collector
+    declares its families on every pass — and raises on a mismatch, so two
+    callers cannot silently share a name with different labels.
     """
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
         self._lock = threading.Lock()
 
-    def _register(
-        self,
-        name: str,
-        help: str,
-        type: str,
-        labelnames: Sequence[str],
-        buckets: Sequence[float] | None = None,
-    ) -> MetricFamily:
+    def counter(self, name: str, labelnames: Sequence[str] = ()) -> MetricFamily:
         with self._lock:
             fam = self._families.get(name)
             if fam is None:
-                fam = MetricFamily(name, help, type, labelnames, buckets)
-                self._families[name] = fam
+                fam = self._families[name] = MetricFamily(name, labelnames)
                 return fam
-        if (
-            fam.type != type
-            or fam.help != help
-            or fam.labelnames != tuple(labelnames)
-            or (buckets is not None and fam.buckets != tuple(buckets))
-        ):
+        if fam.labelnames != tuple(labelnames):
             raise ValueError(
-                f"metric {name!r} already registered as {fam.type} "
-                f"labels={list(fam.labelnames)}; redeclaration does not match"
+                f"metric {name!r} already registered with labels "
+                f"{list(fam.labelnames)}; redeclaration does not match"
             )
         return fam
 
-    def counter(self, name: str, help: str, labelnames: Sequence[str] = ()) -> MetricFamily:
-        return self._register(name, help, "counter", labelnames)
-
-    def gauge(self, name: str, help: str, labelnames: Sequence[str] = ()) -> MetricFamily:
-        return self._register(name, help, "gauge", labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help: str,
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = TIME_BUCKETS,
-    ) -> MetricFamily:
-        return self._register(name, help, "histogram", labelnames, buckets)
-
     def collect(self) -> list[MetricFamily]:
-        """All families, ordered by name (the exposition order)."""
+        """All families, ordered by name."""
         with self._lock:
             return [self._families[k] for k in sorted(self._families)]
 
@@ -284,30 +113,9 @@ class MetricsRegistry:
         with self._lock:
             return self._families.get(name)
 
-    def value(self, name: str, labels: Mapping[str, Any] | None = None) -> float:
-        """Scalar read: a child's value, or the family total without labels."""
+    def value(self, name: str) -> float:
+        """A family's total over every label combination."""
         fam = self.get(name)
         if fam is None:
             raise KeyError(f"no metric named {name!r}")
-        if labels is None:
-            return fam.total()
-        return float(fam.labels(**labels).value)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._families)
-
-    def __iter__(self) -> Iterable[MetricFamily]:
-        return iter(self.collect())
-
-    # exposition (implemented in expose.py, re-exported here for ergonomics)
-
-    def to_prometheus(self) -> str:
-        from .expose import to_prometheus
-
-        return to_prometheus(self)
-
-    def to_json(self) -> dict[str, Any]:
-        from .expose import to_json
-
-        return to_json(self)
+        return fam.total()

@@ -47,7 +47,7 @@ from .report import (
     SanitizeFinding,
     SanitizerError,
 )
-from .shadow import AccessHistory, InflightRecord, payload_fingerprints
+from .shadow import AccessHistory, InflightRecord, payload_fingerprints, weak_ref
 from .vclock import VClockTable, leq
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,7 +143,7 @@ class Sanitizer:
             self.vclocks.tick(world_rank)
             note = _MsgNote(
                 self.vclocks.snapshot(world_rank),
-                [ref for ref, _ in payload_fingerprints(payload, iter_arrays)],
+                [weak_ref(arr) for arr in arrays],
                 world_rank,
             )
         return note

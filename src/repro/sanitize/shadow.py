@@ -23,6 +23,7 @@ __all__ = [
     "SAMPLE_ELEMS",
     "fingerprint",
     "payload_fingerprints",
+    "weak_ref",
     "InflightRecord",
     "AccessHistory",
 ]
@@ -46,7 +47,8 @@ def fingerprint(arr: np.ndarray) -> int:
     return crc
 
 
-def _try_ref(arr: np.ndarray) -> "weakref.ref[np.ndarray] | None":
+def weak_ref(arr: np.ndarray) -> "weakref.ref[np.ndarray] | None":
+    """A weak reference to ``arr``; ``None`` if its type refuses one."""
     try:
         return weakref.ref(arr)
     except TypeError:  # exotic ndarray subclass without weakref support
@@ -62,7 +64,7 @@ def payload_fingerprints(
     (that would change garbage-collection behaviour, and a dead buffer
     cannot be mutated anyway).
     """
-    return [(_try_ref(a), fingerprint(a)) for a in arrays(payload)]
+    return [(weak_ref(a), fingerprint(a)) for a in arrays(payload)]
 
 
 @dataclass

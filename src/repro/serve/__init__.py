@@ -15,7 +15,7 @@ The library's algorithms become a long-running multi-tenant *service*:
   splitter tables + global offsets answer rank/percentile/range queries
   with **zero data movement**;
 * :mod:`~repro.serve.service` — :class:`SortService`: the scheduler,
-  the virtual service clock, dataset registry, metrics, chaos, and
+  the virtual service clock, dataset registry, chaos, and
   save/load persistence;
 * :mod:`~repro.serve.workload` — scripted workloads + host-side oracles
   (the replay/soak driver).

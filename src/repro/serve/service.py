@@ -2,9 +2,9 @@
 
 The service is the *driver* side of the system: it owns the job queue,
 the dataset registry (the persistent query tier), the plan cache (the
-warm-plan tier), a metrics registry, and a **service clock** in virtual
-seconds.  Rank-side work happens in *epochs*: each scheduling round takes
-every job whose arrival has been reached, batches compatible sort jobs
+warm-plan tier) and a **service clock** in virtual seconds.  Rank-side
+work happens in *epochs*: each scheduling round takes every job whose
+arrival has been reached, batches compatible sort jobs
 (:mod:`repro.serve.batch`), groups queries into query epochs
 (:mod:`repro.serve.index`), and runs each epoch on a fresh virtual-clock
 :class:`~repro.mpi.Runtime` of the service's ``p`` ranks.  The epoch's
@@ -21,6 +21,11 @@ Chaos: a :class:`ServiceChaos` schedule marks sort epochs for fault
 injection.  Marked epochs run the resilient path (buddy checkpoints +
 warm spares), so jobs survive mid-epoch crashes with ``p`` — and with it
 every cached plan — unchanged.
+
+Counts live in the records: job states in ``jobs``, epochs, batches and
+crashes in ``events``, warm-plan hits and planner dry runs in two int
+fields.  ``registry`` sums the epochs' runtime traffic into four
+counters (:func:`repro.metrics.collect_runtime`).
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from ..core.resilient import ResilientSortResult
 from ..data import make_partition
 from ..faults import CrashEvent, FaultPlan, FaultSpec
 from ..machine import MachineSpec
-from ..metrics import TIME_BUCKETS, MetricsRegistry
-from ..metrics.collect import collect_runtime
+from ..metrics import MetricsRegistry, collect_runtime
 from ..mpi import Runtime
 from ..tune import planner
 from ..tune.cache import PlanCache
@@ -128,6 +132,7 @@ class SortService:
         from ..tune.cache import MemoryPlanCache
 
         self.plan_cache = plan_cache if plan_cache is not None else MemoryPlanCache()
+        #: the four runtime-traffic counters, summed over every epoch
         self.registry = MetricsRegistry()
         self._queue = JobQueue(policy)
         self.jobs: dict[int, Job] = {}
@@ -135,63 +140,12 @@ class SortService:
         self.clock = 0.0
         self.next_epoch = 0
         self.sort_epochs = 0
+        #: sort epochs served from the plan cache, and the planner dry runs
+        #: the others made
+        self.warm_plan_hits = 0
+        self.plan_dry_runs = 0
         #: per-epoch service records: batch composition, timings, spans
         self.events: list[dict[str, Any]] = []
-        self._declare_metrics()
-
-    # --------------------------------------------------------------- metrics
-
-    def _declare_metrics(self) -> None:
-        reg = self.registry
-        self._m_submitted = reg.counter(
-            "serve_jobs_submitted_total", "Jobs submitted", ("tenant", "kind")
-        )
-        self._m_rejected = reg.counter(
-            "serve_jobs_rejected_total", "Typed admission rejections", ("reason",)
-        )
-        self._m_completed = reg.counter(
-            "serve_jobs_completed_total", "Jobs completed", ("tenant", "kind")
-        )
-        self._m_failed = reg.counter(
-            "serve_jobs_failed_total", "Jobs failed at scheduling/run", ("reason",)
-        )
-        self._m_batched = reg.counter(
-            "serve_jobs_batched_total", "Jobs that ran in a fused batch (>= 2 jobs)"
-        ).default()
-        self._m_epochs = reg.counter(
-            "serve_epochs_total", "Executed epochs", ("kind",)
-        )
-        self._m_batch_size = reg.histogram(
-            "serve_batch_jobs",
-            "Jobs fused per sort epoch",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-        ).default()
-        self._m_depth = reg.gauge(
-            "serve_queue_depth", "Jobs waiting in the queue"
-        ).default()
-        self._m_ttr = reg.histogram(
-            "serve_time_to_result_seconds",
-            "Virtual completion minus arrival, per job",
-            ("kind",),
-            buckets=TIME_BUCKETS,
-        )
-        self._m_epoch_span = reg.histogram(
-            "serve_epoch_makespan_seconds",
-            "Virtual makespan of one epoch",
-            buckets=TIME_BUCKETS,
-        ).default()
-        self._m_warm = reg.counter(
-            "serve_warm_plan_hits_total", "Sort epochs served from the plan cache"
-        ).default()
-        self._m_dry = reg.counter(
-            "serve_plan_dry_runs_total", "Planner dry runs performed by sort epochs"
-        ).default()
-        self._m_crash = reg.counter(
-            "serve_crashes_survived_total", "Rank crashes absorbed inside epochs"
-        ).default()
-        self._m_spares = reg.counter(
-            "serve_spares_used_total", "Warm spares promoted during recovery"
-        ).default()
 
     # ------------------------------------------------------------- admission
 
@@ -207,18 +161,15 @@ class SortService:
             rejected = getattr(exc, "job", None)
             if rejected is not None:
                 self.jobs[rejected.job_id] = rejected
-            self._m_rejected.labels(reason=exc.reason).inc()
             raise
         self.jobs[job.job_id] = job
-        self._m_submitted.labels(tenant=spec.tenant, kind=spec.kind).inc()
-        self._m_depth.set(self._queue.depth())
         return job
 
     def replay(self, specs: Iterable[JobSpec]) -> dict[int, JobResult]:
         """Scripted mode: submit a whole arrival script, then drain.
 
-        Typed rejections are recorded (metrics + REJECTED job records)
-        and skipped; returns ``{job_id: result}`` for completed jobs.
+        Typed rejections are recorded (REJECTED job records) and skipped;
+        returns ``{job_id: result}`` for completed jobs.
         """
         for spec in specs:
             try:
@@ -294,14 +245,12 @@ class SortService:
                     self._fail(job, UnknownDatasetError.reason)
                 return bool(len(self._queue))
             self.clock = nxt
-        self._m_depth.set(self._queue.depth())
         return True
 
     def _fail(self, job: Job, reason: str) -> None:
         job.transition("FAILED")
         job.error = reason
         job.done_at = self.clock
-        self._m_failed.labels(reason=reason).inc()
 
     # ---------------------------------------------------------------- epochs
 
@@ -315,11 +264,10 @@ class SortService:
             spares=spares,
         )
 
-    def _finish_epoch(self, rt: Runtime, record: dict[str, Any]) -> float:
-        """Advance the service clock, fold metrics/spans, file the record."""
+    def _finish_epoch(self, rt: Runtime, record: dict[str, Any]) -> None:
+        """Advance the service clock, fold traffic/spans, file the record."""
         t0 = self.clock
-        makespan = rt.elapsed()
-        self.clock = t0 + makespan
+        self.clock = t0 + rt.elapsed()
         record.update(epoch=self.next_epoch, t0=t0, t1=self.clock)
         if self.trace and rt.trace is not None:
             record["spans"] = [
@@ -327,27 +275,21 @@ class SortService:
                 for s in rt.trace.spans()
             ]
         self.events.append(record)
-        self._m_epochs.labels(kind=record["kind"]).inc()
-        self._m_epoch_span.observe(makespan)
-        collect_runtime(self.registry, rt, labels={"surface": "serve"})
+        collect_runtime(self.registry, rt)
         self.next_epoch += 1
-        return makespan
 
     def _complete(self, job: Job, value: Any, epoch: int, batched_with: int) -> None:
         job.transition("DONE")
         job.done_at = self.clock
         job.epoch = epoch
-        ttr = self.clock - job.spec.arrival
         job.result = JobResult(
             job_id=job.job_id,
             kind=job.spec.kind,
             value=value,
-            time_to_result=ttr,
+            time_to_result=self.clock - job.spec.arrival,
             epoch=epoch,
             batched_with=batched_with,
         )
-        self._m_completed.labels(tenant=job.spec.tenant, kind=job.spec.kind).inc()
-        self._m_ttr.labels(kind=job.spec.kind).observe(max(ttr, 0.0))
 
     def _run_query_epoch(self, jobs: Sequence[Job]) -> None:
         queries = []
@@ -393,9 +335,6 @@ class SortService:
         for job in batch.jobs:
             job.transition("RUNNING")
             job.started_at = self.clock
-        self._m_batch_size.observe(float(len(batch.jobs)))
-        if batch.fused and len(batch.jobs) > 1:
-            self._m_batched.inc(len(batch.jobs))
         ordinal = self.sort_epochs
         self.sort_epochs += 1
         spares = self.chaos.spares if self.chaos is not None else 0
@@ -411,7 +350,7 @@ class SortService:
             sort_epoch_program,
             args=(batch, self.plan_cache, resilient, self.seed),
         )
-        self._m_dry.inc(planner.dry_run_count() - dry_before)
+        self.plan_dry_runs += planner.dry_run_count() - dry_before
 
         dtype = batch.data[0][0].dtype
         if resilient:
@@ -422,7 +361,7 @@ class SortService:
                 outputs[logical] = runs
             meta = results[0][2]
             if meta.get("cache_hit"):
-                self._m_warm.inc()
+                self.warm_plan_hits += 1
 
         epoch = self.next_epoch
         self._finish_epoch(
@@ -467,9 +406,6 @@ class SortService:
             )
             outputs[int(res.comm.rank)] = runs
         first = live[0]
-        crashed = len(rt.fault_stats.crashed)
-        self._m_crash.inc(crashed)
-        self._m_spares.inc(first.spares_used)
         meta = {
             "resilient": True,
             "attempts": first.attempts,
@@ -515,8 +451,9 @@ class SortService:
             "jobs_per_vsecond": (
                 len(completed) / self.clock if self.clock > 0 else 0.0
             ),
-            "warm_plan_hits": self.registry.value("serve_warm_plan_hits_total"),
-            "plan_dry_runs": self.registry.value("serve_plan_dry_runs_total"),
+            # floats, as saved states and perf snapshots have always read them
+            "warm_plan_hits": float(self.warm_plan_hits),
+            "plan_dry_runs": float(self.plan_dry_runs),
             "time_to_result_s": {
                 kind: p50_p90(
                     [j.result.time_to_result for j in completed
@@ -606,9 +543,8 @@ class SortService:
         service.next_epoch = int(state["next_epoch"])
         service.sort_epochs = int(state["sort_epochs"])
         service._queue.allocate_from(int(state["next_job_id"]))
-        # stats() reads these two from the registry, which starts empty
-        service._m_warm.inc(state["stats"]["warm_plan_hits"])
-        service._m_dry.inc(state["stats"]["plan_dry_runs"])
+        service.warm_plan_hits = int(state["stats"]["warm_plan_hits"])
+        service.plan_dry_runs = int(state["stats"]["plan_dry_runs"])
         for raw in state["jobs"]:
             job = Job.from_dict(raw)
             service.jobs[job.job_id] = job

@@ -70,9 +70,9 @@ class TestAdmission:
         # the rejection consumed a job id and left a REJECTED record
         assert service.jobs[2].state == "REJECTED"
         assert service.jobs[2].error == "queue_full"
-        assert service.registry.value(
-            "serve_jobs_rejected_total", {"reason": "queue_full"}
-        ) == 1
+        assert [j.error for j in service.jobs.values() if j.state == "REJECTED"] == [
+            "queue_full"
+        ]
 
     def test_tenant_quota_is_per_tenant(self):
         service = SortService(P, policy=AdmissionPolicy(max_per_tenant=1))
@@ -200,26 +200,43 @@ class TestResults:
 
 class TestTelemetry:
     def test_registry_totals_are_the_sum_of_the_epochs_stats_snapshots(self):
-        # the contract benchmarks/ledger's serveload.py reads
-        runtimes = []
+        # the contract benchmarks/ledger's serveload.py and perf's serve
+        # cell read: four families, each the sum over the epochs, on a
+        # clean replay and on one that absorbs crashes
+        workload = make_workload(P, seed=0)
+        for chaos in (None, make_chaos(workload)):
+            runtimes = []
 
-        class Recording(SortService):
-            def _runtime(self, **kwargs):
-                runtimes.append(super()._runtime(**kwargs))
-                return runtimes[-1]
+            class Recording(SortService):
+                def _runtime(self, **kwargs):
+                    runtimes.append(super()._runtime(**kwargs))
+                    return runtimes[-1]
 
-        service = Recording(P)
-        service.replay(make_workload(P, seed=0))
-        snaps = [rt.stats.snapshot() for rt in runtimes]
-        assert len(snaps) == service.next_epoch
-        value = service.registry.value
-        assert value("repro_bytes_on_wire_total") == sum(s.wire_bytes for s in snaps)
-        assert value("repro_messages_total") == sum(
-            s.total_msgs_sent + s.total_collective_calls for s in snaps
-        )
-        assert value("repro_collective_calls_total") == sum(
-            s.total_collective_calls for s in snaps
-        )
+            service = Recording(P, chaos=chaos)
+            service.replay(workload)
+            snaps = [rt.stats.snapshot() for rt in runtimes]
+            assert len(snaps) == service.next_epoch
+            assert any(rt.fault_stats.crashed for rt in runtimes) == (chaos is not None)
+            registry = service.registry
+            assert [fam.name for fam in registry.collect()] == [
+                "repro_bytes_on_wire_total",
+                "repro_collective_calls_total",
+                "repro_messages_total",
+                "repro_p2p_bytes_total",
+            ]
+            value = registry.value
+            assert value("repro_bytes_on_wire_total") == sum(s.wire_bytes for s in snaps)
+            assert value("repro_p2p_bytes_total") == sum(s.total_bytes_sent for s in snaps)
+            assert value("repro_messages_total") == sum(
+                s.total_msgs_sent + s.total_collective_calls for s in snaps
+            )
+            per_op: dict[str, int] = {}
+            for snap in snaps:
+                for op, (calls, _, _) in snap.collectives.items():
+                    per_op[op] = per_op.get(op, 0) + calls
+            calls = registry.get("repro_collective_calls_total").samples()
+            assert {labels["op"]: c.value for labels, c in calls} == per_op
+            assert value("repro_collective_calls_total") == sum(per_op.values())
 
     def test_stats_latency_percentiles_match_the_job_records(self):
         service, _ = _served()
@@ -248,7 +265,7 @@ class TestTelemetry:
 class TestWarmPlans:
     def test_repeat_fingerprints_hit_plan_cache(self):
         service, _ = _served()
-        assert service.registry.value("serve_warm_plan_hits_total") >= 1
+        assert service.stats()["warm_plan_hits"] >= 1
 
     def test_shared_cache_makes_second_run_dry_run_free(self):
         cache = MemoryPlanCache()
@@ -258,7 +275,7 @@ class TestWarmPlans:
         second = SortService(P, plan_cache=cache)
         second.replay(make_workload(P, seed=0))
         assert dry_run_count() == before  # every epoch warm: zero dry runs
-        assert second.registry.value("serve_plan_dry_runs_total") == 0
+        assert second.stats()["plan_dry_runs"] == 0
 
 
 class TestDeterminism:
@@ -299,8 +316,9 @@ class TestChaos:
         assert service.p == P  # logical width never changes
         for job_id in range(len(workload)):
             assert service.jobs[job_id].state == "DONE"
-        assert service.registry.value("serve_crashes_survived_total") == n_crashes
-        assert service.registry.value("serve_spares_used_total") >= n_crashes
+        metas = [e["meta"] for e in service.events if e["kind"] == "sort"]
+        assert sum(len(m.get("crashed", ())) for m in metas) == n_crashes
+        assert sum(m.get("spares_used", 0) for m in metas) >= n_crashes
 
     def test_chaos_results_equal_oracle(self):
         workload = make_workload(P, seed=0)
