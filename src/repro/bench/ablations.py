@@ -32,9 +32,12 @@ __all__ = [
 _P = 64
 _RPN = 16
 _NPR = 1 << 13
+#: the ε values the sweep visits, and the overlap ablation's keys per rank
+_EPSILONS = (0.0, 0.001, 0.01, 0.1)
+_OVERLAP_NPR = 1 << 14
 
 
-def epsilon_sweep(repeats: int = 3, epsilons=(0.0, 0.001, 0.01, 0.1)) -> Series:
+def epsilon_sweep(repeats: int = 3) -> Series:
     """Histogramming rounds and time versus the load-balance threshold ε."""
     machine = supermuc_phase2()
     series = Series(
@@ -44,7 +47,7 @@ def epsilon_sweep(repeats: int = 3, epsilons=(0.0, 0.001, 0.01, 0.1)) -> Series:
         params={"p": _P, "n_per_rank": _NPR},
         notes="paper (§VI-B): relaxing perfect partitioning reduces iterations",
     )
-    for eps in epsilons:
+    for eps in _EPSILONS:
         _, trials = repeat_sort_trials(
             _P, _NPR, repeats=repeats, warmup=0,
             algo="dash", dist="uniform_u64",
@@ -140,30 +143,28 @@ def merge_strategy_ablation(repeats: int = 3) -> Series:
     return series
 
 
-def overlap_ablation(repeats: int = 3, n_per_rank: int = 1 << 14) -> Series:
+def overlap_ablation(repeats: int = 3) -> Series:
     """§VI-E.1: 1-factor exchange with merges hidden behind communication."""
     machine = supermuc_phase2()
     series = Series(
         experiment="ablation_overlap",
         title="Overlapped exchange+merge vs plain alltoallv + merge",
         columns=["overlap", "exchange_s", "merge_s", "total_s"],
-        params={"p": _P, "n_per_rank": n_per_rank},
+        params={"p": _P, "n_per_rank": _OVERLAP_NPR},
         notes="paper (§VI-E.1): merging overlapped with 1-factor rounds "
         "'gives more time to complete a pending data transfer'",
     )
     for overlap in (False, True):
         cfg = PAPER_CONFIG.with_(merge_strategy="binary_tree", overlap_exchange=overlap)
         _, trials = repeat_sort_trials(
-            _P, n_per_rank, repeats=repeats, warmup=0,
+            _P, _OVERLAP_NPR, repeats=repeats, warmup=0,
             algo="dash", dist="uniform_u64",
             machine=machine, ranks_per_node=_RPN, config=cfg,
         )
-        import numpy as _np
-
         series.add(
             overlap=overlap,
-            exchange_s=float(_np.median([t.phases["exchange"] for t in trials])),
-            merge_s=float(_np.median([t.phases["merge"] for t in trials])),
-            total_s=float(_np.median([t.total for t in trials])),
+            exchange_s=float(np.median([t.phases["exchange"] for t in trials])),
+            merge_s=float(np.median([t.phases["merge"] for t in trials])),
+            total_s=float(np.median([t.total for t in trials])),
         )
     return series

@@ -3,7 +3,8 @@
 Every figure/table has a function returning a :class:`Series`:
 
 * :func:`fig2a_strong_scaling` / :func:`fig2b_phase_breakdown`
-* :func:`fig3a_weak_scaling` / :func:`fig3b_phase_breakdown`
+* :func:`fig3a_weak_scaling` / :func:`fig3b_phase_breakdown` — all four
+  read one scaling study, run strong or weak
 * :func:`iterations_experiment` (§V-A's iteration-count claims)
 * :func:`table1_machine` (Table I)
 
@@ -28,8 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from typing import Sequence
-
 import numpy as np
 
 from ..core import find_splitters
@@ -37,7 +36,7 @@ from ..data import make_partition
 from ..machine import supermuc_phase2
 from ..model import predict_histsort, predict_hss
 from ..mpi import run_spmd
-from .harness import PAPER_CONFIG, repeat_sort_trials
+from .harness import PAPER_CONFIG, _phase_median, repeat_sort_trials
 from .results import Series
 
 __all__ = [
@@ -70,6 +69,15 @@ MODEL_N_STRONG = 2**32            # 32 GB of uint64 keys, fixed for strong scali
 MODEL_N_PER_RANK_WEAK = 2**24     # 128 MB of uint64 per rank (§VI-C)
 KEY_BITS_U64_1E9 = 30             # keys are uniform in [0, 1e9]
 
+#: execute-mode keys per rank (before ``REPRO_BENCH_SCALE``): Fig. 2(a)
+#: splits 28 ranks' worth over every node count, Fig. 3(a) keeps it per
+#: rank, and both phase breakdowns run the smaller size
+_STRONG_N_PER_RANK_EXEC = 1 << 17
+_WEAK_N_PER_RANK_EXEC = 1 << 14
+_PHASES_N_PER_RANK_EXEC = 1 << 14
+#: keys per rank of the execute runs that calibrate model mode
+_CALIBRATION_N_PER_RANK = 1 << 13
+
 
 def bench_scale() -> float:
     """Execute-mode problem scale multiplier (env ``REPRO_BENCH_SCALE``)."""
@@ -79,11 +87,8 @@ def bench_scale() -> float:
         return 1.0
 
 
-def _exec_nodes(default: Sequence[int] = (1, 2, 4)) -> list[int]:
-    scale = bench_scale()
-    if scale >= 4:
-        return [1, 2, 4, 8]
-    return list(default)
+def _exec_nodes() -> list[int]:
+    return [1, 2, 4, 8] if bench_scale() >= 4 else [1, 2, 4]
 
 
 def _extrapolated_rounds(measured: int, n_exec: int, n_model: int, key_bits: int) -> int:
@@ -91,138 +96,161 @@ def _extrapolated_rounds(measured: int, n_exec: int, n_model: int, key_bits: int
     return int(min(key_bits, measured + round(grow)))
 
 
-def _calibrate(n_per_rank: int, repeats: int, machine) -> dict:
+def _calibrate(repeats: int, machine) -> dict:
     """Small execute runs measuring convergence constants for model mode."""
-    p = 2 * DASH_RPN
-    _, dash_trials = repeat_sort_trials(
-        p,
-        n_per_rank,
-        repeats=repeats,
-        warmup=0,
-        algo="dash",
-        dist="uniform_u64",
-        machine=machine,
-        ranks_per_node=DASH_RPN,
-    )
-    p_hss = 2 * HSS_RPN
-    _, hss_trials = repeat_sort_trials(
-        p_hss,
-        n_per_rank,
-        repeats=repeats,
-        warmup=0,
-        algo="hss",
-        dist="uniform_u64",
-        machine=machine,
-        ranks_per_node=HSS_RPN,
-    )
-    hss_rounds = [t.rounds for t in hss_trials]
+    rounds = {}
+    for algo, rpn in (("dash", DASH_RPN), ("hss", HSS_RPN)):
+        _, trials = repeat_sort_trials(
+            2 * rpn, _CALIBRATION_N_PER_RANK, repeats=repeats, warmup=0,
+            algo=algo, dist="uniform_u64", machine=machine, ranks_per_node=rpn,
+        )
+        rounds[algo] = [t.rounds for t in trials]
     return {
-        "dash_rounds": int(np.median([t.rounds for t in dash_trials])),
-        "dash_n_exec": n_per_rank * p,
-        "hss_rounds_med": int(np.median(hss_rounds)),
-        "hss_rounds_max": int(np.max(hss_rounds)),
-        "hss_n_exec": n_per_rank * p_hss,
+        "dash_rounds": int(np.median(rounds["dash"])),
+        "dash_n_exec": _CALIBRATION_N_PER_RANK * 2 * DASH_RPN,
+        "hss_rounds_med": int(np.median(rounds["hss"])),
+        "hss_rounds_max": int(np.max(rounds["hss"])),
+        "hss_n_exec": _CALIBRATION_N_PER_RANK * 2 * HSS_RPN,
     }
 
 
-def fig2a_strong_scaling(
-    mode: str = "model",
-    repeats: int = 3,
-    n_per_rank_exec: int = 1 << 17,
-) -> Series:
-    """Fig. 2(a): strong scaling, DASH vs Charm++-style HSS.
+# ---------------------------------------------------------------- the study
+#
+# Figs. 2 and 3 are one experiment run two ways.  ``study`` is "strong"
+# (Fig. 2: 28 DASH ranks/node, the total key count held fixed) or "weak"
+# (Fig. 3: 16 DASH ranks/node, the keys per rank held fixed); HSS always
+# runs 16 ranks/node.  ``size`` is the quantity the study holds fixed.
 
-    Fixed total problem size; 1..128 nodes.  Reports the median and 95% CI
-    (execute mode) or modelled times with HSS volatility bounds (model
-    mode), plus speedup and parallel efficiency relative to one node.
+_STUDY_RPN = {"strong": DASH_RPN, "weak": WEAK_RPN}
+
+
+def _total(study: str, size: int, p: int) -> int:
+    """Keys over all ``p`` ranks."""
+    return size if study == "strong" else size * p
+
+
+def _executed(study: str, n_per_rank: int, repeats: int, *, warmup: int, hss: bool):
+    """Execute the study with ``n_per_rank`` keys per rank on one node;
+    strong scaling splits that one-node total over every node count.
+
+    Returns ``(size, points)``; each point is ``(nodes, p, dash_stats,
+    dash_trials, hss_stats)`` (``hss_stats`` is None unless ``hss``).
     """
     machine = supermuc_phase2()
+    rpn = _STUDY_RPN[study]
+    n = int(n_per_rank * bench_scale())
+    size = n * rpn if study == "strong" else n
+
+    def run(algo: str, p: int, ranks_per_node: int):
+        return repeat_sort_trials(
+            p, max(_total(study, size, p) // p, 1), repeats=repeats, warmup=warmup,
+            algo=algo, dist="uniform_u64", machine=machine, ranks_per_node=ranks_per_node,
+        )
+
+    points = []
+    for nodes in _exec_nodes():
+        dash_stats, dash_trials = run("dash", nodes * rpn, rpn)
+        hss_stats = run("hss", nodes * HSS_RPN, HSS_RPN)[0] if hss else None
+        points.append((nodes, nodes * rpn, dash_stats, dash_trials, hss_stats))
+    return size, points
+
+
+def _modelled(study: str, calibration_repeats: int):
+    """Model the study at paper scale, calibrated by small execute runs.
+
+    Returns ``(size, calibration, points)``; each point is ``(nodes, p,
+    dash, rounds, hss, hss_hi)``: the DASH prediction and its extrapolated
+    round count, the HSS prediction and its volatility bound.
+    """
+    machine = supermuc_phase2()
+    rpn = _STUDY_RPN[study]
+    size = MODEL_N_STRONG if study == "strong" else MODEL_N_PER_RANK_WEAK
+    cal = _calibrate(calibration_repeats, machine)
+    points = []
+    for nodes in MODEL_NODES:
+        p, p_hss = nodes * rpn, nodes * HSS_RPN
+        n, n_hss = _total(study, size, p), _total(study, size, p_hss)
+        rounds = _extrapolated_rounds(
+            cal["dash_rounds"], cal["dash_n_exec"], n, KEY_BITS_U64_1E9
+        )
+        hss_rounds = _extrapolated_rounds(
+            cal["hss_rounds_med"], cal["hss_n_exec"], n_hss, KEY_BITS_U64_1E9 + 4
+        )
+        hss_rounds_hi = _extrapolated_rounds(
+            cal["hss_rounds_max"] * 3, cal["hss_n_exec"], n_hss, 2 * KEY_BITS_U64_1E9
+        )
+        hss, hss_hi = (
+            predict_hss(
+                machine, n_hss, p_hss, ranks_per_node=HSS_RPN, rounds=r,
+                cand_per_round=8.0 * p_hss,  # samples_per_round per rank, aggregated
+            )
+            for r in (hss_rounds, hss_rounds_hi)
+        )
+        dash = _predict_dash(machine, n, p, ranks_per_node=rpn, rounds=rounds)
+        points.append((nodes, p, dash, rounds, hss, hss_hi))
+    return size, cal, points
+
+
+def _scaling(study: str, mode: str, repeats: int, *, experiment: str, title: str,
+             calibration_repeats: int) -> Series:
+    """Figs. 2(a)/3(a): DASH against HSS per node count, with DASH's
+    parallel efficiency and, under strong scaling, its speedup."""
+    strong = study == "strong"
+    derived = ["dash_speedup", "dash_eff"] if strong else ["dash_eff"]
     series = Series(
-        experiment=f"fig2a_{mode}",
-        title="Strong scaling: DASH histogram sort vs HSS (Charm++)",
+        experiment=experiment,
+        title=title,
         columns=[
             "nodes", "cores", "dash_s", "dash_lo", "dash_hi",
-            "hss_s", "hss_lo", "hss_hi", "dash_speedup", "dash_eff", "rounds",
+            "hss_s", "hss_lo", "hss_hi", *derived, "rounds",
         ],
         params={"mode": mode},
     )
-
+    size_key = "n_total" if strong else "n_per_rank"
     if mode == "execute":
-        n_per_rank_exec = int(n_per_rank_exec * bench_scale())
-        nodes_list = _exec_nodes()
-        n_total = n_per_rank_exec * DASH_RPN * nodes_list[0]
-        series.params.update(n_total=n_total, repeats=repeats)
-        base = None
-        for nodes in nodes_list:
-            p_dash = nodes * DASH_RPN
-            p_hss = nodes * HSS_RPN
-            dash_stats, dash_trials = repeat_sort_trials(
-                p_dash, max(n_total // p_dash, 1), repeats=repeats, warmup=1,
-                algo="dash", dist="uniform_u64", machine=machine, ranks_per_node=DASH_RPN,
-            )
-            hss_stats, _ = repeat_sort_trials(
-                p_hss, max(n_total // p_hss, 1), repeats=repeats, warmup=1,
-                algo="hss", dist="uniform_u64", machine=machine, ranks_per_node=HSS_RPN,
-            )
-            if base is None:
-                base = (nodes, dash_stats.median)
-            speedup = base[1] / dash_stats.median * base[0]
-            series.add(
-                nodes=nodes, cores=nodes * DASH_RPN,
-                dash_s=dash_stats.median, dash_lo=dash_stats.ci_low, dash_hi=dash_stats.ci_high,
-                hss_s=hss_stats.median, hss_lo=hss_stats.ci_low, hss_hi=hss_stats.ci_high,
-                dash_speedup=speedup, dash_eff=speedup / nodes,
-                rounds=int(np.median([t.rounds for t in dash_trials])),
-            )
-        return series
-
-    if mode != "model":
+        n_per_rank = _STRONG_N_PER_RANK_EXEC if strong else _WEAK_N_PER_RANK_EXEC
+        size, executed = _executed(study, n_per_rank, repeats, warmup=1, hss=True)
+        series.params.update({size_key: size, "repeats": repeats})
+        points = [
+            (dict(nodes=nodes, cores=p,
+                  dash_s=dash.median, dash_lo=dash.ci_low, dash_hi=dash.ci_high,
+                  hss_s=hss.median, hss_lo=hss.ci_low, hss_hi=hss.ci_high),
+             int(np.median([t.rounds for t in trials])))
+            for nodes, p, dash, trials, hss in executed
+        ]
+    elif mode == "model":
+        size, cal, modelled = _modelled(study, calibration_repeats)
+        series.params.update({size_key: size, "calibration": cal})
+        points = [
+            (dict(nodes=nodes, cores=p,
+                  dash_s=dash.total, dash_lo=dash.total, dash_hi=dash.total,
+                  hss_s=hss.total, hss_lo=hss.total, hss_hi=hss_hi.total),
+             rounds)
+            for nodes, p, dash, rounds, hss, hss_hi in modelled
+        ]
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    cal = _calibrate(1 << 13, max(repeats, 3), machine)
-    n_total = MODEL_N_STRONG
-    series.params.update(n_total=n_total, calibration=cal)
-    base = None
-    for nodes in MODEL_NODES:
-        p_dash = nodes * DASH_RPN
-        p_hss = nodes * HSS_RPN
-        rounds = _extrapolated_rounds(
-            cal["dash_rounds"], cal["dash_n_exec"], n_total, KEY_BITS_U64_1E9
-        )
-        pred = _predict_dash(
-            machine, n_total, p_dash, ranks_per_node=DASH_RPN, rounds=rounds
-        )
-        hss_rounds = _extrapolated_rounds(
-            cal["hss_rounds_med"], cal["hss_n_exec"], n_total, KEY_BITS_U64_1E9 + 4
-        )
-        hss_rounds_hi = _extrapolated_rounds(
-            cal["hss_rounds_max"] * 3, cal["hss_n_exec"], n_total, 2 * KEY_BITS_U64_1E9
-        )
-        cand = 8.0 * p_hss  # samples_per_round per rank, aggregated
-        hss = predict_hss(
-            machine, n_total, p_hss, ranks_per_node=HSS_RPN,
-            rounds=hss_rounds, cand_per_round=cand,
-        )
-        hss_hi = predict_hss(
-            machine, n_total, p_hss, ranks_per_node=HSS_RPN,
-            rounds=hss_rounds_hi, cand_per_round=cand,
-        )
-        if base is None:
-            base = (nodes, pred.total)
-        speedup = base[1] / pred.total * base[0]
-        series.add(
-            nodes=nodes, cores=p_dash,
-            dash_s=pred.total, dash_lo=pred.total, dash_hi=pred.total,
-            hss_s=hss.total, hss_lo=hss.total, hss_hi=hss_hi.total,
-            dash_speedup=speedup, dash_eff=speedup / nodes,
-            rounds=rounds,
-        )
+    base_nodes, base_s = points[0][0]["nodes"], points[0][0]["dash_s"]
+    for row, rounds in points:
+        if strong:
+            speedup = base_s / row["dash_s"] * base_nodes
+            row.update(dash_speedup=speedup, dash_eff=speedup / row["nodes"])
+        else:
+            row.update(dash_eff=base_s / row["dash_s"])
+        series.add(**row, rounds=rounds)
     return series
 
 
-def _phase_rows(series_name: str, title: str, points: list[tuple[int, int, dict]]) -> Series:
+def _phases(study: str, mode: str, repeats: int, *, experiment: str, title: str) -> Series:
+    """Figs. 2(b)/3(b): DASH's per-phase times and their fractions."""
+    if mode == "execute":
+        _, executed = _executed(study, _PHASES_N_PER_RANK_EXEC, repeats, warmup=0, hss=False)
+        points = [(nodes, p, _phase_median(trials)) for nodes, p, _, trials, _ in executed]
+    else:
+        _, _, modelled = _modelled(study, repeats)
+        points = [(nodes, p, dash.as_dict()) for nodes, p, dash, *_ in modelled]
     series = Series(
-        experiment=series_name,
+        experiment=experiment,
         title=title,
         columns=[
             "nodes", "cores", "local_sort", "splitting", "exchange", "merge",
@@ -246,149 +274,49 @@ def _phase_rows(series_name: str, title: str, points: list[tuple[int, int, dict]
     return series
 
 
+def fig2a_strong_scaling(mode: str = "model", repeats: int = 3) -> Series:
+    """Fig. 2(a): strong scaling, DASH vs Charm++-style HSS.
+
+    Fixed total problem size; 1..128 nodes.  Reports the median and 95% CI
+    (execute mode) or modelled times with HSS volatility bounds (model
+    mode), plus speedup and parallel efficiency relative to one node.
+    """
+    return _scaling(
+        "strong", mode, repeats,
+        experiment=f"fig2a_{mode}",
+        title="Strong scaling: DASH histogram sort vs HSS (Charm++)",
+        calibration_repeats=max(repeats, 3),
+    )
+
+
 def fig2b_phase_breakdown(mode: str = "model", repeats: int = 3) -> Series:
     """Fig. 2(b): relative phase fractions under strong scaling.
 
     The paper's headline: histogramming becomes the bottleneck beyond
     ~2000 ranks while the all-to-all fraction stays roughly stable.
     """
-    machine = supermuc_phase2()
-    points = []
-    if mode == "execute":
-        n_total = int((1 << 14) * bench_scale()) * DASH_RPN
-        for nodes in _exec_nodes():
-            p = nodes * DASH_RPN
-            _, trials = repeat_sort_trials(
-                p, max(n_total // p, 1), repeats=repeats, warmup=0,
-                algo="dash", dist="uniform_u64", machine=machine, ranks_per_node=DASH_RPN,
-            )
-            phases = {k: float(np.median([t.phases[k] for t in trials])) for k in trials[0].phases}
-            points.append((nodes, p, phases))
-    else:
-        cal = _calibrate(1 << 13, repeats, machine)
-        for nodes in MODEL_NODES:
-            p = nodes * DASH_RPN
-            rounds = _extrapolated_rounds(
-                cal["dash_rounds"], cal["dash_n_exec"], MODEL_N_STRONG, KEY_BITS_U64_1E9
-            )
-            pred = _predict_dash(
-                machine, MODEL_N_STRONG, p, ranks_per_node=DASH_RPN, rounds=rounds
-            )
-            points.append((nodes, p, pred.as_dict()))
-    return _phase_rows(
-        f"fig2b_{mode}", "Strong-scaling phase fractions (DASH)", points
+    return _phases(
+        "strong", mode, repeats,
+        experiment=f"fig2b_{mode}", title="Strong-scaling phase fractions (DASH)",
     )
 
 
-def fig3a_weak_scaling(
-    mode: str = "model",
-    repeats: int = 3,
-    n_per_rank_exec: int = 1 << 14,
-) -> Series:
+def fig3a_weak_scaling(mode: str = "model", repeats: int = 3) -> Series:
     """Fig. 3(a): weak scaling at 128 MB/rank; paper: 2.3 s → 4.6 s."""
-    machine = supermuc_phase2()
-    series = Series(
+    return _scaling(
+        "weak", mode, repeats,
         experiment=f"fig3a_{mode}",
         title="Weak scaling: DASH vs HSS (128 MB/rank)",
-        columns=[
-            "nodes", "cores", "dash_s", "dash_lo", "dash_hi",
-            "hss_s", "hss_lo", "hss_hi", "dash_eff", "rounds",
-        ],
-        params={"mode": mode},
+        calibration_repeats=repeats,
     )
-    if mode == "execute":
-        n_per_rank = int(n_per_rank_exec * bench_scale())
-        series.params.update(n_per_rank=n_per_rank, repeats=repeats)
-        base = None
-        for nodes in _exec_nodes():
-            p_dash = nodes * WEAK_RPN
-            dash_stats, dash_trials = repeat_sort_trials(
-                p_dash, n_per_rank, repeats=repeats, warmup=1,
-                algo="dash", dist="uniform_u64", machine=machine, ranks_per_node=WEAK_RPN,
-            )
-            hss_stats, _ = repeat_sort_trials(
-                nodes * HSS_RPN, n_per_rank, repeats=repeats, warmup=1,
-                algo="hss", dist="uniform_u64", machine=machine, ranks_per_node=HSS_RPN,
-            )
-            if base is None:
-                base = dash_stats.median
-            series.add(
-                nodes=nodes, cores=p_dash,
-                dash_s=dash_stats.median, dash_lo=dash_stats.ci_low, dash_hi=dash_stats.ci_high,
-                hss_s=hss_stats.median, hss_lo=hss_stats.ci_low, hss_hi=hss_stats.ci_high,
-                dash_eff=base / dash_stats.median,
-                rounds=int(np.median([t.rounds for t in dash_trials])),
-            )
-        return series
-
-    cal = _calibrate(1 << 13, repeats, machine)
-    series.params.update(n_per_rank=MODEL_N_PER_RANK_WEAK, calibration=cal)
-    base = None
-    for nodes in MODEL_NODES:
-        p_dash = nodes * WEAK_RPN
-        p_hss = nodes * WEAK_RPN
-        n_total = MODEL_N_PER_RANK_WEAK * p_dash
-        rounds = _extrapolated_rounds(
-            cal["dash_rounds"], cal["dash_n_exec"], n_total, KEY_BITS_U64_1E9
-        )
-        pred = _predict_dash(
-            machine, n_total, p_dash, ranks_per_node=WEAK_RPN, rounds=rounds
-        )
-        n_total_hss = MODEL_N_PER_RANK_WEAK * p_hss
-        hss_rounds = _extrapolated_rounds(
-            cal["hss_rounds_med"], cal["hss_n_exec"], n_total_hss, KEY_BITS_U64_1E9 + 4
-        )
-        hss_rounds_hi = _extrapolated_rounds(
-            cal["hss_rounds_max"] * 3, cal["hss_n_exec"], n_total_hss, 2 * KEY_BITS_U64_1E9
-        )
-        hss = predict_hss(
-            machine, n_total_hss, p_hss, ranks_per_node=HSS_RPN,
-            rounds=hss_rounds, cand_per_round=8.0 * p_hss,
-        )
-        hss_hi = predict_hss(
-            machine, n_total_hss, p_hss, ranks_per_node=HSS_RPN,
-            rounds=hss_rounds_hi, cand_per_round=8.0 * p_hss,
-        )
-        if base is None:
-            base = pred.total
-        series.add(
-            nodes=nodes, cores=p_dash,
-            dash_s=pred.total, dash_lo=pred.total, dash_hi=pred.total,
-            hss_s=hss.total, hss_lo=hss.total, hss_hi=hss_hi.total,
-            dash_eff=base / pred.total, rounds=rounds,
-        )
-    return series
 
 
 def fig3b_phase_breakdown(mode: str = "model", repeats: int = 3) -> Series:
     """Fig. 3(b): weak-scaling phase fractions — local sort and the
     all-to-all dominate; histogramming stays amortized."""
-    machine = supermuc_phase2()
-    points = []
-    if mode == "execute":
-        n_per_rank = int((1 << 14) * bench_scale())
-        for nodes in _exec_nodes():
-            p = nodes * WEAK_RPN
-            _, trials = repeat_sort_trials(
-                p, n_per_rank, repeats=repeats, warmup=0,
-                algo="dash", dist="uniform_u64", machine=machine, ranks_per_node=WEAK_RPN,
-            )
-            phases = {k: float(np.median([t.phases[k] for t in trials])) for k in trials[0].phases}
-            points.append((nodes, p, phases))
-    else:
-        cal = _calibrate(1 << 13, repeats, machine)
-        for nodes in MODEL_NODES:
-            p = nodes * WEAK_RPN
-            n_total = MODEL_N_PER_RANK_WEAK * p
-            rounds = _extrapolated_rounds(
-                cal["dash_rounds"], cal["dash_n_exec"], n_total, KEY_BITS_U64_1E9
-            )
-            pred = _predict_dash(
-                machine, n_total, p, ranks_per_node=WEAK_RPN, rounds=rounds
-            )
-            points.append((nodes, p, pred.as_dict()))
-    return _phase_rows(
-        f"fig3b_{mode}", "Weak-scaling phase fractions (DASH)", points
+    return _phases(
+        "weak", mode, repeats,
+        experiment=f"fig3b_{mode}", title="Weak-scaling phase fractions (DASH)",
     )
 
 

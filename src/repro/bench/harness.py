@@ -58,7 +58,7 @@ class TrialResult:
     """One sort execution: makespan, per-phase (max over ranks) times, and
     ``stats`` — the finished runtime's :meth:`repro.mpi.Stats.snapshot`,
     the one traffic record a run hands out.  ``extra`` holds what only
-    some trials have (fault tallies, the tuner's plan)."""
+    some trials have (the tuner's plan)."""
 
     total: float
     phases: dict[str, float]
@@ -99,14 +99,27 @@ def median_ci(values: Sequence[float]) -> RepeatStats:
     return RepeatStats(med, vals[lo], vals[hi], n, tuple(vals))
 
 
+def _phase_median(trials: Sequence[TrialResult]) -> dict[str, float]:
+    """Per-phase median over ``trials``: phases in first-seen order, a
+    phase missing from a trial counting as 0."""
+    names = list(dict.fromkeys(name for t in trials for name in t.phases))
+    out: dict[str, float] = {}
+    for name in names:
+        vals = sorted(t.phases.get(name, 0.0) for t in trials)
+        mid = len(vals) // 2
+        med = vals[mid] if len(vals) % 2 else 0.5 * (vals[mid - 1] + vals[mid])
+        out[name] = float(med)
+    return out
+
+
 def _trial_program(comm, algo: str, dist: str, n_per_rank: int, seed: int,
-                   config: SortConfig, plan, plan_cache, plan_seed: int):
+                   config: SortConfig, plan, plan_cache):
     local = make_partition(dist, n_per_rank, rank=comm.rank, seed=seed)
     if plan is None:
         return _result_record(ALGORITHMS[algo].run(comm, local, config))
     # plan="auto" bypasses the algorithm table and runs the full autosort
     # lifecycle: fingerprint, cache lookup, planning on miss, feedback.
-    auto = autosort(comm, local, eps=config.eps, cache=plan_cache, seed=plan_seed)
+    auto = autosort(comm, local, eps=config.eps, cache=plan_cache)
     out = _result_record(auto.result)
     out["plan_id"] = auto.plan.plan_id
     out["plan_algo"] = auto.plan.algo
@@ -126,32 +139,22 @@ def run_sort_trial(
     config: SortConfig | None = None,
     use_shm: bool = True,
     trace_path: str | Path | None = None,
-    sanitize: bool | None = None,
-    faults=None,
     plan: str | None = None,
     plan_cache=None,
-    plan_seed: int = 0,
 ) -> TrialResult:
     """Execute one distributed sort and collect virtual-time statistics.
 
     ``trace_path`` enables event tracing for the run and writes a
     Chrome-trace JSON there (open it in Perfetto, or summarize it with
-    ``python -m repro.trace.report``).  ``sanitize`` enables the
-    happens-before/buffer-lifetime sanitizer (:mod:`repro.sanitize`);
-    ``None`` defers to ``REPRO_SANITIZE``.  Neither tracing nor
-    sanitizing perturbs the modelled times.
-
-    ``faults`` injects a :class:`~repro.faults.FaultPlan` (pair it with a
-    resilient ``config`` so the sort can heal); ranks the plan crashes
-    contribute no statistics, and the injected-event tally lands in
-    ``extra["faults"]``.
+    ``python -m repro.trace.report``); tracing never perturbs the
+    modelled times.
 
     ``plan="auto"`` ignores ``algo`` and runs :func:`repro.core.autosort`
     instead — benchmarks can measure tuned against paper-default
     configurations.  Pass a :class:`repro.tune.PlanCache` as ``plan_cache``
-    to persist plans across trials (a warm cache skips planning entirely);
-    ``plan_seed`` seeds the planner.  The chosen ``plan_id``/``plan_algo``
-    and cache-hit flag land in ``extra``.
+    to persist plans across trials (a warm cache skips planning entirely).
+    The chosen ``plan_id``/``plan_algo`` and cache-hit flag land in
+    ``extra``.
     """
     if plan not in (None, "auto"):
         raise ValueError(f"plan must be None or 'auto', got {plan!r}")
@@ -169,25 +172,19 @@ def run_sort_trial(
         config,
         plan,
         plan_cache,
-        plan_seed,
         machine=machine,
         ranks_per_node=ranks_per_node,
         use_shm=use_shm,
         return_runtime=True,
         trace=trace_path is not None,
-        sanitize=sanitize,
-        faults=faults,
     )
     if trace_path is not None and rt.trace is not None:
         from ..trace.export import write_chrome_trace
 
         write_chrome_trace(trace_path, rt.trace)
-    results = [r for r in results if r is not None]  # crashed ranks
     phases = combine_phases([r["phases"] for r in results], how="max")
     extra: dict[str, Any] = {}
-    if faults is not None:
-        extra["faults"] = rt.fault_stats.summary()
-    if plan is not None and results:
+    if plan is not None:
         extra["plan_id"] = results[0]["plan_id"]
         extra["plan_algo"] = results[0]["plan_algo"]
         extra["plan_cache_hit"] = bool(results[0]["cache_hit"])

@@ -121,10 +121,6 @@ class StatsSnapshot:
         return int(self.msgs_sent.sum())
 
     @property
-    def total_compute_time(self) -> float:
-        return float(self.compute_time.sum())
-
-    @property
     def total_collective_bytes(self) -> float:
         return float(sum(v[1] for v in self.collectives.values()))
 

@@ -38,7 +38,7 @@ from typing import Any, Callable, Mapping
 
 from .. import __version__
 from ..algorithms import ALGORITHMS
-from ..bench.harness import median_ci, repeat_sort_trials
+from ..bench.harness import _phase_median, median_ci, repeat_sort_trials
 from ..core import SortConfig
 from ..machine import MachineSpec, abstract_cluster, laptop, supermuc_phase2
 from ..model.calibrate import fit_round_count, fit_time_scale
@@ -158,22 +158,6 @@ def _predict_cell(spec: CellSpec, trials) -> dict[str, Any] | None:
         itemsize=8,
     )
     return {"total_s": pred.total, "phases_s": pred.as_dict()}
-
-
-def _phase_median(trials) -> dict[str, float]:
-    """Per-phase median across trials (robust attribution input)."""
-    names: list[str] = []
-    for t in trials:
-        for name in t.phases:
-            if name not in names:
-                names.append(name)
-    out: dict[str, float] = {}
-    for name in names:
-        vals = sorted(t.phases.get(name, 0.0) for t in trials)
-        mid = len(vals) // 2
-        med = vals[mid] if len(vals) % 2 else 0.5 * (vals[mid - 1] + vals[mid])
-        out[name] = float(med)
-    return out
 
 
 def _model_error(modelled: dict[str, Any] | None, phases: dict[str, float],

@@ -72,7 +72,3 @@ class VClockTable:
     def snapshot(self, rank: int) -> Snapshot:
         """An immutable copy of ``rank``'s current clock."""
         return tuple(self._vc[rank])
-
-    def snapshots(self) -> list[Snapshot]:
-        """Immutable copies of every rank's clock (diagnostics)."""
-        return [tuple(vc) for vc in self._vc]

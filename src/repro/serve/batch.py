@@ -19,7 +19,7 @@ per-rank pieces are contiguous in the global order).
 Compatibility rules (all must hold, checked host-side at plan time):
 
 * every job's keys are non-negative integers of the **same dtype**,
-* the packed layout fits: ``slot_bits + key_bits <= 64`` where
+* the packed layout fits: slot bits + ``key_bits`` <= 64, where
   ``key_bits`` covers the batch-wide maximum key,
 * the jobs sit in the same log2 size class (fusing a huge job with tiny
   ones would charge the giant's makespan to every small job's latency),
@@ -68,10 +68,6 @@ class Batch:
     @property
     def job_ids(self) -> tuple[int, ...]:
         return tuple(j.job_id for j in self.jobs)
-
-    @property
-    def slot_bits(self) -> int:
-        return _bits_for(max(len(self.jobs) - 1, 0)) if self.fused else 0
 
     def describe(self) -> dict[str, object]:
         return {

@@ -54,12 +54,6 @@ class SortedIndex:
     def p(self) -> int:
         return len(self.offsets) - 1
 
-    def owner(self, position: int) -> int:
-        """The rank whose partition holds global ``position``."""
-        if not 0 <= position < self.total:
-            raise IndexError(f"position {position} out of range [0, {self.total})")
-        return int(np.searchsorted(np.asarray(self.offsets), position, side="right")) - 1
-
     @classmethod
     def build(cls, parts: Sequence[np.ndarray]) -> "SortedIndex":
         sizes = [int(np.asarray(p).size) for p in parts]

@@ -111,13 +111,6 @@ class JobQueue:
     def depth(self) -> int:
         return len(self._queued)
 
-    def tenants(self) -> dict[str, int]:
-        """Live queued jobs per tenant (deterministically ordered)."""
-        out: dict[str, int] = {}
-        for job in self._queued:
-            out[job.spec.tenant] = out.get(job.spec.tenant, 0) + 1
-        return dict(sorted(out.items()))
-
     def next_arrival(self, now: float) -> float | None:
         """Earliest arrival strictly after ``now`` (None when drained)."""
         future = [j.spec.arrival for j in self._queued if j.spec.arrival > now]

@@ -7,6 +7,12 @@ import pytest
 
 from repro.bench import (
     Series,
+    TrialResult,
+    experiments,
+    fig2a_strong_scaling,
+    fig2b_phase_breakdown,
+    fig3a_weak_scaling,
+    fig3b_phase_breakdown,
     fig4_shared_memory,
     format_table,
     iterations_experiment,
@@ -16,6 +22,7 @@ from repro.bench import (
     run_sort_trial,
     table1_machine,
 )
+from repro.bench.harness import _phase_median
 from repro.machine import supermuc_phase2
 
 
@@ -141,7 +148,40 @@ class TestTrials:
             run_sort_trial(2, 64, plan="magic")
 
 
+class TestPhaseMedian:
+    def test_first_seen_order_and_missing_phase_is_zero(self):
+        trials = [
+            TrialResult(0.0, {"b": 1.0, "a": 4.0}, 1, 0, None),
+            TrialResult(0.0, {"a": 2.0, "c": 6.0}, 1, 0, None),
+            TrialResult(0.0, {"a": 3.0, "b": 5.0}, 1, 0, None),
+        ]
+        med = _phase_median(trials)
+        assert list(med) == ["b", "a", "c"]
+        assert med == {"b": 1.0, "a": 3.0, "c": 0.0}
+
+    def test_even_count_averages_the_middle_pair(self):
+        trials = [TrialResult(0.0, {"x": v}, 1, 0, None) for v in (4.0, 1.0)]
+        assert _phase_median(trials) == {"x": 2.5}
+
+
 class TestExperimentsFast:
+    def test_model_phase_breakdowns_are_the_scaling_runs(self, monkeypatch):
+        """Figs. 2(b)/3(b) break down the runs Figs. 2(a)/3(a) time: at
+        every modelled node count the five phases sum to ``dash_s``."""
+        cal = {"dash_rounds": 24, "dash_n_exec": 458752, "hss_rounds_med": 7,
+               "hss_rounds_max": 8, "hss_n_exec": 262144}
+        monkeypatch.setattr(experiments, "_calibrate", lambda repeats, machine: dict(cal))
+        for scaling, breakdown in (
+            (fig2a_strong_scaling, fig2b_phase_breakdown),
+            (fig3a_weak_scaling, fig3b_phase_breakdown),
+        ):
+            dash_s = {r["nodes"]: r["dash_s"] for r in scaling(mode="model").rows}
+            rows = breakdown(mode="model").rows
+            assert [r["nodes"] for r in rows] == list(dash_s) == experiments.MODEL_NODES
+            for r in rows:
+                phases = (r["local_sort"], r["splitting"], r["exchange"], r["merge"], r["other"])
+                assert sum(phases) == pytest.approx(dash_s[r["nodes"]], rel=1e-12)
+
     def test_table1(self):
         s = table1_machine()
         text = s.table()

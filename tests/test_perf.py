@@ -349,4 +349,4 @@ class TestHarnessExtras:
         assert isinstance(trial.stats, StatsSnapshot) and trial.stats.size == 4
         assert trial.stats.wire_bytes >= trial.stats.total_bytes_sent
         assert trial.stats.total_collective_calls >= 1
-        assert trial.extra == {}  # no faults, no tuner: nothing copied beside it
+        assert trial.extra == {}  # no tuner: nothing copied beside it
