@@ -34,7 +34,7 @@ class Algorithm:
     paper-comparison defaults the harness measures.
 
     ``predict(machine, n_total, p, *, rounds, merge_strategy,
-    ranks_per_node, itemsize[, use_shm])`` is the closed-form phase model
+    ranks_per_node, itemsize)`` is the closed-form phase model
     (``None``: not modelled) and ``prior_rounds(fingerprint, config)`` the
     round count to evaluate it with before any run has been measured.
     """

@@ -1,6 +1,6 @@
 """Analytic phase models and calibration against executed runs."""
 
-from .calibrate import ModelFit, RoundsLike, fit_round_count, fit_time_scale, validate_model
+from .calibrate import RoundsLike, fit_round_count, fit_time_scale
 from .phases import (
     MODEL_VERSION,
     PhasePrediction,
@@ -11,7 +11,6 @@ from .phases import (
 
 __all__ = [
     "MODEL_VERSION",
-    "ModelFit",
     "PhasePrediction",
     "RoundsLike",
     "fit_round_count",
@@ -19,5 +18,4 @@ __all__ = [
     "predict_histsort",
     "predict_hss",
     "predict_samplesort",
-    "validate_model",
 ]

@@ -1,24 +1,21 @@
 """Calibration: fit the closed-form model against executed runs.
 
 The analytic model and the executing runtime share one cost model, so at
-any scale both can run they should agree closely.  :func:`validate_model`
-quantifies the residual; :func:`fit_round_count` extracts the histogramming
-round count (a key-width property) from small executed runs so paper-scale
-predictions use measured convergence behaviour rather than an assumption.
+any scale both can run they should agree closely.  :func:`fit_round_count`
+extracts the histogramming round count (a key-width property) from small
+executed runs so paper-scale predictions use measured convergence
+behaviour rather than an assumption; :func:`fit_time_scale` is the robust
+residual correction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..machine.spec import MachineSpec
-from .phases import PhasePrediction, predict_histsort
-
-__all__ = ["ModelFit", "RoundsLike", "fit_round_count", "fit_time_scale", "validate_model"]
+__all__ = ["RoundsLike", "fit_round_count", "fit_time_scale"]
 
 
 class RoundsLike(Protocol):
@@ -31,20 +28,6 @@ class RoundsLike(Protocol):
 
     rounds: int
     phases: dict[str, float]
-
-
-@dataclass(frozen=True)
-class ModelFit:
-    """Agreement between executed and predicted phase totals."""
-
-    executed_total: float
-    predicted_total: float
-
-    @property
-    def ratio(self) -> float:
-        if self.executed_total <= 0:
-            return float("inf") if self.predicted_total > 0 else 1.0
-        return self.predicted_total / self.executed_total
 
 
 def fit_round_count(results: Sequence[RoundsLike]) -> int:
@@ -79,29 +62,3 @@ def fit_time_scale(observed: Sequence[float], predicted: Sequence[float]) -> flo
         raise ValueError("no usable (observed, predicted) pairs")
     return float(np.median(ratios))
 
-
-def validate_model(
-    machine: MachineSpec,
-    executed: Sequence[RoundsLike],
-    n_total: int,
-    p: int,
-    *,
-    ranks_per_node: int,
-    itemsize: int = 8,
-    merge_strategy: str = "sort",
-) -> ModelFit:
-    """Compare max-over-ranks executed phase totals with the prediction."""
-    if not executed:
-        raise ValueError("no executed results")
-    per_rank_totals = [sum(r.phases.values()) for r in executed]
-    executed_total = float(max(per_rank_totals))
-    pred: PhasePrediction = predict_histsort(
-        machine,
-        n_total,
-        p,
-        ranks_per_node=ranks_per_node,
-        rounds=fit_round_count(executed),
-        itemsize=itemsize,
-        merge_strategy=merge_strategy,
-    )
-    return ModelFit(executed_total=executed_total, predicted_total=pred.total)

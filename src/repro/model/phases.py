@@ -83,7 +83,6 @@ def predict_histsort(
     gathered_keys: int = 0,
     itemsize: int = 8,
     merge_strategy: str = "sort",
-    use_shm: bool = True,
     probe_schedule: str = "squeeze",
 ) -> PhasePrediction:
     """Modelled phase times of the histogram sort at scale ``(N, P)``.
@@ -97,7 +96,7 @@ def predict_histsort(
     if p < 1 or n_total < 0:
         raise ValueError("need p >= 1 and n_total >= 0")
     placement = make_placement(machine, p, ranks_per_node)
-    cost = CostModel(placement, use_shm=use_shm)
+    cost = CostModel(placement)
     compute = machine.compute
     ranks = list(range(p))
     n_local = n_total / p
@@ -135,12 +134,7 @@ def predict_histsort(
         intra_frac = min((rpn - 1) / (p - 1), 1.0)
     else:
         intra_frac = 1.0
-    if use_shm:
-        intra_link = machine.link(Level.NODE)
-    else:
-        # priced as MPI loop-back (ablation)
-        node = machine.link(Level.NODE)
-        intra_link = type(node)(latency=node.latency * 4, bandwidth=node.bandwidth * 0.5)
+    intra_link = machine.link(Level.NODE)
     net_link = machine.link(Level.NETWORK) if machine.nodes > 1 else intra_link
     # NIC sharing (all ranks of a node drive the network concurrently) and
     # the measured MPI_Alltoallv bulk-payload inefficiency.
@@ -260,7 +254,6 @@ def predict_hss(
     rounds: int,
     cand_per_round: float,
     itemsize: int = 8,
-    use_shm: bool = True,
 ) -> PhasePrediction:
     """Modelled phases of Histogram Sort with Sampling at scale ``(N, P)``.
 
@@ -278,10 +271,9 @@ def predict_hss(
         rounds=0,
         itemsize=itemsize,
         merge_strategy="sort",
-        use_shm=use_shm,
     )
     placement = make_placement(machine, p, ranks_per_node)
-    cost = CostModel(placement, use_shm=use_shm)
+    cost = CostModel(placement)
     compute = machine.compute
     ranks = list(range(p))
     n_local = max(int(n_total / p), 2)
@@ -311,7 +303,6 @@ def predict_samplesort(
     ranks_per_node: int,
     oversample: int = 16,
     itemsize: int = 8,
-    use_shm: bool = True,
 ) -> PhasePrediction:
     """Modelled phases of one-shot sample sort (the §III baseline).
 
@@ -329,10 +320,9 @@ def predict_samplesort(
         rounds=0,
         itemsize=itemsize,
         merge_strategy="sort",
-        use_shm=use_shm,
     )
     placement = make_placement(machine, p, ranks_per_node)
-    cost = CostModel(placement, use_shm=use_shm)
+    cost = CostModel(placement)
     compute = machine.compute
     ranks = list(range(p))
     splitting = (

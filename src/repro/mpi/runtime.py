@@ -93,7 +93,7 @@ def _worker(inbox: queue.SimpleQueue) -> None:
 class StatsSnapshot:
     """An immutable point-in-time copy of a :class:`Stats` object.
 
-    Per-rank arrays are copies (safe to keep across :meth:`Runtime.reset`),
+    Per-rank arrays are copies (safe to keep while the runtime runs on),
     and ``collectives`` maps operation name to ``(calls, payload bytes,
     participant-ranks total)``.  This is the one sanctioned way to read the
     statistics of a live runtime: every field is captured under the stats
@@ -416,7 +416,7 @@ class Runtime:
         own (the runtime torn down from outside) raises an :class:`SPMDError`
         of their :class:`Aborted` exceptions; an aborted runtime — like an
         ``MPI_Abort``-ed job — runs nothing again: ``run`` raises
-        :class:`Aborted` (:meth:`reset` does not revive it).
+        :class:`Aborted`.
 
         With spares, ``fn`` runs only on the active ranks (indexed by the
         active communicator); spare slots run the pool loop and yield
@@ -520,22 +520,6 @@ class Runtime:
     def elapsed(self) -> float:
         """Modelled makespan so far: the maximum rank clock."""
         return float(self.clocks.max())
-
-    def reset(self) -> None:
-        """Zero clocks, statistics, fault bookkeeping, any recorded trace
-        and the sanitizer's state (keeps communicators, and an abort: see
-        :meth:`run`)."""
-        self.clocks[:] = 0.0
-        self.stats = Stats(self.size)
-        if self.trace is not None:
-            self.trace = TraceRecorder(self)
-        self.failed_ranks.clear()
-        self.fault_stats = FaultStats()
-        self._op_counts = [0] * self.size
-        if self.sanitizer is not None:
-            from ..sanitize import Sanitizer
-
-            self.sanitizer = Sanitizer(self)
 
 
 def run_spmd(

@@ -34,7 +34,6 @@ __all__ = [
     "HYPERQUICKSORT_ROUND_BASE",
     "USER_BASE",
     "NAMESPACES",
-    "round_tag",
 ]
 
 #: the implicit tag of untagged ``send``/``recv`` calls
@@ -62,11 +61,3 @@ NAMESPACES: dict[str, tuple[int, str]] = {
     "hyperquicksort_round": (HYPERQUICKSORT_ROUND_BASE, "repro.baselines.hyperquicksort"),
 }
 
-
-def round_tag(base: int, offset: int) -> int:
-    """``base + offset`` with a bounds check against the namespace width."""
-    if not 0 <= offset < NAMESPACE_WIDTH:
-        raise ValueError(
-            f"tag offset {offset} outside namespace width {NAMESPACE_WIDTH}"
-        )
-    return base + offset

@@ -1,5 +1,5 @@
-"""Benchmark snapshots and the CI regression gate (the perf observatory's
-trajectory half).
+"""Benchmark snapshots and the CI gate (the perf observatory's trajectory
+half).
 
 ``BENCH_<NNNN>.json`` at the repository root is the latest
 schema-versioned snapshot of a fixed (algorithm, distribution, machine
@@ -7,19 +7,14 @@ preset, rank count) grid, ``BENCH_HISTORY.jsonl`` beside it one line per
 snapshot ever taken (:mod:`repro.perf.snapshot`).
 
 ``python -m repro.perf`` drives it: ``run`` writes the next snapshot and
-its history line, ``compare`` diffs two files, ``gate`` re-measures the
-working tree against the committed snapshot and exits nonzero on a
-regression with the per-phase attribution printed
-(:mod:`repro.perf.compare` has the decision rule), and ``report`` renders
-a snapshot as a table.
+its history line, ``compare`` diffs two files, ``gate`` re-runs the
+committed snapshot's suite on the working tree and exits nonzero unless
+every cell equals the committed one field for field, printing the moved
+fields and the per-phase attribution (:mod:`repro.perf.compare` has the
+rule), and ``report`` renders a snapshot as a table.
 """
 
-from .compare import (
-    DEFAULT_THRESHOLD,
-    CellDelta,
-    PerfComparison,
-    compare_snapshots,
-)
+from .compare import CellDelta, PerfComparison, compare_snapshots
 from .snapshot import (
     PRESETS,
     SCHEMA_VERSION,
@@ -37,7 +32,6 @@ from .snapshot import (
 __all__ = [
     "CellDelta",
     "CellSpec",
-    "DEFAULT_THRESHOLD",
     "PRESETS",
     "PerfComparison",
     "SCHEMA_VERSION",

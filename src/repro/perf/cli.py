@@ -2,9 +2,9 @@
 
 Exit codes (CI contract):
 
-* ``0`` — success; for ``gate``/``compare``, no regression and every
-  baseline cell verified;
-* ``1`` — at least one regression or unverifiable (missing/NaN) cell;
+* ``0`` — success; for ``gate``/``compare``, every baseline cell equals
+  the candidate's field for field;
+* ``1`` — at least one moved or unverifiable (missing/NaN) cell;
 * ``2`` — usage or format error: missing baseline file, schema-version
   mismatch, unknown suite/preset.
 
@@ -16,8 +16,8 @@ The per-PR workflow::
     python -m repro.perf gate           # CI: fresh run vs the committed one
 
 ``gate`` with no ``--new`` executes the baseline's own suite (same grid,
-repeats, and seeds) so the comparison is measurement-vs-measurement of
-the identical workload.
+repeats, warm-up and seeds), so the fresh run is the identical workload
+and must reproduce every cell exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .compare import DEFAULT_THRESHOLD, compare_snapshots
+from .compare import compare_snapshots
 from .snapshot import (
     SUITES,
     SnapshotFormatError,
@@ -122,7 +122,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     new = load_snapshot(args.new)
     baseline = load_snapshot(args.baseline)
-    comparison = compare_snapshots(new, baseline, threshold=args.threshold)
+    comparison = compare_snapshots(new, baseline)
     print(comparison.format(verbose=args.verbose))
     return comparison.exit_code
 
@@ -139,20 +139,20 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     if args.new:
         new = load_snapshot(args.new)
     else:
-        suite = args.suite or baseline.get("suite", "default")
+        suite = baseline.get("suite", "default")
         if suite not in SUITES:
             print(f"error: unknown suite {suite!r}; available: {sorted(SUITES)}",
                   file=sys.stderr)
             return USAGE_ERROR
         new = run_suite(
             suite,
-            repeats=args.repeats or int(baseline.get("repeats", 3)),
+            repeats=int(baseline.get("repeats", 3)),
             warmup=int(baseline.get("warmup", 1)),
             seed0=int(baseline.get("seed0", 100)),
             label="working-tree",
             progress=None if args.quiet else _progress,
         )
-    comparison = compare_snapshots(new, baseline, threshold=args.threshold)
+    comparison = compare_snapshots(new, baseline)
     print(comparison.format(verbose=args.verbose))
     return comparison.exit_code
 
@@ -160,7 +160,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="Performance snapshots and the CI regression gate.",
+        description="Performance snapshots and the CI gate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -187,19 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare two snapshot files")
     p_cmp.add_argument("new")
     p_cmp.add_argument("baseline")
-    p_cmp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     common(p_cmp)
     p_cmp.set_defaults(fn=_cmd_compare)
 
     p_gate = sub.add_parser(
-        "gate", help="fail (exit 1) when the working tree regresses the baseline"
+        "gate", help="fail (exit 1) when the working tree moves a baseline cell"
     )
     p_gate.add_argument("--baseline", help="baseline snapshot (default: latest BENCH_*.json)")
     p_gate.add_argument("--new", help="pre-recorded candidate snapshot (default: run fresh)")
     p_gate.add_argument("--dir", default=".", help="where to look for BENCH_*.json")
-    p_gate.add_argument("--suite", help="override the baseline's suite for the fresh run")
-    p_gate.add_argument("--repeats", type=int, help="override the baseline's repeat count")
-    p_gate.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     common(p_gate)
     p_gate.set_defaults(fn=_cmd_gate)
 

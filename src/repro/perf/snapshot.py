@@ -227,11 +227,11 @@ def _serve_cell(spec: CellSpec, *, repeats: int, warmup: int, seed0: int):
 
     One trial = a fresh :class:`repro.serve.SortService` replaying
     :func:`repro.serve.make_workload` (sorts, percentiles, top-k, range
-    queries; fused epochs; warm-plan repeats).  The gated statistic is
+    queries; fused epochs; warm-plan repeats).  The measured statistic is
     **virtual seconds per completed job** — the inverse of the service's
-    jobs/virtual-second throughput — so the gate's lower-is-better
-    comparison applies unchanged.  There is no closed-form model for a
-    whole service replay, so ``modelled`` stays absent.
+    jobs/virtual-second throughput — so it reads lower-is-better like a
+    sort cell's makespan.  There is no closed-form model for a whole
+    service replay, so ``modelled`` stays absent.
     """
     from ..serve import SortService, make_workload
 

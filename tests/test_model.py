@@ -12,7 +12,6 @@ from repro.model import (
     predict_histsort,
     predict_hss,
     predict_samplesort,
-    validate_model,
 )
 
 
@@ -50,11 +49,6 @@ class TestPredictHistsort:
             machine, 2**28, 64, ranks_per_node=16, rounds=20, merge_strategy="binary_tree"
         )
         assert tree.merge < sort.merge
-
-    def test_shm_ablation_direction(self, machine):
-        on = predict_histsort(machine, 2**28, 28, ranks_per_node=28, rounds=20, use_shm=True)
-        off = predict_histsort(machine, 2**28, 28, ranks_per_node=28, rounds=20, use_shm=False)
-        assert off.exchange > on.exchange
 
     def test_single_rank(self, machine):
         pred = predict_histsort(machine, 2**20, 1, ranks_per_node=1, rounds=0)
@@ -143,11 +137,8 @@ class TestCalibration:
             return histogram_sort(comm, local)
 
         results = run_spmd(p, prog, machine=machine, ranks_per_node=16)
-        fit = validate_model(
-            machine,
-            results,
-            n_total=p * n_per_rank,
-            p=p,
-            ranks_per_node=16,
-        )
-        assert 0.4 < fit.ratio < 2.5, fit
+        executed = max(sum(r.phases.values()) for r in results)
+        predicted = predict_histsort(
+            machine, p * n_per_rank, p, ranks_per_node=16, rounds=fit_round_count(results)
+        ).total
+        assert 0.4 < predicted / executed < 2.5, (predicted, executed)

@@ -352,7 +352,7 @@ class TestFinalizeAccounting:
 
     def test_reused_runtime_starts_clean(self):
         # A leaking run is reported once, and its orphans are discarded:
-        # neither the next run nor one after reset() sees them.
+        # no later run sees them.
         rt = Runtime(2)
 
         def orphan(comm):
@@ -364,7 +364,6 @@ class TestFinalizeAccounting:
         with pytest.raises(MessageLeakError, match=r"never-completed irecv"):
             rt.run(orphan, timeout=30)
         assert rt.run(lambda comm: comm.allreduce(1), timeout=30) == [2, 2]
-        rt.reset()
 
         def take(comm):
             if comm.rank == 1:

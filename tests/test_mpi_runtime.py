@@ -107,7 +107,6 @@ class TestFailures:
 
         with pytest.raises(SPMDError):
             rt.run(prog)
-        rt.reset()
         # it used to return [None, None, None, None]: every rank Aborted
         with pytest.raises(Aborted, match="aborted by an earlier run"):
             rt.run(lambda comm: comm.allreduce(comm.rank))
@@ -157,13 +156,6 @@ class TestRuntimeObject:
     def test_common_args(self):
         out = run_spmd(2, lambda comm, x: x + comm.rank, 100)
         assert out == [100, 101]
-
-    def test_reset_clears_clocks(self):
-        rt = Runtime(2)
-        rt.run(lambda comm: comm.compute(1.0))
-        assert rt.elapsed() >= 1.0
-        rt.reset()
-        assert rt.elapsed() == 0.0
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

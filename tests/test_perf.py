@@ -118,20 +118,40 @@ class TestSuite:
             CellSpec("dash", "uniform_u64", "nope", p=2, n_per_rank=64).machine()
 
 
+def _doctor_committed(base, variant):
+    """A copy of the committed snapshot with one field of one cell moved:
+    (document, cell id, the moved field)."""
+    doc = copy.deepcopy(base)
+    doc["label"] = f"doctored-{variant}"
+    if variant == "median-inside-ci":
+        measured = doc["cells"]["sample_sort/uniform_u64/abstract2/p8"]["measured"]
+        measured["median_s"] = (measured["median_s"] + measured["ci_high_s"]) / 2
+        return doc, "sample_sort/uniform_u64/abstract2/p8", "measured"
+    cell = doc["cells"]["dash/uniform_u64/abstract2/p8"]
+    if variant == "rounds":
+        cell["rounds"] += 1
+        return doc, cell["id"], "rounds"
+    if variant == "model-error":
+        cell["model_error"]["time_scale"] *= 1.5
+        return doc, cell["id"], "model_error"
+    cell["traffic"]["messages_per_run"] *= 1.3
+    return doc, cell["id"], "traffic"
+
+
 class TestCommittedBaseline:
     ROOT = Path(__file__).parents[1]
 
     def test_default_suite_reproduces_latest_bench_exactly(self):
         # nothing in a snapshot depends on the wall clock: the committed
-        # file is an exact oracle for every key of every cell, not
-        # something to compare within the gate's noise tolerance
+        # file is an exact oracle for every key of every cell, by the same
+        # rule `python -m repro.perf gate` applies
         base = load_snapshot(latest_bench_path(self.ROOT))
         new = run_suite(
             "default", repeats=base["repeats"], warmup=base["warmup"], seed0=base["seed0"]
         )
         assert set(new["cells"]) == set(base["cells"])
-        for cell_id, cell in base["cells"].items():
-            assert new["cells"][cell_id] == cell, cell_id
+        comparison = compare_snapshots(new, base)
+        assert comparison.ok, comparison.format()
 
     def test_one_snapshot_and_a_history_that_ends_on_it(self):
         (only,) = sorted(self.ROOT.glob("BENCH_*.json"))
@@ -139,6 +159,30 @@ class TestCommittedBaseline:
         assert json.loads(lines[-1]) == history_line(load_snapshot(only))
         labels = [json.loads(line)["label"] for line in lines]
         assert labels == sorted(set(labels))  # one line per snapshot, in order
+
+    @pytest.mark.parametrize("variant", ["median-inside-ci", "rounds", "model-error", "messages"])
+    def test_doctored_committed_snapshot_fails(self, variant, tmp_path, capsys):
+        # a cell that moves in any field fails, however small the move: a
+        # gate with a noise band passed every one of these variants
+        base_path = latest_bench_path(self.ROOT)
+        base = load_snapshot(base_path)
+        doc, cell_id, field = _doctor_committed(base, variant)
+        if variant == "median-inside-ci":
+            measured = doc["cells"][cell_id]["measured"]
+            assert measured["ci_low_s"] <= measured["median_s"] <= measured["ci_high_s"]
+
+        comparison = compare_snapshots(doc, base)
+        assert not comparison.ok
+        (moved,) = comparison.moved
+        assert (moved.cell_id, moved.fields) == (cell_id, (field,))
+
+        new = tmp_path / "doctored.json"
+        new.write_text(json.dumps(doc))
+        code = perf_main(["gate", "--baseline", str(base_path), "--new", str(new), "--quiet"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert f"[FAIL] {cell_id}:" in out and f"moved: {field}" in out
+        assert f"=> FAIL: {len(base['cells'])} cell(s), 1 moved" in out
 
 
 class TestPersistence:
@@ -195,8 +239,9 @@ class TestCompare:
         slow = _doctor(quick_snapshot, factor=2.0)
         comparison = compare_snapshots(slow, quick_snapshot)
         assert comparison.exit_code == 1
-        (reg,) = comparison.regressions
+        (reg,) = comparison.moved
         assert reg.cell_id == QUICK_CELL
+        assert reg.fields == ("measured", "phases_s")
         assert reg.ratio == pytest.approx(2.0)
         # per-phase attribution: every phase doubled, so deltas are positive
         # and ordered worst-first with shares summing to ~1
@@ -207,33 +252,31 @@ class TestCompare:
         assert sum(share for _, _, share in reg.attribution) == pytest.approx(1.0)
         text = comparison.format()
         assert "per-phase attribution" in text and "FAIL" in text
+        assert "moved: measured, phases_s" in text
 
     def test_more_wire_bytes_is_a_regression(self, quick_snapshot):
         doc = copy.deepcopy(quick_snapshot)
         doc["cells"][QUICK_CELL]["traffic"]["wire_bytes_per_run"] *= 1.2
         comparison = compare_snapshots(doc, quick_snapshot)
-        (reg,) = comparison.regressions
+        (reg,) = comparison.moved
         assert reg.cell_id == QUICK_CELL and reg.wire_ratio == pytest.approx(1.2)
         assert reg.ratio == 1.0  # the time did not move: traffic alone fails it
-        assert "wire x1.200" in comparison.format() and "wire bytes" in reg.note
-        # fewer bytes never fail, and the ratio is printed, not x1.000
+        assert reg.fields == ("traffic",)
+        assert "wire x1.200" in comparison.format()
+        # fewer bytes fail as well, and the ratio is printed, not x1.000
         doc["cells"][QUICK_CELL]["traffic"]["wire_bytes_per_run"] /= 1.5
-        comparison = compare_snapshots(doc, quick_snapshot, threshold=0.0)
-        assert comparison.ok and "wire x0.800" in comparison.format()
+        comparison = compare_snapshots(doc, quick_snapshot)
+        assert not comparison.ok and "wire x0.800" in comparison.format()
 
     def test_improvement_detected(self, quick_snapshot):
+        # a faster cell moved too: the change that speeds it up commits the
+        # snapshot that says so
         fast = _doctor(quick_snapshot, factor=0.4)
         comparison = compare_snapshots(fast, quick_snapshot)
-        assert comparison.ok  # improvements never fail the gate
-        assert [d.status for d in comparison.deltas].count("improvement") == 1
-
-    def test_within_ci_noise_is_ok(self, quick_snapshot):
-        # nudge the median to the CI edge: inside threshold -> ok
-        doc = copy.deepcopy(quick_snapshot)
-        cell = doc["cells"][QUICK_CELL]["measured"]
-        cell["median_s"] = cell["ci_high_s"] * 1.01
-        comparison = compare_snapshots(doc, quick_snapshot, threshold=0.05)
-        assert comparison.ok
+        assert comparison.exit_code == 1
+        (moved,) = comparison.moved
+        assert moved.cell_id == QUICK_CELL and moved.ratio == pytest.approx(0.4)
+        assert all(d < 0 for _, d, _ in moved.attribution)
 
     def test_nan_cell_is_incomparable_and_fails(self, quick_snapshot):
         doc = copy.deepcopy(quick_snapshot)
@@ -256,6 +299,7 @@ class TestCompare:
         assert comparison.exit_code == 1
         (bad,) = comparison.incomparable
         assert "missing" in bad.note
+        assert "incomparable" in comparison.format()
 
     def test_new_only_cell_is_informational(self, quick_snapshot):
         doc = copy.deepcopy(quick_snapshot)
@@ -269,10 +313,6 @@ class TestCompare:
         base["cells"][QUICK_CELL]["measured"]["median_s"] = math.nan
         comparison = compare_snapshots(quick_snapshot, base)
         assert not comparison.ok
-
-    def test_negative_threshold_rejected(self, quick_snapshot):
-        with pytest.raises(ValueError):
-            compare_snapshots(quick_snapshot, quick_snapshot, threshold=-0.1)
 
 
 class TestCli:
@@ -320,11 +360,12 @@ class TestCli:
         assert "FAIL" in out and "per-phase attribution" in out
 
     def test_gate_fresh_run_passes(self, tmp_path, capsys):
-        doc = run_suite("quick", repeats=2, warmup=0, seed0=100)
+        doc = run_suite("quick", repeats=2, warmup=1, seed0=100)
         write_snapshot(doc, tmp_path / "BENCH_0001.json")
         code = perf_main(["gate", "--dir", str(tmp_path), "--quiet"])
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out and "2 cell(s), 0 moved" in out
 
     def test_gate_missing_baseline_is_usage_error(self, tmp_path):
         assert perf_main(["gate", "--dir", str(tmp_path)]) == 2

@@ -198,12 +198,6 @@ class TestRecorder:
         assert len(computes) == 2
         assert computes[0].duration == pytest.approx(0.5)
 
-    def test_reset_clears_trace(self):
-        _, rt = _traced_sort(4)
-        assert len(rt.trace) > 0
-        rt.reset()
-        assert rt.trace is not None and len(rt.trace) == 0
-
 
 class TestExport:
     def test_chrome_json_schema(self, tmp_path):
