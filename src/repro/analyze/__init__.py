@@ -6,14 +6,13 @@ message`` findings with a CI-friendly exit code.  One pipeline
 (:mod:`repro.analyze.lower`), the per-function rules are *judged* on that
 lowering (:mod:`repro.analyze.rules`, :mod:`repro.analyze.dataflow`), and
 per-function summaries are *joined* into one whole program for the
-interprocedural and cost rules (:mod:`repro.analyze.interproc`,
-:mod:`repro.analyze.costlint`).  ``RULES`` in :mod:`repro.analyze.rules` is
-the rule catalogue.  The runtime's own checks (collective congruence,
-deadlocks, leak accounting) live in :mod:`repro.mpi`.
+interprocedural rules (:mod:`repro.analyze.interproc`).  ``RULES`` in
+:mod:`repro.analyze.rules` is the rule catalogue.  The runtime's own checks
+(collective congruence, deadlocks, leak accounting) live in
+:mod:`repro.mpi`.
 
-Attribute access is lazy so that importing one submodule — the CLI, or
-:mod:`repro.analyze.symbolic` alone — loads only what it needs, not every
-layer of the engine.
+Attribute access is lazy so that importing one submodule — the CLI, say —
+loads only what it needs, not every layer of the engine.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ __all__ = [
     "summarize_module",
     "RULES",
     "main",
-    "check_conformance",
-    "ConformanceReport",
-    "extract_function_cost",
 ]
 
 _EXPORTS = {
@@ -45,9 +41,6 @@ _EXPORTS = {
     "summarize_module": ("repro.analyze.interproc", "summarize_module"),
     "RULES": ("repro.analyze.rules", "RULES"),
     "main": ("repro.analyze.cli", "main"),
-    "check_conformance": ("repro.analyze.conformance", "check_conformance"),
-    "ConformanceReport": ("repro.analyze.conformance", "ConformanceReport"),
-    "extract_function_cost": ("repro.analyze.costlint", "extract_function_cost"),
 }
 
 

@@ -19,19 +19,9 @@ __all__ = ["main"]
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "cost":
-        # model-conformance subcommand: static vs modelled vs measured
-        # per-phase traffic (see repro.analyze.conformance)
-        from .conformance import main_cost
-
-        return main_cost(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
-        description="Static SPMD correctness lint for repro.mpi programs. "
-        "Use the 'cost' subcommand (python -m repro.analyze cost --help) "
-        "to cross-check static, modelled, and measured phase traffic.",
+        description="Static SPMD correctness lint for repro.mpi programs.",
         epilog="Exit codes: 0 clean, 1 findings, 2 usage/internal error "
         "(including unparsable inputs).",
     )

@@ -12,8 +12,8 @@ parse-derived artifact is read off that lowering into a
 audit and the :class:`~repro.analyze.interproc.ModuleSummary`; the
 suppression table comes from the file's comment tokens.
 
-**Global** (:func:`analyze_records`).  The cross-module literal-tag join,
-the interprocedural rules and the cost rules run over one
+**Global** (:func:`analyze_records`).  The cross-module literal-tag join
+and the interprocedural rules run over one
 :class:`~repro.analyze.interproc.Program` built from the records'
 summaries.  Suppression is applied from the records' tables, then findings
 are deduplicated and sorted.
@@ -36,7 +36,6 @@ from .astlint import (
     module_from_source,
     suppression_table,
 )
-from .costlint import CostProgram
 from .interproc import ModuleSummary, Program, summarize_module
 from .rules import check_module, join_literal_tags, module_tag_sites
 
@@ -120,9 +119,7 @@ def analyze_records(records: list[FileRecord]) -> list[Finding]:
             summaries.append(rec.summary)
         suppression[rec.path] = rec.suppression
     findings.extend(join_literal_tags(tag_sites))
-    program = Program(summaries)
-    findings.extend(program.findings())
-    findings.extend(CostProgram(program).findings())
+    findings.extend(Program(summaries).findings())
 
     kept: list[Finding] = []
     used: set[tuple[str, int]] = set()

@@ -17,14 +17,12 @@ its rank-divergence line plus enough caller-local facts (is the result
 waited? returned? fed to a uniform collective as a size?) that the
 whole-program phase never needs an AST.
 
-**Whole-program join.**  :class:`Program` resolves every
-call site and cost placeholder once through
-:class:`repro.analyze.callgraph.CallGraph` and propagates summaries
+**Whole-program join.**  :class:`Program` resolves every call site once
+through :class:`repro.analyze.callgraph.CallGraph` and propagates summaries
 bottom-up over SCCs (a fixpoint within each SCC handles recursion, e.g.
 AMS-style group-recursive phases calling shared collective helpers).  The
 four interprocedural rules (``RULES`` entries of layer ``inter``) are judged
-here; :class:`repro.analyze.costlint.CostProgram` prices payloads over the
-same program.
+here.
 
 Everything is a *may* analysis over edges the call graph can prove;
 unresolvable calls (dynamic dispatch, third-party code) stay silent.
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .astlint import (
     COLLECTIVE_METHODS,
@@ -52,9 +50,6 @@ from .lower import (
     dotted_name,
     tag_expr,
 )
-
-if TYPE_CHECKING:  # costlint imports Program from here
-    from .costlint import FunctionCost
 
 _T = TypeVar("_T")
 
@@ -148,10 +143,6 @@ class FunctionSummary:
     #: param name -> line of the p2p call whose tag it feeds
     tag_params: dict[str, int] = field(default_factory=dict)
     calls: list[CallSite] = field(default_factory=list)
-    #: symbolic communication-cost facts (:mod:`repro.analyze.costlint`):
-    #: payload sites, p2p loops, call placeholders, and the return size —
-    #: ``None`` when the function has nothing cost-relevant
-    cost: FunctionCost | None = None
 
 
 @dataclass
@@ -213,21 +204,7 @@ class _Summarizer:
         self._returns(summary)
         self._tag_params(summary)
         self._call_sites(summary)
-        self._cost(summary)
         return summary
-
-    def _cost(self, summary: FunctionSummary) -> None:
-        from .costlint import extract_function_cost
-
-        try:
-            summary.cost = extract_function_cost(
-                self.ctx, self._spec_for, entry=self.info.is_entry
-            )
-        except Exception:  # noqa: BLE001
-            # the size inference runs over arbitrary third-party-looking
-            # code (tests, benchmarks); a crash must degrade to "no cost
-            # facts", never abort the whole analysis
-            summary.cost = None
 
     # -- local facts
 
@@ -491,8 +468,7 @@ class _Facts:
 
 class Program:
     """The analyzed fileset as one program: a resolved call graph plus the
-    key -> path/module/summary table, shared by the interprocedural rules
-    below and by :class:`repro.analyze.costlint.CostProgram`."""
+    key -> path/module/summary table the interprocedural rules below read."""
 
     def __init__(self, summaries: Iterable[ModuleSummary]) -> None:
         self.modules = list(summaries)
@@ -508,18 +484,12 @@ class Program:
                 self.modname_of[key] = m.modname
         #: call sites resolved inside the fileset: key -> [(site, callee key)]
         self.resolved: dict[str, list[tuple[CallSite, str]]] = {}
-        #: cost placeholders: key -> {"@line_col" -> callee key or None}
-        self.placeholders: dict[str, dict[str, str | None]] = {}
         for key, fs in self.summary.items():
             self.resolved[key] = [
                 (site, callee)
                 for site in fs.calls
                 if (callee := self._resolve(key, site.spec)) is not None
             ]
-            self.placeholders[key] = {
-                ph: self._resolve(key, call.spec)
-                for ph, call in (fs.cost.calls if fs.cost else {}).items()
-            }
         #: SCCs of the resolved graph, callees first
         self.sccs = list(self.graph.sccs_bottom_up())
         self.facts: dict[str, _Facts] = {k: _Facts() for k in self.summary}

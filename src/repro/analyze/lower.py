@@ -16,9 +16,8 @@ lowering — and records, in source order:
 * ``bindings`` — ``name = value`` / ``name: T = value`` pairs, and the
   element-wise pairs of a tuple-to-tuple assignment;
 * ``returns`` — the value expression of every ``return``;
-* ``calls`` — every :class:`ast.Call` once, with its enclosing
-  ``for``/``while`` loops and the chain of control-flow *guards* it sits
-  under;
+* ``calls`` — every :class:`ast.Call` once, with the chain of
+  control-flow *guards* it sits under;
 * ``scopes`` — the nested ``def``/``class`` statements it stepped over;
 * ``loads`` and ``waited`` — how often each name is read, and which names
   have their requests completed (``wait``/``test``/``waitall``/drain loop).
@@ -174,7 +173,6 @@ class Binding(NamedTuple):
 
 class CallFact(NamedTuple):
     node: ast.Call
-    loops: tuple[ast.stmt, ...]  #: enclosing ``for``/``while``, outermost first
     guards: tuple[Guard, ...]  #: conditions it sits under, outermost first
 
 
@@ -303,7 +301,6 @@ def _body(
     ctx: FunctionContext,
     stmts: list[ast.stmt],
     guards: tuple[Guard, ...],
-    loops: tuple[ast.stmt, ...],
 ) -> None:
     """The one own-statement walk: each statement once, in source order."""
     for st in stmts:
@@ -317,10 +314,10 @@ def _body(
         if loop_waits_all(st):
             ctx.waited.add(st.iter.id)  # type: ignore[union-attr]
         if isinstance(st, ast.If):
-            _expr(ctx, st.test, guards, loops)
+            _expr(ctx, st.test, guards)
             inner = guards + ((st.test, st.lineno),)
-            _body(ctx, st.body, inner, loops)
-            _body(ctx, st.orelse, inner, loops)
+            _body(ctx, st.body, inner)
+            _body(ctx, st.orelse, inner)
             # Early exit: `if cond: return/continue` puts every later
             # sibling under the same condition.
             if _terminates(st.body) != _terminates(st.orelse):
@@ -328,51 +325,51 @@ def _body(
         elif isinstance(st, (ast.For, ast.While)):
             test = st.test if isinstance(st, ast.While) else st.iter
             if isinstance(st, ast.For):
-                _expr(ctx, st.target, guards, loops)
-            _expr(ctx, test, guards, loops)
-            _body(ctx, st.body, guards + ((test, st.lineno),), loops + (st,))
-            _body(ctx, st.orelse, guards, loops)
+                _expr(ctx, st.target, guards)
+            _expr(ctx, test, guards)
+            _body(ctx, st.body, guards + ((test, st.lineno),))
+            _body(ctx, st.orelse, guards)
         else:
-            _children(ctx, st, guards, loops)
+            _children(ctx, st, guards)
 
 
-def _children(ctx: FunctionContext, node: ast.AST, guards, loops) -> None:
+def _children(ctx: FunctionContext, node: ast.AST, guards) -> None:
     """Generic descent: statement lists are walked as bodies (reaching
     ``except`` handlers, ``match`` cases, ``with`` and ``try`` arms), anything
     else as part of the current statement."""
     for _, value in ast.iter_fields(node):
         items = value if isinstance(value, list) else [value]
         if items and isinstance(items[0], ast.stmt):
-            _body(ctx, items, guards, loops)
+            _body(ctx, items, guards)
             continue
         for item in items:
             if isinstance(item, ast.expr):
-                _expr(ctx, item, guards, loops)
+                _expr(ctx, item, guards)
             elif isinstance(item, ast.AST):
-                _children(ctx, item, guards, loops)
+                _children(ctx, item, guards)
 
 
-def _expr(ctx: FunctionContext, node: ast.expr, guards, loops) -> None:
+def _expr(ctx: FunctionContext, node: ast.expr, guards) -> None:
     if isinstance(node, ast.Call):
-        ctx.calls.append(CallFact(node, loops, guards))
+        ctx.calls.append(CallFact(node, guards))
         ctx.waited.update(wait_targets(node)[0])
     elif isinstance(node, ast.Name):
         if isinstance(node.ctx, ast.Load):
             ctx.loads[node.id] = ctx.loads.get(node.id, 0) + 1
         return
     elif isinstance(node, ast.IfExp):
-        _expr(ctx, node.test, guards, loops)
+        _expr(ctx, node.test, guards)
         inner = guards + ((node.test, node.lineno),)
-        _expr(ctx, node.body, inner, loops)
-        _expr(ctx, node.orelse, inner, loops)
+        _expr(ctx, node.body, inner)
+        _expr(ctx, node.orelse, inner)
         return
-    _children(ctx, node, guards, loops)
+    _children(ctx, node, guards)
 
 
 def lower(fn: ast.FunctionDef) -> FunctionContext:
     """Lower ``fn`` and resolve the communicators its signature declares."""
     ctx = FunctionContext(fn, set(), set())
-    _body(ctx, fn.body, (), ())
+    _body(ctx, fn.body, ())
     ctx.comm_names, ctx.tainted = ctx._resolve(set())
     return ctx
 

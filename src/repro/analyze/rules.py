@@ -20,13 +20,6 @@ from .dataflow import (
     RULE_SHAPE_MISMATCH,
     check_function as _dataflow_rules,
 )
-
-from .costlint import (
-    RULE_HANDROLLED,
-    RULE_OVERSIZED_REDUCE,
-    RULE_P2_TRAFFIC,
-    RULE_ROOT_BOTTLENECK,
-)
 from .interproc import (
     RULE_ESCAPED_REQUEST,
     RULE_INTERPROC_DIV,
@@ -61,8 +54,7 @@ class Rule:
     id: str
     summary: str
     #: "intra" = one function, "cross" = whole fileset but syntactic,
-    #: "inter" = interprocedural dataflow over the call graph,
-    #: "cost" = symbolic payload-size scalability rules (costlint)
+    #: "inter" = interprocedural dataflow over the call graph
     layer: str = "intra"
     #: markdown long description (SARIF ``fullDescription``); the per-rule
     #: heading in DESIGN.md doubles as the ``helpUri`` anchor
@@ -165,47 +157,6 @@ RULES: tuple[Rule, ...] = (
         doc="A helper whose return value's shape depends on `comm.rank` "
         "(e.g. `rank`-sized slices) flows into a uniform-shape collective in "
         "the caller. Interprocedural variant of SPMD-SHAPE-MISMATCH.",
-    ),
-    Rule(
-        RULE_ROOT_BOTTLENECK,
-        "gather/reduce of an Ω(n/p) payload materializes Θ(n) at the root",
-        "cost",
-        doc="A `gather`/`reduce` payload grows like the per-rank data size "
-        "(`n/p` or worse), so the root materializes Θ(n) bytes — the exact "
-        "centralization the histogram sort exists to avoid. Reduce to O(p) "
-        "summaries first (counts, splitters), or keep data distributed. The "
-        "finding carries the inferred symbolic payload and, for "
-        "interprocedural sizes, a `via` witness chain.",
-    ),
-    Rule(
-        RULE_P2_TRAFFIC,
-        "allgather/alltoall payload grows with p or n — Ω(p²) wire bytes",
-        "cost",
-        doc="An `allgather`/`alltoall` whose per-rank payload itself grows "
-        "with `p` (or `n`) puts Ω(p²) total bytes on the wire: every rank "
-        "contributes a p-sized row and every rank receives all of them. "
-        "Gather O(1) summaries, or restructure around `alltoallv` with "
-        "O(n) total volume.",
-    ),
-    Rule(
-        RULE_HANDROLLED,
-        "for-peer-in-range(p) send loop re-implements a collective with O(p) rounds",
-        "cost",
-        doc="A `for peer in range(p)`-style loop of point-to-point sends "
-        "re-implements a collective in O(p) latency rounds where the "
-        "library primitive needs O(log p). Replace the loop with "
-        "`bcast`/`gather`/`alltoallv`; suppress with "
-        "`# spmd: ignore[HANDROLLED-COLLECTIVE]` only for deliberate "
-        "ring/pipeline schedules.",
-    ),
-    Rule(
-        RULE_OVERSIZED_REDUCE,
-        "allreduce/scan payload grows with n instead of O(p) counts",
-        "cost",
-        doc="An `allreduce`/`scan` payload scales with the data size `n` "
-        "rather than the O(p) (or O(p log n)) summaries the algorithms "
-        "need. Every rank pays the full vector in bandwidth, per round. "
-        "Reduce histograms or counts, not data.",
     ),
 )
 

@@ -89,12 +89,8 @@ def _local_sort(comm: "Comm", local: np.ndarray) -> np.ndarray:
 
 
 def _random_sample(comm: "Comm", local: np.ndarray, timer: PhaseTimer,
-                   oversampling: int = 32, seed: int = 1):
-    """``oversampling`` random keys of the unsorted partition per rank.
-
-    The literal default is what lets ``repro.analyze cost`` bound the
-    gather payload statically; keep it equal to :func:`sample_sort`'s.
-    """
+                   oversampling: int, seed: int):
+    """``oversampling`` random keys of the unsorted partition per rank."""
     rng = np.random.Generator(np.random.MT19937([seed, comm.rank]))
     s = min(oversampling, local.size)
     sample = local[rng.integers(0, local.size, size=s)] if s else local[:0]

@@ -95,7 +95,7 @@ def exchange_merge_overlap(
     # Deliberate O(p)-round pairwise schedule (paper §VI-E.1): the whole
     # point of this module is pipelining merges behind per-round
     # transfers, which a single alltoallv cannot express.
-    for r in range(nrounds):  # spmd: ignore[HANDROLLED-COLLECTIVE]
+    for r in range(nrounds):
         partner = one_factor_partner(comm.rank, p, r)
         if partner == comm.rank:
             continue  # idle round (odd p)

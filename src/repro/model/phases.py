@@ -170,8 +170,9 @@ def predict_histsort(
 
 # ------------------------------------------------------- wire-byte models
 #
-# Per-phase *wire bytes*, not seconds: the modelled column of the
-# ``repro.analyze cost`` conformance check.  The formulas follow the
+# Per-phase *wire bytes*, not seconds: what a traced run's
+# ``repro.trace.analysis.phase_traffic`` measures, phase for phase
+# (``tests/test_phase_traffic.py``).  The formulas follow the
 # runtime's recording conventions (``Stats.record_collective`` and the
 # per-rank trace spans): symmetric collectives count every rank's payload,
 # ALLTOALLV counts the total exchanged volume including self-chunks, and

@@ -180,9 +180,8 @@ def level_traffic(spans: list[Span]) -> dict[str, int]:
 def phase_traffic(spans: list[Span]) -> dict[str, int]:
     """Bytes moved per phase, all operations combined.
 
-    The marginal of :func:`traffic_matrix` over operations — the measured
-    side of the ``repro.analyze cost`` model-conformance check, comparable
-    against the per-phase wire-byte predictions of
+    The marginal of :func:`traffic_matrix` over operations, comparable
+    byte for byte with the per-phase wire-byte predictions of
     :mod:`repro.model.phases` because both follow the runtime's recording
     conventions (every rank's payload counts; broadcasts count the root
     payload once).

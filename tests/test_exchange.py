@@ -1,7 +1,6 @@
 """Exchange plan (Algorithm 4) + ALL-TO-ALLV tests."""
 
 import numpy as np
-import pytest
 
 from repro.core import build_exchange_plan, exchange, find_splitters
 

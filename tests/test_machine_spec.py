@@ -1,7 +1,5 @@
 """Unit tests for repro.machine.spec."""
 
-import math
-
 import pytest
 
 from repro.machine import (

@@ -1,12 +1,10 @@
 """Analytic model: predictions, calibration, agreement with execution."""
 
-import numpy as np
 import pytest
 
 from repro.bench.harness import run_sort_trial
 from repro.machine import supermuc_phase2
 from repro.model import (
-    PhasePrediction,
     fit_round_count,
     fit_time_scale,
     predict_histsort,

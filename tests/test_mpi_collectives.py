@@ -145,7 +145,7 @@ class TestAlltoall:
         def prog(comm):
             # deliberately p²-total payload — exercises varying row sizes
             chunks = [np.full(d + 1, comm.rank) for d in range(comm.size)]
-            buf, counts = comm.alltoallv(chunks)  # spmd: ignore[P2-TRAFFIC]
+            buf, counts = comm.alltoallv(chunks)
             return buf.tolist(), counts.tolist()
 
         out = run(3, prog)
@@ -188,7 +188,7 @@ class TestAlltoallvBufferForm:
             # to each peer
             buf = np.full(comm.rank * comm.size if comm.rank != 2 else 0, comm.rank, np.int64)
             counts = np.full(comm.size, buf.size // comm.size)
-            got, got_counts = comm.alltoallv(buf, counts)  # spmd: ignore[P2-TRAFFIC]
+            got, got_counts = comm.alltoallv(buf, counts)
             return got.tolist(), got_counts.tolist()
 
         assert run(4, prog) == [([1, 3, 3, 3], [0, 1, 0, 3])] * 4
@@ -214,7 +214,7 @@ class TestAlltoallvBufferForm:
             if listed:  # a float64 empty to self beside the u64 chunks
                 chunks = [buf[d:d + 1] if d != comm.rank else np.empty(0)
                           for d in range(comm.size)] if buf.size else [buf] * comm.size
-                got, _ = comm.alltoallv(chunks)  # spmd: ignore[P2-TRAFFIC] (one key per peer)
+                got, _ = comm.alltoallv(chunks)
             else:
                 got, _ = comm.alltoallv(buf, counts)
             return got

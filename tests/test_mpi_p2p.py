@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, SPMDError, run_spmd, waitall
+from repro.mpi import ANY_SOURCE, ANY_TAG, SPMDError, waitall
 
 
 class TestSendRecv:

@@ -1,6 +1,5 @@
 """Shared-memory simulator: scheduler, NUMA model, merge-sort models."""
 
-import numpy as np
 import pytest
 
 from repro.machine import single_node

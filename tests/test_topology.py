@@ -1,6 +1,5 @@
 """Unit tests for rank placement and locality levels."""
 
-import numpy as np
 import pytest
 
 from repro.machine import Level, Placement, make_placement, supermuc_phase2, abstract_cluster

@@ -10,7 +10,6 @@ import pytest
 from repro.core import SortConfig, histogram_sort
 from repro.data import make_partition
 from repro.machine import abstract_cluster
-from repro.mpi import run_spmd
 from repro.trace import (
     TraceRecorder,
     combine_phases,
