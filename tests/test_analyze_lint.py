@@ -11,7 +11,7 @@ import pytest
 
 from repro.analyze import RULES, analyze_source
 from repro.analyze.astlint import _derive_modname
-from repro.analyze.engine import analyze_records, build_record
+from repro.analyze.engine import analyze_program, analyze_records, build_record
 from repro.analyze.lower import LOCALS_SEP, SCOPES, lower, lower_module
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -592,6 +592,25 @@ class TestSuppression:
             """
         )
         assert [(f.rule, f.line) for f in hits] == [("SPMD-DIV-COLLECTIVE", 5)]
+
+    def test_program_finding_suppressible(self, tmp_path):
+        # A finding of the whole-program phase obeys the marker at its line
+        # just as a per-file finding does.
+        prog = tmp_path / "prog.py"
+        src = """
+            def sync(comm):
+                comm.barrier()
+
+            def step(comm):
+                if comm.rank == 0:
+                    sync(comm){}
+            """
+        prog.write_text(textwrap.dedent(src.format("")), encoding="utf-8")
+        hits = analyze_program([tmp_path])
+        assert [(f.rule, f.line) for f in hits] == [("SPMD-INTERPROC-DIV-COLLECTIVE", 7)]
+        marker = "  # spmd: ignore[INTERPROC-DIV-COLLECTIVE]"
+        prog.write_text(textwrap.dedent(src.format(marker)), encoding="utf-8")
+        assert analyze_program([tmp_path]) == []
 
 
 def _seed(rel, anchor, replacement):
