@@ -10,8 +10,6 @@
   full sort.
 """
 
-import pytest
-
 from repro.bench import (
     epsilon_sweep,
     guess_policy_ablation,

@@ -13,8 +13,6 @@ around 0.5–0.6 at 3500 cores, DASH at least as fast as HSS, HSS with the
 wider confidence band.
 """
 
-import pytest
-
 from repro.bench import fig2a_strong_scaling, run_sort_trial
 from repro.machine import supermuc_phase2
 

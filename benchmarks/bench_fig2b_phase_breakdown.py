@@ -5,8 +5,6 @@ processor count and dominates beyond ~2000 ranks, while the ALL-TO-ALL
 fraction stays roughly stable and "other" is negligible.
 """
 
-import pytest
-
 from repro.bench import fig2b_phase_breakdown
 from repro.core import histogram_sort
 from repro.data import make_partition

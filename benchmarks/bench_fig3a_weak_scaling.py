@@ -7,8 +7,6 @@ the sweep, efficiency lands near the paper's ~0.5–0.75, and the HSS
 volatility band is wide and above DASH at scale.
 """
 
-import pytest
-
 from repro.bench import fig3a_weak_scaling, run_sort_trial
 from repro.machine import supermuc_phase2
 

@@ -4,8 +4,6 @@ Paper: local sorting and the ALL-TO-ALL exchange dominate (the network
 moves ~256 GB at 128 nodes); the splitter ALLREDUCEs stay amortized.
 """
 
-import pytest
-
 from repro.bench import fig3b_phase_breakdown
 from repro.model import predict_histsort
 from repro.machine import supermuc_phase2

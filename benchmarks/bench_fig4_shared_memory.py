@@ -8,8 +8,6 @@ Paper shape: TBB wins when only one NUMA domain is occupied; DASH surpasses
 TBB as soon as data crosses NUMA boundaries; OpenMP trails both.
 """
 
-import pytest
-
 from repro.bench import fig4_shared_memory
 from repro.machine import single_node
 from repro.smp import parallel_mergesort_time

@@ -9,7 +9,6 @@ EXPERIMENTS.md records the extrapolation to paper scale.
 """
 
 import numpy as np
-import pytest
 
 from repro.bench import iterations_experiment
 from repro.core import find_splitters

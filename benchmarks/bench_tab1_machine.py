@@ -5,7 +5,6 @@ query (``alltoallv_per_rank``), which every simulated exchange calls.
 """
 
 import numpy as np
-import pytest
 
 from repro.bench import table1_machine
 from repro.machine import CostModel, make_placement, supermuc_phase2

@@ -10,8 +10,6 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import numpy as np
-
 import repro
 from repro.data import uniform_u64
 from repro.machine import supermuc_phase2

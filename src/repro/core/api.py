@@ -115,8 +115,10 @@ def autosort(
     (closed-form scoring + virtual-clock dry runs on rank 0, the decision
     broadcast to all ranks), **run** the chosen algorithm, and **record
     feedback** (observed vs predicted makespan) so drifting plans demote
-    themselves.  With ``cache=None`` every call replans and nothing
-    persists.
+    themselves: one MAX allreduce of the makespans, whose last arriver
+    folds it into rank 0's cache (it rides the plan broadcast) and returns
+    the one frozen record every rank shares.  With ``cache=None`` every call
+    replans and nothing persists.
 
     When tracing is active, the chosen ``plan_id`` is stamped into the
     trace metadata so ``python -m repro.trace.report`` attributes the run
@@ -138,11 +140,13 @@ def autosort(
             plan = plan_sort(fp, comm.cost.machine, eps=eps, seed=seed)
             if cache is not None:
                 cache.put(key, plan)
-        payload = (plan.to_dict(), cache_hit)
+        payload = (plan.to_dict(), cache_hit, cache)
     else:
         payload = None
     # decoded once, by the bcast's last arriver: every rank shares the plan
-    plan, cache_hit = comm.bcast(payload, then=lambda d: (SortPlan.from_dict(d[0]), d[1]))
+    # and rank 0's cache, the one the feedback below writes
+    plan, cache_hit, cache = comm.bcast(
+        payload, then=lambda d: (SortPlan.from_dict(d[0]), *d[1:]))
 
     recorder = comm.trace_recorder
     if recorder is not None and comm.rank == 0:
@@ -156,9 +160,9 @@ def autosort(
     # seeded like the planner's dry run of the same candidate
     result = ALGORITHMS[plan.algo].run(comm, local, plan.config, seed)
 
-    observed = comm.allreduce(float(sum(result.phases.values())), op=MAX)
-    record = record_feedback(cache, plan, observed) if comm.rank == 0 else None
-    record = comm.bcast(record)
+    # the slowest rank's makespan, folded into rank 0's cache once by the last arriver
+    record = comm.allreduce(float(sum(result.phases.values())), op=MAX,
+                            then=lambda observed: record_feedback(cache, plan, observed))
     return AutoSortResult(
         result=result, plan=plan, fingerprint=fp, cache_hit=bool(cache_hit),
         feedback=record,

@@ -6,6 +6,14 @@ splitter, with one ``ALLREDUCE`` of the global histogram per round, **no
 sampling**, and no assumptions on key distribution, rank count, or
 partition density.
 
+The search starts from every rank's size, the global ``(min, max)``
+(Algorithm 3 line 3) and the counts ``U(gmin)`` / ``L(gmax)`` at those
+extremes.  ``"squeeze"`` gathers all of them in one ALLGATHER of a
+``(size, min, #min, max, #max)`` row per rank, whose last arriver derives
+them and builds the search; the pinned schedules keep one collective each
+(a sizes ALLGATHER, two flat ALLREDUCEs).  Keys of ±inf cost one more
+ALLREDUCE, of the finite keys' ``(min, max)``.
+
 Algorithm sketch (per round, every rank):
 
 1. place at most one probe per still-open splitter into one sorted probe
@@ -39,6 +47,7 @@ is still available in :mod:`repro.core.keys`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -454,58 +463,85 @@ def find_splitters(
     local_sorted = np.asarray(local_sorted)
     if local_sorted.ndim != 1:
         raise ValueError("local partition must be 1-D")
-    p = comm.size
-    n_local = int(local_sorted.size)
+    p, n_local, dtype = comm.size, int(local_sorted.size), local_sorted.dtype
     compute = comm.cost.compute
-
-    sizes = np.asarray(comm.allgather(n_local), dtype=np.int64)
-    if capacities is None:
-        caps = sizes.copy()
-    else:
-        caps = np.asarray(list(capacities), dtype=np.int64)
-        if caps.size != p or np.any(caps < 0):
-            raise ValueError("capacities must be P non-negative sizes")
-        if caps.sum() != sizes.sum():
-            raise ValueError(
-                f"capacities sum to {caps.sum()} but the input holds {sizes.sum()} keys"
-            )
-    total = int(sizes.sum())
-    boundaries = p - 1
-    targets = np.cumsum(caps)[:-1].astype(np.int64) if p > 1 else np.zeros(0, np.int64)
-    tol = int(np.floor(eps * total / (2 * p))) if total else 0
-
-    dtype = local_sorted.dtype
     arith = _ProbeArithmetic(dtype)
+    want = None if capacities is None else np.asarray(list(capacities), dtype=np.int64)
+    if want is not None and (want.size != p or np.any(want < 0)):
+        raise ValueError("capacities must be P non-negative sizes")
+    squeeze = config.probe_schedule == "squeeze"  # the pinned schedules keep the paper's flat collectives
 
-    if total == 0 or boundaries == 0:
-        return SplitterResult.trivial(dtype, targets, caps, total, tol)
+    def layout(sizes):
+        """``(caps, targets, total, tol)`` of the input ``sizes``; None if
+        ``capacities`` does not sum to their total."""
+        c, total = (sizes.copy() if want is None else want), int(sizes.sum())
+        if c.sum() != total:
+            return None
+        targets = np.cumsum(c)[:-1].astype(np.int64) if p > 1 else np.zeros(0, np.int64)
+        return c, targets, total, int(np.floor(eps * total / (2 * p))) if total else 0
 
-    squeeze = config.probe_schedule == "squeeze"  # the pinned schedules keep the paper's flat ALLREDUCE
-
-    # Global (min, max) — one reduction (Algorithm 3 line 3).  Empty ranks
-    # contribute identity sentinels.
-    gmin, gmax = comm.allreduce(arith.extremes(local_sorted), op=_MINMAX, by_node=squeeze)
-    if not (arith.is_int or (np.isfinite(gmin) and np.isfinite(gmax))):
-        # one more reduction, on inputs holding -inf / +inf keys only
-        finite = local_sorted[np.isfinite(local_sorted)]
-        arith.finite = comm.allreduce(arith.extremes(finite), op=_MINMAX, by_node=squeeze)
-    def build(ends):
+    def start(lay, gmin, gmax, ends, finite=None):
+        """The search every rank shares, built once by a collective's last
+        arriver from the ``layout`` and ``ends = (U(gmin), L(gmax))``; None if
+        there is nothing to search or ``capacities`` does not fit (every rank
+        raises below)."""
+        if lay is None or not lay[2] or p == 1:
+            return None
+        _, targets, total, tol = lay
+        arith.finite = finite
         rule = _GatherRule(comm, dtype.itemsize, max(total // p, 1)) if squeeze else None
         return _Search(ends, targets, tol, total, gmin, gmax, arith, config, rule)
 
-    # Global bounds of the extreme keys, U(gmin) and L(gmax): the search
-    # starts from them.
-    search = comm.allreduce(
-        np.array(
-            [
-                np.searchsorted(local_sorted, gmin, side="right"),
-                np.searchsorted(local_sorted, gmax, side="left"),
-            ],
-            dtype=np.int64,
-        ),
-        by_node=squeeze,
-        then=build,
-    )
+    finite_ends = lambda gmin, gmax: arith.is_int or bool(np.isfinite(gmin) and np.isfinite(gmax))
+    if squeeze:
+        # One setup collective: every rank's size, (min, max) and the keys at
+        # each, from which the last arriver derives the global (min, max)
+        # (Algorithm 3 line 3), U(gmin) and L(gmax) — and starts the search.
+        lo, hi = arith.extremes(local_sorted)
+        row = (n_local, lo, int(local_sorted.searchsorted(lo, side="right")),
+               hi, n_local - int(local_sorted.searchsorted(hi)))
+
+        def setup(rows):
+            n, mins, at_min, maxs, at_max = zip(*rows)
+            sizes = np.array(n, dtype=np.int64)
+            gmin, gmax = functools.reduce(_MINMAX, zip(mins, maxs))
+            ends = (sum(c for v, c in zip(mins, at_min) if v == gmin),
+                    int(sizes.sum()) - sum(c for v, c in zip(maxs, at_max) if v == gmax))
+            lay = layout(sizes)
+            search = start(lay, gmin, gmax, ends) if finite_ends(gmin, gmax) else None
+            return sizes, lay, gmin, gmax, ends, search
+
+        sizes, lay, gmin, gmax, ends, search = comm.allgather(row, then=setup)
+    else:
+        sizes = np.asarray(comm.allgather(n_local), dtype=np.int64)
+        lay = layout(sizes)
+    if lay is None:
+        raise ValueError(f"capacities sum to {want.sum()} but the input holds {sizes.sum()} keys")
+    caps, targets, total, tol = lay
+    boundaries = p - 1
+    if total == 0 or boundaries == 0:
+        return SplitterResult.trivial(dtype, targets, caps, total, tol)
+
+    if not squeeze:
+        # Global (min, max) — one reduction (Algorithm 3 line 3).  Empty
+        # ranks contribute identity sentinels.
+        gmin, gmax = comm.allreduce(arith.extremes(local_sorted), op=_MINMAX)
+    finite = None
+    if not finite_ends(gmin, gmax):
+        # one more reduction, on inputs holding -inf / +inf keys only: the
+        # finite keys' (min, max), which "squeeze" starts its search from
+        keys = arith.extremes(local_sorted[np.isfinite(local_sorted)])
+        if squeeze:
+            search = comm.allreduce(keys, op=_MINMAX, by_node=True,
+                                    then=lambda f: start(lay, gmin, gmax, ends, f))
+        else:
+            finite = comm.allreduce(keys, op=_MINMAX)
+    if not squeeze:
+        # Global bounds of the extreme keys, U(gmin) and L(gmax): the search
+        # starts from them.
+        ends = np.array([np.searchsorted(local_sorted, gmin, side="right"),
+                         np.searchsorted(local_sorted, gmax, side="left")], dtype=np.int64)
+        search = comm.allreduce(ends, then=lambda ends: start(lay, gmin, gmax, ends, finite))
     comm.compute(compute.call_overhead)
 
     # Optional sampled initial probes (§III-B "optimizing initial guesses").

@@ -91,7 +91,9 @@ def predict_histsort(
     ``gathered_keys == 0`` that round is priced like a histogram round (the
     firing rule guarantees it does not exceed a flat one).  As in
     :func:`~repro.core.find_splitters`, only ``"squeeze"`` composes its
-    allreduces by node.
+    allreduces by node.  The setup is one collective, as under ``"squeeze"``
+    in the code (the pinned schedules issue three); it is priced as a
+    16-byte allreduce, not yet as the code's 48-byte-per-rank allgather.
     """
     if p < 1 or n_total < 0:
         raise ValueError("need p >= 1 and n_total >= 0")
@@ -184,8 +186,10 @@ def traffic_histsort(
 ) -> dict[str, float]:
     """Modelled per-phase wire bytes of the histogram sort.
 
-    ``splitting`` carries the fixed-size setup collectives (the size
-    allgather, the (min, max) reduction, and the extreme-key bounds) plus
+    ``splitting`` carries the fixed 48 setup bytes per rank (under
+    ``"squeeze"`` one allgather of each rank's size, ``(min, max)`` and the
+    keys at each; the pinned schedules ship the same 8 + 24 + 16 bytes as
+    a size allgather, a (min, max) reduction and the extreme-key bounds) plus
     ``rounds`` histogram ALLREDUCEs of ``2(p-1)`` int64 counts — an upper
     bound, since a round carries at most one probe per *open* boundary
     (fewer where the shared schedule deduplicates a narrow bracket) and

@@ -210,6 +210,15 @@ class _CommState:
         self.aborted = True
         self.wake()
 
+    def release(self) -> None:
+        """Drop the last generations' deposits, calls and shared value once
+        the run is over: the runtime and its states form reference cycles,
+        so whatever they hold otherwise waits for the garbage collector."""
+        for bufs in (self.slots, self.calls, self.notes):
+            for buf in bufs:
+                buf[:] = [None] * self.size
+        self.cell = None
+
     def _aborted(self, what: str) -> Exception:
         """What an abort-woken operation raises: the wait ledger's deadlock
         verdict when that is why the runtime went down, else ``Aborted``."""

@@ -486,8 +486,9 @@ class Runtime:
         return results
 
     def _finalize(self) -> str | None:
-        """End-of-run accounting: empty every mailbox and drop the kept
-        irecv requests, so nothing of this run reaches the next.  Returns
+        """End-of-run accounting: empty every mailbox and collective buffer
+        and drop the kept irecv requests, so nothing of this run reaches the
+        next or outlives it.  Returns
         the leak report — undelivered messages and never-completed irecvs
         — when the run left any and no rank crashed (crashed ranks leave
         residue by design: sends to a dead rank, and the messages it never
@@ -496,6 +497,7 @@ class Runtime:
             states = list(self._states)
         leaks = []
         for state in states:
+            state.release()
             for dest_idx, mb in enumerate(state.mailboxes):
                 with mb.cond:
                     msgs, mb.messages = mb.messages, []

@@ -273,6 +273,25 @@ class TestRankThreadPool:
         assert dead() is None
         assert len(bufs) == 4 and all(ref() is None for ref in bufs)
 
+    def test_a_returned_runtime_keeps_no_deposits(self):
+        # the runtime is a reference cycle: what its collectives kept would
+        # live until the garbage collector ran, and raise the peak RSS
+        bufs = []
+
+        def prog(comm):
+            buf = np.arange(4 * comm.size)
+            bufs.append(weakref.ref(buf))
+            return comm.alltoallv(buf, [4] * comm.size)[1].sum()
+
+        gc.disable()
+        try:
+            out, rt = run_spmd(4, prog, return_runtime=True)
+            assert out == [16] * 4
+            assert len(bufs) == 4 and all(ref() is None for ref in bufs)
+            assert rt.world_state.cell is None
+        finally:
+            gc.enable()
+
     def test_repeated_runs_reuse_p_threads(self):
         # a fresh interpreter: this process's pool holds other tests' workers
         script = (

@@ -12,6 +12,8 @@ from repro.core import SplitterConfig, find_splitters
 from repro.core.multiselect import SplitterConvergenceError
 from repro.mpi import SPMDError
 
+from .conftest import spmd
+
 
 def _find(run, parts, caps=None, eps=0.0, config=None):
     p = len(parts)
@@ -173,6 +175,40 @@ class TestFindSplitters:
 
         with pytest.raises(SPMDError):
             run(2, prog)
+
+
+class TestSetupCollectives:
+    """Under "squeeze" one allgather of ``(size, min, #min, max, #max)`` rows
+    opens the search; ±inf extremes add the finite-extremes reduction and a
+    sampled first guess its sample gather."""
+
+    @pytest.mark.parametrize("inf", [False, True])
+    @pytest.mark.parametrize("guess", ["minmax", "sample"])
+    def test_one_collective_per_round_after_the_setup(self, rng, inf, guess):
+        parts = [np.sort(rng.normal(size=400)) for _ in range(4)]
+        if inf:
+            parts[0][0], parts[3][-1] = -np.inf, np.inf
+        config = SplitterConfig(initial_guess=guess)
+
+        def prog(comm):
+            return find_splitters(comm, parts[comm.rank], config=config)
+
+        out, rt = spmd(4, prog, return_runtime=True)
+        _assert_valid(parts, out[0])
+        extra = int(inf) + (guess == "sample")
+        assert rt.stats.snapshot().total_collective_calls == 1 + out[0].rounds + extra
+
+    @pytest.mark.parametrize("schedule", ["squeeze", "midpoint"])
+    def test_capacities_that_do_not_sum_raise_alike_on_every_rank(self, rng, schedule):
+        parts = [rng.integers(0, 100, 10).astype(np.int64) for _ in range(4)]
+        config = SplitterConfig(probe_schedule=schedule)
+        with pytest.raises(SPMDError) as ei:
+            _find(spmd, parts, caps=[5, 6, 7, 8], config=config)
+        failures = ei.value.failures
+        assert sorted(failures) == [0, 1, 2, 3]
+        for exc in failures.values():  # not one last arriver's failure seen by all
+            assert type(exc) is ValueError
+            assert str(exc) == "capacities sum to 26 but the input holds 40 keys"
 
 
 class TestSplitterConfigs:

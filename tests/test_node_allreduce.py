@@ -239,8 +239,8 @@ class TestObservability:
         rounds, rt = self._sort(2, 4)
         snap = rt.stats.snapshot()
         calls, nbytes, ranks = snap.collectives["node_allreduce"]
-        # (min, max), the extreme-key bounds, every histogram round (the last is the gather)
-        assert calls == 2 + rounds[0] - 1 and ranks == 8 * calls
+        # every histogram round but the last, the gather (the setup is an allgather)
+        assert calls == rounds[0] - 1 and ranks == 8 * calls
         assert "allreduce" not in snap.collectives
         assert snap.total_collective_calls == sum(v[0] for v in snap.collectives.values())
 

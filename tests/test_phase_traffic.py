@@ -99,6 +99,15 @@ _PAIRWISE_EXCHANGE = """\
     received = (np.concatenate(parts), plan.recv_counts)
 """
 
+#: the tail of the row every rank deposits in the setup allgather, and
+#: the step that unpacks the gathered rows
+_SETUP_ROW = """\
+               hi, n_local - int(local_sorted.searchsorted(hi)))
+
+        def setup(rows):
+            n, mins, at_min, maxs, at_max = zip(*rows)
+"""
+
 #: (where it is patched in, function, module, anchor, replacement, algo,
 #: the phase it moves) — one mutant per shape of traffic regression
 MUTANTS = {
@@ -114,10 +123,10 @@ MUTANTS = {
         "    comm.allreduce(local_sorted)\n    comm.compute(compute.call_overhead)\n",
         "dash", "splitting",
     ),
-    "p2-traffic": (  # a p-long row per rank in the size allgather
+    "p2-traffic": (  # a p-long row per rank in the setup allgather
         histsort, "find_splitters", multiselect,
-        "np.asarray(comm.allgather(n_local), dtype=np.int64)",
-        "np.asarray(comm.allgather(np.full(p, n_local)), dtype=np.int64)[:, 0]",
+        _SETUP_ROW, _SETUP_ROW.replace("(hi)))\n", "(hi)), np.full(p, n_local))\n")
+        .replace("at_max = zip", "at_max, _ = zip"),
         "dash", "splitting",
     ),
     "handrolled-collective": (  # ALL-TO-ALLV as a pairwise sendrecv loop

@@ -423,6 +423,22 @@ class TestAutosort:
         rec = out[0][0].feedback
         assert rec is not None and rec.ratio > 0
 
+    def test_feedback_is_one_record_on_every_rank(self, machine, tmp_path):
+        # every rank opens its own PlanCache on the same path; the feedback
+        # lands in rank 0's, whichever rank arrives last at the allreduce
+        path = str(tmp_path / "cache.json")
+        kwargs = dict(machine=machine, ranks_per_node=4)
+        ratios = []
+        for run in range(3):  # cold (rank 0 stores the plan), then warm hits
+            out = run_spmd(4, _autosort_program, 1000, 60, path, **kwargs)
+            rec = out[0][0].feedback
+            assert all(r.feedback == rec for r, _ in out)
+            assert rec.observed_s == max(sum(r.result.phases.values()) for r, _ in out)
+            ratios.append(pytest.approx(rec.ratio))
+            entry = PlanCache(path).entry(out[0][0].plan.key)
+            assert entry.feedback == ratios
+            assert entry.hits == run
+
     def test_trace_metadata_stamped(self, machine, tmp_path):
         trial = run_sort_trial(
             4, 800, plan="auto", machine=machine, ranks_per_node=4,
