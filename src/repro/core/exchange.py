@@ -38,11 +38,13 @@ class ExchangePlan:
     ``cuts`` has ``P+1`` entries; this rank sends
     ``local_sorted[cuts[d]:cuts[d+1]]`` to rank ``d``.  ``send_counts`` and
     ``recv_counts`` are the classic MPI count vectors (elements, not bytes).
+    ``by_node``: the splitters' (:attr:`SplitterResult.by_node`).
     """
 
     cuts: np.ndarray
     send_counts: np.ndarray
     recv_counts: np.ndarray
+    by_node: bool = False
 
     @property
     def elements_sent(self) -> int:
@@ -103,15 +105,17 @@ def build_exchange_plan(
         cuts=my_cuts,
         send_counts=send_counts,
         recv_counts=recv_counts,
+        by_node=splitters.by_node,
     )
 
 
 def exchange(
     comm: "Comm", local_sorted: np.ndarray, plan: ExchangePlan
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the single ALL-TO-ALLV round; returns its ``(recvbuf, recv_counts)``."""
+    """Run the single ALL-TO-ALLV round — composed by node where ``plan``
+    allows it and that is cheaper; returns its ``(recvbuf, recv_counts)``."""
     t_data = comm.clock
-    received = comm.alltoallv(local_sorted, plan.send_counts)
+    received = comm.alltoallv(local_sorted, plan.send_counts, by_node=plan.by_node)
     comm.tracer.record(
         "exchange_data",
         t_data,

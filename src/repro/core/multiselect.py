@@ -68,8 +68,11 @@ __all__ = [
     "find_splitters",
 ]
 
-#: elementwise (min, max) fold over (lo, hi) tuples
-_MINMAX = ReduceOp("minmax", lambda a, b: (min(a[0], b[0]), max(a[1], b[1])))
+#: elementwise (min, max) fold over (lo, hi) tuples in which a NaN loses
+#: both comparisons (``min``/``max`` would keep one as first argument)
+_MINMAX = ReduceOp("minmax", lambda a, b: (
+    b[0] if a[0] != a[0] or b[0] < a[0] else a[0],
+    b[1] if a[1] != a[1] or b[1] > a[1] else a[1]))
 
 
 class SplitterConvergenceError(RuntimeError):
@@ -85,7 +88,9 @@ class SplitterResult:
     exchange will place left of that boundary (within tolerance of
     ``targets[i]``); ``lower``/``upper`` the boundary's global histogram
     ``(L, U)``.  ``rounds`` counts the exact finish as one round;
-    ``gathered_keys`` is its payload (0 when it never fired).
+    ``gathered_keys`` is its payload (0 when it never fired).  ``by_node``:
+    the exchange of this partition may compose by node (``"squeeze"``, like
+    its rounds; the pinned schedules keep the paper's flat ALL-TO-ALLV).
     """
 
     values: np.ndarray
@@ -99,6 +104,7 @@ class SplitterResult:
     rounds: int
     probes_total: int
     gathered_keys: int = 0
+    by_node: bool = False
 
     @property
     def nboundaries(self) -> int:
@@ -594,4 +600,5 @@ def find_splitters(
         rounds=search.rounds,
         probes_total=search.probes_total,
         gathered_keys=search.gathered_keys,
+        by_node=squeeze,
     )

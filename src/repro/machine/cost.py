@@ -9,7 +9,8 @@ long it took.  The model is the classic :math:`\\alpha`-:math:`\\beta`
 * tree collectives pay ``ceil(log2 P)`` rounds at the widest level spanned
   by the group (:meth:`CostModel.node_allreduce` composes them per level),
 * ``alltoallv`` is priced per rank from the full volume matrix, with a
-  1-factor round structure and a bisection-bandwidth congestion floor.
+  1-factor round structure and a bisection-bandwidth congestion floor
+  (:meth:`CostModel.node_alltoallv_stages` composes it per level).
 
 The PGAS shared-memory optimisation of the paper (intra-node traffic through
 MPI-3 shared-memory windows, i.e. plain ``memcpy``) is the default;
@@ -31,6 +32,18 @@ from .topology import Placement
 
 def _log2_ceil(p: int) -> int:
     return int(math.ceil(math.log2(p))) if p > 1 else 0
+
+
+def advance(clocks, stage) -> np.ndarray:
+    """The clocks after one stage of a price: its cost (a scalar or one per
+    member) added to them — for a ``(cost, group)`` stage, to the latest
+    clock of each member's ``group``: a group starts when its last arrives."""
+    if not isinstance(stage, tuple):
+        return clocks + np.asarray(stage, dtype=np.float64)
+    cost, group = stage
+    start = np.full(group.size, -np.inf)
+    np.maximum.at(start, group, clocks)
+    return start[group] + cost
 
 
 @dataclass
@@ -236,7 +249,7 @@ class CostModel:
         plus one latency per non-empty peer, plus a global congestion floor
         of (total inter-node bytes) / (bisection bandwidth).
         """
-        ranks = list(ranks)
+        ranks = tuple(ranks)
         p = len(ranks)
         volumes = np.asarray(volumes, dtype=np.float64)
         if volumes.shape != (p, p):
@@ -244,37 +257,126 @@ class CostModel:
         if p == 1:
             return np.full(1, self.software_overhead + self._compute.memcpy(volumes[0, 0]))
 
+        return self._priced(volumes, *self._pairs(ranks))
+
+    def _pairs(self, ranks: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(beta, lat, internode)`` of every ordered member pair.  Not kept
+        between calls: small arrays living as long as the runtime read
+        +8–14 MiB ``peak_rss_mb`` on bulk-uniform-p8 (heap fragmentation)."""
         lv = self.placement.level_matrix(ranks)
-        beta = np.empty_like(volumes)
-        lat = np.empty_like(volumes)
-        for level in Level:
-            mask = lv == int(level)
-            if not mask.any():
-                continue  # single-node machines have no NETWORK link to price
-            link = self.link_for(level)
+        table = np.zeros((2, len(Level)))  # (beta, lat) by level
+        for level in np.flatnonzero(np.bincount(lv.ravel(), minlength=len(Level))):
+            # only the levels present: single-node machines have no
+            # NETWORK link to price
+            link = self.link_for(Level(level))
             b = link.beta
             if level >= Level.NETWORK:
                 if self.nic_sharing:
                     b *= self.placement.node_occupancy(ranks)
                 b *= self.alltoallv_inefficiency
-            beta[mask] = b
-            lat[mask] = link.latency
+            table[:, level] = b, link.latency
+        beta, lat = table[0][lv], table[1][lv]
         # loop-back (diagonal) always moves at memcpy speed
-        diag = np.arange(p)
-        beta[diag, diag] = 1.0 / (self._compute.memcpy_bandwidth * 2)
-        lat[diag, diag] = 5.0e-8
+        np.fill_diagonal(beta, 1.0 / (self._compute.memcpy_bandwidth * 2))
+        np.fill_diagonal(lat, 5.0e-8)
+        return beta, lat, lv >= int(Level.NETWORK)
 
-        nonzero = volumes > 0
-        send_time = (volumes * beta).sum(axis=1) + (lat * nonzero).sum(axis=1)
-        recv_time = (volumes * beta).sum(axis=0) + (lat * nonzero).sum(axis=0)
-        per_rank = np.maximum(send_time, recv_time) + self.software_overhead
-
-        internode = lv >= int(Level.NETWORK)
+    def _priced(self, volumes: np.ndarray, beta, lat, internode) -> np.ndarray:
+        """:meth:`alltoallv_per_rank` of a group of two or more, given its
+        :meth:`_pairs`."""
+        per_rank = self._transfer(volumes, beta, lat)
         cross_bytes = float(volumes[internode].sum())
         if cross_bytes > 0:
             floor = cross_bytes / self._machine.bisection_bandwidth
             per_rank = np.maximum(per_rank, floor)
         return per_rank
+
+    def _transfer(self, volumes: np.ndarray, beta: np.ndarray, lat: np.ndarray) -> np.ndarray:
+        """Per-rank time of an exchange of ``volumes`` over the last two axes:
+        the larger of a rank's serialized sends and receives, one latency
+        per non-empty peer."""
+        # one p x p product alive at a time: keeping two alive read +0.5 MiB
+        # peak RSS on latency-zipf-p64 (the last arriver's thread prices)
+        nonzero = volumes > 0
+        send_time = (volumes * beta).sum(axis=-1) + (lat * nonzero).sum(axis=-1)
+        recv_time = (volumes * beta).sum(axis=-2) + (lat * nonzero).sum(axis=-2)
+        return np.maximum(send_time, recv_time) + self.software_overhead
+
+    def node_layout(self, ranks: Sequence[int]) -> tuple | None:
+        """Member positions by node of a group with two levels (as in
+        :meth:`node_groups`), else ``None``: ``(node of each member, first
+        member of each node, stage-B group labels, members sorted by node or
+        None if they are, where each node starts in that order, [members of
+        the nodes of L members (G x L) per L])``, nodes numbered by first
+        member as ``comm.split`` orders them."""
+        if self.node_groups(ranks) is None:
+            return None
+        _, first, node = np.unique(np.asarray(ranks) // self.placement.ranks_per_node,
+                                   return_index=True, return_inverse=True)
+        renumber = np.empty_like(first)
+        renumber[np.argsort(first)] = np.arange(first.size)
+        node = renumber[node]
+        order = np.argsort(node, kind="stable")
+        starts = np.searchsorted(node[order], np.arange(first.size))
+        leaders = order[starts]
+        group_b = np.arange(node.size)
+        group_b[leaders] = 0
+        members = np.split(order, starts[1:])
+        classes = [np.array([m for m in members if m.size == size])
+                   for size in sorted({m.size for m in members})]
+        in_order = bool((order == np.arange(order.size)).all())
+        return node, leaders, group_b, None if in_order else order, starts, classes
+
+    def node_alltoallv_stages(self, volumes: np.ndarray, ranks: Sequence[int]) -> tuple:
+        """The stages a node-composed alltoallv is priced as, in order, each
+        by :meth:`alltoallv_per_rank` on the matrix it moves and each group
+        starting when its last member arrives (:func:`advance`):
+
+        A. inside each node, every member delivers its same-node segments
+           and hands its off-node bytes to the node's leader (first member);
+        B. the leaders exchange node-to-node blocks, each over a NIC no other
+           rank of the group shares;
+        C. each leader forwards what arrived to its members.
+
+        Or the flat per-rank cost alone where the group has one level or the
+        composition would not finish first."""
+        ranks = tuple(ranks)
+        layout = self.node_layout(ranks)
+        if layout is None:
+            return (self.alltoallv_per_rank(volumes, ranks),)
+        node, leaders, group_b, order, starts, classes = layout
+        volumes = np.asarray(volumes, dtype=np.float64)
+        beta, lat, internode = self._pairs(ranks)
+        flat = self._priced(volumes, beta, lat, internode)
+        # byte counts: exact sums in any order; no temporary as large as
+        # ``volumes`` unless its nodes interleave (see _transfer)
+        off, inbound = volumes.sum(axis=1), volumes.sum(axis=0)
+        by_node = volumes if order is None else volumes[np.ix_(order, order)]
+        between = np.add.reduceat(np.add.reduceat(by_node, starts, axis=0), starts, axis=1)
+        np.fill_diagonal(between, 0.0)
+        a, c = np.empty_like(off), np.empty_like(off)
+        for ix in classes:
+            pair = ix[:, :, None], ix[:, None, :]
+            block, pair_beta, pair_lat = volumes[pair], beta[pair], lat[pair]
+            off[ix] -= block.sum(axis=2)
+            inbound[ix] -= block.sum(axis=1)
+            if ix.shape[1] == 1:  # a node of one: alltoallv_per_rank's p == 1
+                a[ix[:, 0]] = [self.software_overhead + self._compute.memcpy(v)
+                               for v in block[:, 0, 0]]
+                c[ix] = self.software_overhead + self._compute.memcpy(0.0)
+                continue
+            block[:, 1:, 0] += off[ix[:, 1:]]
+            a[ix] = self._transfer(block, pair_beta, pair_lat)
+            block[:] = 0.0
+            block[:, 0, 1:] = inbound[ix[:, 1:]]
+            c[ix] = self._transfer(block, pair_beta, pair_lat)
+        b = np.zeros_like(off)
+        b[leaders] = self.alltoallv_per_rank(between, [ranks[i] for i in leaders])
+        stages = (a, (b, group_b), (c, node))
+        end = 0.0
+        for stage in stages:
+            end = advance(end, stage)
+        return stages if end.max() < flat.max() else (flat,)
 
     def alltoallv(self, volumes: np.ndarray, ranks: Sequence[int]) -> float:
         """Completion time of the whole irregular exchange (max over ranks)."""

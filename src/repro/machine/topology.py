@@ -113,9 +113,15 @@ class Placement:
     def level_matrix(self, ranks: Sequence[int]) -> np.ndarray:
         """Dense ``len(ranks) x len(ranks)`` matrix of locality levels."""
         ranks = np.asarray(list(ranks), dtype=np.int64)
-        nodes = ranks // self.ranks_per_node
-        numas = np.array([self.numa_of(int(r)) for r in ranks])
-        sockets = np.array([self.socket_of(int(r)) for r in ranks])
+        if ranks.size and not (0 <= ranks.min() and ranks.max() < self.nranks):
+            raise IndexError(f"ranks {ranks.tolist()} out of range [0, {self.nranks})")
+        # numa_of / socket_of on the whole array
+        nodes, local = np.divmod(ranks, self.ranks_per_node)
+        node = self.machine.node
+        per_dom = -(-self.ranks_per_node // node.numa_domains)
+        numa_local = np.minimum(local // per_dom, node.numa_domains - 1)
+        numas = nodes * node.numa_domains + numa_local
+        sockets = nodes * node.sockets + numa_local // node.numa_per_socket
         out = np.full((len(ranks), len(ranks)), int(Level.NUMA), dtype=np.int8)
         out[numas[:, None] != numas[None, :]] = int(Level.SOCKET)
         out[sockets[:, None] != sockets[None, :]] = int(Level.NODE)

@@ -53,6 +53,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ..machine.cost import advance
 from ..trace.events import NULL_TRACER, NullTracer, RankTracer
 from .errors import (
     Aborted,
@@ -284,7 +285,8 @@ class _CommState:
         entry + cost``, stage by stage, as consecutive collectives would add
         them); every rank then takes its new clock and ``pick(slots, shared,
         idx)``, its result.  The traced payload size defaults to the
-        deposit's.
+        deposit's.  A stage may also be a ``(cost, group)`` pair
+        (:func:`~repro.machine.cost.advance`).
 
         Under a fault plan the last arriver also prices the plan's link
         faults into each stage (:func:`~repro.mpi.reliable.collective_faults`)
@@ -343,7 +345,7 @@ class _CommState:
                             self, gen, name, latest, stages,
                             None if links is None else links(slots))
                     for stage in stages:
-                        clocks = clocks + np.asarray(stage, dtype=np.float64)
+                        clocks = advance(clocks, stage)
                     self.cell = shared, clocks, failure
                     self.done = gen + 1
                     # The members are runnable from here on, whenever their
@@ -1002,6 +1004,7 @@ class Comm:
 
     def alltoallv(
         self, sendbuf: np.ndarray | Sequence[np.ndarray], counts: Sequence[int] | None = None,
+        *, by_node: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Irregular personalized exchange in MPI's buffer form: ``counts[j]``
         elements of ``sendbuf``, back to back in rank order, go to group rank
@@ -1010,6 +1013,9 @@ class Comm:
         arrived, in source order, in one fresh buffer — empty segments vote on
         its dtype only if all are empty — and the count from each source.
         Priced by :meth:`CostModel.alltoallv_per_rank` over the count matrix.
+        ``by_node``: off-node bytes through one leader per node where that
+        finishes first (:meth:`CostModel.node_alltoallv_stages`), recorded as
+        ``node_alltoallv`` — one rendezvous, same result, like ``allreduce``'s.
         """
         size = self.size
         if counts is None:
@@ -1026,13 +1032,13 @@ class Comm:
                 f"alltoallv needs {size} non-negative counts summing to the "
                 f"{sendbuf.size} elements sent, got {counts.tolist()}")
         ranks = self._state.world_ranks
+        price = self._rt.cost.node_alltoallv_stages if by_node else self._rt.cost.alltoallv_per_rank
 
         def plan(slots: list[Any]) -> Any:
             matrix = np.stack([c for _, c in slots])
             offsets = np.cumsum(np.pad(matrix, ((0, 0), (1, 0))), axis=1)
             vols = matrix * np.array([[b.itemsize] for b, _ in slots], dtype=np.float64)
-            per_rank = self._rt.cost.alltoallv_per_rank(vols, ranks)
-            return (matrix, offsets), per_rank, float(vols.sum())
+            return (matrix, offsets), price(vols, ranks), float(vols.sum())
 
         def pick(slots: list[Any], shared: Any, idx: int) -> Any:
             matrix, offsets = shared
@@ -1043,7 +1049,7 @@ class Comm:
                 segs or [np.empty(0, np.result_type(*(b for b, _ in slots)))]), recv_counts
 
         return self._state.collective(
-            self._rank, "alltoallv", (sendbuf, counts), plan, pick,
+            self._rank, "node_alltoallv" if by_node else "alltoallv", (sendbuf, counts), plan, pick,
             trace_bytes=sendbuf.nbytes,
         )
 

@@ -17,6 +17,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from ..machine.cost import advance
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import LinkFault
 
@@ -60,7 +62,9 @@ def collective_faults(
     Each priced stage stands for the messages a message-passing collective
     would send: ``links``, as ``(src, dst)`` member pairs, when the caller
     knows them; otherwise one from every other member to member 0 and one
-    back — for ``alltoall``/``alltoallv``, one per ordered pair.  Each
+    back — for ``alltoall``/``alltoallv``, one per ordered pair, and for the
+    three stages of a composed ``node_alltoallv`` the pairs each one uses
+    (same-node pairs, leader pairs, leader to member).  Each
     message climbs the ladder, attempt ``a`` drawing its fate from the
     content identity ``(comm, generation, stage, a)`` — the communicator
     by its creation identity, ``state.fault_key`` — so the price is a
@@ -75,17 +79,14 @@ def collective_faults(
     ranks = state.world_ranks
     key = state.fault_key
     p = len(ranks)
-    if links is None:
-        if name in ("alltoall", "alltoallv"):
-            links = [(i, j) for i in range(p) for j in range(p) if i != j]
-        else:
-            links = [(i, 0) for i in range(1, p)] + [(0, i) for i in range(1, p)]
+    per_stage = [links] * len(stages) if links is not None else _links(state, name, len(stages))
     clocks = np.full(p, float(start))
     priced = []
     for s, stage in enumerate(stages):
+        stage, group = stage if isinstance(stage, tuple) else (stage, None)
         cost = np.broadcast_to(np.asarray(stage, dtype=np.float64), (p,))
         extra = np.zeros(p)
-        for src, dst in links:
+        for src, dst in per_stage[s]:
             waited, fate = climb(rt, lambda a: plan.link_event(
                 ranks[src], ranks[dst], _COLLECTIVE_STREAM, (key, gen, s, a)))
             if fate is None:
@@ -99,6 +100,21 @@ def collective_faults(
                 rt._count_fault("delayed")
             extra[dst] = max(extra[dst], waited + penalty * cost[dst])
         stage = stage + (extra if np.ndim(stage) else extra.max())
-        priced.append(stage)
-        clocks = clocks + stage
+        priced.append(stage if group is None else (stage, group))
+        clocks = advance(clocks, priced[-1])
     return tuple(priced), None
+
+
+def _links(state, name: str, nstages: int) -> list[list[tuple[int, int]]]:
+    """Per stage, the ``(src, dst)`` member pairs collective ``name`` sends on."""
+    p = state.size
+    if name not in ("alltoall", "alltoallv", "node_alltoallv"):
+        return [[(i, 0) for i in range(1, p)] + [(0, i) for i in range(1, p)]] * nstages
+    if name == "node_alltoallv" and nstages == 3:
+        node, leaders = (a.tolist() for a in state.runtime.cost.node_layout(state.world_ranks)[:2])
+        return [
+            [(i, j) for i in range(p) for j in range(p) if i != j and node[i] == node[j]],
+            [(i, j) for i in leaders for j in leaders if i != j],
+            [(leaders[node[j]], j) for j in range(p) if leaders[node[j]] != j],
+        ]
+    return [[(i, j) for i in range(p) for j in range(p) if i != j]] * nstages

@@ -313,7 +313,7 @@ class SortService:
         rt = self._runtime()
         results = rt.run(query_program, args=(queries,))
         answers = results[0]
-        if "alltoallv" in rt.stats.snapshot().collectives:
+        if {"alltoallv", "node_alltoallv"} & set(rt.stats.snapshot().collectives):
             raise ServiceError(
                 "query epoch moved data: the index tier must never alltoallv"
             )

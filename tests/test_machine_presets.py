@@ -58,6 +58,23 @@ class TestEveryPreset:
         assert len(m.signature()) == 12
 
 
+@pytest.mark.parametrize("rpn", [1, 3, 5, "cores"])
+@pytest.mark.parametrize(
+    "name", [*sorted(PRESETS), "two_sockets_of_three_numa"])  # sockets != NUMA per socket
+def test_level_matrix_is_the_pairwise_level(name, rpn):
+    m = single_node(cores_per_numa=3, numa_domains=6) if name not in PRESETS else PRESETS[name]()
+    rpn = m.node.cores if rpn == "cores" else min(rpn, m.node.cores)
+    pl = make_placement(m, min(m.nodes, 3) * rpn, rpn)
+    rng = np.random.default_rng(rpn)
+    groups = [range(pl.nranks)] + [
+        rng.choice(pl.nranks, size=rng.integers(1, pl.nranks + 1), replace=False)
+        for _ in range(4)
+    ]
+    for ranks in groups:
+        want = [[int(pl.level(int(a), int(b))) for b in ranks] for a in ranks]
+        assert pl.level_matrix(ranks).tolist() == want
+
+
 class TestSupermucPhase2:
     def test_table1_shape(self):
         m = supermuc_phase2()

@@ -99,7 +99,7 @@ class TestCollectors:
         assert {lab["op"]: c.value for lab, c in calls.samples()} == {
             op: v[0] for op, v in snap.collectives.items()
         }
-        assert "node_allreduce" in snap.collectives and "alltoallv" in snap.collectives
+        assert "node_allreduce" in snap.collectives and "node_alltoallv" in snap.collectives
 
     def test_one_registry_accumulates_many_runs(self):
         reg = MetricsRegistry()

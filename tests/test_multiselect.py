@@ -8,7 +8,7 @@ monotone, and the realized ranks reproduce the requested capacities.
 import numpy as np
 import pytest
 
-from repro.core import SplitterConfig, find_splitters
+from repro.core import SortConfig, SplitterConfig, find_splitters, histogram_sort
 from repro.core.multiselect import SplitterConvergenceError
 from repro.mpi import SPMDError
 
@@ -236,3 +236,24 @@ class TestSplitterConfigs:
             SplitterConfig(max_rounds=0)
         with pytest.raises(ValueError):
             SplitterConfig(probe_schedule="bogus")
+
+
+class TestNaNKeys:
+    """NaN keys sort last wherever they sit: the (min, max) fold is blind to
+    them, so a NaN on rank 0 does not become the global maximum."""
+
+    @pytest.mark.parametrize("schedule", ["squeeze", "shared", "midpoint"])
+    @pytest.mark.parametrize("nan_rank", [0, 1, 2, 3, "all"])
+    def test_nan_keys_sort_like_numpy(self, schedule, nan_rank):
+        if nan_rank == "all":
+            parts = [np.full(50, np.nan) for _ in range(4)]
+        else:
+            parts = [np.random.default_rng(r).normal(size=200) for r in range(4)]
+            parts[nan_rank][:3] = np.nan
+        config = SortConfig(splitter=SplitterConfig(probe_schedule=schedule))
+
+        def prog(comm):
+            return histogram_sort(comm, parts[comm.rank], config=config).output
+
+        got = np.concatenate(spmd(4, prog))
+        assert got.tobytes() == np.sort(np.concatenate(parts)).tobytes()

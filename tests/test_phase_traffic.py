@@ -19,6 +19,7 @@ import pytest
 from repro.algorithms import ALGORITHMS
 from repro.core import SortConfig
 from repro.data import make_partition
+from repro.machine import abstract_cluster
 from repro.model.phases import traffic_histsort, traffic_psrs, traffic_samplesort
 from repro.mpi import run_spmd
 from repro.trace.analysis import phase_traffic
@@ -44,15 +45,18 @@ MODELS = {
 UPPER_BOUNDS = {("dash", "splitting")}
 
 
-def mismatches(algo, p, n):
-    """``{phase: (measured, modelled)}`` for every phase off the model."""
+def mismatches(algo, p, n, spans=None, **machine):
+    """``{phase: (measured, modelled)}`` for every phase off the model;
+    ``spans``, if given, receives the trial's spans."""
     run = ALGORITHMS[algo].run
 
     def prog(comm):
         local = make_partition("uniform_u64", n // p, rank=comm.rank, seed=7)
         return run(comm, local, SortConfig())
 
-    results, rt = run_spmd(p, prog, trace=True, return_runtime=True)
+    results, rt = run_spmd(p, prog, trace=True, return_runtime=True, **machine)
+    if spans is not None:
+        spans.extend(rt.trace.spans())
     measured = phase_traffic(rt.trace.spans())
     modelled = MODELS[algo](n, p, results[0])
     out = {}
@@ -77,6 +81,16 @@ class TestMeasuredTraffic:
         p = 32 reads 512 B under the bound), so the test asserts ``<=``.
         """
         assert mismatches(algo, p, n) == {}
+
+    def test_the_exchange_composed_by_node_moves_the_model_bytes(self):
+        """2 nodes x 4 ranks, 512 keys each under ``"squeeze"``: the
+        exchange goes through the node leaders — a member's span sits at
+        the level of its hand-over — and still moves exactly the model's
+        bytes."""
+        spans = []
+        assert mismatches("dash", 8, 4096, spans, machine=abstract_cluster(2, cores_per_node=4)) == {}
+        levels = [s.attrs["level"] for s in spans if s.name == "node_alltoallv"]
+        assert levels == ["network", *["numa"] * 3] * 2
 
 
 def _mutant(module, anchor, replacement):
@@ -131,7 +145,7 @@ MUTANTS = {
     ),
     "handrolled-collective": (  # ALL-TO-ALLV as a pairwise sendrecv loop
         histsort, "exchange", exchange,
-        "    received = comm.alltoallv(local_sorted, plan.send_counts)\n",
+        "    received = comm.alltoallv(local_sorted, plan.send_counts, by_node=plan.by_node)\n",
         _PAIRWISE_EXCHANGE,
         "dash", "exchange",
     ),

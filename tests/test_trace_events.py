@@ -109,7 +109,7 @@ class TestRecorder:
         assert ("user", "exchange_plan") in names
         assert ("user", "exchange_data") in names
         assert ("collective", "node_allreduce") in names
-        assert ("collective", "alltoallv") in names
+        assert ("collective", "node_alltoallv") in names
         assert ("compute", "compute") in names
 
     def test_collective_attrs(self):
@@ -263,7 +263,7 @@ class TestAnalysis:
     def test_traffic_matrix_attributes_exchange(self):
         _, rt = _traced_sort(8)
         tm = traffic_matrix(rt.trace.spans())
-        assert tm[("exchange", "alltoallv")] > 0
+        assert tm[("exchange", "node_alltoallv")] > 0
         assert tm[("splitting", "node_allreduce")] > 0
 
     def test_critical_path_covers_makespan(self):
