@@ -84,7 +84,7 @@ def build_exchange_plan(
     # contribute in rank order, so this rank's fill offset is the sum of
     # the duplicate counts on all lower ranks — one EXCLUSIVE_SCAN.
     equal = (ub - lb).astype(np.int64)
-    prefix = comm.exscan(equal)
+    prefix = comm.exscan(equal, by_node=splitters.by_node)
     if prefix is None:  # rank 0
         prefix = np.zeros_like(equal)
     need = (splitters.realized_ranks - splitters.lower).astype(np.int64)
@@ -97,7 +97,7 @@ def build_exchange_plan(
 
     # Receive counts: one ALL-TO-ALL of the send counts (§V-B).
     recv_counts = np.asarray(
-        comm.alltoall([int(c) for c in send_counts]), dtype=np.int64
+        comm.alltoall([int(c) for c in send_counts], by_node=splitters.by_node), dtype=np.int64
     )
     comm.tracer.record("exchange_plan", t_plan, elements=int(send_counts.sum()))
 

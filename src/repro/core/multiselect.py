@@ -89,8 +89,9 @@ class SplitterResult:
     ``targets[i]``); ``lower``/``upper`` the boundary's global histogram
     ``(L, U)``.  ``rounds`` counts the exact finish as one round;
     ``gathered_keys`` is its payload (0 when it never fired).  ``by_node``:
-    the exchange of this partition may compose by node (``"squeeze"``, like
-    its rounds; the pinned schedules keep the paper's flat ALL-TO-ALLV).
+    the exchange of this partition — EXSCAN, count ALL-TO-ALL and
+    ALL-TO-ALLV — may compose by node (``"squeeze"``, like its own
+    collectives; the pinned schedules keep the paper's flat ones).
     """
 
     values: np.ndarray
@@ -226,10 +227,12 @@ class _GatherRule:
     Gathering ``residue`` keys replaces a round's ALLREDUCE and searches by
     an ALLGATHER of ``residue / P`` keys per rank and a merge of the ``P``
     sorted runs that arrive; the coefficients of both sides are read off
-    the cost model once per call.  Both collectives are weighed flat, like
-    for like: the allgather has no node-composed algorithm, and against the
-    composed round alone the gather waits out rounds that together cost more
-    (uniform keys on 2 x 8 ranks: 11 rounds, 118 us; this way 4 and 66).
+    the cost model once per call.  Both collectives run composed by node
+    where that finishes first, yet are weighed flat, like for like: against
+    the composed round alone the gather waits out rounds that together cost
+    more (uniform keys on 2 x 8 ranks: 11 rounds, 118 us; this way 4 and
+    66), and weighing both composed read 4 of 18 sampled runs dearer and
+    none cheaper (2 x 4 ranks of 8,192 uniform keys, seed 2: 36.5 -> 42.5 us).
     """
 
     def __init__(self, comm: "Comm", itemsize: int, n_mean: int):
@@ -517,7 +520,7 @@ def find_splitters(
             search = start(lay, gmin, gmax, ends) if finite_ends(gmin, gmax) else None
             return sizes, lay, gmin, gmax, ends, search
 
-        sizes, lay, gmin, gmax, ends, search = comm.allgather(row, then=setup)
+        sizes, lay, gmin, gmax, ends, search = comm.allgather(row, by_node=True, then=setup)
     else:
         sizes = np.asarray(comm.allgather(n_local), dtype=np.int64)
         lay = layout(sizes)
@@ -580,7 +583,8 @@ def find_splitters(
             probes=int(k), targets=int(m), open=int(search.t.size),
         )
     if search.t.size:  # the exact finish: the keys left inside the brackets
-        search = comm.allgather(_residue(local_sorted, search.lo, search.hi), then=search.finish)
+        search = comm.allgather(_residue(local_sorted, search.lo, search.hi), by_node=squeeze,
+                                then=search.finish)
         comm.compute(compute.kway_merge(search.gathered_keys, p))  # P sorted runs
         comm.compute(compute.call_overhead + 2.0e-9 * m)
         tracer.record(

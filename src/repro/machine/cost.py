@@ -7,10 +7,13 @@ long it took.  The model is the classic :math:`\\alpha`-:math:`\\beta`
 
 * point-to-point cost depends on the locality level of the pair,
 * tree collectives pay ``ceil(log2 P)`` rounds at the widest level spanned
-  by the group (:meth:`CostModel.node_allreduce` composes them per level),
+  by the group,
 * ``alltoallv`` is priced per rank from the full volume matrix, with a
-  1-factor round structure and a bisection-bandwidth congestion floor
-  (:meth:`CostModel.node_alltoallv_stages` composes it per level).
+  1-factor round structure and a bisection-bandwidth congestion floor.
+
+The ``node_*_stages`` methods price a collective two ways, flat and
+composed per level through one leader per node; the rendezvous keeps the
+one that finishes first (:func:`finish`).
 
 The PGAS shared-memory optimisation of the paper (intra-node traffic through
 MPI-3 shared-memory windows, i.e. plain ``memcpy``) is the default;
@@ -44,6 +47,15 @@ def advance(clocks, stage) -> np.ndarray:
     start = np.full(group.size, -np.inf)
     np.maximum.at(start, group, clocks)
     return start[group] + cost
+
+
+def finish(stages: tuple) -> float:
+    """When the last member is through ``stages``, all starting at 0: what
+    the rendezvous weighs a collective's alternative prices by."""
+    end = 0.0
+    for stage in stages:
+        end = advance(end, stage)
+    return float(np.max(end))
 
 
 @dataclass
@@ -144,45 +156,81 @@ class CostModel:
         return self.software_overhead + 2 * rounds * link.cost(nbytes)
 
     def node_groups(
-        self, ranks: Sequence[int]
+        self, ranks: Sequence[int], *, contiguous: bool = False
     ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """``(largest node-local group, first rank of every node)`` of a group
         with two levels — several nodes, one of them holding several of its
-        ranks — else ``None``."""
+        ranks — else ``None``; with ``contiguous``, also ``None`` unless each
+        node's members are consecutive in rank order (a prefix needs them
+        so)."""
         key = tuple(ranks)
         if key not in self._node_groups:
             by_node: dict[int, list[int]] = {}
+            runs, last = 0, None
             for r in key:
-                by_node.setdefault(self.placement.node_of(r), []).append(r)
+                node = self.placement.node_of(r)
+                by_node.setdefault(node, []).append(r)
+                runs, last = runs + (node != last), node
             groups = list(by_node.values())
             self._node_groups[key] = (
                 (tuple(max(groups, key=len)), tuple(g[0] for g in groups))
                 if 1 < len(groups) < len(key)
                 else None
-            )
-        return self._node_groups[key]
+            ), runs == len(groups)
+        groups, in_runs = self._node_groups[key]
+        return groups if in_runs or not contiguous else None
 
-    def node_allreduce_stages(self, nbytes: float, ranks: Sequence[int]) -> tuple[float, ...]:
-        """The collectives a node-composed allreduce is priced as, in order:
+    def _alternatives(self, flat: float, groups, composed) -> list[tuple]:
+        """``[(flat,)]``, and ``composed(local, leaders)``'s stages after it
+        where ``groups`` (:meth:`node_groups`) has two levels: the
+        rendezvous keeps whichever finishes first (flat on a tie)."""
+        return [(flat,)] if groups is None else [(flat,), composed(*groups)]
+
+    def node_allreduce_stages(self, nbytes: float, ranks: Sequence[int]) -> list[tuple]:
+        """The flat allreduce and, on two levels, the node composition:
         reduce inside the node, allreduce over one leader per node, bcast
-        inside the node — or the flat allreduce alone where the group has
-        one level or that is no dearer."""
-        flat = self.allreduce(nbytes, ranks)
-        groups = self.node_groups(ranks)
-        if groups is not None:
-            local, leaders = groups
-            stages = (
-                self.reduce(nbytes, local),
-                self.allreduce(nbytes, leaders),
-                self.bcast(nbytes, local),
-            )
-            if sum(stages) < flat:
-                return stages
-        return (flat,)
+        inside the node."""
+        return self._alternatives(
+            self.allreduce(nbytes, ranks), self.node_groups(ranks),
+            lambda local, leaders: (self.reduce(nbytes, local),
+                                    self.allreduce(nbytes, leaders),
+                                    self.bcast(nbytes, local)))
 
     def node_allreduce(self, nbytes: float, ranks: Sequence[int]) -> float:
         """Allreduce composed by node, or flat where that is no dearer."""
-        return sum(self.node_allreduce_stages(nbytes, ranks))
+        return min(map(finish, self.node_allreduce_stages(nbytes, ranks)))
+
+    def node_allgather_stages(self, nbytes_per_rank: float, ranks: Sequence[int]) -> list[tuple]:
+        """The flat allgather and, on two levels, the node composition:
+        gather inside the node, allgather of the node blocks over the
+        leaders, bcast of everything inside the node."""
+        return self._alternatives(
+            self.allgather(nbytes_per_rank, ranks), self.node_groups(ranks),
+            lambda local, leaders: (self.gather(nbytes_per_rank, local),
+                                    self.allgather(len(local) * nbytes_per_rank, leaders),
+                                    self.bcast(len(ranks) * nbytes_per_rank, local)))
+
+    def node_exscan_stages(self, nbytes: float, ranks: Sequence[int]) -> list[tuple]:
+        """The flat exclusive scan and, on two levels whose nodes are
+        consecutive in rank order, the node composition: scan inside the
+        node, exclusive scan of the node totals over the leaders, bcast of
+        the node's offset inside the node."""
+        return self._alternatives(
+            self.scan(nbytes, ranks), self.node_groups(ranks, contiguous=True),
+            lambda local, leaders: (self.scan(nbytes, local),
+                                    self.scan(nbytes, leaders),
+                                    self.bcast(nbytes, local)))
+
+    def node_alltoall_stages(self, nbytes_per_pair: float, ranks: Sequence[int]) -> list[tuple]:
+        """The flat uniform all-to-all and, on two levels, the node
+        composition: gather every member's row at the leader, all-to-all of
+        the node-to-node blocks over the leaders, scatter the columns."""
+        p = len(ranks)
+        return self._alternatives(
+            self.alltoall(nbytes_per_pair, ranks), self.node_groups(ranks),
+            lambda local, leaders: (self.gather(p * nbytes_per_pair, local),
+                                    self.alltoall(len(local) ** 2 * nbytes_per_pair, leaders),
+                                    self.scatter(p * nbytes_per_pair, local)))
 
     def node_setup(self, ranks: Sequence[int]) -> float:
         """Building the node-local and the leader communicator of a two-level
@@ -327,7 +375,7 @@ class CostModel:
         in_order = bool((order == np.arange(order.size)).all())
         return node, leaders, group_b, None if in_order else order, starts, classes
 
-    def node_alltoallv_stages(self, volumes: np.ndarray, ranks: Sequence[int]) -> tuple:
+    def node_alltoallv_stages(self, volumes: np.ndarray, ranks: Sequence[int]) -> list[tuple]:
         """The stages a node-composed alltoallv is priced as, in order, each
         by :meth:`alltoallv_per_rank` on the matrix it moves and each group
         starting when its last member arrives (:func:`advance`):
@@ -338,12 +386,12 @@ class CostModel:
            rank of the group shares;
         C. each leader forwards what arrived to its members.
 
-        Or the flat per-rank cost alone where the group has one level or the
-        composition would not finish first."""
+        After the flat per-rank cost, as :meth:`node_allreduce_stages` — that
+        alone where the group has one level."""
         ranks = tuple(ranks)
         layout = self.node_layout(ranks)
         if layout is None:
-            return (self.alltoallv_per_rank(volumes, ranks),)
+            return [(self.alltoallv_per_rank(volumes, ranks),)]
         node, leaders, group_b, order, starts, classes = layout
         volumes = np.asarray(volumes, dtype=np.float64)
         beta, lat, internode = self._pairs(ranks)
@@ -372,11 +420,7 @@ class CostModel:
             c[ix] = self._transfer(block, pair_beta, pair_lat)
         b = np.zeros_like(off)
         b[leaders] = self.alltoallv_per_rank(between, [ranks[i] for i in leaders])
-        stages = (a, (b, group_b), (c, node))
-        end = 0.0
-        for stage in stages:
-            end = advance(end, stage)
-        return stages if end.max() < flat.max() else (flat,)
+        return [(flat,), (a, (b, group_b), (c, node))]
 
     def alltoallv(self, volumes: np.ndarray, ranks: Sequence[int]) -> float:
         """Completion time of the whole irregular exchange (max over ranks)."""

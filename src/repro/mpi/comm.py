@@ -53,7 +53,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..machine.cost import advance
+from ..machine.cost import advance, finish
 from ..trace.events import NULL_TRACER, NullTracer, RankTracer
 from .errors import (
     Aborted,
@@ -281,18 +281,23 @@ class _CommState:
         root, then)`` — ``then``: whether the caller gave a ``then=`` step —
         then calls ``plan(slots)`` for ``(shared value, cost,
         payload bytes for the statistics)`` — ``cost`` a scalar, one entry
-        per rank, or a tuple of such stages — and merges the clocks (``latest
-        entry + cost``, stage by stage, as consecutive collectives would add
-        them); every rank then takes its new clock and ``pick(slots, shared,
-        idx)``, its result.  The traced payload size defaults to the
-        deposit's.  A stage may also be a ``(cost, group)`` pair
-        (:func:`~repro.machine.cost.advance`).
+        per rank, or a list of alternative tuples of such stages: the flat
+        price, then a composed one, of which it keeps the one that finishes
+        first (:func:`~repro.machine.cost.finish`; flat on a tie) — and merges
+        the clocks (``latest entry + cost``, stage by stage, as consecutive
+        collectives would add them); every rank then takes its new clock and
+        ``pick(slots, shared, idx)``, its result.  The traced payload size
+        defaults to the deposit's.  A stage may also be a ``(cost, group)``
+        pair (:func:`~repro.machine.cost.advance`).
 
-        Under a fault plan the last arriver also prices the plan's link
-        faults into each stage (:func:`~repro.mpi.reliable.collective_faults`)
-        — on the ``(src, dst)`` member pairs ``links(slots)`` names, when
-        given; a stage beyond repair completes the generation with every
-        member raising :class:`MessageTimeoutError` at the same clock."""
+        Under a fault plan the last arriver prices the plan's link faults
+        into each stage of each alternative
+        (:func:`~repro.mpi.reliable.collective_faults`) — on the ``(src,
+        dst)`` member pairs ``links(slots)`` names, when given — before it
+        chooses: one that completes beats one that fails, and only the kept
+        one's drops count.  A stage beyond repair completes the generation
+        with every member raising :class:`MessageTimeoutError` at the same
+        clock."""
         rt = self.runtime
         wrank = self.world_ranks[idx]
         if rt._faults is not None:
@@ -337,13 +342,20 @@ class _CommState:
                     # idle reference.
                     latest = clocks = rt.clocks[self._members].max()
                     self._entry_max = float(latest)
-                    stages = cost if isinstance(cost, tuple) else (cost,)
+                    if not isinstance(cost, list):
+                        cost = [(cost,)]
+                    if rt._faults is None:
+                        priced = [(stages, None, ()) for stages in cost]
+                    else:
+                        priced = collective_faults(self, gen, name, latest, cost,
+                                                   None if links is None else links(slots))
+                    # the one place a composed price is weighed against the
+                    # flat one: whichever completes, and finishes first
+                    stages, failure, tally = priced[0] if len(priced) == 1 else min(
+                        priced, key=lambda alt: (alt[1] is not None, finish(alt[0])))
+                    for kind in tally:
+                        rt._count_fault(kind)
                     self._staged = len(stages) > 1
-                    failure = None
-                    if rt._faults is not None:
-                        stages, failure = collective_faults(
-                            self, gen, name, latest, stages,
-                            None if links is None else links(slots))
                     for stage in stages:
                         clocks = advance(clocks, stage)
                     self.cell = shared, clocks, failure
@@ -623,7 +635,7 @@ class Comm:
             )
         if plan is not None:
             wr = self.world_rank
-            msg.waited, fate = climb(rt, lambda a: plan.link_event(wr, wdest))
+            msg.waited, fate = climb(lambda a: plan.link_event(wr, wdest), rt._count_fault)
             if fate is None:
                 msg.failure = (f"message {wr} -> {wdest} (tag {tag}) was "
                                f"dropped on all {MAX_ATTEMPTS} attempts")
@@ -915,11 +927,13 @@ class Comm:
     ) -> Any:
         """Reduce to every rank.  ``by_node`` asks for the node-composed
         algorithm — reduce inside each node, allreduce over one leader per
-        node, bcast inside each node — still one rendezvous, priced stage by
-        stage (:meth:`CostModel.node_allreduce_stages`) and recorded as
+        node, bcast inside each node — where that finishes first: still one
+        rendezvous, priced stage by stage
+        (:meth:`CostModel.node_allreduce_stages`) and recorded as
         ``node_allreduce``.  Its two sub-communicators belong to the
         communicator's creation (:meth:`CostModel.node_setup`), not to the
-        call.
+        call.  ``allgather``, ``exscan`` and ``alltoall`` take ``by_node``
+        alike.
 
         ``then(result)`` runs once, on the last arriver and before anyone
         returns, and every rank returns its value — the same object, not a
@@ -948,15 +962,20 @@ class Comm:
             everyone=False,
         )
 
-    def allgather(self, value: Any, *, then: Callable[[list[Any]], Any] | None = None) -> Any:
-        """Every rank's ``value``, in rank order; ``then`` as in
-        :meth:`allreduce` (it receives the members' deposits themselves)."""
+    def allgather(
+        self, value: Any, *, by_node: bool = False,
+        then: Callable[[list[Any]], Any] | None = None,
+    ) -> Any:
+        """Every rank's ``value``, in rank order; ``by_node`` and ``then`` as
+        in :meth:`allreduce` (``then`` receives the members' deposits
+        themselves; :meth:`CostModel.node_allgather_stages`)."""
         ranks = self._state.world_ranks
+        price = self._rt.cost.node_allgather_stages if by_node else self._rt.cost.allgather
         return self._combined(
-            "allgather",
+            "node_allgather" if by_node else "allgather",
             value,
             lambda s: list(s),
-            lambda n: self._rt.cost.allgather(n[0], ranks),
+            lambda n: price(n[0], ranks),
             then=then,
         )
 
@@ -983,20 +1002,22 @@ class Comm:
             root=root,
         )
 
-    def alltoall(self, values: Sequence[Any]) -> list[Any]:
-        """Personalized exchange of one payload per peer."""
+    def alltoall(self, values: Sequence[Any], *, by_node: bool = False) -> list[Any]:
+        """Personalized exchange of one payload per peer; ``by_node`` as in
+        :meth:`allreduce` (:meth:`CostModel.node_alltoall_stages`)."""
         size = self.size
         if len(values) != size:
             raise CommunicatorError(f"alltoall needs {size} values")
         ranks = self._state.world_ranks
+        price = self._rt.cost.node_alltoall_stages if by_node else self._rt.cost.alltoall
 
         def plan(slots: list[Any]) -> Any:
             total = sum(payload_nbytes(row) for row in slots)
-            return None, self._rt.cost.alltoall(total / size**2, ranks), total
+            return None, price(total / size**2, ranks), total
 
         return self._state.collective(
             self._rank,
-            "alltoall",
+            "node_alltoall" if by_node else "alltoall",
             list(values),
             plan,
             lambda slots, _, idx: copy_payload([row[idx] for row in slots]),
@@ -1053,13 +1074,13 @@ class Comm:
             trace_bytes=sendbuf.nbytes,
         )
 
-    def _prefix(self, name: str, value: Any, prefixes) -> Any:
+    def _prefix(self, name: str, value: Any, prefixes, price) -> Any:
         """Scan family: ``prefixes(slots)`` is the per-rank result list."""
         ranks = self._state.world_ranks
 
         def plan(slots: list[Any]) -> Any:
             sizes = [payload_nbytes(s) for s in slots]
-            return prefixes(slots), self._rt.cost.scan(sizes[0], ranks), sum(sizes)
+            return prefixes(slots), price(sizes[0], ranks), sum(sizes)
 
         return self._state.collective(
             self._rank, name, value, plan,
@@ -1068,12 +1089,17 @@ class Comm:
 
     def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Inclusive prefix reduction over ranks."""
-        return self._prefix("scan", value, lambda s: list(accumulate(s, op)))
+        return self._prefix("scan", value, lambda s: list(accumulate(s, op)), self._rt.cost.scan)
 
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Exclusive prefix reduction; rank 0 receives ``None``."""
+    def exscan(self, value: Any, op: ReduceOp = SUM, *, by_node: bool = False) -> Any:
+        """Exclusive prefix reduction; rank 0 receives ``None``.  ``by_node``
+        as in :meth:`allreduce`, where each node's members are consecutive
+        in rank order (:meth:`CostModel.node_exscan_stages`)."""
+        cost = self._rt.cost
         return self._prefix(
-            "exscan", value, lambda s: [None, *accumulate(s[:-1], op)]
+            "node_exscan" if by_node else "exscan", value,
+            lambda s: [None, *accumulate(s[:-1], op)],
+            cost.node_exscan_stages if by_node else cost.scan,
         )
 
     # -------------------------------------------------------- comm management

@@ -35,86 +35,105 @@ LADDER = sum(DEADLINES)
 _COLLECTIVE_STREAM = 2
 
 
-def climb(rt, fate_of: Callable[[int], LinkFault]) -> tuple[float, LinkFault | None]:
+def climb(fate_of: Callable[[int], LinkFault],
+          count: Callable[[str], None]) -> tuple[float, LinkFault | None]:
     """Walk one message up the ladder; ``fate_of(a)`` draws attempt
     ``a``'s fate.  Returns ``(seconds waited on dropped attempts, fate of
     the delivered attempt)`` — the fate ``None`` when every attempt was
-    dropped — and counts the drops and a duplicate in ``rt.fault_stats``."""
+    dropped — and ``count``s each drop and a duplicate by kind."""
     waited = 0.0
     for a, deadline in enumerate(DEADLINES):
         fate = fate_of(a)
         if not fate.drop:
             if fate.duplicate:
-                rt._count_fault("duplicated")
+                count("duplicated")
             return waited, fate
-        rt._count_fault("dropped")
+        count("dropped")
         waited += deadline
     return waited, None
 
 
 def collective_faults(
-    state, gen: int, name: str, start: float, stages: tuple,
+    state, gen: int, name: str, start: float, alternatives: list[tuple],
     links: Sequence[tuple[int, int]] | None = None,
-) -> tuple[tuple, str | None]:
+) -> list[tuple[tuple, str | None, list[str]]]:
     """The fault plan's price on generation ``gen`` of collective ``name``
-    on ``state``, computed once by the last arriver: ``(stages, failure)``.
+    on ``state``, computed once by the last arriver for each alternative
+    price (flat first, then the node composition): ``(stages, failure,
+    fault kinds to count)`` — counted only for the alternative kept.
 
     Each priced stage stands for the messages a message-passing collective
     would send: ``links``, as ``(src, dst)`` member pairs, when the caller
-    knows them; otherwise one from every other member to member 0 and one
-    back — for ``alltoall``/``alltoallv``, one per ordered pair, and for the
-    three stages of a composed ``node_alltoallv`` the pairs each one uses
-    (same-node pairs, leader pairs, leader to member).  Each
+    knows them; otherwise, flat, one from every other member to member 0
+    and one back — for ``alltoall``/``alltoallv``, one per ordered pair —
+    and composed, the pairs each stage uses (:func:`_links`).  Each
     message climbs the ladder, attempt ``a`` drawing its fate from the
     content identity ``(comm, generation, stage, a)`` — the communicator
-    by its creation identity, ``state.fault_key`` — so the price is a
-    pure function of the seed.  The delivered attempt's delay and
-    degraded-window penalty multiply the stage cost (its receiver's, for a
-    per-rank stage).  A stage ends at its slowest message.  A message
-    beyond repair makes its stage cost the whole ladder and ends the list,
-    and ``failure`` says which message it was.
+    by its creation identity, ``state.fault_key``, the stages numbered on
+    across the alternatives — so the price is a pure function of the seed.
+    The delivered attempt's delay and degraded-window penalty multiply the
+    stage cost (its receiver's, for a per-rank stage).  A stage ends at its
+    slowest message.  A message beyond repair makes its stage cost the
+    whole ladder and ends the list, and ``failure`` says which message it
+    was.
     """
+    out, first = [], 0
+    for composed, stages in enumerate(alternatives):
+        pairs = [links] if links is not None else _links(state, name, composed)
+        out.append(_with_faults(state, gen, name, start, stages, pairs, first))
+        first += len(stages)
+    return out
+
+
+def _with_faults(state, gen, name, start, stages, per_stage, first):
+    """:func:`collective_faults` of one alternative, its stages numbered
+    from ``first``."""
     rt = state.runtime
     plan = rt._faults
     ranks = state.world_ranks
     key = state.fault_key
     p = len(ranks)
-    per_stage = [links] * len(stages) if links is not None else _links(state, name, len(stages))
     clocks = np.full(p, float(start))
-    priced = []
+    priced, tally = [], []
     for s, stage in enumerate(stages):
         stage, group = stage if isinstance(stage, tuple) else (stage, None)
         cost = np.broadcast_to(np.asarray(stage, dtype=np.float64), (p,))
         extra = np.zeros(p)
         for src, dst in per_stage[s]:
-            waited, fate = climb(rt, lambda a: plan.link_event(
-                ranks[src], ranks[dst], _COLLECTIVE_STREAM, (key, gen, s, a)))
+            waited, fate = climb(lambda a: plan.link_event(
+                ranks[src], ranks[dst], _COLLECTIVE_STREAM, (key, gen, first + s, a)),
+                tally.append)
             if fate is None:
                 return (*priced, waited), (
                     f"{name} on comm#{state.trace_id} (generation {gen}): its "
                     f"message {ranks[src]} -> {ranks[dst]} was dropped on all "
-                    f"{MAX_ATTEMPTS} attempts")
+                    f"{MAX_ATTEMPTS} attempts"), tally
             penalty = fate.delay_factor + plan.degrade_factor(
                 ranks[src], ranks[dst], clocks[src] + waited)
             if penalty:
-                rt._count_fault("delayed")
+                tally.append("delayed")
             extra[dst] = max(extra[dst], waited + penalty * cost[dst])
         stage = stage + (extra if np.ndim(stage) else extra.max())
         priced.append(stage if group is None else (stage, group))
         clocks = advance(clocks, priced[-1])
-    return tuple(priced), None
+    return tuple(priced), None, tally
 
 
-def _links(state, name: str, nstages: int) -> list[list[tuple[int, int]]]:
-    """Per stage, the ``(src, dst)`` member pairs collective ``name`` sends on."""
+def _links(state, name: str, composed: bool) -> list[list[tuple[int, int]]]:
+    """Per stage, the ``(src, dst)`` member pairs collective ``name`` sends
+    on — flat, or (``composed``) through one leader per node: members to
+    their leader (every same-node pair, for ``node_alltoallv``), leader
+    pairs, leaders to their members."""
     p = state.size
-    if name not in ("alltoall", "alltoallv", "node_alltoallv"):
-        return [[(i, 0) for i in range(1, p)] + [(0, i) for i in range(1, p)]] * nstages
-    if name == "node_alltoallv" and nstages == 3:
+    if composed:
         node, leaders = (a.tolist() for a in state.runtime.cost.node_layout(state.world_ranks)[:2])
+        down = [(leaders[node[j]], j) for j in range(p) if leaders[node[j]] != j]
         return [
-            [(i, j) for i in range(p) for j in range(p) if i != j and node[i] == node[j]],
+            [(i, j) for i in range(p) for j in range(p) if i != j and node[i] == node[j]]
+            if name == "node_alltoallv" else [(j, i) for i, j in down],
             [(i, j) for i in leaders for j in leaders if i != j],
-            [(leaders[node[j]], j) for j in range(p) if leaders[node[j]] != j],
+            down,
         ]
-    return [[(i, j) for i in range(p) for j in range(p) if i != j]] * nstages
+    if name.removeprefix("node_") in ("alltoall", "alltoallv"):
+        return [[(i, j) for i in range(p) for j in range(p) if i != j]]
+    return [[(i, 0) for i in range(1, p)] + [(0, i) for i in range(1, p)]]

@@ -170,8 +170,9 @@ class TraceRecorder:
         #: configuration); exported into the Chrome trace's ``otherData`` so
         #: ``repro.trace.report`` can attribute a run to its plan
         self.metadata: dict[str, Any] = {}
-        # The (node_local, leaders) pair behind ``allreduce(by_node=True)``
-        # is built with the communicator, at launch: reported, never charged.
+        # The (node_local, leaders) pair behind the ``by_node=True``
+        # collectives is built with the communicator, at launch: reported,
+        # never charged.
         setup = runtime.cost.node_setup(runtime.active_state.world_ranks)
         if setup:
             self.metadata["node_setup_s"] = setup

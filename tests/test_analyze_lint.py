@@ -656,8 +656,8 @@ class TestSeededRegressions:
             ),
             (
                 "core/exchange.py",
-                "comm.alltoall([int(c) for c in send_counts])",
-                "comm.alltoall(send_counts[: p - comm.rank])",
+                "comm.alltoall([int(c) for c in send_counts], by_node=splitters.by_node)",
+                "comm.alltoall(send_counts[: p - comm.rank], by_node=splitters.by_node)",
                 "send_counts[: p - comm.rank]",
                 "SPMD-SHAPE-MISMATCH",
             ),

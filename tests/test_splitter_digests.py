@@ -7,8 +7,9 @@ the search state moved into the collectives' ``then=`` step, and a change
 of a probe or a round changes it.  The *clock* digest covers every rank's
 virtual clock, so a change of a charge or a price changes it too.  The
 ``"squeeze"`` clocks were re-recorded when its three setup collectives
-became one allgather; the pinned schedules' clocks were not.  Re-record
-either only for a change meant to move it.
+became one allgather, and the p = 16 ones when its allgathers composed by
+node; the pinned schedules' clocks were not.  Re-record either only for a
+change meant to move it.
 """
 
 import functools
@@ -137,28 +138,28 @@ DIGESTS = {
 CLOCKS = {
     "squeeze/minmax/uniform_u64/3": "d9b94b5411950d666f84dfe72c973ee543616d22",
     "squeeze/minmax/uniform_u64/8": "3771094851a65d177278eb1f18e4c206831efd04",
-    "squeeze/minmax/uniform_u64/16": "8eb895c487ad2ad7975defa99df2160e5b0b4ee2",
+    "squeeze/minmax/uniform_u64/16": "fb99f60cd389e5253e8c1e05ed16339958efad67",
     "squeeze/minmax/zipf_u64/3": "681c56ca082ce0b1025b9e195a15662110416c0e",
     "squeeze/minmax/zipf_u64/8": "fb0225fb48b02d71375db1b01860db905c23d994",
-    "squeeze/minmax/zipf_u64/16": "11d0b4971cb78a0b516879287d0304e13f2b3305",
+    "squeeze/minmax/zipf_u64/16": "18799b9e7481a0ae06b73c0c2954f08b022f6ccf",
     "squeeze/minmax/normal_f64_inf/3": "9162227a01bb7b7f8b750c3a68f939d5a822d53f",
     "squeeze/minmax/normal_f64_inf/8": "2006ab5c4923618b1a4bad3a66dae544a0aac975",
-    "squeeze/minmax/normal_f64_inf/16": "ff9924b607f4a30311187d483dfaacf2d23ac603",
+    "squeeze/minmax/normal_f64_inf/16": "58e071a6f636cd1b927c4e4f2dfd0888111007e1",
     "squeeze/minmax/duplicates_i64/3": "0173c1baf83a02d67aa62e290ab853b7116d1c9a",
     "squeeze/minmax/duplicates_i64/8": "14e92193b09034c93ae5bde13e4e2539d65b99d7",
-    "squeeze/minmax/duplicates_i64/16": "70a0cd3607bc2144f0036861202c745a3ed0ea88",
+    "squeeze/minmax/duplicates_i64/16": "f61fcf6d40d8e04cd1c2954c34277a799368d6d8",
     "squeeze/sample/uniform_u64/3": "46271fb6d41b814d700d2531039e8d0d2f7ebf74",
     "squeeze/sample/uniform_u64/8": "58588c7b5566100c1a9b6190c47adf4aafb347df",
-    "squeeze/sample/uniform_u64/16": "cf18671ba9c8f0113f96de46a60e7908e3fcf3c0",
+    "squeeze/sample/uniform_u64/16": "eb5944e1e29273f14dd52a5372f94aad76c2c62a",
     "squeeze/sample/zipf_u64/3": "f2ea5ede29531cda10f3655c20f96999b4b3e4da",
     "squeeze/sample/zipf_u64/8": "8cd8c4ffa7607e36cb36818d3657c12734db8f96",
-    "squeeze/sample/zipf_u64/16": "5eacb97c8254cc61310b79816903a5266a8dcdbf",
+    "squeeze/sample/zipf_u64/16": "59fa6559177d3d25d689e44a18d57af69c2e57fe",
     "squeeze/sample/normal_f64_inf/3": "0b3198cbc7acf4711d89c239372d4c5928c4a741",
     "squeeze/sample/normal_f64_inf/8": "4bf24990ebb8f4bd7af0bf5dfc50a18e41fc7259",
-    "squeeze/sample/normal_f64_inf/16": "30e6ce0fdc20b38bcff6cae486bf84ce85b125e0",
+    "squeeze/sample/normal_f64_inf/16": "d79be4b5c8fe86f04b35c2f9b015ea48a5cd1718",
     "squeeze/sample/duplicates_i64/3": "2a8771b8e40ae2f47a60fc43bb4c673e01a0b8e1",
     "squeeze/sample/duplicates_i64/8": "e59fa654f0a342c0c131cdd9a5f4cde33103f426",
-    "squeeze/sample/duplicates_i64/16": "c4eb79dc96b596860ab219aea460d9ae61121969",
+    "squeeze/sample/duplicates_i64/16": "3d69d26ec685037ff58664d1169f226591d7588b",
     "shared/minmax/uniform_u64/3": "0ca9894f50bd88de7dafcdd5b94180fe5f3afca7",
     "shared/minmax/uniform_u64/8": "2766fe462d27e183144299f0f097b35913934054",
     "shared/minmax/uniform_u64/16": "489abb57bd40b29620d55ea4cd9c03145bde8d58",
