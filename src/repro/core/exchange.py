@@ -13,6 +13,13 @@ Communication stays ``O(p)`` per rank as in the paper: an EXCLUSIVE_SCAN
 over the per-boundary duplicate counts gives each rank its rank-order fill
 offset, and one ALL-TO-ALL of the send counts gives the receive side —
 together the equivalent of the paper's two ALL-TO-ALLs plus scan (§V-B).
+
+Every rank knows each destination's key range once the splitters are
+agreed, so under ``"squeeze"`` a destination whose range is narrow gets
+only the low bytes of each key (:attr:`SplitterResult.widths`) in the same
+one ALL-TO-ALLV, and restores the keys from its range's low end.  The
+count ALL-TO-ALL also sizes what is elided: a zero-width destination
+receives no byte and fills its keys from the counts alone.
 """
 
 from __future__ import annotations
@@ -38,13 +45,17 @@ class ExchangePlan:
     ``cuts`` has ``P+1`` entries; this rank sends
     ``local_sorted[cuts[d]:cuts[d+1]]`` to rank ``d``.  ``send_counts`` and
     ``recv_counts`` are the classic MPI count vectors (elements, not bytes).
-    ``by_node``: the splitters' (:attr:`SplitterResult.by_node`).
+    ``by_node``, ``widths``, ``lows``, ``masks``: the splitters'
+    (:class:`SplitterResult`).
     """
 
     cuts: np.ndarray
     send_counts: np.ndarray
     recv_counts: np.ndarray
     by_node: bool = False
+    widths: np.ndarray | None = None
+    lows: np.ndarray | None = None
+    masks: np.ndarray | None = None
 
     @property
     def elements_sent(self) -> int:
@@ -106,6 +117,9 @@ def build_exchange_plan(
         send_counts=send_counts,
         recv_counts=recv_counts,
         by_node=splitters.by_node,
+        widths=splitters.widths,
+        lows=splitters.lows,
+        masks=splitters.masks,
     )
 
 
@@ -113,9 +127,13 @@ def exchange(
     comm: "Comm", local_sorted: np.ndarray, plan: ExchangePlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the single ALL-TO-ALLV round — composed by node where ``plan``
-    allows it and that is cheaper; returns its ``(recvbuf, recv_counts)``."""
+    allows it and that is cheaper, each key in its destination's ``widths``
+    bytes where ``plan`` has them; returns ``(recvbuf, recv_counts)``."""
     t_data = comm.clock
-    received = comm.alltoallv(local_sorted, plan.send_counts, by_node=plan.by_node)
+    if plan.widths is None:
+        received = comm.alltoallv(local_sorted, plan.send_counts, by_node=plan.by_node)
+    else:
+        received = _packed_exchange(comm, local_sorted, plan)
     comm.tracer.record(
         "exchange_data",
         t_data,
@@ -123,3 +141,31 @@ def exchange(
         elements_received=plan.elements_received,
     )
     return received
+
+
+def _packed_exchange(comm: "Comm", local_sorted, plan: ExchangePlan):
+    """The ALL-TO-ALLV of the ``widths[d]`` bytes the mask word ``masks[d]``
+    marks in each key for destination ``d``, in one byte buffer; a receiver
+    of ``w < itemsize`` bytes restores its keys as ``lows[me] + (x -
+    lows[me]) mod 2**(8 w)``.  O(1) NumPy calls per rank, whatever ``p``."""
+    compute, dtype, me = comm.cost.compute, local_sorted.dtype, comm.rank
+    size, widths, masks = dtype.itemsize, plan.widths, plan.masks
+    # each destination's mask word, repeated once per key sent there
+    sendbuf = np.ascontiguousarray(local_sorted).view(np.uint8).compress(
+        np.repeat(masks, plan.send_counts).view(bool))
+    comm.compute(compute.partition(local_sorted.size))
+    buf, _ = comm.alltoallv(sendbuf, plan.send_counts * widths, by_node=plan.by_node)
+    w = int(widths[me])
+    if w == size:
+        return buf.view(dtype), plan.recv_counts
+    if w:
+        low = plan.lows[me:me + 1].astype(np.uint64)
+        keys = buf.view(np.dtype(f"u{w}").newbyteorder(dtype.byteorder)) - low  # mod 2**64
+        keys &= np.uint64((1 << 8 * w) - 1)
+        keys += low
+        keys = keys.astype(dtype, copy=False)
+    else:  # every key is the low end
+        keys = np.empty(plan.elements_received, dtype)
+        keys.fill(plan.lows[me])
+    comm.compute(compute.partition(keys.size))
+    return keys, plan.recv_counts

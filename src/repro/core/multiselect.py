@@ -92,6 +92,12 @@ class SplitterResult:
     the exchange of this partition — EXSCAN, count ALL-TO-ALL and
     ALL-TO-ALLV — may compose by node (``"squeeze"``, like its own
     collectives; the pinned schedules keep the paper's flat ones).
+
+    ``widths`` (None: every key travels whole): the bytes per key the
+    ALL-TO-ALLV ships to each destination — the low bytes of the keys,
+    marked per destination by the byte-mask word ``masks[d]``, restored as
+    ``lows[d]`` plus their offset modulo ``2**(8 * widths[d])``
+    (:meth:`_ProbeArithmetic.packing`).
     """
 
     values: np.ndarray
@@ -106,6 +112,9 @@ class SplitterResult:
     probes_total: int
     gathered_keys: int = 0
     by_node: bool = False
+    widths: np.ndarray | None = None
+    lows: np.ndarray | None = None
+    masks: np.ndarray | None = None
 
     @property
     def nboundaries(self) -> int:
@@ -129,6 +138,11 @@ class SplitterResult:
         )
 
 
+#: a key span below ``_SPANS[i]`` fits in ``_WIDTHS[i]`` bytes
+_SPANS = np.array([1, 1 << 8, 1 << 16, 1 << 32], dtype=np.uint64)
+_WIDTHS = np.array([0, 1, 2, 4, 8])
+
+
 class _ProbeArithmetic:
     """Dtype-aware probe placement inside half-open brackets ``(lo, hi]``."""
 
@@ -142,6 +156,9 @@ class _ProbeArithmetic:
         #: (min, max) of the finite keys if a global extreme is infinite: no
         #: arithmetic works on such a bracket end, so probes go inside these
         self.finite: tuple | None = None
+        #: the widest key slice, in bytes, the exchange ships instead of the
+        #: whole key (-1: none), set with the search
+        self.packable = -1
 
     def extremes(self, keys) -> tuple:
         """``(min, max)`` of sorted ``keys``; the MINMAX identity if empty."""
@@ -185,6 +202,31 @@ class _ProbeArithmetic:
         raw = raw.astype(self.dtype)
         raw = np.where(raw <= lo, np.nextafter(lo, hi), raw)
         return np.where(raw > hi, hi, raw)
+
+    def packing(self, gmin, values, gmax) -> tuple | None:
+        """``(widths, lows, masks)`` of the exchange's destinations, or None
+        where every key travels whole.  Destination ``d`` receives keys of
+        ``[lows[d], highs[d]]``, the splitters and the global extremes at the
+        ends, so the low ``w`` bytes of a key hold its offset from ``lows[d]``
+        exactly where ``highs[d] - lows[d] < 2**(8w)`` (modulo 2^64, as in
+        :meth:`spread`); ``w`` is that width where at most ``packable``, the
+        itemsize elsewhere.  ``masks[d]`` is a key-sized word whose bytes are
+        1 at the ``widths[d]`` low bytes of a key, 0 elsewhere."""
+        if self.packable < 0:
+            return None
+        lows, highs = np.append(gmin, values), np.append(values, gmax)
+        widths = _WIDTHS[_SPANS.searchsorted(highs.astype(np.uint64) - lows.astype(np.uint64),
+                                             side="right")]
+        packed = widths <= self.packable
+        if not packed.any():
+            return None
+        size = self.dtype.itemsize
+        widths = np.where(packed, widths, size)
+        order = np.arange(size)  # each byte's significance
+        if self.dtype != self.dtype.newbyteorder("<"):
+            order = order[::-1]
+        masks = (order < widths[:, None]).view(f"u{size}").ravel()
+        return widths, lows.astype(self.dtype), masks
 
 
 def accept_or_tighten(probes, L, U, t, tol, lo, hi):
@@ -312,8 +354,9 @@ class _Search:
     object once (``then=``) and all ranks read it: built from ``(U(gmin),
     L(gmax))``, seeded by the sampled probes, advanced by each histogram
     round, finished by the exact gather.  Each step ends by placing the next
-    round's probes and deciding whether the gather pays (:meth:`_place`).
-    What it publishes to the ranks is read-only.
+    round's probes and deciding whether the gather pays (:meth:`_place`);
+    the last one, by sizing the exchange's packing once for all.  What it
+    publishes to the ranks is read-only.
     """
 
     def __init__(self, ends, targets, tol, total, gmin, gmax, arith, config, rule):
@@ -418,8 +461,10 @@ class _Search:
         target, and whether the exact finish pays instead; with no target
         left open, the result is final."""
         if not self.t.size:
-            for a in (self.values, self.lower, self.upper, self.realized):
-                a.setflags(write=False)
+            self.packing = self.arith.packing(self.gmin, self.values, self.gmax) or (None,) * 3
+            for a in (self.values, self.lower, self.upper, self.realized, *self.packing):
+                if a is not None:
+                    a.setflags(write=False)
             return
         if probes is None:
             # "shared": the targets sharing a bracket spread their probes over
@@ -499,6 +544,12 @@ def find_splitters(
         _, targets, total, tol = lay
         arith.finite = finite
         rule = _GatherRule(comm, dtype.itemsize, max(total // p, 1)) if squeeze else None
+        if squeeze and arith.is_int:
+            # a bucket's keys travel in w bytes where the bytes that saves per
+            # key on an unshared NIC outprice packing and unpacking it
+            byte, key = comm.cost.network_byte_price(comm.world_ranks), compute.c_partition
+            pays = [w for w in (0, 1, 2, 4) if (dtype.itemsize - w) * byte > 2 * key]
+            arith.packable = max(pays, default=-1)
         return _Search(ends, targets, tol, total, gmin, gmax, arith, config, rule)
 
     finite_ends = lambda gmin, gmax: arith.is_int or bool(np.isfinite(gmin) and np.isfinite(gmax))
@@ -605,4 +656,7 @@ def find_splitters(
         probes_total=search.probes_total,
         gathered_keys=search.gathered_keys,
         by_node=squeeze,
+        widths=search.packing[0],
+        lows=search.packing[1],
+        masks=search.packing[2],
     )

@@ -422,6 +422,14 @@ class CostModel:
         b[leaders] = self.alltoallv_per_rank(between, [ranks[i] for i in leaders])
         return [(flat,), (a, (b, group_b), (c, node))]
 
+    def network_byte_price(self, ranks: Sequence[int]) -> float:
+        """Seconds an ALL-TO-ALLV byte costs between nodes over a NIC no
+        other member shares (stage B of :meth:`node_alltoallv_stages`); 0 in
+        a group on one node, whose bytes never cross the network."""
+        if self.placement.span_level(tuple(ranks)) < Level.NETWORK:
+            return 0.0
+        return self.link_for(Level.NETWORK).beta * self.alltoallv_inefficiency
+
     def alltoallv(self, volumes: np.ndarray, ranks: Sequence[int]) -> float:
         """Completion time of the whole irregular exchange (max over ranks)."""
         return float(self.alltoallv_per_rank(volumes, ranks).max())

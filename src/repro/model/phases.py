@@ -26,6 +26,7 @@ analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..machine.cost import CostModel
 from ..machine.spec import Level, MachineSpec
@@ -182,7 +183,8 @@ def predict_histsort(
 
 
 def traffic_histsort(
-    n_total: int, p: int, *, rounds: int, gathered_keys: int = 0, itemsize: int = 8
+    n_total: int, p: int, *, rounds: int, gathered_keys: int = 0, itemsize: int = 8,
+    widths: Sequence[int] | None = None,
 ) -> dict[str, float]:
     """Modelled per-phase wire bytes of the histogram sort.
 
@@ -196,7 +198,10 @@ def traffic_histsort(
     boundaries retire as they converge; the exact gather, one of the
     ``rounds``, ships its ``gathered_keys`` instead.  ``other`` is the
     exchange preparation (rank-order-fill EXCLUSIVE_SCAN + send-count
-    ALL-TO-ALL); ``exchange`` the full data volume.
+    ALL-TO-ALL); ``exchange`` the full data volume — or, where the
+    splitters packed it (:attr:`~repro.core.SplitterResult.widths`),
+    ``widths[d]`` bytes for each of the ``N / p`` keys destination ``d``
+    receives.
     """
     if p < 1 or n_total < 0:
         raise ValueError("need p >= 1 and n_total >= 0")
@@ -207,7 +212,8 @@ def traffic_histsort(
         + (rounds - bool(gathered_keys)) * p * 16.0 * b
         + float(gathered_keys) * itemsize,
         "other": p * 8.0 * b + p * (8.0 * p + 8.0),
-        "exchange": float(n_total) * itemsize,
+        "exchange": float(n_total) * itemsize if widths is None
+        else n_total / p * float(sum(widths)),
         "merge": 0.0,
     }
 

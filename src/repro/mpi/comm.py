@@ -1059,15 +1059,17 @@ class Comm:
             matrix = np.stack([c for _, c in slots])
             offsets = np.cumsum(np.pad(matrix, ((0, 0), (1, 0))), axis=1)
             vols = matrix * np.array([[b.itemsize] for b, _ in slots], dtype=np.float64)
-            return (matrix, offsets), price(vols, ranks), float(vols.sum())
+            empty = np.result_type(*(b for b, _ in slots))  # the dtype of nothing received
+            return (matrix, offsets, empty), price(vols, ranks), float(vols.sum())
 
         def pick(slots: list[Any], shared: Any, idx: int) -> Any:
-            matrix, offsets = shared
+            matrix, offsets, empty = shared
             recv_counts = matrix[:, idx].copy()
+            if not recv_counts.any():
+                return np.empty(0, empty), recv_counts
             lo, hi = offsets[:, idx].tolist(), offsets[:, idx + 1].tolist()
             segs = [b[start:end] for (b, _), start, end in zip(slots, lo, hi) if end > start]
-            return np.concatenate(
-                segs or [np.empty(0, np.result_type(*(b for b, _ in slots)))]), recv_counts
+            return np.concatenate(segs), recv_counts
 
         return self._state.collective(
             self._rank, "node_alltoallv" if by_node else "alltoallv", (sendbuf, counts), plan, pick,

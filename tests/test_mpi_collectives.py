@@ -223,6 +223,18 @@ class TestAlltoallvBufferForm:
         assert all(g.dtype == np.uint64 for g in out)
         assert out[2].tolist() == ([2**63 + 2] if listed else [2**63 + 2] * 2)
 
+    def test_a_member_receiving_nothing_gets_the_empty_dtype_and_counts(self, run):
+        # nobody sends to rank 2: its empty result still takes every
+        # deposit's dtype vote, and its counts are p zeros
+        def prog(comm):
+            buf = np.empty(0) if comm.rank == 0 else np.arange(2, dtype=np.uint64)
+            got, got_counts = comm.alltoallv(buf, [0, 0, 0] if comm.rank == 0 else [1, 1, 0])
+            return got.dtype, got.size, got_counts.dtype, got_counts.tolist()
+
+        out = run(3, prog)
+        assert out[2] == (np.dtype(np.float64), 0, np.dtype(np.int64), [0, 0, 0])
+        assert out[1] == (np.dtype(np.uint64), 2, np.dtype(np.int64), [0, 1, 1])
+
     def test_list_and_buffer_forms_agree(self, run):
         def prog(comm, listed):
             rng = np.random.default_rng(comm.rank)

@@ -10,6 +10,7 @@ shapes pin growth in p and in n; the mutants below are the regressions the
 check exists for, each seeded into real library code.
 """
 
+import textwrap
 import types
 from importlib import import_module
 from pathlib import Path
@@ -25,6 +26,8 @@ from repro.mpi import run_spmd
 from repro.trace.analysis import phase_traffic
 
 SHAPES = [(8, 8192), (32, 8192), (8, 65536)]
+#: where zipf keys make the splitters pack the exchange
+ZIPF_MACHINE = {"machine": abstract_cluster(2, cores_per_node=4)}
 
 # modules, not the functions ``repro.core`` re-exports under the same names
 histsort, multiselect, exchange, samplesort = map(import_module, (
@@ -35,7 +38,8 @@ histsort, multiselect, exchange, samplesort = map(import_module, (
 #: sort name -> its wire-byte model at (n, p), given rank 0's result
 MODELS = {
     "dash": lambda n, p, res: traffic_histsort(
-        n, p, rounds=res.rounds, gathered_keys=res.splitters.gathered_keys
+        n, p, rounds=res.rounds, gathered_keys=res.splitters.gathered_keys,
+        widths=res.splitters.widths,
     ),
     "sample_sort": lambda n, p, res: traffic_samplesort(n, p),
     "psrs": lambda n, p, res: traffic_psrs(n, p),
@@ -45,13 +49,13 @@ MODELS = {
 UPPER_BOUNDS = {("dash", "splitting")}
 
 
-def mismatches(algo, p, n, spans=None, **machine):
+def mismatches(algo, p, n, spans=None, dist="uniform_u64", **machine):
     """``{phase: (measured, modelled)}`` for every phase off the model;
     ``spans``, if given, receives the trial's spans."""
     run = ALGORITHMS[algo].run
 
     def prog(comm):
-        local = make_partition("uniform_u64", n // p, rank=comm.rank, seed=7)
+        local = make_partition(dist, n // p, rank=comm.rank, seed=7)
         return run(comm, local, SortConfig())
 
     results, rt = run_spmd(p, prog, trace=True, return_runtime=True, **machine)
@@ -92,6 +96,14 @@ class TestMeasuredTraffic:
         levels = [s.attrs["level"] for s in spans if s.name == "node_alltoallv"]
         assert levels == ["network", *["numa"] * 3] * 2
 
+    def test_a_packed_exchange_moves_the_model_bytes(self):
+        """2 nodes x 4 ranks of zipf keys under ``"squeeze"``: the exchange
+        ships each destination's keys in its bucket's width (0, 1 and 8
+        bytes here), exactly the bytes the model reads off those widths."""
+        spans = []
+        assert mismatches("dash", 8, 8192, spans, dist="zipf_u64", **ZIPF_MACHINE) == {}
+        assert sum(s.attrs["bytes"] for s in spans if s.name.endswith("alltoallv")) < 8192 * 8
+
 
 def _mutant(module, anchor, replacement):
     """``module`` re-executed from its own source with one edit."""
@@ -112,6 +124,9 @@ _PAIRWISE_EXCHANGE = """\
             parts[peer] = comm.sendrecv(parts[peer], peer, tag=1)
     received = (np.concatenate(parts), plan.recv_counts)
 """
+
+#: the bytes per key the packed exchange ships to each destination
+_PACKED_WIDTHS = "    size, widths, masks = dtype.itemsize, plan.widths, plan.masks\n"
 
 #: the tail of the row every rank deposits in the setup allgather, and
 #: the step that unpacks the gathered rows
@@ -145,8 +160,8 @@ MUTANTS = {
     ),
     "handrolled-collective": (  # ALL-TO-ALLV as a pairwise sendrecv loop
         histsort, "exchange", exchange,
-        "    received = comm.alltoallv(local_sorted, plan.send_counts, by_node=plan.by_node)\n",
-        _PAIRWISE_EXCHANGE,
+        "        received = comm.alltoallv(local_sorted, plan.send_counts, by_node=plan.by_node)\n",
+        textwrap.indent(_PAIRWISE_EXCHANGE, "    "),
         "dash", "exchange",
     ),
 }
@@ -158,3 +173,12 @@ class TestTrafficRegressions:
         target, fn, module, anchor, replacement, algo, phase = MUTANTS[name]
         monkeypatch.setattr(target, fn, getattr(_mutant(module, anchor, replacement), fn))
         assert list(mismatches(algo, 8, 8192)) == [phase]
+
+    def test_a_width_class_packed_too_narrow_fails_the_check(self, monkeypatch):
+        """The exchange ships the 1-byte class in 0 bytes, the widths the
+        splitters publish unchanged."""
+        narrow = _mutant(exchange, _PACKED_WIDTHS, _PACKED_WIDTHS.replace(
+            "plan.widths, plan.masks", "np.where(plan.widths == 1, 0, plan.widths), plan.masks")
+            + "    masks = masks * (widths > 0)\n")
+        monkeypatch.setattr(exchange, "_packed_exchange", narrow._packed_exchange)
+        assert list(mismatches("dash", 8, 8192, dist="zipf_u64", **ZIPF_MACHINE)) == ["exchange"]
